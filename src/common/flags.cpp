@@ -1,6 +1,7 @@
 #include "common/flags.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -37,7 +38,16 @@ std::optional<std::string> Flags::find_value(const std::string& name) const {
 void Flags::parse(int argc, const char* const* argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      help_requested_ = true;
+      continue;
+    }
     if (arg.rfind("--", 0) != 0) {
+      // "-x" is a mistyped flag, never a positional; "-5" and "-" are.
+      if (arg.size() > 1 && arg[0] == '-' &&
+          std::isalpha(static_cast<unsigned char>(arg[1])) != 0) {
+        throw FlagError("unknown flag " + arg);
+      }
       positional_.push_back(arg);
       continue;
     }
@@ -50,10 +60,10 @@ void Flags::parse(int argc, const char* const* argv) {
       have_value = true;
     }
     const Declaration* declaration = find_declaration(name);
-    GRIDLB_REQUIRE(declaration != nullptr, "unknown flag: --" + name);
+    if (declaration == nullptr) throw FlagError("unknown flag --" + name);
     const bool wants_value = !declaration->value_hint.empty();
     if (wants_value && !have_value) {
-      GRIDLB_REQUIRE(i + 1 < argc, "flag --" + name + " needs a value");
+      if (i + 1 >= argc) throw FlagError("flag --" + name + " needs a value");
       value = argv[++i];
       have_value = true;
     }
@@ -137,6 +147,7 @@ std::string Flags::usage(const std::string& program) const {
     for (std::size_t pad = left.size(); pad < column; ++pad) os << ' ';
     os << declaration.help << '\n';
   }
+  os << "  --help, -h                      print this help\n";
   return os.str();
 }
 

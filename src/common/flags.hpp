@@ -4,15 +4,25 @@
 // positional arguments.  Repeated flags resolve last-wins (scripts append
 // overrides to a baseline command line), and numeric getters require the
 // whole token to parse ("16x" is an error, not 16).  Declared flags carry
-// a help line; `usage()` renders them.  Unknown flags raise
-// AssertionError so typos fail fast.
+// a help line; `usage()` renders them.  `--help` / `-h` are always
+// accepted and only set `help_requested()`.  Unknown flags and missing
+// values raise FlagError so typos fail fast with a message a tool can
+// print next to its usage.
 #pragma once
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace gridlb {
+
+/// A command line the user got wrong: an unknown flag or a flag missing
+/// its value.  what() is the bare message ("unknown flag --x").
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Flags {
  public:
@@ -20,9 +30,12 @@ class Flags {
   /// for boolean flags).
   void declare(std::string name, std::string value_hint, std::string help);
 
-  /// Parses argv (excluding argv[0]).  Throws AssertionError on unknown
-  /// or malformed flags.
+  /// Parses argv (excluding argv[0]).  Throws FlagError on unknown flags
+  /// (including single-dash `-x` forms) and on flags missing a value.
   void parse(int argc, const char* const* argv);
+
+  /// True once `--help` or `-h` appeared on the parsed command line.
+  [[nodiscard]] bool help_requested() const { return help_requested_; }
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
@@ -57,6 +70,7 @@ class Flags {
   std::vector<Declaration> declarations_;
   std::vector<Value> values_;
   std::vector<std::string> positional_;
+  bool help_requested_ = false;
 };
 
 }  // namespace gridlb

@@ -34,55 +34,56 @@ FifoPlacement FifoScheduler::place(const Task& task,
                  "place needs at least one available node");
 
   std::array<SimTime, kMaxNodesPerResource> free{};
+  std::array<SimTime, kMaxNodesPerResource> sorted{};  // available nodes only
+  std::size_t up = 0;
   for (int i = 0; i < node_count_; ++i) {
-    free[static_cast<std::size_t>(i)] =
-        std::max(node_free[static_cast<std::size_t>(i)], now);
+    const auto node = static_cast<std::size_t>(i);
+    free[node] = std::max(node_free[node], now);
+    if ((available >> i) & 1u) sorted[up++] = free[node];
   }
+  std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(up));
   // One prediction row per application, materialised through the cache on
-  // first sight and then reused lock-free; the subset loop only combines
-  // row values.  Re-fetched per place() because a new application's row
-  // build may relocate the table's storage.
+  // first sight and then reused lock-free.  Re-fetched per place() because
+  // a new application's row build may relocate the table's storage.
   const double* exec_row = table_.ensure_row(*evaluator_, *task.app);
   table_reads_ += static_cast<std::uint64_t>(node_count_);
+  subsets_tried_ += full_mask(node_count_);
 
+  // t_x depends only on the width k, so the earliest width-k completion
+  // waits for the k-th earliest-free node.  Widths are visited in ascending
+  // order and replace the incumbent only when strictly better, which is
+  // the fewer-nodes tie-break.
   FifoPlacement best;
   double best_exec = 0.0;
-  bool have_best = false;
-  const std::uint64_t all = full_mask(node_count_);
-  for (std::uint64_t raw = 1; raw <= all; ++raw) {
-    const auto mask = static_cast<NodeMask>(raw);
-    ++subsets_tried_;
-    if ((mask & ~available) != 0) continue;  // touches a down node
-    SimTime start = now;
-    for_each_node(mask, [&](int node) {
-      start = std::max(start, free[static_cast<std::size_t>(node)]);
-    });
-    const double exec = exec_row[node_count(mask) - 1];
-    const SimTime end = start + exec;
-    bool better;
+  for (std::size_t k = 1; k <= up; ++k) {
+    const double exec = exec_row[k - 1];
+    const SimTime end = sorted[k - 1] + exec;
+    bool better = best.mask == 0;
     if (objective_ == FifoObjective::kMinExecution) {
       // Execution time first; among equally-fast allocations take the one
       // that can begin earliest.
-      better = !have_best || exec < best_exec ||
+      better = better || exec < best_exec ||
                (exec == best_exec && end < best.end);
     } else {
-      better = !have_best || end < best.end;
+      better = better || end < best.end;
     }
-    if (!better && have_best &&
-        ((objective_ == FifoObjective::kMinExecution &&
-          exec == best_exec && end == best.end) ||
-         (objective_ == FifoObjective::kMinCompletion && end == best.end))) {
-      // Deterministic tie-breaks: fewer nodes, then the lower mask.
-      better = node_count(mask) < node_count(best.mask) ||
-               (node_count(mask) == node_count(best.mask) && mask < best.mask);
+    if (!better) continue;
+    // The lowest mask completing at `end`: a later-free node whose sum
+    // rounds to the same `end` also qualifies, so eligibility is judged on
+    // the rounded sum, not on the free time.
+    NodeMask mask = 0;
+    SimTime start = now;
+    for (std::size_t i = 0, taken = 0; taken < k; ++i) {
+      const SimTime f = free[i];
+      if (((available >> i) & 1u) == 0 || f + exec > end) continue;
+      mask |= NodeMask{1} << i;
+      start = std::max(start, f);
+      ++taken;
     }
-    if (better) {
-      have_best = true;
-      best_exec = exec;
-      best = FifoPlacement{mask, start, end};
-    }
+    best_exec = exec;
+    best = FifoPlacement{mask, start, start + exec};
   }
-  GRIDLB_ASSERT(have_best);
+  GRIDLB_ASSERT(best.mask != 0);
   return best;
 }
 

@@ -7,9 +7,9 @@
 // solution is found, it is fixed and will not change as new tasks enter
 // the system."
 //
-// For each arriving task every non-empty node subset is enumerated against
-// the already-fixed schedule (the per-node free times).  Two readings of
-// "best" are supported:
+// For each arriving task the best of every non-empty node subset is chosen
+// against the already-fixed schedule (the per-node free times).  Two
+// readings of "best" are supported:
 //
 //  * kMinExecution (default, used for experiment 1) — the subset with the
 //    smallest PACE-predicted execution time t_x wins; availability only
@@ -20,6 +20,15 @@
 //  * kMinCompletion — the subset with the earliest completion (start +
 //    execution) wins; a stronger baseline, kept for the FIFO-objective
 //    ablation bench.
+//
+// The argmin is over all 2^n−1 subsets, as the paper states, but it is
+// computed by width rather than by enumeration.  A resource is
+// homogeneous, so t_x depends only on the subset size k, and the earliest
+// size-k completion waits for the k-th earliest-free node.  Per width the
+// winner is the lowest mask of k available nodes that completes at that
+// time (judged on the rounded sum free + t_x, so ties and rounding
+// collapses resolve exactly as the enumeration did); across widths the
+// objective decides.  O(n²) per task instead of O(2^n·n).
 //
 // Ties break toward fewer nodes and then the lower mask for determinism.
 #pragma once
@@ -57,12 +66,15 @@ class FifoScheduler {
                                     SimTime now);
 
   /// As above with only the nodes in `available` usable (resource-monitor
-  /// view); subsets touching a down node are enumerated but never chosen.
+  /// view); subsets touching a down node are never chosen.
   [[nodiscard]] FifoPlacement place(const Task& task,
                                     std::span<const SimTime> node_free,
                                     SimTime now, NodeMask available);
 
-  /// Total subsets enumerated so far (2^n − 1 per placed task).
+  /// Size of the search space covered so far: 2^n − 1 subsets per placed
+  /// task, counting those touching down nodes.  The argmin is exact over
+  /// that space even though it is computed per width, not by visiting
+  /// each subset.
   [[nodiscard]] std::uint64_t subsets_tried() const { return subsets_tried_; }
   /// Prediction-table reads so far (one per processor count per placed
   /// task — the lock-free lookups that replace per-place cache queries).
@@ -74,9 +86,9 @@ class FifoScheduler {
   int node_count_;
   FifoObjective objective_;
   /// Per-scheduler prediction snapshot: rows build lazily as new
-  /// applications arrive and persist across place() calls, so the 2^n−1
-  /// subset sweep (and repeat arrivals of the same code) never touches
-  /// the evaluation cache's shard locks.
+  /// applications arrive and persist across place() calls, so repeat
+  /// arrivals of the same code never touch the evaluation cache's shard
+  /// locks.
   pace::PredictionTable table_;
   std::uint64_t subsets_tried_ = 0;
   std::uint64_t table_reads_ = 0;

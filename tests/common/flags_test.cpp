@@ -68,12 +68,50 @@ TEST(Flags, PositionalArguments) {
 
 TEST(Flags, UnknownFlagThrows) {
   Flags flags = declared();
-  EXPECT_THROW(parse(flags, {"--bogus", "1"}), AssertionError);
+  EXPECT_THROW(parse(flags, {"--bogus", "1"}), FlagError);
 }
 
 TEST(Flags, MissingValueThrows) {
   Flags flags = declared();
-  EXPECT_THROW(parse(flags, {"--requests"}), AssertionError);
+  EXPECT_THROW(parse(flags, {"--requests"}), FlagError);
+}
+
+TEST(Flags, UserErrorsAreFlagErrorsNotAssertions) {
+  // A typo is the user's mistake, not a gridlb bug: the message names the
+  // flag and carries no assertion text.
+  Flags flags = declared();
+  try {
+    parse(flags, {"--requests", "5", "--bogus"});
+    FAIL() << "expected FlagError";
+  } catch (const AssertionError&) {
+    FAIL() << "unknown flag surfaced as an assertion";
+  } catch (const FlagError& error) {
+    EXPECT_STREQ(error.what(), "unknown flag --bogus");
+  }
+
+  Flags dashed = declared();
+  EXPECT_THROW(parse(dashed, {"-x"}), FlagError);
+  Flags missing = declared();
+  try {
+    parse(missing, {"--policy"});
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& error) {
+    EXPECT_STREQ(error.what(), "flag --policy needs a value");
+  }
+}
+
+TEST(Flags, HelpIsRequestedNotRejected) {
+  for (const char* help : {"--help", "-h"}) {
+    Flags flags = declared();
+    parse(flags, {"--requests", "3", help});
+    EXPECT_TRUE(flags.help_requested()) << help;
+    EXPECT_EQ(flags.get_int("requests", 0), 3);
+    EXPECT_TRUE(flags.positional().empty());
+  }
+  Flags plain = declared();
+  parse(plain, {"--csv", "-", "-5"});
+  EXPECT_FALSE(plain.help_requested());
+  EXPECT_EQ(plain.positional(), (std::vector<std::string>{"-", "-5"}));
 }
 
 TEST(Flags, LastOccurrenceWins) {
@@ -136,6 +174,9 @@ TEST(Flags, UsageListsEveryFlag) {
   EXPECT_NE(usage.find("--requests <N>"), std::string::npos);
   EXPECT_NE(usage.find("--csv"), std::string::npos);
   EXPECT_NE(usage.find("request count"), std::string::npos);
+  EXPECT_NE(usage.find("  --help, -h                      print this help"),
+            std::string::npos)
+      << usage;
 }
 
 TEST(Flags, UsageSeparatesWideFlagsFromHelp) {

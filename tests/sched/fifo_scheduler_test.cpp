@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -162,6 +167,147 @@ TEST_P(FifoOptimality, MinCompletionBeatsAllSubsets) {
 
 INSTANTIATE_TEST_SUITE_P(AllApps, FifoOptimality,
                          ::testing::ValuesIn(pace::paper_application_names()));
+
+// The subset enumeration FifoScheduler::place used before its per-width
+// closed form, kept verbatim as the reference: every non-empty mask in
+// ascending order, with the original comparison and tie-breaks.  The
+// parameters carry the scheduler's member names so the body is unchanged.
+FifoPlacement enumerate_place(const double* exec_row,
+                              std::span<const SimTime> node_free, SimTime now,
+                              NodeMask available, int node_count_,
+                              FifoObjective objective_) {
+  std::array<SimTime, kMaxNodesPerResource> free{};
+  for (int i = 0; i < node_count_; ++i) {
+    free[static_cast<std::size_t>(i)] =
+        std::max(node_free[static_cast<std::size_t>(i)], now);
+  }
+  FifoPlacement best;
+  double best_exec = 0.0;
+  bool have_best = false;
+  const std::uint64_t all = full_mask(node_count_);
+  for (std::uint64_t raw = 1; raw <= all; ++raw) {
+    const auto mask = static_cast<NodeMask>(raw);
+    if ((mask & ~available) != 0) continue;  // touches a down node
+    SimTime start = now;
+    for_each_node(mask, [&](int node) {
+      start = std::max(start, free[static_cast<std::size_t>(node)]);
+    });
+    const double exec = exec_row[node_count(mask) - 1];
+    const SimTime end = start + exec;
+    bool better;
+    if (objective_ == FifoObjective::kMinExecution) {
+      better = !have_best || exec < best_exec ||
+               (exec == best_exec && end < best.end);
+    } else {
+      better = !have_best || end < best.end;
+    }
+    if (!better && have_best &&
+        ((objective_ == FifoObjective::kMinExecution &&
+          exec == best_exec && end == best.end) ||
+         (objective_ == FifoObjective::kMinCompletion && end == best.end))) {
+      better = node_count(mask) < node_count(best.mask) ||
+               (node_count(mask) == node_count(best.mask) && mask < best.mask);
+    }
+    if (better) {
+      have_best = true;
+      best_exec = exec;
+      best = FifoPlacement{mask, start, end};
+    }
+  }
+  GRIDLB_ASSERT(have_best);
+  return best;
+}
+
+// The k available nodes a naive closed form would take: earliest-free
+// first, lower index among equal free times.
+NodeMask earliest_free_mask(std::span<const SimTime> node_free, SimTime now,
+                            NodeMask available, int k) {
+  std::vector<std::pair<SimTime, int>> order;
+  for_each_node(available, [&](int node) {
+    order.emplace_back(std::max(node_free[static_cast<std::size_t>(node)], now),
+                       node);
+  });
+  std::sort(order.begin(), order.end());
+  NodeMask mask = 0;
+  for (int i = 0; i < k; ++i) {
+    mask |= NodeMask{1} << order[static_cast<std::size_t>(i)].second;
+  }
+  return mask;
+}
+
+// Differential property: the closed form returns exactly what the
+// enumeration returns — same mask, and start/end equal with `==`, not
+// within a tolerance — on adversarial loads.  Free times are drawn from a
+// small pool around a base x (x, its next double, x plus sub-ulp-of-sum
+// offsets) so equal free times and rounding collapses of free + t_x are
+// common, plus times in the past that clamp to `now`.
+TEST(FifoDifferential, ClosedFormMatchesEnumeration) {
+  pace::EvaluationEngine engine;
+  pace::CachedEvaluator evaluator(engine);
+  const auto catalogue = pace::paper_catalogue();
+  Rng rng(2003);
+  int cases = 0;
+  int collapses = 0;  // winner is not the earliest-free k nodes
+  for (int n = 1; n <= 16; ++n) {
+    for (const auto objective :
+         {FifoObjective::kMinExecution, FifoObjective::kMinCompletion}) {
+      for (const auto hardware : pace::all_hardware_types()) {
+        const auto resource = pace::ResourceModel::of(hardware);
+        FifoScheduler fifo(evaluator, resource, n, objective);
+        pace::PredictionTable table;
+        evaluator.snapshot(table, resource, n);
+        const int trials = n <= 12 ? 24 : 6;
+        for (int trial = 0; trial < trials; ++trial) {
+          Task task;
+          task.id = TaskId(1);
+          task.app = catalogue.all()[static_cast<std::size_t>(
+              rng.next_below(catalogue.size()))];
+          task.deadline = 1e6;
+          const SimTime now = rng.chance(0.5) ? 0.0 : rng.uniform(0.0, 20.0);
+          const double x = rng.uniform(0.0, 40.0);
+          const std::array<SimTime, 8> pool = {
+              now - 7.0,
+              now,
+              x,
+              std::nextafter(x, 1e300),
+              x + 1e-12,
+              x + 1e-9,
+              x + 0.5,
+              rng.uniform(0.0, 80.0)};
+          std::vector<SimTime> free(static_cast<std::size_t>(n));
+          for (auto& f : free) f = pool[rng.next_below(pool.size())];
+          NodeMask available = full_mask(n);
+          if (rng.chance(0.5)) {
+            available &= static_cast<NodeMask>(rng.next_u64());
+            if (available == 0) {
+              available = NodeMask{1} << rng.next_below(
+                                static_cast<std::uint64_t>(n));
+            }
+          }
+
+          const double* row = table.ensure_row(evaluator, *task.app);
+          const auto want =
+              enumerate_place(row, free, now, available, n, objective);
+          const auto got = fifo.place(task, free, now, available);
+          ++cases;
+          if (want.mask != earliest_free_mask(free, now, available,
+                                              node_count(want.mask))) {
+            ++collapses;
+          }
+          ASSERT_EQ(got.mask, want.mask)
+              << "n=" << n << " trial=" << trial << " app="
+              << task.app->name();
+          ASSERT_EQ(got.start, want.start) << "n=" << n << " trial=" << trial;
+          ASSERT_EQ(got.end, want.end) << "n=" << n << " trial=" << trial;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * 5 * (12 * 24 + 4 * 6));
+  // The pool must actually reach the subtle path: winners that a plain
+  // "k earliest-free nodes" rule would get wrong.
+  EXPECT_GT(collapses, 0);
+}
 
 }  // namespace
 }  // namespace gridlb::sched

@@ -35,11 +35,16 @@ how the observability-overhead gate encodes "< 5% overhead": the
 plain/observed ratio sits near 1.0 by construction, so a relative
 tolerance alone would wave through a 20% slowdown.
 
+A report file that is missing or not valid JSON is malformed input
+(exit 2) with a one-line message naming the file, never a traceback.
+
 --self-test fabricates pass/fail report pairs in a temp directory and
 asserts the exit codes; it is wired into ctest so the gate logic itself
 is under test.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -67,8 +72,17 @@ def check_one(baseline_path, current_path, key):
         except ValueError:
             print(f"ERROR: malformed floor in '{key}@{floor_text}'")
             return 2
-    baseline = load_report(baseline_path)
-    current = load_report(current_path)
+    reports = {}
+    for name, path in (("baseline", baseline_path), ("current", current_path)):
+        try:
+            reports[name] = load_report(path)
+        except FileNotFoundError:
+            print(f"ERROR: {name} report {path} not found")
+            return 2
+        except json.JSONDecodeError as error:
+            print(f"ERROR: {name} report {path} is not valid JSON ({error})")
+            return 2
+    baseline, current = reports["baseline"], reports["current"]
     for name, doc, path in (("baseline", baseline, baseline_path),
                             ("current", current, current_path)):
         if key not in doc:
@@ -117,11 +131,19 @@ def self_test():
 
     failures = []
 
-    def expect(label, want, *argv):
-        got = run(list(argv))
-        status = "ok" if got == want else f"FAILED (want {want}, got {got})"
+    def expect(label, want, *argv, says=None):
+        """`says`: text the gate's output must contain (captured)."""
+        output = io.StringIO()
+        with contextlib.redirect_stdout(output):
+            got = run(list(argv))
+        if says is None:
+            print(output.getvalue(), end="")
+        ok = got == want and (says is None or says in output.getvalue())
+        status = "ok" if ok else (f"FAILED (want exit {want} saying "
+                                  f"{says!r}, got {got}: "
+                                  f"{output.getvalue().strip()!r})")
         print(f"self-test: {label}: exit {got} — {status}")
-        if got != want:
+        if not ok:
             failures.append(label)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -195,6 +217,23 @@ def self_test():
                "plain_vs_observed@0.95")
         expect("implicit rule without floor", 1, obs_base, obs_good,
                "plain_vs_observed")
+
+        # A baseline the repository does not have (or a bench that wrote
+        # no report) is a one-line error naming the file, not a traceback.
+        absent = os.path.join(tmp, "BENCH_absent.json")
+        expect("missing baseline", 2, absent, good, DEFAULT_KEY,
+               says=f"ERROR: baseline report {absent} not found")
+        expect("missing current", 2, base, absent, DEFAULT_KEY,
+               says=f"ERROR: current report {absent} not found")
+        expect("missing baseline among triples", 2,
+               base, good, DEFAULT_KEY,
+               absent, obs_good, "plain_vs_observed@0.95",
+               says=f"ERROR: baseline report {absent} not found")
+        garbled = os.path.join(tmp, "garbled.json")
+        with open(garbled, "w") as f:
+            f.write("{not json")
+        expect("garbled baseline", 2, garbled, good, DEFAULT_KEY,
+               says=f"ERROR: baseline report {garbled} is not valid JSON")
 
     if failures:
         print(f"self-test FAILED: {failures}")

@@ -62,6 +62,10 @@
 //
 // Everything runs in virtual time; identical flags give identical output,
 // and enabling tracing never changes results (DESIGN.md §9).
+//
+// `gridlb --help` (or -h, after any command) prints the usage and exits 0.
+// An unknown flag, a flag missing its value or an unknown command prints
+// the error and the usage to stderr and exits 2; a run that fails exits 1.
 
 #include <algorithm>
 #include <cstdio>
@@ -551,29 +555,39 @@ Flags make_flags() {
 
 int main(int argc, char** argv) {
   Flags flags = make_flags();
+  const std::string usage =
+      flags.usage("gridlb <table1|predict|experiment|campaign>");
   if (argc < 2) {
-    std::fprintf(stderr, "%s",
-                 flags.usage("gridlb <table1|predict|experiment|campaign>")
-                     .c_str());
+    std::fprintf(stderr, "%s", usage.c_str());
     return 1;
   }
   std::string command = argv[1];
   int flag_start = 2;
-  if (command.rfind("--", 0) == 0) {
+  if (command.rfind("-", 0) == 0) {
     // Bare flags with no command run a campaign, so scenario one-liners
     // like `gridlb --grid-agents 192 --requests-per-agent 25` work.
     command = "campaign";
     flag_start = 1;
   }
+  // Usage errors exit 2 with the usage text; --help is not an error.
   try {
     flags.parse(argc - flag_start, argv + flag_start);
+  } catch (const FlagError& error) {
+    std::fprintf(stderr, "error: %s\n%s", error.what(), usage.c_str());
+    return 2;
+  }
+  if (flags.help_requested()) {
+    std::fputs(usage.c_str(), stdout);
+    return 0;
+  }
+  try {
     if (command == "table1") return cmd_table1();
     if (command == "predict") return cmd_predict(flags);
     if (command == "experiment") return cmd_experiment(flags);
     if (command == "campaign") return cmd_campaign(flags);
-    std::fprintf(stderr, "unknown command: %s\n%s", command.c_str(),
-                 flags.usage("gridlb <command>").c_str());
-    return 1;
+    std::fprintf(stderr, "error: unknown command %s\n%s", command.c_str(),
+                 usage.c_str());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
