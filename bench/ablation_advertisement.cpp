@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 
 namespace {
 

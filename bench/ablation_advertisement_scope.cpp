@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 
 namespace {
 

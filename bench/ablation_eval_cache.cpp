@@ -16,14 +16,13 @@
 // Since DESIGN.md §11 the layer is two-deep: each GA run snapshots the
 // needed (application × nproc) predictions into a flat PredictionTable
 // (the only step that touches the sharded cache), and every per-task
-// prediction during evaluation is a lock-free table read.  The genotype
-// memo sits above both and skips re-evaluating repeated individuals
-// outright.  The paper's "cache absorbs the request stream" claim now
-// holds for the stack: engine invocations per request ≈ 0.
+// prediction during evaluation is a lock-free table read.  The paper's
+// "cache absorbs the request stream" claim holds for the stack: engine
+// invocations per request ≈ 0.
 
 #include <cstdio>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 
 int main() {
   using namespace gridlb;
@@ -77,10 +76,6 @@ int main() {
               static_cast<unsigned long long>(stats.misses));
   std::printf("  engine invocations         : %llu\n",
               static_cast<unsigned long long>(engine.evaluations()));
-  std::printf("  evaluations skipped (memo) : %llu of %llu individuals\n",
-              static_cast<unsigned long long>(result.memo_hits),
-              static_cast<unsigned long long>(result.decodes +
-                                              result.memo_hits));
   std::printf("  requests absorbed          : %.2f%%\n", absorbed * 100.0);
   std::printf("\nprojected PACE cost at %.2f s/evaluation (paper's figure):\n",
               raw_eval_seconds);

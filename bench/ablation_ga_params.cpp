@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 
 namespace {
 

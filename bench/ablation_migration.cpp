@@ -2,7 +2,7 @@
 //
 // The paper balances load purely at submission time: once a request has
 // been dispatched to a resource it stays there, however uneven the
-// queues later become.  DESIGN.md §17 adds a second chance — an agent
+// queues later become.  DESIGN.md §16 adds a second chance — an agent
 // whose own backlog exceeds an overload watermark re-homes *queued*
 // (never running) tasks to a direct neighbour advertising an idle queue.
 // This bench drives an open-loop bursty (ON/OFF) campaign at 1×–10× the

@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 
 namespace {
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 
 namespace gridlb::bench {
 

@@ -17,7 +17,7 @@
 
 #include <fstream>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 #include "json_bench.hpp"
 
 namespace {

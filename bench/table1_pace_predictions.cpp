@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 
 int main() {
   using namespace gridlb;

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 
 namespace {
 

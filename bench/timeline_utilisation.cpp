@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 #include "metrics/time_series.hpp"
 
 int main() {

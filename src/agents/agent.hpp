@@ -62,7 +62,7 @@ enum class AdvertisementScope {
 };
 
 /// Threshold-triggered migration of *queued* (never running) tasks
-/// (ROADMAP item 3, DESIGN.md §17).  When an advertisement shows a direct
+/// (ROADMAP item 3, DESIGN.md §16).  When an advertisement shows a direct
 /// neighbour far idler than the own backlog, up to `max_batch` still-
 /// pending tasks are cancelled on the local scheduler and re-forwarded to
 /// that neighbour as final dispatches.  Migration documents are ordinary

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 
 namespace gridlb::agents {
@@ -76,19 +75,6 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
   collector_ = collector;
   shard_assignment_ = assign_shards(config_.resources, shards);
   completion_buffers_.resize(shards);
-  if (collect_sharded_ && config_.ga.eval_threads != 1) {
-    // One GA thread pool per scheduler does not scale to thousands of
-    // agents, and the PR-1 determinism contract makes eval_threads
-    // irrelevant to results — the shards themselves are the parallelism.
-    // Only an explicit >1 request deserves a warning; the auto default
-    // (0 = hardware concurrency) is normalized silently.
-    if (config_.ga.eval_threads > 1) {
-      log::warn("sharded run overrides ga.eval_threads=",
-                config_.ga.eval_threads, " to 1 (shards are the parallelism; ",
-                shards, " shards)");
-    }
-    config_.ga.eval_threads = 1;
-  }
 
   network_ = std::make_unique<sim::Network>(engine_, config_.network_latency,
                                             config_.fault);

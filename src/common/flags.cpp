@@ -97,8 +97,8 @@ int Flags::get_int(const std::string& name, int fallback) const {
     if (consumed == value->size()) return parsed;
   } catch (const std::exception&) {
   }
-  GRIDLB_REQUIRE(false, "flag --" + name + " expects an integer, got '" +
-                            *value + "'");
+  throw FlagError("flag --" + name + " expects an integer, got '" + *value +
+                  "'");
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
@@ -115,8 +115,8 @@ double Flags::get_double(const std::string& name, double fallback) const {
     if (consumed == value->size()) return parsed;
   } catch (const std::exception&) {
   }
-  GRIDLB_REQUIRE(false, "flag --" + name + " expects a number, got '" +
-                            *value + "'");
+  throw FlagError("flag --" + name + " expects a number, got '" + *value +
+                  "'");
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
@@ -128,8 +128,8 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   }
   if (*value == "true" || *value == "1" || *value == "on") return true;
   if (*value == "false" || *value == "0" || *value == "off") return false;
-  GRIDLB_REQUIRE(false, "flag --" + name + " expects a boolean, got '" +
-                            *value + "'");
+  throw FlagError("flag --" + name + " expects a boolean, got '" + *value +
+                  "'");
 }
 
 std::string Flags::usage(const std::string& program) const {

@@ -5,9 +5,9 @@
 // overrides to a baseline command line), and numeric getters require the
 // whole token to parse ("16x" is an error, not 16).  Declared flags carry
 // a help line; `usage()` renders them.  `--help` / `-h` are always
-// accepted and only set `help_requested()`.  Unknown flags and missing
-// values raise FlagError so typos fail fast with a message a tool can
-// print next to its usage.
+// accepted and only set `help_requested()`.  Unknown flags, missing
+// values and malformed values raise FlagError so typos fail fast with a
+// message a tool can print next to its usage.
 #pragma once
 
 #include <optional>
@@ -17,8 +17,9 @@
 
 namespace gridlb {
 
-/// A command line the user got wrong: an unknown flag or a flag missing
-/// its value.  what() is the bare message ("unknown flag --x").
+/// A command line the user got wrong: an unknown flag, a flag missing its
+/// value or a value that does not parse.  what() is the bare message
+/// ("unknown flag --x").
 class FlagError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -40,6 +41,8 @@ class Flags {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+  /// Typed getters; a value that does not parse as a whole throws
+  /// FlagError.
   [[nodiscard]] int get_int(const std::string& name, int fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;

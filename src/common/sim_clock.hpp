@@ -3,7 +3,7 @@
 // The discrete-event engine is the only component that knows the current
 // virtual time, but two consumers outside the event loop need it: the
 // logger (to prefix narration with sim-time) and the trace recorder (PACE
-// cache events fire on thread-pool workers that have no engine reference).
+// cache events fire deep inside schedulers that have no engine reference).
 // The engine publishes its clock here with one relaxed store per event;
 // readers take one relaxed load.  The value is advisory — exact ordering
 // across threads is not required, only a usable timestamp.

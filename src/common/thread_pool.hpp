@@ -1,10 +1,9 @@
 // A small fixed-size thread pool for data-parallel loops.
 //
-// The GA's evaluate phase (schedule decode + cost for every individual,
-// every generation) is embarrassingly parallel, and the population size is
-// fixed, so static chunking is enough: `parallel_for(count, fn)` splits
-// [0, count) into `size()` contiguous chunks and runs `fn(begin, end,
-// slot)` once per non-empty chunk.  The calling thread executes slot 0
+// ShardedEngine runs its shards on it.  The shard count is fixed, so
+// static chunking is enough: `parallel_for(count, fn)` splits [0, count)
+// into `size()` contiguous chunks and runs `fn(begin, end, slot)` once per
+// non-empty chunk.  The calling thread executes slot 0
 // itself, so a pool of size N uses exactly N threads per invocation and a
 // pool of size 1 degenerates to a plain loop on the caller — the exact
 // serial code path, no worker threads at all.
@@ -12,8 +11,7 @@
 // Slots are stable: chunk `s` always covers the same index range for the
 // same `count`, whichever OS thread picks it up.  Callers that accumulate
 // into per-slot storage and reduce over slots therefore get results that
-// are independent of thread scheduling — the determinism contract the
-// parallel GA relies on (see DESIGN.md).
+// are independent of thread scheduling.
 #pragma once
 
 #include <condition_variable>

@@ -87,7 +87,6 @@ void populate_registry(obs::MetricsRegistry& registry,
   registry.counter("pace.cache.hits").add(result.cache.hits);
   registry.counter("pace.cache.misses").add(result.cache.misses);
   registry.counter("ga.decodes").add(result.ga_decodes);
-  registry.counter("ga.memo_hits").add(result.ga_memo_hits);
   registry.counter("pace.table.reads").add(result.table_reads);
   registry.gauge("pace.cache.hit_rate").set(result.cache.hit_rate());
   registry.gauge("discovery.mean_hops").set(result.mean_hops);
@@ -478,11 +477,6 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
     hops += agent.stats().hops_accumulated;
     executed += agent.stats().dispatched_local;
     result.ga_decodes += agent.scheduler().ga_decodes();
-    result.ga_memo_hits += agent.scheduler().ga_memo_hits();
-    result.ga_delta_evals += agent.scheduler().ga_delta_evals();
-    result.ga_full_evals += agent.scheduler().ga_full_evals();
-    result.ga_eval_threads =
-        std::max(result.ga_eval_threads, agent.scheduler().ga_eval_threads());
     result.fifo_subsets += agent.scheduler().fifo_subsets_tried();
     result.table_reads += agent.scheduler().prediction_table_reads();
   }
@@ -625,11 +619,6 @@ ExperimentResult run_central_impl(const ExperimentConfig& config) {
   for (std::size_t i = 0; i < system.size(); ++i) {
     result.agent_stats.push_back(system.agent(i).stats());
     result.ga_decodes += system.agent(i).scheduler().ga_decodes();
-    result.ga_memo_hits += system.agent(i).scheduler().ga_memo_hits();
-    result.ga_delta_evals += system.agent(i).scheduler().ga_delta_evals();
-    result.ga_full_evals += system.agent(i).scheduler().ga_full_evals();
-    result.ga_eval_threads = std::max(
-        result.ga_eval_threads, system.agent(i).scheduler().ga_eval_threads());
     result.fifo_subsets += system.agent(i).scheduler().fifo_subsets_tried();
     result.table_reads += system.agent(i).scheduler().prediction_table_reads();
   }
@@ -651,19 +640,13 @@ std::string placement_family_name(PlacementFamily family) {
 }
 
 PlacementFamily placement_family_from_name(const std::string& name) {
-  if (name == "agent" || name == "discovery") {
-    return PlacementFamily::kAgentDiscovery;
-  }
-  if (name == "central" || name == "central-oracle" || name == "oracle") {
-    return PlacementFamily::kCentralOracle;
-  }
-  if (name == "crush" || name == "hash") {
-    return PlacementFamily::kHashPlacement;
+  for (const PlacementFamily family :
+       {PlacementFamily::kAgentDiscovery, PlacementFamily::kCentralOracle,
+        PlacementFamily::kHashPlacement}) {
+    if (name == placement_family_name(family)) return family;
   }
   GRIDLB_REQUIRE(false, "unknown placement family: " + name +
-                            " (expected agent, central or crush; deprecated "
-                            "aliases: discovery, central-oracle, oracle, "
-                            "hash)");
+                            " (expected agent, central or crush)");
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
@@ -682,12 +665,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     case PlacementFamily::kAgentDiscovery: break;
   }
   return run_agent_impl(config);
-}
-
-ExperimentResult run_central_experiment(const ExperimentConfig& config) {
-  ExperimentConfig central = config;
-  central.placement = PlacementFamily::kCentralOracle;
-  return run_experiment(central);
 }
 
 std::string format_table3(const std::vector<ExperimentResult>& results) {

@@ -39,9 +39,8 @@ enum class PlacementFamily : std::uint8_t {
 /// Canonical CLI spelling: "agent" | "central" | "crush".
 [[nodiscard]] std::string placement_family_name(PlacementFamily family);
 
-/// Parses a placement family name.  Accepts the canonical spellings plus
-/// deprecated aliases ("central-oracle", "oracle", "discovery", "hash");
-/// anything else fails with a message listing the valid values.
+/// Parses a canonical placement family name; anything else fails with a
+/// message listing the valid values.
 [[nodiscard]] PlacementFamily placement_family_from_name(
     const std::string& name);
 
@@ -106,7 +105,7 @@ struct ExperimentResult {
   double latency_p50 = 0.0;
   double latency_p90 = 0.0;
   double latency_p99 = 0.0;
-  /// Queued tasks re-homed to an idler neighbour (DESIGN.md §17).
+  /// Queued tasks re-homed to an idler neighbour (DESIGN.md §16).
   std::uint64_t migrations = 0;
   double mean_hops = 0.0;              ///< forwards per executed request
   std::uint64_t network_messages = 0;
@@ -119,14 +118,6 @@ struct ExperimentResult {
   pace::CacheStats cache;
   std::uint64_t table_reads = 0;
   std::uint64_t ga_decodes = 0;
-  std::uint64_t ga_memo_hits = 0;  ///< evaluations skipped by genotype memo
-  /// Incremental vs from-scratch schedule evaluations (DESIGN.md §16);
-  /// `ga_delta_evals + ga_full_evals == ga_decodes` under the GA policy.
-  std::uint64_t ga_delta_evals = 0;
-  std::uint64_t ga_full_evals = 0;
-  /// Resolved GA evaluate-phase thread count (max across schedulers; 1
-  /// when sharding forces the serial path or the FIFO policy runs).
-  int ga_eval_threads = 1;
   std::uint64_t fifo_subsets = 0;
   std::uint64_t sim_events = 0;
   std::uint64_t sim_shards = 1;        ///< engine shards the run used
@@ -165,11 +156,6 @@ struct ExperimentResult {
 ///       loss, churn and fault tolerance apply unchanged.
 /// Local scheduling always uses `config.system.policy`.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
-
-/// Deprecated alias for run_experiment with placement = kCentralOracle;
-/// prefer setting `ExperimentConfig::placement` directly.
-[[nodiscard]] ExperimentResult run_central_experiment(
-    const ExperimentConfig& config);
 
 /// Formats results side by side in the layout of Table 3 (ε, υ, β columns
 /// per experiment, one row per resource plus the grid total).

@@ -12,14 +12,14 @@
 //
 // Rings are bounded; when a ring wraps, the oldest events are overwritten
 // and the loss is reported in the snapshot's `dropped` count.  High-volume
-// kinds (PACE cache hits/misses, emitted from GA evaluate-phase worker
-// threads) go to a separate channel so they can never evict the sparse
-// control-flow events that make a trace readable.
+// kinds (PACE cache hits/misses, emitted from engine shard threads) go to
+// a separate channel so they can never evict the sparse control-flow
+// events that make a trace readable.
 //
 // The recorder is installed globally (see obs.hpp's Session); merging and
 // exporting happen after the simulation has quiesced, so snapshot() must
-// not race with record() — in this codebase the thread pools are always
-// joined between GA invocations, which provides that guarantee.
+// not race with record() — in this codebase the shard threads are always
+// joined when a run ends, which provides that guarantee.
 #pragma once
 
 #include <atomic>
@@ -73,7 +73,7 @@ enum class EventKind : std::uint8_t {
   // Engine-shard telemetry (DESIGN.md §14).
   kShardSample,        ///< sampler tick: extra=shard index (0-based),
                        ///< a=events, b=barrier-wait ns this interval
-  // Queue migration (DESIGN.md §17).
+  // Queue migration (DESIGN.md §16).
   kTaskMigrated,       ///< queued task re-homed: resource=target agent,
                        ///< a=own backlog, b=target backlog, extra=hops
 };

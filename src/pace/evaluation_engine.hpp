@@ -9,9 +9,9 @@
 // reproduces that layer and exposes hit statistics for the cache ablation
 // bench.
 //
-// Both layers are safe for concurrent use: the GA's evaluate phase decodes
-// individuals from a thread pool, so every decode's prediction lookups may
-// race.  The engine's evaluation counter is atomic, and the cache is
+// Both layers are safe for concurrent use: the agents of a grid share one
+// cache, and a sharded run (DESIGN.md §13) drives agents on several
+// threads, so their prediction lookups may race.  The engine's evaluation counter is atomic, and the cache is
 // sharded — each shard is an independent mutex-protected map, with the
 // shard chosen by the key hash — so lookups on distinct keys mostly take
 // distinct locks.  Concurrent misses on the same key may each invoke the

@@ -9,60 +9,6 @@
 
 namespace gridlb::sched {
 
-void GenotypeMemo::begin_run(std::size_t expected) {
-  ++epoch_;
-  std::size_t want = 16;
-  while (want < expected * 2) want <<= 1;
-  if (entries_.size() < want) entries_.assign(want, Entry{});
-  live_ = 0;
-}
-
-const GenotypeMemo::Entry* GenotypeMemo::find(
-    const SolutionString::Fingerprint& fp) const {
-  if (entries_.empty()) return nullptr;
-  const std::size_t mask = entries_.size() - 1;
-  // Load factor ≤ 0.5 guarantees the probe chain hits a dead slot.
-  for (std::size_t i = static_cast<std::size_t>(fp.lo) & mask;;
-       i = (i + 1) & mask) {
-    const Entry& entry = entries_[i];
-    if (entry.epoch != epoch_) return nullptr;  // dead slot ends the chain
-    if (entry.fp == fp) return &entry;
-  }
-}
-
-void GenotypeMemo::insert(const SolutionString::Fingerprint& fp, double cost,
-                          const ScheduleMetrics& metrics) {
-  GRIDLB_REQUIRE(!entries_.empty(), "memo used before begin_run");
-  if ((live_ + 1) * 2 > entries_.size()) grow();
-  const std::size_t mask = entries_.size() - 1;
-  for (std::size_t i = static_cast<std::size_t>(fp.lo) & mask;;
-       i = (i + 1) & mask) {
-    Entry& entry = entries_[i];
-    if (entry.epoch != epoch_) {
-      entry = Entry{fp, cost, metrics, epoch_};
-      ++live_;
-      return;
-    }
-    if (entry.fp == fp) return;  // already present; values are identical
-  }
-}
-
-void GenotypeMemo::grow() {
-  std::vector<Entry> old = std::move(entries_);
-  entries_.assign(old.size() * 2, Entry{});
-  const std::size_t mask = entries_.size() - 1;
-  for (const Entry& entry : old) {
-    if (entry.epoch != epoch_) continue;
-    for (std::size_t i = static_cast<std::size_t>(entry.fp.lo) & mask;;
-         i = (i + 1) & mask) {
-      if (entries_[i].epoch != epoch_) {
-        entries_[i] = entry;
-        break;
-      }
-    }
-  }
-}
-
 GaScheduler::GaScheduler(ScheduleBuilder& builder, GaConfig config,
                          std::uint64_t seed)
     : builder_(&builder), config_(config), rng_(seed) {
@@ -73,16 +19,6 @@ GaScheduler::GaScheduler(ScheduleBuilder& builder, GaConfig config,
                  "elite count must be < population size");
   GRIDLB_REQUIRE(config_.crossover_rate >= 0.0 && config_.crossover_rate <= 1.0,
                  "crossover rate must be in [0,1]");
-  GRIDLB_REQUIRE(config_.eval_threads >= 0,
-                 "eval_threads must be >= 0 (0 = hardware concurrency)");
-  const int threads = config_.eval_threads == 0
-                          ? ThreadPool::hardware_threads()
-                          : config_.eval_threads;
-  // Never spin up more chunks than the population can fill.
-  const int useful = std::min(threads, config_.population_size);
-  if (useful > 1) pool_ = std::make_unique<ThreadPool>(useful);
-  scratches_.resize(static_cast<std::size_t>(pool_ ? pool_->size() : 1));
-  decode_slots_.resize(scratches_.size());
 }
 
 void GaScheduler::sync_population(std::span<const Task> tasks) {
@@ -198,7 +134,7 @@ SolutionString GaScheduler::greedy_seed(std::span<const Task> tasks,
           free[static_cast<std::size_t>(by_free[static_cast<std::size_t>(
               k - 1)])];
       const double exec = context_.exec_time(t, k);
-      ++scratches_[0].table_reads;
+      ++scratch_.table_reads;
       const SimTime end = start + exec;
       bool better;
       if (efficient) {
@@ -249,11 +185,7 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
   // cache's shard locks.  Everything downstream (greedy seeds included)
   // reads predictions from the table.
   builder_->prepare(context_, tasks, node_free, now, available);
-  for (DecodeScratch& scratch : scratches_) {
-    scratch.table_reads = 0;
-    scratch.delta_evals = 0;
-    scratch.full_evals = 0;
-  }
+  scratch_.table_reads = 0;
   sync_population(tasks);
   const bool constrained = available != full_mask(builder_->node_count());
   if (constrained) {
@@ -276,145 +208,28 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
   }
 
   GaResult result;
-  result.eval_threads = eval_threads();
   if (tasks.empty()) {
     result.best = SolutionString({}, {}, builder_->node_count());
-    result.schedule = builder_->decode(context_, result.best, scratches_[0]);
-    result.table_reads = scratches_[0].table_reads;
+    result.schedule = builder_->decode(context_, result.best, scratch_);
+    result.table_reads = scratch_.table_reads;
     total_table_reads_ += result.table_reads;
     return result;
   }
 
   const int n = config_.population_size;
-  const int m = static_cast<int>(tasks.size());
   costs_.assign(static_cast<std::size_t>(n), 0.0);
-  metrics_.assign(static_cast<std::size_t>(n), ScheduleMetrics{});
-  memo_.begin_run(static_cast<std::size_t>(n) *
-                  static_cast<std::size_t>(config_.generations));
-  // Sync/constrain/seeding rewrote genomes above, so generation 0 has no
-  // usable lineage: every individual rebuilds fully.
-  parent_.assign(static_cast<std::size_t>(n), -1);
-  span_.assign(static_cast<std::size_t>(n), 0);
-
-  // Per-slot decode counters: chunks accumulate into their own slot and
-  // the main thread reduces after the join, so the count (and everything
-  // else in GaResult) is independent of thread scheduling.
-  decode_slots_.assign(scratches_.size(), 0);
-  const auto evaluate_chains = [&](int begin, int end, int slot) {
-    DecodeScratch& scratch = scratches_[static_cast<std::size_t>(slot)];
-    for (int c = begin; c < end; ++c) {
-      const int first = chain_bounds_[static_cast<std::size_t>(c)];
-      const int last = chain_bounds_[static_cast<std::size_t>(c) + 1];
-      for (int i = first; i < last; ++i) {
-        const EvalItem& item =
-            eval_list_[static_cast<std::size_t>(chain_order_[
-                static_cast<std::size_t>(i)])];
-        const auto k = static_cast<std::size_t>(item.index);
-        // The chain head rebuilds fully (the scratch may hold any earlier
-        // chain's stream); every later member agrees with the member
-        // before it on at least its own span, so its span is valid.
-        const int span = i == first ? 0 : item.span;
-        metrics_[k] =
-            builder_->evaluate_from(context_, population_[k], scratch, span);
-        costs_[k] = cost_value(metrics_[k], config_.weights);
-        ++decode_slots_[static_cast<std::size_t>(slot)];
-      }
-    }
-  };
 
   bool have_best = false;
   result.generations.reserve(static_cast<std::size_t>(config_.generations));
   for (int generation = 0; generation < config_.generations; ++generation) {
-    // Triage on the main thread: memo hits and within-generation
-    // duplicates resolve without evaluation; only genuinely new genotypes
-    // reach the pool.  The triage consumes no randomness and depends only
-    // on population contents, so every eval_threads value sees the same
-    // eval list and the same counters.
-    eval_list_.clear();
-    fanout_.clear();
+    // Evaluate every individual, in index order, through one scratch.
     for (int k = 0; k < n; ++k) {
-      const SolutionString::Fingerprint fp =
-          population_[static_cast<std::size_t>(k)].fingerprint();
-      if (const GenotypeMemo::Entry* hit = memo_.find(fp)) {
-        costs_[static_cast<std::size_t>(k)] = hit->cost;
-        metrics_[static_cast<std::size_t>(k)] = hit->metrics;
-        ++result.memo_hits;
-        continue;
-      }
-      int rep = -1;
-      for (const EvalItem& item : eval_list_) {
-        if (item.fp == fp) {
-          rep = item.index;
-          break;
-        }
-      }
-      if (rep >= 0) {
-        fanout_.push_back(Fanout{k, rep});
-      } else {
-        eval_list_.push_back(EvalItem{fp, k,
-                                      parent_[static_cast<std::size_t>(k)],
-                                      span_[static_cast<std::size_t>(k)]});
-      }
+      const auto index = static_cast<std::size_t>(k);
+      costs_[index] = cost_value(
+          builder_->evaluate(context_, population_[index], scratch_),
+          config_.weights);
     }
-
-    // Group the eval list into per-parent chains (DESIGN.md §16): genomes
-    // bred from the same previous-generation parent agree with its decoded
-    // stream up to their spans, so once the widest-span member has rebuilt
-    // the scratch, each later member's own span is valid against it.  The
-    // grouping depends only on population contents — never on thread
-    // count or scheduling — so the delta/full split is data-determined.
-    chain_order_.clear();
-    chain_bounds_.clear();
-    chain_taken_.assign(eval_list_.size(), 0);
-    for (std::size_t i = 0; i < eval_list_.size(); ++i) {
-      if (chain_taken_[i] != 0) continue;
-      const auto head = static_cast<std::ptrdiff_t>(chain_order_.size());
-      chain_bounds_.push_back(static_cast<int>(head));
-      chain_order_.push_back(static_cast<int>(i));
-      chain_taken_[i] = 1;
-      const int parent = eval_list_[i].parent;
-      if (parent < 0 || eval_list_[i].span <= 0) continue;
-      for (std::size_t j = i + 1; j < eval_list_.size(); ++j) {
-        if (chain_taken_[j] == 0 && eval_list_[j].parent == parent &&
-            eval_list_[j].span > 0) {
-          chain_order_.push_back(static_cast<int>(j));
-          chain_taken_[j] = 1;
-        }
-      }
-      std::stable_sort(chain_order_.begin() + head, chain_order_.end(),
-                       [this](int x, int y) {
-                         return eval_list_[static_cast<std::size_t>(x)].span >
-                                eval_list_[static_cast<std::size_t>(y)].span;
-                       });
-    }
-    chain_bounds_.push_back(static_cast<int>(chain_order_.size()));
-
-    // Evaluate.  Only this phase runs on the pool: each individual's
-    // metrics and cost are pure functions of its genome and the prepared
-    // context, so the contents of `metrics_` and `costs_` do not depend
-    // on the interleaving.  Chains are the unit of distribution — a chain
-    // never splits across scratches.  Selection, crossover and mutation
-    // below stay on this thread and consume `rng_` in the serial order.
-    const int num_chains = static_cast<int>(chain_bounds_.size()) - 1;
-    if (pool_ && num_chains > 1) {
-      pool_->parallel_for(num_chains, evaluate_chains);
-    } else if (num_chains > 0) {
-      evaluate_chains(0, num_chains, 0);
-    }
-
-    // Publish results: new genotypes enter the memo (main thread, index
-    // order) and duplicates copy their representative's result.
-    for (const EvalItem& item : eval_list_) {
-      memo_.insert(item.fp, costs_[static_cast<std::size_t>(item.index)],
-                   metrics_[static_cast<std::size_t>(item.index)]);
-    }
-    for (const Fanout& dup : fanout_) {
-      costs_[static_cast<std::size_t>(dup.index)] =
-          costs_[static_cast<std::size_t>(dup.rep)];
-      metrics_[static_cast<std::size_t>(dup.index)] =
-          metrics_[static_cast<std::size_t>(dup.rep)];
-      ++result.memo_hits;
-    }
+    result.decodes += static_cast<std::uint64_t>(n);
 
     // Track the best-ever individual (genome + cost only; the winning
     // schedule is decoded once, after the final generation).
@@ -451,10 +266,6 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
                         });
       for (int e = 0; e < config_.elite; ++e) {
         const int src = by_cost[static_cast<std::size_t>(e)];
-        // Unchanged copy: full agreement with its source (span = m); the
-        // memo resolves elites before the chain stage ever sees them.
-        parent_[next.size()] = src;
-        span_[next.size()] = m;
         next.push_back(population_[static_cast<std::size_t>(src)]);
       }
     }
@@ -463,45 +274,26 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
           rng_.next_below(pool.size()))];
       const int b = pool[static_cast<std::size_t>(
           rng_.next_below(pool.size()))];
-      // Lineage for the delta path: the child agrees with parent `a` on
-      // every position before the min of its operators' dirty spans.
-      int span = m;
       SolutionString child;
       if (rng_.chance(config_.crossover_rate)) {
         child = population_[static_cast<std::size_t>(a)].crossover(
-            population_[static_cast<std::size_t>(b)], rng_, &span);
+            population_[static_cast<std::size_t>(b)], rng_);
       } else {
         child = population_[static_cast<std::size_t>(a)];
       }
-      const int mutate_span =
-          child.mutate(config_.order_swap_rate, config_.bit_flip_rate, rng_);
-      span = std::min(span, mutate_span);
-      if (constrained) {
-        span = std::min(span, child.constrain(available, rng_));
-      }
-      parent_[next.size()] = a;
-      span_[next.size()] = span;
+      child.mutate(config_.order_swap_rate, config_.bit_flip_rate, rng_);
+      if (constrained) child.constrain(available, rng_);
       next.push_back(std::move(child));
     }
     population_ = std::move(next);
   }
 
-  for (const std::uint64_t slot_decodes : decode_slots_) {
-    result.decodes += slot_decodes;
-  }
   // The one full decode of the run: placements for the winner only.
-  result.schedule = builder_->decode(context_, result.best, scratches_[0]);
+  result.schedule = builder_->decode(context_, result.best, scratch_);
   ++result.decodes;
-  for (const DecodeScratch& scratch : scratches_) {
-    result.table_reads += scratch.table_reads;
-    result.delta_evals += scratch.delta_evals;
-    result.full_evals += scratch.full_evals;
-  }
+  result.table_reads = scratch_.table_reads;
   total_decodes_ += result.decodes;
-  total_memo_hits_ += result.memo_hits;
   total_table_reads_ += result.table_reads;
-  total_delta_evals_ += result.delta_evals;
-  total_full_evals_ += result.full_evals;
   // Keep the best individual alive for the next invocation's warm start.
   population_.front() = result.best;
   return result;

@@ -11,57 +11,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "sched/cost.hpp"
 #include "sched/schedule_builder.hpp"
 
 namespace gridlb::sched {
-
-/// Within-run genotype memoization (DESIGN.md §11).
-///
-/// Crossover under elitism routinely re-creates genotypes already costed
-/// this run; the memo lets them skip re-evaluation.  Flat open-addressed
-/// table keyed by SolutionString::Fingerprint — entries hold only the
-/// fingerprint, cost and metrics (no genome copy), so lookups and inserts
-/// are allocation-free.  A run boundary is an O(1) epoch bump: entries
-/// from earlier runs read as empty, because their metrics were computed
-/// against a different clock/queue state.  Main-thread only.
-class GenotypeMemo {
- public:
-  struct Entry {
-    SolutionString::Fingerprint fp;
-    double cost = 0.0;
-    ScheduleMetrics metrics;
-    std::uint64_t epoch = 0;  ///< 0 = slot never written
-  };
-
-  /// Starts a new run expecting at most `expected` distinct genotypes.
-  /// Sizes the table to keep the load factor ≤ 0.5, so steady-state runs
-  /// never rehash.
-  void begin_run(std::size_t expected);
-
-  /// Entry for `fp` in the current run, or nullptr.
-  [[nodiscard]] const Entry* find(
-      const SolutionString::Fingerprint& fp) const;
-
-  void insert(const SolutionString::Fingerprint& fp, double cost,
-              const ScheduleMetrics& metrics);
-
-  [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
-  [[nodiscard]] std::size_t live() const { return live_; }
-
- private:
-  void grow();
-
-  std::vector<Entry> entries_;  ///< power-of-two size
-  std::uint64_t epoch_ = 0;
-  std::size_t live_ = 0;  ///< entries written this epoch
-};
 
 struct GaConfig {
   int population_size = 50;  ///< fixed population size (paper: 50)
@@ -76,11 +33,6 @@ struct GaConfig {
   /// exactly the FIFO baseline's schedule, so an elitist GA can never plan
   /// worse than FIFO.
   bool seed_heuristic = true;
-  /// Threads for the evaluate phase (decode + cost of every individual).
-  /// 0 = hardware concurrency; 1 = the exact serial code path (no pool).
-  /// Results are bit-for-bit identical for every value — see DESIGN.md's
-  /// determinism contract.
-  int eval_threads = 0;
   CostWeights weights;
 };
 
@@ -89,27 +41,13 @@ struct GaResult {
   DecodedSchedule schedule;   ///< decode of `best`
   double best_cost = 0.0;
   int generations_run = 0;
-  /// Schedule evaluations actually performed this invocation (including
-  /// the single full decode of the winner).  With memoization on,
-  /// `decodes + memo_hits == population × generations + 1`.
+  /// Schedule evaluations performed this invocation: every individual of
+  /// every generation, plus the full decode of the winner —
+  /// `population × generations + 1` for a non-empty task set.
   std::uint64_t decodes = 0;
-  /// Evaluations skipped because the genotype was already costed this run
-  /// (cross-generation memo hits + within-generation duplicates).
-  std::uint64_t memo_hits = 0;
   /// Prediction-table lookups this invocation — the lock-free reads that
-  /// replace per-task evaluation-cache lookups on the hot path.  Delta
-  /// evaluations only re-read their replayed suffix.
+  /// replace per-task evaluation-cache lookups on the hot path.
   std::uint64_t table_reads = 0;
-  /// Evaluations that restored a prefix checkpoint instead of rebuilding
-  /// from position 0 (DESIGN.md §16).  `delta_evals + full_evals ==
-  /// decodes` for non-empty task sets; both counts depend only on the
-  /// population contents, never on `eval_threads`.
-  std::uint64_t delta_evals = 0;
-  /// Evaluations that rebuilt the schedule from position 0 (chain heads,
-  /// generation-0 individuals and the winner's final decode).
-  std::uint64_t full_evals = 0;
-  /// Resolved evaluate-phase thread count that actually ran.
-  int eval_threads = 1;
   /// Per-generation convergence curve (observability; filled on every
   /// invocation — a handful of doubles, and gathering it consumes no
   /// randomness, so results are identical whether or not anyone looks).
@@ -142,22 +80,8 @@ class GaScheduler {
 
   [[nodiscard]] const GaConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t total_decodes() const { return total_decodes_; }
-  [[nodiscard]] std::uint64_t total_memo_hits() const {
-    return total_memo_hits_;
-  }
   [[nodiscard]] std::uint64_t total_table_reads() const {
     return total_table_reads_;
-  }
-  [[nodiscard]] std::uint64_t total_delta_evals() const {
-    return total_delta_evals_;
-  }
-  [[nodiscard]] std::uint64_t total_full_evals() const {
-    return total_full_evals_;
-  }
-  /// Resolved evaluate-phase thread count (config value, with 0 expanded
-  /// to the hardware concurrency).
-  [[nodiscard]] int eval_threads() const {
-    return pool_ ? pool_->size() : 1;
   }
 
  private:
@@ -175,7 +99,7 @@ class GaScheduler {
   /// families keeps the population out of the serial-wide basin that pure
   /// min-completion greedy occupies.
   /// Reads its predictions from the prepared `context_` (and counts them
-  /// into `scratches_[0]`), so seeding shares the run's snapshot.
+  /// into `scratch_`), so seeding shares the run's snapshot.
   [[nodiscard]] SolutionString greedy_seed(std::span<const Task> tasks,
                                            std::span<const SimTime> node_free,
                                            SimTime now, NodeMask available,
@@ -190,54 +114,16 @@ class GaScheduler {
 
   ScheduleBuilder* builder_;
   GaConfig config_;
-  /// Workers for the evaluate phase; null when it resolves to one thread.
-  std::unique_ptr<ThreadPool> pool_;
   Rng rng_;
   std::vector<SolutionString> population_;
   std::vector<TaskId> known_tasks_;  ///< task index -> id at last invocation
   std::uint64_t total_decodes_ = 0;
-  std::uint64_t total_memo_hits_ = 0;
   std::uint64_t total_table_reads_ = 0;
-  std::uint64_t total_delta_evals_ = 0;
-  std::uint64_t total_full_evals_ = 0;
 
   // -- hot-path state, reused across invocations (DESIGN.md §11) ----------
-  /// One genome awaiting evaluation: its fingerprint, population index and
-  /// lineage (previous-generation parent index + dirty span vs that
-  /// parent, recorded at breeding time for the delta path of §16).
-  struct EvalItem {
-    SolutionString::Fingerprint fp;
-    int index = 0;
-    int parent = -1;
-    int span = 0;
-  };
-  /// A within-generation duplicate: copy `rep`'s result to `index`.
-  struct Fanout {
-    int index = 0;
-    int rep = 0;
-  };
-
   DecodeContext context_;
-  std::vector<DecodeScratch> scratches_;  ///< one per evaluate-phase slot
-  GenotypeMemo memo_;
+  DecodeScratch scratch_;
   std::vector<double> costs_;
-  std::vector<ScheduleMetrics> metrics_;
-  std::vector<EvalItem> eval_list_;
-  std::vector<Fanout> fanout_;
-  std::vector<std::uint64_t> decode_slots_;
-  /// Lineage of the current population: index of each individual's primary
-  /// parent in the previous generation (-1 = none) and the dirty span of
-  /// the operator chain that bred it (min over crossover/mutate/constrain).
-  std::vector<int> parent_;
-  std::vector<int> span_;
-  /// Evaluation chains: `chain_order_` permutes eval-list indices so that
-  /// same-parent genomes are adjacent, widest span first;
-  /// `chain_bounds_[c]..chain_bounds_[c+1]` delimit chain c.  Each chain
-  /// runs sequentially in one scratch — the head rebuilds fully, every
-  /// later member repairs from its own span.
-  std::vector<int> chain_order_;
-  std::vector<int> chain_bounds_;
-  std::vector<char> chain_taken_;
 };
 
 }  // namespace gridlb::sched

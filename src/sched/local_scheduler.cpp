@@ -281,9 +281,6 @@ void LocalScheduler::reschedule() {
     reg->histogram("ga.generations_to_converge",
                    {0, 1, 2, 4, 8, 12, 16, 20, 25, 50})
         .observe(static_cast<double>(result.converged_at));
-    // Live split of the incremental-evaluation hot path (DESIGN.md §16).
-    reg->counter("ga.delta_evals").add(result.delta_evals);
-    reg->counter("ga.full_evals").add(result.full_evals);
   }
   last_plan_completion_ = std::max(result.schedule.completion, now);
   if (result.schedule.completion >=

@@ -138,21 +138,6 @@ class LocalScheduler {
   [[nodiscard]] std::uint64_t ga_decodes() const {
     return ga_ ? ga_->total_decodes() : 0;
   }
-  [[nodiscard]] std::uint64_t ga_memo_hits() const {
-    return ga_ ? ga_->total_memo_hits() : 0;
-  }
-  /// Incremental vs full schedule evaluations (DESIGN.md §16);
-  /// `ga_delta_evals() + ga_full_evals() == ga_decodes()`.
-  [[nodiscard]] std::uint64_t ga_delta_evals() const {
-    return ga_ ? ga_->total_delta_evals() : 0;
-  }
-  [[nodiscard]] std::uint64_t ga_full_evals() const {
-    return ga_ ? ga_->total_full_evals() : 0;
-  }
-  /// Resolved GA evaluate-phase thread count (1 under the FIFO policy).
-  [[nodiscard]] int ga_eval_threads() const {
-    return ga_ ? ga_->eval_threads() : 1;
-  }
   [[nodiscard]] std::uint64_t fifo_subsets_tried() const {
     return fifo_ ? fifo_->subsets_tried() : 0;
   }

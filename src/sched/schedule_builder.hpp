@@ -63,8 +63,8 @@ struct DecodedSchedule : ScheduleMetrics {
 /// snapshot, per-task prediction rows, and the clamped per-node
 /// availability.  Built once per scheduling run by
 /// ScheduleBuilder::prepare and then shared read-only by every evaluate /
-/// decode of that run (any number of threads).  Reusing one context across
-/// runs reuses all of its capacity.
+/// decode of that run.  Reusing one context across runs reuses all of its
+/// capacity.
 class DecodeContext {
  public:
   DecodeContext() = default;
@@ -83,12 +83,6 @@ class DecodeContext {
 
   [[nodiscard]] const pace::PredictionTable& table() const { return table_; }
 
-  /// Identity of this prepared state — bumped by every prepare(), unique
-  /// across contexts.  A scratch stamps the epoch its recorded prefix
-  /// belongs to, so stale checkpoints can never be replayed against a
-  /// different task set (DESIGN.md §16).
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-
  private:
   friend class ScheduleBuilder;
 
@@ -100,23 +94,13 @@ class DecodeContext {
   std::array<SimTime, kMaxNodesPerResource> base_free_{};
   SimTime now_ = 0.0;
   NodeMask available_ = 0;
-  std::uint64_t epoch_ = 0;
 };
 
-/// Per-thread mutable buffers for evaluate/decode, laid out as structure-
-/// of-arrays (DESIGN.md §16): idle pockets live in parallel start/length
-/// vectors (compacted branch-free), and the decoded (task, mask) stream
-/// plus stride-`kCheckpointStride` prefix checkpoints make incremental
-/// re-evaluation possible.  One scratch per worker slot; capacity grows to
-/// the run's high-water mark and is then reused, so steady-state decoding
+/// Mutable buffers for evaluate/decode.  Idle pockets live in parallel
+/// start/length vectors (compacted branch-free).  Capacity grows to the
+/// run's high-water mark and is then reused, so steady-state evaluation
 /// never allocates.
 struct DecodeScratch {
-  /// Checkpoint spacing in schedule positions: the delta path replays at
-  /// most kCheckpointStride-1 positions of agreed prefix before reaching
-  /// the first change.  32 keeps checkpoint storage per scratch at ~3% of
-  /// the stream while bounding replay waste to half a stride on average.
-  static constexpr int kCheckpointStride = 32;
-
   std::array<SimTime, kMaxNodesPerResource> free{};
 
   // -- idle pockets, structure-of-arrays ---------------------------------
@@ -128,32 +112,8 @@ struct DecodeScratch {
   std::vector<double> gap_length;
 
   /// Prediction-table reads performed through this scratch (one per task
-  /// actually replayed — delta evaluations only re-read their suffix).
+  /// decoded).
   std::uint64_t table_reads = 0;
-  /// Evaluations that reused a checkpointed prefix (includes unchanged-
-  /// genome evaluations answered from `last_metrics`).
-  std::uint64_t delta_evals = 0;
-  /// Evaluations that rebuilt the schedule from position 0.
-  std::uint64_t full_evals = 0;
-
-  // -- incremental-evaluation state (DESIGN.md §16) ----------------------
-  // The (task, mask) stream of the last evaluation and prefix checkpoints
-  // of the decode state before positions 0, S, 2S, ... (S = stride).
-  // Valid only while `context_epoch` matches the context and `done_count`
-  // equals its task count; managed by ScheduleBuilder::run.
-  std::uint64_t context_epoch = 0;
-  int done_count = -1;  ///< positions recorded by the last evaluation
-  std::vector<int> done_task;        ///< position -> task decoded there
-  std::vector<NodeMask> done_mask;   ///< position -> mask used
-  std::vector<SimTime> ck_free;      ///< checkpoint c: node frees (flat)
-  std::vector<SimTime> ck_completion;
-  std::vector<double> ck_mean_sum;   ///< Σ (η_j − now) before the position
-  std::vector<double> ck_penalty;
-  std::vector<int> ck_misses;
-  std::vector<std::size_t> ck_gap_count;
-  /// Metrics of the last evaluation — returned verbatim when a dirty span
-  /// says nothing changed.
-  ScheduleMetrics last_metrics;
 };
 
 class ScheduleBuilder {
@@ -180,30 +140,9 @@ class ScheduleBuilder {
   /// steady-state evaluation: zero heap allocations (all buffers live in
   /// `scratch`) and zero lock acquisitions (all predictions come from the
   /// context's snapshot).  Returns exactly the metrics decode() would.
-  ///
-  /// Incremental: the scratch records the (task, mask) stream it last
-  /// decoded, so this entry point diffs `solution` against that stream and
-  /// repairs only from the first differing position (full rebuild when the
-  /// recorded prefix is stale or the genomes diverge at position 0).
-  /// Results are bit-for-bit those of a full rebuild in every case.
   [[nodiscard]] ScheduleMetrics evaluate(const DecodeContext& context,
                                          const SolutionString& solution,
                                          DecodeScratch& scratch) const;
-
-  /// evaluate() with a caller-supplied dirty span: `first_changed` asserts
-  /// that `solution` decodes identically to the scratch's recorded stream
-  /// at every position before it (the spans reported by
-  /// SolutionString::crossover / mutate / constrain, combined by min over
-  /// the operator chain, satisfy this for the bred child vs its primary
-  /// parent).  Restores the nearest prefix checkpoint at or before
-  /// `first_changed` and replays only the suffix; `first_changed <= 0` or
-  /// an invalid recorded prefix falls back to a full rebuild, and
-  /// `first_changed >= task_count` returns the previous metrics verbatim.
-  /// Unlike evaluate(), no O(task_count) diff scan is paid.
-  [[nodiscard]] ScheduleMetrics evaluate_from(const DecodeContext& context,
-                                              const SolutionString& solution,
-                                              DecodeScratch& scratch,
-                                              int first_changed) const;
 
   /// Full decode under a prepared context: evaluate() plus the per-task
   /// placements.  Run once for the winning solution.
@@ -239,16 +178,13 @@ class ScheduleBuilder {
   }
 
  private:
-  /// Shared implementation of evaluate/evaluate_from/decode; `placements`
-  /// (indexed by task) is written only when non-null, which also forces a
-  /// full rebuild (a reused prefix would leave prefix placements unwritten).
-  /// `first_changed` is the trusted dirty span (<= 0 for a full rebuild).
-  /// The arithmetic is identical in all modes — same operations on the
-  /// same values in the same order — so metrics-only evaluation, delta
-  /// re-evaluation and full decode agree bit-for-bit.
+  /// Shared implementation of evaluate/decode; `placements` (indexed by
+  /// task) is written only when non-null.  The arithmetic is identical in
+  /// both modes — same operations on the same values in the same order —
+  /// so metrics-only evaluation and full decode agree bit-for-bit.
   ScheduleMetrics run(const DecodeContext& context,
                       const SolutionString& solution, DecodeScratch& scratch,
-                      TaskPlacement* placements, int first_changed) const;
+                      TaskPlacement* placements) const;
 
   pace::CachedEvaluator* evaluator_;
   pace::ResourceModel resource_;

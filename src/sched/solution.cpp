@@ -59,14 +59,11 @@ void SolutionString::repair_mask(int task, Rng& rng) {
   }
 }
 
-int SolutionString::constrain(NodeMask allowed, Rng& rng) {
+void SolutionString::constrain(NodeMask allowed, Rng& rng) {
   GRIDLB_REQUIRE(valid_mask(allowed, node_count_),
                  "allowed set must be a non-empty subset of the resource");
   const int width = ::gridlb::sched::node_count(allowed);
-  std::vector<char> changed(mapping_.size(), 0);
-  for (std::size_t t = 0; t < mapping_.size(); ++t) {
-    auto& mask = mapping_[t];
-    const NodeMask before = mask;
+  for (auto& mask : mapping_) {
     mask &= allowed;
     if (mask == 0) {
       // Pick a uniformly random allowed node.
@@ -76,32 +73,18 @@ int SolutionString::constrain(NodeMask allowed, Rng& rng) {
         if (pick-- == 0) mask = NodeMask{1} << node;
       });
     }
-    changed[t] = mask != before;
   }
   GRIDLB_ASSERT(valid());
-  return first_changed_position(changed);
 }
 
-// The ordering part is untouched by the caller, so the dirty span is the
-// first position whose task's mask changed.
-int SolutionString::first_changed_position(
-    const std::vector<char>& changed_task) const {
-  const int m = task_count();
-  for (int p = 0; p < m; ++p) {
-    if (changed_task[static_cast<std::size_t>(task_at(p))]) return p;
-  }
-  return m;
-}
-
-SolutionString SolutionString::crossover(const SolutionString& mate, Rng& rng,
-                                         int* first_changed) const {
+SolutionString SolutionString::crossover(const SolutionString& mate,
+                                         Rng& rng) const {
   GRIDLB_REQUIRE(task_count() == mate.task_count() &&
                      node_count_ == mate.node_count_,
                  "crossover parents must agree on task and node counts");
   const int m = task_count();
   SolutionString child;
   child.node_count_ = node_count_;
-  if (first_changed != nullptr) *first_changed = m;
   if (m == 0) return child;
 
   // --- ordering part: splice at a random cut, complete in mate order.
@@ -142,31 +125,13 @@ SolutionString SolutionString::crossover(const SolutionString& mate, Rng& rng,
     child.mapping_[static_cast<std::size_t>(t)] = mask;
     child.repair_mask(t, rng);
   }
-  if (first_changed != nullptr) {
-    // Dirty span vs `*this`: first position whose (task, mask) pair
-    // differs.  When the tasks agree, comparing that task's mask in both
-    // genomes compares the pair.  Direct comparison (rather than deriving
-    // the span from the cuts) also covers repairs and the bit-split mask.
-    int span = m;
-    for (int p = 0; p < m; ++p) {
-      const int t = order_[static_cast<std::size_t>(p)];
-      if (t != child.order_[static_cast<std::size_t>(p)] ||
-          mapping_[static_cast<std::size_t>(t)] !=
-              child.mapping_[static_cast<std::size_t>(t)]) {
-        span = p;
-        break;
-      }
-    }
-    *first_changed = span;
-  }
   return child;
 }
 
-int SolutionString::mutate(double order_swap_rate, double bit_flip_rate,
-                           Rng& rng) {
+void SolutionString::mutate(double order_swap_rate, double bit_flip_rate,
+                            Rng& rng) {
   const int m = task_count();
-  if (m == 0) return 0;
-  int span = m;
+  if (m == 0) return;
   // Ordering part: a random transposition ("switching operator").
   if (m >= 2 && rng.chance(order_swap_rate)) {
     const auto a = static_cast<std::size_t>(
@@ -175,54 +140,18 @@ int SolutionString::mutate(double order_swap_rate, double bit_flip_rate,
         rng.next_below(static_cast<std::uint64_t>(m - 1)));
     if (b >= a) ++b;
     std::swap(order_[a], order_[b]);
-    span = static_cast<int>(a < b ? a : b);
   }
-  // Mapping part: independent random bit flips.  The flip loop stays in
-  // task-index order (the seeded draw sequence is pinned); the positional
-  // span is recovered afterwards from the per-task change flags.
-  std::vector<char> changed(static_cast<std::size_t>(m), 0);
-  bool any_mask_changed = false;
+  // Mapping part: independent random bit flips, in task-index order (the
+  // seeded draw sequence is pinned).
   for (int t = 0; t < m; ++t) {
     NodeMask& mask = mapping_[static_cast<std::size_t>(t)];
-    const NodeMask before = mask;
     for (int bit = 0; bit < node_count_; ++bit) {
       if (rng.chance(bit_flip_rate)) {
         mask ^= NodeMask{1} << bit;
       }
     }
     repair_mask(t, rng);
-    changed[static_cast<std::size_t>(t)] = mask != before;
-    any_mask_changed |= mask != before;
   }
-  if (any_mask_changed) {
-    const int mask_span = first_changed_position(changed);
-    if (mask_span < span) span = mask_span;
-  }
-  return span;
-}
-
-SolutionString::Fingerprint SolutionString::fingerprint() const {
-  // Two independent splitmix64-style lanes over the same word stream.
-  const auto mix = [](std::uint64_t h, std::uint64_t v,
-                      std::uint64_t gamma) {
-    h += v + gamma;
-    h ^= h >> 30;
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 27;
-    h *= 0x94D049BB133111EBULL;
-    h ^= h >> 31;
-    return h;
-  };
-  Fingerprint fp{0x243F6A8885A308D3ULL, 0x13198A2E03707344ULL};
-  const auto absorb = [&](std::uint64_t v) {
-    fp.lo = mix(fp.lo, v, 0x9E3779B97F4A7C15ULL);
-    fp.hi = mix(fp.hi, v, 0xC2B2AE3D27D4EB4FULL);
-  };
-  absorb(static_cast<std::uint64_t>(node_count_));
-  absorb(order_.size());
-  for (const int t : order_) absorb(static_cast<std::uint64_t>(t));
-  for (const NodeMask m : mapping_) absorb(static_cast<std::uint64_t>(m));
-  return fp;
 }
 
 void SolutionString::remap_tasks(const std::vector<int>& kept,

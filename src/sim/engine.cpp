@@ -156,8 +156,8 @@ bool Engine::step() {
   queue_.pop();
   GRIDLB_ASSERT(entry.at >= now_);
   now_ = entry.at;
-  // Publish the clock for off-engine consumers (logger sim-time prefixes,
-  // trace events emitted from thread-pool workers) and the executing shard
+  // Publish the clock for consumers without an engine reference (logger
+  // sim-time prefixes, PACE cache trace events) and the executing shard
   // for trace-event stamping (0 = unsharded).
   simclock::publish(now_);
   simclock::publish_shard(

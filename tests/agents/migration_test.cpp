@@ -1,4 +1,4 @@
-// Threshold-triggered queue migration (DESIGN.md §17).
+// Threshold-triggered queue migration (DESIGN.md §16).
 //
 // Migration re-homes *queued* tasks only: a task the local scheduler has
 // already started must never move, every migrated task must complete

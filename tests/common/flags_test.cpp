@@ -140,21 +140,28 @@ TEST(Flags, TrailingGarbageInNumbersThrows) {
   // silently parse as 16, nor "0.05typo" as 0.05.
   Flags flags = declared();
   parse(flags, {"--requests", "16x", "--rate", "0.05typo"});
-  EXPECT_THROW((void)flags.get_int("requests", 0), AssertionError);
-  EXPECT_THROW((void)flags.get_double("rate", 0.0), AssertionError);
+  EXPECT_THROW((void)flags.get_int("requests", 0), FlagError);
+  EXPECT_THROW((void)flags.get_double("rate", 0.0), FlagError);
 
   Flags spaced = declared();
   parse(spaced, {"--requests", "16 ", "--rate=1.5e3"});
-  EXPECT_THROW((void)spaced.get_int("requests", 0), AssertionError);
+  EXPECT_THROW((void)spaced.get_int("requests", 0), FlagError);
   EXPECT_DOUBLE_EQ(spaced.get_double("rate", 0.0), 1500.0);
 }
 
 TEST(Flags, MalformedNumbersThrow) {
   Flags flags = declared();
   parse(flags, {"--requests", "many", "--rate", "fast", "--csv=maybe"});
-  EXPECT_THROW((void)flags.get_int("requests", 0), AssertionError);
-  EXPECT_THROW((void)flags.get_double("rate", 0.0), AssertionError);
-  EXPECT_THROW((void)flags.get_bool("csv", false), AssertionError);
+  EXPECT_THROW((void)flags.get_int("requests", 0), FlagError);
+  EXPECT_THROW((void)flags.get_double("rate", 0.0), FlagError);
+  EXPECT_THROW((void)flags.get_bool("csv", false), FlagError);
+  try {
+    (void)flags.get_int("requests", 0);
+    FAIL() << "expected FlagError";
+  } catch (const FlagError& error) {
+    EXPECT_STREQ(error.what(),
+                 "flag --requests expects an integer, got 'many'");
+  }
 }
 
 TEST(Flags, ReadingUndeclaredFlagThrows) {

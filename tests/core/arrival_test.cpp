@@ -1,4 +1,4 @@
-// Pluggable arrival processes and the open-loop harness (DESIGN.md §17).
+// Pluggable arrival processes and the open-loop harness (DESIGN.md §16).
 //
 // The timing processes must be deterministic per seed, must never perturb
 // the per-request draws (entry agent, application, deadline), and the

@@ -65,7 +65,9 @@ TEST(ZeroFaultRegression, Experiment3MatchesPreFaultModel) {
 }
 
 TEST(ZeroFaultRegression, CentralOracleMatchesPreFaultModel) {
-  expect_pinned(run_central_experiment(scaled(experiment3(), 40)),
+  ExperimentConfig config = scaled(experiment3(), 40);
+  config.placement = PlacementFamily::kCentralOracle;
+  expect_pinned(run_experiment(config),
                 {47.200228217807592, 0.53040994623655902, 0.40738605647678783,
                  63.0, 0, 146, 40});
 }

@@ -1,6 +1,6 @@
-// PlacementFamily dispatch (DESIGN.md §15): name parsing, the deprecated
-// run_central_experiment shim, and the hashed family's contracts — zero
-// discovery traffic, seed determinism, and shard-count invariance.
+// PlacementFamily dispatch (DESIGN.md §15): name parsing and the hashed
+// family's contracts — zero discovery traffic, seed determinism, and
+// shard-count invariance.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,15 +49,17 @@ TEST(PlacementFamily, NamesRoundTrip) {
   }
 }
 
-TEST(PlacementFamily, DeprecatedAliasesParse) {
-  EXPECT_EQ(placement_family_from_name("discovery"),
-            PlacementFamily::kAgentDiscovery);
-  EXPECT_EQ(placement_family_from_name("central-oracle"),
-            PlacementFamily::kCentralOracle);
-  EXPECT_EQ(placement_family_from_name("oracle"),
-            PlacementFamily::kCentralOracle);
-  EXPECT_EQ(placement_family_from_name("hash"),
-            PlacementFamily::kHashPlacement);
+TEST(PlacementFamily, RetiredAliasesAreUnknownNames) {
+  for (const char* alias : {"discovery", "central-oracle", "oracle", "hash"}) {
+    try {
+      (void)placement_family_from_name(alias);
+      ADD_FAILURE() << alias << " still parses";
+    } catch (const AssertionError& error) {
+      EXPECT_NE(std::string(error.what()).find(
+                    std::string("unknown placement family: ") + alias),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(PlacementFamily, UnknownNameFailsWithValidValues) {
@@ -69,16 +71,6 @@ TEST(PlacementFamily, UnknownNameFailsWithValidValues) {
     EXPECT_NE(std::string(error.what()).find("dht"), std::string::npos);
     EXPECT_NE(std::string(error.what()).find("crush"), std::string::npos);
   }
-}
-
-TEST(PlacementFamily, CentralShimMatchesUnifiedDispatch) {
-  ExperimentConfig config = experiment3();
-  config.name = "central";
-  config.workload.count = 40;
-  const ExperimentResult shimmed = run_central_experiment(config);
-  config.placement = PlacementFamily::kCentralOracle;
-  const ExperimentResult dispatched = run_experiment(config);
-  expect_identical(dispatched, shimmed);
 }
 
 TEST(PlacementFamily, CrushUsesZeroDiscoveryMessages) {

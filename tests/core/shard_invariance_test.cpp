@@ -85,7 +85,9 @@ TEST(ShardInvariance, Experiment3MatchesClassicEngine) {
 TEST(ShardInvariance, CentralOracleIgnoresShardCount) {
   // The central oracle has no partitionable structure; sim_shards must be
   // a no-op there, keeping its pre-fault-model pin.
-  expect_pinned(run_central_experiment(scaled(experiment3(), 40, 4)),
+  ExperimentConfig config = scaled(experiment3(), 40, 4);
+  config.placement = PlacementFamily::kCentralOracle;
+  expect_pinned(run_experiment(config),
                 {47.200228217807592, 0.53040994623655902, 0.40738605647678783,
                  63.0, 0, 146, 40});
 }

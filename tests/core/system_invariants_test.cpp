@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 #include "sched/node_mask.hpp"
 
 namespace gridlb::core {

@@ -321,22 +321,20 @@ TEST_P(EvaluateEquivalence, MetricsOnlyEvaluateMatchesFullDecode) {
     EXPECT_EQ(metrics.mean_completion, full.mean_completion);
     EXPECT_EQ(metrics.deadline_misses, full.deadline_misses);
 
-    // evaluate_from at every possible span start: the genome trivially
-    // agrees with its own recorded stream, so every span must reproduce
-    // the full metrics bit-for-bit (span 0 = full rebuild, span m =
-    // answered from the cached metrics, everything between = checkpoint
-    // restore + suffix replay).
-    for (int s = 0; s <= m; ++s) {
-      const ScheduleMetrics delta =
-          builder.evaluate_from(context, solution, scratch, s);
-      EXPECT_EQ(delta.completion, full.completion);
-      EXPECT_EQ(delta.makespan, full.makespan);
-      EXPECT_EQ(delta.total_idle, full.total_idle);
-      EXPECT_EQ(delta.weighted_idle, full.weighted_idle);
-      EXPECT_EQ(delta.contract_penalty, full.contract_penalty);
-      EXPECT_EQ(delta.mean_completion, full.mean_completion);
-      EXPECT_EQ(delta.deadline_misses, full.deadline_misses);
-    }
+    // The scratch carries nothing from one evaluation to the next: a bred
+    // child evaluated straight after its parent matches its own decode.
+    SolutionString child =
+        solution.crossover(SolutionString::random(m, nodes, rng), rng);
+    child.mutate(0.5, 0.1, rng);
+    const ScheduleMetrics bred = builder.evaluate(context, child, scratch);
+    const auto bred_full = builder.decode(tasks, child, free, now, available);
+    EXPECT_EQ(bred.completion, bred_full.completion);
+    EXPECT_EQ(bred.makespan, bred_full.makespan);
+    EXPECT_EQ(bred.total_idle, bred_full.total_idle);
+    EXPECT_EQ(bred.weighted_idle, bred_full.weighted_idle);
+    EXPECT_EQ(bred.contract_penalty, bred_full.contract_penalty);
+    EXPECT_EQ(bred.mean_completion, bred_full.mean_completion);
+    EXPECT_EQ(bred.deadline_misses, bred_full.deadline_misses);
 
     // And the context-based full decode agrees placement-by-placement
     // with the self-contained convenience overload.

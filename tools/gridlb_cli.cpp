@@ -10,7 +10,7 @@
 //   gridlb campaign [--requests N] [--policy ga|fifo] [--agents on|off]
 //                   [--placement agent|central|crush] [--seed S]
 //                   [--pull-period P] [--prediction-error E]
-//                   [--eval-threads N] [--churn-mtbf M --churn-mttr R]
+//                   [--churn-mtbf M --churn-mttr R]
 //                   [--sim-shards N] [--csv] [--trace S1]
 //       Run a custom campaign on the Fig. 7 grid; --trace renders one
 //       resource's executed Gantt chart.  A leading `--` flag with no
@@ -29,11 +29,11 @@
 //
 // Placement families (experiment and campaign commands, DESIGN.md §15):
 // --placement selects how requests are routed onto resources — agent
-// (the paper's hierarchy, default), central (omniscient oracle; aliases
-// central-oracle, oracle) or crush (stateless hashed straw map; alias
-// hash).  Orthogonal to --policy, which stays the *local* scheduler.
+// (the paper's hierarchy, default), central (omniscient oracle) or crush
+// (stateless hashed straw map).  Orthogonal to --policy, which stays the
+// *local* scheduler.
 //
-// Traffic shaping (campaign command, DESIGN.md §17): --arrival selects
+// Traffic shaping (campaign command, DESIGN.md §16): --arrival selects
 // the submission-timing process — uniform (default), poisson, onoff
 // (--burst-on/--burst-off), diurnal (--diurnal-period,
 // --diurnal-amplitude) or trace (--arrival-trace FILE replays a JSONL
@@ -64,8 +64,9 @@
 // and enabling tracing never changes results (DESIGN.md §9).
 //
 // `gridlb --help` (or -h, after any command) prints the usage and exits 0.
-// An unknown flag, a flag missing its value or an unknown command prints
-// the error and the usage to stderr and exits 2; a run that fails exits 1.
+// An unknown flag, a flag missing its value, a malformed or out-of-range
+// value or an unknown command prints the error and the usage to stderr
+// and exits 2; a run that fails exits 1.
 
 #include <algorithm>
 #include <cstdio>
@@ -78,8 +79,8 @@
 
 #include "common/flags.hpp"
 #include "common/log.hpp"
-#include "core/gridlb.hpp"
 #include "core/scenario.hpp"
+#include "gridlb.hpp"
 #include "metrics/time_series.hpp"
 #include "pace/model_parser.hpp"
 #include "report/csv.hpp"
@@ -88,6 +89,31 @@
 namespace {
 
 using namespace gridlb;
+
+/// A flag value the CLI rejects is a user error, reported like an unknown
+/// flag (exit 2 with the usage), never as an assertion.
+void require_flag(bool ok, const std::string& message) {
+  if (!ok) throw FlagError(message);
+}
+
+/// --sim-shards, shared by the experiment and campaign commands.
+int sim_shards_flag(const Flags& flags) {
+  const int shards = flags.get_int("sim-shards", 1);
+  require_flag(shards >= 0,
+               "--sim-shards must be >= 0 (0 = hardware concurrency)");
+  return shards;
+}
+
+/// --placement, shared by the experiment and campaign commands.
+core::PlacementFamily placement_flag(const Flags& flags,
+                                     core::PlacementFamily fallback) {
+  const std::string name =
+      flags.get("placement", core::placement_family_name(fallback));
+  require_flag(name == "agent" || name == "central" || name == "crush",
+               "--placement must be agent, central or crush, got '" + name +
+                   "'");
+  return core::placement_family_from_name(name);
+}
 
 int cmd_table1() {
   pace::EvaluationEngine engine;
@@ -158,8 +184,8 @@ void apply_obs_flags(const Flags& flags, core::ExperimentConfig& config) {
   config.obs.events_out = flags.get("events-out", "");
   config.obs.metrics_json_out = flags.get("metrics-json", "");
   config.obs.metrics_interval = flags.get_double("metrics-interval", 0.0);
-  GRIDLB_REQUIRE(config.obs.metrics_interval >= 0.0,
-                 "--metrics-interval must be >= 0");
+  require_flag(config.obs.metrics_interval >= 0.0,
+               "--metrics-interval must be >= 0");
   config.obs.series_jsonl_out = flags.get("series-out", "");
   config.obs.series_csv_out = flags.get("series-csv", "");
   config.obs.progress = flags.get_bool("progress", false);
@@ -208,9 +234,9 @@ void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
   workload.diurnal_amplitude =
       flags.get_double("diurnal-amplitude", workload.diurnal_amplitude);
   config.duration = flags.get_double("duration", 0.0);
-  GRIDLB_REQUIRE(config.duration >= 0.0,
-                 "--duration cannot be negative (0 = closed loop: run until "
-                 "the batch drains)");
+  require_flag(config.duration >= 0.0,
+               "--duration cannot be negative (0 = closed loop: run until "
+               "the batch drains)");
   agents::MigrationConfig& migration = config.system.migration;
   migration.enabled = flags.get_bool("migration", false);
   migration.overload_threshold =
@@ -218,9 +244,9 @@ void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
   migration.underload_threshold =
       flags.get_double("migration-underload", migration.underload_threshold);
   migration.max_batch = flags.get_int("migration-batch", migration.max_batch);
-  GRIDLB_REQUIRE(migration.max_batch >= 1,
-                 "--migration-batch must be >= 1 (tasks re-homed per "
-                 "qualifying advertisement)");
+  require_flag(migration.max_batch >= 1,
+               "--migration-batch must be >= 1 (tasks re-homed per "
+               "qualifying advertisement)");
   core::validate_workload(workload);
 }
 
@@ -269,19 +295,13 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
   config.workload.seed = static_cast<std::uint64_t>(
       flags.get_int("seed", static_cast<int>(config.workload.seed)));
   const std::string policy = flags.get("policy", "ga");
-  GRIDLB_REQUIRE(policy == "ga" || policy == "fifo",
-                 "--policy must be ga or fifo");
+  require_flag(policy == "ga" || policy == "fifo",
+               "--policy must be ga or fifo, got '" + policy + "'");
   config.system.policy = policy == "ga" ? sched::SchedulerPolicy::kGa
                                         : sched::SchedulerPolicy::kFifo;
-  config.placement = core::placement_family_from_name(
-      flags.get("placement", core::placement_family_name(config.placement)));
+  config.placement = placement_flag(flags, config.placement);
   config.system.discovery_enabled = flags.get_bool("agents", true);
-  config.system.ga.eval_threads = flags.get_int("eval-threads", 0);
-  GRIDLB_REQUIRE(config.system.ga.eval_threads >= 0,
-                 "--eval-threads must be >= 0 (0 = hardware concurrency)");
-  config.system.sim_shards = flags.get_int("sim-shards", 1);
-  GRIDLB_REQUIRE(config.system.sim_shards >= 0,
-                 "--sim-shards must be >= 0 (0 = hardware concurrency)");
+  config.system.sim_shards = sim_shards_flag(flags);
   config.system.pull_period = flags.get_double("pull-period", 10.0);
   config.system.prediction_error = flags.get_double("prediction-error", 0.0);
   const double mtbf = flags.get_double("churn-mtbf", 0.0);
@@ -305,10 +325,8 @@ int cmd_experiment(const Flags& flags) {
   if (id == "1" || id == "all") configs.push_back(core::experiment1());
   if (id == "2" || id == "all") configs.push_back(core::experiment2());
   if (id == "3" || id == "all") configs.push_back(core::experiment3());
-  if (configs.empty()) {
-    std::fprintf(stderr, "--id must be 1, 2, 3 or all\n");
-    return 1;
-  }
+  require_flag(!configs.empty(),
+               "--id must be 1, 2, 3 or all, got '" + id + "'");
   std::vector<core::ExperimentResult> results;
   if (configs.size() > 1 &&
       (flags.has("trace-out") || flags.has("events-out") ||
@@ -321,10 +339,8 @@ int cmd_experiment(const Flags& flags) {
     config.workload.count = flags.get_int("requests", 600);
     config.workload.seed =
         static_cast<std::uint64_t>(flags.get_int("seed", 2003));
-    config.system.ga.eval_threads = flags.get_int("eval-threads", 0);
-    config.system.sim_shards = flags.get_int("sim-shards", 1);
-    config.placement = core::placement_family_from_name(
-        flags.get("placement", core::placement_family_name(config.placement)));
+    config.system.sim_shards = sim_shards_flag(flags);
+    config.placement = placement_flag(flags, config.placement);
     apply_fault_flags(flags, config);
     apply_obs_flags(flags, config);
     log::info("running ", config.name, "…");
@@ -477,8 +493,6 @@ Flags make_flags() {
   flags.declare("requests", "N", "number of portal requests");
   flags.declare("seed", "S", "workload seed");
   flags.declare("policy", "ga|fifo", "local scheduling policy");
-  flags.declare("eval-threads", "N",
-                "GA evaluate-phase threads (0 = hardware concurrency)");
   flags.declare("sim-shards", "N",
                 "engine shards (1 = classic, 0 = hardware concurrency)");
   flags.declare("placement", "agent|central|crush",
@@ -587,6 +601,9 @@ int main(int argc, char** argv) {
     if (command == "campaign") return cmd_campaign(flags);
     std::fprintf(stderr, "error: unknown command %s\n%s", command.c_str(),
                  usage.c_str());
+    return 2;
+  } catch (const FlagError& error) {
+    std::fprintf(stderr, "error: %s\n%s", error.what(), usage.c_str());
     return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
