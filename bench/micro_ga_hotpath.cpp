@@ -7,7 +7,8 @@
 // same sweep through the DESIGN.md §11 hot path (BM_PopulationEvaluate:
 // prepared context + metrics-only evaluate into one scratch), and a whole
 // GaScheduler::optimize call (BM_GaOptimize).  items_per_second is
-// evaluations/s.
+// evaluations/s.  BM_Mutate and BM_Crossover time the breeding operators
+// on their own.
 //
 // `--json <path>` additionally writes the machine-readable hot-path report
 // (steady_clock, independent of google-benchmark): on the 600-task
@@ -133,6 +134,42 @@ void BM_GaOptimize(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(decodes));
 }
 BENCHMARK(BM_GaOptimize)->Unit(benchmark::kMillisecond);
+
+// The breeding operators alone, at the queue lengths the local schedulers
+// see (3 tasks: experiment 3's mean; 40: a backed-up queue) on 16 nodes.
+// Diagnostic only: no JSON field and no gate.  items_per_second is
+// children bred per second.
+void BM_Mutate(benchmark::State& state) {
+  const int tasks = static_cast<int>(state.range(0));
+  auto population = make_population(kPopulation, tasks);
+  const sched::GaConfig config;
+  Rng rng(23);
+  for (auto _ : state) {
+    for (auto& solution : population) {
+      solution.mutate(config.order_swap_rate, config.bit_flip_rate, rng);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kPopulation);
+}
+BENCHMARK(BM_Mutate)->Arg(3)->Arg(40);
+
+void BM_Crossover(benchmark::State& state) {
+  const int tasks = static_cast<int>(state.range(0));
+  const auto population = make_population(kPopulation, tasks);
+  sched::SolutionString child;
+  Rng rng(29);
+  for (auto _ : state) {
+    for (int k = 0; k < kPopulation; ++k) {
+      population[static_cast<std::size_t>(k)].crossover(
+          population[static_cast<std::size_t>((k + 1) % kPopulation)], rng,
+          child);
+      benchmark::DoNotOptimize(child.order().data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kPopulation);
+}
+BENCHMARK(BM_Crossover)->Arg(3)->Arg(40);
 
 // The `--json` report, measured with steady_clock on the 600-task
 // case-study workload.

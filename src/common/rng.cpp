@@ -1,8 +1,5 @@
 #include "common/rng.hpp"
 
-#include <bit>
-#include <cmath>
-
 namespace gridlb {
 
 namespace {
@@ -25,29 +22,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  GRIDLB_REQUIRE(bound > 0, "next_below bound must be positive");
-  // Lemire-style rejection: draw until the value falls in the largest
-  // multiple of `bound` that fits in 64 bits.
-  const std::uint64_t threshold = -bound % bound;
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   GRIDLB_REQUIRE(lo <= hi, "uniform_int requires lo <= hi");
   const auto span =
@@ -56,20 +30,9 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
                                                   : next_below(span));
 }
 
-double Rng::next_double() {
-  // 53 top bits -> [0, 1) with full double precision.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   GRIDLB_REQUIRE(lo <= hi, "uniform requires lo <= hi");
   return lo + (hi - lo) * next_double();
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 Rng Rng::split() {

@@ -20,17 +20,17 @@ double cost_value(const ScheduleMetrics& schedule, const CostWeights& weights) {
          denominator;
 }
 
-std::vector<double> fitness_values(std::span<const double> costs) {
-  std::vector<double> fitness(costs.size(), 1.0);
-  if (costs.empty()) return fitness;
+void fitness_values(std::span<const double> costs,
+                    std::vector<double>& fitness) {
+  fitness.assign(costs.size(), 1.0);
+  if (costs.empty()) return;
   const auto [min_it, max_it] = std::minmax_element(costs.begin(), costs.end());
   const double lo = *min_it;
   const double hi = *max_it;
-  if (hi - lo <= 0.0) return fitness;  // degenerate: uniform fitness
+  if (hi - lo <= 0.0) return;  // degenerate: uniform fitness
   for (std::size_t k = 0; k < costs.size(); ++k) {
     fitness[k] = (hi - costs[k]) / (hi - lo);
   }
-  return fitness;
 }
 
 }  // namespace gridlb::sched

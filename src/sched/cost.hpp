@@ -38,8 +38,10 @@ struct CostWeights {
                                 const CostWeights& weights);
 
 /// Dynamic scaling of a population's costs to fitness values in [0, 1]
-/// (higher is better).  A degenerate population (all costs equal) gets
+/// (higher is better), written into `fitness` (resized to match `costs`,
+/// reusing its capacity).  A degenerate population (all costs equal) gets
 /// uniform fitness 1 so selection becomes unbiased rather than undefined.
-[[nodiscard]] std::vector<double> fitness_values(std::span<const double> costs);
+void fitness_values(std::span<const double> costs,
+                    std::vector<double>& fitness);
 
 }  // namespace gridlb::sched

@@ -54,41 +54,39 @@ void GaScheduler::sync_population(std::span<const Task> tasks) {
   for (const Task& task : tasks) known_tasks_.push_back(task.id);
 }
 
-std::vector<int> GaScheduler::select_parents(std::span<const double> fitness) {
+void GaScheduler::select_parents(std::span<const double> fitness) {
   const int n = static_cast<int>(fitness.size());
   const double total = std::accumulate(fitness.begin(), fitness.end(), 0.0);
-  std::vector<int> pool;
-  pool.reserve(static_cast<std::size_t>(n));
+  pool_.clear();
   if (total <= 0.0) {
     // All-zero fitness (cannot happen with dynamic scaling, but guard):
     // uniform pool.
-    for (int k = 0; k < n; ++k) pool.push_back(k);
-    return pool;
+    for (int k = 0; k < n; ++k) pool_.push_back(k);
+    return;
   }
-  std::vector<double> fraction(static_cast<std::size_t>(n));
+  fraction_.resize(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) {
     const double expected =
         fitness[static_cast<std::size_t>(k)] * static_cast<double>(n) / total;
     const double floor_part = std::floor(expected);
-    for (int c = 0; c < static_cast<int>(floor_part); ++c) pool.push_back(k);
-    fraction[static_cast<std::size_t>(k)] = expected - floor_part;
+    for (int c = 0; c < static_cast<int>(floor_part); ++c) pool_.push_back(k);
+    fraction_[static_cast<std::size_t>(k)] = expected - floor_part;
   }
   // Fill the remainder with Bernoulli draws on the fractional parts.
-  while (static_cast<int>(pool.size()) < n) {
-    for (int k = 0; k < n && static_cast<int>(pool.size()) < n; ++k) {
-      if (rng_.chance(fraction[static_cast<std::size_t>(k)])) {
-        pool.push_back(k);
+  while (static_cast<int>(pool_.size()) < n) {
+    for (int k = 0; k < n && static_cast<int>(pool_.size()) < n; ++k) {
+      if (rng_.chance(fraction_[static_cast<std::size_t>(k)])) {
+        pool_.push_back(k);
       }
     }
     // Degenerate fractional mass (all ~0): top up uniformly.
-    if (std::accumulate(fraction.begin(), fraction.end(), 0.0) < 1e-12) {
-      while (static_cast<int>(pool.size()) < n) {
-        pool.push_back(static_cast<int>(
+    if (std::accumulate(fraction_.begin(), fraction_.end(), 0.0) < 1e-12) {
+      while (static_cast<int>(pool_.size()) < n) {
+        pool_.push_back(static_cast<int>(
             rng_.next_below(static_cast<std::uint64_t>(n))));
       }
     }
   }
-  return pool;
 }
 
 SolutionString GaScheduler::greedy_seed(std::span<const Task> tasks,
@@ -248,44 +246,44 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
     ++result.generations_run;
     if (generation + 1 == config_.generations) break;
 
-    // Breed the next generation.
-    const std::vector<double> fitness = fitness_values(costs_);
-    const std::vector<int> pool = select_parents(fitness);
-
-    std::vector<SolutionString> next;
-    next.reserve(static_cast<std::size_t>(n));
+    // Breed the next generation into `next_`, overwriting last
+    // generation's individuals in place, then swap it in.
+    fitness_values(costs_, fitness_);
+    select_parents(fitness_);
+    next_.resize(static_cast<std::size_t>(n));
+    int slot = 0;
     if (config_.elite > 0) {
       // Elites: the `elite` lowest-cost individuals, unchanged.
-      std::vector<int> by_cost(static_cast<std::size_t>(n));
-      std::iota(by_cost.begin(), by_cost.end(), 0);
-      std::partial_sort(by_cost.begin(),
-                        by_cost.begin() + config_.elite, by_cost.end(),
+      by_cost_.resize(static_cast<std::size_t>(n));
+      std::iota(by_cost_.begin(), by_cost_.end(), 0);
+      std::partial_sort(by_cost_.begin(),
+                        by_cost_.begin() + config_.elite, by_cost_.end(),
                         [this](int a, int b) {
                           return costs_[static_cast<std::size_t>(a)] <
                                  costs_[static_cast<std::size_t>(b)];
                         });
-      for (int e = 0; e < config_.elite; ++e) {
-        const int src = by_cost[static_cast<std::size_t>(e)];
-        next.push_back(population_[static_cast<std::size_t>(src)]);
+      for (; slot < config_.elite; ++slot) {
+        const int src = by_cost_[static_cast<std::size_t>(slot)];
+        next_[static_cast<std::size_t>(slot)] =
+            population_[static_cast<std::size_t>(src)];
       }
     }
-    while (static_cast<int>(next.size()) < n) {
-      const int a = pool[static_cast<std::size_t>(
-          rng_.next_below(pool.size()))];
-      const int b = pool[static_cast<std::size_t>(
-          rng_.next_below(pool.size()))];
-      SolutionString child;
+    for (; slot < n; ++slot) {
+      const int a = pool_[static_cast<std::size_t>(
+          rng_.next_below(pool_.size()))];
+      const int b = pool_[static_cast<std::size_t>(
+          rng_.next_below(pool_.size()))];
+      SolutionString& child = next_[static_cast<std::size_t>(slot)];
       if (rng_.chance(config_.crossover_rate)) {
-        child = population_[static_cast<std::size_t>(a)].crossover(
-            population_[static_cast<std::size_t>(b)], rng_);
+        population_[static_cast<std::size_t>(a)].crossover(
+            population_[static_cast<std::size_t>(b)], rng_, child);
       } else {
         child = population_[static_cast<std::size_t>(a)];
       }
       child.mutate(config_.order_swap_rate, config_.bit_flip_rate, rng_);
       if (constrained) child.constrain(available, rng_);
-      next.push_back(std::move(child));
     }
-    population_ = std::move(next);
+    population_.swap(next_);
   }
 
   // The one full decode of the run: placements for the winner only.

@@ -108,9 +108,8 @@ class GaScheduler {
 
   /// Stochastic remainder selection: expected copies e_k = f_v,k·N/Σf_v;
   /// ⌊e_k⌋ copies deterministically, then Bernoulli draws on the
-  /// fractional parts until the pool holds N parents.
-  [[nodiscard]] std::vector<int> select_parents(
-      std::span<const double> fitness);
+  /// fractional parts until `pool_` holds N parents.
+  void select_parents(std::span<const double> fitness);
 
   ScheduleBuilder* builder_;
   GaConfig config_;
@@ -124,6 +123,13 @@ class GaScheduler {
   DecodeContext context_;
   DecodeScratch scratch_;
   std::vector<double> costs_;
+  // Breeding buffers (DESIGN.md §11): once they have grown to the task
+  // set, a generation allocates nothing.
+  std::vector<SolutionString> next_;  ///< next generation; swapped in
+  std::vector<double> fitness_;
+  std::vector<int> pool_;          ///< selected parents (population indices)
+  std::vector<double> fraction_;   ///< selection remainders
+  std::vector<int> by_cost_;       ///< elite ranking
 };
 
 }  // namespace gridlb::sched

@@ -77,31 +77,38 @@ void SolutionString::constrain(NodeMask allowed, Rng& rng) {
   GRIDLB_ASSERT(valid());
 }
 
-SolutionString SolutionString::crossover(const SolutionString& mate,
-                                         Rng& rng) const {
+void SolutionString::crossover(const SolutionString& mate, Rng& rng,
+                               SolutionString& child) const {
   GRIDLB_REQUIRE(task_count() == mate.task_count() &&
                      node_count_ == mate.node_count_,
                  "crossover parents must agree on task and node counts");
+  GRIDLB_REQUIRE(&child != this && &child != &mate,
+                 "crossover child must not alias a parent");
   const int m = task_count();
-  SolutionString child;
   child.node_count_ = node_count_;
-  if (m == 0) return child;
+  // Until the mapping pass below, a non-zero mask marks a task as already
+  // placed in the child's ordering.
+  child.mapping_.assign(static_cast<std::size_t>(m), 0);
+  child.order_.clear();
+  if (m == 0) return;
 
   // --- ordering part: splice at a random cut, complete in mate order.
   const auto cut =
       static_cast<std::size_t>(rng.next_below(static_cast<std::uint64_t>(m) + 1));
   child.order_.assign(order_.begin(),
                       order_.begin() + static_cast<std::ptrdiff_t>(cut));
-  std::vector<bool> used(static_cast<std::size_t>(m), false);
-  for (const int t : child.order_) used[static_cast<std::size_t>(t)] = true;
+  for (const int t : child.order_) {
+    child.mapping_[static_cast<std::size_t>(t)] = 1;
+  }
   for (const int t : mate.order_) {
-    if (!used[static_cast<std::size_t>(t)]) child.order_.push_back(t);
+    if (child.mapping_[static_cast<std::size_t>(t)] == 0) {
+      child.order_.push_back(t);
+    }
   }
 
   // --- mapping part: single-point binary crossover over the child-order-
   // aligned concatenation of per-task bit strings.  Bits strictly before
   // the cut come from this parent, the rest from the mate.
-  child.mapping_.resize(static_cast<std::size_t>(m));
   const int bits_per_task = node_count_;
   const std::uint64_t total_bits =
       static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(bits_per_task);
@@ -125,7 +132,6 @@ SolutionString SolutionString::crossover(const SolutionString& mate,
     child.mapping_[static_cast<std::size_t>(t)] = mask;
     child.repair_mask(t, rng);
   }
-  return child;
 }
 
 void SolutionString::mutate(double order_swap_rate, double bit_flip_rate,
@@ -141,15 +147,12 @@ void SolutionString::mutate(double order_swap_rate, double bit_flip_rate,
     if (b >= a) ++b;
     std::swap(order_[a], order_[b]);
   }
-  // Mapping part: independent random bit flips, in task-index order (the
-  // seeded draw sequence is pinned).
+  // Mapping part: independent random bit flips, in task-index order and
+  // bit order within a task (the seeded draw sequence is pinned).
+  const int nodes = node_count_;  // the mask stores may alias the member
   for (int t = 0; t < m; ++t) {
-    NodeMask& mask = mapping_[static_cast<std::size_t>(t)];
-    for (int bit = 0; bit < node_count_; ++bit) {
-      if (rng.chance(bit_flip_rate)) {
-        mask ^= NodeMask{1} << bit;
-      }
-    }
+    mapping_[static_cast<std::size_t>(t)] ^=
+        static_cast<NodeMask>(rng.bernoulli_bits(nodes, bit_flip_rate));
     repair_mask(t, rng);
   }
 }

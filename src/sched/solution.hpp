@@ -62,8 +62,13 @@ class SolutionString {
   /// legal permutation).  The mapping parts, viewed in the child's task
   /// order, undergo a single-point binary crossover at a random bit; empty
   /// allocations are repaired with a random node.
-  [[nodiscard]] SolutionString crossover(const SolutionString& mate,
-                                         Rng& rng) const;
+  ///
+  /// The child is written into `child`, whose previous contents are
+  /// discarded and whose capacity is reused, so a breeding loop that
+  /// recycles its children does not allocate.  `child` must be neither
+  /// parent.
+  void crossover(const SolutionString& mate, Rng& rng,
+                 SolutionString& child) const;
 
   /// Two-part mutation: a random transposition in the ordering part, and
   /// independent bit-flips (probability `bit_flip_rate`) in the mapping

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -172,6 +173,49 @@ TEST(Rng, SplitChildDiffersFromParent) {
     if (parent.next_u64() == child.next_u64()) ++equal;
   }
   EXPECT_LT(equal, 2);
+}
+
+// bernoulli_bits(n, p) is n calls to chance(p) folded into one word: same
+// outcomes, bit i for draw i, and the same stream position afterwards.
+void expect_bernoulli_bits_match_chance(double p) {
+  for (const int n : {0, 1, 16, 32, 64}) {
+    Rng bulk(std::bit_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(n));
+    Rng single = bulk;
+    for (int round = 0; round < 4; ++round) {
+      const std::uint64_t bits = bulk.bernoulli_bits(n, p);
+      std::uint64_t expected = 0;
+      for (int i = 0; i < n; ++i) {
+        if (single.chance(p)) expected |= std::uint64_t{1} << i;
+      }
+      ASSERT_EQ(bits, expected) << "p=" << p << " n=" << n;
+    }
+    ASSERT_EQ(bulk.next_u64(), single.next_u64()) << "p=" << p << " n=" << n;
+  }
+}
+
+TEST(Rng, BernoulliBitsMatchesChanceAtEdges) {
+  for (const double p : {0.0, 1.0, 0.02, 0.5, std::nextafter(1.0, 0.0),
+                         1e-300}) {
+    expect_bernoulli_bits_match_chance(p);
+  }
+}
+
+TEST(Rng, BernoulliBitsMatchesChanceOnRandomProbabilities) {
+  Rng source(2003);
+  for (int i = 0; i < 1000; ++i) {
+    // Half in (0, 1), half arbitrary bit patterns: negatives, p > 1,
+    // subnormals, infinities and NaNs must agree too.
+    const double p = i % 2 == 0
+                         ? source.next_double()
+                         : std::bit_cast<double>(source.next_u64());
+    expect_bernoulli_bits_match_chance(p);
+  }
+}
+
+TEST(Rng, BernoulliBitsRejectsMoreThan64Draws) {
+  Rng rng(43);
+  EXPECT_THROW((void)rng.bernoulli_bits(65, 0.5), AssertionError);
+  EXPECT_THROW((void)rng.bernoulli_bits(-1, 0.5), AssertionError);
 }
 
 // Property sweep: next_below is unbiased enough that each residue of a

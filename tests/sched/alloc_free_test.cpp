@@ -1,6 +1,7 @@
-// Verifies the DESIGN.md §11 claim directly: steady-state GA evaluation
-// (context prepared once, then metrics-only evaluate per individual)
-// performs zero heap allocations.
+// Verifies the DESIGN.md §11 claims directly: steady-state GA evaluation
+// (context prepared once, then metrics-only evaluate per individual) and
+// steady-state breeding (double-buffered population, reused selection
+// buffers) perform zero heap allocations.
 //
 // The hook is a replacement global operator new that bumps a thread-local
 // counter while armed.  Replacing it in one TU replaces it for the whole
@@ -46,6 +47,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, static_cast<std::size_t>(align));
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the default, they would pair a sanitizer's allocation with the
+// free() below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_counting) ++g_allocations;
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_counting) ++g_allocations;
+  return std::malloc(size ? size : 1);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -56,6 +68,10 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -137,6 +153,43 @@ TEST(AllocFree, RepreparingSameShapeContextDoesNotAllocate) {
   builder.prepare(context, tasks, free, 5.0, full_mask(nodes));
   g_counting = false;
   EXPECT_EQ(g_allocations, 0u);
+}
+
+// Heap allocations made by the third optimize() call on one task set:
+// the first two grow both population buffers and every reused vector to
+// the task set, so what remains is per-call work (task-set sync, greedy
+// seeds, the result), which must not scale with the generation count.
+std::uint64_t steady_optimize_allocations(int generations) {
+  pace::EvaluationEngine engine;
+  pace::CachedEvaluator evaluator(engine);
+  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
+  const int nodes = 16;
+  ScheduleBuilder builder(evaluator, sgi, nodes);
+  const auto catalogue = pace::paper_catalogue();
+
+  Rng rng(17);
+  const auto tasks = random_tasks(catalogue, 20, rng);
+  const std::vector<SimTime> free(static_cast<std::size_t>(nodes), 0.0);
+
+  GaConfig config;
+  config.generations = generations;
+  GaScheduler scheduler(builder, config, 5);
+  (void)scheduler.optimize(tasks, free, 0.0);
+  (void)scheduler.optimize(tasks, free, 0.0);
+
+  g_allocations = 0;
+  g_counting = true;
+  const GaResult result = scheduler.optimize(tasks, free, 0.0);
+  g_counting = false;
+  EXPECT_EQ(result.generations_run, generations);
+  return g_allocations;
+}
+
+TEST(AllocFree, SteadyStateGenerationDoesNotAllocate) {
+  const std::uint64_t short_run = steady_optimize_allocations(3);
+  const std::uint64_t long_run = steady_optimize_allocations(30);
+  EXPECT_EQ(short_run, long_run);
+  EXPECT_GT(short_run, 0u);  // the hook does see the per-call work
 }
 
 }  // namespace

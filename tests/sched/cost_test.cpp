@@ -57,7 +57,8 @@ TEST(CostValue, RejectsNegativeOrAllZeroWeights) {
 
 TEST(Fitness, MapsBestToOneWorstToZero) {
   const std::vector<double> costs = {5.0, 1.0, 9.0};
-  const auto fitness = fitness_values(costs);
+  std::vector<double> fitness;
+  fitness_values(costs, fitness);
   EXPECT_DOUBLE_EQ(fitness[1], 1.0);  // best (lowest cost)
   EXPECT_DOUBLE_EQ(fitness[2], 0.0);  // worst
   EXPECT_DOUBLE_EQ(fitness[0], 0.5);
@@ -65,16 +66,20 @@ TEST(Fitness, MapsBestToOneWorstToZero) {
 
 TEST(Fitness, DegeneratePopulationIsUniform) {
   const std::vector<double> costs = {4.0, 4.0, 4.0};
-  const auto fitness = fitness_values(costs);
+  std::vector<double> fitness;
+  fitness_values(costs, fitness);
   for (const double f : fitness) EXPECT_DOUBLE_EQ(f, 1.0);
 }
 
 TEST(Fitness, EmptyInput) {
-  EXPECT_TRUE(fitness_values(std::vector<double>{}).empty());
+  std::vector<double> fitness = {0.5, 0.25};  // stale contents are dropped
+  fitness_values(std::vector<double>{}, fitness);
+  EXPECT_TRUE(fitness.empty());
 }
 
 TEST(Fitness, SingleIndividual) {
-  const auto fitness = fitness_values(std::vector<double>{3.0});
+  std::vector<double> fitness;
+  fitness_values(std::vector<double>{3.0}, fitness);
   ASSERT_EQ(fitness.size(), 1u);
   EXPECT_DOUBLE_EQ(fitness[0], 1.0);
 }
@@ -82,7 +87,8 @@ TEST(Fitness, SingleIndividual) {
 TEST(Fitness, OrderPreserving) {
   // Lower cost must never map to lower fitness.
   const std::vector<double> costs = {3.0, 1.0, 2.0, 5.0, 4.0};
-  const auto fitness = fitness_values(costs);
+  std::vector<double> fitness;
+  fitness_values(costs, fitness);
   for (std::size_t i = 0; i < costs.size(); ++i) {
     for (std::size_t j = 0; j < costs.size(); ++j) {
       if (costs[i] < costs[j]) {
@@ -94,7 +100,9 @@ TEST(Fitness, OrderPreserving) {
 
 TEST(Fitness, InRange) {
   const std::vector<double> costs = {10.5, -3.0, 0.0, 7.7};
-  for (const double f : fitness_values(costs)) {
+  std::vector<double> fitness;
+  fitness_values(costs, fitness);
+  for (const double f : fitness) {
     EXPECT_GE(f, 0.0);
     EXPECT_LE(f, 1.0);
   }

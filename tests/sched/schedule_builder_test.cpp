@@ -323,8 +323,8 @@ TEST_P(EvaluateEquivalence, MetricsOnlyEvaluateMatchesFullDecode) {
 
     // The scratch carries nothing from one evaluation to the next: a bred
     // child evaluated straight after its parent matches its own decode.
-    SolutionString child =
-        solution.crossover(SolutionString::random(m, nodes, rng), rng);
+    SolutionString child;
+    solution.crossover(SolutionString::random(m, nodes, rng), rng, child);
     child.mutate(0.5, 0.1, rng);
     const ScheduleMetrics bred = builder.evaluate(context, child, scratch);
     const auto bred_full = builder.decode(tasks, child, free, now, available);

@@ -4,6 +4,7 @@
 
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -75,7 +76,8 @@ TEST(Crossover, ChildrenAreAlwaysValid) {
   for (int trial = 0; trial < 500; ++trial) {
     const auto a = SolutionString::random(12, 8, rng);
     const auto b = SolutionString::random(12, 8, rng);
-    const auto child = a.crossover(b, rng);
+    SolutionString child;
+    a.crossover(b, rng, child);
     ASSERT_TRUE(child.valid()) << "trial " << trial;
   }
 }
@@ -87,7 +89,8 @@ TEST(Crossover, OrderPrefixComesFromFirstParent) {
   for (int trial = 0; trial < 200; ++trial) {
     const auto a = SolutionString::random(8, 4, rng);
     const auto b = SolutionString::random(8, 4, rng);
-    const auto child = a.crossover(b, rng);
+    SolutionString child;
+    a.crossover(b, rng, child);
     // Find the longest common prefix with A, then verify the remainder
     // follows B's relative order.
     std::size_t prefix = 0;
@@ -116,7 +119,8 @@ TEST(Crossover, EachMaskBitComesFromAParent) {
   const SolutionString a({0, 1, 2}, {0b1111, 0b1111, 0b1111}, 4);
   const SolutionString b({2, 1, 0}, {0b0001, 0b0010, 0b0100}, 4);
   for (int trial = 0; trial < 100; ++trial) {
-    const auto child = a.crossover(b, rng);
+    SolutionString child;
+    a.crossover(b, rng, child);
     for (int t = 0; t < 3; ++t) {
       const NodeMask mask = child.mask_of(t);
       const NodeMask low_a_high_b =
@@ -131,7 +135,8 @@ TEST(Crossover, EmptyTaskSet) {
   Rng rng(5);
   const auto a = SolutionString::random(0, 4, rng);
   const auto b = SolutionString::random(0, 4, rng);
-  const auto child = a.crossover(b, rng);
+  SolutionString child = SolutionString::random(3, 4, rng);
+  a.crossover(b, rng, child);
   EXPECT_EQ(child.task_count(), 0);
 }
 
@@ -139,7 +144,38 @@ TEST(Crossover, MismatchedParentsRejected) {
   Rng rng(6);
   const auto a = SolutionString::random(3, 4, rng);
   const auto b = SolutionString::random(4, 4, rng);
-  EXPECT_THROW(a.crossover(b, rng), AssertionError);
+  SolutionString child;
+  EXPECT_THROW(a.crossover(b, rng, child), AssertionError);
+}
+
+TEST(Crossover, ReusedChildMatchesFreshChild) {
+  // A recycled child's stale contents — another task count, another node
+  // count — must not leak into the result or shift the draw sequence.
+  Rng setup(8);
+  const auto a = SolutionString::random(12, 8, setup);
+  const auto b = SolutionString::random(12, 8, setup);
+  for (const auto& [tasks, nodes] :
+       {std::pair{3, 4}, std::pair{40, 16}, std::pair{12, 8}}) {
+    SolutionString reused = SolutionString::random(tasks, nodes, setup);
+    Rng fresh_rng(tasks * 31 + nodes);
+    Rng reused_rng = fresh_rng;
+    for (int trial = 0; trial < 50; ++trial) {
+      SolutionString fresh;
+      a.crossover(b, fresh_rng, fresh);
+      a.crossover(b, reused_rng, reused);
+      ASSERT_EQ(reused, fresh) << tasks << "x" << nodes << " trial " << trial;
+      ASSERT_TRUE(reused.valid());
+    }
+    EXPECT_EQ(fresh_rng.next_u64(), reused_rng.next_u64());
+  }
+}
+
+TEST(Crossover, ChildMustNotAliasAParent) {
+  Rng rng(9);
+  auto a = SolutionString::random(5, 4, rng);
+  auto b = SolutionString::random(5, 4, rng);
+  EXPECT_THROW(a.crossover(b, rng, a), AssertionError);
+  EXPECT_THROW(a.crossover(b, rng, b), AssertionError);
 }
 
 TEST(Mutate, PreservesValidity) {
@@ -231,7 +267,8 @@ TEST_P(OperatorValidity, CrossoverAndMutateStayLegal) {
   auto a = SolutionString::random(tasks, nodes, rng);
   auto b = SolutionString::random(tasks, nodes, rng);
   for (int round = 0; round < 50; ++round) {
-    auto child = a.crossover(b, rng);
+    SolutionString child;
+    a.crossover(b, rng, child);
     child.mutate(0.3, 0.1, rng);
     ASSERT_TRUE(child.valid());
     b = a;

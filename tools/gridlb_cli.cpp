@@ -220,12 +220,22 @@ void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
 void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
   core::WorkloadConfig& workload = config.workload;
   if (flags.has("arrival")) {
-    workload.arrival =
-        core::arrival_process_from_name(flags.get("arrival", "uniform"));
+    const std::string name = flags.get("arrival", "uniform");
+    require_flag(name == "uniform" || name == "poisson" || name == "onoff" ||
+                     name == "diurnal" || name == "trace",
+                 "--arrival must be uniform, poisson, onoff, diurnal or "
+                 "trace, got '" + name + "'");
+    workload.arrival = core::arrival_process_from_name(name);
   }
   workload.trace_path = flags.get("arrival-trace", workload.trace_path);
   if (!workload.trace_path.empty() && !flags.has("arrival")) {
     workload.arrival = core::ArrivalProcess::kTrace;
+  }
+  if (workload.arrival == core::ArrivalProcess::kTrace &&
+      !workload.trace_path.empty()) {
+    require_flag(std::ifstream(workload.trace_path).good(),
+                 "--arrival-trace: cannot open '" + workload.trace_path +
+                     "'");
   }
   workload.burst_on = flags.get_double("burst-on", workload.burst_on);
   workload.burst_off = flags.get_double("burst-off", workload.burst_off);
@@ -255,8 +265,11 @@ void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
 core::ScenarioSpec scenario_spec_from_flags(const Flags& flags) {
   core::ScenarioSpec spec;
   spec.agent_count = flags.get_int("grid-agents", spec.agent_count);
-  spec.shape = core::shape_from_name(
-      flags.get("grid-shape", core::shape_name(spec.shape)));
+  const std::string shape =
+      flags.get("grid-shape", core::shape_name(spec.shape));
+  require_flag(shape == "fanout" || shape == "random",
+               "--grid-shape must be fanout or random, got '" + shape + "'");
+  spec.shape = core::shape_from_name(shape);
   spec.fanout = flags.get_int("grid-fanout", spec.fanout);
   spec.max_depth = flags.get_int("grid-depth", spec.max_depth);
   spec.tree_seed = static_cast<std::uint64_t>(
