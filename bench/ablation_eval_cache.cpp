@@ -10,15 +10,16 @@
 //
 // This bench reproduces the motivating arithmetic: it replays the GA's
 // evaluation request stream for a 20-task/50-individual population and
-// projects the per-generation wall time with and without the caching
-// layers at the paper's 0.01 s/evaluation.
+// projects the per-generation wall time with and without the cache at the
+// paper's 0.01 s/evaluation.
 //
-// Since DESIGN.md §11 the layer is two-deep: each GA run snapshots the
-// needed (application × nproc) predictions into a flat PredictionTable
-// (the only step that touches the sharded cache), and every per-task
-// prediction during evaluation is a lock-free table read.  The paper's
-// "cache absorbs the request stream" claim holds for the stack: engine
-// invocations per request ≈ 0.
+// The cache is a PredictionTable (DESIGN.md §11): the key space — the
+// applications × the resource's platform × nproc 1..16 — is finite and
+// known up front, so every entry is evaluated once when the table is
+// built and every prediction the GA requests afterwards is an array read.
+// The paper's "cache absorbs the request stream" claim holds when engine
+// evaluations (the table's entries) are a small fraction of the requests.
+// Exits 1 when the claim fails, so CI can gate on it.
 
 #include <cstdio>
 
@@ -27,11 +28,10 @@
 int main() {
   using namespace gridlb;
 
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
   const auto catalogue = pace::paper_catalogue();
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::ScheduleBuilder builder(cache, sgi, 16);
+  const pace::PredictionTable table(catalogue, {sgi}, 16);
+  sched::ScheduleBuilder builder(table, sgi, 16);
 
   // A 20-task queue drawn from the case-study mix.
   Rng rng(2003);
@@ -52,16 +52,11 @@ int main() {
   const std::vector<SimTime> idle(16, 0.0);
   const auto result = scheduler.optimize(tasks, idle, 0.0);
 
-  const auto& stats = cache.stats();
   const double raw_eval_seconds = 0.01;  // the paper's figure
   const double requests = static_cast<double>(result.table_reads);
+  const double evaluations = static_cast<double>(table.entries());
   const double requests_per_generation = requests / config.generations;
-  const double engine_per_generation =
-      static_cast<double>(engine.evaluations()) / config.generations;
-  const double absorbed =
-      requests == 0.0
-          ? 0.0
-          : 1.0 - static_cast<double>(engine.evaluations()) / requests;
+  const double absorbed = requests == 0.0 ? 0.0 : 1.0 - evaluations / requests;
 
   std::printf("GA evaluation stream: population %d, %d tasks, %d "
               "generations\n\n",
@@ -70,21 +65,18 @@ int main() {
   std::printf("  prediction requests        : %llu (%.0f per generation)\n",
               static_cast<unsigned long long>(result.table_reads),
               requests_per_generation);
-  std::printf("  served by table snapshot   : lock-free array reads\n");
-  std::printf("  snapshot builds (cache)    : %llu lookups, %llu distinct\n",
-              static_cast<unsigned long long>(stats.lookups()),
-              static_cast<unsigned long long>(stats.misses));
-  std::printf("  engine invocations         : %llu\n",
-              static_cast<unsigned long long>(engine.evaluations()));
+  std::printf("  engine evaluations (table) : %zu (%zu apps x 16 nodes)\n",
+              table.entries(), catalogue.size());
   std::printf("  requests absorbed          : %.2f%%\n", absorbed * 100.0);
   std::printf("\nprojected PACE cost at %.2f s/evaluation (paper's figure):\n",
               raw_eval_seconds);
   std::printf("  without caching : %6.2f s per generation\n",
               requests_per_generation * raw_eval_seconds);
-  std::printf("  with table+cache: %6.2f s per generation (the first "
-              "generation pays the snapshot)\n",
-              engine_per_generation * raw_eval_seconds);
-  std::printf("\n[%s] table+cache absorb >90%% of GA prediction requests\n",
-              absorbed > 0.9 ? "PASS" : "FAIL");
-  return 0;
+  std::printf("  with the table  : %6.2f s once, when the table is built\n",
+              evaluations * raw_eval_seconds);
+  const bool pass = absorbed > 0.9;
+  std::printf("\n[%s] the prediction table absorbs >90%% of GA prediction "
+              "requests\n",
+              pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
 }

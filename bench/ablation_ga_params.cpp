@@ -37,10 +37,9 @@ struct Row {
 
 Row run(const pace::ApplicationCatalogue& apps, sched::GaConfig config,
         std::uint64_t seed) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
-  sched::ScheduleBuilder builder(
-      cache, pace::ResourceModel::of(pace::HardwareType::kSunUltra5), 16);
+  const auto ultra5 = pace::ResourceModel::of(pace::HardwareType::kSunUltra5);
+  const pace::PredictionTable table(apps, {ultra5}, 16);
+  sched::ScheduleBuilder builder(table, ultra5, 16);
   sched::GaScheduler scheduler(builder, config, seed);
   const auto tasks = make_tasks(apps);
   const std::vector<SimTime> idle(16, 0.0);

@@ -36,8 +36,6 @@ struct Outcome {
 // doubles early gaps) and "none" zeroes the idle weight.
 Outcome run(double idle_weight) {
   sim::Engine engine;
-  pace::EvaluationEngine pace_engine;
-  pace::CachedEvaluator evaluator(pace_engine);
   const auto catalogue = pace::paper_catalogue();
 
   sched::LocalScheduler::Config config;
@@ -47,10 +45,11 @@ Outcome run(double idle_weight) {
   config.policy = sched::SchedulerPolicy::kGa;
   config.ga.weights.idle = idle_weight;
   config.seed = 3;
+  const pace::PredictionTable table(catalogue, {config.resource}, 16);
 
   Outcome outcome;
   sched::LocalScheduler scheduler(
-      engine, evaluator, config, [&](const sched::CompletionRecord& r) {
+      engine, table, config, [&](const sched::CompletionRecord& r) {
         outcome.busy_node_seconds +=
             (r.end - r.start) * sched::node_count(r.mask);
         outcome.horizon = std::max(outcome.horizon, r.end);

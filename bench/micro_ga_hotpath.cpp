@@ -14,7 +14,7 @@
 // (steady_clock, independent of google-benchmark): on the 600-task
 // case-study workload, ns per self-contained decode, per prepared-context
 // evaluate and per prepared-context decode, the GA's decode and table-read
-// counters, cache traffic, peak RSS, and the derived
+// counters, the table's entry count, peak RSS, and the derived
 // speedup_vs_full_decode ratio that tools/ci/check_bench_regression.py
 // gates on.
 
@@ -31,17 +31,22 @@ using namespace gridlb;
 
 constexpr int kNodes = 16;
 
+const pace::ApplicationCatalogue& catalogue() {
+  static const pace::ApplicationCatalogue paper = pace::paper_catalogue();
+  return paper;
+}
+
 // The paper's local-scheduler workload: a 16-node SGI Origin2000 and a
 // pending queue drawn from the Table 1 application mix.
 std::vector<sched::Task> make_tasks(int count) {
-  static const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  const pace::ApplicationCatalogue& apps = catalogue();
   Rng rng(2003);
   std::vector<sched::Task> tasks;
   for (int i = 0; i < count; ++i) {
     sched::Task task;
     task.id = TaskId(static_cast<std::uint64_t>(i));
-    task.app = catalogue.all()[static_cast<std::size_t>(
-        rng.next_below(catalogue.size()))];
+    task.app = apps.all()[static_cast<std::size_t>(
+        rng.next_below(apps.size()))];
     const auto domain = task.app->deadline_domain();
     task.deadline = rng.uniform(domain.lo, domain.hi);
     tasks.push_back(std::move(task));
@@ -62,12 +67,11 @@ constexpr int kPopulation = 50;
 constexpr int kSweepTasks = 20;
 
 // One population sweep through the self-contained decode: every decode
-// re-snapshots the prediction table and allocates its placements vector.
+// re-prepares its context and allocates its placements vector.
 void BM_PopulationDecode(benchmark::State& state) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::ScheduleBuilder builder(cache, sgi, kNodes);
+  const pace::PredictionTable table(catalogue(), {sgi}, kNodes);
+  sched::ScheduleBuilder builder(table, sgi, kNodes);
   const auto tasks = make_tasks(kSweepTasks);
   const std::vector<SimTime> idle(kNodes, 0.0);
   const auto population = make_population(kPopulation, kSweepTasks);
@@ -88,10 +92,9 @@ BENCHMARK(BM_PopulationDecode)->Unit(benchmark::kMicrosecond);
 // DecodeContext, one DecodeScratch, metrics-only evaluate — zero
 // allocations and zero lock acquisitions per individual.
 void BM_PopulationEvaluate(benchmark::State& state) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::ScheduleBuilder builder(cache, sgi, kNodes);
+  const pace::PredictionTable table(catalogue(), {sgi}, kNodes);
+  sched::ScheduleBuilder builder(table, sgi, kNodes);
   const auto tasks = make_tasks(kSweepTasks);
   const std::vector<SimTime> idle(kNodes, 0.0);
   const auto population = make_population(kPopulation, kSweepTasks);
@@ -114,10 +117,9 @@ BENCHMARK(BM_PopulationEvaluate)->Unit(benchmark::kMicrosecond);
 // A whole optimize() at the paper's settings: evaluation plus selection,
 // crossover and mutation.
 void BM_GaOptimize(benchmark::State& state) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::ScheduleBuilder builder(cache, sgi, kNodes);
+  const pace::PredictionTable table(catalogue(), {sgi}, kNodes);
+  sched::ScheduleBuilder builder(table, sgi, kNodes);
   const auto tasks = make_tasks(kSweepTasks);
   const std::vector<SimTime> idle(kNodes, 0.0);
 
@@ -176,10 +178,9 @@ BENCHMARK(BM_Crossover)->Arg(3)->Arg(40);
 void write_hotpath_report(const std::string& path) {
   constexpr int kTasks = 600;
 
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::ScheduleBuilder builder(cache, sgi, kNodes);
+  const pace::PredictionTable table(catalogue(), {sgi}, kNodes);
+  sched::ScheduleBuilder builder(table, sgi, kNodes);
   const auto tasks = make_tasks(kTasks);
   const std::vector<SimTime> idle(kNodes, 0.0);
   Rng rng(17);
@@ -190,7 +191,7 @@ void write_hotpath_report(const std::string& path) {
   constexpr int kReps = 7;
   constexpr double kBatchSeconds = 0.15;
 
-  // Self-contained decode: snapshot, context and placements per call.
+  // Self-contained decode: context and placements per call.
   const double full_decode_ns = benchjson::measure_ns_per_op(
       [&](std::int64_t iters) {
         for (std::int64_t i = 0; i < iters; ++i) {
@@ -230,13 +231,11 @@ void write_hotpath_report(const std::string& path) {
   sched::GaScheduler scheduler(builder, config, 11);
   const auto ga = scheduler.optimize(ga_tasks, idle, 0.0);
 
-  const auto& stats = cache.stats();
-
   std::ofstream out(path);
   benchjson::JsonWriter json(out);
   json.begin_object();
   json.field("bench", "micro_ga_hotpath");
-  json.field("schema_version", 3);
+  json.field("schema_version", 4);
   json.begin_object("workload");
   json.field("tasks", kTasks);
   json.field("nodes", kNodes);
@@ -262,10 +261,8 @@ void write_hotpath_report(const std::string& path) {
   json.field("decodes", ga.decodes);
   json.field("table_reads", ga.table_reads);
   json.end_object();
-  json.begin_object("cache");
-  json.field("hits", static_cast<std::uint64_t>(stats.hits));
-  json.field("misses", static_cast<std::uint64_t>(stats.misses));
-  json.field("engine_evaluations", engine.evaluations());
+  json.begin_object("table");
+  json.field("entries", static_cast<std::uint64_t>(table.entries()));
   json.end_object();
   json.field("peak_rss_bytes", benchjson::peak_rss_bytes());
   json.end_object();

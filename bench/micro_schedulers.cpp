@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the scheduling kernels:
-//   * PACE evaluation — raw engine vs cached path,
+//   * PACE evaluation — raw engine vs a prediction-table read,
 //   * schedule decoding (the GA's inner loop), both as the legacy
 //     self-contained full decode and as the DESIGN.md §11 hot path
 //     (prepared context + metrics-only evaluate),
@@ -24,15 +24,29 @@ namespace {
 
 using namespace gridlb;
 
+const pace::ApplicationCatalogue& catalogue() {
+  static const pace::ApplicationCatalogue paper = pace::paper_catalogue();
+  return paper;
+}
+
+/// The 16-node SGIOrigin2000 every kernel below runs on, and its table.
+const pace::ResourceModel kSgi =
+    pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
+
+const pace::PredictionTable& sgi_table() {
+  static const pace::PredictionTable table(catalogue(), {kSgi}, 16);
+  return table;
+}
+
 std::vector<sched::Task> make_tasks(int count) {
-  static const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  const pace::ApplicationCatalogue& apps = catalogue();
   Rng rng(5);
   std::vector<sched::Task> tasks;
   for (int i = 0; i < count; ++i) {
     sched::Task task;
     task.id = TaskId(static_cast<std::uint64_t>(i));
-    task.app = catalogue.all()[static_cast<std::size_t>(
-        rng.next_below(catalogue.size()))];
+    task.app = apps.all()[static_cast<std::size_t>(
+        rng.next_below(apps.size()))];
     const auto domain = task.app->deadline_domain();
     task.deadline = rng.uniform(domain.lo, domain.hi);
     tasks.push_back(std::move(task));
@@ -41,35 +55,30 @@ std::vector<sched::Task> make_tasks(int count) {
 }
 
 void BM_PaceEvaluateRaw(benchmark::State& state) {
-  pace::EvaluationEngine engine;
-  const auto model = pace::make_paper_application("sweep3d");
-  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
+  const auto& model = *catalogue().find("sweep3d");
   int nproc = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.evaluate(*model, sgi, nproc));
+    benchmark::DoNotOptimize(
+        pace::EvaluationEngine::evaluate(model, kSgi, nproc));
     nproc = nproc % 16 + 1;
   }
 }
 BENCHMARK(BM_PaceEvaluateRaw);
 
-void BM_PaceEvaluateCached(benchmark::State& state) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
-  const auto model = pace::make_paper_application("sweep3d");
-  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
+// A lookup as the agents make it: find the row, then index it.
+void BM_PaceTableRead(benchmark::State& state) {
+  const auto& model = *catalogue().find("sweep3d");
   int nproc = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.evaluate(*model, sgi, nproc));
+    benchmark::DoNotOptimize(
+        sgi_table().row(model, kSgi)[static_cast<std::size_t>(nproc - 1)]);
     nproc = nproc % 16 + 1;
   }
 }
-BENCHMARK(BM_PaceEvaluateCached);
+BENCHMARK(BM_PaceTableRead);
 
 void BM_ScheduleDecode(benchmark::State& state) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
-  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::ScheduleBuilder builder(cache, sgi, 16);
+  sched::ScheduleBuilder builder(sgi_table(), kSgi, 16);
   const auto tasks = make_tasks(static_cast<int>(state.range(0)));
   Rng rng(9);
   const auto solution =
@@ -85,12 +94,9 @@ BENCHMARK(BM_ScheduleDecode)->Arg(5)->Arg(20)->Arg(50)->Arg(200)->Arg(600);
 
 // The GA's steady-state evaluation (DESIGN.md §11): prediction rows and
 // node availability hoisted into a prepared context, metrics-only decode
-// into a reusable scratch — no allocations, no lock acquisitions.
+// into a reusable scratch — no allocations.
 void BM_ScheduleEvaluate(benchmark::State& state) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
-  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::ScheduleBuilder builder(cache, sgi, 16);
+  sched::ScheduleBuilder builder(sgi_table(), kSgi, 16);
   const auto tasks = make_tasks(static_cast<int>(state.range(0)));
   Rng rng(9);
   const auto solution =
@@ -111,10 +117,7 @@ void BM_GaGeneration(benchmark::State& state) {
   // One optimize() call with a single generation at the paper's settings
   // (population 50); ~50 decodes ≈ the paper's "1000 evaluations per
   // generation" once the 20-task decode loop is unrolled.
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
-  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::ScheduleBuilder builder(cache, sgi, 16);
+  sched::ScheduleBuilder builder(sgi_table(), kSgi, 16);
   const auto tasks = make_tasks(20);
   sched::GaConfig config;
   config.generations = 1;
@@ -127,10 +130,7 @@ void BM_GaGeneration(benchmark::State& state) {
 BENCHMARK(BM_GaGeneration);
 
 void BM_FifoPlacement(benchmark::State& state) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
-  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::FifoScheduler fifo(cache, sgi, 16);
+  sched::FifoScheduler fifo(sgi_table(), kSgi, 16);
   const auto tasks = make_tasks(1);
   std::vector<SimTime> free(16, 0.0);
   for (auto _ : state) {
@@ -144,10 +144,7 @@ BENCHMARK(BM_FifoPlacement);
 // the free times are seeded-random (some in the past, clamped to now) and
 // nodes 3 and 11 are down, so the sort and the eligibility scan both work.
 void BM_FifoPlacementLoaded(benchmark::State& state) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
-  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::FifoScheduler fifo(cache, sgi, 16);
+  sched::FifoScheduler fifo(sgi_table(), kSgi, 16);
   const auto tasks = make_tasks(8);
   Rng rng(13);
   std::vector<SimTime> free(16);
@@ -165,7 +162,7 @@ void BM_FifoPlacementLoaded(benchmark::State& state) {
 BENCHMARK(BM_FifoPlacementLoaded);
 
 void BM_AgentMatchmaking(benchmark::State& state) {
-  // eq. 10: n evaluation calls + comparison, through the cache.
+  // eq. 10: one prediction row, minimum over its n entries.
   sim::Engine engine;
   const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
   agents::SystemConfig config;
@@ -219,17 +216,14 @@ BENCHMARK(BM_RequestXmlRoundTrip);
 // PACE layer costs, and peak RSS — steady_clock, independent of
 // google-benchmark's own reporters.
 void write_json_report(const std::string& path) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator cache(engine);
-  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  sched::ScheduleBuilder builder(cache, sgi, 16);
+  sched::ScheduleBuilder builder(sgi_table(), kSgi, 16);
   const std::vector<SimTime> idle(16, 0.0);
 
   std::ofstream out(path);
   benchjson::JsonWriter json(out);
   json.begin_object();
   json.field("bench", "micro_schedulers");
-  json.field("schema_version", 1);
+  json.field("schema_version", 2);
   json.begin_array("schedule");
   for (const int count : {20, 200, 600}) {
     const auto tasks = make_tasks(count);
@@ -261,24 +255,26 @@ void write_json_report(const std::string& path) {
     json.end_object();
   }
   json.end_array();
-  const auto model = pace::make_paper_application("sweep3d");
+  const auto& model = *catalogue().find("sweep3d");
   int nproc = 1;
   const double raw_ns = benchjson::measure_ns_per_op([&](std::int64_t iters) {
     for (std::int64_t i = 0; i < iters; ++i) {
-      benchmark::DoNotOptimize(engine.evaluate(*model, sgi, nproc));
+      benchmark::DoNotOptimize(
+          pace::EvaluationEngine::evaluate(model, kSgi, nproc));
       nproc = nproc % 16 + 1;
     }
   });
-  const double cached_ns =
+  const double table_ns =
       benchjson::measure_ns_per_op([&](std::int64_t iters) {
         for (std::int64_t i = 0; i < iters; ++i) {
-          benchmark::DoNotOptimize(cache.evaluate(*model, sgi, nproc));
+          benchmark::DoNotOptimize(sgi_table().row(model, kSgi)[
+              static_cast<std::size_t>(nproc - 1)]);
           nproc = nproc % 16 + 1;
         }
       });
   json.begin_object("pace");
   json.field("raw_ns", raw_ns);
-  json.field("cached_ns", cached_ns);
+  json.field("table_ns", table_ns);
   json.end_object();
   json.field("peak_rss_bytes", benchjson::peak_rss_bytes());
   json.end_object();

@@ -11,7 +11,6 @@
 
 int main() {
   using namespace gridlb;
-  pace::EvaluationEngine engine;
   const auto catalogue = pace::paper_catalogue();
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
 
@@ -27,7 +26,7 @@ int main() {
     std::snprintf(bounds, sizeof bounds, "[%.0f,%.0f]", domain.lo, domain.hi);
     std::printf("%-10s %-10s", model->name().c_str(), bounds);
     for (int k = 1; k <= 16; ++k) {
-      std::printf(" %4.0f", engine.evaluate(*model, sgi, k));
+      std::printf(" %4.0f", pace::EvaluationEngine::evaluate(*model, sgi, k));
     }
     std::printf("\n");
   }
@@ -37,14 +36,12 @@ int main() {
     const auto resource = pace::ResourceModel::of(type);
     double best = 1e300;
     for (int k = 1; k <= 16; ++k) {
-      best = std::min(best,
-                      engine.evaluate(*catalogue.find("sweep3d"), resource, k));
+      best = std::min(best, pace::EvaluationEngine::evaluate(
+                                *catalogue.find("sweep3d"), resource, k));
     }
     std::printf("  %-18s factor %.1f  min runtime %5.1f s\n",
                 std::string(pace::hardware_name(type)).c_str(),
                 resource.factor, best);
   }
-  std::printf("\n%llu evaluation-engine calls\n",
-              static_cast<unsigned long long>(engine.evaluations()));
   return 0;
 }

@@ -28,12 +28,11 @@ struct PolicyOutcome {
 PolicyOutcome run_policy(sched::SchedulerPolicy policy,
                          const pace::ApplicationCatalogue& catalogue) {
   sim::Engine engine;
-  pace::EvaluationEngine pace_engine;
-  pace::CachedEvaluator evaluator(pace_engine);
 
   // A custom 12-node platform, 1.3× slower than the SGI reference.
   const pace::ResourceModel custom{pace::HardwareType::kSunUltra10, 1.3};
   const int nodes = 12;
+  const pace::PredictionTable table(catalogue, {custom}, nodes);
 
   sched::LocalScheduler::Config config;
   config.resource_id = AgentId(1);
@@ -47,7 +46,7 @@ PolicyOutcome run_policy(sched::SchedulerPolicy policy,
   int misses = 0;
   double busy = 0.0;
   sched::LocalScheduler scheduler(
-      engine, evaluator, config,
+      engine, table, config,
       [&](const sched::CompletionRecord& record) {
         last_end = std::max(last_end, record.end);
         busy += (record.end - record.start) *

@@ -39,7 +39,6 @@ int main() {
       pace::parse_catalogue(kModelFile);
   std::printf("parsed %zu application models\n\n", catalogue.size());
 
-  pace::EvaluationEngine engine;
   for (const auto& model : catalogue.all()) {
     std::printf("%s — predicted runtime (s):\n", model->name().c_str());
     std::printf("  %-18s", "platform");
@@ -49,7 +48,8 @@ int main() {
       const auto resource = pace::ResourceModel::of(type);
       std::printf("  %-18s", std::string(pace::hardware_name(type)).c_str());
       for (const int k : {1, 2, 4, 8, 16}) {
-        std::printf(" %7.1f", engine.evaluate(*model, resource, k));
+        std::printf(" %7.1f",
+                    pace::EvaluationEngine::evaluate(*model, resource, k));
       }
       std::printf("\n");
     }
@@ -61,9 +61,9 @@ int main() {
               pace::write_model(*catalogue.all()[0]).c_str());
 
   // Schedule a mixed batch of the user's applications.
-  pace::CachedEvaluator evaluator(engine);
-  sched::ScheduleBuilder builder(
-      evaluator, pace::ResourceModel::of(pace::HardwareType::kSunUltra10), 16);
+  const auto ultra10 = pace::ResourceModel::of(pace::HardwareType::kSunUltra10);
+  const pace::PredictionTable table(catalogue, {ultra10}, 16);
+  sched::ScheduleBuilder builder(table, ultra10, 16);
   std::vector<sched::Task> tasks;
   for (std::uint64_t i = 0; i < 8; ++i) {
     sched::Task task;

@@ -17,8 +17,6 @@ int main() {
   using namespace gridlb;
 
   sim::Engine engine;
-  pace::EvaluationEngine pace_engine;
-  pace::CachedEvaluator evaluator(pace_engine);
   const auto catalogue = pace::paper_catalogue();
 
   sched::LocalScheduler::Config config;
@@ -26,10 +24,11 @@ int main() {
   config.resource = pace::ResourceModel::of(pace::HardwareType::kSunUltra10);
   config.node_count = 16;
   config.seed = 21;
+  const pace::PredictionTable table(catalogue, {config.resource}, 16);
 
   std::vector<sched::CompletionRecord> completions;
   sched::LocalScheduler scheduler(
-      engine, evaluator, config,
+      engine, table, config,
       [&](const sched::CompletionRecord& r) { completions.push_back(r); });
 
   // Ground truth + monitor: nodes 8..15 fail at t=100 and return at t=300.

@@ -47,12 +47,12 @@ void print_gantt(const std::vector<sched::Task>& tasks,
 int main() {
   // A 16-node SGIOrigin2000 — the reference platform of Table 1.
   const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator(engine);
   const auto resource =
       pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
   const int nodes = 16;
-  sched::ScheduleBuilder builder(evaluator, resource, nodes);
+  // Every t_x the scheduler can ask for, evaluated once up front.
+  const pace::PredictionTable table(catalogue, {resource}, nodes);
+  sched::ScheduleBuilder builder(table, resource, nodes);
 
   // Ten tasks drawn from the paper's application set, all submitted at
   // t = 0 with deadlines in the middle of their Table 1 domains.

@@ -12,12 +12,12 @@
 namespace gridlb::agents {
 
 Agent::Agent(sim::Engine& engine, sim::Network& network,
-             pace::CachedEvaluator& evaluator,
+             const pace::PredictionTable& predictions,
              const pace::ApplicationCatalogue& catalogue, AgentConfig config,
              sched::LocalScheduler& scheduler)
     : engine_(engine),
       network_(network),
-      evaluator_(evaluator),
+      predictions_(predictions),
       catalogue_(catalogue),
       config_(std::move(config)),
       scheduler_(scheduler),
@@ -102,47 +102,42 @@ ServiceInfo Agent::service_snapshot() const {
   return info;
 }
 
+std::optional<std::span<const double>> Agent::prediction_row(
+    const ServiceInfo& info, const Request& request) const {
+  const pace::ApplicationModelPtr app = catalogue_.find(request.app_name);
+  if (app == nullptr) return std::nullopt;
+  const auto type = pace::hardware_from_name(info.hardware_type);
+  if (!type) return std::nullopt;
+  const std::span<const double> row =
+      predictions_.row(*app, pace::ResourceModel::of(*type));
+  GRIDLB_REQUIRE(info.nproc <= static_cast<int>(row.size()),
+                 "advertised nproc exceeds the prediction table");
+  const auto nproc = static_cast<std::size_t>(std::max(info.nproc, 0));
+  table_reads_ += nproc;
+  return row.first(nproc);
+}
+
 std::optional<SimTime> Agent::estimate_completion(
     const ServiceInfo& info, const Request& request) const {
   if (std::find(info.environments.begin(), info.environments.end(),
                 request.environment) == info.environments.end()) {
     return std::nullopt;
   }
-  const pace::ApplicationModelPtr app = catalogue_.find(request.app_name);
-  if (app == nullptr) return std::nullopt;
-  const auto type = pace::hardware_from_name(info.hardware_type);
-  if (!type) return std::nullopt;
-  const pace::ResourceModel resource = pace::ResourceModel::of(*type);
-
+  const auto row = prediction_row(info, request);
+  if (!row) return std::nullopt;
   // eq. 10: for a homogeneous resource the evaluation function is called
   // n times; η_r = ω + min_k t_x(k, σ_r).
-  double best = std::numeric_limits<double>::infinity();
-  for (int k = 1; k <= info.nproc; ++k) {
-    best = std::min(best, evaluator_.evaluate(*app, resource, k));
-  }
   const SimTime now = engine_.now();
   const double backlog = std::max(0.0, info.freetime - now);
-  return now + backlog + best;
+  return now + backlog + pace::fastest(*row);
 }
 
 std::optional<double> Agent::expected_occupancy(const ServiceInfo& info,
                                                 const Request& request) const {
-  const pace::ApplicationModelPtr app = catalogue_.find(request.app_name);
-  if (app == nullptr || info.nproc <= 0) return std::nullopt;
-  const auto type = pace::hardware_from_name(info.hardware_type);
-  if (!type) return std::nullopt;
-  const pace::ResourceModel resource = pace::ResourceModel::of(*type);
-  double best_exec = std::numeric_limits<double>::infinity();
-  int best_k = 1;
-  for (int k = 1; k <= info.nproc; ++k) {
-    const double exec = evaluator_.evaluate(*app, resource, k);
-    if (exec < best_exec) {
-      best_exec = exec;
-      best_k = k;
-    }
-  }
-  return best_exec * static_cast<double>(best_k) /
-         static_cast<double>(info.nproc);
+  if (info.nproc <= 0) return std::nullopt;
+  const auto row = prediction_row(info, request);
+  if (!row) return std::nullopt;
+  return pace::occupancy(*row);
 }
 
 bool Agent::already_visited(const Request& request, AgentId agent) const {

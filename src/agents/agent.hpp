@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -139,8 +140,10 @@ struct AgentStats {
 
 class Agent {
  public:
+  /// `predictions` must cover every application of `catalogue` and every
+  /// platform of the grid.
   Agent(sim::Engine& engine, sim::Network& network,
-        pace::CachedEvaluator& evaluator,
+        const pace::PredictionTable& predictions,
         const pace::ApplicationCatalogue& catalogue, AgentConfig config,
         sched::LocalScheduler& scheduler);
 
@@ -212,6 +215,9 @@ class Agent {
   [[nodiscard]] std::optional<double> expected_occupancy(
       const ServiceInfo& info, const Request& request) const;
 
+  /// Prediction-table entries read by the two estimates above.
+  [[nodiscard]] std::uint64_t table_reads() const { return table_reads_; }
+
  private:
   void on_message(const sim::Message& message);
   void handle_pull(const sim::Message& message);
@@ -231,10 +237,15 @@ class Agent {
   [[nodiscard]] Agent* neighbour_by_id(AgentId id) const;
   [[nodiscard]] bool already_visited(const Request& request,
                                      AgentId agent) const;
+  /// t_x(request's application, k nodes of `info`'s platform) for
+  /// k = 1..info.nproc; nullopt for an unknown application or hardware
+  /// name.  Counts the entries into table_reads_.
+  [[nodiscard]] std::optional<std::span<const double>> prediction_row(
+      const ServiceInfo& info, const Request& request) const;
 
   sim::Engine& engine_;
   sim::Network& network_;
-  pace::CachedEvaluator& evaluator_;
+  const pace::PredictionTable& predictions_;
   const pace::ApplicationCatalogue& catalogue_;
   AgentConfig config_;
   sched::LocalScheduler& scheduler_;
@@ -258,6 +269,7 @@ class Agent {
   /// already started is detected lazily by LocalScheduler::cancel failing.
   std::vector<Request> queue_copies_;
   std::function<void(TaskId)> drop_sink_;
+  mutable std::uint64_t table_reads_ = 0;
 };
 
 }  // namespace gridlb::agents

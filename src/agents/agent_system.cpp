@@ -8,11 +8,30 @@
 
 namespace gridlb::agents {
 
+namespace {
+
+pace::PredictionTable grid_predictions(
+    const pace::ApplicationCatalogue& catalogue,
+    const std::vector<ResourceSpec>& resources) {
+  GRIDLB_REQUIRE(!resources.empty(), "grid needs >= 1 resource");
+  std::vector<pace::ResourceModel> platforms;
+  int width = 1;
+  for (const ResourceSpec& spec : resources) {
+    platforms.push_back(pace::ResourceModel::of(spec.hardware));
+    width = std::max(width, spec.node_count);
+  }
+  return pace::PredictionTable(catalogue, platforms, width);
+}
+
+}  // namespace
+
 AgentSystem::AgentSystem(sim::Engine& engine,
                          const pace::ApplicationCatalogue& catalogue,
                          SystemConfig config,
                          metrics::MetricsCollector* collector)
-    : engine_(engine), config_(std::move(config)) {
+    : engine_(engine),
+      config_(std::move(config)),
+      predictions_(grid_predictions(catalogue, config_.resources)) {
   build(catalogue, collector);
 }
 
@@ -20,7 +39,10 @@ AgentSystem::AgentSystem(sim::ShardedEngine& sharded,
                          const pace::ApplicationCatalogue& catalogue,
                          SystemConfig config,
                          metrics::MetricsCollector* collector)
-    : engine_(sharded.shard(0)), sharded_(&sharded), config_(std::move(config)) {
+    : engine_(sharded.shard(0)),
+      sharded_(&sharded),
+      config_(std::move(config)),
+      predictions_(grid_predictions(catalogue, config_.resources)) {
   build(catalogue, collector);
 }
 
@@ -67,8 +89,6 @@ std::size_t AgentSystem::shard_of(std::size_t index) const {
 
 void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
                         metrics::MetricsCollector* collector) {
-  GRIDLB_REQUIRE(!config_.resources.empty(), "grid needs >= 1 resource");
-
   const std::size_t shards =
       sharded_ != nullptr ? sharded_->shard_count() : std::size_t{1};
   collect_sharded_ = shards > 1;
@@ -79,8 +99,6 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
   network_ = std::make_unique<sim::Network>(engine_, config_.network_latency,
                                             config_.fault);
   if (sharded_ != nullptr) network_->attach_router(sharded_);
-  engine_pace_ = std::make_unique<pace::EvaluationEngine>();
-  evaluator_ = std::make_unique<pace::CachedEvaluator>(*engine_pace_);
 
   Rng seeder(config_.seed);
   int heads = 0;
@@ -114,7 +132,7 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
     scheduler_config.prediction_error = config_.prediction_error;
     const std::size_t agent_index = i;
     schedulers_.push_back(std::make_unique<sched::LocalScheduler>(
-        agent_engine, *evaluator_, std::move(scheduler_config),
+        agent_engine, predictions_, std::move(scheduler_config),
         [this, collector, agent_index](const sched::CompletionRecord& record) {
           if (collect_sharded_) {
             // Buffer on the shard that executed the completion, tagged
@@ -155,7 +173,7 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
     }
     agent_config.migration = config_.migration;
     agents_.push_back(std::make_unique<Agent>(
-        agent_engine, *network_, *evaluator_, catalogue,
+        agent_engine, *network_, predictions_, catalogue,
         std::move(agent_config), *schedulers_.back()));
     agents_.back()->set_drop_sink([this](TaskId) {
       dropped_count_.fetch_add(1, std::memory_order_relaxed);

@@ -1,7 +1,7 @@
 // Construction of the whole agent hierarchy (paper Fig. 4 / Fig. 7).
 //
 // AgentSystem owns every piece of one grid: the simulated network, the
-// PACE evaluation engine and cache, one LocalScheduler per resource, and
+// PACE prediction table, one LocalScheduler per resource, and
 // one Agent per resource wired into a hierarchy of homogeneous agents.
 // Completion records flow into an optional MetricsCollector.
 #pragma once
@@ -128,7 +128,11 @@ class AgentSystem {
   }
 
   [[nodiscard]] sim::Network& network() { return *network_; }
-  [[nodiscard]] pace::CachedEvaluator& evaluator() { return *evaluator_; }
+  /// Every t_x of this grid: the catalogue × the grid's platforms × 1..the
+  /// widest resource's node count, built before the simulation starts.
+  [[nodiscard]] const pace::PredictionTable& predictions() const {
+    return predictions_;
+  }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
   [[nodiscard]] std::size_t head_index() const { return head_index_; }
   /// Shard the given agent is pinned to (always 0 without sharding).
@@ -179,10 +183,9 @@ class AgentSystem {
   sim::Engine& engine_;
   sim::ShardedEngine* sharded_ = nullptr;
   SystemConfig config_;
+  pace::PredictionTable predictions_;  ///< after config_: built from it
   std::function<void(TaskId)> stranded_sink_;
   std::unique_ptr<sim::Network> network_;
-  std::unique_ptr<pace::EvaluationEngine> engine_pace_;
-  std::unique_ptr<pace::CachedEvaluator> evaluator_;
   std::vector<std::unique_ptr<sched::LocalScheduler>> schedulers_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::vector<std::unique_ptr<sched::NodeAvailability>> availability_;

@@ -28,6 +28,17 @@ namespace detail {
 }
 }  // namespace detail
 
+/// The message a failed GRIDLB_REQUIRE was given — the text after the
+/// " — " that assertion_failed writes — or the whole text if there is none.
+/// Lets a boundary report a rejected input without the expression and
+/// source location.
+inline std::string require_message(const AssertionError& error) {
+  const std::string what = error.what();
+  const std::string separator = " — ";
+  const std::size_t at = what.find(separator);
+  return at == std::string::npos ? what : what.substr(at + separator.size());
+}
+
 }  // namespace gridlb
 
 /// Internal invariant; failure indicates a bug in gridlb itself.

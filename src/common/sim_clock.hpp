@@ -1,9 +1,8 @@
 // Process-wide published simulation time.
 //
 // The discrete-event engine is the only component that knows the current
-// virtual time, but two consumers outside the event loop need it: the
-// logger (to prefix narration with sim-time) and the trace recorder (PACE
-// cache events fire deep inside schedulers that have no engine reference).
+// virtual time, but the logger, outside the event loop, needs it to prefix
+// narration with sim-time (the trace recorder reads the shard stamp below).
 // The engine publishes its clock here with one relaxed store per event;
 // readers take one relaxed load.  The value is advisory — exact ordering
 // across threads is not required, only a usable timestamp.

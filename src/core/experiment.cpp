@@ -92,17 +92,8 @@ void populate_registry(obs::MetricsRegistry& registry,
   registry.gauge("discovery.mean_hops").set(result.mean_hops);
   registry.gauge("sim.finished_at").set(result.finished_at);
 
-  const auto shards = system.evaluator().shard_snapshots();
-  std::size_t max_entries = 0;
-  std::size_t total_entries = 0;
-  for (const auto& shard : shards) {
-    max_entries = std::max(max_entries, shard.entries);
-    total_entries += shard.entries;
-  }
   registry.gauge("pace.cache.entries")
-      .set(static_cast<double>(total_entries));
-  registry.gauge("pace.cache.max_shard_entries")
-      .set(static_cast<double>(max_entries));
+      .set(static_cast<double>(system.predictions().entries()));
 
   std::uint64_t forwarded = 0;
   std::uint64_t advertisements = 0;
@@ -218,25 +209,35 @@ std::shared_ptr<std::uint64_t> schedule_sampler_ticks(
     bool progress, std::uint64_t expected,
     std::function<std::uint64_t()> completed) {
   auto executed = std::make_shared<std::uint64_t>(0);
-  // Self-rescheduling via an owning shared_ptr, the schedule_periodic
-  // idiom (periodic chains themselves are not used: their queue entries
-  // would not be milestones).
-  auto tick = std::make_shared<sim::EventFn>();
-  *tick = [&engine, &sampler, executed, interval, progress, expected,
-           completed = std::move(completed), tick]() {
-    ++*executed;
-    const SimTime now = engine.now();
-    sampler.sample(now);
-    if (progress) {
-      // Straight to stderr: the default log level hides log::info, and a
-      // heartbeat the user asked for must not be silenced.
-      std::fprintf(stderr,
-                   "[gridlb] t=%.1fs  completed %" PRIu64 "/%" PRIu64 "\n",
-                   now, completed(), expected);
+  // Each tick reschedules a copy of itself, so the queue holds the only
+  // reference (periodic chains are not used: their queue entries would not
+  // be milestones).  A tick that captured itself would never be freed.
+  struct Tick {
+    sim::Engine* engine;
+    obs::Sampler* sampler;
+    std::shared_ptr<std::uint64_t> executed;
+    double interval;
+    bool progress;
+    std::uint64_t expected;
+    std::function<std::uint64_t()> completed;
+
+    void operator()() const {
+      ++*executed;
+      const SimTime now = engine->now();
+      sampler->sample(now);
+      if (progress) {
+        // Straight to stderr: the default log level hides log::info, and a
+        // heartbeat the user asked for must not be silenced.
+        std::fprintf(stderr,
+                     "[gridlb] t=%.1fs  completed %" PRIu64 "/%" PRIu64 "\n",
+                     now, completed(), expected);
+      }
+      engine->schedule_milestone_at(now + interval, *this);
     }
-    engine.schedule_milestone_at(now + interval, *tick);
   };
-  engine.schedule_milestone_at(interval, *tick);
+  engine.schedule_milestone_at(
+      interval, Tick{&engine, &sampler, executed, interval, progress, expected,
+                     std::move(completed)});
   return executed;
 }
 
@@ -335,6 +336,7 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
   // memoised per application.  Feeds the placement map's local backlog
   // snapshots; no messages involved.
   std::unordered_map<std::string, std::vector<double>> occupancy_memo;
+  std::uint64_t occupancy_reads = 0;
   const auto occupancy_of = [&](const std::string& app_name,
                                 std::size_t index) -> double {
     auto [it, inserted] = occupancy_memo.try_emplace(app_name);
@@ -344,19 +346,11 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
       it->second.reserve(system.size());
       for (std::size_t i = 0; i < system.size(); ++i) {
         const agents::ResourceSpec& spec = config.system.resources[i];
-        const pace::ResourceModel model =
-            pace::ResourceModel::of(spec.hardware);
-        double best_exec = std::numeric_limits<double>::infinity();
-        int best_k = 1;
-        for (int k = 1; k <= spec.node_count; ++k) {
-          const double exec = system.evaluator().evaluate(*app, model, k);
-          if (exec < best_exec) {
-            best_exec = exec;
-            best_k = k;
-          }
-        }
-        it->second.push_back(best_exec * static_cast<double>(best_k) /
-                             static_cast<double>(spec.node_count));
+        const auto row = system.predictions()
+                             .row(*app, pace::ResourceModel::of(spec.hardware))
+                             .first(static_cast<std::size_t>(spec.node_count));
+        occupancy_reads += row.size();
+        it->second.push_back(pace::occupancy(row));
       }
     }
     return it->second[index];
@@ -465,9 +459,9 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
   result.events_swept = sharded.events_swept();
   result.network_messages = system.network().total_messages();
   result.network_bytes = system.network().total_bytes();
-  result.cache = system.evaluator().stats();
 
   std::uint64_t hops = 0;
+  std::uint64_t agent_reads = 0;
   std::uint64_t executed = 0;
   for (std::size_t i = 0; i < system.size(); ++i) {
     const agents::Agent& agent = system.agent(i);
@@ -479,10 +473,10 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
     result.ga_decodes += agent.scheduler().ga_decodes();
     result.fifo_subsets += agent.scheduler().fifo_subsets_tried();
     result.table_reads += agent.scheduler().prediction_table_reads();
+    agent_reads += agent.table_reads();
   }
-  // Layered stats: fold the lock-free table reads into the cache's hits so
-  // `cache` keeps describing all prediction traffic (see ExperimentResult).
-  result.cache.hits += result.table_reads;
+  result.cache = {.hits = result.table_reads + agent_reads + occupancy_reads,
+                  .misses = system.predictions().entries()};
   result.mean_hops =
       executed > 0 ? static_cast<double>(hops) / static_cast<double>(executed)
                    : 0.0;
@@ -531,9 +525,8 @@ ExperimentResult run_central_impl(const ExperimentConfig& config) {
                              &collector);
   system.start();
 
-  pace::EvaluationEngine oracle_engine;
-  pace::CachedEvaluator oracle(oracle_engine);
   std::uint64_t next_task = 0;
+  std::uint64_t oracle_reads = 0;
 
   const auto dispatch = [&](const std::string& app_name, SimTime deadline) {
     const pace::ApplicationModelPtr app = catalogue.find(app_name);
@@ -545,13 +538,12 @@ ExperimentResult run_central_impl(const ExperimentConfig& config) {
       const sched::LocalScheduler& scheduler = system.agent(i).scheduler();
       const double backlog =
           std::max(0.0, scheduler.freetime() - engine.now());
-      double best_exec = std::numeric_limits<double>::infinity();
-      for (int k = 1; k <= scheduler.config().node_count; ++k) {
-        best_exec = std::min(
-            best_exec,
-            oracle.evaluate(*app, scheduler.config().resource, k));
-      }
-      const double eta = backlog + best_exec;
+      const auto row =
+          system.predictions()
+              .row(*app, scheduler.config().resource)
+              .first(static_cast<std::size_t>(scheduler.config().node_count));
+      oracle_reads += row.size();
+      const double eta = backlog + pace::fastest(row);
       if (eta < best_eta) {
         best_eta = eta;
         best = i;
@@ -615,14 +607,14 @@ ExperimentResult run_central_impl(const ExperimentConfig& config) {
   result.events_swept = engine.events_swept();
   result.network_messages = system.network().total_messages();
   result.network_bytes = system.network().total_bytes();
-  result.cache = system.evaluator().stats();
   for (std::size_t i = 0; i < system.size(); ++i) {
     result.agent_stats.push_back(system.agent(i).stats());
     result.ga_decodes += system.agent(i).scheduler().ga_decodes();
     result.fifo_subsets += system.agent(i).scheduler().fifo_subsets_tried();
     result.table_reads += system.agent(i).scheduler().prediction_table_reads();
   }
-  result.cache.hits += result.table_reads;
+  result.cache = {.hits = result.table_reads + oracle_reads,
+                  .misses = system.predictions().entries()};
   fill_flow_stats(result);
   obs_scope.finish(result, system);
   return result;

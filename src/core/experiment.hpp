@@ -110,11 +110,11 @@ struct ExperimentResult {
   double mean_hops = 0.0;              ///< forwards per executed request
   std::uint64_t network_messages = 0;
   std::uint64_t network_bytes = 0;
-  /// Layered prediction-lookup statistics (DESIGN.md §11): per-scheduler
-  /// prediction-table reads are folded into `hits` — a table read is a
-  /// lookup the sharded cache would have served from memory — so `cache`
-  /// keeps describing the full prediction traffic; `table_reads` breaks
-  /// out the lock-free share.
+  /// Prediction traffic (DESIGN.md §11): `cache.misses` is the grid's
+  /// prediction-table entries (one engine evaluation each) and
+  /// `cache.hits` every table read — the schedulers' `table_reads` plus
+  /// the agents' eq. 10 / occupancy reads and the portal-side reads of the
+  /// central and hashed placements.
   pace::CacheStats cache;
   std::uint64_t table_reads = 0;
   std::uint64_t ga_decodes = 0;

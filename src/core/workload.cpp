@@ -168,8 +168,8 @@ void validate_workload(const WorkloadConfig& config) {
       "arrival interval must be > 0 (got " + format_number(config.interval) +
           "): it is the mean seconds between submissions for the '" +
           arrival_process_name(config.arrival) +
-          "' process.  Pass a positive --arrival-interval; 0 = auto is "
-          "resolved only for generated grids (--grid-agents)");
+          "' process.  Pass a positive --arrival-interval (0 = auto is "
+          "resolved only for generated grids, --grid-agents)");
   if (config.arrival == ArrivalProcess::kOnOff) {
     GRIDLB_REQUIRE(config.burst_on > 0.0,
                    "onoff arrivals need --burst-on > 0 (seconds of each "

@@ -145,8 +145,6 @@ std::string chrome_trace_json(const TraceSnapshot& snapshot,
     }
   }
 
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   for (const TraceEvent& event : snapshot.events) {
     const int tid = static_cast<int>(event.resource);
     switch (event.kind) {
@@ -193,12 +191,6 @@ std::string chrome_trace_json(const TraceSnapshot& snapshot,
         os << "}}";
         break;
       }
-      case EventKind::kCacheHit:
-        ++cache_hits;
-        break;
-      case EventKind::kCacheMiss:
-        ++cache_misses;
-        break;
       case EventKind::kShardSample: {
         // Per-shard engine telemetry: two counter tracks per shard under
         // the "engine shards" process (events executed and barrier-wait
@@ -245,9 +237,7 @@ std::string chrome_trace_json(const TraceSnapshot& snapshot,
     }
   }
   os << "],\"otherData\":{\"recorded\":" << snapshot.recorded
-     << ",\"dropped\":" << snapshot.dropped
-     << ",\"cache_hits\":" << cache_hits
-     << ",\"cache_misses\":" << cache_misses << "}}";
+     << ",\"dropped\":" << snapshot.dropped << "}}";
   return os.str();
 }
 

@@ -10,9 +10,7 @@
 //    with GA run instants plus best/mean cost counters, each generation
 //    offset by one microsecond so a whole run (which happens at a single
 //    simulated instant) is still readable as a convergence curve.
-//    Timestamps are virtual seconds scaled to microseconds.  The
-//    high-frequency cache channel is summarised in metadata rather than
-//    exported event-by-event — millions of instants would drown the UI.
+//    Timestamps are virtual seconds scaled to microseconds.
 //
 //  * JSONL — one JSON object per line per event, every kind included.
 //    The post-mortem format: trivially greppable and loadable from

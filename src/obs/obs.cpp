@@ -11,8 +11,7 @@ Session::Session(ObsConfig config) : config_(std::move(config)) {
   if (config_.trace_enabled()) {
     GRIDLB_REQUIRE(gridlb::obs::trace() == nullptr,
                    "another observability session is already tracing");
-    recorder_ = std::make_unique<TraceRecorder>(
-        config_.control_ring_capacity, config_.highfreq_ring_capacity);
+    recorder_ = std::make_unique<TraceRecorder>(config_.ring_capacity);
     detail::install_recorder(recorder_.get());
   }
   if (config_.metrics_enabled()) {

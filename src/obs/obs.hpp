@@ -32,8 +32,7 @@ struct ObsConfig {
   bool trace = false;
   /// Maintain the metrics registry (implied by metrics_json_out).
   bool metrics = false;
-  std::size_t control_ring_capacity = 1u << 18;   ///< events/thread
-  std::size_t highfreq_ring_capacity = 1u << 16;  ///< events/thread
+  std::size_t ring_capacity = 1u << 18;  ///< events/thread
   std::string trace_out;        ///< Chrome trace-event JSON path ("" = off)
   std::string events_out;       ///< flat JSONL event dump path
   std::string metrics_json_out; ///< registry JSON snapshot path

@@ -7,14 +7,6 @@
 
 namespace gridlb::obs {
 
-namespace {
-
-[[nodiscard]] bool is_highfreq(EventKind kind) {
-  return kind == EventKind::kCacheHit || kind == EventKind::kCacheMiss;
-}
-
-}  // namespace
-
 std::string_view kind_name(EventKind kind) {
   switch (kind) {
     case EventKind::kRequestSubmitted: return "request_submitted";
@@ -29,8 +21,6 @@ std::string_view kind_name(EventKind kind) {
     case EventKind::kGaRunStarted: return "ga_run_started";
     case EventKind::kGaGeneration: return "ga_generation";
     case EventKind::kGaRunFinished: return "ga_run_finished";
-    case EventKind::kCacheHit: return "cache_hit";
-    case EventKind::kCacheMiss: return "cache_miss";
     case EventKind::kTaskSpan: return "task_span";
     case EventKind::kTaskCompleted: return "task_completed";
     case EventKind::kQueueDepth: return "queue_depth";
@@ -48,13 +38,10 @@ std::string_view kind_name(EventKind kind) {
   return "unknown";
 }
 
-TraceRecorder::TraceRecorder(std::size_t control_capacity,
-                             std::size_t highfreq_capacity)
-    : control_capacity_(control_capacity),
-      highfreq_capacity_(highfreq_capacity),
+TraceRecorder::TraceRecorder(std::size_t capacity)
+    : capacity_(capacity),
       epoch_(detail::g_epoch.fetch_add(1, std::memory_order_relaxed) + 1) {
-  GRIDLB_REQUIRE(control_capacity_ >= 1 && highfreq_capacity_ >= 1,
-                 "ring capacities must be >= 1");
+  GRIDLB_REQUIRE(capacity_ >= 1, "ring capacity must be >= 1");
 }
 
 TraceRecorder::~TraceRecorder() {
@@ -63,28 +50,25 @@ TraceRecorder::~TraceRecorder() {
   GRIDLB_ASSERT(detail::g_recorder.load(std::memory_order_acquire) != this);
 }
 
-TraceRecorder::Ring* TraceRecorder::register_ring(bool highfreq) {
+TraceRecorder::Ring* TraceRecorder::register_ring() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  rings_.push_back(std::make_unique<Ring>(highfreq ? highfreq_capacity_
-                                                   : control_capacity_));
+  rings_.push_back(std::make_unique<Ring>(capacity_));
   return rings_.back().get();
 }
 
 void TraceRecorder::record(const TraceEvent& event) {
-  // Per-thread ring cache.  `epoch` ties the cached pointers to one
+  // Per-thread ring cache.  `epoch` ties the cached pointer to one
   // recorder generation: a new recorder (even one allocated at a recycled
   // address) carries a fresh epoch and so invalidates every thread's
   // cache on first use.
-  struct ThreadRings {
+  struct ThreadRing {
     std::uint64_t epoch = 0;
-    Ring* control = nullptr;
-    Ring* highfreq = nullptr;
+    Ring* ring = nullptr;
   };
-  thread_local ThreadRings tls;
-  if (tls.epoch != epoch_) tls = ThreadRings{.epoch = epoch_};
-  const bool highfreq = is_highfreq(event.kind);
-  Ring*& ring = highfreq ? tls.highfreq : tls.control;
-  if (ring == nullptr) ring = register_ring(highfreq);
+  thread_local ThreadRing tls;
+  if (tls.epoch != epoch_) tls = ThreadRing{.epoch = epoch_};
+  Ring*& ring = tls.ring;
+  if (ring == nullptr) ring = register_ring();
   if (event.shard == 0) {
     // Stamp the executing engine shard (0 stays 0 on unsharded runs, so
     // the exporter layout of a classic run is untouched).

@@ -1,20 +1,17 @@
 // Structured trace recorder.
 //
 // Every interesting moment in a run — a request moving through discovery,
-// a GA invocation converging, a task occupying nodes, a PACE cache lookup
-// — is a typed, timestamped TraceEvent.  Events are recorded into
-// per-thread ring buffers so that
+// a GA invocation converging, a task occupying nodes — is a typed,
+// timestamped TraceEvent.  Events are recorded into one ring buffer per
+// thread so that
 //   * disabled tracing costs one branch and one relaxed load per site
 //     (plus the engine's unconditional relaxed clock store), and
 //   * enabled tracing takes no locks on the steady-state path: each OS
-//     thread owns its rings outright and registration happens once per
+//     thread owns its ring outright and registration happens once per
 //     thread per session.
 //
 // Rings are bounded; when a ring wraps, the oldest events are overwritten
-// and the loss is reported in the snapshot's `dropped` count.  High-volume
-// kinds (PACE cache hits/misses, emitted from engine shard threads) go to
-// a separate channel so they can never evict the sparse control-flow
-// events that make a trace readable.
+// and the loss is reported in the snapshot's `dropped` count.
 //
 // The recorder is installed globally (see obs.hpp's Session); merging and
 // exporting happen after the simulation has quiesced, so snapshot() must
@@ -50,9 +47,6 @@ enum class EventKind : std::uint8_t {
   kGaRunStarted,
   kGaGeneration,       ///< one generation's best/mean cost
   kGaRunFinished,
-  // PACE evaluation cache (high-frequency channel).
-  kCacheHit,
-  kCacheMiss,
   // Task execution.
   kTaskSpan,           ///< committed execution: occupies nodes start..end
   kTaskCompleted,
@@ -78,7 +72,7 @@ enum class EventKind : std::uint8_t {
                        ///< a=own backlog, b=target backlog, extra=hops
 };
 
-/// Short stable identifier ("ga_generation", "cache_hit", …) used by the
+/// Short stable identifier ("ga_generation", "task_span", …) used by the
 /// JSONL exporter and tests.
 [[nodiscard]] std::string_view kind_name(EventKind kind);
 
@@ -116,16 +110,15 @@ struct TraceSnapshot {
 
 class TraceRecorder {
  public:
-  /// Capacities are per thread per channel, in events.
-  explicit TraceRecorder(std::size_t control_capacity = 1u << 18,
-                         std::size_t highfreq_capacity = 1u << 16);
+  /// Capacity is per thread, in events.
+  explicit TraceRecorder(std::size_t capacity = 1u << 18);
   ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   /// Records one event into the calling thread's ring.  Lock-free except
-  /// for the first event per thread per channel (ring registration).
+  /// for the first event per thread (ring registration).
   void record(const TraceEvent& event);
 
   /// Merged snapshot of every ring, sorted ascending by timestamp.  Must
@@ -145,10 +138,9 @@ class TraceRecorder {
     }
   };
 
-  [[nodiscard]] Ring* register_ring(bool highfreq);
+  [[nodiscard]] Ring* register_ring();
 
-  const std::size_t control_capacity_;
-  const std::size_t highfreq_capacity_;
+  const std::size_t capacity_;
   const std::uint64_t epoch_;  ///< distinguishes recorder generations
 
   mutable std::mutex mutex_;   ///< guards `rings_` growth only

@@ -1,11 +1,9 @@
 #include "pace/evaluation_engine.hpp"
 
-#include <functional>
-#include <optional>
+#include <algorithm>
+#include <limits>
 
 #include "common/assert.hpp"
-#include "common/sim_clock.hpp"
-#include "obs/trace.hpp"
 
 namespace gridlb::pace {
 
@@ -13,122 +11,69 @@ double EvaluationEngine::evaluate(const ApplicationModel& app,
                                   const ResourceModel& resource, int nproc) {
   GRIDLB_REQUIRE(nproc >= 1, "processor count must be >= 1");
   GRIDLB_REQUIRE(resource.factor > 0.0, "resource factor must be positive");
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
   return app.reference_time(nproc) * resource.factor;
 }
 
-void PredictionTable::reset(ResourceModel resource, int max_nproc) {
-  GRIDLB_REQUIRE(max_nproc >= 1, "prediction table width must be >= 1");
-  resource_ = resource;
-  max_nproc_ = max_nproc;
-  apps_.clear();
-  values_.clear();
-}
-
-const double* PredictionTable::ensure_row(CachedEvaluator& cache,
-                                          const ApplicationModel& app) {
-  GRIDLB_REQUIRE(max_nproc_ >= 1, "prediction table not reset");
-  if (const double* row = row_of(app)) return row;
-  const std::size_t offset = values_.size();
-  values_.resize(offset + static_cast<std::size_t>(max_nproc_));
-  for (int k = 1; k <= max_nproc_; ++k) {
-    values_[offset + static_cast<std::size_t>(k - 1)] =
-        cache.evaluate(app, resource_, k);
-  }
-  apps_.push_back(&app);
-  ++rows_built_;
-  return values_.data() + offset;
-}
-
-const double* PredictionTable::row_of(const ApplicationModel& app) const {
-  // Linear scan: a pending queue draws from a handful of distinct models
-  // (the case study has 7), so this beats any hash both in cycles and in
-  // determinism of layout.
-  for (std::size_t i = 0; i < apps_.size(); ++i) {
-    if (apps_[i] == &app) {
-      return values_.data() + i * static_cast<std::size_t>(max_nproc_);
+PredictionTable::PredictionTable(const ApplicationCatalogue& catalogue,
+                                 const std::vector<ResourceModel>& resources,
+                                 int width)
+    : apps_(catalogue.all()), width_(width) {
+  GRIDLB_REQUIRE(width >= 1, "prediction table width must be >= 1");
+  for (const ResourceModel& resource : resources) {
+    if (std::find(platforms_.begin(), platforms_.end(), resource) ==
+        platforms_.end()) {
+      platforms_.push_back(resource);
     }
   }
-  return nullptr;
-}
-
-std::size_t CachedEvaluator::KeyHash::operator()(const Key& key) const {
-  std::size_t h = std::hash<const void*>{}(key.app);
-  const auto mix = [&h](std::size_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  };
-  mix(std::hash<int>{}(static_cast<int>(key.type)));
-  mix(std::hash<double>{}(key.factor));
-  mix(std::hash<int>{}(key.nproc));
-  return h;
-}
-
-double CachedEvaluator::evaluate(const ApplicationModel& app,
-                                 const ResourceModel& resource, int nproc) {
-  const Key key{&app, resource.type, resource.factor, nproc};
-  const std::size_t hash = KeyHash{}(key);
-  Shard& shard = shards_[hash % kShardCount];
-  bool hit = true;
-  double value = 0.0;
-  {
-    // Compute *inside* the lock: concurrent first-touches on the same key
-    // then resolve as exactly one miss plus hits, so the hit/miss counters
-    // are the same whatever the thread interleaving — part of the
-    // shard-count determinism contract.  The model evaluation is cheap
-    // (closed-form), so holding the shard through it costs little.
-    const std::lock_guard lock(shard.mutex);
-    if (const auto it = shard.map.find(key); it != shard.map.end()) {
-      ++shard.stats.hits;
-      value = it->second;
-    } else {
-      ++shard.stats.misses;
-      hit = false;
-      value = engine_->evaluate(app, resource, nproc);
-      shard.map.emplace(key, value);
+  values_.reserve(apps_.size() * platforms_.size() *
+                  static_cast<std::size_t>(width_));
+  for (const ApplicationModelPtr& app : apps_) {
+    for (const ResourceModel& platform : platforms_) {
+      for (int k = 1; k <= width_; ++k) {
+        values_.push_back(EvaluationEngine::evaluate(*app, platform, k));
+      }
     }
   }
-  obs::emit({.at = simclock::now(),
-             .kind = hit ? obs::EventKind::kCacheHit
-                         : obs::EventKind::kCacheMiss,
-             .extra = static_cast<std::uint32_t>(nproc)});
-  return value;
 }
 
-CacheStats CachedEvaluator::stats() const {
-  CacheStats total;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    total.hits += shard.stats.hits;
-    total.misses += shard.stats.misses;
-  }
-  return total;
+std::span<const double> PredictionTable::row(
+    const ApplicationModel& app, const ResourceModel& resource) const {
+  // Linear scans: a grid has a handful of applications and platforms (the
+  // case study has 7 and 5), so this beats any hash.
+  const auto app_it =
+      std::find_if(apps_.begin(), apps_.end(),
+                   [&app](const ApplicationModelPtr& known) {
+                     return known.get() == &app;
+                   });
+  GRIDLB_REQUIRE(app_it != apps_.end(),
+                 "application not in the prediction table: " + app.name());
+  const auto platform_it =
+      std::find(platforms_.begin(), platforms_.end(), resource);
+  GRIDLB_REQUIRE(platform_it != platforms_.end(),
+                 "platform not in the prediction table");
+  const auto a = static_cast<std::size_t>(app_it - apps_.begin());
+  const auto p = static_cast<std::size_t>(platform_it - platforms_.begin());
+  const auto width = static_cast<std::size_t>(width_);
+  return {values_.data() + (a * platforms_.size() + p) * width, width};
 }
 
-std::vector<CachedEvaluator::ShardSnapshot> CachedEvaluator::shard_snapshots()
-    const {
-  std::vector<ShardSnapshot> out;
-  out.reserve(kShardCount);
-  for (const Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    out.push_back(ShardSnapshot{shard.stats, shard.map.size()});
-  }
-  return out;
+double fastest(std::span<const double> row) {
+  double best = std::numeric_limits<double>::infinity();
+  for (const double exec : row) best = std::min(best, exec);
+  return best;
 }
 
-std::size_t CachedEvaluator::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    total += shard.map.size();
+double occupancy(std::span<const double> row) {
+  double best_exec = std::numeric_limits<double>::infinity();
+  int best_k = 1;
+  for (std::size_t k = 1; k <= row.size(); ++k) {
+    if (row[k - 1] < best_exec) {
+      best_exec = row[k - 1];
+      best_k = static_cast<int>(k);
+    }
   }
-  return total;
-}
-
-void CachedEvaluator::clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    shard.map.clear();
-  }
+  return best_exec * static_cast<double>(best_k) /
+         static_cast<double>(row.size());
 }
 
 }  // namespace gridlb::pace

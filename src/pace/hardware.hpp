@@ -55,6 +55,8 @@ struct ResourceModel {
 
   /// Builds the catalogue model for a platform.
   static ResourceModel of(HardwareType type);
+
+  bool operator==(const ResourceModel&) const = default;
 };
 
 }  // namespace gridlb::pace

@@ -7,16 +7,17 @@
 
 namespace gridlb::sched {
 
-FifoScheduler::FifoScheduler(pace::CachedEvaluator& evaluator,
+FifoScheduler::FifoScheduler(const pace::PredictionTable& table,
                              pace::ResourceModel resource, int node_count,
                              FifoObjective objective)
-    : evaluator_(&evaluator),
+    : table_(&table),
       resource_(resource),
       node_count_(node_count),
       objective_(objective) {
   GRIDLB_REQUIRE(node_count >= 1 && node_count <= kMaxNodesPerResource,
                  "node count out of range");
-  evaluator_->snapshot(table_, resource_, node_count_);
+  GRIDLB_REQUIRE(table.width() >= node_count,
+                 "prediction table narrower than the resource");
 }
 
 FifoPlacement FifoScheduler::place(const Task& task,
@@ -42,10 +43,7 @@ FifoPlacement FifoScheduler::place(const Task& task,
     if ((available >> i) & 1u) sorted[up++] = free[node];
   }
   std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(up));
-  // One prediction row per application, materialised through the cache on
-  // first sight and then reused lock-free.  Re-fetched per place() because
-  // a new application's row build may relocate the table's storage.
-  const double* exec_row = table_.ensure_row(*evaluator_, *task.app);
+  const std::span<const double> exec_row = table_->row(*task.app, resource_);
   table_reads_ += static_cast<std::uint64_t>(node_count_);
   subsets_tried_ += full_mask(node_count_);
 

@@ -53,8 +53,10 @@ enum class FifoObjective { kMinExecution, kMinCompletion };
 
 class FifoScheduler {
  public:
-  FifoScheduler(pace::CachedEvaluator& evaluator, pace::ResourceModel resource,
-                int node_count,
+  /// `table` must outlive the scheduler and cover `resource` with rows at
+  /// least `node_count` wide.
+  FifoScheduler(const pace::PredictionTable& table,
+                pace::ResourceModel resource, int node_count,
                 FifoObjective objective = FifoObjective::kMinExecution);
 
   [[nodiscard]] FifoObjective objective() const { return objective_; }
@@ -77,19 +79,14 @@ class FifoScheduler {
   /// each subset.
   [[nodiscard]] std::uint64_t subsets_tried() const { return subsets_tried_; }
   /// Prediction-table reads so far (one per processor count per placed
-  /// task — the lock-free lookups that replace per-place cache queries).
+  /// task).
   [[nodiscard]] std::uint64_t table_reads() const { return table_reads_; }
 
  private:
-  pace::CachedEvaluator* evaluator_;
+  const pace::PredictionTable* table_;
   pace::ResourceModel resource_;
   int node_count_;
   FifoObjective objective_;
-  /// Per-scheduler prediction snapshot: rows build lazily as new
-  /// applications arrive and persist across place() calls, so repeat
-  /// arrivals of the same code never touch the evaluation cache's shard
-  /// locks.
-  pace::PredictionTable table_;
   std::uint64_t subsets_tried_ = 0;
   std::uint64_t table_reads_ = 0;
 };

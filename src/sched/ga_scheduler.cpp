@@ -179,9 +179,8 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
                                SimTime now, NodeMask available) {
   GRIDLB_REQUIRE(valid_mask(available, builder_->node_count()),
                  "optimize needs at least one available node");
-  // Snapshot phase: the only part of the run that touches the evaluation
-  // cache's shard locks.  Everything downstream (greedy seeds included)
-  // reads predictions from the table.
+  // Hoist every task's prediction row; everything downstream (greedy
+  // seeds included) reads predictions through the context.
   builder_->prepare(context_, tasks, node_free, now, available);
   scratch_.table_reads = 0;
   sync_population(tasks);

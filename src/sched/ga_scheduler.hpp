@@ -45,8 +45,8 @@ struct GaResult {
   /// every generation, plus the full decode of the winner —
   /// `population × generations + 1` for a non-empty task set.
   std::uint64_t decodes = 0;
-  /// Prediction-table lookups this invocation — the lock-free reads that
-  /// replace per-task evaluation-cache lookups on the hot path.
+  /// Prediction-table lookups this invocation (one per task decoded or
+  /// per processor count a greedy seed tries).
   std::uint64_t table_reads = 0;
   /// Per-generation convergence curve (observability; filled on every
   /// invocation — a handful of doubles, and gathering it consumes no
@@ -99,7 +99,7 @@ class GaScheduler {
   /// families keeps the population out of the serial-wide basin that pure
   /// min-completion greedy occupies.
   /// Reads its predictions from the prepared `context_` (and counts them
-  /// into `scratch_`), so seeding shares the run's snapshot.
+  /// into `scratch_`), so seeding shares the run's hoisted rows.
   [[nodiscard]] SolutionString greedy_seed(std::span<const Task> tasks,
                                            std::span<const SimTime> node_free,
                                            SimTime now, NodeMask available,

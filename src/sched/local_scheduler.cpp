@@ -48,11 +48,11 @@ std::string_view policy_name(SchedulerPolicy policy) {
 }
 
 LocalScheduler::LocalScheduler(sim::Engine& engine,
-                               pace::CachedEvaluator& evaluator, Config config,
-                               CompletionSink sink)
+                               const pace::PredictionTable& table,
+                               Config config, CompletionSink sink)
     : engine_(engine),
       config_(std::move(config)),
-      builder_(evaluator, config_.resource, config_.node_count),
+      builder_(table, config_.resource, config_.node_count),
       sink_(std::move(sink)) {
   GRIDLB_REQUIRE(sink_ != nullptr, "completion sink must be set");
   GRIDLB_REQUIRE(config_.node_count >= 1 &&
@@ -67,7 +67,7 @@ LocalScheduler::LocalScheduler(sim::Engine& engine,
       ga_.emplace(builder_, config_.ga, config_.seed);
       break;
     case SchedulerPolicy::kFifo:
-      fifo_.emplace(evaluator, config_.resource, config_.node_count,
+      fifo_.emplace(table, config_.resource, config_.node_count,
                     config_.fifo_objective);
       break;
   }

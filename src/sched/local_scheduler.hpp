@@ -14,7 +14,7 @@
 //                      corresponding processors become available"),
 //   * task execution — in the paper's *test mode*: a committed task holds
 //                      its nodes for exactly the PACE-predicted duration,
-//   * PACE evaluation engine — shared CachedEvaluator.
+//   * PACE evaluation engine — the grid's shared PredictionTable.
 //
 // Scheduling dynamics: on every arrival and completion the GA re-optimises
 // the pending queue (warm-started population); tasks whose planned start
@@ -85,7 +85,9 @@ class LocalScheduler {
 
   using CompletionSink = std::function<void(const CompletionRecord&)>;
 
-  LocalScheduler(sim::Engine& engine, pace::CachedEvaluator& evaluator,
+  /// `table` must outlive the scheduler and cover the configured resource
+  /// with rows at least `node_count` wide.
+  LocalScheduler(sim::Engine& engine, const pace::PredictionTable& table,
                  Config config, CompletionSink sink);
 
   LocalScheduler(const LocalScheduler&) = delete;
@@ -141,8 +143,8 @@ class LocalScheduler {
   [[nodiscard]] std::uint64_t fifo_subsets_tried() const {
     return fifo_ ? fifo_->subsets_tried() : 0;
   }
-  /// Lock-free prediction-table reads across whichever policy is active
-  /// (DESIGN.md §11) — the lookups that no longer reach the shared cache.
+  /// Prediction-table reads across whichever policy is active
+  /// (DESIGN.md §11).
   [[nodiscard]] std::uint64_t prediction_table_reads() const {
     if (ga_) return ga_->total_table_reads();
     return fifo_ ? fifo_->table_reads() : 0;

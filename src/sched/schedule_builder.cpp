@@ -6,11 +6,13 @@
 
 namespace gridlb::sched {
 
-ScheduleBuilder::ScheduleBuilder(pace::CachedEvaluator& evaluator,
+ScheduleBuilder::ScheduleBuilder(const pace::PredictionTable& table,
                                  pace::ResourceModel resource, int node_count)
-    : evaluator_(&evaluator), resource_(resource), node_count_(node_count) {
+    : table_(&table), resource_(resource), node_count_(node_count) {
   GRIDLB_REQUIRE(node_count >= 1 && node_count <= kMaxNodesPerResource,
                  "node count out of range");
+  GRIDLB_REQUIRE(table.width() >= node_count,
+                 "prediction table narrower than the resource");
 }
 
 void ScheduleBuilder::prepare(DecodeContext& context,
@@ -34,19 +36,12 @@ void ScheduleBuilder::prepare(DecodeContext& context,
            : now + kUnavailableHorizon;
   }
 
-  // Snapshot first, hoist row pointers second: ensure_row for a new
-  // application may reallocate the table's storage, so pointers are only
-  // stable once every distinct application has a row.
-  evaluator_->snapshot(context.table_, resource_, node_count_);
-  for (const Task& task : tasks) {
-    (void)context.table_.ensure_row(*evaluator_, *task.app);
-  }
   context.rows_.clear();
   context.deadlines_.clear();
   context.rows_.reserve(tasks.size());
   context.deadlines_.reserve(tasks.size());
   for (const Task& task : tasks) {
-    context.rows_.push_back(context.table_.row_of(*task.app));
+    context.rows_.push_back(table_->row(*task.app, resource_).data());
     context.deadlines_.push_back(task.deadline);
   }
 }

@@ -16,8 +16,8 @@
 //
 // Two decoding paths share one implementation (DESIGN.md §11):
 //   * evaluate() — metrics only, the GA's hot path.  All genome-invariant
-//     work (prediction-table snapshot, per-task rows, clamped node
-//     availability) is hoisted into a DecodeContext by prepare(), and all
+//     work (per-task prediction rows, clamped node availability) is
+//     hoisted into a DecodeContext by prepare(), and all
 //     mutable buffers live in a caller-owned DecodeScratch, so steady-state
 //     evaluation performs zero heap allocations and zero lock acquisitions.
 //   * decode() — evaluate() plus the per-task placements, run once for the
@@ -59,9 +59,9 @@ struct DecodedSchedule : ScheduleMetrics {
   std::vector<TaskPlacement> placements;  ///< indexed by task index
 };
 
-/// Genome-invariant state for decoding one task set: the prediction-table
-/// snapshot, per-task prediction rows, and the clamped per-node
-/// availability.  Built once per scheduling run by
+/// Genome-invariant state for decoding one task set: per-task prediction
+/// rows (pointers into the grid's shared PredictionTable) and the clamped
+/// per-node availability.  Built once per scheduling run by
 /// ScheduleBuilder::prepare and then shared read-only by every evaluate /
 /// decode of that run.  Reusing one context across runs reuses all of its
 /// capacity.
@@ -76,17 +76,14 @@ class DecodeContext {
   [[nodiscard]] NodeMask available() const { return available_; }
 
   /// Predicted execution time of task `t` on `k` nodes — pure array
-  /// indexing into the snapshot (bit-identical to the cache's value).
+  /// indexing into the prediction table (bit-identical to the engine).
   [[nodiscard]] double exec_time(int t, int k) const {
     return rows_[static_cast<std::size_t>(t)][k - 1];
   }
 
-  [[nodiscard]] const pace::PredictionTable& table() const { return table_; }
-
  private:
   friend class ScheduleBuilder;
 
-  pace::PredictionTable table_;
   std::vector<const double*> rows_;  ///< task index -> prediction row
   std::vector<double> deadlines_;    ///< task index -> δ_j (hoisted)
   /// Effective per-node availability: past free times clamped to `now`,
@@ -118,15 +115,16 @@ struct DecodeScratch {
 
 class ScheduleBuilder {
  public:
-  /// `evaluator` and `resource` provide t_x; `node_count` fixes ρ's width.
-  ScheduleBuilder(pace::CachedEvaluator& evaluator,
+  /// `table` and `resource` provide t_x; `node_count` fixes ρ's width.
+  /// The table must outlive the builder and cover `resource` with rows at
+  /// least `node_count` wide.
+  ScheduleBuilder(const pace::PredictionTable& table,
                   pace::ResourceModel resource, int node_count);
 
   // -- hot path -----------------------------------------------------------
 
-  /// Builds `context` for one scheduling run: snapshots the prediction
-  /// table for every distinct application in `tasks` (the only step that
-  /// touches the shard locks), hoists per-task rows, and clamps per-node
+  /// Builds `context` for one scheduling run: hoists each task's
+  /// prediction row out of the table and clamps per-node
   /// availability (`node_free` entries before `now` count as free-at-`now`
   /// — idle already in the past is sunk cost; nodes outside `available`
   /// come free only at `now + kUnavailableHorizon`, so any solution
@@ -139,7 +137,7 @@ class ScheduleBuilder {
   /// Metrics-only decode of `solution` under `context` — the GA's
   /// steady-state evaluation: zero heap allocations (all buffers live in
   /// `scratch`) and zero lock acquisitions (all predictions come from the
-  /// context's snapshot).  Returns exactly the metrics decode() would.
+  /// context's hoisted rows).  Returns exactly the metrics decode() would.
   [[nodiscard]] ScheduleMetrics evaluate(const DecodeContext& context,
                                          const SolutionString& solution,
                                          DecodeScratch& scratch) const;
@@ -173,9 +171,6 @@ class ScheduleBuilder {
   [[nodiscard]] const pace::ResourceModel& resource() const {
     return resource_;
   }
-  [[nodiscard]] pace::CachedEvaluator& evaluator() const {
-    return *evaluator_;
-  }
 
  private:
   /// Shared implementation of evaluate/decode; `placements` (indexed by
@@ -186,7 +181,7 @@ class ScheduleBuilder {
                       const SolutionString& solution, DecodeScratch& scratch,
                       TaskPlacement* placements) const;
 
-  pace::CachedEvaluator* evaluator_;
+  const pace::PredictionTable* table_;
   pace::ResourceModel resource_;
   int node_count_;
 };

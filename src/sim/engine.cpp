@@ -101,25 +101,26 @@ std::uint64_t Engine::count_milestones_below(SimTime bound,
 EventId Engine::schedule_periodic(SimTime start, SimTime period, EventFn fn) {
   GRIDLB_REQUIRE(period > 0.0, "period must be positive");
   // The chain id lives in its own id space and is never placed on the
-  // queue; the recurring lambda consults cancelled_chains_ before each
-  // firing.
+  // queue; each tick consults cancelled_chains_ before firing.
   const EventId chain_id = kChainBit | next_chain_++;
-  // Owning the callback via shared_ptr lets the lambda reschedule itself.
-  auto shared_fn = std::make_shared<EventFn>(std::move(fn));
-  auto tick = std::make_shared<EventFn>();
-  *tick = [this, chain_id, period, shared_fn, tick]() {
-    if (cancelled_chains_.contains(chain_id)) {
-      cancelled_chains_.erase(chain_id);
-      return;
+  // Each firing reschedules a copy of itself, so the queue holds the only
+  // reference to the chain: cancelling it or destroying the engine frees
+  // the callback (a tick that captured itself would keep it alive).
+  struct Tick {
+    Engine* engine;
+    EventId chain_id;
+    SimTime period;
+    std::shared_ptr<EventFn> fn;
+
+    void operator()() const {
+      if (engine->cancelled_chains_.erase(chain_id) != 0) return;
+      (*fn)();
+      if (engine->cancelled_chains_.erase(chain_id) != 0) return;
+      engine->schedule_at(engine->now_ + period, *this);
     }
-    (*shared_fn)();
-    if (cancelled_chains_.contains(chain_id)) {
-      cancelled_chains_.erase(chain_id);
-      return;
-    }
-    schedule_at(now_ + period, *tick);
   };
-  schedule_at(start, *tick);
+  schedule_at(start, Tick{this, chain_id, period,
+                          std::make_shared<EventFn>(std::move(fn))});
   return chain_id;
 }
 

@@ -153,7 +153,13 @@ TEST_F(AgentSystemFixture, SharedEvaluatorCachesAcrossResources) {
   portal.submit(system.agent_named("B"), "closure", 1000.0);
   portal.submit(system.agent_named("B"), "closure", 1000.0);
   engine.run_until(3600.0);
-  EXPECT_GT(system.evaluator().stats().hit_rate(), 0.0);
+  // One table serves every resource: the catalogue × the three platforms ×
+  // the widest resource's 16 nodes, each entry evaluated once.
+  const pace::PredictionTable& table = system.predictions();
+  EXPECT_EQ(table.width(), 16);
+  EXPECT_EQ(table.entries(), catalogue.size() * 3u * 16u);
+  EXPECT_GT(system.agent_named("B").scheduler().prediction_table_reads(), 0u);
+  EXPECT_GT(system.agent_named("B").table_reads(), 0u);
 }
 
 }  // namespace

@@ -167,7 +167,7 @@ TEST_F(ArrivalFixture, ValidationMessagesAreActionable) {
   config.arrival = ArrivalProcess::kDiurnal;
   config.diurnal_amplitude = 1.0;
   EXPECT_THROW(validate_workload(config), AssertionError);
-  EXPECT_THROW(arrival_process_from_name("bursty"), AssertionError);
+  EXPECT_THROW((void)arrival_process_from_name("bursty"), AssertionError);
 }
 
 // --- open-loop harness ------------------------------------------------

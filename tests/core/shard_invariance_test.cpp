@@ -92,6 +92,20 @@ TEST(ShardInvariance, CentralOracleIgnoresShardCount) {
                  63.0, 0, 146, 40});
 }
 
+TEST(ShardInvariance, PredictionTrafficIgnoresShardCount) {
+  // Table reads are counted per owner (scheduler or agent) in plain
+  // counters, so the totals cannot depend on which thread ran whom.
+  const ExperimentResult one = run_experiment(scaled(experiment3(), 40, 1));
+  const ExperimentResult four = run_experiment(scaled(experiment3(), 40, 4));
+  EXPECT_EQ(four.sim_shards, 4u);
+  EXPECT_EQ(one.cache.hits, four.cache.hits);
+  EXPECT_EQ(one.cache.misses, four.cache.misses);
+  EXPECT_EQ(one.table_reads, four.table_reads);
+  // 7 applications × 5 platforms × 16 nodes, one engine evaluation each.
+  EXPECT_EQ(one.cache.misses, 560u);
+  EXPECT_GT(one.cache.hits, one.table_reads);
+}
+
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.report.total.advance_time, b.report.total.advance_time);
   EXPECT_EQ(a.report.total.utilisation, b.report.total.utilisation);

@@ -113,8 +113,8 @@ TEST(Timeline, ZeroResourceIdIsRejectedExplicitly) {
   // was only caught incidentally by the unknown-resource size check.  The
   // rejection must name the real problem.
   try {
-    build_timeline({record(0, 0b1, 0.0, 1.0)}, kTwoResources, 10.0, 0.0,
-                   10.0);
+    (void)build_timeline({record(0, 0b1, 0.0, 1.0)}, kTwoResources, 10.0,
+                         0.0, 10.0);
     FAIL() << "zero resource id must be rejected";
   } catch (const AssertionError& error) {
     EXPECT_NE(std::string(error.what()).find("resource id 0"),

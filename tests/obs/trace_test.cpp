@@ -1,6 +1,6 @@
 // Trace recorder unit tests: the disabled path records nothing, rings
-// wrap with accurate drop accounting, and the high-frequency channel
-// never evicts control-flow events.
+// wrap with accurate drop accounting, and each thread records into its
+// own ring.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -19,11 +19,10 @@ TraceEvent event_at(SimTime at, EventKind kind = EventKind::kQueueDepth) {
   return event;
 }
 
-ObsConfig trace_config(std::size_t control = 16, std::size_t highfreq = 8) {
+ObsConfig trace_config(std::size_t capacity = 16) {
   ObsConfig config;
   config.trace = true;
-  config.control_ring_capacity = control;
-  config.highfreq_ring_capacity = highfreq;
+  config.ring_capacity = capacity;
   return config;
 }
 
@@ -70,7 +69,7 @@ TEST(Trace, UninstalledOnSessionDestruction) {
 }
 
 TEST(Trace, RingWrapKeepsNewestAndCountsDropped) {
-  Session session(trace_config(/*control=*/4));
+  Session session(trace_config(/*capacity=*/4));
   for (int i = 0; i < 10; ++i) emit(event_at(static_cast<double>(i)));
   const TraceSnapshot snapshot = session.recorder()->snapshot();
   EXPECT_EQ(snapshot.recorded, 10u);
@@ -80,30 +79,10 @@ TEST(Trace, RingWrapKeepsNewestAndCountsDropped) {
   EXPECT_DOUBLE_EQ(snapshot.events.back().at, 9.0);
 }
 
-TEST(Trace, HighFrequencyChannelCannotEvictControlEvents) {
-  Session session(trace_config(/*control=*/8, /*highfreq=*/4));
-  emit(event_at(0.0, EventKind::kGaRunStarted));
-  for (int i = 0; i < 100; ++i) {
-    emit(event_at(1.0 + i, EventKind::kCacheHit));
-  }
-  emit(event_at(200.0, EventKind::kGaRunFinished));
-  const TraceSnapshot snapshot = session.recorder()->snapshot();
-  // Both control events survive the cache-event flood.
-  int control = 0;
-  for (const TraceEvent& event : snapshot.events) {
-    if (event.kind == EventKind::kGaRunStarted ||
-        event.kind == EventKind::kGaRunFinished) {
-      ++control;
-    }
-  }
-  EXPECT_EQ(control, 2);
-  EXPECT_EQ(snapshot.dropped, 100u - 4u);
-}
-
 TEST(Trace, EachThreadGetsItsOwnRings) {
   Session session(trace_config());
   emit(event_at(1.0));
-  std::thread worker([] { emit(event_at(2.0, EventKind::kCacheMiss)); });
+  std::thread worker([] { emit(event_at(2.0, EventKind::kGaRunFinished)); });
   worker.join();
   const TraceSnapshot snapshot = session.recorder()->snapshot();
   EXPECT_EQ(snapshot.events.size(), 2u);
@@ -125,7 +104,7 @@ TEST(Trace, SecondSessionStartsEmpty) {
 }
 
 TEST(Trace, KindNamesAreStable) {
-  EXPECT_EQ(kind_name(EventKind::kCacheHit), "cache_hit");
+  EXPECT_EQ(kind_name(EventKind::kTaskMigrated), "task_migrated");
   EXPECT_EQ(kind_name(EventKind::kGaGeneration), "ga_generation");
   EXPECT_EQ(kind_name(EventKind::kTaskSpan), "task_span");
 }

@@ -9,115 +9,34 @@ namespace gridlb::pace {
 namespace {
 
 TEST(EvaluationEngine, ScalesByResourceFactor) {
-  EvaluationEngine engine;
   const auto model = make_paper_application("sweep3d");
   const ResourceModel sparc = ResourceModel::of(
       HardwareType::kSunSparcStation2);
-  EXPECT_DOUBLE_EQ(engine.evaluate(*model, sparc, 1),
+  EXPECT_DOUBLE_EQ(EvaluationEngine::evaluate(*model, sparc, 1),
                    50.0 * sparc.factor);
-  EXPECT_DOUBLE_EQ(engine.evaluate(*model, sparc, 16), 4.0 * sparc.factor);
-}
-
-TEST(EvaluationEngine, CountsEvaluations) {
-  EvaluationEngine engine;
-  const auto model = make_paper_application("fft");
-  const auto sgi = ResourceModel::of(HardwareType::kSgiOrigin2000);
-  for (int i = 0; i < 5; ++i) engine.evaluate(*model, sgi, 4);
-  EXPECT_EQ(engine.evaluations(), 5u);
+  EXPECT_DOUBLE_EQ(EvaluationEngine::evaluate(*model, sparc, 16),
+                   4.0 * sparc.factor);
 }
 
 TEST(EvaluationEngine, RejectsBadArguments) {
-  EvaluationEngine engine;
   const auto model = make_paper_application("fft");
   const auto sgi = ResourceModel::of(HardwareType::kSgiOrigin2000);
-  EXPECT_THROW(engine.evaluate(*model, sgi, 0), AssertionError);
-  EXPECT_THROW(engine.evaluate(*model, ResourceModel{sgi.type, 0.0}, 1),
-               AssertionError);
-  EXPECT_THROW(engine.evaluate(*model, ResourceModel{sgi.type, -2.0}, 1),
-               AssertionError);
+  EXPECT_THROW(EvaluationEngine::evaluate(*model, sgi, 0), AssertionError);
+  EXPECT_THROW(
+      EvaluationEngine::evaluate(*model, ResourceModel{sgi.type, 0.0}, 1),
+      AssertionError);
+  EXPECT_THROW(
+      EvaluationEngine::evaluate(*model, ResourceModel{sgi.type, -2.0}, 1),
+      AssertionError);
 }
 
-TEST(CachedEvaluator, HitsOnRepeats) {
-  EvaluationEngine engine;
-  CachedEvaluator cache(engine);
-  const auto model = make_paper_application("jacobi");
-  const auto sgi = ResourceModel::of(HardwareType::kSgiOrigin2000);
-
-  const double first = cache.evaluate(*model, sgi, 8);
-  const double second = cache.evaluate(*model, sgi, 8);
-  EXPECT_DOUBLE_EQ(first, second);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(engine.evaluations(), 1u);  // the engine ran only once
-}
-
-TEST(CachedEvaluator, DistinguishesProcCounts) {
-  EvaluationEngine engine;
-  CachedEvaluator cache(engine);
-  const auto model = make_paper_application("jacobi");
-  const auto sgi = ResourceModel::of(HardwareType::kSgiOrigin2000);
-  for (int k = 1; k <= 16; ++k) cache.evaluate(*model, sgi, k);
-  EXPECT_EQ(cache.stats().misses, 16u);
-  EXPECT_EQ(cache.size(), 16u);
-}
-
-TEST(CachedEvaluator, DistinguishesResources) {
-  EvaluationEngine engine;
-  CachedEvaluator cache(engine);
-  const auto model = make_paper_application("jacobi");
-  cache.evaluate(*model, ResourceModel::of(HardwareType::kSgiOrigin2000), 4);
-  cache.evaluate(*model, ResourceModel::of(HardwareType::kSunUltra10), 4);
-  cache.evaluate(*model, ResourceModel{HardwareType::kSunUltra10, 9.0}, 4);
-  EXPECT_EQ(cache.stats().misses, 3u);
-}
-
-TEST(CachedEvaluator, DistinguishesApplications) {
-  EvaluationEngine engine;
-  CachedEvaluator cache(engine);
-  const auto a = make_paper_application("jacobi");
-  const auto b = make_paper_application("fft");
-  const auto sgi = ResourceModel::of(HardwareType::kSgiOrigin2000);
-  cache.evaluate(*a, sgi, 4);
-  cache.evaluate(*b, sgi, 4);
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(CachedEvaluator, ClearDropsEntries) {
-  EvaluationEngine engine;
-  CachedEvaluator cache(engine);
-  const auto model = make_paper_application("cpi");
-  const auto sgi = ResourceModel::of(HardwareType::kSgiOrigin2000);
-  cache.evaluate(*model, sgi, 2);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  cache.evaluate(*model, sgi, 2);
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(CachedEvaluator, HitRateMath) {
+TEST(CacheStats, HitRateMath) {
   CacheStats stats;
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.0);
   stats.hits = 3;
   stats.misses = 1;
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.75);
   EXPECT_EQ(stats.lookups(), 4u);
-}
-
-TEST(CachedEvaluator, GaScalePatternIsMostlyHits) {
-  // The paper's motivating arithmetic: a GA population of 50 over 20 tasks
-  // requests ~1000 evaluations per generation, but only a handful are
-  // distinct (app × nproc).  Emulate a generation's request pattern.
-  EvaluationEngine engine;
-  CachedEvaluator cache(engine);
-  const ApplicationCatalogue catalogue = paper_catalogue();
-  const auto sgi = ResourceModel::of(HardwareType::kSgiOrigin2000);
-  for (int request = 0; request < 1000; ++request) {
-    const auto& model = catalogue.all()[static_cast<std::size_t>(request) % 7];
-    const int nproc = 1 + (request * 13) % 16;
-    cache.evaluate(*model, sgi, nproc);
-  }
-  EXPECT_LE(cache.stats().misses, 7u * 16u);
-  EXPECT_GT(cache.stats().hit_rate(), 0.85);
 }
 
 }  // namespace

@@ -93,12 +93,11 @@ std::vector<Task> random_tasks(const pace::ApplicationCatalogue& catalogue,
 }
 
 TEST(AllocFree, SteadyStateEvaluationDoesNotAllocate) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator(engine);
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
   const int nodes = 16;
-  ScheduleBuilder builder(evaluator, sgi, nodes);
   const auto catalogue = pace::paper_catalogue();
+  const pace::PredictionTable table(catalogue, {sgi}, nodes);
+  ScheduleBuilder builder(table, sgi, nodes);
 
   Rng rng(11);
   const auto tasks = random_tasks(catalogue, 40, rng);
@@ -131,12 +130,11 @@ TEST(AllocFree, SteadyStateEvaluationDoesNotAllocate) {
 }
 
 TEST(AllocFree, RepreparingSameShapeContextDoesNotAllocate) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator(engine);
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
   const int nodes = 16;
-  ScheduleBuilder builder(evaluator, sgi, nodes);
   const auto catalogue = pace::paper_catalogue();
+  const pace::PredictionTable table(catalogue, {sgi}, nodes);
+  ScheduleBuilder builder(table, sgi, nodes);
 
   Rng rng(13);
   const auto tasks = random_tasks(catalogue, 24, rng);
@@ -160,12 +158,11 @@ TEST(AllocFree, RepreparingSameShapeContextDoesNotAllocate) {
 // the task set, so what remains is per-call work (task-set sync, greedy
 // seeds, the result), which must not scale with the generation count.
 std::uint64_t steady_optimize_allocations(int generations) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator(engine);
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
   const int nodes = 16;
-  ScheduleBuilder builder(evaluator, sgi, nodes);
   const auto catalogue = pace::paper_catalogue();
+  const pace::PredictionTable table(catalogue, {sgi}, nodes);
+  ScheduleBuilder builder(table, sgi, nodes);
 
   Rng rng(17);
   const auto tasks = random_tasks(catalogue, 20, rng);

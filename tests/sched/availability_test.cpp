@@ -13,12 +13,11 @@ namespace gridlb::sched {
 namespace {
 
 struct AvailabilityFixture : ::testing::Test {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator{engine};
   pace::ResourceModel sgi =
       pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  ScheduleBuilder builder{evaluator, sgi, 8};
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  pace::PredictionTable table{catalogue, {sgi}, 8};
+  ScheduleBuilder builder{table, sgi, 8};
   std::vector<SimTime> idle = std::vector<SimTime>(8, 0.0);
 
   std::vector<Task> make_tasks(int count) {
@@ -119,7 +118,7 @@ TEST_F(AvailabilityFixture, GaShrinkThenGrowAcrossInvocations) {
 }
 
 TEST_F(AvailabilityFixture, FifoNeverChoosesDownNodes) {
-  FifoScheduler fifo(evaluator, sgi, 8, FifoObjective::kMinExecution);
+  FifoScheduler fifo(table, sgi, 8, FifoObjective::kMinExecution);
   Task task;
   task.id = TaskId(1);
   task.app = catalogue.find("cpi");
@@ -131,7 +130,7 @@ TEST_F(AvailabilityFixture, FifoNeverChoosesDownNodes) {
 }
 
 TEST_F(AvailabilityFixture, FifoRejectsAllDown) {
-  FifoScheduler fifo(evaluator, sgi, 8);
+  FifoScheduler fifo(table, sgi, 8);
   Task task;
   task.id = TaskId(1);
   task.app = catalogue.find("cpi");
@@ -143,9 +142,10 @@ TEST_F(AvailabilityFixture, FifoRejectsAllDown) {
 
 struct LocalAvailabilityFixture : ::testing::Test {
   sim::Engine engine;
-  pace::EvaluationEngine pace_engine;
-  pace::CachedEvaluator evaluator{pace_engine};
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  pace::PredictionTable table{
+      catalogue, {pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000)},
+      8};
   std::vector<CompletionRecord> completions;
 
   std::unique_ptr<LocalScheduler> make(double prediction_error = 0.0) {
@@ -157,7 +157,7 @@ struct LocalAvailabilityFixture : ::testing::Test {
     config.seed = 11;
     config.prediction_error = prediction_error;
     return std::make_unique<LocalScheduler>(
-        engine, evaluator, config,
+        engine, table, config,
         [this](const CompletionRecord& r) { completions.push_back(r); });
   }
 
@@ -244,8 +244,6 @@ TEST_F(LocalAvailabilityFixture, PredictionErrorPerturbsActualTimes) {
 TEST_F(LocalAvailabilityFixture, PredictionErrorIsDeterministicPerTask) {
   auto run_once = [this]() {
     sim::Engine local_engine;
-    pace::EvaluationEngine local_pace;
-    pace::CachedEvaluator local_eval(local_pace);
     LocalScheduler::Config config;
     config.resource_id = AgentId(1);
     config.resource =
@@ -254,7 +252,7 @@ TEST_F(LocalAvailabilityFixture, PredictionErrorIsDeterministicPerTask) {
     config.seed = 11;
     config.prediction_error = 0.3;
     std::vector<double> durations;
-    LocalScheduler scheduler(local_engine, local_eval, config,
+    LocalScheduler scheduler(local_engine, table, config,
                              [&](const CompletionRecord& r) {
                                durations.push_back(r.end - r.start);
                              });

@@ -17,11 +17,10 @@ namespace gridlb::sched {
 namespace {
 
 struct FifoFixture : ::testing::Test {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator{engine};
   pace::ResourceModel sgi =
       pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  pace::PredictionTable table{catalogue, {sgi}, 16};
 
   Task make_task(const char* app, double deadline = 1e6) {
     Task task;
@@ -35,7 +34,7 @@ struct FifoFixture : ::testing::Test {
 TEST_F(FifoFixture, MinExecutionPicksFastestAllocation) {
   // cpi's fastest point is 12 processors (2 s); with idle nodes the
   // min-execution FIFO must allocate exactly 12.
-  FifoScheduler fifo(evaluator, sgi, 16, FifoObjective::kMinExecution);
+  FifoScheduler fifo(table, sgi, 16, FifoObjective::kMinExecution);
   const std::vector<SimTime> idle(16, 0.0);
   const auto placement = fifo.place(make_task("cpi"), idle, 0.0);
   EXPECT_EQ(node_count(placement.mask), 12);
@@ -46,7 +45,7 @@ TEST_F(FifoFixture, MinExecutionWaitsForFastAllocationEvenIfSlowerOverall) {
   // Nodes 0..11 are busy until t=100; running cpi on the 4 idle nodes
   // would take 17 s (done by 17), but min-execution FIFO insists on a
   // 12-node allocation and waits.
-  FifoScheduler fifo(evaluator, sgi, 16, FifoObjective::kMinExecution);
+  FifoScheduler fifo(table, sgi, 16, FifoObjective::kMinExecution);
   std::vector<SimTime> free(16, 0.0);
   for (int i = 0; i < 12; ++i) free[static_cast<std::size_t>(i)] = 100.0;
   const auto placement = fifo.place(make_task("cpi"), free, 0.0);
@@ -57,7 +56,7 @@ TEST_F(FifoFixture, MinExecutionWaitsForFastAllocationEvenIfSlowerOverall) {
 TEST_F(FifoFixture, MinExecutionPrefersEarliestStartAmongEqualExec) {
   // closure takes 2 s at 15 or 16 processors; with node 15 busy the 15-node
   // allocation starts now and must win over waiting for all 16.
-  FifoScheduler fifo(evaluator, sgi, 16, FifoObjective::kMinExecution);
+  FifoScheduler fifo(table, sgi, 16, FifoObjective::kMinExecution);
   std::vector<SimTime> free(16, 0.0);
   free[15] = 50.0;
   const auto placement = fifo.place(make_task("closure"), free, 0.0);
@@ -68,7 +67,7 @@ TEST_F(FifoFixture, MinExecutionPrefersEarliestStartAmongEqualExec) {
 TEST_F(FifoFixture, MinCompletionTradesWidthForStart) {
   // Same situation, min-completion objective: running cpi narrow on idle
   // nodes beats waiting for the wide allocation.
-  FifoScheduler fifo(evaluator, sgi, 16, FifoObjective::kMinCompletion);
+  FifoScheduler fifo(table, sgi, 16, FifoObjective::kMinCompletion);
   std::vector<SimTime> free(16, 0.0);
   for (int i = 0; i < 12; ++i) free[static_cast<std::size_t>(i)] = 100.0;
   const auto placement = fifo.place(make_task("cpi"), free, 0.0);
@@ -79,8 +78,8 @@ TEST_F(FifoFixture, MinCompletionTradesWidthForStart) {
 
 TEST_F(FifoFixture, MinCompletionOnIdleMachineMatchesMinExecution) {
   const std::vector<SimTime> idle(16, 0.0);
-  FifoScheduler a(evaluator, sgi, 16, FifoObjective::kMinExecution);
-  FifoScheduler b(evaluator, sgi, 16, FifoObjective::kMinCompletion);
+  FifoScheduler a(table, sgi, 16, FifoObjective::kMinExecution);
+  FifoScheduler b(table, sgi, 16, FifoObjective::kMinCompletion);
   for (const auto& name : pace::paper_application_names()) {
     const auto task = make_task(name.c_str());
     EXPECT_DOUBLE_EQ(a.place(task, idle, 0.0).end,
@@ -93,7 +92,7 @@ TEST_F(FifoFixture, TieBreaksPreferFewerNodesThenLowerMask) {
   // closure at 15 vs 16 processors both take 2 s on an idle machine; the
   // 15-node allocation (fewer nodes) must win, and among the sixteen
   // 15-node subsets the lowest mask (nodes 0..14).
-  FifoScheduler fifo(evaluator, sgi, 16, FifoObjective::kMinExecution);
+  FifoScheduler fifo(table, sgi, 16, FifoObjective::kMinExecution);
   const std::vector<SimTime> idle(16, 0.0);
   const auto placement = fifo.place(make_task("closure"), idle, 0.0);
   EXPECT_EQ(node_count(placement.mask), 15);
@@ -101,7 +100,7 @@ TEST_F(FifoFixture, TieBreaksPreferFewerNodesThenLowerMask) {
 }
 
 TEST_F(FifoFixture, EnumeratesEverySubset) {
-  FifoScheduler fifo(evaluator, sgi, 16);
+  FifoScheduler fifo(table, sgi, 16);
   const std::vector<SimTime> idle(16, 0.0);
   (void)fifo.place(make_task("fft"), idle, 0.0);
   EXPECT_EQ(fifo.subsets_tried(), 65535u);  // 2^16 − 1, as the paper says
@@ -110,14 +109,14 @@ TEST_F(FifoFixture, EnumeratesEverySubset) {
 }
 
 TEST_F(FifoFixture, ClampsPastFreeTimesToNow) {
-  FifoScheduler fifo(evaluator, sgi, 16);
+  FifoScheduler fifo(table, sgi, 16);
   const std::vector<SimTime> stale(16, -500.0);
   const auto placement = fifo.place(make_task("fft"), stale, 42.0);
   EXPECT_DOUBLE_EQ(placement.start, 42.0);
 }
 
 TEST_F(FifoFixture, SmallResource) {
-  FifoScheduler fifo(evaluator, sgi, 1);
+  FifoScheduler fifo(table, sgi, 1);
   const std::vector<SimTime> idle(1, 0.0);
   const auto placement = fifo.place(make_task("sweep3d"), idle, 0.0);
   EXPECT_EQ(placement.mask, 1u);
@@ -126,7 +125,7 @@ TEST_F(FifoFixture, SmallResource) {
 }
 
 TEST_F(FifoFixture, RejectsMismatchedFreeVector) {
-  FifoScheduler fifo(evaluator, sgi, 16);
+  FifoScheduler fifo(table, sgi, 16);
   const std::vector<SimTime> wrong(4, 0.0);
   EXPECT_THROW((void)fifo.place(make_task("fft"), wrong, 0.0),
                AssertionError);
@@ -137,11 +136,10 @@ TEST_F(FifoFixture, RejectsMismatchedFreeVector) {
 class FifoOptimality : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FifoOptimality, MinCompletionBeatsAllSubsets) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator(engine);
   const auto ultra = pace::ResourceModel::of(pace::HardwareType::kSunUltra1);
-  FifoScheduler fifo(evaluator, ultra, 8, FifoObjective::kMinCompletion);
   const auto catalogue = pace::paper_catalogue();
+  const pace::PredictionTable table(catalogue, {ultra}, 8);
+  FifoScheduler fifo(table, ultra, 8, FifoObjective::kMinCompletion);
   Task task;
   task.id = TaskId(1);
   task.app = catalogue.find(GetParam());
@@ -242,9 +240,12 @@ NodeMask earliest_free_mask(std::span<const SimTime> node_free, SimTime now,
 // offsets) so equal free times and rounding collapses of free + t_x are
 // common, plus times in the past that clamp to `now`.
 TEST(FifoDifferential, ClosedFormMatchesEnumeration) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator(engine);
   const auto catalogue = pace::paper_catalogue();
+  std::vector<pace::ResourceModel> platforms;
+  for (const auto hardware : pace::all_hardware_types()) {
+    platforms.push_back(pace::ResourceModel::of(hardware));
+  }
+  const pace::PredictionTable table(catalogue, platforms, 16);
   Rng rng(2003);
   int cases = 0;
   int collapses = 0;  // winner is not the earliest-free k nodes
@@ -253,9 +254,7 @@ TEST(FifoDifferential, ClosedFormMatchesEnumeration) {
          {FifoObjective::kMinExecution, FifoObjective::kMinCompletion}) {
       for (const auto hardware : pace::all_hardware_types()) {
         const auto resource = pace::ResourceModel::of(hardware);
-        FifoScheduler fifo(evaluator, resource, n, objective);
-        pace::PredictionTable table;
-        evaluator.snapshot(table, resource, n);
+        FifoScheduler fifo(table, resource, n, objective);
         const int trials = n <= 12 ? 24 : 6;
         for (int trial = 0; trial < trials; ++trial) {
           Task task;
@@ -285,7 +284,7 @@ TEST(FifoDifferential, ClosedFormMatchesEnumeration) {
             }
           }
 
-          const double* row = table.ensure_row(evaluator, *task.app);
+          const double* row = table.row(*task.app, resource).data();
           const auto want =
               enumerate_place(row, free, now, available, n, objective);
           const auto got = fifo.place(task, free, now, available);

@@ -13,12 +13,11 @@ namespace gridlb::sched {
 namespace {
 
 struct GaFixture : ::testing::Test {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator{engine};
   pace::ResourceModel sgi =
       pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  ScheduleBuilder builder{evaluator, sgi, 16};
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  pace::PredictionTable table{catalogue, {sgi}, 16};
+  ScheduleBuilder builder{table, sgi, 16};
   std::vector<SimTime> idle = std::vector<SimTime>(16, 0.0);
 
   std::vector<Task> make_tasks(int count, std::uint64_t seed = 1,
@@ -83,7 +82,7 @@ TEST_F(GaFixture, DeterministicForFixedSeed) {
 }
 
 // Two schedulers with the same seed, run side by side on the same inputs,
-// must agree bit for bit.  The second always finds the shared cache warm,
+// must agree bit for bit.  Both read the one shared prediction table,
 // and re-invocations consume the GA's random stream in sync_population
 // (remap + fresh arrivals) and in the mask constraint.
 struct ParallelGaFixture : GaFixture {
@@ -178,7 +177,7 @@ TEST_F(GaFixture, GaCostNeverExceedsGreedyListScheduling) {
   const auto result = scheduler.optimize(tasks, idle, 0.0);
 
   // Reconstruct the greedy schedule as a solution string and cost it.
-  FifoScheduler fifo(evaluator, sgi, 16, FifoObjective::kMinCompletion);
+  FifoScheduler fifo(table, sgi, 16, FifoObjective::kMinCompletion);
   std::vector<SimTime> free = idle;
   std::vector<int> order(tasks.size());
   std::iota(order.begin(), order.end(), 0);
@@ -323,11 +322,10 @@ TEST_F(GaFixture, SingleTaskGetsEfficientAllocation) {
 class GaProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GaProperty, AlwaysValidAndPenaltyConsistent) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator(engine);
-  ScheduleBuilder builder(
-      evaluator, pace::ResourceModel::of(pace::HardwareType::kSunUltra5), 8);
+  const auto ultra5 = pace::ResourceModel::of(pace::HardwareType::kSunUltra5);
   const auto catalogue = pace::paper_catalogue();
+  const pace::PredictionTable table(catalogue, {ultra5}, 8);
+  ScheduleBuilder builder(table, ultra5, 8);
 
   Rng rng(GetParam());
   std::vector<Task> tasks;

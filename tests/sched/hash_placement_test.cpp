@@ -125,7 +125,9 @@ TEST(HashPlacement, ReweightingMovesKeysOnlyToOrFromThatTarget) {
   for (std::uint64_t key = 0; key < keys; ++key) {
     const std::size_t after = placement.place(key).index;
     // Growing one target only pulls keys in; every move involves it.
-    if (after != before[key]) EXPECT_EQ(after, 1u) << "key " << key;
+    if (after != before[key]) {
+      EXPECT_EQ(after, 1u) << "key " << key;
+    }
   }
 }
 

@@ -12,9 +12,12 @@ namespace {
 
 struct LocalSchedFixture : ::testing::Test {
   sim::Engine engine;
-  pace::EvaluationEngine pace_engine;
-  pace::CachedEvaluator evaluator{pace_engine};
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  pace::PredictionTable table{
+      catalogue,
+      {pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000),
+       pace::ResourceModel::of(pace::HardwareType::kSunSparcStation2)},
+      16};
   std::vector<CompletionRecord> completions;
   std::uint64_t next_id = 1;
 
@@ -30,7 +33,7 @@ struct LocalSchedFixture : ::testing::Test {
 
   std::unique_ptr<LocalScheduler> make(SchedulerPolicy policy) {
     return std::make_unique<LocalScheduler>(
-        engine, evaluator, config(policy),
+        engine, table, config(policy),
         [this](const CompletionRecord& r) { completions.push_back(r); });
   }
 
@@ -183,11 +186,9 @@ TEST_F(LocalSchedFixture, IdenticalRunsAreDeterministic) {
   // completion traces.
   auto run_once = [this]() {
     sim::Engine local_engine;
-    pace::EvaluationEngine local_pace;
-    pace::CachedEvaluator local_evaluator(local_pace);
     std::vector<CompletionRecord> local_completions;
     LocalScheduler scheduler(
-        local_engine, local_evaluator, config(SchedulerPolicy::kGa),
+        local_engine, table, config(SchedulerPolicy::kGa),
         [&](const CompletionRecord& r) { local_completions.push_back(r); });
     std::uint64_t id = 1;
     for (int i = 0; i < 8; ++i) {
@@ -219,14 +220,12 @@ TEST_F(LocalSchedFixture, GaBeatsFifoUnderOverload) {
   // min-execution FIFO's.
   auto run_policy = [this](SchedulerPolicy policy, FifoObjective objective) {
     sim::Engine local_engine;
-    pace::EvaluationEngine local_pace;
-    pace::CachedEvaluator local_evaluator(local_pace);
     double lateness = 0.0;
     LocalScheduler::Config c = config(policy);
     c.resource =
         pace::ResourceModel::of(pace::HardwareType::kSunSparcStation2);
     c.fifo_objective = objective;
-    LocalScheduler scheduler(local_engine, local_evaluator, c,
+    LocalScheduler scheduler(local_engine, table, c,
                              [&](const CompletionRecord& r) {
                                lateness += std::max(0.0, r.end - r.deadline);
                              });

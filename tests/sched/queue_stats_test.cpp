@@ -9,9 +9,10 @@ namespace {
 
 struct QueueStatsFixture : ::testing::Test {
   sim::Engine engine;
-  pace::EvaluationEngine pace_engine;
-  pace::CachedEvaluator evaluator{pace_engine};
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  pace::PredictionTable table{
+      catalogue, {pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000)},
+      16};
   std::vector<CompletionRecord> completions;
 
   std::unique_ptr<LocalScheduler> make(SchedulerPolicy policy) {
@@ -23,7 +24,7 @@ struct QueueStatsFixture : ::testing::Test {
     config.policy = policy;
     config.seed = 9;
     return std::make_unique<LocalScheduler>(
-        engine, evaluator, config,
+        engine, table, config,
         [this](const CompletionRecord& r) { completions.push_back(r); });
   }
 

@@ -102,9 +102,10 @@ TEST(ScheduleAvailability, MutatesTruthAtEventTimes) {
 
 struct MonitorFixture : ::testing::Test {
   sim::Engine engine;
-  pace::EvaluationEngine pace_engine;
-  pace::CachedEvaluator evaluator{pace_engine};
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  pace::PredictionTable table{
+      catalogue, {pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000)},
+      8};
   std::vector<CompletionRecord> completions;
 
   std::unique_ptr<LocalScheduler> make_scheduler() {
@@ -114,7 +115,7 @@ struct MonitorFixture : ::testing::Test {
     config.node_count = 8;
     config.seed = 3;
     return std::make_unique<LocalScheduler>(
-        engine, evaluator, config,
+        engine, table, config,
         [this](const CompletionRecord& r) { completions.push_back(r); });
   }
 };

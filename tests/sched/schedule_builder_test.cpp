@@ -9,12 +9,13 @@ namespace gridlb::sched {
 namespace {
 
 struct BuilderFixture : ::testing::Test {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator{engine};
   pace::ResourceModel sgi =
       pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
-  ScheduleBuilder builder{evaluator, sgi, 4};
+  pace::ResourceModel sparc =
+      pace::ResourceModel::of(pace::HardwareType::kSunSparcStation2);
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  pace::PredictionTable table{catalogue, {sgi, sparc}, 4};
+  ScheduleBuilder builder{table, sgi, 4};
 
   Task make_task(std::uint64_t id, const char* app, SimTime deadline,
                  SimTime arrival = 0.0) {
@@ -194,16 +195,14 @@ TEST_F(BuilderFixture, RejectsMismatchedInputs) {
 }
 
 TEST_F(BuilderFixture, ResourceFactorScalesSchedule) {
-  ScheduleBuilder slow(
-      evaluator, pace::ResourceModel::of(pace::HardwareType::kSunSparcStation2),
-      4);
+  ScheduleBuilder slow(table, sparc, 4);
   const std::vector<Task> tasks = {make_task(1, "closure", 1e3)};
   const SolutionString solution({0}, {0b1111}, 4);
   const std::vector<SimTime> free(4, 0.0);
   const auto fast = builder.decode(tasks, solution, free, 0.0);
-  const auto sparc = slow.decode(tasks, solution, free, 0.0);
+  const auto scaled = slow.decode(tasks, solution, free, 0.0);
   EXPECT_DOUBLE_EQ(
-      sparc.makespan,
+      scaled.makespan,
       fast.makespan *
           pace::performance_factor(pace::HardwareType::kSunSparcStation2));
 }
@@ -213,12 +212,11 @@ TEST_F(BuilderFixture, ResourceFactorScalesSchedule) {
 class DecodeInvariants : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DecodeInvariants, NoNodeOverlapAndConsistentMetrics) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator(engine);
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
   const int nodes = 6;
-  ScheduleBuilder builder(evaluator, sgi, nodes);
   const auto catalogue = pace::paper_catalogue();
+  const pace::PredictionTable table(catalogue, {sgi}, nodes);
+  ScheduleBuilder builder(table, sgi, nodes);
 
   Rng rng(GetParam());
   std::vector<Task> tasks;
@@ -277,12 +275,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DecodeInvariants,
 class EvaluateEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EvaluateEquivalence, MetricsOnlyEvaluateMatchesFullDecode) {
-  pace::EvaluationEngine engine;
-  pace::CachedEvaluator evaluator(engine);
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
   const int nodes = 8;
-  ScheduleBuilder builder(evaluator, sgi, nodes);
   const auto catalogue = pace::paper_catalogue();
+  const pace::PredictionTable table(catalogue, {sgi}, nodes);
+  ScheduleBuilder builder(table, sgi, nodes);
 
   Rng rng(GetParam() * 7919);
   DecodeContext context;

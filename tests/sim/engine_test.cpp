@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -167,6 +168,39 @@ TEST(Engine, PeriodicCancelFromInsideCallback) {
 TEST(Engine, PeriodicRejectsNonPositivePeriod) {
   Engine engine;
   EXPECT_THROW(engine.schedule_periodic(0.0, 0.0, []() {}), AssertionError);
+}
+
+// A periodic chain must own its callback only through the queue: a tick
+// that captured itself would leak the callback (and everything it holds)
+// past both cancellation and the engine's destruction.
+TEST(Engine, PeriodicChainFreesCallbackWhenEngineDestroyedPending) {
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  {
+    Engine engine;
+    engine.schedule_periodic(0.0, 1.0, [sentinel]() { ++*sentinel; });
+    sentinel.reset();
+    engine.run_until(3.5);
+    EXPECT_FALSE(watch.expired());  // the chain is still pending
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(Engine, PeriodicChainFreesCallbackWhenCancelled) {
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  {
+    Engine engine;
+    const EventId chain =
+        engine.schedule_periodic(0.0, 1.0, [sentinel]() { ++*sentinel; });
+    sentinel.reset();
+    engine.run_until(0.5);  // fired once
+    EXPECT_EQ(*watch.lock(), 1);
+    EXPECT_TRUE(engine.cancel(chain));
+    engine.run_until(5.0);  // the pending tick sees the cancel and stops
+    EXPECT_TRUE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(Engine, EventsProcessedCounter) {

@@ -96,6 +96,17 @@ void require_flag(bool ok, const std::string& message) {
   if (!ok) throw FlagError(message);
 }
 
+/// Runs a core validation of user-supplied input and reports its failure
+/// as a usage error carrying the validation's own message.
+template <typename Check>
+void require_valid(Check check) {
+  try {
+    check();
+  } catch (const AssertionError& error) {
+    throw FlagError(require_message(error));
+  }
+}
+
 /// --sim-shards, shared by the experiment and campaign commands.
 int sim_shards_flag(const Flags& flags) {
   const int shards = flags.get_int("sim-shards", 1);
@@ -116,7 +127,6 @@ core::PlacementFamily placement_flag(const Flags& flags,
 }
 
 int cmd_table1() {
-  pace::EvaluationEngine engine;
   const auto catalogue = pace::paper_catalogue();
   const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
   std::printf("%-10s %-10s", "app", "deadline");
@@ -128,7 +138,7 @@ int cmd_table1() {
     std::snprintf(bounds, sizeof bounds, "[%.0f,%.0f]", domain.lo, domain.hi);
     std::printf("%-10s %-10s", model->name().c_str(), bounds);
     for (int k = 1; k <= 16; ++k) {
-      std::printf(" %4.0f", engine.evaluate(*model, sgi, k));
+      std::printf(" %4.0f", pace::EvaluationEngine::evaluate(*model, sgi, k));
     }
     std::printf("\n");
   }
@@ -164,13 +174,13 @@ int cmd_predict(const Flags& flags) {
                  hardware_name.c_str());
     return 1;
   }
-  pace::EvaluationEngine engine;
   const auto resource = pace::ResourceModel::of(*hardware);
   std::printf("%s on %s (factor %.2f):\n", model->name().c_str(),
               hardware_name.c_str(), resource.factor);
   std::printf("  procs   runtime(s)\n");
   for (int k = 1; k <= model->max_procs(); ++k) {
-    std::printf("  %5d   %10.2f\n", k, engine.evaluate(*model, resource, k));
+    std::printf("  %5d   %10.2f\n", k,
+                pace::EvaluationEngine::evaluate(*model, resource, k));
   }
   return 0;
 }
@@ -215,8 +225,9 @@ void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
 
 /// Fills the arrival process, open-loop duration and queue-migration knobs
 /// (campaign command) and validates the workload here — the CLI boundary —
-/// so a bad interval or missing trace file fails with the actionable
-/// validate_workload message before any expensive setup.
+/// so a bad interval, a missing trace file or a malformed trace line fails
+/// as a usage error with the workload module's message before any
+/// expensive setup.
 void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
   core::WorkloadConfig& workload = config.workload;
   if (flags.has("arrival")) {
@@ -257,7 +268,14 @@ void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
   require_flag(migration.max_batch >= 1,
                "--migration-batch must be >= 1 (tasks re-homed per "
                "qualifying advertisement)");
-  core::validate_workload(workload);
+  require_valid([&config] {
+    core::validate_workload(config.workload);
+    if (config.workload.arrival == core::ArrivalProcess::kTrace) {
+      (void)core::generate_workload(
+          config.workload, pace::paper_catalogue(),
+          static_cast<int>(config.system.resources.size()));
+    }
+  });
 }
 
 /// Builds the generated grid described by the --grid-* / workload-scaling
