@@ -11,14 +11,15 @@
 // results, not just similar ones.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "json_bench.hpp"
@@ -90,7 +91,8 @@ double campaign_seconds(int shards, core::ExperimentResult* out) {
 }
 
 void write_scaling_report(const std::string& path) {
-  const int hardware = ThreadPool::hardware_threads();
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   const int multi_shards = std::min(4, hardware);
 
   const double seq_ns = benchjson::measure_ns_per_op([](std::int64_t iters) {

@@ -26,35 +26,22 @@ int main() {
     core::ExperimentConfig config = base;
     config.workload.count = 600;
     log::info("running ", config.name, "…");
+    core::ExperimentResult result = core::run_experiment(config);
 
-    // Re-run through the collector to keep the records.
-    sim::Engine engine;
-    metrics::MetricsCollector collector;
-    const auto catalogue = pace::paper_catalogue();
-    agents::AgentSystem system(engine, catalogue, config.system, &collector);
-    system.start();
-    agents::Portal portal(engine, system.network(), catalogue, &collector);
-    const auto workload = core::generate_workload(
-        config.workload, catalogue, static_cast<int>(system.size()));
-    for (const auto& spec : workload) {
-      engine.schedule_at(spec.at, [&, spec]() {
-        portal.submit(system.agent(static_cast<std::size_t>(spec.agent_index)),
-                      spec.app_name, engine.now() + spec.deadline_offset);
-      });
+    std::vector<std::pair<std::string, int>> resources;
+    for (const agents::ResourceSpec& spec : config.system.resources) {
+      resources.emplace_back(spec.name, spec.node_count);
     }
-    while (collector.completed_tasks() < workload.size()) {
-      if (!engine.step()) break;
-    }
-
-    const metrics::Timeline timeline =
-        metrics::build_timeline(collector, 60.0);
+    const metrics::Timeline timeline = metrics::build_timeline(
+        result.completions, resources, 60.0, result.report.window_start,
+        result.report.window_end);
     std::printf("\n%s — %zu windows of 60 s\n", config.name.c_str(),
                 timeline.buckets());
     std::printf("%s", metrics::render_timeline(timeline).c_str());
 
-    last_records = collector.records();
-    last_resources = collector.resource_specs();
-    last_end = collector.last_completion();
+    last_records = std::move(result.completions);
+    last_resources = std::move(resources);
+    last_end = result.report.window_end;
   }
 
   // Build-cost check: the builder visits only the buckets each record

@@ -11,7 +11,6 @@
 // Run: ./build/examples/deadline_study
 
 #include <cstdio>
-#include <vector>
 
 #include "gridlb.hpp"
 
@@ -28,51 +27,24 @@ struct SweepPoint {
 };
 
 SweepPoint run_point(double scale) {
-  sim::Engine engine;
-  metrics::MetricsCollector collector;
-  const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  core::ExperimentConfig config;
+  config.system.resources = core::case_study_resources();
+  config.workload.count = 180;
+  config.workload.deadline_scale = scale;
+  const core::ExperimentResult result = core::run_experiment(config);
 
-  agents::SystemConfig system_config;
-  system_config.resources = core::case_study_resources();
-  agents::AgentSystem system(engine, catalogue, std::move(system_config),
-                             &collector);
-  system.start();
-  agents::Portal portal(engine, system.network(), catalogue, &collector);
-
-  core::WorkloadConfig workload_config;
-  workload_config.count = 180;
-  const auto workload = core::generate_workload(
-      workload_config, catalogue, static_cast<int>(system.size()));
-  for (const auto& spec : workload) {
-    engine.schedule_at(spec.at, [&, spec]() {
-      portal.submit(system.agent(static_cast<std::size_t>(spec.agent_index)),
-                    spec.app_name,
-                    engine.now() + spec.deadline_offset * scale);
-    });
-  }
-  while (collector.completed_tasks() <
-         static_cast<std::size_t>(workload.size())) {
-    if (!engine.step()) break;
-  }
-
-  const metrics::Report report = collector.report();
+  const metrics::MetricsRow& total = result.report.total;
   SweepPoint point;
   point.scale = scale;
-  point.met_rate = report.total.tasks > 0
-                       ? static_cast<double>(report.total.deadlines_met) /
-                             report.total.tasks
-                       : 0.0;
-  point.advance = report.total.advance_time;
-  std::uint64_t hops = 0;
-  std::uint64_t local = 0;
+  point.met_rate = total.tasks > 0 ? static_cast<double>(total.deadlines_met) /
+                                         total.tasks
+                                   : 0.0;
+  point.advance = total.advance_time;
+  point.mean_hops = result.mean_hops;
   point.fallbacks = 0;
-  for (std::size_t i = 0; i < system.size(); ++i) {
-    hops += system.agent(i).stats().hops_accumulated;
-    local += system.agent(i).stats().dispatched_local;
-    point.fallbacks += system.agent(i).stats().fallback_dispatches;
+  for (const agents::AgentStats& stats : result.agent_stats) {
+    point.fallbacks += stats.fallback_dispatches;
   }
-  point.mean_hops =
-      local > 0 ? static_cast<double>(hops) / static_cast<double>(local) : 0.0;
   return point;
 }
 

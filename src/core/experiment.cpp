@@ -8,18 +8,17 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 
 #include "agents/portal.hpp"
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "common/sim_clock.hpp"
-#include "common/thread_pool.hpp"
 #include "core/case_study.hpp"
 #include "obs/trace.hpp"
 #include "pace/paper_applications.hpp"
 #include "sched/hash_placement.hpp"
-#include "sim/engine.hpp"
 #include "sim/sharded_engine.hpp"
 
 namespace gridlb::core {
@@ -46,7 +45,9 @@ std::vector<std::string> resource_labels(const ExperimentConfig& config) {
 /// exact-stop decision counts them exactly like completions.
 std::size_t resolve_sim_shards(const ExperimentConfig& config) {
   int shards = config.system.sim_shards;
-  if (shards <= 0) shards = ThreadPool::hardware_threads();
+  if (shards <= 0) {
+    shards = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  }
   shards = std::min(shards, static_cast<int>(config.system.resources.size()));
   shards = std::max(shards, 1);
   return static_cast<std::size_t>(shards);
@@ -269,14 +270,19 @@ ExperimentConfig experiment3() {
 
 namespace {
 
-/// The agent-path run, covering families kAgentDiscovery and
-/// kHashPlacement.  For the former this is byte-for-byte the historical
-/// run_experiment.  For the latter the dispatcher has already cooled the
-/// hierarchy (discovery and pulls off), and the portal routes every
-/// submission through the straw map built below instead of the
-/// workload's nominated entry agent — everything downstream (reliable
-/// links, faults, churn, engine sharding) applies unchanged.
-ExperimentResult run_agent_impl(const ExperimentConfig& config) {
+/// The one experiment run loop.  The three placement families share the
+/// engine, the agent system, the portal, the workload schedule, the
+/// sampler, the drive and the result assembly; they differ only where a
+/// workload entry is submitted:
+///   kAgentDiscovery — the portal sends it to the workload's nominated
+///       entry agent, byte-for-byte the historical run;
+///   kHashPlacement  — the portal sends it to the agent the straw map
+///       picks (run_experiment has already turned discovery and pulls off);
+///   kCentralOracle  — the omniscient eq. 10 pick over every scheduler's
+///       live freetime, submitted straight to the winning LocalScheduler
+///       (run_experiment has already forced one shard and cleared the
+///       fault machinery, which has nothing to act on).
+ExperimentResult run_impl(const ExperimentConfig& config) {
   GRIDLB_REQUIRE(!config.system.resources.empty(),
                  "experiment needs resources");
 
@@ -312,10 +318,9 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
   // shard and mutates only inside submission events — a strictly ordered,
   // single-shard sequence — so every placement (and therefore the whole
   // run) is identical at any shard count.
-  const bool hashed = config.placement == PlacementFamily::kHashPlacement;
   std::optional<sched::HashPlacement> placement;
   std::uint64_t placement_decisions = 0;
-  if (hashed) {
+  if (config.placement == PlacementFamily::kHashPlacement) {
     sched::HashPlacement::Config placement_config;
     placement_config.seed = config.placement_seed;
     placement_config.load_tau = config.placement_load_tau;
@@ -330,13 +335,15 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
     }
     placement.emplace(placement_config, std::move(targets));
   }
+  // Prediction-table reads made on the portal's side: the placement map's
+  // occupancy snapshots and the oracle's eq. 10 scans.
+  std::uint64_t portal_reads = 0;
   // Expected occupancy of one task of an application on each target (the
   // same optimistic figure the ACT bookkeeping advances freetime by:
   // execution time × nodes / nproc at the most efficient allocation),
   // memoised per application.  Feeds the placement map's local backlog
   // snapshots; no messages involved.
   std::unordered_map<std::string, std::vector<double>> occupancy_memo;
-  std::uint64_t occupancy_reads = 0;
   const auto occupancy_of = [&](const std::string& app_name,
                                 std::size_t index) -> double {
     auto [it, inserted] = occupancy_memo.try_emplace(app_name);
@@ -349,11 +356,63 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
         const auto row = system.predictions()
                              .row(*app, pace::ResourceModel::of(spec.hardware))
                              .first(static_cast<std::size_t>(spec.node_count));
-        occupancy_reads += row.size();
+        portal_reads += row.size();
         it->second.push_back(pace::occupancy(row));
       }
     }
     return it->second[index];
+  };
+  // The straw draw for workload entry `idx`.  The straw key is the
+  // workload ordinal — stable across shard counts and equal to the TaskId
+  // the portal is about to assign minus one (submissions execute in
+  // workload order).
+  const auto hashed_entry = [&](std::size_t idx, const std::string& app_name,
+                                SimTime now) -> std::size_t {
+    const sched::PlacementDecision decision = placement->place(idx, now);
+    placement->record_dispatch(decision.index, now,
+                               occupancy_of(app_name, decision.index));
+    ++placement_decisions;
+    obs::emit({.at = now,
+               .kind = obs::EventKind::kPlacementDecision,
+               .extra = static_cast<std::uint32_t>(decision.index),
+               .task = idx + 1,
+               .resource = decision.resource.value(),
+               .a = decision.draw,
+               .b = placement->targets()[decision.index].weight});
+    if (auto* reg = obs::registry()) {
+      reg->counter("placement.decisions").add(1);
+    }
+    return decision.index;
+  };
+  // Omniscient eq. 10: live freetime, no advertisement staleness, no
+  // messages.  Task ids follow the workload ordinal, as the portal's do.
+  const auto oracle_submit = [&](std::size_t idx, const std::string& app_name,
+                                 SimTime now, SimTime deadline) {
+    const pace::ApplicationModelPtr app = catalogue.find(app_name);
+    GRIDLB_REQUIRE(app != nullptr, "unknown application: " + app_name);
+    std::size_t best = 0;
+    double best_eta = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < system.size(); ++i) {
+      const sched::LocalScheduler& scheduler = system.agent(i).scheduler();
+      const double backlog = std::max(0.0, scheduler.freetime() - now);
+      const auto row =
+          system.predictions()
+              .row(*app, scheduler.config().resource)
+              .first(static_cast<std::size_t>(scheduler.config().node_count));
+      portal_reads += row.size();
+      const double eta = backlog + pace::fastest(row);
+      if (eta < best_eta) {
+        best_eta = eta;
+        best = i;
+      }
+    }
+    sched::Task task;
+    task.id = TaskId(idx + 1);
+    task.app = app;
+    task.arrival = now;
+    task.deadline = deadline;
+    collector.on_submission(now);
+    system.agent(best).scheduler().submit(std::move(task));
   };
 
   const std::vector<RequestSpec> workload = generate_workload(
@@ -369,35 +428,23 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
       break;
     }
     ++scheduled;
-    if (!hashed) {
-      portal_engine.schedule_at(spec.at, [&, spec]() {
-        portal.submit(system.agent(static_cast<std::size_t>(spec.agent_index)),
-                      spec.app_name,
-                      portal_engine.now() + spec.deadline_offset);
-      });
-      continue;
-    }
     portal_engine.schedule_at(spec.at, [&, spec, idx]() {
-      // The straw key is the workload ordinal — stable across shard
-      // counts and equal to the TaskId the portal is about to assign
-      // minus one (submissions execute in workload order).
       const SimTime now = portal_engine.now();
-      const sched::PlacementDecision decision = placement->place(idx, now);
-      placement->record_dispatch(decision.index, now,
-                                 occupancy_of(spec.app_name, decision.index));
-      ++placement_decisions;
-      obs::emit({.at = now,
-                 .kind = obs::EventKind::kPlacementDecision,
-                 .extra = static_cast<std::uint32_t>(decision.index),
-                 .task = idx + 1,
-                 .resource = decision.resource.value(),
-                 .a = decision.draw,
-                 .b = placement->targets()[decision.index].weight});
-      if (auto* reg = obs::registry()) {
-        reg->counter("placement.decisions").add(1);
+      const SimTime deadline = now + spec.deadline_offset;
+      switch (config.placement) {
+        case PlacementFamily::kAgentDiscovery:
+          portal.submit(
+              system.agent(static_cast<std::size_t>(spec.agent_index)),
+              spec.app_name, deadline);
+          return;
+        case PlacementFamily::kHashPlacement:
+          portal.submit(system.agent(hashed_entry(idx, spec.app_name, now)),
+                        spec.app_name, deadline);
+          return;
+        case PlacementFamily::kCentralOracle:
+          oracle_submit(idx, spec.app_name, now, deadline);
+          return;
       }
-      portal.submit(system.agent(decision.index), spec.app_name,
-                    now + spec.deadline_offset);
     });
   }
 
@@ -475,7 +522,7 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
     result.table_reads += agent.scheduler().prediction_table_reads();
     agent_reads += agent.table_reads();
   }
-  result.cache = {.hits = result.table_reads + agent_reads + occupancy_reads,
+  result.cache = {.hits = result.table_reads + agent_reads + portal_reads,
                   .misses = system.predictions().entries()};
   result.mean_hops =
       executed > 0 ? static_cast<double>(hops) / static_cast<double>(executed)
@@ -495,126 +542,6 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
     result.agent_restarts += system.agent(i).stats().restarts;
   }
   result.placement_decisions = placement_decisions;
-  fill_flow_stats(result);
-  obs_scope.finish(result, system);
-  return result;
-}
-
-/// The oracle-path run (family kCentralOracle).
-ExperimentResult run_central_impl(const ExperimentConfig& config) {
-  GRIDLB_REQUIRE(!config.system.resources.empty(),
-                 "experiment needs resources");
-
-  ObsScope obs_scope(config);
-  // The oracle reads every scheduler's live freetime directly, which only
-  // a single-queue simulation can order; `sim_shards` is ignored here, so
-  // the oracle's numbers are trivially shard-count invariant.
-  sim::Engine engine;
-  metrics::MetricsCollector collector;
-  const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
-
-  agents::SystemConfig system_config = config.system;
-  system_config.discovery_enabled = false;  // agents stay out of the way
-  system_config.pull_period = 0.0;
-  // The oracle bypasses the network entirely (submissions go straight to
-  // the schedulers), so the fault machinery has nothing to act on.
-  system_config.fault = {};
-  system_config.fault_tolerance = {};
-  system_config.agent_churn = {};
-  agents::AgentSystem system(engine, catalogue, std::move(system_config),
-                             &collector);
-  system.start();
-
-  std::uint64_t next_task = 0;
-  std::uint64_t oracle_reads = 0;
-
-  const auto dispatch = [&](const std::string& app_name, SimTime deadline) {
-    const pace::ApplicationModelPtr app = catalogue.find(app_name);
-    GRIDLB_REQUIRE(app != nullptr, "unknown application: " + app_name);
-    // Omniscient eq. 10: live freetime, no advertisement staleness.
-    std::size_t best = 0;
-    double best_eta = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < system.size(); ++i) {
-      const sched::LocalScheduler& scheduler = system.agent(i).scheduler();
-      const double backlog =
-          std::max(0.0, scheduler.freetime() - engine.now());
-      const auto row =
-          system.predictions()
-              .row(*app, scheduler.config().resource)
-              .first(static_cast<std::size_t>(scheduler.config().node_count));
-      oracle_reads += row.size();
-      const double eta = backlog + pace::fastest(row);
-      if (eta < best_eta) {
-        best_eta = eta;
-        best = i;
-      }
-    }
-    sched::Task task;
-    task.id = TaskId(++next_task);
-    task.app = app;
-    task.arrival = engine.now();
-    task.deadline = deadline;
-    collector.on_submission(engine.now());
-    system.agent(best).scheduler().submit(std::move(task));
-  };
-
-  const std::vector<RequestSpec> workload = generate_workload(
-      config.workload, catalogue, static_cast<int>(system.size()));
-  const SimTime duration = config.duration;
-  const bool open_loop = duration > 0.0;
-  std::uint64_t scheduled = 0;
-  for (const RequestSpec& spec : workload) {
-    if (open_loop && spec.at >= duration) break;  // time-sorted suffix
-    ++scheduled;
-    engine.schedule_at(spec.at, [&, spec]() {
-      dispatch(spec.app_name, engine.now() + spec.deadline_offset);
-    });
-  }
-
-  const std::uint64_t expected = scheduled;
-
-  std::shared_ptr<std::uint64_t> sampler_ticks;
-  if (obs::Sampler* sampler = obs_scope.sampler()) {
-    if (auto* reg = obs::registry()) {
-      reg->gauge("grid.agents").set(static_cast<double>(system.size()));
-      reg->gauge("grid.total_nodes")
-          .set(static_cast<double>(total_grid_nodes(config.system)));
-    }
-    const double interval = std::max(config.obs.effective_interval(),
-                                     config.system.network_latency);
-    sampler_ticks = schedule_sampler_ticks(
-        engine, *sampler, interval, config.obs.progress, expected,
-        [&collector]() { return collector.completed_tasks(); });
-  }
-
-  while (collector.completed_tasks() < expected) {
-    if (open_loop && engine.next_event_time() >= duration) break;
-    GRIDLB_REQUIRE(engine.step(), "event queue drained with tasks missing");
-    GRIDLB_REQUIRE(engine.now() <= config.horizon_limit,
-                   "experiment exceeded the horizon limit");
-  }
-
-  ExperimentResult result;
-  result.name = config.name;
-  result.report = collector.report(
-      open_loop ? std::optional<SimTime>(duration) : std::nullopt);
-  result.completions = collector.records();
-  result.requests_submitted = expected;
-  result.tasks_completed = collector.completed_tasks();
-  result.finished_at = engine.now();
-  result.sim_events = engine.events_processed() -
-                      (sampler_ticks != nullptr ? *sampler_ticks : 0);
-  result.events_swept = engine.events_swept();
-  result.network_messages = system.network().total_messages();
-  result.network_bytes = system.network().total_bytes();
-  for (std::size_t i = 0; i < system.size(); ++i) {
-    result.agent_stats.push_back(system.agent(i).stats());
-    result.ga_decodes += system.agent(i).scheduler().ga_decodes();
-    result.fifo_subsets += system.agent(i).scheduler().fifo_subsets_tried();
-    result.table_reads += system.agent(i).scheduler().prediction_table_reads();
-  }
-  result.cache = {.hits = result.table_reads + oracle_reads,
-                  .misses = system.predictions().entries()};
   fill_flow_stats(result);
   obs_scope.finish(result, system);
   return result;
@@ -642,21 +569,26 @@ PlacementFamily placement_family_from_name(const std::string& name) {
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  switch (config.placement) {
-    case PlacementFamily::kCentralOracle:
-      return run_central_impl(config);
-    case PlacementFamily::kHashPlacement: {
-      // The straw map resolves every request up front, so the hierarchy's
-      // discovery walk and advertisement pulls would be dead weight: turn
-      // them off and let the hashed entry execute each request locally.
-      ExperimentConfig hashed = config;
-      hashed.system.discovery_enabled = false;
-      hashed.system.pull_period = 0.0;
-      return run_agent_impl(hashed);
-    }
-    case PlacementFamily::kAgentDiscovery: break;
+  if (config.placement == PlacementFamily::kAgentDiscovery) {
+    return run_impl(config);
   }
-  return run_agent_impl(config);
+  // The straw map and the oracle resolve every request up front, so the
+  // hierarchy's discovery walk and advertisement pulls would be dead
+  // weight: turn them off and let the chosen resource execute each request.
+  ExperimentConfig cooled = config;
+  cooled.system.discovery_enabled = false;
+  cooled.system.pull_period = 0.0;
+  if (config.placement == PlacementFamily::kCentralOracle) {
+    // The oracle reads every scheduler's live freetime, which only a
+    // single event queue can order, so it always runs on one shard (its
+    // numbers are trivially shard-count invariant).  Its submissions
+    // bypass the network, so the fault machinery has nothing to act on.
+    cooled.system.sim_shards = 1;
+    cooled.system.fault = {};
+    cooled.system.fault_tolerance = {};
+    cooled.system.agent_churn = {};
+  }
+  return run_impl(cooled);
 }
 
 std::string format_table3(const std::vector<ExperimentResult>& results) {

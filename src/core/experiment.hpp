@@ -139,22 +139,28 @@ struct ExperimentResult {
 };
 
 /// Runs one experiment to completion (all submitted tasks executed or
-/// dropped) and gathers every statistic.  Dispatches on
-/// `config.placement`:
-///   kAgentDiscovery — the paper's agent hierarchy, byte-for-byte the
-///       historical behaviour;
-///   kCentralOracle  — an omniscient dispatcher that sees every
-///       resource's live freetime with zero staleness and zero message
-///       cost and sends each request to the globally best estimate
-///       (eq. 10 over all resources).  This is the centralised
-///       architecture the paper argues against; comparing it with
-///       experiment 3 quantifies what neighbour-only discovery gives up
-///       for its decentralisation;
-///   kHashPlacement  — the stateless straw map of DESIGN.md §15: the
-///       portal hashes each request straight onto a resource (zero
-///       discovery traffic) and submits over the usual reliable link, so
-///       loss, churn and fault tolerance apply unchanged.
-/// Local scheduling always uses `config.system.policy`.
+/// dropped, or the `duration` cutoff) and gathers every statistic.  There
+/// is one run loop: the same engine, agent system, portal, workload
+/// schedule, drive and result assembly serve every family.
+/// `config.placement` decides only where each workload entry is
+/// submitted:
+///   kAgentDiscovery — the portal sends it to the workload's nominated
+///       entry agent, which walks the paper's agent hierarchy;
+///       byte-for-byte the historical behaviour;
+///   kHashPlacement  — the portal sends it to the agent the stateless
+///       straw map of DESIGN.md §15 picks (zero discovery traffic) over
+///       the usual reliable link, so loss, churn and fault tolerance
+///       apply unchanged;
+///   kCentralOracle  — an omniscient dispatcher picks the globally best
+///       eq. 10 estimate over every resource's live freetime (zero
+///       staleness, zero message cost) and submits straight to that
+///       resource's scheduler.  This is the centralised architecture the
+///       paper argues against; comparing it with experiment 3 quantifies
+///       what neighbour-only discovery gives up for its
+///       decentralisation.  It always runs on one shard and ignores the
+///       fault plan, fault tolerance and agent churn.
+/// Both non-agent families run with discovery and advertisement pulls
+/// off.  Local scheduling always uses `config.system.policy`.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// Formats results side by side in the layout of Table 3 (ε, υ, β columns

@@ -79,7 +79,7 @@ ApplicationModelPtr finish(const Block& block, int line) {
       return std::make_shared<TabulatedModel>(block.name, *block.deadlines,
                                               block.times);
     } catch (const AssertionError& error) {
-      throw ModelParseError(error.what(), line);
+      throw ModelParseError(require_message(error), line);
     }
   }
 
@@ -122,7 +122,7 @@ ApplicationModelPtr finish(const Block& block, int line) {
     return std::make_shared<ParametricModel>(block.name, *block.deadlines,
                                              params);
   } catch (const AssertionError& error) {
-    throw ModelParseError(error.what(), line);
+    throw ModelParseError(require_message(error), line);
   }
 }
 
@@ -169,7 +169,7 @@ ApplicationCatalogue parse_catalogue(std::string_view text) {
       try {
         catalogue.add(finish(*block, line_number));
       } catch (const AssertionError& error) {
-        throw ModelParseError(error.what(), line_number);
+        throw ModelParseError(require_message(error), line_number);
       }
       block.reset();
       continue;
@@ -185,8 +185,14 @@ ApplicationCatalogue parse_catalogue(std::string_view text) {
       if (tokens.size() != 3) {
         throw ModelParseError("expected: deadline <lo> <hi>", line_number);
       }
-      block->deadlines = DeadlineDomain{parse_number(tokens[1], line_number),
-                                        parse_number(tokens[2], line_number)};
+      const DeadlineDomain domain{parse_number(tokens[1], line_number),
+                                  parse_number(tokens[2], line_number)};
+      if (!(domain.lo >= 0.0 && domain.hi >= domain.lo)) {
+        throw ModelParseError("deadline domain must satisfy 0 <= lo <= hi, "
+                              "got " + tokens[1] + " " + tokens[2],
+                              line_number);
+      }
+      block->deadlines = domain;
     } else if (key == "times") {
       if (tokens.size() < 2) {
         throw ModelParseError("expected: times <t1> <t2> …", line_number);

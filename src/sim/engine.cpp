@@ -164,8 +164,13 @@ bool Engine::step() {
   simclock::publish_shard(
       shared_ != nullptr ? static_cast<std::uint16_t>(shard_index_ + 1) : 0);
   ++events_processed_;
-  Engine* const previous = tls_current_engine;
-  tls_current_engine = this;
+  // Restored on every exit, a throwing callback included: a stale pointer
+  // would make this thread's next engine reject setup-time schedules.
+  struct CurrentScope {
+    Engine* const previous = tls_current_engine;
+    explicit CurrentScope(Engine* engine) { tls_current_engine = engine; }
+    ~CurrentScope() { tls_current_engine = previous; }
+  } scope(this);
   if (shared_ != nullptr) {
     executing_ = true;
     exec_parent_ = std::move(entry.parent);
@@ -180,7 +185,6 @@ bool Engine::step() {
     exec_parent_.reset();
     exec_record_.reset();
   }
-  tls_current_engine = previous;
   return true;
 }
 

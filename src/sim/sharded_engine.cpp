@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/registry.hpp"
 
 namespace gridlb::sim {
@@ -119,16 +119,36 @@ void ShardedEngine::drive(const DriveGoal& goal, SimTime horizon) {
   setup_telemetry();
   SpinBarrier barrier(static_cast<int>(engines_.size()));
   barrier_ = &barrier;
-  ThreadPool pool(static_cast<int>(engines_.size()));
-  // One dispatch for the whole run: slot s drives shard s, synchronizing
-  // with spin barriers between windows.  parallel_for rethrows the first
-  // shard exception after every shard has unwound (the barrier kill below
-  // guarantees they all do).
-  pool.parallel_for(static_cast<int>(engines_.size()),
-                    [&](int begin, int /*end*/, int /*slot*/) {
-                      worker(static_cast<std::size_t>(begin), goal);
-                    });
+  // One thread per shard for the whole run: shard s runs on its own
+  // std::jthread (shard 0 on the caller), synchronizing with spin barriers
+  // between windows.  A throwing shard kills the barrier, so every other
+  // shard unwinds too; the first exception is rethrown once all have
+  // joined.
+  std::vector<std::exception_ptr> errors(engines_.size());
+  const auto run_shard = [&](std::size_t s) {
+    try {
+      worker(s, goal);
+    } catch (...) {
+      errors[s] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(engines_.size() - 1);
+    for (std::size_t s = 1; s < engines_.size(); ++s) {
+      try {
+        threads.emplace_back(run_shard, s);
+      } catch (...) {
+        barrier.kill();  // let the shards already started unwind and join
+        throw;
+      }
+    }
+    run_shard(0);
+  }
   barrier_ = nullptr;
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
   if (telemetry_ != nullptr) {
     // Final partial window (decide() can finish mid-window) + sweep tally.
     flush_window_telemetry();
@@ -219,7 +239,7 @@ void ShardedEngine::worker(std::size_t s, const DriveGoal& goal) {
     }
   } catch (...) {
     // Release every other shard (they observe the kill and unwind
-    // normally) and let parallel_for surface this exception.
+    // normally) and let drive() surface this exception.
     barrier_->kill();
     throw;
   }

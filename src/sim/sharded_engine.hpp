@@ -2,7 +2,7 @@
 //
 // Partitions one simulation across N sim::Engine shards (one event queue
 // per shard, agents pinned to shards at scenario-build time) and drives
-// them with the PR-1 thread pool.  Synchronization is classic conservative
+// them on one thread per shard.  Synchronization is classic conservative
 // lookahead: the network's delivery latency L bounds how soon anything an
 // event does can affect another shard, so all events in the global window
 // [t_min, t_min + L) are mutually independent across shards and can run in

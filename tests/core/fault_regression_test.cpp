@@ -72,6 +72,32 @@ TEST(ZeroFaultRegression, CentralOracleMatchesPreFaultModel) {
                  63.0, 0, 146, 40});
 }
 
+// The oracle's open-loop path: an overloaded 80-request burst cut off at
+// 30 s, so the run stops on the duration with tasks still queued.  The
+// sampler's ticks are engine events of their own; with it on, every value
+// must stay the same.
+TEST(ZeroFaultRegression, CentralOracleOpenLoopCutoff) {
+  ExperimentConfig config = scaled(experiment3(), 80);
+  config.placement = PlacementFamily::kCentralOracle;
+  config.workload.interval = 0.25;
+  config.duration = 30.0;
+  ExperimentConfig sampled = config;
+  sampled.obs.trace = true;
+  sampled.obs.metrics = true;
+  sampled.obs.metrics_interval = 5.0;
+  for (const ExperimentConfig& run : {config, sampled}) {
+    const ExperimentResult result = run_experiment(run);
+    EXPECT_EQ(result.report.total.advance_time, 28.040549936613001);
+    EXPECT_EQ(result.report.total.utilisation, 0.59705459770115021);
+    EXPECT_EQ(result.report.total.balance, 0.54338021155328631);
+    EXPECT_EQ(result.finished_at, 29.5);
+    EXPECT_EQ(result.sim_events, 203u);
+    EXPECT_EQ(result.tasks_completed, 22u);
+    EXPECT_EQ(result.tasks_unfinished, 58u);
+    EXPECT_EQ(result.latency_p99, 22.899999999999999);
+  }
+}
+
 TEST(FaultedRegression, LossAndChurnDegradeGracefully) {
   ExperimentConfig config = scaled(experiment3(), 60);
   config.system.fault.drop_prob = 0.05;

@@ -90,6 +90,23 @@ TEST(ModelParser, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(ModelParser, InvertedDeadlineIsAParseErrorOnItsLine) {
+  for (const char* deadline : {"deadline 30 10", "deadline -1 5"}) {
+    const std::string text =
+        std::string("application x\n  ") + deadline + "\n  times 3\nend\n";
+    try {
+      (void)parse_model(text);
+      FAIL() << "expected ModelParseError for " << deadline;
+    } catch (const ModelParseError& error) {
+      EXPECT_EQ(error.line(), 2);
+      const std::string what = error.what();
+      EXPECT_NE(what.find("deadline domain must satisfy 0 <= lo <= hi"),
+                std::string::npos);
+      EXPECT_EQ(what.find("assertion"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ModelParser, RejectsStructuralMistakes) {
   // Key outside a block.
   EXPECT_THROW((void)parse_catalogue("deadline 1 2\n"), ModelParseError);

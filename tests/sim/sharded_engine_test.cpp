@@ -117,6 +117,49 @@ TEST(ShardedEngine, MilestoneInsideLookaheadWindowThrows) {
   EXPECT_THROW(sharded.drive(goal, 100.0), AssertionError);
 }
 
+TEST(ShardedEngine, WorkerShardExceptionSurfacesFromDrive) {
+  // Shard 3 runs on a worker thread, not the caller: its exception must
+  // kill the barrier (so shards 0-2 unwind instead of deadlocking) and
+  // come out of drive() on the calling thread.
+  ShardedEngine sharded(4, 1.0);
+  for (std::size_t s = 0; s < 4; ++s) {
+    for (int i = 0; i < 16; ++i) sharded.shard(s).schedule_at(0.5 * i, [] {});
+  }
+  sharded.shard(3).schedule_at(2.0, [] {
+    GRIDLB_REQUIRE(false, "shard 3 failed");
+  });
+  int completed = 0;
+  sharded.shard(0).schedule_milestone_at(50.0, [&completed] { ++completed; });
+  DriveGoal goal;
+  goal.done = [&completed] { return completed == 1; };
+  goal.remaining = [&completed] {
+    return static_cast<std::uint64_t>(1 - completed);
+  };
+  EXPECT_THROW(sharded.drive(goal, 100.0), AssertionError);
+  EXPECT_EQ(completed, 0);
+  EXPECT_EQ(sharded.shard(3).now(), 2.0);
+}
+
+TEST(ShardedEngine, CallerThreadUsableAfterShardZeroThrows) {
+  // Shard 0 runs on the calling thread.  Once its throwing event has
+  // unwound out of drive(), that thread must be outside any event again:
+  // a fresh engine's setup-time cross-shard post has to succeed.
+  {
+    ShardedEngine sharded(2, 1.0);
+    sharded.shard(0).schedule_at(1.0, [] {
+      GRIDLB_REQUIRE(false, "shard 0 failed");
+    });
+    sharded.shard(1).schedule_milestone_at(50.0, [] {});
+    DriveGoal goal;
+    goal.done = [] { return false; };
+    goal.remaining = [] { return std::uint64_t{1}; };
+    EXPECT_THROW(sharded.drive(goal, 100.0), AssertionError);
+  }
+  EXPECT_EQ(Engine::current(), nullptr);
+  ShardedEngine next(2, 1.0);
+  EXPECT_NO_THROW(next.post(1, 0.25, [] {}));
+}
+
 TEST(Engine, CountMilestonesBelowHonoursBoundAndCap) {
   LineageShared shared;
   Engine engine(&shared, 0);

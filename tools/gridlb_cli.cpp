@@ -65,8 +65,9 @@
 //
 // `gridlb --help` (or -h, after any command) prints the usage and exits 0.
 // An unknown flag, a flag missing its value, a malformed or out-of-range
-// value or an unknown command prints the error and the usage to stderr
-// and exits 2; a run that fails exits 1.
+// value, an unreadable or malformed input file (`--arrival-trace`,
+// `predict --model`) or an unknown command prints the error and the usage
+// to stderr and exits 2; a run that fails exits 1.
 
 #include <algorithm>
 #include <cstdio>
@@ -150,29 +151,38 @@ int cmd_predict(const Flags& flags) {
   if (flags.has("model")) {
     const std::string path = flags.get("model", "");
     std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open model file: %s\n", path.c_str());
-      return 1;
-    }
+    require_flag(static_cast<bool>(in), "--model: cannot open '" + path + "'");
     std::ostringstream text;
     text << in.rdbuf();
-    model = pace::parse_model(text.str());
+    try {
+      model = pace::parse_model(text.str());
+    } catch (const pace::ModelParseError& error) {
+      throw FlagError(error.what());
+    }
   } else {
     const std::string app = flags.get("app", "sweep3d");
     const auto catalogue = pace::paper_catalogue();
     model = catalogue.find(app);
     if (model == nullptr) {
-      std::fprintf(stderr, "unknown application: %s\n", app.c_str());
-      return 1;
+      std::string known;
+      for (const auto& entry : catalogue.all()) {
+        known += (known.empty() ? "" : ", ") + entry->name();
+      }
+      throw FlagError("--app must be one of " + known + ", got '" + app +
+                      "'");
     }
   }
   const std::string hardware_name =
       flags.get("hardware", "SGIOrigin2000");
   const auto hardware = pace::hardware_from_name(hardware_name);
   if (!hardware) {
-    std::fprintf(stderr, "unknown hardware type: %s\n",
-                 hardware_name.c_str());
-    return 1;
+    std::string known;
+    for (const pace::HardwareType type : pace::all_hardware_types()) {
+      known += (known.empty() ? "" : ", ") +
+               std::string(pace::hardware_name(type));
+    }
+    throw FlagError("--hardware must be one of " + known + ", got '" +
+                    hardware_name + "'");
   }
   const auto resource = pace::ResourceModel::of(*hardware);
   std::printf("%s on %s (factor %.2f):\n", model->name().c_str(),
