@@ -1,12 +1,11 @@
 // micro_sim_engine — event-loop and shard-scaling microbench (DESIGN.md
-// §13).  The google-benchmark rows measure raw event throughput of the
-// sequence-ordered engine against the lineage-ordered shard mode (the
-// per-event cost of carrying exec records).  `--json <path>` additionally
-// writes the machine-readable scaling report compared by CI against the
-// committed BENCH_sim_engine.json: a 96-agent fanout-3 campaign run once
-// on the classic single queue and once sharded across min(4, hardware)
-// threads, gated on the machine-normalized speedup_vs_single_shard ratio
-// — raw seconds are reported but never gated on.  The report also
+// §13).  The google-benchmark row measures the raw event throughput of the
+// lineage-ordered engine.  `--json <path>` additionally writes the
+// machine-readable scaling report compared by CI against the committed
+// BENCH_sim_engine.json: a 96-agent fanout-3 campaign run once on a single
+// shard and once sharded across min(4, hardware) threads, gated on the
+// machine-normalized speedup_vs_single_shard ratio — raw seconds are
+// reported but never gated on.  The report also
 // re-checks shard-count invariance: both runs must produce identical
 // results, not just similar ones.
 #include <benchmark/benchmark.h>
@@ -40,21 +39,9 @@ void run_event_chain(sim::Engine& engine, std::int64_t events) {
   engine.run();
 }
 
-void BM_EngineSeq(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Engine engine;
-    run_event_chain(engine, state.range(0));
-    benchmark::DoNotOptimize(engine.events_processed());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EngineSeq)->Arg(100000)->UseRealTime();
-
 void BM_EngineLineage(benchmark::State& state) {
   for (auto _ : state) {
-    sim::LineageShared shared;
-    sim::Engine engine(&shared, 0);
-    engine.set_serial_finalize(true);
+    sim::Engine engine;
     run_event_chain(engine, state.range(0));
     benchmark::DoNotOptimize(engine.events_processed());
   }
@@ -95,15 +82,9 @@ void write_scaling_report(const std::string& path) {
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   const int multi_shards = std::min(4, hardware);
 
-  const double seq_ns = benchjson::measure_ns_per_op([](std::int64_t iters) {
-    sim::Engine engine;
-    run_event_chain(engine, iters);
-  });
   const double lineage_ns =
       benchjson::measure_ns_per_op([](std::int64_t iters) {
-        sim::LineageShared shared;
-        sim::Engine engine(&shared, 0);
-        engine.set_serial_finalize(true);
+        sim::Engine engine;
         run_event_chain(engine, iters);
       });
 
@@ -134,9 +115,7 @@ void write_scaling_report(const std::string& path) {
   json.field("tasks", static_cast<std::uint64_t>(single.tasks_completed));
   json.end_object();
   json.begin_object("event_loop");
-  json.field("seq_ns_per_event", seq_ns);
   json.field("lineage_ns_per_event", lineage_ns);
-  json.field("lineage_overhead", lineage_ns / seq_ns);
   json.end_object();
   json.begin_object("campaign");
   json.field("hardware_threads", hardware);

@@ -25,22 +25,29 @@ pace::PredictionTable grid_predictions(
 
 }  // namespace
 
-AgentSystem::AgentSystem(sim::Engine& engine,
-                         const pace::ApplicationCatalogue& catalogue,
-                         SystemConfig config,
-                         metrics::MetricsCollector* collector)
-    : engine_(engine),
-      config_(std::move(config)),
-      predictions_(grid_predictions(catalogue, config_.resources)) {
-  build(catalogue, collector);
+void SystemConfig::validate() const {
+  fault.validate();
+  for (const ResourceSpec& spec : resources) {
+    sched::LocalScheduler::Config scheduler;
+    scheduler.node_count = spec.node_count;
+    scheduler.prediction_error = prediction_error;
+    scheduler.validate();
+  }
+  if (churn.enabled) {
+    GRIDLB_REQUIRE(churn.mtbf > 0.0 && churn.mttr > 0.0,
+                   "node churn needs positive mtbf and mttr");
+  }
+  if (agent_churn.enabled) {
+    GRIDLB_REQUIRE(agent_churn.mtbf > 0.0 && agent_churn.mttr > 0.0,
+                   "agent churn needs positive mtbf and mttr");
+  }
 }
 
 AgentSystem::AgentSystem(sim::ShardedEngine& sharded,
                          const pace::ApplicationCatalogue& catalogue,
                          SystemConfig config,
                          metrics::MetricsCollector* collector)
-    : engine_(sharded.shard(0)),
-      sharded_(&sharded),
+    : sharded_(sharded),
       config_(std::move(config)),
       predictions_(grid_predictions(catalogue, config_.resources)) {
   build(catalogue, collector);
@@ -50,7 +57,7 @@ std::vector<std::size_t> AgentSystem::assign_shards(
     const std::vector<ResourceSpec>& resources, std::size_t shards) {
   const std::size_t n = resources.size();
   std::vector<std::size_t> shard_of(n, 0);
-  if (shards <= 1 || n == 0) return shard_of;
+  if (n == 0) return shard_of;
   std::vector<std::vector<std::size_t>> children(n);
   std::size_t root = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -89,16 +96,14 @@ std::size_t AgentSystem::shard_of(std::size_t index) const {
 
 void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
                         metrics::MetricsCollector* collector) {
-  const std::size_t shards =
-      sharded_ != nullptr ? sharded_->shard_count() : std::size_t{1};
-  collect_sharded_ = shards > 1;
+  config_.validate();
+  const std::size_t shards = sharded_.shard_count();
   collector_ = collector;
   shard_assignment_ = assign_shards(config_.resources, shards);
   completion_buffers_.resize(shards);
 
-  network_ = std::make_unique<sim::Network>(engine_, config_.network_latency,
+  network_ = std::make_unique<sim::Network>(sharded_, config_.network_latency,
                                             config_.fault);
-  if (sharded_ != nullptr) network_->attach_router(sharded_);
 
   Rng seeder(config_.seed);
   int heads = 0;
@@ -133,20 +138,15 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
     const std::size_t agent_index = i;
     schedulers_.push_back(std::make_unique<sched::LocalScheduler>(
         agent_engine, predictions_, std::move(scheduler_config),
-        [this, collector, agent_index](const sched::CompletionRecord& record) {
-          if (collect_sharded_) {
-            // Buffer on the shard that executed the completion, tagged
-            // with its exec record; finalize_completions() restores the
-            // global order after the run.
-            sim::Engine* const current = sim::Engine::current();
-            GRIDLB_ASSERT(current != nullptr);
-            completion_buffers_[current->shard_index()].push_back(
-                {record, current->current_record_ticket()});
-            completed_count_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            if (collector != nullptr) collector->record(record);
-            completed_count_.fetch_add(1, std::memory_order_relaxed);
-          }
+        [this, agent_index](const sched::CompletionRecord& record) {
+          // Buffer on the shard that executed the completion, tagged with
+          // its exec record; finalize_completions() restores the global
+          // order after the run.
+          sim::Engine* const current = sim::Engine::current();
+          GRIDLB_ASSERT(current != nullptr);
+          completion_buffers_[current->shard_index()].push_back(
+              {record, current->current_record()});
+          completed_count_.fetch_add(1, std::memory_order_relaxed);
           // The agent may not exist yet while the system is being built,
           // but completions only fire once the simulation runs.
           if (agent_index < agents_.size()) {
@@ -210,7 +210,6 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
 }
 
 void AgentSystem::finalize_completions() {
-  if (!collect_sharded_) return;
   std::vector<BufferedCompletion> all;
   std::size_t total = 0;
   for (const auto& buffer : completion_buffers_) total += buffer.size();
@@ -219,11 +218,14 @@ void AgentSystem::finalize_completions() {
     for (auto& buffered : buffer) all.push_back(std::move(buffered));
     buffer.clear();
   }
-  std::sort(all.begin(), all.end(),
-            [](const BufferedCompletion& a, const BufferedCompletion& b) {
-              GRIDLB_ASSERT(a.ticket->finalized && b.ticket->finalized);
-              return a.ticket->rank < b.ticket->rank;
-            });
+  // Stable: completions fired by one event share its rank and were
+  // buffered on its shard in firing order.
+  std::stable_sort(
+      all.begin(), all.end(),
+      [](const BufferedCompletion& a, const BufferedCompletion& b) {
+        GRIDLB_ASSERT(a.ticket->finalized && b.ticket->finalized);
+        return a.ticket->rank < b.ticket->rank;
+      });
   if (collector_ != nullptr) {
     for (const BufferedCompletion& buffered : all) {
       collector_->record(buffered.record);
@@ -233,8 +235,6 @@ void AgentSystem::finalize_completions() {
 
 void AgentSystem::schedule_agent_churn() {
   const AgentChurnConfig& churn = config_.agent_churn;
-  GRIDLB_REQUIRE(churn.mtbf > 0.0 && churn.mttr > 0.0,
-                 "agent churn needs positive mtbf and mttr");
   Rng rng(churn.seed);
   const auto exponential = [&rng](double mean) {
     // Inverse-CDF sampling; 1 − u avoids log(0).

@@ -3,7 +3,8 @@
 // AgentSystem owns every piece of one grid: the simulated network, the
 // PACE prediction table, one LocalScheduler per resource, and
 // one Agent per resource wired into a hierarchy of homogeneous agents.
-// Completion records flow into an optional MetricsCollector.
+// Completion records flow into an optional MetricsCollector once
+// finalize_completions() merges them into execution order.
 #pragma once
 
 #include <memory>
@@ -75,8 +76,8 @@ struct SystemConfig {
   bool push_on_dispatch = false;
   AdvertisementScope scope = AdvertisementScope::kOwnService;
   double network_latency = 0.05;   ///< one-way message delay, seconds
-  /// Engine shards driving the simulation: 1 = the classic single-queue
-  /// reference, 0 = one per hardware thread, N = exactly N (clamped to the
+  /// Engine shards driving the simulation: 1 = one queue driven on the
+  /// caller, 0 = one per hardware thread, N = exactly N (clamped to the
   /// agent count).  Results are bit-for-bit identical at any value (see
   /// DESIGN.md §13).
   int sim_shards = 1;
@@ -89,19 +90,21 @@ struct SystemConfig {
   AgentChurnConfig agent_churn;
   /// Threshold-triggered queue migration, applied to every agent.
   MigrationConfig migration;
+
+  /// Throws AssertionError unless the fault plan, both churn models and
+  /// every resource's scheduler settings are in range.  The AgentSystem
+  /// constructor runs it first; a command line can run it before any
+  /// setup to report a bad flag.
+  void validate() const;
 };
 
 class AgentSystem {
  public:
   /// Builds (but does not start) the system.  `collector` may be null; if
   /// given, every resource is registered and completions are recorded.
-  AgentSystem(sim::Engine& engine, const pace::ApplicationCatalogue& catalogue,
-              SystemConfig config, metrics::MetricsCollector* collector);
-
-  /// Sharded build: agents are pinned to `sharded`'s engine shards by
-  /// subtree-affine assignment (contiguous DFS-preorder chunks, head on
-  /// shard 0) so parent/child chatter stays intra-shard.  With a single
-  /// shard this is exactly the classic constructor on `sharded.shard(0)`.
+  /// Agents are pinned to `sharded`'s engine shards by subtree-affine
+  /// assignment (contiguous DFS-preorder chunks, head on shard 0) so
+  /// parent/child chatter stays intra-shard.
   AgentSystem(sim::ShardedEngine& sharded,
               const pace::ApplicationCatalogue& catalogue, SystemConfig config,
               metrics::MetricsCollector* collector);
@@ -135,11 +138,11 @@ class AgentSystem {
   }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
   [[nodiscard]] std::size_t head_index() const { return head_index_; }
-  /// Shard the given agent is pinned to (always 0 without sharding).
+  /// Shard the given agent is pinned to (always 0 with one shard).
   [[nodiscard]] std::size_t shard_of(std::size_t index) const;
-  /// Completions recorded so far.  In sharded mode this is the only
-  /// completion signal safe to read from the drive coordinator; records
-  /// themselves are buffered per shard until finalize_completions().
+  /// Completions recorded so far: the only completion signal safe to read
+  /// from the drive coordinator; records themselves are buffered per shard
+  /// until finalize_completions().
   [[nodiscard]] std::uint64_t completed_count() const {
     return completed_count_.load(std::memory_order_relaxed);
   }
@@ -151,9 +154,9 @@ class AgentSystem {
     return dropped_count_.load(std::memory_order_relaxed);
   }
   /// Flushes shard-buffered completion records into the collector in
-  /// global execution order (their finalized lineage ranks).  Call once,
-  /// after the drive finishes.  No-op in single-queue mode, where records
-  /// flow into the collector directly.
+  /// global execution order (their finalized lineage ranks).  Call after
+  /// the drive finishes; a second call flushes only records buffered
+  /// since the first.
   void finalize_completions();
   /// Subtree-affine shard assignment: DFS preorder of the hierarchy cut
   /// into `shards` contiguous chunks.  Exposed for tests.
@@ -174,14 +177,12 @@ class AgentSystem {
   void build(const pace::ApplicationCatalogue& catalogue,
              metrics::MetricsCollector* collector);
   [[nodiscard]] sim::Engine& engine_for(std::size_t index) {
-    return sharded_ != nullptr ? sharded_->shard(shard_assignment_[index])
-                               : engine_;
+    return sharded_.shard(shard_assignment_[index]);
   }
   void schedule_agent_churn();
   void crash_agent(std::size_t index);
 
-  sim::Engine& engine_;
-  sim::ShardedEngine* sharded_ = nullptr;
+  sim::ShardedEngine& sharded_;
   SystemConfig config_;
   pace::PredictionTable predictions_;  ///< after config_: built from it
   std::function<void(TaskId)> stranded_sink_;
@@ -191,10 +192,8 @@ class AgentSystem {
   std::vector<std::unique_ptr<sched::NodeAvailability>> availability_;
   std::vector<std::unique_ptr<sched::ResourceMonitor>> monitors_;
   std::size_t head_index_ = 0;
-  // Sharded-collection state (engaged only with > 1 shard): completions
-  // are buffered per shard — each vector written exclusively by its
-  // shard's thread — and merged into the collector afterwards.
-  bool collect_sharded_ = false;
+  // Completions are buffered per shard — each vector written exclusively
+  // by its shard's thread — and merged into the collector afterwards.
   metrics::MetricsCollector* collector_ = nullptr;
   std::vector<std::size_t> shard_assignment_;
   std::vector<std::vector<BufferedCompletion>> completion_buffers_;

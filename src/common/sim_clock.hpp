@@ -45,8 +45,8 @@ namespace detail {
 inline thread_local std::uint16_t tls_shard = 0;
 }  // namespace detail
 
-/// Called by the engine on every event: 1 + shard index in lineage
-/// (sharded) mode, 0 on the classic single-queue engine.
+/// Called by the engine on every event: 1 + shard index when the
+/// simulation has several shards, 0 otherwise.
 inline void publish_shard(std::uint16_t shard_plus_one) {
   detail::tls_shard = shard_plus_one;
 }

@@ -201,10 +201,9 @@ class ObsScope {
 /// Each tick is one extra engine event, so the caller subtracts the
 /// returned count from `sim_events` to keep the published result
 /// bit-for-bit identical to an unsampled run (DESIGN.md §14).  Ticks ride
-/// the milestone machinery: on the sharded driver this keeps the cadence
-/// (and the exact-stop decision) partition-independent, and on a plain
-/// engine it degrades to schedule_at.  `interval` must be >= the engine's
-/// milestone lead (the lookahead) in lineage mode.
+/// the milestone machinery, which keeps the cadence (and the exact-stop
+/// decision) partition-independent.  `interval` must be >= the engine's
+/// milestone lead (the lookahead when there are several shards).
 std::shared_ptr<std::uint64_t> schedule_sampler_ticks(
     sim::Engine& engine, obs::Sampler& sampler, double interval,
     bool progress, std::uint64_t expected,

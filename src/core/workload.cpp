@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -234,7 +235,8 @@ std::string workload_to_jsonl(const std::vector<RequestSpec>& workload) {
 namespace {
 
 /// Extracts the numeric value following `"key":` on `line`; fails with a
-/// line-numbered message when the key is missing or non-numeric.
+/// line-numbered message when the key is missing, non-numeric or not
+/// finite (an overflowing literal such as 1e400 parses as infinity).
 double json_number(const std::string& line, const char* key,
                    std::size_t line_number) {
   const std::string needle = std::string("\"") + key + "\":";
@@ -248,6 +250,9 @@ double json_number(const std::string& line, const char* key,
   GRIDLB_REQUIRE(end != begin,
                  "workload trace line " + std::to_string(line_number) +
                      " has a non-numeric \"" + key + "\": " + line);
+  GRIDLB_REQUIRE(std::isfinite(value),
+                 "workload trace line " + std::to_string(line_number) +
+                     " has a non-finite \"" + key + "\": " + line);
   return value;
 }
 
@@ -278,13 +283,26 @@ std::vector<RequestSpec> parse_workload_jsonl(const std::string& text) {
     if (line.empty()) continue;
     RequestSpec spec;
     spec.at = json_number(line, "at", line_number);
-    spec.agent_index =
-        static_cast<int>(json_number(line, "agent", line_number));
+    // Range-checked before the cast: converting a double outside int's
+    // range is undefined behaviour.
+    const double agent = json_number(line, "agent", line_number);
+    GRIDLB_REQUIRE(agent >= 0.0 &&
+                       agent <= std::numeric_limits<int>::max() &&
+                       agent == std::floor(agent),
+                   "workload trace line " + std::to_string(line_number) +
+                       " has an \"agent\" that is not an index in 0.." +
+                       std::to_string(std::numeric_limits<int>::max()) +
+                       ": " + line);
+    spec.agent_index = static_cast<int>(agent);
     spec.app_name = json_string(line, "app", line_number);
     spec.deadline_offset = json_number(line, "deadline_offset", line_number);
     GRIDLB_REQUIRE(spec.at >= 0.0,
                    "workload trace line " + std::to_string(line_number) +
                        " has a negative submission time");
+    GRIDLB_REQUIRE(spec.deadline_offset >= 0.0,
+                   "workload trace line " + std::to_string(line_number) +
+                       " has a negative \"deadline_offset\" (the deadline "
+                       "would precede the submission)");
     GRIDLB_REQUIRE(out.empty() || spec.at >= out.back().at,
                    "workload trace line " + std::to_string(line_number) +
                        " goes back in time (submissions must be "

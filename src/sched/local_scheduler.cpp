@@ -47,6 +47,13 @@ std::string_view policy_name(SchedulerPolicy policy) {
   GRIDLB_ASSERT(false);
 }
 
+void LocalScheduler::Config::validate() const {
+  GRIDLB_REQUIRE(node_count >= 1 && node_count <= kMaxNodesPerResource,
+                 "node count out of range");
+  GRIDLB_REQUIRE(prediction_error >= 0.0 && prediction_error < 1.0,
+                 "prediction error must lie in [0, 1)");
+}
+
 LocalScheduler::LocalScheduler(sim::Engine& engine,
                                const pace::PredictionTable& table,
                                Config config, CompletionSink sink)
@@ -55,9 +62,7 @@ LocalScheduler::LocalScheduler(sim::Engine& engine,
       builder_(table, config_.resource, config_.node_count),
       sink_(std::move(sink)) {
   GRIDLB_REQUIRE(sink_ != nullptr, "completion sink must be set");
-  GRIDLB_REQUIRE(config_.node_count >= 1 &&
-                     config_.node_count <= kMaxNodesPerResource,
-                 "node count out of range");
+  config_.validate();
   node_free_.assign(static_cast<std::size_t>(config_.node_count),
                     engine_.now());
   available_ = full_mask(config_.node_count);

@@ -79,8 +79,13 @@ class LocalScheduler {
     /// non-zero, a task's *actual* execution time deviates from the PACE
     /// prediction by a deterministic multiplicative factor uniform in
     /// [1−e, 1+e].  Schedulers still plan with the predictions; reality
-    /// drifts, deadlines slip, and advertised freetimes go stale.
+    /// drifts, deadlines slip, and advertised freetimes go stale.  Must
+    /// lie in [0, 1): at 1 or above a task could end before it starts.
     double prediction_error = 0.0;
+
+    /// Throws AssertionError unless the node count and the prediction
+    /// error are in range.
+    void validate() const;
   };
 
   using CompletionSink = std::function<void(const CompletionRecord&)>;

@@ -16,15 +16,27 @@ constexpr EventId kChainBit = EventId{1} << 63;
 thread_local Engine* tls_current_engine = nullptr;
 }  // namespace
 
-Engine::Engine(LineageShared* shared, std::size_t shard_index)
-    : shared_(shared), shard_index_(shard_index) {
-  GRIDLB_REQUIRE(shared != nullptr, "lineage engine needs shared state");
+Engine::Engine()
+    : own_shared_(std::make_unique<LineageShared>()),
+      shared_(own_shared_.get()),
+      serial_finalize_(true) {}
+
+Engine::Engine(LineageShared* shared, std::size_t shard_index,
+               std::size_t shard_count)
+    : shared_(shared),
+      shard_index_(shard_index),
+      trace_shard_(shard_count > 1 ? static_cast<std::uint16_t>(shard_index + 1)
+                                   : std::uint16_t{0}),
+      serial_finalize_(shard_count == 1) {
+  GRIDLB_REQUIRE(shared != nullptr, "a shard engine needs shared state");
 }
 
 Engine* Engine::current() { return tls_current_engine; }
 
+bool Engine::executing() const { return tls_current_engine == this; }
+
 const ExecRecordPtr& Engine::current_record() {
-  GRIDLB_ASSERT(shared_ != nullptr && executing_);
+  GRIDLB_ASSERT(executing());
   if (!exec_record_) {
     exec_record_ = std::make_shared<ExecRecord>();
     exec_record_->at = now_;
@@ -41,23 +53,22 @@ const ExecRecordPtr& Engine::current_record() {
   return exec_record_;
 }
 
-void Engine::push_entry(SimTime at, EventFn fn, EventId id) {
-  Entry entry{at, next_sequence_++, id, std::move(fn), nullptr, 0};
-  if (shared_ != nullptr) {
-    if (executing_) {
-      entry.parent = current_record();
-      entry.idx = child_counter_++;
-    } else {
-      // Setup-time schedule: a child of genesis.  Cross-engine scheduling
-      // from inside an event must go through the coordinator instead — a
-      // genesis child created mid-run would jump the global order.
-      GRIDLB_REQUIRE(tls_current_engine == nullptr,
-                     "cross-shard schedule must go through the coordinator");
-      entry.parent = shared_->genesis;
-      entry.idx = shared_->next_setup_idx++;
-    }
+Engine::ChildRef Engine::make_child_ref() {
+  if (executing()) return ChildRef{current_record(), child_counter_++};
+  // Outside any event: a child of genesis.  Cross-engine scheduling from
+  // inside an event must go through the coordinator instead — a genesis
+  // child created mid-event would jump the global order.
+  GRIDLB_REQUIRE(tls_current_engine == nullptr,
+                 "cross-shard schedule must go through the coordinator");
+  LineageShared& shared = *shared_;
+  if (shared.genesis->rank + 1 != shared.next_gidx) {
+    // Events were ranked since this genesis opened: rank a new one after.
+    shared.genesis = std::make_shared<ExecRecord>();
+    shared.genesis->rank = shared.next_gidx++;
+    shared.genesis->finalized = true;
+    shared.next_setup_idx = 0;
   }
-  queue_.push(std::move(entry));
+  return ChildRef{shared.genesis, shared.next_setup_idx++};
 }
 
 EventId Engine::schedule_at(SimTime at, EventFn fn) {
@@ -65,7 +76,8 @@ EventId Engine::schedule_at(SimTime at, EventFn fn) {
   GRIDLB_REQUIRE(at >= now_, "cannot schedule an event in the past");
   GRIDLB_REQUIRE(fn != nullptr, "event callback must be set");
   const EventId id = next_id_++;
-  push_entry(at, std::move(fn), id);
+  ChildRef ref = make_child_ref();
+  queue_.push(Entry{at, id, std::move(fn), std::move(ref.parent), ref.idx});
   return id;
 }
 
@@ -75,7 +87,6 @@ EventId Engine::schedule_in(SimTime delay, EventFn fn) {
 }
 
 EventId Engine::schedule_milestone_at(SimTime at, EventFn fn) {
-  if (shared_ == nullptr) return schedule_at(at, std::move(fn));
   // The lead guarantee is what lets the coordinator count due milestones at
   // a barrier and know the stop predicate cannot flip inside the window it
   // is about to open.
@@ -161,8 +172,7 @@ bool Engine::step() {
   // sim-time prefixes, PACE cache trace events) and the executing shard
   // for trace-event stamping (0 = unsharded).
   simclock::publish(now_);
-  simclock::publish_shard(
-      shared_ != nullptr ? static_cast<std::uint16_t>(shard_index_ + 1) : 0);
+  simclock::publish_shard(trace_shard_);
   ++events_processed_;
   // Restored on every exit, a throwing callback included: a stale pointer
   // would make this thread's next engine reject setup-time schedules.
@@ -171,39 +181,22 @@ bool Engine::step() {
     explicit CurrentScope(Engine* engine) { tls_current_engine = engine; }
     ~CurrentScope() { tls_current_engine = previous; }
   } scope(this);
-  if (shared_ != nullptr) {
-    executing_ = true;
-    exec_parent_ = std::move(entry.parent);
-    exec_idx_ = entry.idx;
-    exec_record_.reset();
-    ++local_exec_seq_;
-    child_counter_ = 0;
-  }
+  exec_parent_ = std::move(entry.parent);
+  exec_idx_ = entry.idx;
+  exec_record_.reset();
+  ++local_exec_seq_;
+  child_counter_ = 0;
   entry.fn();
-  if (shared_ != nullptr) {
-    executing_ = false;
-    exec_parent_.reset();
-    exec_record_.reset();
-  }
   return true;
 }
 
-Engine::ChildRef Engine::make_child_ref() {
-  GRIDLB_ASSERT(shared_ != nullptr);
-  if (executing_) return ChildRef{current_record(), child_counter_++};
-  GRIDLB_REQUIRE(tls_current_engine == nullptr,
-                 "cross-shard schedule must go through the coordinator");
-  return ChildRef{shared_->genesis, shared_->next_setup_idx++};
-}
-
 void Engine::inject(SimTime at, ChildRef ref, EventFn fn) {
-  GRIDLB_ASSERT(shared_ != nullptr);
   GRIDLB_REQUIRE(std::isfinite(at), "event time must be finite");
   GRIDLB_REQUIRE(at >= now_, "injected event is before the shard clock");
   GRIDLB_REQUIRE(ref.parent != nullptr, "injected event needs a lineage ref");
   GRIDLB_REQUIRE(fn != nullptr, "event callback must be set");
-  queue_.push(
-      Entry{at, next_sequence_++, next_id_++, std::move(fn), ref.parent, ref.idx});
+  queue_.push(Entry{at, next_id_++, std::move(fn), std::move(ref.parent),
+                    ref.idx});
 }
 
 void Engine::run_window(SimTime bound) {

@@ -8,23 +8,18 @@
 // application execution times are scheduled and assumed to be accurate")
 // maps directly onto virtual-time task-completion events.
 //
-// Determinism: events at equal times fire in scheduling order (a strictly
-// increasing sequence number breaks ties), so a fixed workload seed yields
-// bit-identical runs.
-//
-// Sharded mode (see sharded_engine.hpp): when an engine is constructed with
-// a LineageShared block it becomes one shard of a partitioned simulation and
-// switches the equal-time tie-break from the global sequence number (which a
-// partitioned run cannot reproduce) to the *lineage key*
+// Determinism: events at equal times fire in scheduling order, so a fixed
+// workload seed yields bit-identical runs.  The one tie-break rule is the
+// *lineage key*
 //
 //     (at, parent-event's global execution rank, child index)
 //
 // where the parent is the event whose callback scheduled this one and the
-// child index counts that callback's schedules in call order.  For a
-// single queue this orders equal-time events exactly like the sequence
-// number does (children of an earlier-executed parent were pushed first),
-// so the key is a partition-independent restatement of today's contract —
-// which is what makes shard-count invariance possible.
+// child index counts that callback's schedules in call order.  On one
+// queue this is exactly scheduling order (children of an earlier-executed
+// parent were pushed first), and because it names no queue it survives
+// partitioning the simulation across shards (sharded_engine.hpp), which is
+// what makes shard-count invariance possible (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
@@ -65,11 +60,12 @@ struct ExecRecord {
 };
 using ExecRecordPtr = std::shared_ptr<ExecRecord>;
 
-/// State shared by every shard engine of one partitioned simulation: the
-/// genesis record (parent of all setup-time schedules, so single-threaded
+/// State shared by every shard engine of one simulation: the genesis record
+/// (parent of all schedules made outside any event, so single-threaded
 /// scenario construction keeps its exact serial order regardless of which
-/// shard each call lands on) and the global rank counter used when windows
-/// are sealed.
+/// shard each call lands on) and the global rank counter.  An outside
+/// schedule made after events were ranked gets a fresh genesis ranked
+/// after them, so it joins equal-time ties last, as on one queue.
 struct LineageShared {
   LineageShared() : genesis(std::make_shared<ExecRecord>()) {
     genesis->finalized = true;  // rank 0, the root of every lineage chain
@@ -81,10 +77,14 @@ struct LineageShared {
 
 class Engine {
  public:
-  Engine() = default;
-  /// Lineage-mode constructor: this engine is shard `shard_index` of a
-  /// partitioned simulation sharing `shared` (owned by the coordinator).
-  Engine(LineageShared* shared, std::size_t shard_index);
+  /// A standalone engine: owns its lineage state and finalizes each
+  /// executed event's rank immediately.
+  Engine();
+  /// Shard `shard_index` of `shard_count` sharing `shared` (owned by the
+  /// coordinator).  A lone shard (`shard_count` == 1) behaves exactly like
+  /// a standalone engine, trace stamps included.
+  Engine(LineageShared* shared, std::size_t shard_index,
+         std::size_t shard_count);
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -103,11 +103,11 @@ class Engine {
   EventId schedule_periodic(SimTime start, SimTime period, EventFn fn);
 
   /// Schedules a *milestone* event — one whose execution can flip the
-  /// simulation's stop predicate (task completions).  In lineage mode the
-  /// event must be at least the configured milestone lead in the future so
-  /// the shard coordinator can count due milestones at a synchronization
-  /// barrier and know the predicate cannot flip mid-window; in sequence
-  /// mode this is exactly schedule_at.
+  /// simulation's stop predicate (task completions).  The event must be at
+  /// least the configured milestone lead in the future so the shard
+  /// coordinator can count due milestones at a synchronization barrier and
+  /// know the predicate cannot flip mid-window (the lead is 0 unless the
+  /// engine is one of several shards).
   EventId schedule_milestone_at(SimTime at, EventFn fn);
 
   /// Cancels a pending event (or periodic chain).  Returns false if the
@@ -139,7 +139,7 @@ class Engine {
   /// Number of cancelled entries discarded by the lazy sweep so far.
   [[nodiscard]] std::uint64_t events_swept() const { return events_swept_; }
 
-  // --- Shard-coordinator interface (lineage mode only) -------------------
+  // --- Shard-coordinator interface ----------------------------------------
 
   /// The engine currently executing an event on this thread, or nullptr
   /// outside any callback.  Lets code reached from an event (network sends,
@@ -148,14 +148,11 @@ class Engine {
   [[nodiscard]] static Engine* current();
 
   [[nodiscard]] std::size_t shard_index() const { return shard_index_; }
-  [[nodiscard]] bool lineage_mode() const { return shared_ != nullptr; }
 
-  /// Exec record of the event currently executing on this engine (lineage
-  /// mode, inside a callback only).  Completion sinks hold it as a ticket
-  /// so buffered records can be ordered by finalized global rank later.
-  [[nodiscard]] ExecRecordPtr current_record_ticket() {
-    return current_record();
-  }
+  /// Exec record of the event currently executing on this engine (inside a
+  /// callback only).  Completion sinks hold it as a ticket so buffered
+  /// records can be ordered by finalized global rank later.
+  const ExecRecordPtr& current_record();
 
   /// Lineage context for an event about to be handed to another shard:
   /// the currently-executing event's record plus the next child index
@@ -200,7 +197,8 @@ class Engine {
 
   /// In serial-finalize mode each executed event's record is finalized
   /// immediately from the shared global counter instead of being buffered
-  /// in window_records().  Used for the coordinator's exact-stop tail.
+  /// in window_records().  Always on for a standalone engine or a lone
+  /// shard; the coordinator turns it on for the exact-stop tail.
   void set_serial_finalize(bool on) { serial_finalize_ = on; }
 
   /// Minimum lead time enforced by schedule_milestone_at (the coordinator
@@ -215,19 +213,14 @@ class Engine {
  private:
   struct Entry {
     SimTime at;
-    std::uint64_t sequence;
     EventId id;
     EventFn fn;
-    // Lineage mode only: scheduling parent + child index.
-    ExecRecordPtr parent;
-    std::uint64_t idx = 0;
+    ExecRecordPtr parent;  // the scheduling event's record
+    std::uint64_t idx = 0;  // child index under `parent`
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
-      if (a.parent == nullptr || b.parent == nullptr) {
-        return a.sequence > b.sequence;
-      }
       if (a.parent != b.parent) {
         // Finalized ranks globally precede provisional ones: a provisional
         // parent executed in the current (unsealed) window, strictly after
@@ -245,8 +238,7 @@ class Engine {
   };
 
   void pop_cancelled() const;
-  const ExecRecordPtr& current_record();
-  void push_entry(SimTime at, EventFn fn, EventId id);
+  [[nodiscard]] bool executing() const;  ///< inside one of this engine's events
 
   // `queue_` and `cancelled_` are mutable so const queries (has_pending,
   // next_event_time) can share pop_cancelled's lazy sweep: discarding a
@@ -260,18 +252,19 @@ class Engine {
   // `cancelled_` poisoning the lazy sweep's O(1) fast path.
   std::unordered_set<EventId> cancelled_chains_;
   SimTime now_ = 0.0;
-  std::uint64_t next_sequence_ = 0;
   EventId next_id_ = 1;
   EventId next_chain_ = 1;
   std::uint64_t events_processed_ = 0;
   mutable std::uint64_t events_swept_ = 0;
 
-  // Lineage mode state.
-  LineageShared* shared_ = nullptr;
+  // Lineage state.
+  std::unique_ptr<LineageShared> own_shared_;  // standalone engines only
+  LineageShared* shared_;
   std::size_t shard_index_ = 0;
-  bool executing_ = false;
-  bool serial_finalize_ = false;
-  ExecRecordPtr exec_parent_;     // parent of the event now executing
+  // Trace-event shard stamp: 1 + shard index when partitioned, 0 otherwise.
+  std::uint16_t trace_shard_ = 0;
+  bool serial_finalize_;
+  ExecRecordPtr exec_parent_;     // parent of the event now (or last) run
   std::uint64_t exec_idx_ = 0;    // its child index under that parent
   ExecRecordPtr exec_record_;     // lazily-created record for that event
   std::uint64_t child_counter_ = 0;

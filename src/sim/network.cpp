@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
-#include "sim/sharded_engine.hpp"
 
 namespace gridlb::sim {
 
@@ -27,23 +26,23 @@ std::uint64_t message_seed(std::uint64_t plan_seed, EndpointId from,
 }
 }  // namespace
 
-Network::Network(Engine& engine, double latency_seconds, FaultPlan plan)
+Network::Network(ShardedEngine& engine, double latency_seconds,
+                 FaultPlan plan)
     : engine_(engine), latency_(latency_seconds), plan_(std::move(plan)) {
   GRIDLB_REQUIRE(latency_seconds >= 0.0, "latency must be non-negative");
-  GRIDLB_REQUIRE(plan_.drop_prob >= 0.0 && plan_.drop_prob < 1.0,
+  GRIDLB_REQUIRE(engine.lookahead() <= latency_seconds,
+                 "engine lookahead must not exceed the network latency");
+  plan_.validate();
+}
+
+void FaultPlan::validate() const {
+  GRIDLB_REQUIRE(drop_prob >= 0.0 && drop_prob < 1.0,
                  "drop probability must lie in [0, 1)");
-  GRIDLB_REQUIRE(plan_.jitter_max >= 0.0, "jitter must be non-negative");
-  for (const FaultPlan::Partition& partition : plan_.partitions) {
+  GRIDLB_REQUIRE(jitter_max >= 0.0, "jitter must be non-negative");
+  for (const Partition& partition : partitions) {
     GRIDLB_REQUIRE(partition.until >= partition.from,
                    "partition window must not end before it starts");
   }
-}
-
-void Network::attach_router(ShardedEngine* router) {
-  GRIDLB_REQUIRE(router == nullptr || router->lookahead() <= latency_ ||
-                     !router->sharded(),
-                 "router lookahead must not exceed the network latency");
-  router_ = router;
 }
 
 EndpointId Network::register_endpoint(std::string address, int port,
@@ -81,12 +80,12 @@ bool Network::partitioned(EndpointId from, EndpointId to, SimTime now) const {
 void Network::send(EndpointId from, EndpointId to, std::string payload) {
   GRIDLB_REQUIRE(from < endpoints_.size(), "unknown sender endpoint");
   GRIDLB_REQUIRE(to < endpoints_.size(), "unknown recipient endpoint");
-  // The clock of whichever shard is executing the sending event; falls
-  // back to the primary engine outside any event (tests driving the
-  // network directly).
+  // The clock of whichever shard is executing the sending event; outside
+  // any event (tests driving the network directly), the sender's shard.
   Engine* const current = Engine::current();
-  Engine& source = current != nullptr ? *current : engine_;
-  const SimTime now = source.now();
+  const SimTime now = current != nullptr
+                          ? current->now()
+                          : engine_.shard(endpoints_[from].shard).now();
 
   Endpoint& sender = endpoints_[from];
   const std::uint64_t ordinal = sender.stats.messages_sent;
@@ -129,9 +128,7 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
   message.sent_at = now;
   auto deliver = [this, message = std::move(message)]() mutable {
     Endpoint& destination = endpoints_[message.to];
-    const SimTime arrival = Engine::current() != nullptr
-                                ? Engine::current()->now()
-                                : engine_.now();
+    const SimTime arrival = Engine::current()->now();
     if (!destination.up) {
       ++destination.faults.dropped_endpoint_down;
       obs::emit({.at = arrival,
@@ -146,11 +143,7 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
     destination.stats.bytes_received += message.payload.size();
     destination.handler(message);
   };
-  if (router_ != nullptr) {
-    router_->post(endpoints_[to].shard, latency, std::move(deliver));
-  } else {
-    source.schedule_in(latency, std::move(deliver));
-  }
+  engine_.post(endpoints_[to].shard, latency, std::move(deliver));
 }
 
 const EndpointStats& Network::stats(EndpointId id) const {

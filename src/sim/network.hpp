@@ -21,9 +21,10 @@
 // owns.  Fault draws are stateless — each message's loss/jitter comes from
 // a hash of (plan seed, sender, sender's send ordinal), not from a shared
 // stream — so the fault pattern is independent of the global send
-// interleaving and therefore of the shard count.  Cross-shard deliveries
-// route through the shard coordinator, which is what turns the network
-// latency into the conservative-lookahead window.
+// interleaving and therefore of the shard count.  Every delivery routes
+// through the shard coordinator, which keeps same-shard ones local and is
+// what turns the network latency into the conservative-lookahead window
+// for cross-shard ones.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +35,9 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "sim/engine.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace gridlb::sim {
-
-class ShardedEngine;
 
 /// Opaque endpoint handle (dense index into the endpoint table).
 using EndpointId = std::uint32_t;
@@ -85,6 +84,9 @@ struct FaultPlan {
   [[nodiscard]] bool active() const {
     return drop_prob > 0.0 || jitter_max > 0.0 || !partitions.empty();
   }
+
+  /// Throws AssertionError unless every knob is in range.
+  void validate() const;
 };
 
 /// Injected-fault accounting, network-wide.
@@ -101,14 +103,11 @@ class Network {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  /// `latency` is the one-way delivery delay applied to every message;
-  /// `plan` (optional) injects deterministic faults on top of it.
-  Network(Engine& engine, double latency_seconds, FaultPlan plan = {});
-
-  /// Routes cross-shard deliveries through `router` (whose lookahead must
-  /// not exceed this network's latency).  Without a router every delivery
-  /// is scheduled directly on the sending context's engine.
-  void attach_router(ShardedEngine* router);
+  /// `latency` is the one-way delivery delay applied to every message
+  /// (it must not be below `engine`'s lookahead); `plan` (optional)
+  /// injects deterministic faults on top of it.  Deliveries are posted to
+  /// the recipient's shard of `engine`.
+  Network(ShardedEngine& engine, double latency_seconds, FaultPlan plan = {});
 
   /// Shard assigned to endpoints registered from now on.
   void set_registration_shard(std::size_t shard) {
@@ -163,8 +162,7 @@ class Network {
   [[nodiscard]] bool partitioned(EndpointId from, EndpointId to,
                                  SimTime now) const;
 
-  Engine& engine_;
-  ShardedEngine* router_ = nullptr;
+  ShardedEngine& engine_;
   std::size_t registration_shard_ = 0;
   double latency_;
   FaultPlan plan_;

@@ -43,17 +43,12 @@ void SpinBarrier::kill() {
 ShardedEngine::ShardedEngine(std::size_t shards, SimTime lookahead)
     : lookahead_(lookahead) {
   GRIDLB_REQUIRE(shards >= 1, "shard count must be at least 1");
-  if (shards == 1) {
-    // Single shard: the plain sequence-ordered engine, byte-identical to a
-    // pre-sharding run.
-    engines_.push_back(std::make_unique<Engine>());
-  } else {
-    GRIDLB_REQUIRE(lookahead > 0.0,
-                   "a sharded simulation needs a positive lookahead");
-    for (std::size_t s = 0; s < shards; ++s) {
-      engines_.push_back(std::make_unique<Engine>(&shared_, s));
-      engines_.back()->set_milestone_lead(lookahead);
-    }
+  GRIDLB_REQUIRE(shards == 1 || lookahead > 0.0,
+                 "a sharded simulation needs a positive lookahead");
+  for (std::size_t s = 0; s < shards; ++s) {
+    engines_.push_back(std::make_unique<Engine>(&shared_, s, shards));
+    // Milestones need a lead only where windows exist.
+    if (shards > 1) engines_.back()->set_milestone_lead(lookahead);
   }
   outbox_.resize(engines_.size());
 }
@@ -67,7 +62,7 @@ void ShardedEngine::post(std::size_t dest, SimTime delay, EventFn fn) {
     engines_[dest]->schedule_in(delay, std::move(fn));
     return;
   }
-  if (!sharded() || dest == src->shard_index()) {
+  if (dest == src->shard_index()) {
     src->schedule_in(delay, std::move(fn));
     return;
   }
@@ -98,22 +93,13 @@ SimTime ShardedEngine::max_now() const {
 void ShardedEngine::drive(const DriveGoal& goal, SimTime horizon) {
   GRIDLB_REQUIRE(goal.done != nullptr && goal.remaining != nullptr,
                  "drive goal must be fully specified");
+  horizon_ = horizon;
   if (!sharded()) {
-    // The classic driver loop, kept textually in step with
-    // run_experiment's historical behaviour.
-    Engine& engine = *engines_[0];
-    while (!goal.done()) {
-      if (goal.until < kTimeInfinity &&
-          engine.next_event_time() >= goal.until) {
-        break;  // open-loop cutoff: everything before `until` has run
-      }
-      GRIDLB_REQUIRE(engine.step(), "event queue drained with tasks missing");
-      GRIDLB_REQUIRE(engine.now() <= horizon,
-                     "experiment exceeded the horizon limit");
-    }
+    // A lone shard has no windows to open: the exact-stop loop is the
+    // whole run, on the caller, without barriers or shard telemetry.
+    run_serial(goal);
     return;
   }
-  horizon_ = horizon;
   next_times_.assign(engines_.size(), kTimeInfinity);
   decision_ = Decision{};
   setup_telemetry();
@@ -308,7 +294,10 @@ void ShardedEngine::run_serial(const DriveGoal& goal) {
     engines_[best]->step();
     drain_outboxes();
   }
-  for (auto& engine : engines_) engine->set_serial_finalize(false);
+  // Back to window sealing; a lone shard has no windows and stays serial.
+  if (sharded()) {
+    for (auto& engine : engines_) engine->set_serial_finalize(false);
+  }
   if (telemetry_ != nullptr) {
     for (std::size_t s = 0; s < engines_.size(); ++s) {
       const std::uint64_t processed = engines_[s]->events_processed();

@@ -13,16 +13,17 @@
 // Determinism contract (see DESIGN.md §13): a sharded run produces the
 // bit-for-bit identical ExperimentResult for any shard count.  Two
 // mechanisms carry this:
-//   1. Lineage ordering (engine.hpp): equal-time ties are broken by the
-//      partition-independent key (at, parent's global execution rank,
-//      child index), which provably equals the single-queue scheduling-
-//      order tie-break.  Ranks are assigned by a k-way merge over the
-//      shards' window execution logs when each window is sealed.
+//   1. Lineage ordering (engine.hpp): every shard, a lone one included,
+//      breaks equal-time ties by the partition-independent key (at,
+//      parent's global execution rank, child index).  Ranks are assigned
+//      by a k-way merge over the shards' window execution logs when each
+//      window is sealed.
 //   2. Exact stop: when the pending milestones (task completions) due
 //      inside the next window could finish the run, the coordinator
 //      switches to a serial globally-merged stepping mode so the run halts
 //      at exactly the same event as a single-queue run — preserving
-//      finished_at, sim_events and every other counter.
+//      finished_at, sim_events and every other counter.  One shard runs
+//      only this serial loop: no threads, windows or barriers.
 #pragma once
 
 #include <atomic>
@@ -52,7 +53,7 @@ namespace gridlb::sim {
 /// global event timeline — not of any shard partition — a time-bounded
 /// drive is shard-count invariant by construction, with no serial tail
 /// needed.  kTimeInfinity (the default) disables the cutoff, restoring
-/// the classic behaviour where a drained queue before `done()` is an
+/// the closed-loop behaviour where a drained queue before `done()` is an
 /// error.
 struct DriveGoal {
   std::function<bool()> done;
@@ -80,9 +81,8 @@ class SpinBarrier {
 
 class ShardedEngine {
  public:
-  /// `shards` == 1 builds a single plain sequence-ordered engine (the
-  /// bit-for-bit reference path); > 1 builds lineage-ordered shards that
-  /// require a positive `lookahead` (the network latency).
+  /// Builds `shards` lineage-ordered engines; more than one requires a
+  /// positive `lookahead` (the network latency).
   ShardedEngine(std::size_t shards, SimTime lookahead);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -99,9 +99,8 @@ class ShardedEngine {
   /// schedules directly with genesis lineage.
   void post(std::size_t dest, SimTime delay, EventFn fn);
 
-  /// Runs the simulation until `goal.done()`, raising the same assertion
-  /// errors as the classic serial driver loop when the queues drain early
-  /// or `horizon` is exceeded.
+  /// Runs the simulation until `goal.done()`; raises an assertion error
+  /// when the queues drain early or the next event lies past `horizon`.
   void drive(const DriveGoal& goal, SimTime horizon);
 
   /// Sums over shards.

@@ -10,7 +10,8 @@ namespace gridlb::agents {
 namespace {
 
 struct AgentSystemFixture : ::testing::Test {
-  sim::Engine engine;
+  sim::ShardedEngine sharded{1, 0.05};
+  sim::Engine& engine = sharded.shard(0);
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
   SystemConfig two_level() {
@@ -25,7 +26,7 @@ struct AgentSystemFixture : ::testing::Test {
 };
 
 TEST_F(AgentSystemFixture, BuildsAgentsAndSchedulers) {
-  AgentSystem system(engine, catalogue, two_level(), nullptr);
+  AgentSystem system(sharded, catalogue, two_level(), nullptr);
   EXPECT_EQ(system.size(), 3u);
   EXPECT_EQ(system.head().name(), "A");
   EXPECT_EQ(system.agent(1).name(), "B");
@@ -35,25 +36,25 @@ TEST_F(AgentSystemFixture, BuildsAgentsAndSchedulers) {
 }
 
 TEST_F(AgentSystemFixture, AssignsSequentialAgentIds) {
-  AgentSystem system(engine, catalogue, two_level(), nullptr);
+  AgentSystem system(sharded, catalogue, two_level(), nullptr);
   EXPECT_EQ(system.agent(0).id(), AgentId(1));
   EXPECT_EQ(system.agent(2).id(), AgentId(3));
 }
 
 TEST_F(AgentSystemFixture, AgentNamedThrowsOnUnknown) {
-  AgentSystem system(engine, catalogue, two_level(), nullptr);
+  AgentSystem system(sharded, catalogue, two_level(), nullptr);
   EXPECT_NO_THROW((void)system.agent_named("B"));
   EXPECT_THROW((void)system.agent_named("Z"), AssertionError);
 }
 
 TEST_F(AgentSystemFixture, AgentIndexOutOfRangeThrows) {
-  AgentSystem system(engine, catalogue, two_level(), nullptr);
+  AgentSystem system(sharded, catalogue, two_level(), nullptr);
   EXPECT_THROW((void)system.agent(3), AssertionError);
 }
 
 TEST_F(AgentSystemFixture, RejectsEmptyResourceList) {
   SystemConfig config;
-  EXPECT_THROW(AgentSystem(engine, catalogue, std::move(config), nullptr),
+  EXPECT_THROW(AgentSystem(sharded, catalogue, std::move(config), nullptr),
                AssertionError);
 }
 
@@ -63,7 +64,7 @@ TEST_F(AgentSystemFixture, RejectsTwoHeads) {
       {"A", pace::HardwareType::kSgiOrigin2000, 16, -1},
       {"B", pace::HardwareType::kSunUltra10, 16, -1},
   };
-  EXPECT_THROW(AgentSystem(engine, catalogue, std::move(config), nullptr),
+  EXPECT_THROW(AgentSystem(sharded, catalogue, std::move(config), nullptr),
                AssertionError);
 }
 
@@ -73,7 +74,7 @@ TEST_F(AgentSystemFixture, RejectsForwardParentReference) {
       {"A", pace::HardwareType::kSgiOrigin2000, 16, 1},  // parent after child
       {"B", pace::HardwareType::kSunUltra10, 16, -1},
   };
-  EXPECT_THROW(AgentSystem(engine, catalogue, std::move(config), nullptr),
+  EXPECT_THROW(AgentSystem(sharded, catalogue, std::move(config), nullptr),
                AssertionError);
 }
 
@@ -83,13 +84,36 @@ TEST_F(AgentSystemFixture, RejectsSelfParent) {
       {"A", pace::HardwareType::kSgiOrigin2000, 16, -1},
       {"B", pace::HardwareType::kSunUltra10, 16, 1},  // own index
   };
-  EXPECT_THROW(AgentSystem(engine, catalogue, std::move(config), nullptr),
+  EXPECT_THROW(AgentSystem(sharded, catalogue, std::move(config), nullptr),
                AssertionError);
+}
+
+TEST_F(AgentSystemFixture, ValidateRejectsOutOfRangeKnobs) {
+  const auto rejects = [this](SystemConfig config) {
+    EXPECT_THROW(config.validate(), AssertionError);
+    EXPECT_THROW(AgentSystem(sharded, catalogue, std::move(config), nullptr),
+                 AssertionError);
+  };
+  EXPECT_NO_THROW(two_level().validate());
+  SystemConfig config = two_level();
+  config.fault.drop_prob = 1.0;
+  rejects(config);
+  config = two_level();
+  config.prediction_error = 1.0;
+  rejects(config);
+  config = two_level();
+  config.churn.enabled = true;
+  config.churn.mttr = 0.0;
+  rejects(config);
+  config = two_level();
+  config.agent_churn.enabled = true;
+  config.agent_churn.mttr = 0.0;
+  rejects(config);
 }
 
 TEST_F(AgentSystemFixture, RegistersResourcesWithCollector) {
   metrics::MetricsCollector collector;
-  AgentSystem system(engine, catalogue, two_level(), &collector);
+  AgentSystem system(sharded, catalogue, two_level(), &collector);
   const auto report = collector.report();
   ASSERT_EQ(report.resources.size(), 3u);
   EXPECT_EQ(report.resources[0].label, "A");
@@ -98,17 +122,18 @@ TEST_F(AgentSystemFixture, RegistersResourcesWithCollector) {
 
 TEST_F(AgentSystemFixture, CompletionsFlowIntoCollector) {
   metrics::MetricsCollector collector;
-  AgentSystem system(engine, catalogue, two_level(), &collector);
+  AgentSystem system(sharded, catalogue, two_level(), &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector);
   portal.submit(system.agent_named("B"), "closure", 1000.0);
   engine.run_until(3600.0);  // advertisement pulls never drain the queue
+  system.finalize_completions();
   EXPECT_EQ(collector.completed_tasks(), 1u);
 }
 
 TEST_F(AgentSystemFixture, PortalAssignsUniqueTaskIds) {
   metrics::MetricsCollector collector;
-  AgentSystem system(engine, catalogue, two_level(), &collector);
+  AgentSystem system(sharded, catalogue, two_level(), &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector);
   const TaskId a = portal.submit(system.head(), "fft", 1000.0);
@@ -118,14 +143,14 @@ TEST_F(AgentSystemFixture, PortalAssignsUniqueTaskIds) {
 }
 
 TEST_F(AgentSystemFixture, PortalRejectsUnknownApplication) {
-  AgentSystem system(engine, catalogue, two_level(), nullptr);
+  AgentSystem system(sharded, catalogue, two_level(), nullptr);
   Portal portal(engine, system.network(), catalogue, nullptr);
   EXPECT_THROW(portal.submit(system.head(), "linpack", 1000.0),
                AssertionError);
 }
 
 TEST_F(AgentSystemFixture, PortalRejectsPastDeadline) {
-  AgentSystem system(engine, catalogue, two_level(), nullptr);
+  AgentSystem system(sharded, catalogue, two_level(), nullptr);
   Portal portal(engine, system.network(), catalogue, nullptr);
   engine.schedule_at(10.0, []() {});
   engine.run();
@@ -136,9 +161,9 @@ TEST_F(AgentSystemFixture, PerSchedulerSeedsDiffer) {
   // Distinct GA seeds per resource: identical workloads on two identical
   // resources may evolve differently, but more importantly seeds must be
   // deterministic across system constructions.
-  AgentSystem first(engine, catalogue, two_level(), nullptr);
-  sim::Engine engine2;
-  AgentSystem second(engine2, catalogue, two_level(), nullptr);
+  AgentSystem first(sharded, catalogue, two_level(), nullptr);
+  sim::ShardedEngine sharded2(1, 0.05);
+  AgentSystem second(sharded2, catalogue, two_level(), nullptr);
   EXPECT_EQ(first.agent(0).scheduler().config().seed,
             second.agent(0).scheduler().config().seed);
   EXPECT_NE(first.agent(0).scheduler().config().seed,
@@ -147,7 +172,7 @@ TEST_F(AgentSystemFixture, PerSchedulerSeedsDiffer) {
 
 TEST_F(AgentSystemFixture, SharedEvaluatorCachesAcrossResources) {
   metrics::MetricsCollector collector;
-  AgentSystem system(engine, catalogue, two_level(), &collector);
+  AgentSystem system(sharded, catalogue, two_level(), &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector);
   portal.submit(system.agent_named("B"), "closure", 1000.0);

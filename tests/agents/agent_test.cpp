@@ -12,7 +12,8 @@ namespace {
 
 // A three-agent hierarchy: S1 (SGI, head) -> { S2 (Ultra5), S3 (SPARC2) }.
 struct AgentFixture : ::testing::Test {
-  sim::Engine engine;
+  sim::ShardedEngine sharded{1, 0.05};
+  sim::Engine& engine = sharded.shard(0);
   metrics::MetricsCollector collector;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
@@ -27,9 +28,10 @@ struct AgentFixture : ::testing::Test {
   }
 
   std::unique_ptr<AgentSystem> make(SystemConfig config) {
-    auto system = std::make_unique<AgentSystem>(engine, catalogue,
+    auto system = std::make_unique<AgentSystem>(sharded, catalogue,
                                                 std::move(config), &collector);
     system->start();
+    last_system = system.get();
     return system;
   }
 
@@ -43,10 +45,15 @@ struct AgentFixture : ::testing::Test {
   }
 
   std::uint64_t next_task = 0;
+  AgentSystem* last_system = nullptr;
 
   // The periodic advertisement pull keeps the event queue non-empty
-  // forever, so tests drain a bounded horizon instead of engine.run().
-  void drain() { engine.run_until(engine.now() + 7200.0); }
+  // forever, so tests drain a bounded horizon instead of engine.run(),
+  // then flush the buffered completions into the collector.
+  void drain() {
+    engine.run_until(engine.now() + 7200.0);
+    last_system->finalize_completions();
+  }
 };
 
 TEST_F(AgentFixture, ServiceSnapshotDescribesResource) {

@@ -14,7 +14,8 @@ namespace gridlb::agents {
 namespace {
 
 struct FaultToleranceFixture : ::testing::Test {
-  sim::Engine engine;
+  sim::ShardedEngine sharded{1, 0.05};
+  sim::Engine& engine = sharded.shard(0);
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
   metrics::MetricsCollector collector;
 
@@ -40,7 +41,7 @@ TEST_F(FaultToleranceFixture, LossyNetworkStillDeliversEveryTaskAndResult) {
   SystemConfig config = tolerant_config();
   config.fault.drop_prob = 0.1;
   config.fault.seed = 3;
-  AgentSystem system(engine, catalogue, config, &collector);
+  AgentSystem system(sharded, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
                 portal_retry(config));
@@ -51,6 +52,7 @@ TEST_F(FaultToleranceFixture, LossyNetworkStillDeliversEveryTaskAndResult) {
     portal.submit(system.head(), i % 2 == 0 ? "fft" : "closure", 3500.0);
   }
   engine.run_until(3600.0);
+  system.finalize_completions();
 
   // Retransmission must mask every drop: no task lost, no result lost.
   EXPECT_EQ(collector.completed_tasks(), 20u);
@@ -65,7 +67,7 @@ TEST_F(FaultToleranceFixture, LossyNetworkStillDeliversEveryTaskAndResult) {
 
 TEST_F(FaultToleranceFixture, UnreachableEntryAgentFallsBackToTheHead) {
   const SystemConfig config = tolerant_config();
-  AgentSystem system(engine, catalogue, config, &collector);
+  AgentSystem system(sharded, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
                 portal_retry(config));
@@ -75,6 +77,7 @@ TEST_F(FaultToleranceFixture, UnreachableEntryAgentFallsBackToTheHead) {
   for (TaskId task : entry.crash()) portal.resubmit(task);  // none yet
   for (int i = 0; i < 3; ++i) portal.submit(entry, "fft", 3500.0);
   engine.run_until(3600.0);
+  system.finalize_completions();
 
   // Every transmission died against the deaf endpoint; after the retry
   // budget the portal re-discovered each task through the head.
@@ -88,7 +91,7 @@ TEST_F(FaultToleranceFixture, UnreachableEntryAgentFallsBackToTheHead) {
 TEST_F(FaultToleranceFixture, CrashStrandsPendingTasksWhichTheHeadRecovers) {
   SystemConfig config = tolerant_config();
   config.discovery_enabled = false;  // pin the tasks to their entry agent
-  AgentSystem system(engine, catalogue, config, &collector);
+  AgentSystem system(sharded, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
                 portal_retry(config));
@@ -101,6 +104,7 @@ TEST_F(FaultToleranceFixture, CrashStrandsPendingTasksWhichTheHeadRecovers) {
   });
   engine.schedule_at(300.0, [&victim]() { victim.restart(); });
   engine.run_until(3600.0);
+  system.finalize_completions();
 
   // Tasks already running ride out the crash on the resource; the stranded
   // remainder re-enters through the head.  Nothing executes twice.
@@ -119,7 +123,7 @@ TEST_F(FaultToleranceFixture, ActExpiryShunsANeighbourThatStoppedAdvertising) {
       {"A", pace::HardwareType::kSunUltra1, 4, -1},
       {"B", pace::HardwareType::kSgiOrigin2000, 16, 0},
   };
-  AgentSystem system(engine, catalogue, config, &collector);
+  AgentSystem system(sharded, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
                 portal_retry(config));
@@ -138,6 +142,7 @@ TEST_F(FaultToleranceFixture, ActExpiryShunsANeighbourThatStoppedAdvertising) {
     portal.submit(system.head(), "sweep3d", engine.now() + 10.0);
   });
   engine.run_until(3600.0);
+  system.finalize_completions();
 
   // The pre-crash task proves B was the preferred target; the post-crash
   // task falls back to local best-effort without ever probing the dead

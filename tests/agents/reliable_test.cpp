@@ -37,8 +37,9 @@ struct Arrivals {
 };
 
 TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
-  sim::Engine engine;
-  sim::Network network(engine, kLatency);
+  sim::ShardedEngine sharded{1, 0.0};
+  sim::Engine& engine = sharded.shard(0);
+  sim::Network network(sharded, kLatency);
   Arrivals arrivals;
   ReliableLink sender(engine, network, RetryPolicy{});
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
@@ -61,8 +62,9 @@ TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
 }
 
 TEST(ReliableLink, AckStopsRetransmission) {
-  sim::Engine engine;
-  sim::Network network(engine, kLatency);
+  sim::ShardedEngine sharded{1, 0.0};
+  sim::Engine& engine = sharded.shard(0);
+  sim::Network network(sharded, kLatency);
   Arrivals arrivals;
   ReliableLink sender(engine, network, enabled_policy());
   ReliableLink receiver(engine, network, enabled_policy());
@@ -91,8 +93,9 @@ TEST(ReliableLink, AckStopsRetransmission) {
 }
 
 TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
-  sim::Engine engine;
-  sim::Network network(engine, kLatency);
+  sim::ShardedEngine sharded{1, 0.0};
+  sim::Engine& engine = sharded.shard(0);
+  sim::Network network(sharded, kLatency);
   ReliableLink sender(engine, network, enabled_policy());
   Arrivals arrivals;
   std::vector<std::string> failed;
@@ -130,8 +133,9 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
 }
 
 TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
-  sim::Engine engine;
-  sim::Network network(engine, kLatency);
+  sim::ShardedEngine sharded{1, 0.0};
+  sim::Engine& engine = sharded.shard(0);
+  sim::Network network(sharded, kLatency);
   ReliableLink receiver(engine, network, enabled_policy());
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
@@ -153,8 +157,9 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
 }
 
 TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
-  sim::Engine engine;
-  sim::Network network(engine, kLatency);
+  sim::ShardedEngine sharded{1, 0.0};
+  sim::Engine& engine = sharded.shard(0);
+  sim::Network network(sharded, kLatency);
   ReliableLink receiver(engine, network, enabled_policy());
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
   receiver.set_self(b);
@@ -166,8 +171,9 @@ TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
 }
 
 TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
-  sim::Engine engine;
-  sim::Network network(engine, kLatency);
+  sim::ShardedEngine sharded{1, 0.0};
+  sim::Engine& engine = sharded.shard(0);
+  sim::Network network(sharded, kLatency);
   ReliableLink sender(engine, network, enabled_policy());
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b =

@@ -67,7 +67,8 @@ TEST(RequestOrigin, RoundTripsThroughXml) {
 // --- end-to-end delivery --------------------------------------------------
 
 struct ResultDeliveryFixture : ::testing::Test {
-  sim::Engine engine;
+  sim::ShardedEngine sharded{1, 0.05};
+  sim::Engine& engine = sharded.shard(0);
   metrics::MetricsCollector collector;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
@@ -82,7 +83,7 @@ struct ResultDeliveryFixture : ::testing::Test {
 };
 
 TEST_F(ResultDeliveryFixture, PortalReceivesResultForLocalDispatch) {
-  AgentSystem system(engine, catalogue, config(), &collector);
+  AgentSystem system(sharded, catalogue, config(), &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector);
   const TaskId task = portal.submit(system.agent_named("S1"), "closure",
@@ -102,7 +103,7 @@ TEST_F(ResultDeliveryFixture, PortalReceivesResultForLocalDispatch) {
 }
 
 TEST_F(ResultDeliveryFixture, ResultComesFromTheExecutingAgent) {
-  AgentSystem system(engine, catalogue, config(), &collector);
+  AgentSystem system(sharded, catalogue, config(), &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector);
   engine.run_until(1.0);  // let advertisements land
@@ -117,7 +118,7 @@ TEST_F(ResultDeliveryFixture, ResultComesFromTheExecutingAgent) {
 }
 
 TEST_F(ResultDeliveryFixture, EveryCampaignTaskGetsAResult) {
-  AgentSystem system(engine, catalogue, config(), &collector);
+  AgentSystem system(sharded, catalogue, config(), &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector);
   Rng rng(5);
@@ -131,6 +132,7 @@ TEST_F(ResultDeliveryFixture, EveryCampaignTaskGetsAResult) {
     });
   }
   engine.run_until(7200.0);
+  system.finalize_completions();
   EXPECT_EQ(portal.results_received(), 30u);
   EXPECT_GT(portal.mean_turnaround(), 0.0);
   // Met flags in the results agree with the metrics collector.
@@ -142,7 +144,7 @@ TEST_F(ResultDeliveryFixture, EveryCampaignTaskGetsAResult) {
 }
 
 TEST_F(ResultDeliveryFixture, FireAndForgetRequestsProduceNoResult) {
-  AgentSystem system(engine, catalogue, config(), &collector);
+  AgentSystem system(sharded, catalogue, config(), &collector);
   system.start();
   // A request injected directly (no origin attribute).
   Request request;
@@ -151,6 +153,7 @@ TEST_F(ResultDeliveryFixture, FireAndForgetRequestsProduceNoResult) {
   request.deadline = 1e6;
   system.agent_named("S1").receive_request(std::move(request));
   engine.run_until(3600.0);
+  system.finalize_completions();
   EXPECT_EQ(system.agent_named("S1").stats().results_sent, 0u);
   EXPECT_EQ(collector.completed_tasks(), 1u);
 }

@@ -13,7 +13,8 @@ namespace {
 // A chain: S1 (SPARC2, head) -> S2 (SPARC2) -> S3 (SGI).  S3 is the only
 // fast resource and is *not* a neighbour of S1.
 struct TransitiveFixture : ::testing::Test {
-  sim::Engine engine;
+  sim::ShardedEngine sharded{1, 0.05};
+  sim::Engine& engine = sharded.shard(0);
   metrics::MetricsCollector collector;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
@@ -29,7 +30,7 @@ struct TransitiveFixture : ::testing::Test {
   }
 
   std::unique_ptr<AgentSystem> make(AdvertisementScope scope) {
-    auto system = std::make_unique<AgentSystem>(engine, catalogue,
+    auto system = std::make_unique<AgentSystem>(sharded, catalogue,
                                                 chain(scope), &collector);
     system->start();
     return system;
@@ -45,7 +46,12 @@ struct TransitiveFixture : ::testing::Test {
   }
 
   std::uint64_t next_task = 0;
-  void drain() { engine.run_until(engine.now() + 7200.0); }
+  // Runs a bounded horizon (pulls never drain the queue), then flushes
+  // the buffered completions into the collector.
+  void drain(AgentSystem& system) {
+    engine.run_until(engine.now() + 7200.0);
+    system.finalize_completions();
+  }
 };
 
 TEST_F(TransitiveFixture, OwnServiceScopeSeesOnlyNeighbours) {
@@ -86,7 +92,7 @@ TEST_F(TransitiveFixture, DiscoveryRoutesToGrandchild) {
   // grandchild (min 4 s).  With transitive entries S1 routes via S2.
   system->agent_named("S1").receive_request(
       make_request("sweep3d", engine.now() + 12.0));
-  drain();
+  drain(*system);
   EXPECT_EQ(system->agent_named("S3").stats().dispatched_local, 1u);
   EXPECT_EQ(collector.completed_tasks(), 1u);
   EXPECT_EQ(system->agent_named("S1").stats().forwarded_match, 1u);
@@ -104,7 +110,7 @@ TEST_F(TransitiveFixture, OwnServiceScopeCannotReachTheGrandchild) {
   engine.run_until(21.0);
   system->agent_named("S1").receive_request(
       make_request("sweep3d", engine.now() + 12.0));
-  drain();
+  drain(*system);
   EXPECT_EQ(system->agent_named("S3").stats().dispatched_local, 0u);
   std::uint64_t fallbacks = 0;
   for (std::size_t i = 0; i < system->size(); ++i) {
@@ -120,7 +126,7 @@ TEST_F(TransitiveFixture, HopBudgetForcesTermination) {
   SystemConfig config = chain(AdvertisementScope::kTransitive);
   // A hop budget of zero forces every non-local-dispatch into fallback.
   config.resources[0].name = "S1";
-  auto system = std::make_unique<AgentSystem>(engine, catalogue,
+  auto system = std::make_unique<AgentSystem>(sharded, catalogue,
                                               std::move(config), &collector);
   system->start();
   engine.run_until(21.0);
@@ -130,7 +136,7 @@ TEST_F(TransitiveFixture, HopBudgetForcesTermination) {
     request.visited.push_back(AgentId(i));
   }
   system->agent_named("S1").receive_request(std::move(request));
-  drain();
+  drain(*system);
   EXPECT_EQ(system->agent_named("S1").stats().fallback_dispatches, 1u);
   EXPECT_EQ(collector.completed_tasks(), 1u);
 }
@@ -148,7 +154,7 @@ TEST_F(TransitiveFixture, CampaignCompletesUnderTransitiveScope) {
                     engine.now() + rng.uniform(domain.lo, domain.hi));
     });
   }
-  drain();
+  drain(*system);
   EXPECT_EQ(collector.completed_tasks(), 40u);
   EXPECT_EQ(portal.results_received(), 40u);
 }

@@ -143,6 +143,35 @@ TEST_F(ArrivalFixture, ParserRejectsMalformedAndOutOfOrderLines) {
   EXPECT_THROW(parse_workload_jsonl(out_of_order), AssertionError);
 }
 
+TEST_F(ArrivalFixture, ParserRejectsNonFiniteAndOutOfRangeNumbers) {
+  const auto line = [](const std::string& at, const std::string& agent,
+                       const std::string& offset) {
+    return "{\"at\":" + at + ",\"agent\":" + agent +
+           ",\"app\":\"cpi\",\"deadline_offset\":" + offset + "}\n";
+  };
+  const auto rejects = [](const std::string& text, const std::string& what) {
+    try {
+      (void)parse_workload_jsonl(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const AssertionError& error) {
+      EXPECT_NE(require_message(error).find(what), std::string::npos)
+          << require_message(error);
+    }
+  };
+  EXPECT_NO_THROW((void)parse_workload_jsonl(line("1", "2147483647", "0")));
+  rejects(line("1e400", "0", "10"), "line 1 has a non-finite \"at\"");
+  rejects(line("nan", "0", "10"), "non-finite \"at\"");
+  rejects(line("1", "0", "nan"), "non-finite \"deadline_offset\"");
+  rejects(line("1", "0", "-inf"), "non-finite \"deadline_offset\"");
+  rejects(line("1", "0", "-5"), "negative \"deadline_offset\"");
+  rejects(line("1", "1e10", "10"), "\"agent\" that is not an index");
+  rejects(line("1", "2147483648", "10"), "\"agent\" that is not an index");
+  rejects(line("1", "-1", "10"), "\"agent\" that is not an index");
+  rejects(line("1", "1.5", "10"), "\"agent\" that is not an index");
+  rejects(line("1", "0", "10") + line("2", "nan", "10"),
+          "line 2 has a non-finite \"agent\"");
+}
+
 TEST_F(ArrivalFixture, ValidationMessagesAreActionable) {
   WorkloadConfig config;
   config.interval = 0.0;

@@ -5,7 +5,7 @@
 // any shard count.  This file pins that three ways:
 //   1. The Table 2 presets at 2 and 4 shards reproduce the exact literals
 //      recorded before the fault subsystem existed (the same numbers
-//      tests/core/fault_regression_test.cpp pins for the classic engine).
+//      tests/core/fault_regression_test.cpp pins at one shard).
 //   2. A larger generated scenario — with faults, node churn and agent
 //      churn all active — compares the full result field-by-field between
 //      one shard and several.

@@ -22,7 +22,8 @@ class SystemInvariants : public ::testing::TestWithParam<Scenario> {};
 TEST_P(SystemInvariants, HoldAcrossTheWholeRun) {
   const Scenario& scenario = GetParam();
 
-  sim::Engine engine;
+  sim::ShardedEngine sharded(1, 0.05);
+  sim::Engine& engine = sharded.shard(0);
   metrics::MetricsCollector collector;
   const auto catalogue = pace::paper_catalogue();
 
@@ -32,7 +33,7 @@ TEST_P(SystemInvariants, HoldAcrossTheWholeRun) {
   system_config.discovery_enabled = scenario.agents;
   system_config.prediction_error = scenario.prediction_error;
   system_config.seed = scenario.seed;
-  agents::AgentSystem system(engine, catalogue, std::move(system_config),
+  agents::AgentSystem system(sharded, catalogue, std::move(system_config),
                              &collector);
   system.start();
   agents::Portal portal(engine, system.network(), catalogue, &collector);
@@ -48,10 +49,11 @@ TEST_P(SystemInvariants, HoldAcrossTheWholeRun) {
                     spec.app_name, engine.now() + spec.deadline_offset);
     });
   }
-  while (collector.completed_tasks() < workload.size()) {
+  while (system.completed_count() < workload.size()) {
     ASSERT_TRUE(engine.step()) << "queue drained early";
     ASSERT_LT(engine.now(), 48.0 * 3600.0) << "run did not converge";
   }
+  system.finalize_completions();
 
   // 1. Every submitted task completed exactly once.
   std::set<TaskId> seen;

@@ -2,6 +2,9 @@
 // invisible to the experiment — the overhead contract of DESIGN.md §9.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "obs/obs.hpp"
 
@@ -126,6 +129,34 @@ TEST(SamplerNeutrality, CentralOracleIsNeutral) {
   const ExperimentResult observed = run_experiment(sampled);
   expect_identical(plain, observed);
   EXPECT_GT(observed.trace_events, 0u);
+}
+
+/// Lines of the experiment's JSONL event dump that carry a shard stamp
+/// (the exporter writes "shard" only for a nonzero TraceEvent.shard).
+int stamped_event_lines(int shards) {
+  ExperimentConfig config = small_experiment3();
+  config.system.sim_shards = shards;
+  config.obs.events_out = ::testing::TempDir() + "gridlb_stamps_" +
+                          std::to_string(shards) + ".jsonl";
+  const ExperimentResult result = run_experiment(config);
+  EXPECT_GT(result.trace_events, 0u);
+  std::ifstream in(config.obs.events_out);
+  int lines = 0;
+  int stamped = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++lines;
+    if (line.find("\"shard\"") != std::string::npos) ++stamped;
+  }
+  EXPECT_GT(lines, 0);
+  return stamped;
+}
+
+TEST(TraceShardStamps, OneShardRunStampsShardZero) {
+  // A one-shard run traces like an unsharded one, so its Chrome and JSONL
+  // exports keep the unsharded layout.
+  EXPECT_EQ(stamped_event_lines(1), 0);
+  // The check is not vacuous: a partitioned run stamps its events.
+  EXPECT_GT(stamped_event_lines(4), 0);
 }
 
 TEST(SamplerNeutrality, SamplerActuallySampled) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/assert.hpp"
@@ -46,6 +47,22 @@ struct LocalSchedFixture : ::testing::Test {
     return task;
   }
 };
+
+TEST_F(LocalSchedFixture, PredictionErrorMustLieInUnitInterval) {
+  // At e >= 1 the factor 1 + e(2u - 1) can reach zero or go negative and
+  // a task would end before it starts; a negative e is meaningless.
+  for (const double error : {-0.1, 1.0, 5.0, std::nan("")}) {
+    LocalScheduler::Config c = config(SchedulerPolicy::kGa);
+    c.prediction_error = error;
+    EXPECT_THROW(c.validate(), AssertionError) << error;
+    EXPECT_THROW(LocalScheduler(engine, table, c, [](const auto&) {}),
+                 AssertionError)
+        << error;
+  }
+  LocalScheduler::Config c = config(SchedulerPolicy::kGa);
+  c.prediction_error = 0.99;
+  EXPECT_NO_THROW(c.validate());
+}
 
 TEST_F(LocalSchedFixture, PolicyNames) {
   EXPECT_EQ(policy_name(SchedulerPolicy::kFifo), "FIFO");

@@ -37,6 +37,23 @@ TEST(Engine, TiesBreakInSchedulingOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(Engine, TiesBreakInSchedulingOrderAcrossRuns) {
+  // A schedule made between runs joins the tie behind everything already
+  // pending at that time, including events scheduled from inside events.
+  Engine engine;
+  std::vector<int> order;
+  engine.schedule_at(1.0, [&engine, &order]() {
+    engine.schedule_at(5.0, [&order]() { order.push_back(0); });
+  });
+  engine.run_until(2.0);
+  engine.schedule_at(5.0, [&order]() { order.push_back(1); });
+  engine.schedule_at(3.0, [&engine, &order]() {
+    engine.schedule_at(5.0, [&order]() { order.push_back(2); });
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
 TEST(Engine, ClockShowsEventTimeInsideCallback) {
   Engine engine;
   engine.schedule_at(7.5, [&engine]() { EXPECT_EQ(engine.now(), 7.5); });

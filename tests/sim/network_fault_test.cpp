@@ -15,8 +15,9 @@ namespace {
 
 /// Sends `count` messages a→b at distinct times; returns delivery times.
 std::vector<SimTime> run_stream(const FaultPlan& plan, int count) {
-  Engine engine;
-  Network network(engine, 0.05, plan);
+  ShardedEngine sharded{1, 0.0};
+  Engine& engine = sharded.shard(0);
+  Network network(sharded, 0.05, plan);
   std::vector<SimTime> delivered;
   const EndpointId a = network.register_endpoint("a.gridlb.sim", 1, [](auto&) {});
   const EndpointId b = network.register_endpoint(
@@ -90,10 +91,11 @@ TEST(NetworkFaults, PartitionDropsCrossingTrafficDuringItsWindow) {
 }
 
 TEST(NetworkFaults, PartitionSparesIntraIslandTraffic) {
-  Engine engine;
+  ShardedEngine sharded{1, 0.0};
+  Engine& engine = sharded.shard(0);
   FaultPlan plan;
   plan.partitions.push_back({{"a.gridlb.sim", "b.gridlb.sim"}, 0.0, 10.0});
-  Network network(engine, 0.05, plan);
+  Network network(sharded, 0.05, plan);
   int received = 0;
   const EndpointId a = network.register_endpoint("a.gridlb.sim", 1, [](auto&) {});
   const EndpointId b = network.register_endpoint(
@@ -105,10 +107,11 @@ TEST(NetworkFaults, PartitionSparesIntraIslandTraffic) {
 }
 
 TEST(NetworkFaults, DownEndpointDropsAtDeliveryTime) {
-  Engine engine;
+  ShardedEngine sharded{1, 0.0};
+  Engine& engine = sharded.shard(0);
   FaultPlan plan;
   plan.jitter_max = 1e-9;  // activate the plan without visible effect
-  Network network(engine, 0.05, plan);
+  Network network(sharded, 0.05, plan);
   std::vector<std::string> inbox;
   const EndpointId a = network.register_endpoint("a.gridlb.sim", 1, [](auto&) {});
   const EndpointId b = network.register_endpoint(
@@ -132,8 +135,9 @@ TEST(NetworkFaults, StatsBreakLossesDownByCause) {
   FaultPlan plan;
   plan.drop_prob = 0.5;
   plan.partitions.push_back({{"a.gridlb.sim"}, 0.0, 5.0});
-  Engine engine;
-  Network network(engine, 0.05, plan);
+  ShardedEngine sharded{1, 0.0};
+  Engine& engine = sharded.shard(0);
+  Network network(sharded, 0.05, plan);
   const EndpointId a = network.register_endpoint("a.gridlb.sim", 1, [](auto&) {});
   const EndpointId b = network.register_endpoint("b.gridlb.sim", 2, [](auto&) {});
   for (int i = 0; i < 20; ++i) {
@@ -150,21 +154,21 @@ TEST(NetworkFaults, StatsBreakLossesDownByCause) {
 }
 
 TEST(NetworkFaults, RejectsInvalidPlans) {
-  Engine engine;
+  ShardedEngine sharded{1, 0.0};
   {
     FaultPlan plan;
     plan.drop_prob = 1.0;  // would loop retries forever
-    EXPECT_THROW(Network(engine, 0.05, plan), AssertionError);
+    EXPECT_THROW(Network(sharded, 0.05, plan), AssertionError);
   }
   {
     FaultPlan plan;
     plan.jitter_max = -0.1;
-    EXPECT_THROW(Network(engine, 0.05, plan), AssertionError);
+    EXPECT_THROW(Network(sharded, 0.05, plan), AssertionError);
   }
   {
     FaultPlan plan;
     plan.partitions.push_back({{"a"}, 5.0, 2.0});  // until before from
-    EXPECT_THROW(Network(engine, 0.05, plan), AssertionError);
+    EXPECT_THROW(Network(sharded, 0.05, plan), AssertionError);
   }
 }
 

@@ -10,8 +10,9 @@ namespace gridlb::sim {
 namespace {
 
 struct NetworkFixture : ::testing::Test {
-  Engine engine;
-  Network network{engine, 0.05};
+  ShardedEngine sharded{1, 0.0};
+  Engine& engine = sharded.shard(0);
+  Network network{sharded, 0.05};
   std::vector<Message> inbox_a;
   std::vector<Message> inbox_b;
   EndpointId a = network.register_endpoint(
@@ -74,8 +75,9 @@ TEST_F(NetworkFixture, RejectsUnknownEndpoints) {
 }
 
 TEST(Network, ZeroLatencyDeliversSameTimestamp) {
-  Engine engine;
-  Network network(engine, 0.0);
+  ShardedEngine sharded{1, 0.0};
+  Engine& engine = sharded.shard(0);
+  Network network(sharded, 0.0);
   SimTime delivered = kNoTime;
   const EndpointId a = network.register_endpoint(
       "a", 1, [&](const Message& m) { delivered = m.delivered_at; });
@@ -85,19 +87,20 @@ TEST(Network, ZeroLatencyDeliversSameTimestamp) {
 }
 
 TEST(Network, RejectsNegativeLatency) {
-  Engine engine;
-  EXPECT_THROW(Network(engine, -1.0), AssertionError);
+  ShardedEngine sharded{1, 0.0};
+  EXPECT_THROW(Network(sharded, -1.0), AssertionError);
 }
 
 TEST(Network, RejectsNullHandler) {
-  Engine engine;
-  Network network(engine, 0.0);
+  ShardedEngine sharded{1, 0.0};
+  Network network(sharded, 0.0);
   EXPECT_THROW(network.register_endpoint("a", 1, nullptr), AssertionError);
 }
 
 TEST(Network, HandlerCanSendReply) {
-  Engine engine;
-  Network network(engine, 0.1);
+  ShardedEngine sharded{1, 0.0};
+  Engine& engine = sharded.shard(0);
+  Network network(sharded, 0.1);
   std::vector<std::string> log;
   EndpointId a = 0;
   EndpointId b = 0;

@@ -28,11 +28,27 @@ TEST(SpinBarrier, KillReleasesWithFalse) {
   EXPECT_FALSE(barrier.arrive_and_wait());
 }
 
-TEST(ShardedEngine, SingleShardIsPlainEngine) {
-  ShardedEngine sharded(1, 0.0);  // lookahead unused at one shard
-  EXPECT_FALSE(sharded.sharded());
-  EXPECT_EQ(sharded.shard_count(), 1u);
-  EXPECT_FALSE(sharded.shard(0).lineage_mode());
+TEST(ShardedEngine, SingleShardRanksEventsAsTheyRun) {
+  // One shard has no windows to seal: every executed event's rank is
+  // final at once, during drive() and after it returns.
+  ShardedEngine sharded(1, 1.0);
+  Engine& engine = sharded.shard(0);
+  int completed = 0;
+  engine.schedule_at(0.5, [&engine] { engine.schedule_at(0.75, [] {}); });
+  engine.schedule_milestone_at(1.0, [&engine, &completed] {
+    ++completed;
+    engine.schedule_at(2.0, [&engine] { engine.schedule_at(3.0, [] {}); });
+  });
+  DriveGoal goal;
+  goal.done = [&completed] { return completed == 1; };
+  goal.remaining = [&completed] {
+    return static_cast<std::uint64_t>(1 - completed);
+  };
+  sharded.drive(goal, 100.0);
+  EXPECT_TRUE(engine.window_records().empty());
+  engine.run();
+  EXPECT_TRUE(engine.window_records().empty());
+  EXPECT_EQ(sharded.events_processed(), 5u);
 }
 
 TEST(ShardedEngine, MultiShardRequiresPositiveLookahead) {
@@ -161,8 +177,7 @@ TEST(ShardedEngine, CallerThreadUsableAfterShardZeroThrows) {
 }
 
 TEST(Engine, CountMilestonesBelowHonoursBoundAndCap) {
-  LineageShared shared;
-  Engine engine(&shared, 0);
+  Engine engine;
   engine.schedule_milestone_at(2.0, [] {});
   engine.schedule_milestone_at(3.0, [] {});
   engine.schedule_milestone_at(5.0, [] {});

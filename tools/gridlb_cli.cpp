@@ -233,6 +233,13 @@ void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
   }
 }
 
+/// Runs the agent system's own validation of the filled-in config, so an
+/// out-of-range fault, churn or scheduler flag is a usage error reported
+/// before any setup.  Shared by the experiment and campaign commands.
+void validate_system_flags(const core::ExperimentConfig& config) {
+  require_valid([&config] { config.system.validate(); });
+}
+
 /// Fills the arrival process, open-loop duration and queue-migration knobs
 /// (campaign command) and validates the workload here — the CLI boundary —
 /// so a bad interval, a missing trace file or a malformed trace line fails
@@ -317,7 +324,9 @@ core::ScenarioSpec scenario_spec_from_flags(const Flags& flags) {
 core::ExperimentConfig campaign_config(const Flags& flags) {
   core::ExperimentConfig config;
   if (flags.has("grid-agents")) {
-    config = core::scenario_experiment(scenario_spec_from_flags(flags));
+    const core::ScenarioSpec spec = scenario_spec_from_flags(flags);
+    require_valid(
+        [&config, &spec] { config = core::scenario_experiment(spec); });
     if (flags.has("requests")) {
       config.workload.count = flags.get_int("requests", config.workload.count);
     }
@@ -357,6 +366,7 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
   apply_traffic_flags(flags, config);
   apply_fault_flags(flags, config);
   apply_obs_flags(flags, config);
+  validate_system_flags(config);
   return config;
 }
 
@@ -384,6 +394,7 @@ int cmd_experiment(const Flags& flags) {
     config.placement = placement_flag(flags, config.placement);
     apply_fault_flags(flags, config);
     apply_obs_flags(flags, config);
+    validate_system_flags(config);
     log::info("running ", config.name, "…");
     results.push_back(core::run_experiment(config));
   }
@@ -397,6 +408,29 @@ int cmd_experiment(const Flags& flags) {
 
 int cmd_campaign(const Flags& flags) {
   const core::ExperimentConfig config = campaign_config(flags);
+  std::vector<std::pair<std::string, int>> resources;
+  for (const auto& spec : config.system.resources) {
+    resources.emplace_back(spec.name, spec.node_count);
+  }
+  // The output flags are checked before the run, not after it.
+  int trace_index = -1;
+  if (flags.has("trace")) {
+    const std::string name = flags.get("trace", "S1");
+    const auto it = std::find_if(
+        resources.begin(), resources.end(),
+        [&name](const auto& resource) { return resource.first == name; });
+    require_flag(it != resources.end(),
+                 "--trace must name a resource of the grid, got '" + name +
+                     "'");
+    trace_index = static_cast<int>(it - resources.begin());
+  }
+  const double timeline_window = flags.get_double("timeline-window", 60.0);
+  if (flags.has("timeline-out")) {
+    // An empty timeline runs the same checks as the real one.
+    require_valid([&resources, timeline_window] {
+      (void)metrics::build_timeline({}, resources, timeline_window, 0.0, 0.0);
+    });
+  }
 
   if (flags.has("workload-out")) {
     // Export the workload the run below will see, as a replayable JSONL
@@ -417,46 +451,28 @@ int cmd_campaign(const Flags& flags) {
 
   const core::ExperimentResult result = core::run_experiment(config);
 
-  if (flags.has("trace")) {
+  if (trace_index >= 0) {
     // Render one resource's executed Gantt chart.
-    const std::string name = flags.get("trace", "S1");
-    int resource_index = -1;
-    for (std::size_t i = 0; i < config.system.resources.size(); ++i) {
-      if (config.system.resources[i].name == name) {
-        resource_index = static_cast<int>(i);
-        break;
-      }
-    }
-    if (resource_index < 0) {
-      std::fprintf(stderr, "unknown resource: %s\n", name.c_str());
-      return 1;
-    }
+    const auto& [name, node_count] =
+        resources[static_cast<std::size_t>(trace_index)];
     std::vector<sched::CompletionRecord> records;
     for (const auto& record : result.completions) {
       if (record.resource ==
-          AgentId(static_cast<std::uint64_t>(resource_index) + 1)) {
+          AgentId(static_cast<std::uint64_t>(trace_index) + 1)) {
         records.push_back(record);
       }
     }
     std::printf("%s — %zu executions\n", name.c_str(), records.size());
-    std::cout << report::render_trace(
-        records,
-        config.system.resources[static_cast<std::size_t>(resource_index)]
-            .node_count);
+    std::cout << report::render_trace(records, node_count);
     return 0;
   }
   if (flags.has("timeline-out")) {
-    std::vector<std::pair<std::string, int>> resources;
-    for (const auto& spec : config.system.resources) {
-      resources.emplace_back(spec.name, spec.node_count);
-    }
     SimTime end = 0.0;
     for (const auto& record : result.completions) {
       end = std::max(end, record.end);
     }
     const metrics::Timeline timeline = metrics::build_timeline(
-        result.completions, resources,
-        flags.get_double("timeline-window", 60.0), 0.0, end);
+        result.completions, resources, timeline_window, 0.0, end);
     const std::string path = flags.get("timeline-out", "");
     std::ofstream out(path);
     if (!out) {
