@@ -7,7 +7,8 @@
 //   * one FIFO placement (the per-width argmin over all 2^16−1 subsets)
 //     on an idle resource and on a loaded one with two nodes down,
 //   * agent matchmaking (eq. 10),
-//   * XML round-trip of the agent documents.
+//   * XML round-trip of the agent documents, and the receiver's parse plus
+//     typed read of one delivered request.
 // These back the performance discussion in §2.2 of the paper with
 // measured numbers on this machine.  `--json <path>` writes the decode vs
 // evaluate comparison (plus the PACE layer costs and peak RSS) as a
@@ -211,6 +212,41 @@ void BM_RequestXmlRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RequestXmlRoundTrip);
+
+void BM_ResultXmlRoundTrip(benchmark::State& state) {
+  agents::ExecutionResult result;
+  result.task = TaskId(42);
+  result.app_name = "sweep3d";
+  result.resource_name = "S3";
+  result.start = 120.5;
+  result.completion = 437.25;
+  result.deadline = 500.0;
+  result.email = "user@gridlb.sim";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(agents::result_from_xml(to_xml(result)));
+  }
+}
+BENCHMARK(BM_ResultXmlRoundTrip);
+
+// The receiver's side of one delivered request: one parse, then the typed
+// reader over the tree.
+void BM_DeliverRequest(benchmark::State& state) {
+  agents::Request request;
+  request.task = TaskId(42);
+  request.app_name = "sweep3d";
+  request.binary_file = "/gridlb/binary/sweep3d";
+  request.input_file = "/gridlb/binary/sweep3d.input";
+  request.model_name = "/gridlb/model/sweep3d";
+  request.deadline = 437.25;
+  request.email = "user@gridlb.sim";
+  request.origin = 12;
+  const std::string payload = to_xml(request);
+  for (auto _ : state) {
+    const auto document = xml::parse(payload);
+    benchmark::DoNotOptimize(agents::request_from_xml(*document));
+  }
+}
+BENCHMARK(BM_DeliverRequest);
 
 // The `--json` report: decode vs evaluate ns at three queue depths, the
 // PACE layer costs, and peak RSS — steady_clock, independent of

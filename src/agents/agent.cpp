@@ -68,7 +68,7 @@ std::vector<TaskId> Agent::crash() {
   for (const std::string& payload : link_.reset()) {
     const auto document = xml::parse(payload);
     if (document->attribute("type") == "request") {
-      stranded.push_back(request_from_xml(payload).task);
+      stranded.push_back(request_from_xml(*document).task);
     }
   }
   return stranded;
@@ -407,19 +407,15 @@ void Agent::on_task_completed(const sched::CompletionRecord& record) {
   const sim::EndpointId origin = it->origin;
   pending_results_.erase(it);
   ++stats_.results_sent;
-  link_.send(origin, to_xml(result));
+  link_.send(origin, to_document(result));
 }
 
 void Agent::forward(Request request, Agent* to, bool final_dispatch) {
   GRIDLB_REQUIRE(to != nullptr, "cannot forward to a null agent");
-  std::string payload = to_xml(request);
-  if (final_dispatch) {
-    // The `final` marker rides as a root attribute, like taskid/visited.
-    auto document = xml::parse(payload);
-    document->set_attribute("final", "1");
-    payload = xml::write(*document);
-  }
-  link_.send(to->endpoint(), std::move(payload),
+  xml::Element document = to_document(request);
+  // The `final` marker rides as a root attribute, like taskid/visited.
+  if (final_dispatch) document.set_attribute("final", "1");
+  link_.send(to->endpoint(), std::move(document),
              [this](sim::EndpointId dead, const std::string& lost) {
                handle_send_failure(dead, lost);
              });
@@ -439,7 +435,7 @@ void Agent::handle_send_failure(sim::EndpointId to, const std::string& payload) 
               " ACT entries");
   }
   if (type != "request") return;  // results are re-requested by the portal
-  Request request = request_from_xml(payload);
+  Request request = request_from_xml(*document);
   if (neighbour && !already_visited(request, *neighbour)) {
     request.visited.push_back(*neighbour);
   }
@@ -478,8 +474,11 @@ void Agent::push_to_neighbours() {
 }
 
 void Agent::on_message(const sim::Message& message) {
-  if (link_.on_message(message) == ReliableLink::Inbound::kConsumed) return;
   const auto document = xml::parse(message.payload);
+  if (link_.on_message(message, *document) ==
+      ReliableLink::Inbound::kConsumed) {
+    return;
+  }
   GRIDLB_REQUIRE(document->name() == "agentgrid",
                  "unexpected message document: " + document->name());
   const auto type = document->attribute("type");
@@ -488,10 +487,10 @@ void Agent::on_message(const sim::Message& message) {
   if (*type == "pull") {
     handle_pull(message);
   } else if (*type == "service") {
-    handle_advertisement(message);
+    handle_advertisement(message, *document);
   } else if (*type == "request") {
     const bool final_dispatch = document->attribute("final") == "1";
-    receive_request(request_from_xml(message.payload), final_dispatch);
+    receive_request(request_from_xml(*document), final_dispatch);
   } else {
     GRIDLB_REQUIRE(false, "unknown agentgrid message type");
   }
@@ -506,13 +505,14 @@ void Agent::handle_pull(const sim::Message& message) {
   if (!requester) return;
   for (const auto& entry : act_.entries()) {
     if (entry.via == *requester || entry.agent == *requester) continue;
-    auto document = xml::parse(to_xml(entry.info));
-    document->set_attribute("agentid", entry.agent.str());
-    network_.send(endpoint_, message.from, xml::write(*document));
+    xml::Element document = to_document(entry.info);
+    document.set_attribute("agentid", entry.agent.str());
+    network_.send(endpoint_, message.from, xml::write(document));
   }
 }
 
-void Agent::handle_advertisement(const sim::Message& message) {
+void Agent::handle_advertisement(const sim::Message& message,
+                                 const xml::Element& document) {
   const auto sender = neighbour_for_endpoint(message.from);
   if (!sender) {
     log::warn("agent ", config_.name,
@@ -523,8 +523,7 @@ void Agent::handle_advertisement(const sim::Message& message) {
   // A relayed advertisement names the described resource in the `agentid`
   // attribute; a plain one describes the sender itself.
   AgentId described = *sender;
-  const auto document = xml::parse(message.payload);
-  if (const auto agentid = document->attribute("agentid")) {
+  if (const auto agentid = document.attribute("agentid")) {
     described = AgentId(std::stoull(std::string(*agentid)));
   }
   if (described == config_.id) return;  // echo of our own service
@@ -538,7 +537,7 @@ void Agent::handle_advertisement(const sim::Message& message) {
              .kind = obs::EventKind::kAdvertisementReceived,
              .resource = described.value(),
              .a = refresh_age});
-  act_.upsert(described, service_info_from_xml(message.payload),
+  act_.upsert(described, service_info_from_xml(document),
               engine_.now(), *sender);
   maybe_migrate(described);
 }

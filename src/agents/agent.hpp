@@ -221,7 +221,8 @@ class Agent {
  private:
   void on_message(const sim::Message& message);
   void handle_pull(const sim::Message& message);
-  void handle_advertisement(const sim::Message& message);
+  void handle_advertisement(const sim::Message& message,
+                            const xml::Element& document);
   void handle_send_failure(sim::EndpointId to, const std::string& payload);
   void pull_from_neighbours();
   void push_to_neighbours();

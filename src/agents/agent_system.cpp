@@ -27,6 +27,9 @@ pace::PredictionTable grid_predictions(
 
 void SystemConfig::validate() const {
   fault.validate();
+  GRIDLB_REQUIRE(std::isfinite(pull_period) && pull_period >= 0.0,
+                 "pull period must be finite and >= 0 (0 = no advertisement "
+                 "pulls)");
   for (const ResourceSpec& spec : resources) {
     sched::LocalScheduler::Config scheduler;
     scheduler.node_count = spec.node_count;

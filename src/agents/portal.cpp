@@ -95,7 +95,7 @@ void Portal::resubmit(TaskId task) {
 
 void Portal::send_request(const Request& request, sim::EndpointId to) {
   const TaskId task = request.task;
-  link_.send(to, to_xml(request),
+  link_.send(to, to_document(request),
              [this, task](sim::EndpointId, const std::string&) {
                // Entry unreachable after the full retry budget: route the
                // task through the fallback instead of black-holing it.
@@ -104,17 +104,20 @@ void Portal::send_request(const Request& request, sim::EndpointId to) {
 }
 
 void Portal::on_message(const sim::Message& message) {
-  if (link_.on_message(message) == ReliableLink::Inbound::kConsumed) return;
+  const auto document = xml::parse(message.payload);
+  if (link_.on_message(message, *document) ==
+      ReliableLink::Inbound::kConsumed) {
+    return;
+  }
   // The portal only ever receives result documents ("the task execution
   // results are sent directly back to the user").
-  const auto document = xml::parse(message.payload);
   if (document->attribute("type") != "result") {
     log::warn("portal ignoring unexpected ", message.payload.size(),
               "-byte message");
     return;
   }
   Outcome outcome;
-  outcome.result = result_from_xml(message.payload);
+  outcome.result = result_from_xml(*document);
   outcome.delivered = engine_.now();
   const auto task_value = outcome.result.task.value();
   if (outcome.result.task.valid() && task_value < submit_times_.size()) {

@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
-#include "xml/xml.hpp"
 
 namespace gridlb::agents {
 
@@ -18,18 +17,17 @@ ReliableLink::ReliableLink(sim::Engine& engine, sim::Network& network,
   GRIDLB_REQUIRE(policy_.max_attempts >= 1, "need at least one attempt");
 }
 
-void ReliableLink::send(sim::EndpointId to, std::string payload,
+void ReliableLink::send(sim::EndpointId to, xml::Element document,
                         FailureFn on_failure) {
   if (!policy_.enabled) {
-    network_.send(self_, to, std::move(payload));
+    network_.send(self_, to, xml::write(document));
     return;
   }
   // Globally unique: the owning endpoint in the high bits, a serial below.
   const std::uint64_t msgid =
       (static_cast<std::uint64_t>(self_) << 32) | (next_serial_++ & 0xFFFFFFFF);
-  auto document = xml::parse(payload);
-  document->set_attribute("msgid", std::to_string(msgid));
-  payload = xml::write(*document);
+  document.set_attribute("msgid", std::to_string(msgid));
+  std::string payload = xml::write(document);
 
   Pending pending;
   pending.to = to;
@@ -80,11 +78,11 @@ void ReliableLink::on_timeout(std::uint64_t msgid) {
   arm_timer(msgid);
 }
 
-ReliableLink::Inbound ReliableLink::on_message(const sim::Message& message) {
+ReliableLink::Inbound ReliableLink::on_message(const sim::Message& message,
+                                               const xml::Element& document) {
   if (!policy_.enabled) return Inbound::kDeliver;
-  const auto document = xml::parse(message.payload);
-  if (document->attribute("type") == "ack") {
-    const auto msgid_text = document->attribute("msgid");
+  if (document.attribute("type") == "ack") {
+    const auto msgid_text = document.attribute("msgid");
     GRIDLB_REQUIRE(msgid_text.has_value(), "ack lacks a msgid");
     const auto msgid = std::stoull(std::string(*msgid_text));
     const auto it = pending_.find(msgid);
@@ -95,7 +93,7 @@ ReliableLink::Inbound ReliableLink::on_message(const sim::Message& message) {
     }
     return Inbound::kConsumed;
   }
-  const auto msgid_text = document->attribute("msgid");
+  const auto msgid_text = document.attribute("msgid");
   if (!msgid_text) return Inbound::kDeliver;  // unreliable traffic
   const auto msgid = std::stoull(std::string(*msgid_text));
   xml::Element ack("agentgrid");

@@ -33,6 +33,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
+#include "xml/xml.hpp"
 
 namespace gridlb::agents {
 
@@ -70,17 +71,20 @@ class ReliableLink {
   /// The owning endpoint; must be set (once) before the first send.
   void set_self(sim::EndpointId self) { self_ = self; }
 
-  /// Sends an agentgrid document.  Disabled policy: plain passthrough.
-  /// Enabled: stamps a msgid, transmits, and retries until acked or the
-  /// attempt budget runs out (then calls `on_failure`, if given).
-  void send(sim::EndpointId to, std::string payload,
+  /// Writes an agentgrid document once and sends it.  Disabled policy:
+  /// plain passthrough.  Enabled: stamps a msgid on the tree first, then
+  /// transmits and retries until acked or the attempt budget runs out
+  /// (then calls `on_failure`, if given).
+  void send(sim::EndpointId to, xml::Element document,
             FailureFn on_failure = nullptr);
 
-  /// Inbound filter; the endpoint handler must call this first.
+  /// Inbound filter over the message and its parsed `document`; the
+  /// endpoint handler must call this first.
   ///   kConsumed — the message was an ack or a duplicate; do not process.
   ///   kDeliver  — fresh traffic (acked if it carried a msgid); process it.
   enum class Inbound { kDeliver, kConsumed };
-  Inbound on_message(const sim::Message& message);
+  Inbound on_message(const sim::Message& message,
+                     const xml::Element& document);
 
   /// Drops all in-flight sends and their timers without invoking failure
   /// callbacks — the state a crashing process loses.  Delivered-msgid

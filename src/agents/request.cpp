@@ -6,7 +6,7 @@
 
 namespace gridlb::agents {
 
-std::string to_xml(const Request& request) {
+xml::Element to_document(const Request& request) {
   xml::Element root("agentgrid");
   root.set_attribute("type", "request");
   root.set_attribute("taskid", request.task.str());
@@ -37,24 +37,31 @@ std::string to_xml(const Request& request) {
                                   std::to_string(request.deadline));
 
   root.add_child_with_text("email", request.email);
-  return xml::write(root);
+  return root;
+}
+
+std::string to_xml(const Request& request) {
+  return xml::write(to_document(request));
 }
 
 Request request_from_xml(std::string_view document) {
-  const auto root = xml::parse(document);
-  GRIDLB_REQUIRE(root->name() == "agentgrid", "not an agentgrid document");
-  GRIDLB_REQUIRE(root->attribute("type") == "request",
+  return request_from_xml(*xml::parse(document));
+}
+
+Request request_from_xml(const xml::Element& root) {
+  GRIDLB_REQUIRE(root.name() == "agentgrid", "not an agentgrid document");
+  GRIDLB_REQUIRE(root.attribute("type") == "request",
                  "not a request document");
 
   Request request;
-  if (const auto taskid = root->attribute("taskid")) {
+  if (const auto taskid = root.attribute("taskid")) {
     request.task = TaskId(std::stoull(std::string(*taskid)));
   }
-  if (const auto origin = root->attribute("origin")) {
+  if (const auto origin = root.attribute("origin")) {
     request.origin =
         static_cast<std::uint32_t>(std::stoul(std::string(*origin)));
   }
-  if (const auto visited = root->attribute("visited")) {
+  if (const auto visited = root.attribute("visited")) {
     std::istringstream is{std::string(*visited)};
     std::string token;
     while (std::getline(is, token, ',')) {
@@ -62,7 +69,7 @@ Request request_from_xml(std::string_view document) {
     }
   }
 
-  const xml::Element* application = root->child("application");
+  const xml::Element* application = root.child("application");
   GRIDLB_REQUIRE(application != nullptr, "request lacks <application>");
   request.app_name = application->child_text("name");
   if (const xml::Element* binary = application->child("binary")) {
@@ -75,14 +82,14 @@ Request request_from_xml(std::string_view document) {
     request.model_name = performance->child_text("modelname");
   }
 
-  const xml::Element* requirement = root->child("requirement");
+  const xml::Element* requirement = root.child("requirement");
   GRIDLB_REQUIRE(requirement != nullptr, "request lacks <requirement>");
   request.environment = requirement->child_text("environment");
   const std::string deadline_text = requirement->child_text("deadline");
   GRIDLB_REQUIRE(!deadline_text.empty(), "request lacks a deadline");
   request.deadline = std::stod(deadline_text);
 
-  request.email = root->child_text("email");
+  request.email = root.child_text("email");
   return request;
 }
 

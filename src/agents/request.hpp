@@ -56,8 +56,14 @@ struct Request {
   bool operator==(const Request&) const = default;
 };
 
+/// The Fig. 6 document tree; transport attributes (`final`, `msgid`) are
+/// set on it before its one write.
+[[nodiscard]] xml::Element to_document(const Request& request);
 [[nodiscard]] std::string to_xml(const Request& request);
 
+/// Reads a request from a parsed document; throws on an incomplete or
+/// malformed one.
+[[nodiscard]] Request request_from_xml(const xml::Element& document);
 [[nodiscard]] Request request_from_xml(std::string_view document);
 
 }  // namespace gridlb::agents

@@ -1,11 +1,10 @@
 #include "agents/result.hpp"
 
 #include "common/assert.hpp"
-#include "xml/xml.hpp"
 
 namespace gridlb::agents {
 
-std::string to_xml(const ExecutionResult& result) {
+xml::Element to_document(const ExecutionResult& result) {
   xml::Element root("agentgrid");
   root.set_attribute("type", "result");
   root.set_attribute("taskid", result.task.str());
@@ -21,31 +20,38 @@ std::string to_xml(const ExecutionResult& result) {
   execution.add_child_with_text("deadline", std::to_string(result.deadline));
 
   root.add_child_with_text("email", result.email);
-  return xml::write(root);
+  return root;
+}
+
+std::string to_xml(const ExecutionResult& result) {
+  return xml::write(to_document(result));
 }
 
 ExecutionResult result_from_xml(std::string_view document) {
-  const auto root = xml::parse(document);
-  GRIDLB_REQUIRE(root->name() == "agentgrid", "not an agentgrid document");
-  GRIDLB_REQUIRE(root->attribute("type") == "result",
+  return result_from_xml(*xml::parse(document));
+}
+
+ExecutionResult result_from_xml(const xml::Element& root) {
+  GRIDLB_REQUIRE(root.name() == "agentgrid", "not an agentgrid document");
+  GRIDLB_REQUIRE(root.attribute("type") == "result",
                  "not a result document");
 
   ExecutionResult result;
-  if (const auto taskid = root->attribute("taskid")) {
+  if (const auto taskid = root.attribute("taskid")) {
     result.task = TaskId(std::stoull(std::string(*taskid)));
   }
-  const xml::Element* application = root->child("application");
+  const xml::Element* application = root.child("application");
   GRIDLB_REQUIRE(application != nullptr, "result lacks <application>");
   result.app_name = application->child_text("name");
 
-  const xml::Element* execution = root->child("execution");
+  const xml::Element* execution = root.child("execution");
   GRIDLB_REQUIRE(execution != nullptr, "result lacks <execution>");
   result.resource_name = execution->child_text("resource");
   result.start = std::stod(execution->child_text("start"));
   result.completion = std::stod(execution->child_text("completion"));
   result.deadline = std::stod(execution->child_text("deadline"));
 
-  result.email = root->child_text("email");
+  result.email = root.child_text("email");
   return result;
 }
 

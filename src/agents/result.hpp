@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/types.hpp"
+#include "xml/xml.hpp"
 
 namespace gridlb::agents {
 
@@ -36,8 +37,14 @@ struct ExecutionResult {
   bool operator==(const ExecutionResult&) const = default;
 };
 
+/// The result document tree; a reliable send stamps `msgid` on it before
+/// its one write.
+[[nodiscard]] xml::Element to_document(const ExecutionResult& result);
 [[nodiscard]] std::string to_xml(const ExecutionResult& result);
 
+/// Reads a result from a parsed document; throws on an incomplete or
+/// malformed one.
+[[nodiscard]] ExecutionResult result_from_xml(const xml::Element& document);
 [[nodiscard]] ExecutionResult result_from_xml(std::string_view document);
 
 }  // namespace gridlb::agents

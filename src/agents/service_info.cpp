@@ -34,7 +34,7 @@ double parse_double(const std::string& text, const char* what) {
 
 }  // namespace
 
-std::string to_xml(const ServiceInfo& info) {
+xml::Element to_document(const ServiceInfo& info) {
   xml::Element root("agentgrid");
   root.set_attribute("type", "service");
 
@@ -52,22 +52,29 @@ std::string to_xml(const ServiceInfo& info) {
   }
   local.add_child_with_text("freetime", std::to_string(info.freetime));
 
-  return xml::write(root);
+  return root;
+}
+
+std::string to_xml(const ServiceInfo& info) {
+  return xml::write(to_document(info));
 }
 
 ServiceInfo service_info_from_xml(std::string_view document) {
-  const auto root = xml::parse(document);
-  GRIDLB_REQUIRE(root->name() == "agentgrid", "not an agentgrid document");
-  GRIDLB_REQUIRE(root->attribute("type") == "service",
+  return service_info_from_xml(*xml::parse(document));
+}
+
+ServiceInfo service_info_from_xml(const xml::Element& root) {
+  GRIDLB_REQUIRE(root.name() == "agentgrid", "not an agentgrid document");
+  GRIDLB_REQUIRE(root.attribute("type") == "service",
                  "not a service document");
 
   ServiceInfo info;
-  const xml::Element* agent = root->child("agent");
+  const xml::Element* agent = root.child("agent");
   GRIDLB_REQUIRE(agent != nullptr, "service document lacks <agent>");
   info.agent_address = agent->child_text("address");
   info.agent_port = parse_int(agent->child_text("port"), "agent port");
 
-  const xml::Element* local = root->child("local");
+  const xml::Element* local = root.child("local");
   GRIDLB_REQUIRE(local != nullptr, "service document lacks <local>");
   info.local_address = local->child_text("address");
   info.local_port = parse_int(local->child_text("port"), "local port");

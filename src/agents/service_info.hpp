@@ -41,9 +41,15 @@ struct ServiceInfo {
   bool operator==(const ServiceInfo&) const = default;
 };
 
+/// The Fig. 5 document tree; a relay stamps `agentid` on it before its
+/// one write.
+[[nodiscard]] xml::Element to_document(const ServiceInfo& info);
 /// Serialises to the Fig. 5 document shape.
 [[nodiscard]] std::string to_xml(const ServiceInfo& info);
 
+/// Reads a Fig. 5 document; throws AssertionError on an incomplete or
+/// malformed one.
+[[nodiscard]] ServiceInfo service_info_from_xml(const xml::Element& document);
 /// Parses a Fig. 5 document; throws xml::ParseError / AssertionError on
 /// malformed or incomplete input.
 [[nodiscard]] ServiceInfo service_info_from_xml(std::string_view document);

@@ -1,7 +1,5 @@
 #include "xml/xml.hpp"
 
-#include <cctype>
-#include <sstream>
 
 #include "common/assert.hpp"
 
@@ -68,59 +66,86 @@ std::string Element::child_text(std::string_view name) const {
   return c != nullptr ? c->text() : std::string{};
 }
 
-std::string escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char ch : raw) {
-    switch (ch) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += ch;
-    }
-  }
-  return out;
-}
-
 namespace {
 
-void write_element(std::ostringstream& os, const Element& element, int indent,
+/// Appends `raw` to `out` with &, <, >, " and ' escaped, copying each run
+/// of plain characters as one slice.
+void append_escaped(std::string& out, std::string_view raw) {
+  std::size_t plain = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    std::string_view entity;
+    switch (raw[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"': entity = "&quot;"; break;
+      case '\'': entity = "&apos;"; break;
+      default: continue;
+    }
+    out.append(raw, plain, i - plain);
+    out += entity;
+    plain = i + 1;
+  }
+  out.append(raw, plain);
+}
+
+void append_indent(std::string& out, int indent, int depth) {
+  if (indent > 0) out.append(static_cast<std::size_t>(indent * depth), ' ');
+}
+
+void write_element(std::string& out, const Element& element, int indent,
                    int depth) {
-  const std::string pad =
-      indent >= 0 ? std::string(static_cast<std::size_t>(indent * depth), ' ')
-                  : std::string{};
-  os << pad << '<' << element.name();
+  append_indent(out, indent, depth);
+  out += '<';
+  out += element.name();
   for (const auto& [key, value] : element.attributes()) {
-    os << ' ' << key << "=\"" << escape(value) << '"';
+    out += ' ';
+    out += key;
+    out += "=\"";
+    append_escaped(out, value);
+    out += '"';
   }
-  const bool empty = element.children().empty() && element.text().empty();
-  if (empty) {
-    os << "/>";
-    if (indent >= 0) os << '\n';
-    return;
-  }
-  os << '>';
   if (element.children().empty()) {
-    os << escape(element.text()) << "</" << element.name() << '>';
-    if (indent >= 0) os << '\n';
+    if (element.text().empty()) {
+      out += "/>";
+    } else {
+      out += '>';
+      append_escaped(out, element.text());
+      out += "</";
+      out += element.name();
+      out += '>';
+    }
+    if (indent >= 0) out += '\n';
     return;
   }
-  if (indent >= 0) os << '\n';
+  out += '>';
+  if (indent >= 0) out += '\n';
   if (!element.text().empty()) {
-    os << (indent >= 0 ? std::string(
-                             static_cast<std::size_t>(indent * (depth + 1)),
-                             ' ')
-                       : std::string{})
-       << escape(element.text());
-    if (indent >= 0) os << '\n';
+    append_indent(out, indent, depth + 1);
+    append_escaped(out, element.text());
+    if (indent >= 0) out += '\n';
   }
   for (const auto& child : element.children()) {
-    write_element(os, *child, indent, depth + 1);
+    write_element(out, *child, indent, depth + 1);
   }
-  os << pad << "</" << element.name() << '>';
-  if (indent >= 0) os << '\n';
+  append_indent(out, indent, depth);
+  out += "</";
+  out += element.name();
+  out += '>';
+  if (indent >= 0) out += '\n';
+}
+
+/// isspace in the "C" locale.
+constexpr bool is_space(char ch) {
+  return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\v' || ch == '\f' ||
+         ch == '\r';
+}
+
+/// isalnum in the "C" locale, plus the punctuation XML names use here.
+constexpr bool is_name_char(char ch) {
+  return (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
+         (ch >= '0' && ch <= '9') || ch == '_' || ch == '-' || ch == '.' ||
+         ch == ':';
 }
 
 /// Recursive-descent parser over a string_view with a cursor.
@@ -132,7 +157,7 @@ class Parser {
     skip_whitespace();
     skip_declaration();
     skip_whitespace();
-    auto root = parse_element();
+    auto root = parse_element(1);
     skip_whitespace();
     if (pos_ != input_.size()) {
       fail("trailing content after document root");
@@ -166,10 +191,7 @@ class Parser {
   }
 
   void skip_whitespace() {
-    while (!eof() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_])) != 0) {
-      ++pos_;
-    }
+    while (!eof() && is_space(input_[pos_])) ++pos_;
   }
 
   void skip_declaration() {
@@ -186,37 +208,33 @@ class Parser {
     pos_ = end + 3;
   }
 
-  [[nodiscard]] static bool is_name_char(char ch) {
-    return std::isalnum(static_cast<unsigned char>(ch)) != 0 || ch == '_' ||
-           ch == '-' || ch == '.' || ch == ':';
-  }
-
-  std::string parse_name() {
+  std::string_view parse_name() {
     const std::size_t start = pos_;
     while (!eof() && is_name_char(input_[pos_])) ++pos_;
     if (pos_ == start) fail("expected a name");
-    return std::string(input_.substr(start, pos_ - start));
+    return input_.substr(start, pos_ - start);
   }
 
-  std::string decode_entities(std::string_view raw) {
+  /// `raw` with its entities decoded; each run between entities is copied
+  /// as one slice.
+  std::string decode_entities(std::string_view raw) const {
     std::string out;
-    out.reserve(raw.size());
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      if (raw[i] != '&') {
-        out += raw[i];
-        continue;
-      }
-      const auto semi = raw.find(';', i);
+    std::size_t plain = 0;
+    for (auto amp = raw.find('&'); amp != std::string_view::npos;
+         amp = raw.find('&', plain)) {
+      out.append(raw, plain, amp - plain);
+      const auto semi = raw.find(';', amp);
       if (semi == std::string_view::npos) fail("unterminated entity");
-      const std::string_view entity = raw.substr(i + 1, semi - i - 1);
+      const std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
       if (entity == "amp") out += '&';
       else if (entity == "lt") out += '<';
       else if (entity == "gt") out += '>';
       else if (entity == "quot") out += '"';
       else if (entity == "apos") out += '\'';
       else fail("unknown entity &" + std::string(entity) + ";");
-      i = semi;
+      plain = semi + 1;
     }
+    out.append(raw, plain);
     return out;
   }
 
@@ -224,23 +242,26 @@ class Parser {
     const char quote = take();
     if (quote != '"' && quote != '\'') fail("expected quoted attribute value");
     const std::size_t start = pos_;
-    while (!eof() && input_[pos_] != quote) ++pos_;
+    const auto end = input_.find(quote, pos_);
+    pos_ = end == std::string_view::npos ? input_.size() : end;
     if (eof()) fail("unterminated attribute value");
-    const std::string value =
-        decode_entities(input_.substr(start, pos_ - start));
+    std::string value = decode_entities(input_.substr(start, pos_ - start));
     ++pos_;  // closing quote
     return value;
   }
 
-  std::unique_ptr<Element> parse_element() {
+  std::unique_ptr<Element> parse_element(std::size_t depth) {
+    if (depth > kMaxDepth) {
+      fail("elements nested deeper than " + std::to_string(kMaxDepth));
+    }
     expect('<');
-    auto element = std::make_unique<Element>(parse_name());
+    auto element = std::make_unique<Element>(std::string(parse_name()));
     // Attributes.
     for (;;) {
       skip_whitespace();
       const char ch = peek();
       if (ch == '/' || ch == '>') break;
-      std::string key = parse_name();
+      std::string key(parse_name());
       skip_whitespace();
       expect('=');
       skip_whitespace();
@@ -255,16 +276,21 @@ class Parser {
     // Content: interleaved text, comments and child elements.
     for (;;) {
       const std::size_t text_start = pos_;
-      while (!eof() && input_[pos_] != '<') ++pos_;
-      if (pos_ > text_start) {
-        const std::string text = decode_entities(
-            input_.substr(text_start, pos_ - text_start));
-        // Keep interior whitespace but drop pure-indentation runs.
-        if (text.find_first_not_of(" \t\r\n") != std::string::npos) {
-          std::string trimmed = text;
-          const auto first = trimmed.find_first_not_of(" \t\r\n");
-          const auto last = trimmed.find_last_not_of(" \t\r\n");
-          element->append_text(trimmed.substr(first, last - first + 1));
+      const auto text_end = input_.find('<', pos_);
+      pos_ = text_end == std::string_view::npos ? input_.size() : text_end;
+      // Keep interior whitespace but drop pure-indentation runs.  Entities
+      // never decode to whitespace, so trimming before decoding is exact.
+      const std::string_view text =
+          input_.substr(text_start, pos_ - text_start);
+      const auto first = text.find_first_not_of(" \t\r\n");
+      if (first != std::string_view::npos) {
+        const auto last = text.find_last_not_of(" \t\r\n");
+        std::string decoded =
+            decode_entities(text.substr(first, last - first + 1));
+        if (element->text().empty()) {
+          element->set_text(std::move(decoded));
+        } else {
+          element->append_text(decoded);
         }
       }
       if (eof()) fail("unterminated element <" + element->name() + ">");
@@ -274,16 +300,16 @@ class Parser {
       }
       if (looking_at("</")) {
         pos_ += 2;
-        const std::string closing = parse_name();
+        const std::string_view closing = parse_name();
         if (closing != element->name()) {
-          fail("mismatched closing tag </" + closing + "> for <" +
-               element->name() + ">");
+          fail("mismatched closing tag </" + std::string(closing) +
+               "> for <" + element->name() + ">");
         }
         skip_whitespace();
         expect('>');
         return element;
       }
-      element->adopt_child(parse_element());
+      element->adopt_child(parse_element(depth + 1));
     }
   }
 
@@ -293,10 +319,17 @@ class Parser {
 
 }  // namespace
 
+std::string escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  append_escaped(out, raw);
+  return out;
+}
+
 std::string write(const Element& root, int indent) {
-  std::ostringstream os;
-  write_element(os, root, indent, 0);
-  return os.str();
+  std::string out;
+  write_element(out, root, indent, 0);
+  return out;
 }
 
 std::unique_ptr<Element> parse(std::string_view input) {

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,8 +83,14 @@ class Element {
 /// emitted compactly on one line.
 [[nodiscard]] std::string write(const Element& root, int indent = 2);
 
+/// Deepest element nesting `parse` accepts; the root is at depth 1.  The
+/// agent documents nest three deep.  The bound keeps hostile input from
+/// overflowing the stack in the recursive parser and in ~Element.
+inline constexpr std::size_t kMaxDepth = 64;
+
 /// Parses a single-rooted document.  Leading/trailing whitespace and an
-/// optional `<?xml ...?>` declaration are accepted.  Throws ParseError.
+/// optional `<?xml ...?>` declaration are accepted.  Throws ParseError,
+/// also for elements nested deeper than kMaxDepth.
 [[nodiscard]] std::unique_ptr<Element> parse(std::string_view input);
 
 }  // namespace gridlb::xml

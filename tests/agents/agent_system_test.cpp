@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "agents/portal.hpp"
 #include "common/assert.hpp"
 #include "pace/paper_applications.hpp"
@@ -109,6 +112,12 @@ TEST_F(AgentSystemFixture, ValidateRejectsOutOfRangeKnobs) {
   config.agent_churn.enabled = true;
   config.agent_churn.mttr = 0.0;
   rejects(config);
+  for (const double period : {-1.0, std::nan(""),
+                              std::numeric_limits<double>::infinity()}) {
+    config = two_level();
+    config.pull_period = period;
+    rejects(config);
+  }
 }
 
 TEST_F(AgentSystemFixture, RegistersResourcesWithCollector) {

@@ -17,11 +17,15 @@ namespace {
 
 constexpr double kLatency = 0.05;
 
-std::string request_payload(const std::string& marker) {
+xml::Element request_document(const std::string& marker) {
   xml::Element document("agentgrid");
   document.set_attribute("type", "request");
   document.set_attribute("marker", marker);
-  return xml::write(document);
+  return document;
+}
+
+std::string request_payload(const std::string& marker) {
+  return xml::write(request_document(marker));
 }
 
 RetryPolicy enabled_policy() {
@@ -50,7 +54,7 @@ TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
   sender.set_self(a);
 
   const std::string payload = request_payload("plain");
-  sender.send(b, payload);
+  sender.send(b, request_document("plain"));
   engine.run();
 
   // Byte-identical delivery: no msgid attribute, no ack, no bookkeeping.
@@ -69,17 +73,20 @@ TEST(ReliableLink, AckStopsRetransmission) {
   ReliableLink sender(engine, network, enabled_policy());
   ReliableLink receiver(engine, network, enabled_policy());
   const sim::EndpointId a = network.register_endpoint(
-      "a", 1, [&sender](const sim::Message& m) { sender.on_message(m); });
+      "a", 1, [&sender](const sim::Message& m) {
+        sender.on_message(m, *xml::parse(m.payload));
+      });
   const sim::EndpointId b = network.register_endpoint(
       "b", 2, [&receiver, &arrivals](const sim::Message& m) {
-        if (receiver.on_message(m) == ReliableLink::Inbound::kDeliver) {
+        if (receiver.on_message(m, *xml::parse(m.payload)) ==
+            ReliableLink::Inbound::kDeliver) {
           arrivals.payloads.push_back(m.payload);
         }
       });
   sender.set_self(a);
   receiver.set_self(b);
 
-  sender.send(b, request_payload("acked"));
+  sender.send(b, request_document("acked"));
   engine.run();
 
   ASSERT_EQ(arrivals.payloads.size(), 1u);
@@ -108,7 +115,7 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
       });
   sender.set_self(a);
 
-  sender.send(b, request_payload("doomed"),
+  sender.send(b, request_document("doomed"),
               [&failed](sim::EndpointId, const std::string& payload) {
                 failed.push_back(payload);
               });
@@ -150,8 +157,10 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
 
   // First arrival is fresh; a retransmission of the same msgid must be
   // swallowed but still acknowledged (the first ack may have been lost).
-  EXPECT_EQ(receiver.on_message(message), ReliableLink::Inbound::kDeliver);
-  EXPECT_EQ(receiver.on_message(message), ReliableLink::Inbound::kConsumed);
+  EXPECT_EQ(receiver.on_message(message, *document),
+            ReliableLink::Inbound::kDeliver);
+  EXPECT_EQ(receiver.on_message(message, *document),
+            ReliableLink::Inbound::kConsumed);
   EXPECT_EQ(receiver.stats().acks_sent, 2u);
   EXPECT_EQ(receiver.stats().duplicates_suppressed, 1u);
 }
@@ -166,7 +175,8 @@ TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
 
   sim::Message message;
   message.payload = request_payload("no msgid");  // e.g. a pull or an ad
-  EXPECT_EQ(receiver.on_message(message), ReliableLink::Inbound::kDeliver);
+  EXPECT_EQ(receiver.on_message(message, *xml::parse(message.payload)),
+            ReliableLink::Inbound::kDeliver);
   EXPECT_EQ(receiver.stats().acks_sent, 0u);
 }
 
@@ -180,9 +190,9 @@ TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
       network.register_endpoint("b", 2, [](auto&) {});  // never acks
   sender.set_self(a);
 
-  sender.send(b, request_payload("first"));
-  sender.send(b, request_payload("second"));
-  sender.send(b, request_payload("third"));
+  sender.send(b, request_document("first"));
+  sender.send(b, request_document("second"));
+  sender.send(b, request_document("third"));
   EXPECT_EQ(sender.in_flight(), 3u);
 
   const std::vector<std::string> undelivered = sender.reset();

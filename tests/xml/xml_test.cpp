@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/assert.hpp"
 
 namespace gridlb::xml {
@@ -139,6 +141,25 @@ TEST(XmlParse, ErrorCarriesOffset) {
   } catch (const ParseError& error) {
     EXPECT_GT(error.offset(), 0u);
     EXPECT_NE(std::string(error.what()).find("byte"), std::string::npos);
+  }
+}
+
+TEST(XmlParse, BoundsNestingDepth) {
+  const auto nested = [](std::size_t depth) {
+    std::string document;
+    for (std::size_t i = 0; i < depth; ++i) document += "<a>";
+    for (std::size_t i = 0; i < depth; ++i) document += "</a>";
+    return document;
+  };
+  EXPECT_NO_THROW((void)parse(nested(64)));
+  // Deep enough to overflow the stack of a parser that recurses unbounded.
+  for (const std::size_t depth : {65u, 100000u}) {
+    try {
+      (void)parse(nested(depth));
+      ADD_FAILURE() << "expected ParseError at depth " << depth;
+    } catch (const ParseError& error) {
+      EXPECT_EQ(error.offset(), 3u * 64u);  // the 65th <a>
+    }
   }
 }
 

@@ -331,6 +331,14 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
       config.workload.count = flags.get_int("requests", config.workload.count);
     }
   } else {
+    // The scenario flags describe a generated grid; the Fig. 7 campaign
+    // has none to apply them to.
+    for (const char* flag :
+         {"grid-shape", "grid-fanout", "grid-depth", "grid-seed", "grid-nodes",
+          "requests-per-agent", "deadline-scale"}) {
+      require_flag(!flags.has(flag),
+                   std::string("--") + flag + " needs --grid-agents");
+    }
     config = core::experiment3();
     config.name = "campaign";
     config.workload.count = flags.get_int("requests", 300);
@@ -390,6 +398,7 @@ int cmd_experiment(const Flags& flags) {
     config.workload.count = flags.get_int("requests", 600);
     config.workload.seed =
         static_cast<std::uint64_t>(flags.get_int("seed", 2003));
+    require_valid([&config] { core::validate_workload(config.workload); });
     config.system.sim_shards = sim_shards_flag(flags);
     config.placement = placement_flag(flags, config.placement);
     apply_fault_flags(flags, config);
