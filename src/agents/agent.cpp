@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "agents/numbers.hpp"
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "obs/registry.hpp"
@@ -480,7 +481,8 @@ void Agent::on_message(const sim::Message& message) {
     return;
   }
   GRIDLB_REQUIRE(document->name() == "agentgrid",
-                 "unexpected message document: " + document->name());
+                 "unexpected message document: " +
+                     std::string(document->name()));
   const auto type = document->attribute("type");
   GRIDLB_REQUIRE(type.has_value(), "agentgrid message lacks a type");
 
@@ -506,7 +508,8 @@ void Agent::handle_pull(const sim::Message& message) {
   for (const auto& entry : act_.entries()) {
     if (entry.via == *requester || entry.agent == *requester) continue;
     xml::Element document = to_document(entry.info);
-    document.set_attribute("agentid", entry.agent.str());
+    document.set_attribute("agentid",
+                           NumberText(entry.agent.value()).view());
     network_.send(endpoint_, message.from, xml::write(document));
   }
 }
@@ -524,7 +527,7 @@ void Agent::handle_advertisement(const sim::Message& message,
   // attribute; a plain one describes the sender itself.
   AgentId described = *sender;
   if (const auto agentid = document.attribute("agentid")) {
-    described = AgentId(std::stoull(std::string(*agentid)));
+    described = AgentId(read_number<std::uint64_t>(*agentid, "agentid"));
   }
   if (described == config_.id) return;  // echo of our own service
   // `a` carries the age of the entry being replaced (0 for a first sight):

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "agents/numbers.hpp"
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
 
@@ -26,7 +27,7 @@ void ReliableLink::send(sim::EndpointId to, xml::Element document,
   // Globally unique: the owning endpoint in the high bits, a serial below.
   const std::uint64_t msgid =
       (static_cast<std::uint64_t>(self_) << 32) | (next_serial_++ & 0xFFFFFFFF);
-  document.set_attribute("msgid", std::to_string(msgid));
+  document.set_attribute("msgid", NumberText(msgid).view());
   std::string payload = xml::write(document);
 
   Pending pending;
@@ -84,7 +85,7 @@ ReliableLink::Inbound ReliableLink::on_message(const sim::Message& message,
   if (document.attribute("type") == "ack") {
     const auto msgid_text = document.attribute("msgid");
     GRIDLB_REQUIRE(msgid_text.has_value(), "ack lacks a msgid");
-    const auto msgid = std::stoull(std::string(*msgid_text));
+    const auto msgid = read_number<std::uint64_t>(*msgid_text, "msgid");
     const auto it = pending_.find(msgid);
     if (it != pending_.end()) {
       ++stats_.acks_received;
@@ -95,10 +96,10 @@ ReliableLink::Inbound ReliableLink::on_message(const sim::Message& message,
   }
   const auto msgid_text = document.attribute("msgid");
   if (!msgid_text) return Inbound::kDeliver;  // unreliable traffic
-  const auto msgid = std::stoull(std::string(*msgid_text));
+  const auto msgid = read_number<std::uint64_t>(*msgid_text, "msgid");
   xml::Element ack("agentgrid");
   ack.set_attribute("type", "ack");
-  ack.set_attribute("msgid", std::string(*msgid_text));
+  ack.set_attribute("msgid", *msgid_text);
   ++stats_.acks_sent;
   network_.send(self_, message.from, xml::write(ack));
   if (!delivered_.insert(msgid).second) {

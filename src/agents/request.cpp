@@ -1,7 +1,6 @@
 #include "agents/request.hpp"
 
-#include <sstream>
-
+#include "agents/numbers.hpp"
 #include "common/assert.hpp"
 
 namespace gridlb::agents {
@@ -9,17 +8,17 @@ namespace gridlb::agents {
 xml::Element to_document(const Request& request) {
   xml::Element root("agentgrid");
   root.set_attribute("type", "request");
-  root.set_attribute("taskid", request.task.str());
+  root.set_attribute("taskid", NumberText(request.task.value()).view());
   if (request.origin) {
-    root.set_attribute("origin", std::to_string(*request.origin));
+    root.set_attribute("origin", NumberText(*request.origin).view());
   }
   if (!request.visited.empty()) {
-    std::ostringstream visited;
-    for (std::size_t i = 0; i < request.visited.size(); ++i) {
-      if (i != 0) visited << ',';
-      visited << request.visited[i].value();
+    std::string visited;
+    for (const AgentId agent : request.visited) {
+      if (!visited.empty()) visited += ',';
+      visited += NumberText(agent.value()).view();
     }
-    root.set_attribute("visited", visited.str());
+    root.set_attribute("visited", visited);
   }
 
   xml::Element& application = root.add_child("application");
@@ -34,7 +33,7 @@ xml::Element to_document(const Request& request) {
   xml::Element& requirement = root.add_child("requirement");
   requirement.add_child_with_text("environment", request.environment);
   requirement.add_child_with_text("deadline",
-                                  std::to_string(request.deadline));
+                                  NumberText(request.deadline).view());
 
   root.add_child_with_text("email", request.email);
   return root;
@@ -55,17 +54,18 @@ Request request_from_xml(const xml::Element& root) {
 
   Request request;
   if (const auto taskid = root.attribute("taskid")) {
-    request.task = TaskId(std::stoull(std::string(*taskid)));
+    request.task = TaskId(read_number<std::uint64_t>(*taskid, "taskid"));
   }
   if (const auto origin = root.attribute("origin")) {
-    request.origin =
-        static_cast<std::uint32_t>(std::stoul(std::string(*origin)));
+    request.origin = read_number<std::uint32_t>(*origin, "origin");
   }
   if (const auto visited = root.attribute("visited")) {
-    std::istringstream is{std::string(*visited)};
-    std::string token;
-    while (std::getline(is, token, ',')) {
-      request.visited.push_back(AgentId(std::stoull(token)));
+    for (std::string_view rest = *visited;;) {
+      const auto comma = rest.find(',');
+      request.visited.emplace_back(
+          read_number<std::uint64_t>(rest.substr(0, comma), "visited"));
+      if (comma == std::string_view::npos) break;
+      rest.remove_prefix(comma + 1);
     }
   }
 
@@ -85,9 +85,9 @@ Request request_from_xml(const xml::Element& root) {
   const xml::Element* requirement = root.child("requirement");
   GRIDLB_REQUIRE(requirement != nullptr, "request lacks <requirement>");
   request.environment = requirement->child_text("environment");
-  const std::string deadline_text = requirement->child_text("deadline");
+  const std::string_view deadline_text = requirement->child_text("deadline");
   GRIDLB_REQUIRE(!deadline_text.empty(), "request lacks a deadline");
-  request.deadline = std::stod(deadline_text);
+  request.deadline = read_number<double>(deadline_text, "deadline");
 
   request.email = root.child_text("email");
   return request;

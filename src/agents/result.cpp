@@ -1,5 +1,6 @@
 #include "agents/result.hpp"
 
+#include "agents/numbers.hpp"
 #include "common/assert.hpp"
 
 namespace gridlb::agents {
@@ -7,17 +8,18 @@ namespace gridlb::agents {
 xml::Element to_document(const ExecutionResult& result) {
   xml::Element root("agentgrid");
   root.set_attribute("type", "result");
-  root.set_attribute("taskid", result.task.str());
+  root.set_attribute("taskid", NumberText(result.task.value()).view());
 
   xml::Element& application = root.add_child("application");
   application.add_child_with_text("name", result.app_name);
 
   xml::Element& execution = root.add_child("execution");
   execution.add_child_with_text("resource", result.resource_name);
-  execution.add_child_with_text("start", std::to_string(result.start));
+  execution.add_child_with_text("start", NumberText(result.start).view());
   execution.add_child_with_text("completion",
-                                std::to_string(result.completion));
-  execution.add_child_with_text("deadline", std::to_string(result.deadline));
+                                NumberText(result.completion).view());
+  execution.add_child_with_text("deadline",
+                                NumberText(result.deadline).view());
 
   root.add_child_with_text("email", result.email);
   return root;
@@ -38,7 +40,7 @@ ExecutionResult result_from_xml(const xml::Element& root) {
 
   ExecutionResult result;
   if (const auto taskid = root.attribute("taskid")) {
-    result.task = TaskId(std::stoull(std::string(*taskid)));
+    result.task = TaskId(read_number<std::uint64_t>(*taskid, "taskid"));
   }
   const xml::Element* application = root.child("application");
   GRIDLB_REQUIRE(application != nullptr, "result lacks <application>");
@@ -47,9 +49,11 @@ ExecutionResult result_from_xml(const xml::Element& root) {
   const xml::Element* execution = root.child("execution");
   GRIDLB_REQUIRE(execution != nullptr, "result lacks <execution>");
   result.resource_name = execution->child_text("resource");
-  result.start = std::stod(execution->child_text("start"));
-  result.completion = std::stod(execution->child_text("completion"));
-  result.deadline = std::stod(execution->child_text("deadline"));
+  result.start = read_number<double>(execution->child_text("start"), "start");
+  result.completion =
+      read_number<double>(execution->child_text("completion"), "completion");
+  result.deadline =
+      read_number<double>(execution->child_text("deadline"), "deadline");
 
   result.email = root.child_text("email");
   return result;

@@ -1,5 +1,8 @@
 #include "xml/xml.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "common/assert.hpp"
 
@@ -10,159 +13,396 @@ ParseError::ParseError(const std::string& message, std::size_t byte_offset)
                          ")"),
       offset_(byte_offset) {}
 
-void Element::set_attribute(std::string key, std::string value) {
-  for (auto& [existing_key, existing_value] : attributes_) {
-    if (existing_key == key) {
-      existing_value = std::move(value);
+/// A document's storage: one block, sized for the whole document when it is
+/// known up front, plus overflow blocks for builders that outgrow it.  In
+/// the current block nodes and attribute arrays grow up from `low` and
+/// characters grow down from `high`, so the attribute array an element is
+/// filling stays the newest object and extends in place.  The Arena itself
+/// heads its first block.
+struct Element::Arena {
+  char* low;
+  char* high;
+  std::size_t block_bytes;  ///< usable bytes of the current block
+  void* overflow = nullptr;  ///< newest overflow block; each links the last
+
+  static constexpr std::size_t kHeader = 32;  ///< sizeof(Arena), aligned
+  static constexpr std::size_t kLink = 16;    ///< overflow block header
+  /// First block of a built document: a request document (the largest the
+  /// agents build) fits, so building one allocates once.
+  static constexpr std::size_t kBuilderBlock = 2048 - kHeader;
+
+  static Arena* create(std::size_t bytes) {
+    static_assert(sizeof(Arena) <= kHeader);
+    char* block = static_cast<char*>(::operator new(kHeader + bytes));
+    return new (block) Arena{block + kHeader, block + kHeader + bytes, bytes};
+  }
+
+  static void release(Arena* arena) {
+    for (void* block = arena->overflow; block != nullptr;) {
+      void* older = *static_cast<void**>(block);
+      ::operator delete(block);
+      block = older;
+    }
+    ::operator delete(arena);
+  }
+
+  [[nodiscard]] std::size_t free_bytes() const {
+    return static_cast<std::size_t>(high - low);
+  }
+
+  /// `bytes` is a multiple of alignof(Element), so `low` stays aligned.
+  void* allocate_object(std::size_t bytes) {
+    if (free_bytes() < bytes) grow(bytes);
+    void* object = low;
+    low += bytes;
+    return object;
+  }
+
+  char* allocate_chars(std::size_t bytes) {
+    if (free_bytes() < bytes) grow(bytes);
+    high -= bytes;
+    return high;
+  }
+
+  /// Grows the newest object, which ends at `end`, by `bytes` in place.
+  bool extend(const void* end, std::size_t bytes) {
+    if (end != low || free_bytes() < bytes) return false;
+    low += bytes;
+    return true;
+  }
+
+  void grow(std::size_t bytes) {
+    block_bytes = std::max(2 * block_bytes, bytes);
+    char* block = static_cast<char*>(::operator new(kLink + block_bytes));
+    *reinterpret_cast<void**>(block) = overflow;
+    overflow = block;
+    low = block + kLink;
+    high = low + block_bytes;
+  }
+};
+
+Element::Element(std::string_view name)
+    : arena_(Arena::create(std::max(Arena::kBuilderBlock, name.size()))),
+      owns_arena_(true) {
+  name_ = store(name);
+}
+
+Element::~Element() {
+  if (owns_arena_ && !in_arena_) Arena::release(arena_);
+}
+
+Element::Element(Element&& other) : arena_(other.arena_) {
+  if (other.owns_arena_ && !other.in_arena_) {
+    name_ = other.name_;
+    text_ = other.text_;
+    attributes_ = other.attributes_;
+    attribute_count_ = other.attribute_count_;
+    attribute_capacity_ = other.attribute_capacity_;
+    first_child_ = other.first_child_;
+    last_child_ = other.last_child_;
+    owns_arena_ = true;
+    other.arena_ = nullptr;
+    other.owns_arena_ = false;
+    other.name_ = other.text_ = {};
+    other.attributes_ = nullptr;
+    other.attribute_count_ = other.attribute_capacity_ = 0;
+    other.first_child_ = other.last_child_ = nullptr;
+    return;
+  }
+  arena_ = Arena::create(Arena::kBuilderBlock);
+  owns_arena_ = true;
+  try {
+    name_ = store(other.name_);
+    copy_subtree(other);
+  } catch (...) {
+    Arena::release(arena_);
+    throw;
+  }
+}
+
+void Element::operator delete(Element* element, std::destroying_delete_t) {
+  if (element->in_arena_) {
+    Arena* arena = element->arena_;
+    element->~Element();
+    Arena::release(arena);
+    return;
+  }
+  element->~Element();
+  ::operator delete(element);
+}
+
+std::string_view Element::store(std::string_view text) {
+  if (text.empty()) return {};
+  char* chars = arena_->allocate_chars(text.size());
+  std::memcpy(chars, text.data(), text.size());
+  return {chars, text.size()};
+}
+
+Element& Element::append_child(std::string_view stored_name) {
+  auto* node = new (arena_->allocate_object(sizeof(Element)))
+      Element(arena_, stored_name);
+  if (last_child_ != nullptr) {
+    last_child_->next_sibling_ = node;
+  } else {
+    first_child_ = node;
+  }
+  last_child_ = node;
+  return *node;
+}
+
+void Element::push_attribute(Attribute attribute) {
+  if (attribute_count_ == attribute_capacity_) {
+    if (attributes_ != nullptr &&
+        arena_->extend(attributes_ + attribute_capacity_, sizeof(Attribute))) {
+      ++attribute_capacity_;
+    } else {
+      const std::uint32_t capacity = std::max(1u, 2 * attribute_count_);
+      auto* moved = static_cast<Attribute*>(
+          arena_->allocate_object(capacity * sizeof(Attribute)));
+      std::copy_n(attributes_, attribute_count_, moved);
+      attributes_ = moved;
+      attribute_capacity_ = capacity;
+    }
+  }
+  attributes_[attribute_count_++] = attribute;
+}
+
+void Element::copy_subtree(const Element& from) {
+  text_ = store(from.text_);
+  for (const Attribute& attribute : from.attributes()) {
+    push_attribute({store(attribute.key), store(attribute.value)});
+  }
+  for (const Element& child : from.children()) {
+    append_child(store(child.name_)).copy_subtree(child);
+  }
+}
+
+void Element::set_attribute(std::string_view key, std::string_view value) {
+  for (Attribute& existing : std::span(attributes_, attribute_count_)) {
+    if (existing.key == key) {
+      existing.value = store(value);
       return;
     }
   }
-  attributes_.emplace_back(std::move(key), std::move(value));
+  push_attribute({store(key), store(value)});
 }
 
 std::optional<std::string_view> Element::attribute(
     std::string_view key) const {
-  for (const auto& [existing_key, value] : attributes_) {
-    if (existing_key == key) return value;
+  for (const Attribute& existing : attributes()) {
+    if (existing.key == key) return existing.value;
   }
   return std::nullopt;
 }
 
-Element& Element::add_child(std::string name) {
-  children_.push_back(std::make_unique<Element>(std::move(name)));
-  return *children_.back();
+void Element::set_text(std::string_view text) { text_ = store(text); }
+
+void Element::append_text(std::string_view text) {
+  if (text.empty()) return;
+  if (text_.empty()) {
+    set_text(text);
+    return;
+  }
+  char* chars = arena_->allocate_chars(text_.size() + text.size());
+  std::memcpy(chars, text_.data(), text_.size());
+  std::memcpy(chars + text_.size(), text.data(), text.size());
+  text_ = {chars, text_.size() + text.size()};
 }
 
-Element& Element::add_child_with_text(std::string name, std::string text) {
-  Element& child = add_child(std::move(name));
-  child.set_text(std::move(text));
+Element& Element::add_child(std::string_view name) {
+  return append_child(store(name));
+}
+
+Element& Element::add_child_with_text(std::string_view name,
+                                      std::string_view text) {
+  Element& child = add_child(name);
+  child.text_ = store(text);
   return child;
 }
 
 Element& Element::adopt_child(std::unique_ptr<Element> child) {
   GRIDLB_REQUIRE(child != nullptr, "adopt_child requires a non-null child");
-  children_.push_back(std::move(child));
-  return *children_.back();
+  Element& copy = add_child(child->name_);
+  copy.copy_subtree(*child);
+  return copy;
 }
 
 const Element* Element::child(std::string_view name) const {
-  for (const auto& c : children_) {
-    if (c->name() == name) return c.get();
+  for (const Element* c = first_child_; c != nullptr; c = c->next_sibling_) {
+    if (c->name_ == name) return c;
   }
   return nullptr;
 }
 
-std::vector<const Element*> Element::children_named(
-    std::string_view name) const {
-  std::vector<const Element*> out;
-  for (const auto& c : children_) {
-    if (c->name() == name) out.push_back(c.get());
-  }
-  return out;
-}
-
-std::string Element::child_text(std::string_view name) const {
+std::string_view Element::child_text(std::string_view name) const {
   const Element* c = child(name);
-  return c != nullptr ? c->text() : std::string{};
+  return c != nullptr ? c->text_ : std::string_view{};
 }
 
 namespace {
 
-/// Appends `raw` to `out` with &, <, >, " and ' escaped, copying each run
-/// of plain characters as one slice.
-void append_escaped(std::string& out, std::string_view raw) {
-  std::size_t plain = 0;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    std::string_view entity;
-    switch (raw[i]) {
-      case '&': entity = "&amp;"; break;
-      case '<': entity = "&lt;"; break;
-      case '>': entity = "&gt;"; break;
-      case '"': entity = "&quot;"; break;
-      case '\'': entity = "&apos;"; break;
-      default: continue;
-    }
-    out.append(raw, plain, i - plain);
-    out += entity;
-    plain = i + 1;
+/// Byte classes, one table lookup per byte.
+enum : unsigned char {
+  kEscaped = 1,  ///< written as an entity: & < > " '
+  kSpace = 2,    ///< isspace in the "C" locale
+  kTrimmed = 4,  ///< indentation the parser drops around text: ' ' \t \r \n
+  kName = 8,     ///< isalnum in the "C" locale, plus _ - . :
+};
+
+constexpr std::array<unsigned char, 256> kClasses = [] {
+  std::array<unsigned char, 256> classes{};
+  const auto mark = [&classes](std::string_view bytes, unsigned char cls) {
+    for (const char ch : bytes) classes[static_cast<unsigned char>(ch)] |= cls;
+  };
+  mark("&<>\"'", kEscaped);
+  mark(" \t\n\v\f\r", kSpace);
+  mark(" \t\r\n", kTrimmed);
+  mark("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.:",
+       kName);
+  return classes;
+}();
+
+constexpr bool is(char ch, unsigned char cls) {
+  return (kClasses[static_cast<unsigned char>(ch)] & cls) != 0;
+}
+
+/// The entity an escaped byte becomes.
+constexpr std::string_view entity_for(char ch) {
+  switch (ch) {
+    case '&': return "&amp;";
+    case '<': return "&lt;";
+    case '>': return "&gt;";
+    case '"': return "&quot;";
+    default: return "&apos;";
   }
-  out.append(raw, plain);
 }
 
-void append_indent(std::string& out, int indent, int depth) {
-  if (indent > 0) out.append(static_cast<std::size_t>(indent * depth), ' ');
+/// Where `write_element` puts the document: a first pass only counts the
+/// bytes, so the second fills a string allocated once at its final size.
+struct Measure {
+  std::size_t bytes = 0;
+  void put(std::string_view text) { bytes += text.size(); }
+  void put(char) { ++bytes; }
+  void put_escaped(std::string_view raw) {
+    bytes += raw.size();
+    for (const char ch : raw) {
+      if (is(ch, kEscaped)) bytes += entity_for(ch).size() - 1;
+    }
+  }
+  void put_spaces(std::size_t count) { bytes += count; }
+};
+
+struct Fill {
+  char* cursor;
+  void put(std::string_view text) {
+    if (text.empty()) return;
+    std::memcpy(cursor, text.data(), text.size());
+    cursor += text.size();
+  }
+  void put(char ch) { *cursor++ = ch; }
+  /// Copies each run of plain bytes as one slice.
+  void put_escaped(std::string_view raw) {
+    std::size_t plain = 0;
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      if (!is(raw[i], kEscaped)) continue;
+      put(raw.substr(plain, i - plain));
+      put(entity_for(raw[i]));
+      plain = i + 1;
+    }
+    put(raw.substr(plain));
+  }
+  void put_spaces(std::size_t count) {
+    std::memset(cursor, ' ', count);
+    cursor += count;
+  }
+};
+
+template <class Sink>
+void put_indent(Sink& sink, int indent, int depth) {
+  if (indent > 0) sink.put_spaces(static_cast<std::size_t>(indent * depth));
 }
 
-void write_element(std::string& out, const Element& element, int indent,
-                   int depth) {
-  append_indent(out, indent, depth);
-  out += '<';
-  out += element.name();
+template <class Sink>
+void write_element(Sink& sink, const Element& element, int indent, int depth) {
+  put_indent(sink, indent, depth);
+  sink.put('<');
+  sink.put(element.name());
   for (const auto& [key, value] : element.attributes()) {
-    out += ' ';
-    out += key;
-    out += "=\"";
-    append_escaped(out, value);
-    out += '"';
+    sink.put(' ');
+    sink.put(key);
+    sink.put("=\"");
+    sink.put_escaped(value);
+    sink.put('"');
   }
   if (element.children().empty()) {
     if (element.text().empty()) {
-      out += "/>";
+      sink.put("/>");
     } else {
-      out += '>';
-      append_escaped(out, element.text());
-      out += "</";
-      out += element.name();
-      out += '>';
+      sink.put('>');
+      sink.put_escaped(element.text());
+      sink.put("</");
+      sink.put(element.name());
+      sink.put('>');
     }
-    if (indent >= 0) out += '\n';
+    if (indent >= 0) sink.put('\n');
     return;
   }
-  out += '>';
-  if (indent >= 0) out += '\n';
+  sink.put('>');
+  if (indent >= 0) sink.put('\n');
   if (!element.text().empty()) {
-    append_indent(out, indent, depth + 1);
-    append_escaped(out, element.text());
-    if (indent >= 0) out += '\n';
+    put_indent(sink, indent, depth + 1);
+    sink.put_escaped(element.text());
+    if (indent >= 0) sink.put('\n');
   }
-  for (const auto& child : element.children()) {
-    write_element(out, *child, indent, depth + 1);
+  for (const Element& child : element.children()) {
+    write_element(sink, child, indent, depth + 1);
   }
-  append_indent(out, indent, depth);
-  out += "</";
-  out += element.name();
-  out += '>';
-  if (indent >= 0) out += '\n';
+  put_indent(sink, indent, depth);
+  sink.put("</");
+  sink.put(element.name());
+  sink.put('>');
+  if (indent >= 0) sink.put('\n');
 }
 
-/// isspace in the "C" locale.
-constexpr bool is_space(char ch) {
-  return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\v' || ch == '\f' ||
-         ch == '\r';
+/// Arena bytes `parse` reserves for `input`: its terminated copy, one node
+/// per 24 input bytes and room for eight attributes.  Every agent document,
+/// written compactly or not, fits; denser input grows the arena.
+std::size_t parse_arena_bytes(std::string_view input) {
+  return input.size() + 1 + (input.size() / 24 + 1) * sizeof(Element) +
+         8 * sizeof(Attribute);
 }
 
-/// isalnum in the "C" locale, plus the punctuation XML names use here.
-constexpr bool is_name_char(char ch) {
-  return (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
-         (ch >= '0' && ch <= '9') || ch == '_' || ch == '-' || ch == '.' ||
-         ch == ':';
-}
+}  // namespace
 
-/// Recursive-descent parser over a string_view with a cursor.
-class Parser {
+/// Recursive-descent parser over the document's own copy of the input,
+/// which every name, value and text of the tree points into.  Entities
+/// are decoded in place: the decoded text is never longer than the raw.
+class Element::Parser {
  public:
-  explicit Parser(std::string_view input) : input_(input) {}
+  explicit Parser(std::string_view input) {
+    Arena* arena = Arena::create(parse_arena_bytes(input));
+    root_.reset(new (arena->allocate_object(sizeof(Element)))
+                    Element(arena, {}));
+    root_->owns_arena_ = true;
+    root_->in_arena_ = true;
+    // A NUL after the copy ends every scan over a byte class at the end of
+    // the input without a bounds check.
+    copy_ = arena->allocate_chars(input.size() + 1);
+    if (!input.empty()) std::memcpy(copy_, input.data(), input.size());
+    copy_[input.size()] = '\0';
+    input_ = {copy_, input.size()};
+  }
 
   std::unique_ptr<Element> parse_document() {
     skip_whitespace();
     skip_declaration();
     skip_whitespace();
-    auto root = parse_element(1);
+    parse_element(*root_, 1);
     skip_whitespace();
     if (pos_ != input_.size()) {
       fail("trailing content after document root");
     }
-    return root;
+    return std::move(root_);
   }
 
  private:
@@ -191,7 +431,7 @@ class Parser {
   }
 
   void skip_whitespace() {
-    while (!eof() && is_space(input_[pos_])) ++pos_;
+    while (is(copy_[pos_], kSpace)) ++pos_;
   }
 
   void skip_declaration() {
@@ -210,67 +450,83 @@ class Parser {
 
   std::string_view parse_name() {
     const std::size_t start = pos_;
-    while (!eof() && is_name_char(input_[pos_])) ++pos_;
+    while (is(copy_[pos_], kName)) ++pos_;
     if (pos_ == start) fail("expected a name");
     return input_.substr(start, pos_ - start);
   }
 
-  /// `raw` with its entities decoded; each run between entities is copied
-  /// as one slice.
-  std::string decode_entities(std::string_view raw) const {
-    std::string out;
-    std::size_t plain = 0;
-    for (auto amp = raw.find('&'); amp != std::string_view::npos;
-         amp = raw.find('&', plain)) {
-      out.append(raw, plain, amp - plain);
+  /// The `size` raw bytes at `start` with their entities decoded, in place;
+  /// each run between entities moves as one slice.
+  std::string_view decode(std::size_t start, std::size_t size) {
+    const std::string_view raw = input_.substr(start, size);
+    std::size_t amp = raw.find('&');
+    if (amp == std::string_view::npos) return raw;
+    char* out = copy_ + start + amp;
+    for (;;) {
       const auto semi = raw.find(';', amp);
       if (semi == std::string_view::npos) fail("unterminated entity");
       const std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
-      if (entity == "amp") out += '&';
-      else if (entity == "lt") out += '<';
-      else if (entity == "gt") out += '>';
-      else if (entity == "quot") out += '"';
-      else if (entity == "apos") out += '\'';
+      if (entity == "amp") *out++ = '&';
+      else if (entity == "lt") *out++ = '<';
+      else if (entity == "gt") *out++ = '>';
+      else if (entity == "quot") *out++ = '"';
+      else if (entity == "apos") *out++ = '\'';
       else fail("unknown entity &" + std::string(entity) + ";");
-      plain = semi + 1;
+      const std::size_t plain = semi + 1;
+      amp = raw.find('&', plain);
+      const std::size_t run =
+          (amp == std::string_view::npos ? raw.size() : amp) - plain;
+      std::memmove(out, raw.data() + plain, run);
+      out += run;
+      if (amp == std::string_view::npos) break;
     }
-    out.append(raw, plain);
-    return out;
+    const char* first = copy_ + start;
+    return {first, static_cast<std::size_t>(out - first)};
   }
 
-  std::string parse_attribute_value() {
+  std::string_view parse_attribute_value() {
     const char quote = take();
     if (quote != '"' && quote != '\'') fail("expected quoted attribute value");
     const std::size_t start = pos_;
     const auto end = input_.find(quote, pos_);
     pos_ = end == std::string_view::npos ? input_.size() : end;
     if (eof()) fail("unterminated attribute value");
-    std::string value = decode_entities(input_.substr(start, pos_ - start));
+    const std::string_view value = decode(start, pos_ - start);
     ++pos_;  // closing quote
     return value;
   }
 
-  std::unique_ptr<Element> parse_element(std::size_t depth) {
+  void parse_element(Element& element, std::size_t depth) {
     if (depth > kMaxDepth) {
       fail("elements nested deeper than " + std::to_string(kMaxDepth));
     }
     expect('<');
-    auto element = std::make_unique<Element>(std::string(parse_name()));
-    // Attributes.
+    element.name_ = parse_name();
+    // Attributes; a repeated key keeps its last value.
     for (;;) {
       skip_whitespace();
       const char ch = peek();
       if (ch == '/' || ch == '>') break;
-      std::string key(parse_name());
+      const std::string_view key = parse_name();
       skip_whitespace();
       expect('=');
       skip_whitespace();
-      element->set_attribute(std::move(key), parse_attribute_value());
+      const std::string_view value = parse_attribute_value();
+      const auto attributes =
+          std::span(element.attributes_, element.attribute_count_);
+      const auto existing = std::find_if(
+          attributes.begin(), attributes.end(),
+          [key](const Attribute& attribute) { return attribute.key == key; });
+      if (existing != attributes.end()) {
+        existing->value = value;
+      } else {
+        element.push_attribute({key, value});
+      }
     }
     if (peek() == '/') {
       take();
       expect('>');
-      return element;
+      return;
     }
     expect('>');
     // Content: interleaved text, comments and child elements.
@@ -280,61 +536,68 @@ class Parser {
       pos_ = text_end == std::string_view::npos ? input_.size() : text_end;
       // Keep interior whitespace but drop pure-indentation runs.  Entities
       // never decode to whitespace, so trimming before decoding is exact.
-      const std::string_view text =
-          input_.substr(text_start, pos_ - text_start);
-      const auto first = text.find_first_not_of(" \t\r\n");
-      if (first != std::string_view::npos) {
-        const auto last = text.find_last_not_of(" \t\r\n");
-        std::string decoded =
-            decode_entities(text.substr(first, last - first + 1));
-        if (element->text().empty()) {
-          element->set_text(std::move(decoded));
+      std::size_t first = text_start;
+      while (first < pos_ && is(input_[first], kTrimmed)) ++first;
+      if (first < pos_) {
+        std::size_t last = pos_;
+        while (is(input_[last - 1], kTrimmed)) --last;
+        const std::string_view decoded = decode(first, last - first);
+        if (element.text_.empty()) {
+          element.text_ = decoded;
         } else {
-          element->append_text(decoded);
+          element.append_text(decoded);
         }
       }
-      if (eof()) fail("unterminated element <" + element->name() + ">");
-      if (looking_at("<!--")) {
+      if (eof()) {
+        fail("unterminated element <" + std::string(element.name_) + ">");
+      }
+      const char next = pos_ + 1 < input_.size() ? input_[pos_ + 1] : '\0';
+      if (next == '!' && looking_at("<!--")) {
         skip_comment();
         continue;
       }
-      if (looking_at("</")) {
+      if (next == '/') {
         pos_ += 2;
         const std::string_view closing = parse_name();
-        if (closing != element->name()) {
+        if (closing != element.name_) {
           fail("mismatched closing tag </" + std::string(closing) +
-               "> for <" + element->name() + ">");
+               "> for <" + std::string(element.name_) + ">");
         }
         skip_whitespace();
         expect('>');
-        return element;
+        return;
       }
-      element->adopt_child(parse_element(depth + 1));
+      parse_element(element.append_child({}), depth + 1);
     }
   }
 
+  std::unique_ptr<Element> root_;
+  char* copy_ = nullptr;  ///< the arena's copy of the input
   std::string_view input_;
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
 std::string escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  append_escaped(out, raw);
+  Measure measure;
+  measure.put_escaped(raw);
+  std::string out(measure.bytes, '\0');
+  Fill fill{out.data()};
+  fill.put_escaped(raw);
   return out;
 }
 
 std::string write(const Element& root, int indent) {
-  std::string out;
-  write_element(out, root, indent, 0);
+  Measure measure;
+  write_element(measure, root, indent, 0);
+  std::string out(measure.bytes, '\0');
+  Fill fill{out.data()};
+  write_element(fill, root, indent, 0);
+  GRIDLB_ASSERT(fill.cursor == out.data() + out.size());
   return out;
 }
 
 std::unique_ptr<Element> parse(std::string_view input) {
-  Parser parser(input);
-  return parser.parse_document();
+  return Element::Parser(input).parse_document();
 }
 
 }  // namespace gridlb::xml

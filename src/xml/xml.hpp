@@ -6,14 +6,24 @@
 // content, and the five standard character entities.  It deliberately
 // omits namespaces, DTDs, processing instructions and CDATA — the agent
 // protocol uses none of them.
+//
+// A document is one arena.  The root element owns it; every other node,
+// every attribute and every name, value and text of the tree lives in it,
+// so building or parsing a document costs one allocation, not one per
+// node and string.  Nodes link first-child/next-sibling, and the readers
+// hand out views into the arena that stay valid while the root lives.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <new>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace gridlb::xml {
 
@@ -27,52 +37,154 @@ class ParseError : public std::runtime_error {
   std::size_t offset_;
 };
 
-/// One element node.  Children are owned; text interleaved between child
-/// elements is concatenated into `text` (document order within mixed
-/// content is not preserved — the agent documents never rely on it).
+/// One attribute of an element; both views point into the document arena.
+struct Attribute {
+  std::string_view key;
+  std::string_view value;
+
+  bool operator==(const Attribute&) const = default;
+};
+
+/// One element node.  An Element built by its constructor (or returned by
+/// `parse`) is a document root and owns the arena; the elements reachable
+/// from it live in that arena and are only ever handled by reference.
+/// Text interleaved between child elements is concatenated into `text`
+/// (document order within mixed content is not preserved — the agent
+/// documents never rely on it).  Every view a reader returns lives as long
+/// as the root.
 class Element {
  public:
-  explicit Element(std::string name) : name_(std::move(name)) {}
+  /// A new document whose root element is called `name`.
+  explicit Element(std::string_view name);
+  ~Element();
 
-  [[nodiscard]] const std::string& name() const { return name_; }
+  /// Moving a root hands its arena over; the moved-from root is empty and
+  /// may only be destroyed.  Moving anything else (a node, or the root
+  /// `parse` placed inside its own arena) copies the subtree into a new
+  /// document.
+  Element(Element&& other);
+  Element(const Element&) = delete;
+  Element& operator=(const Element&) = delete;
+  Element& operator=(Element&&) = delete;
+
+  /// `delete` of the root `parse` returns frees its whole arena, the root
+  /// included, at once.
+  void operator delete(Element* element, std::destroying_delete_t);
+
+  [[nodiscard]] std::string_view name() const { return name_; }
 
   // -- attributes ---------------------------------------------------------
-  void set_attribute(std::string key, std::string value);
+  void set_attribute(std::string_view key, std::string_view value);
   [[nodiscard]] std::optional<std::string_view> attribute(
       std::string_view key) const;
-  [[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
-  attributes() const {
-    return attributes_;
+  [[nodiscard]] std::span<const Attribute> attributes() const {
+    return {attributes_, attribute_count_};
   }
 
   // -- text ---------------------------------------------------------------
-  void set_text(std::string text) { text_ = std::move(text); }
-  void append_text(std::string_view text) { text_ += text; }
-  [[nodiscard]] const std::string& text() const { return text_; }
+  void set_text(std::string_view text);
+  void append_text(std::string_view text);
+  [[nodiscard]] std::string_view text() const { return text_; }
 
   // -- children -----------------------------------------------------------
-  Element& add_child(std::string name);
+  Element& add_child(std::string_view name);
   /// Adds `<name>text</name>` and returns the new child.
-  Element& add_child_with_text(std::string name, std::string text);
-  /// Takes ownership of an already-built subtree.
+  Element& add_child_with_text(std::string_view name, std::string_view text);
+  /// Copies an already-built subtree into this document and returns the
+  /// copy.
   Element& adopt_child(std::unique_ptr<Element> child);
-  [[nodiscard]] const std::vector<std::unique_ptr<Element>>& children() const {
-    return children_;
-  }
 
+  /// Forward range over the children in document order, optionally only
+  /// those with one element name.
+  class Children {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Element;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Element*;
+      using reference = const Element&;
+
+      iterator() = default;
+      reference operator*() const { return *node_; }
+      pointer operator->() const { return node_; }
+      iterator& operator++() {
+        node_ = skip(node_->next_sibling_);
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator before = *this;
+        ++*this;
+        return before;
+      }
+      bool operator==(const iterator& other) const {
+        return node_ == other.node_;
+      }
+
+     private:
+      friend class Children;
+      iterator(const Element* node, std::optional<std::string_view> name)
+          : name_(name), node_(skip(node)) {}
+      [[nodiscard]] const Element* skip(const Element* node) const {
+        while (node != nullptr && name_ && node->name_ != *name_) {
+          node = node->next_sibling_;
+        }
+        return node;
+      }
+
+      std::optional<std::string_view> name_;
+      const Element* node_ = nullptr;
+    };
+
+    [[nodiscard]] iterator begin() const { return {first_, name_}; }
+    [[nodiscard]] iterator end() const { return {}; }
+    [[nodiscard]] bool empty() const { return begin() == end(); }
+
+   private:
+    friend class Element;
+    Children(const Element* first, std::optional<std::string_view> name)
+        : first_(first), name_(name) {}
+
+    const Element* first_;
+    std::optional<std::string_view> name_;
+  };
+
+  [[nodiscard]] Children children() const { return {first_child_, {}}; }
+  /// The children with the given element name, in document order.
+  [[nodiscard]] Children children_named(std::string_view name) const {
+    return {first_child_, name};
+  }
   /// First child with the given element name, or nullptr.
   [[nodiscard]] const Element* child(std::string_view name) const;
-  /// All children with the given element name, in document order.
-  [[nodiscard]] std::vector<const Element*> children_named(
-      std::string_view name) const;
   /// Text of the first child with the given name ("" if absent).
-  [[nodiscard]] std::string child_text(std::string_view name) const;
+  [[nodiscard]] std::string_view child_text(std::string_view name) const;
 
  private:
-  std::string name_;
-  std::vector<std::pair<std::string, std::string>> attributes_;
-  std::string text_;
-  std::vector<std::unique_ptr<Element>> children_;
+  struct Arena;
+  class Parser;
+  friend std::unique_ptr<Element> parse(std::string_view input);
+
+  /// A node of `arena`'s document, named by a view the caller has already
+  /// placed in the arena.
+  Element(Arena* arena, std::string_view name) : arena_(arena), name_(name) {}
+
+  [[nodiscard]] std::string_view store(std::string_view text);
+  Element& append_child(std::string_view stored_name);
+  void push_attribute(Attribute attribute);
+  void copy_subtree(const Element& from);
+
+  Arena* arena_;
+  std::string_view name_;
+  std::string_view text_;
+  Attribute* attributes_ = nullptr;
+  std::uint32_t attribute_count_ = 0;
+  std::uint32_t attribute_capacity_ = 0;
+  Element* first_child_ = nullptr;
+  Element* last_child_ = nullptr;
+  Element* next_sibling_ = nullptr;
+  bool owns_arena_ = false;  ///< a root: the arena is released with it
+  bool in_arena_ = false;    ///< the root `parse` placed in its own arena
 };
 
 /// Escapes &, <, >, " and ' for use in text or attribute values.
@@ -85,12 +197,13 @@ class Element {
 
 /// Deepest element nesting `parse` accepts; the root is at depth 1.  The
 /// agent documents nest three deep.  The bound keeps hostile input from
-/// overflowing the stack in the recursive parser and in ~Element.
+/// overflowing the stack in the recursive parser and writer.
 inline constexpr std::size_t kMaxDepth = 64;
 
 /// Parses a single-rooted document.  Leading/trailing whitespace and an
 /// optional `<?xml ...?>` declaration are accepted.  Throws ParseError,
-/// also for elements nested deeper than kMaxDepth.
+/// also for elements nested deeper than kMaxDepth.  The input is copied
+/// into the returned document's arena, so it need not outlive the result.
 [[nodiscard]] std::unique_ptr<Element> parse(std::string_view input);
 
 }  // namespace gridlb::xml

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "xml/xml.hpp"
@@ -163,6 +164,30 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
             ReliableLink::Inbound::kConsumed);
   EXPECT_EQ(receiver.stats().acks_sent, 2u);
   EXPECT_EQ(receiver.stats().duplicates_suppressed, 1u);
+}
+
+TEST(ReliableLink, RejectsMalformedMsgid) {
+  sim::ShardedEngine sharded{1, 0.0};
+  sim::Engine& engine = sharded.shard(0);
+  sim::Network network(sharded, kLatency);
+  ReliableLink receiver(engine, network, enabled_policy());
+  const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
+  receiver.set_self(b);
+
+  // Read through std::stoull, "x" escaped as std::invalid_argument and
+  // "-1" wrapped to a valid msgid.
+  for (const char* msgid : {"x", "-1", "42junk", ""}) {
+    for (const char* type : {"request", "ack"}) {
+      auto document = xml::parse(request_payload("bad"));
+      document->set_attribute("type", type);
+      document->set_attribute("msgid", msgid);
+      sim::Message message;
+      message.payload = xml::write(*document);
+      EXPECT_THROW(receiver.on_message(message, *document), AssertionError)
+          << type << " msgid='" << msgid << "'";
+    }
+  }
+  EXPECT_EQ(receiver.stats().acks_sent, 0u);
 }
 
 TEST(ReliableLink, UnreliableTrafficPassesUntouched) {

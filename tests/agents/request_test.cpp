@@ -90,6 +90,71 @@ TEST(Request, RejectsNonPaceModelPerformanceData) {
       AssertionError);
 }
 
+/// The example document with the first `from` replaced by `to`.
+std::string example_with(const std::string& from, const std::string& to) {
+  Request request = example();
+  request.visited = {AgentId(3), AgentId(1)};
+  std::string document = to_xml(request);
+  const auto at = document.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return document.replace(at, from.size(), to);
+}
+
+TEST(Request, RejectsNegativeTaskId) {
+  // Read through std::stoull, "-1" wrapped to task 18446744073709551615.
+  EXPECT_THROW(
+      request_from_xml(example_with("taskid=\"42\"", "taskid=\"-1\"")),
+      AssertionError);
+}
+
+TEST(Request, RejectsMalformedTaskId) {
+  for (const char* taskid : {"7junk", "x", "", "18446744073709551616"}) {
+    const std::string attribute = "taskid=\"" + std::string(taskid) + "\"";
+    EXPECT_THROW(request_from_xml(example_with("taskid=\"42\"", attribute)),
+                 AssertionError)
+        << taskid;
+  }
+}
+
+TEST(Request, RejectsTrailingJunkInDeadline) {
+  EXPECT_THROW(request_from_xml(example_with("<deadline>437.250000</deadline>",
+                                             "<deadline>12.5abc</deadline>")),
+               AssertionError);
+}
+
+TEST(Request, RejectsNonFiniteDeadline) {
+  for (const char* deadline : {"nan", "inf", "-inf", "1e999"}) {
+    EXPECT_THROW(request_from_xml(example_with(
+                     "<deadline>437.250000</deadline>",
+                     "<deadline>" + std::string(deadline) + "</deadline>")),
+                 AssertionError)
+        << deadline;
+  }
+}
+
+TEST(Request, RejectsEmptyVisitedToken) {
+  for (const char* visited : {"3,,1", "3,", ",1", ""}) {
+    const std::string attribute =
+        "visited=\"" + std::string(visited) + "\"";
+    EXPECT_THROW(
+        request_from_xml(example_with("visited=\"3,1\"", attribute)),
+        AssertionError)
+        << visited;
+  }
+  EXPECT_THROW(
+      request_from_xml(example_with("visited=\"3,1\"", "visited=\"3,x\"")),
+      AssertionError);
+}
+
+TEST(Request, RejectsOriginOutOfRange) {
+  Request request = example();
+  request.origin = 7;
+  std::string document = to_xml(request);
+  document.replace(document.find("origin=\"7\""), 10,
+                   "origin=\"4294967296\"");
+  EXPECT_THROW(request_from_xml(document), AssertionError);
+}
+
 TEST(Request, MinimalDocumentParses) {
   const Request parsed = request_from_xml(
       "<agentgrid type=\"request\">"

@@ -50,6 +50,21 @@ TEST(ExecutionResult, RejectsWrongType) {
                AssertionError);
 }
 
+TEST(ExecutionResult, RejectsMalformedTimes) {
+  const std::string document = to_xml(example());
+  for (const std::string element : {"start", "completion", "deadline"}) {
+    const auto open = document.find("<" + element + ">") + element.size() + 2;
+    const auto close = document.find("</" + element + ">");
+    // Empty, trailing junk, not a number, not finite.
+    for (const char* text : {"", "12.5abc", "x", "nan", "inf"}) {
+      std::string malformed = document;
+      malformed.replace(open, close - open, text);
+      EXPECT_THROW(result_from_xml(malformed), AssertionError)
+          << element << " = '" << text << "'";
+    }
+  }
+}
+
 TEST(RequestOrigin, RoundTripsThroughXml) {
   Request request;
   request.task = TaskId(3);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/assert.hpp"
 #include "xml/xml.hpp"
 
@@ -40,7 +42,7 @@ TEST(ServiceInfo, DocumentShapeMatchesFig5) {
   ASSERT_NE(local, nullptr);
   EXPECT_EQ(local->child_text("type"), "SunUltra10");
   EXPECT_EQ(local->child_text("nproc"), "16");
-  EXPECT_EQ(local->children_named("environment").size(), 3u);
+  EXPECT_EQ(std::ranges::distance(local->children_named("environment")), 3);
   EXPECT_FALSE(local->child_text("freetime").empty());
 }
 

@@ -1,10 +1,11 @@
-// Deterministic mutation fuzzing of the three text parsers that read user
-// or wire input: xml::parse (agent documents), pace::parse_model (model
-// files) and core::parse_workload_jsonl (--arrival-trace).  Seeded byte
-// flips, truncations and splices of a small corpus; every mutant must
-// either parse and round-trip through the matching writer, or fail with
-// that parser's own error.  Any other exception fails the test, and the
-// sanitizer builds turn a crash or undefined behaviour into a failure too.
+// Deterministic mutation fuzzing of the text parsers that read user or
+// wire input: xml::parse and the typed agent-document readers on top of it,
+// pace::parse_model (model files) and core::parse_workload_jsonl
+// (--arrival-trace).  Seeded byte flips, truncations and splices of a small
+// corpus; every mutant must either parse and round-trip through the
+// matching writer, or fail with that parser's own error.  Any other
+// exception fails the test, and the sanitizer builds turn a crash,
+// undefined behaviour or a view into freed memory into a failure too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -150,6 +151,126 @@ TEST(ParserFuzz, XmlParseRoundTripsOrThrowsParseError) {
       },
       [](const std::exception& error) {
         return dynamic_cast<const xml::ParseError*>(&error) != nullptr;
+      });
+}
+
+/// Reads `document` with `read`, writes it and reads it back: the value a
+/// write has rounded (doubles keep six decimals) must then be a fixed
+/// point, written to the same text and read back equal.
+template <class Value, class Read>
+void expect_reads_back(const xml::Element& document, Read read) {
+  const std::string text = agents::to_xml(read(document));
+  const Value again = read(*xml::parse(text));
+  const std::string rewritten = agents::to_xml(again);
+  EXPECT_EQ(rewritten, text);
+  EXPECT_TRUE(read(*xml::parse(rewritten)) == again) << rewritten;
+}
+
+TEST(ParserFuzz, AgentDocumentsReadBackOrThrowTheirOwnError) {
+  // The documents GoldenDocuments and StampedDocuments pin, built the way
+  // the agents build them: the Fig. 5 / Fig. 6 / result documents, then
+  // the final-dispatch, relay, msgid and ack stamps.
+  agents::ServiceInfo info;
+  info.agent_address = "gem.dcs.warwick.ac.uk";
+  info.agent_port = 1000;
+  info.local_address = "gem.dcs.warwick.ac.uk";
+  info.local_port = 10000;
+  info.hardware_type = "SunUltra10";
+  info.nproc = 16;
+  info.environments = {"mpi", "pvm", "test"};
+  info.freetime = 100.5;
+  agents::Request request;
+  request.task = TaskId(7);
+  request.app_name = "sweep3d";
+  request.binary_file = "/dcs/junwei/agentgrid/binary/sweep3d";
+  request.input_file = "/dcs/junwei/agentgrid/binary/input.50";
+  request.model_name = "/dcs/junwei/agentgrid/model/sweep3d";
+  request.environment = "test";
+  request.deadline = 437.25;
+  request.email = "junwei@dcs.warwick.ac.uk";
+  agents::ExecutionResult result;
+  result.task = TaskId(7);
+  result.app_name = "sweep3d";
+  result.resource_name = "S3";
+  result.start = 10.0;
+  result.completion = 25.5;
+  result.deadline = 30.0;
+  result.email = "junwei@dcs.warwick.ac.uk";
+  std::vector<std::string> corpus = {agents::to_xml(info),
+                                     agents::to_xml(request),
+                                     agents::to_xml(result)};
+
+  agents::Request dispatched;
+  dispatched.task = TaskId(7);
+  dispatched.app_name = "cpi";
+  dispatched.binary_file = "/gridlb/binary/cpi";
+  dispatched.input_file = "/gridlb/binary/cpi.input";
+  dispatched.model_name = "/gridlb/model/cpi";
+  dispatched.deadline = 0.5;
+  dispatched.email = "user@gridlb.sim";
+  dispatched.origin = 9;
+  dispatched.visited = {AgentId(4), AgentId(1)};
+  xml::Element final_dispatch = agents::to_document(dispatched);
+  final_dispatch.set_attribute("final", "1");
+  corpus.push_back(xml::write(final_dispatch));
+
+  agents::ServiceInfo relayed;
+  relayed.agent_address = relayed.local_address = "S3.gridlb.sim";
+  relayed.agent_port = 1003;
+  relayed.local_port = 10003;
+  relayed.hardware_type = "SGIOrigin2000";
+  relayed.nproc = 16;
+  relayed.environments = {"pvm", "test"};
+  xml::Element relay = agents::to_document(relayed);
+  relay.set_attribute("agentid", "3");
+  corpus.push_back(xml::write(relay));
+
+  agents::Request reliable;
+  reliable.task = TaskId(1);
+  reliable.app_name = "fft";
+  reliable.binary_file = "/gridlb/binary/fft";
+  reliable.input_file = "/gridlb/binary/fft.input";
+  reliable.model_name = "/gridlb/model/fft";
+  reliable.environment = "mpi";
+  reliable.deadline = 120.0;
+  reliable.email = "user@gridlb.sim";
+  reliable.origin = 1;
+  xml::Element stamped = agents::to_document(reliable);
+  stamped.set_attribute("msgid", "4294967296");
+  corpus.push_back(xml::write(stamped));
+  corpus.push_back("<agentgrid type=\"ack\" msgid=\"8589934593\"/>\n");
+
+  fuzz(
+      corpus, 0x61676e74,
+      [](const std::string& input) {
+        const auto document = xml::parse(input);
+        const auto type = document->attribute("type");
+        if (type == "service") {
+          expect_reads_back<agents::ServiceInfo>(
+              *document, [](const xml::Element& d) {
+                return agents::service_info_from_xml(d);
+              });
+        } else if (type == "result") {
+          expect_reads_back<agents::ExecutionResult>(
+              *document, [](const xml::Element& d) {
+                return agents::result_from_xml(d);
+              });
+        } else {  // requests, and every other type the request reader rejects
+          expect_reads_back<agents::Request>(
+              *document, [](const xml::Element& d) {
+                return agents::request_from_xml(d);
+              });
+        }
+      },
+      // The readers reject a document through GRIDLB_REQUIRE, which always
+      // names the offending input; a bare GRIDLB_ASSERT is a bug.
+      [](const std::exception& error) {
+        if (dynamic_cast<const xml::ParseError*>(&error) != nullptr) {
+          return true;
+        }
+        const auto* assertion = dynamic_cast<const AssertionError*>(&error);
+        return assertion != nullptr &&
+               require_message(*assertion) != assertion->what();
       });
 }
 

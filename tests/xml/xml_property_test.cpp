@@ -3,6 +3,8 @@
 // and compact output modes.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/rng.hpp"
 #include "xml/xml.hpp"
 
@@ -48,9 +50,11 @@ void expect_equal(const Element& a, const Element& b) {
   for (std::size_t i = 0; i < a.attributes().size(); ++i) {
     EXPECT_EQ(a.attributes()[i], b.attributes()[i]);
   }
-  ASSERT_EQ(a.children().size(), b.children().size());
-  for (std::size_t i = 0; i < a.children().size(); ++i) {
-    expect_equal(*a.children()[i], *b.children()[i]);
+  ASSERT_EQ(std::ranges::distance(a.children()),
+            std::ranges::distance(b.children()));
+  auto b_child = b.children().begin();
+  for (const Element& a_child : a.children()) {
+    expect_equal(a_child, *b_child++);
   }
 }
 

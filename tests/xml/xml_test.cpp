@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
 #include "common/assert.hpp"
@@ -38,9 +39,61 @@ TEST(XmlElement, ChildLookup) {
   root.add_child_with_text("a", "3");
   ASSERT_NE(root.child("a"), nullptr);
   EXPECT_EQ(root.child("a")->text(), "1");
-  EXPECT_EQ(root.children_named("a").size(), 2u);
+  EXPECT_EQ(std::ranges::distance(root.children_named("a")), 2);
   EXPECT_EQ(root.child_text("b"), "2");
   EXPECT_EQ(root.child_text("missing"), "");
+}
+
+TEST(XmlElement, AttributesSetAfterChildrenKeepTheirOrder) {
+  // The attribute array moves once children follow it in the arena.
+  Element root("r");
+  root.set_attribute("a", "1");
+  root.add_child_with_text("c", "t");
+  root.set_attribute("b", "2");
+  root.set_attribute("c", "3");
+  root.set_attribute("a", "4");
+  EXPECT_EQ(write(root, -1), "<r a=\"4\" b=\"2\" c=\"3\"><c>t</c></r>");
+}
+
+TEST(XmlElement, LargeDocumentsOutgrowTheFirstBlock) {
+  Element root("r");
+  for (int i = 0; i < 1000; ++i) {
+    Element& child = root.add_child("item");
+    child.set_attribute("i", std::to_string(i));
+    child.set_text(std::string(static_cast<std::size_t>(i % 50), 'x'));
+  }
+  const std::string written = write(root);
+  const auto parsed = parse(written);
+  EXPECT_EQ(std::ranges::distance(parsed->children_named("item")), 1000);
+  EXPECT_EQ(write(*parsed), written);
+  // Dense input: one node per four bytes, far past the parse's estimate.
+  std::string dense = "<r>";
+  for (int i = 0; i < 1000; ++i) dense += "<a/>";
+  dense += "</r>";
+  EXPECT_EQ(std::ranges::distance(parse(dense)->children()), 1000);
+}
+
+TEST(XmlElement, MovingANodeOrAParsedRootCopiesIt) {
+  auto parsed = parse("<r k=\"v\"><c>t</c></r>");
+  Element moved(std::move(*parsed));
+  parsed.reset();  // frees the parsed document; the move copied out of it
+  EXPECT_EQ(write(moved, -1), "<r k=\"v\"><c>t</c></r>");
+
+  Element built("b");
+  Element& node = built.add_child("n");
+  node.add_child_with_text("leaf", "x");
+  const Element copied(std::move(node));
+  EXPECT_EQ(write(copied, -1), "<n><leaf>x</leaf></n>");
+  EXPECT_EQ(write(built, -1), "<b><n><leaf>x</leaf></n></b>");
+}
+
+TEST(XmlElement, MovingABuiltRootKeepsItsTree) {
+  Element root("r");
+  Element& child = root.add_child("c");
+  child.set_text("t");
+  const Element moved(std::move(root));
+  EXPECT_EQ(write(moved, -1), "<r><c>t</c></r>");
+  EXPECT_EQ(&*moved.children().begin(), &child);  // handed over, not copied
 }
 
 TEST(XmlWrite, EmptyElementSelfCloses) {
@@ -78,7 +131,7 @@ TEST(XmlParse, SimpleDocument) {
 
 TEST(XmlParse, SelfClosingTag) {
   const auto doc = parse("<a><b/><c/></a>");
-  EXPECT_EQ(doc->children().size(), 2u);
+  EXPECT_EQ(std::ranges::distance(doc->children()), 2);
 }
 
 TEST(XmlParse, Attributes) {
@@ -100,7 +153,7 @@ TEST(XmlParse, AcceptsDeclarationAndWhitespace) {
 
 TEST(XmlParse, SkipsComments) {
   const auto doc = parse("<a><!-- note --><b/></a>");
-  EXPECT_EQ(doc->children().size(), 1u);
+  EXPECT_EQ(std::ranges::distance(doc->children()), 1);
 }
 
 TEST(XmlParse, TrimsIndentationWhitespace) {
