@@ -1,7 +1,7 @@
 // Shared plumbing for the benches' machine-readable `--json <path>` mode
 // (DESIGN.md §11): a tiny argv extractor that runs before
 // benchmark::Initialize, a steady_clock ns-per-op timer that calibrates
-// its own batch size, peak-RSS via getrusage, and a minimal ordered JSON
+// its own batch size, peak RSS (VmHWM), and a minimal ordered JSON
 // writer.  The emitted files are what tools/ci/check_bench_regression.py
 // compares against the committed BENCH_ga_hotpath.json baseline.
 #pragma once
@@ -37,9 +37,22 @@ inline std::string extract_json_path(int& argc, char** argv) {
   return path;
 }
 
-/// Peak resident set size of this process in bytes (ru_maxrss is KiB on
-/// Linux).
+/// Peak resident set size of this process in bytes: VmHWM from
+/// /proc/self/status.  Linux carries ru_maxrss across exec from the
+/// launching process, so a bench started by a larger parent would report
+/// the parent's peak; ru_maxrss (KiB) is only the fallback where
+/// /proc is unavailable.
 inline std::uint64_t peak_rss_bytes() {
+  if (std::FILE* status = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    unsigned long long kib = 0;
+    bool found = false;
+    while (!found && std::fgets(line, sizeof line, status) != nullptr) {
+      found = std::sscanf(line, "VmHWM: %llu kB", &kib) == 1;
+    }
+    std::fclose(status);
+    if (found) return static_cast<std::uint64_t>(kib) * 1024u;
+  }
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024u;

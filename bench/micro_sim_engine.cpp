@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <thread>
 
@@ -29,25 +28,43 @@ namespace {
 using namespace gridlb;
 
 // Self-perpetuating event chain: the per-event cost of schedule + pop +
-// dispatch, the inner loop of every experiment.
-void run_event_chain(sim::Engine& engine, std::int64_t events) {
-  std::int64_t remaining = events;
-  std::function<void()> tick = [&] {
-    if (--remaining > 0) engine.schedule_in(1.0, tick);
+// dispatch, the inner loop of every experiment.  The closure is two
+// pointers, trivially copyable, so it lives inside the std::function and
+// the row times the queue rather than a heap-held functor.  `pending`
+// background events wait behind the chain, as the portal's up-front
+// submissions wait in a real run, so every push and pop sifts through a
+// heap that deep.
+void run_event_chain(sim::Engine& engine, std::int64_t events,
+                     std::int64_t pending = 0) {
+  struct Tick {
+    sim::Engine* engine;
+    std::int64_t* remaining;
+    void operator()() const {
+      if (--*remaining > 0) engine->schedule_in(1.0, *this);
+    }
   };
-  engine.schedule_in(1.0, tick);
-  engine.run();
+  std::int64_t remaining = events;
+  std::int64_t unused = 0;
+  for (std::int64_t i = 0; i < pending; ++i) {
+    engine.schedule_at(1e12 + static_cast<double>(i), Tick{&engine, &unused});
+  }
+  engine.schedule_in(1.0, Tick{&engine, &remaining});
+  engine.run_until(static_cast<double>(events));
 }
 
 void BM_EngineLineage(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;
-    run_event_chain(engine, state.range(0));
+    run_event_chain(engine, state.range(0), state.range(1));
     benchmark::DoNotOptimize(engine.events_processed());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EngineLineage)->Arg(100000)->UseRealTime();
+BENCHMARK(BM_EngineLineage)
+    ->ArgNames({"events", "pending"})
+    ->Args({100000, 0})
+    ->Args({100000, 600})
+    ->UseRealTime();
 
 // --- the --json scaling report -----------------------------------------
 
@@ -87,6 +104,11 @@ void write_scaling_report(const std::string& path) {
         sim::Engine engine;
         run_event_chain(engine, iters);
       });
+  const double pending_ns =
+      benchjson::measure_ns_per_op([](std::int64_t iters) {
+        sim::Engine engine;
+        run_event_chain(engine, iters, 600);
+      });
 
   core::ExperimentResult single;
   core::ExperimentResult multi;
@@ -116,6 +138,7 @@ void write_scaling_report(const std::string& path) {
   json.end_object();
   json.begin_object("event_loop");
   json.field("lineage_ns_per_event", lineage_ns);
+  json.field("lineage_600_pending_ns_per_event", pending_ns);
   json.end_object();
   json.begin_object("campaign");
   json.field("hardware_threads", hardware);

@@ -143,12 +143,12 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
         agent_engine, predictions_, std::move(scheduler_config),
         [this, agent_index](const sched::CompletionRecord& record) {
           // Buffer on the shard that executed the completion, tagged with
-          // its exec record; finalize_completions() restores the global
-          // order after the run.
+          // its lineage reference; finalize_completions() restores the
+          // global order after the run.
           sim::Engine* const current = sim::Engine::current();
           GRIDLB_ASSERT(current != nullptr);
           completion_buffers_[current->shard_index()].push_back(
-              {record, current->current_record()});
+              {record, current->current_lineage()});
           completed_count_.fetch_add(1, std::memory_order_relaxed);
           // The agent may not exist yet while the system is being built,
           // but completions only fire once the simulation runs.
@@ -226,8 +226,8 @@ void AgentSystem::finalize_completions() {
   std::stable_sort(
       all.begin(), all.end(),
       [](const BufferedCompletion& a, const BufferedCompletion& b) {
-        GRIDLB_ASSERT(a.ticket->finalized && b.ticket->finalized);
-        return a.ticket->rank < b.ticket->rank;
+        GRIDLB_ASSERT(a.ticket.is_final() && b.ticket.is_final());
+        return a.ticket.rank() < b.ticket.rank();
       });
   if (collector_ != nullptr) {
     for (const BufferedCompletion& buffered : all) {

@@ -171,7 +171,9 @@ class AgentSystem {
  private:
   struct BufferedCompletion {
     sched::CompletionRecord record;
-    sim::ExecRecordPtr ticket;  ///< exec record of the completion event
+    /// The completion event's lineage reference: a plain rank on a lone
+    /// engine, its record while a sharded window is unsealed.
+    sim::LineageRef ticket;
   };
 
   void build(const pace::ApplicationCatalogue& catalogue,

@@ -1,6 +1,9 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "common/assert.hpp"
@@ -35,50 +38,108 @@ Engine* Engine::current() { return tls_current_engine; }
 
 bool Engine::executing() const { return tls_current_engine == this; }
 
-const ExecRecordPtr& Engine::current_record() {
+const LineageRef& Engine::current_lineage() {
   GRIDLB_ASSERT(executing());
-  if (!exec_record_) {
-    exec_record_ = std::make_shared<ExecRecord>();
-    exec_record_->at = now_;
-    exec_record_->idx = exec_idx_;
+  if (!exec_ranked_) {
+    exec_ranked_ = true;
     if (serial_finalize_) {
-      exec_record_->rank = shared_->next_gidx++;
-      exec_record_->finalized = true;
+      exec_self_ = LineageRef::finalized(shared_->next_gidx++);
     } else {
-      exec_record_->parent = exec_parent_;
-      exec_record_->rank = local_exec_seq_;
-      window_records_.push_back(exec_record_);
+      auto record = std::make_shared<ExecRecord>();
+      record->at = now_;
+      record->parent = exec_parent_;
+      record->idx = exec_idx_;
+      record->rank = local_exec_seq_;
+      window_records_.push_back(record);
+      exec_self_ = LineageRef(std::move(record));
     }
   }
-  return exec_record_;
+  return exec_self_;
 }
 
 Engine::ChildRef Engine::make_child_ref() {
-  if (executing()) return ChildRef{current_record(), child_counter_++};
+  if (executing()) return ChildRef{current_lineage(), child_counter_++};
   // Outside any event: a child of genesis.  Cross-engine scheduling from
   // inside an event must go through the coordinator instead — a genesis
   // child created mid-event would jump the global order.
   GRIDLB_REQUIRE(tls_current_engine == nullptr,
                  "cross-shard schedule must go through the coordinator");
   LineageShared& shared = *shared_;
-  if (shared.genesis->rank + 1 != shared.next_gidx) {
+  if (shared.genesis_rank + 1 != shared.next_gidx) {
     // Events were ranked since this genesis opened: rank a new one after.
-    shared.genesis = std::make_shared<ExecRecord>();
-    shared.genesis->rank = shared.next_gidx++;
-    shared.genesis->finalized = true;
+    shared.genesis_rank = shared.next_gidx++;
     shared.next_setup_idx = 0;
   }
-  return ChildRef{shared.genesis, shared.next_setup_idx++};
+  return ChildRef{LineageRef::finalized(shared.genesis_rank),
+                  shared.next_setup_idx++};
 }
 
-EventId Engine::schedule_at(SimTime at, EventFn fn) {
+std::uint64_t Engine::parent_order(std::uintptr_t parent) {
+  if (parent & 1u) return parent >> 1;
+  const auto* record = reinterpret_cast<const ExecRecord*>(parent);
+  return record->finalized ? record->rank : kProvisional | record->rank;
+}
+
+bool Engine::Later::operator()(const Key& a, const Key& b) const {
+  if (a.at != b.at) return a.at > b.at;
+  if (a.parent != b.parent) {
+    const std::uint64_t pa = parent_order(a.parent);
+    const std::uint64_t pb = parent_order(b.parent);
+    if (pa != pb) return pa > pb;
+  }
+  return a.idx > b.idx;
+}
+
+EventId Engine::enqueue(SimTime at, ChildRef ref, EventFn&& fn,
+                        bool milestone) {
+  std::uint32_t index;
+  if (free_slots_.empty()) {
+    GRIDLB_REQUIRE(slots_.size() < UINT32_MAX, "too many pending events");
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const EventId id = next_id_++;
+  Slot& slot = slots_[index];
+  slot.fn = std::move(fn);
+  slot.id = id;
+  slot.milestone = milestone;
+  slot.parent = ref.parent.take_record();
+  const std::uintptr_t parent =
+      slot.parent == nullptr
+          ? static_cast<std::uintptr_t>(ref.parent.rank() << 1) | 1u
+          : reinterpret_cast<std::uintptr_t>(slot.parent.get());
+  heap_.push_back(Key{at, parent, ref.idx, index});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  if (milestone) {
+    milestones_.push_back(at);
+    std::push_heap(milestones_.begin(), milestones_.end(), std::greater<>{});
+  }
+  return id;
+}
+
+void Engine::release(std::uint32_t index) const {
+  Slot& slot = slots_[index];
+  if (slot.milestone) {
+    std::pop_heap(milestones_.begin(), milestones_.end(), std::greater<>{});
+    milestones_.pop_back();
+  }
+  slot.fn = nullptr;
+  slot.parent.reset();
+  free_slots_.push_back(index);
+}
+
+EventId Engine::schedule(SimTime at, EventFn&& fn, bool milestone) {
   GRIDLB_REQUIRE(std::isfinite(at), "event time must be finite");
   GRIDLB_REQUIRE(at >= now_, "cannot schedule an event in the past");
   GRIDLB_REQUIRE(fn != nullptr, "event callback must be set");
-  const EventId id = next_id_++;
-  ChildRef ref = make_child_ref();
-  queue_.push(Entry{at, id, std::move(fn), std::move(ref.parent), ref.idx});
-  return id;
+  return enqueue(at, make_child_ref(), std::move(fn), milestone);
+}
+
+EventId Engine::schedule_at(SimTime at, EventFn fn) {
+  return schedule(at, std::move(fn), false);
 }
 
 EventId Engine::schedule_in(SimTime delay, EventFn fn) {
@@ -92,20 +153,23 @@ EventId Engine::schedule_milestone_at(SimTime at, EventFn fn) {
   // is about to open.
   GRIDLB_REQUIRE(at >= now_ + milestone_lead_,
                  "milestone scheduled inside the lookahead window");
-  pending_milestones_.insert(at);
-  return schedule_at(at, [this, at, fn = std::move(fn)]() {
-    pending_milestones_.erase(pending_milestones_.find(at));
-    fn();
-  });
+  return schedule(at, std::move(fn), true);
 }
 
 std::uint64_t Engine::count_milestones_below(SimTime bound,
                                              std::uint64_t cap) const {
+  // In the min-heap a time at or past `bound` roots a subtree that is too,
+  // so the walk stops at the first such node on every path.
   std::uint64_t count = 0;
-  for (auto it = pending_milestones_.begin();
-       it != pending_milestones_.end() && *it < bound && count < cap; ++it) {
+  const auto visit = [&](const auto& self, std::size_t i) -> void {
+    if (i >= milestones_.size() || count >= cap || milestones_[i] >= bound) {
+      return;
+    }
     ++count;
-  }
+    self(self, 2 * i + 1);
+    self(self, 2 * i + 2);
+  };
+  visit(visit, 0);
   return count;
 }
 
@@ -151,23 +215,31 @@ void Engine::pop_cancelled() const {
   // O(1) steady state: once every recorded cancellation has been matched
   // against its queue entry the set is empty and the sweep is a single
   // branch, no matter how often next_event_time() is polled.
-  if (cancelled_.empty()) return;
-  while (!queue_.empty() && cancelled_.contains(queue_.top().id)) {
-    cancelled_.erase(queue_.top().id);
-    queue_.pop();
+  while (!cancelled_.empty() && !heap_.empty()) {
+    const std::uint32_t index = heap_.front().slot;
+    if (cancelled_.erase(slots_[index].id) == 0) return;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    release(index);
     ++events_swept_;
   }
 }
 
 bool Engine::step() {
   pop_cancelled();
-  if (queue_.empty()) return false;
-  // Copy out before popping: the callback may schedule new events and the
-  // top() reference would dangle across a push.
-  Entry entry = queue_.top();
-  queue_.pop();
-  GRIDLB_ASSERT(entry.at >= now_);
-  now_ = entry.at;
+  if (heap_.empty()) return false;
+  const Key key = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  GRIDLB_ASSERT(key.at >= now_);
+  // Moved out before running: the callback may schedule into this slot
+  // once it is free, or grow the slab under it.
+  Slot& slot = slots_[key.slot];
+  const EventFn fn = std::move(slot.fn);
+  exec_parent_ = key.parent & 1u ? LineageRef::finalized(key.parent >> 1)
+                                 : LineageRef(std::move(slot.parent));
+  release(key.slot);
+  now_ = key.at;
   // Publish the clock for consumers without an engine reference (logger
   // sim-time prefixes, PACE cache trace events) and the executing shard
   // for trace-event stamping (0 = unsharded).
@@ -181,48 +253,50 @@ bool Engine::step() {
     explicit CurrentScope(Engine* engine) { tls_current_engine = engine; }
     ~CurrentScope() { tls_current_engine = previous; }
   } scope(this);
-  exec_parent_ = std::move(entry.parent);
-  exec_idx_ = entry.idx;
-  exec_record_.reset();
+  exec_idx_ = key.idx;
+  exec_self_ = LineageRef();
+  exec_ranked_ = false;
   ++local_exec_seq_;
   child_counter_ = 0;
-  entry.fn();
+  fn();
   return true;
 }
 
 void Engine::inject(SimTime at, ChildRef ref, EventFn fn) {
   GRIDLB_REQUIRE(std::isfinite(at), "event time must be finite");
   GRIDLB_REQUIRE(at >= now_, "injected event is before the shard clock");
-  GRIDLB_REQUIRE(ref.parent != nullptr, "injected event needs a lineage ref");
+  GRIDLB_REQUIRE(ref.parent.is_final(), "injected event's parent is unsealed");
   GRIDLB_REQUIRE(fn != nullptr, "event callback must be set");
-  queue_.push(Entry{at, next_id_++, std::move(fn), std::move(ref.parent),
-                    ref.idx});
+  // The parent is sealed by now: the key carries its plain rank.
+  ref.parent = LineageRef::finalized(ref.parent.rank());
+  enqueue(at, std::move(ref), std::move(fn), false);
 }
 
 void Engine::run_window(SimTime bound) {
   for (;;) {
     pop_cancelled();
-    if (queue_.empty() || queue_.top().at >= bound) return;
+    if (heap_.empty() || heap_.front().at >= bound) return;
     step();
   }
 }
 
 std::optional<Engine::PeekKey> Engine::peek_key() const {
   pop_cancelled();
-  if (queue_.empty()) return std::nullopt;
-  const Entry& top = queue_.top();
-  GRIDLB_ASSERT(top.parent != nullptr && top.parent->finalized);
-  return PeekKey{top.at, top.parent->rank, top.idx};
+  if (heap_.empty()) return std::nullopt;
+  const Key& top = heap_.front();
+  const std::uint64_t parent = parent_order(top.parent);
+  GRIDLB_ASSERT(parent < kProvisional);  // every parent is finalized
+  return PeekKey{top.at, parent, top.idx};
 }
 
 bool Engine::has_pending() const {
   pop_cancelled();
-  return !queue_.empty();
+  return !heap_.empty();
 }
 
 SimTime Engine::next_event_time() const {
   pop_cancelled();
-  return queue_.empty() ? kTimeInfinity : queue_.top().at;
+  return heap_.empty() ? kTimeInfinity : heap_.front().at;
 }
 
 void Engine::run() {
@@ -234,7 +308,7 @@ void Engine::run_until(SimTime until) {
   GRIDLB_REQUIRE(until >= now_, "run_until target is in the past");
   for (;;) {
     pop_cancelled();
-    if (queue_.empty() || queue_.top().at > until) break;
+    if (heap_.empty() || heap_.front().at > until) break;
     step();
   }
   now_ = until;

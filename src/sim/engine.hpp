@@ -26,8 +26,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
-#include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -44,33 +42,79 @@ using EventId = std::uint64_t;
 /// the event's timestamp when the callback runs.
 using EventFn = std::function<void()>;
 
-/// Execution record of one fired event under lineage ordering.  Pending
-/// children hold a shared_ptr to their parent's record so the comparator can
-/// consult the parent's rank.  `rank` starts as a shard-local provisional
+struct ExecRecord;
+using ExecRecordPtr = std::shared_ptr<ExecRecord>;
+
+/// A reference to a parent event's place in the lineage order: its global
+/// execution rank once that parent is finalized, or its execution record
+/// while the parent is provisional (it ran in a sharded window that is not
+/// yet sealed, so its rank is still a shard-local execution index).  Only
+/// the provisional form allocates or reference-counts; a standalone engine
+/// and a lone shard finalize every rank as the event runs and never make
+/// one.
+class LineageRef {
+ public:
+  LineageRef() = default;
+  /// The finalized rank `rank`.
+  static LineageRef finalized(std::uint64_t rank) {
+    LineageRef ref;
+    ref.rank_ = rank;
+    return ref;
+  }
+  /// `record`'s rank; holds the record only if it is still provisional.
+  explicit LineageRef(ExecRecordPtr record);
+
+  /// True once the parent's rank is global and final.
+  [[nodiscard]] bool is_final() const;
+  /// The parent's rank: global once is_final(), shard-local before.
+  [[nodiscard]] std::uint64_t rank() const;
+  /// Moves out the provisional parent's record (null for a plain rank).
+  [[nodiscard]] ExecRecordPtr take_record() { return std::move(record_); }
+
+ private:
+  std::uint64_t rank_ = 0;
+  ExecRecordPtr record_;
+};
+
+/// Execution record of an event that ran provisionally, in a sharded
+/// window.  Its children's lineage references point here so the comparator
+/// can consult the parent's rank.  `rank` starts as the shard-local
 /// execution index and is rewritten to a global rank (gidx) when the shard
 /// coordinator seals the window the event ran in; `finalized` flips at the
-/// same moment and the parent pointer is released so genealogy chains do
+/// same moment and `parent` drops to a plain rank so genealogy chains do
 /// not accumulate.
 struct ExecRecord {
   SimTime at = 0.0;
-  std::shared_ptr<ExecRecord> parent;
+  LineageRef parent;
   std::uint64_t idx = 0;
   std::uint64_t rank = 0;
   bool finalized = false;
 };
-using ExecRecordPtr = std::shared_ptr<ExecRecord>;
 
-/// State shared by every shard engine of one simulation: the genesis record
+inline LineageRef::LineageRef(ExecRecordPtr record) {
+  if (record->finalized) {
+    rank_ = record->rank;
+  } else {
+    record_ = std::move(record);
+  }
+}
+
+inline bool LineageRef::is_final() const {
+  return record_ == nullptr || record_->finalized;
+}
+
+inline std::uint64_t LineageRef::rank() const {
+  return record_ == nullptr ? rank_ : record_->rank;
+}
+
+/// State shared by every shard engine of one simulation: the genesis rank
 /// (parent of all schedules made outside any event, so single-threaded
 /// scenario construction keeps its exact serial order regardless of which
 /// shard each call lands on) and the global rank counter.  An outside
 /// schedule made after events were ranked gets a fresh genesis ranked
 /// after them, so it joins equal-time ties last, as on one queue.
 struct LineageShared {
-  LineageShared() : genesis(std::make_shared<ExecRecord>()) {
-    genesis->finalized = true;  // rank 0, the root of every lineage chain
-  }
-  ExecRecordPtr genesis;
+  std::uint64_t genesis_rank = 0;    // the root of every lineage chain
   std::uint64_t next_setup_idx = 0;  // child index under genesis
   std::uint64_t next_gidx = 1;       // next global execution rank
 };
@@ -149,16 +193,17 @@ class Engine {
 
   [[nodiscard]] std::size_t shard_index() const { return shard_index_; }
 
-  /// Exec record of the event currently executing on this engine (inside a
-  /// callback only).  Completion sinks hold it as a ticket so buffered
-  /// records can be ordered by finalized global rank later.
-  const ExecRecordPtr& current_record();
+  /// Lineage reference of the event currently executing on this engine
+  /// (inside a callback only); ranks the event on first use.  Completion
+  /// sinks hold it as a ticket so buffered records can be ordered by
+  /// finalized global rank later.
+  const LineageRef& current_lineage();
 
   /// Lineage context for an event about to be handed to another shard:
-  /// the currently-executing event's record plus the next child index
+  /// the currently-executing event's reference plus the next child index
   /// (genesis context outside any callback, i.e. during scenario setup).
   struct ChildRef {
-    ExecRecordPtr parent;
+    LineageRef parent;
     std::uint64_t idx = 0;
   };
   ChildRef make_child_ref();
@@ -188,16 +233,17 @@ class Engine {
   };
   [[nodiscard]] std::optional<PeekKey> peek_key() const;
 
-  /// Records executed during the current window, in execution order, with
+  /// Records of the events that ranked themselves (scheduled a child or
+  /// took a ticket) during the current window, in execution order, with
   /// provisional ranks.  The coordinator merges these across shards to
   /// assign global ranks, then calls clear().
   [[nodiscard]] std::vector<ExecRecordPtr>& window_records() {
     return window_records_;
   }
 
-  /// In serial-finalize mode each executed event's record is finalized
-  /// immediately from the shared global counter instead of being buffered
-  /// in window_records().  Always on for a standalone engine or a lone
+  /// In serial-finalize mode each executed event is ranked from the shared
+  /// global counter at once, with no record, instead of being buffered in
+  /// window_records().  Always on for a standalone engine or a lone
   /// shard; the coordinator turns it on for the exact-stop tail.
   void set_serial_finalize(bool on) { serial_finalize_ = on; }
 
@@ -211,41 +257,56 @@ class Engine {
                                                      std::uint64_t cap) const;
 
  private:
-  struct Entry {
+  // The queue is split in two.  The binary heap holds small POD keys —
+  // everything the comparator reads, nothing it does not — so a sift moves
+  // 32 bytes; the callback, id and milestone flag wait in a slab slot the
+  // key names, reused through a free list, and are moved out once, when
+  // the event fires.
+  //
+  // `parent` is the parent's lineage reference in one word: its finalized
+  // rank as (rank << 1 | 1), or the address of its provisional ExecRecord
+  // (8-aligned, so bit 0 is clear), which the slot keeps alive.
+  struct Key {
     SimTime at;
-    EventId id;
+    std::uintptr_t parent;
+    std::uint64_t idx;  // child index under `parent`
+    std::uint32_t slot;
+  };
+  struct Slot {
     EventFn fn;
-    ExecRecordPtr parent;  // the scheduling event's record
-    std::uint64_t idx = 0;  // child index under `parent`
+    EventId id = 0;
+    ExecRecordPtr parent;  // owns a provisional parent's record
+    bool milestone = false;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.parent != b.parent) {
-        // Finalized ranks globally precede provisional ones: a provisional
-        // parent executed in the current (unsealed) window, strictly after
-        // everything already finalized.
-        const auto key = [](const ExecRecordPtr& r) {
-          return std::pair<std::uint64_t, std::uint64_t>(r->finalized ? 0 : 1,
-                                                         r->rank);
-        };
-        const auto ka = key(a.parent);
-        const auto kb = key(b.parent);
-        if (ka != kb) return ka > kb;
-      }
-      return a.idx > b.idx;
-    }
+    bool operator()(const Key& a, const Key& b) const;
   };
+  // Finalized ranks globally precede provisional ones: a provisional parent
+  // executed in the current (unsealed) window, strictly after everything
+  // already finalized.  Ranks stay below this bit.
+  static constexpr std::uint64_t kProvisional = std::uint64_t{1} << 63;
+  /// A key's parent as one number: its rank, with kProvisional set while
+  /// the parent is provisional.
+  static std::uint64_t parent_order(std::uintptr_t parent);
 
+  EventId schedule(SimTime at, EventFn&& fn, bool milestone);
+  EventId enqueue(SimTime at, ChildRef ref, EventFn&& fn, bool milestone);
+  void release(std::uint32_t slot) const;  ///< clears a popped key's slot
   void pop_cancelled() const;
   [[nodiscard]] bool executing() const;  ///< inside one of this engine's events
 
-  // `queue_` and `cancelled_` are mutable so const queries (has_pending,
+  // The queue and `cancelled_` are mutable so const queries (has_pending,
   // next_event_time) can share pop_cancelled's lazy sweep: discarding a
   // cancelled top entry is observationally pure — the entry could never
   // fire — and beats the previous approach of copying the whole queue
   // (O(n) allocation + O(n log n) pops) per query.
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  mutable std::vector<Key> heap_;
+  mutable std::vector<Slot> slots_;
+  mutable std::vector<std::uint32_t> free_slots_;
+  // Times of the pending milestones (a min-heap).  An entry leaves when its
+  // milestone fires or the sweep discards its cancelled event; either way
+  // the event is the queue's earliest, so its time is the heap's minimum.
+  mutable std::vector<SimTime> milestones_;
   mutable std::unordered_set<EventId> cancelled_;
   // Periodic chains: chain ids live in their own id space (top bit set) and
   // are never enqueued, so a cancelled chain id never lingers in
@@ -264,14 +325,14 @@ class Engine {
   // Trace-event shard stamp: 1 + shard index when partitioned, 0 otherwise.
   std::uint16_t trace_shard_ = 0;
   bool serial_finalize_;
-  ExecRecordPtr exec_parent_;     // parent of the event now (or last) run
+  LineageRef exec_parent_;        // parent of the event now (or last) run
   std::uint64_t exec_idx_ = 0;    // its child index under that parent
-  ExecRecordPtr exec_record_;     // lazily-created record for that event
+  LineageRef exec_self_;          // that event's own reference, once ranked
+  bool exec_ranked_ = false;
   std::uint64_t child_counter_ = 0;
   std::uint64_t local_exec_seq_ = 0;  // provisional ranks within a window
   SimTime milestone_lead_ = 0.0;
   std::vector<ExecRecordPtr> window_records_;
-  std::multiset<SimTime> pending_milestones_;
 };
 
 }  // namespace gridlb::sim

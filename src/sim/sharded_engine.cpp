@@ -325,11 +325,10 @@ void ShardedEngine::seal_window() {
     logs[s] = &engines_[s]->window_records();
   }
   const auto precedes = [](const ExecRecord& a, const ExecRecord& b) {
-    GRIDLB_ASSERT(a.parent != nullptr && a.parent->finalized);
-    GRIDLB_ASSERT(b.parent != nullptr && b.parent->finalized);
+    GRIDLB_ASSERT(a.parent.is_final() && b.parent.is_final());
     if (a.at != b.at) return a.at < b.at;
-    if (a.parent->rank != b.parent->rank) {
-      return a.parent->rank < b.parent->rank;
+    if (a.parent.rank() != b.parent.rank()) {
+      return a.parent.rank() < b.parent.rank();
     }
     return a.idx < b.idx;
   };
@@ -346,7 +345,8 @@ void ShardedEngine::seal_window() {
     ExecRecord& record = *(*logs[best])[pos[best]++];
     record.rank = shared_.next_gidx++;
     record.finalized = true;
-    record.parent.reset();  // genealogy chains stay bounded
+    // Genealogy chains stay bounded.
+    record.parent = LineageRef::finalized(record.parent.rank());
   }
   for (auto* log : logs) log->clear();
   drain_outboxes();
@@ -359,7 +359,7 @@ void ShardedEngine::drain_outboxes() {
       telemetry_->outbox_messages[src]->add(box.size());
     }
     for (auto& posted : box) {
-      engines_[posted.dest]->inject(posted.at, posted.ref,
+      engines_[posted.dest]->inject(posted.at, std::move(posted.ref),
                                     std::move(posted.fn));
     }
     box.clear();

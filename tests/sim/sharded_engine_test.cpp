@@ -187,6 +187,21 @@ TEST(Engine, CountMilestonesBelowHonoursBoundAndCap) {
   EXPECT_EQ(engine.count_milestones_below(10.0, 2), 2u);  // capped
 }
 
+TEST(Engine, CancelledMilestoneIsNotCounted) {
+  // A cancelled milestone can never flip the stop predicate, so once the
+  // sweep has discarded it the coordinator must not count it as due.
+  Engine engine;
+  const EventId first = engine.schedule_milestone_at(5.0, [] {});
+  engine.schedule_milestone_at(7.0, [] {});
+  EXPECT_TRUE(engine.cancel(first));
+  engine.run_until(20.0);
+  EXPECT_EQ(engine.count_milestones_below(100.0, 10), 0u);
+  EXPECT_EQ(engine.events_swept(), 1u);
+  // Later milestones are still counted.
+  engine.schedule_milestone_at(30.0, [] {});
+  EXPECT_EQ(engine.count_milestones_below(100.0, 10), 1u);
+}
+
 // A small cross-shard event program: `nodes` logical nodes, each pinned to
 // shard (node % shard_count), ticking periodically and passing a token to
 // the next node with exactly-lookahead latency.  Per-node logs are only
