@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -35,12 +36,15 @@ struct FamilyRow {
   double discovery_msgs = 0.0;  ///< pulls + advertisements + forwards
 };
 
-FamilyRow run_family(const core::ScenarioSpec& spec,
-                     core::PlacementFamily family) {
+core::ExperimentConfig family_config(const core::ScenarioSpec& spec,
+                                     core::PlacementFamily family) {
   core::ExperimentConfig config = core::scenario_experiment(spec);
   config.placement = family;
-  config.system.sim_shards = 0;  // pure perf knob; results are invariant
-  FamilyRow row{core::run_experiment(config), 0.0};
+  return config;
+}
+
+FamilyRow family_row(core::ExperimentResult result) {
+  FamilyRow row{std::move(result), 0.0};
   for (const auto& stats : row.result.agent_stats) {
     row.discovery_msgs += static_cast<double>(
         stats.pulls_sent + stats.advertisements_received +
@@ -144,7 +148,6 @@ int churn_campaign(int agents) {
   spec.requests_per_agent = 10;
   core::ExperimentConfig config = core::scenario_experiment(spec);
   config.placement = core::PlacementFamily::kHashPlacement;
-  config.system.sim_shards = 0;
   config.system.fault.drop_prob = 0.05;
   config.system.fault.jitter_max = 0.2;
   config.system.fault_tolerance.enabled = true;
@@ -204,16 +207,27 @@ int main(int argc, char** argv) {
                 "family", "requests", "eps(s)", "util%", "beta%", "msgs/req",
                 "disc/req", "hops");
   }
+  // Every sweep point is an independent run: run them all concurrently,
+  // then print in sweep order.
+  std::vector<int> sizes;
+  std::vector<core::ExperimentConfig> configs;
   for (const int agents : {3, 12, 48, 192, 768, 1536, 3072, 6144, 10000}) {
     if (agents > max_agents) break;
     core::ScenarioSpec spec;
     spec.agent_count = agents;
     spec.requests_per_agent = requests_per_agent;
     spec.arrival_interval = 0.0;  // auto: per-agent rate held constant
-    print_row(agents, "agent",
-              run_family(spec, core::PlacementFamily::kAgentDiscovery), csv);
-    print_row(agents, "crush",
-              run_family(spec, core::PlacementFamily::kHashPlacement), csv);
+    sizes.push_back(agents);
+    configs.push_back(
+        family_config(spec, core::PlacementFamily::kAgentDiscovery));
+    configs.push_back(
+        family_config(spec, core::PlacementFamily::kHashPlacement));
+  }
+  std::vector<core::ExperimentResult> results = core::run_many(configs);
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    print_row(sizes[i], "agent", family_row(std::move(results[2 * i])), csv);
+    print_row(sizes[i], "crush", family_row(std::move(results[2 * i + 1])),
+              csv);
   }
   if (csv) return 0;
 

@@ -164,7 +164,7 @@ BENCHMARK(BM_FifoPlacementLoaded);
 
 void BM_AgentMatchmaking(benchmark::State& state) {
   // eq. 10: one prediction row, minimum over its n entries.
-  sim::ShardedEngine sharded(1, 0.05);
+  sim::ShardedEngine sharded(1);
   const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
   agents::SystemConfig config;
   config.resources = {{"S1", pace::HardwareType::kSgiOrigin2000, 16, -1}};

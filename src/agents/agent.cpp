@@ -341,13 +341,11 @@ void Agent::note_strict_drop(const Request& request, std::uint64_t hops) {
              .task = request.task.value(),
              .resource = config_.id.value()});
   if (drop_sink_) {
-    // Deferred by one network latency as a milestone: the drop can flip
-    // the drive's stop predicate exactly like a completion, and the delay
-    // is shard-count independent (latency == the coordinator lookahead),
-    // so every shard count halts on the same event.
+    // Deferred by one network latency: the drop flips the drive's stop
+    // predicate like a completion does, one hop after the rejection.
     const TaskId task = request.task;
-    engine_.schedule_milestone_at(engine_.now() + network_.latency(),
-                                  [this, task]() { drop_sink_(task); });
+    engine_.schedule_at(engine_.now() + network_.latency(),
+                        [this, task]() { drop_sink_(task); });
   }
 }
 

@@ -174,9 +174,7 @@ class Agent {
   void receive_request(Request request, bool final_dispatch = false);
 
   /// Observer for strict-failure drops.  The notification is deferred by
-  /// one network latency as a *milestone* event, so the drive goal can
-  /// count it like a completion and stop on the same event at any shard
-  /// count (DESIGN.md §13).
+  /// one network latency, so the drive goal counts it like a completion.
   void set_drop_sink(std::function<void(TaskId)> sink) {
     drop_sink_ = std::move(sink);
   }

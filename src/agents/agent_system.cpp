@@ -101,9 +101,7 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
                         metrics::MetricsCollector* collector) {
   config_.validate();
   const std::size_t shards = sharded_.shard_count();
-  collector_ = collector;
   shard_assignment_ = assign_shards(config_.resources, shards);
-  completion_buffers_.resize(shards);
 
   network_ = std::make_unique<sim::Network>(sharded_, config_.network_latency,
                                             config_.fault);
@@ -141,15 +139,9 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
     const std::size_t agent_index = i;
     schedulers_.push_back(std::make_unique<sched::LocalScheduler>(
         agent_engine, predictions_, std::move(scheduler_config),
-        [this, agent_index](const sched::CompletionRecord& record) {
-          // Buffer on the shard that executed the completion, tagged with
-          // its lineage reference; finalize_completions() restores the
-          // global order after the run.
-          sim::Engine* const current = sim::Engine::current();
-          GRIDLB_ASSERT(current != nullptr);
-          completion_buffers_[current->shard_index()].push_back(
-              {record, current->current_lineage()});
-          completed_count_.fetch_add(1, std::memory_order_relaxed);
+        [this, collector, agent_index](const sched::CompletionRecord& record) {
+          if (collector != nullptr) collector->record(record);
+          ++completed_count_;
           // The agent may not exist yet while the system is being built,
           // but completions only fire once the simulation runs.
           if (agent_index < agents_.size()) {
@@ -178,9 +170,7 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
     agents_.push_back(std::make_unique<Agent>(
         agent_engine, *network_, predictions_, catalogue,
         std::move(agent_config), *schedulers_.back()));
-    agents_.back()->set_drop_sink([this](TaskId) {
-      dropped_count_.fetch_add(1, std::memory_order_relaxed);
-    });
+    agents_.back()->set_drop_sink([this](TaskId) { ++dropped_count_; });
   }
   GRIDLB_REQUIRE(heads == 1, "the hierarchy must have exactly one head");
 
@@ -210,30 +200,6 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
   }
 
   if (config_.agent_churn.enabled) schedule_agent_churn();
-}
-
-void AgentSystem::finalize_completions() {
-  std::vector<BufferedCompletion> all;
-  std::size_t total = 0;
-  for (const auto& buffer : completion_buffers_) total += buffer.size();
-  all.reserve(total);
-  for (auto& buffer : completion_buffers_) {
-    for (auto& buffered : buffer) all.push_back(std::move(buffered));
-    buffer.clear();
-  }
-  // Stable: completions fired by one event share its rank and were
-  // buffered on its shard in firing order.
-  std::stable_sort(
-      all.begin(), all.end(),
-      [](const BufferedCompletion& a, const BufferedCompletion& b) {
-        GRIDLB_ASSERT(a.ticket.is_final() && b.ticket.is_final());
-        return a.ticket.rank() < b.ticket.rank();
-      });
-  if (collector_ != nullptr) {
-    for (const BufferedCompletion& buffered : all) {
-      collector_->record(buffered.record);
-    }
-  }
 }
 
 void AgentSystem::schedule_agent_churn() {

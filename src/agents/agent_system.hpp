@@ -3,15 +3,12 @@
 // AgentSystem owns every piece of one grid: the simulated network, the
 // PACE prediction table, one LocalScheduler per resource, and
 // one Agent per resource wired into a hierarchy of homogeneous agents.
-// Completion records flow into an optional MetricsCollector once
-// finalize_completions() merges them into execution order.
+// Completion records flow into an optional MetricsCollector as they fire.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
-
-#include <atomic>
 
 #include "agents/agent.hpp"
 #include "metrics/metrics.hpp"
@@ -76,10 +73,11 @@ struct SystemConfig {
   bool push_on_dispatch = false;
   AdvertisementScope scope = AdvertisementScope::kOwnService;
   double network_latency = 0.05;   ///< one-way message delay, seconds
-  /// Engine shards driving the simulation: 1 = one queue driven on the
-  /// caller, 0 = one per hardware thread, N = exactly N (clamped to the
-  /// agent count).  Results are bit-for-bit identical at any value (see
-  /// DESIGN.md §13).
+  /// Event queues the agents are partitioned across: 0 = one per hardware
+  /// thread, N = exactly N (clamped to the agent count).  The queues are
+  /// merged into one order on the calling thread, so results are
+  /// bit-for-bit identical at any value and no value is faster (DESIGN.md
+  /// §13).
   int sim_shards = 1;
   std::uint64_t seed = 42;         ///< per-scheduler GA seeds derive from it
   double prediction_error = 0.0;   ///< see LocalScheduler::Config
@@ -140,24 +138,14 @@ class AgentSystem {
   [[nodiscard]] std::size_t head_index() const { return head_index_; }
   /// Shard the given agent is pinned to (always 0 with one shard).
   [[nodiscard]] std::size_t shard_of(std::size_t index) const;
-  /// Completions recorded so far: the only completion signal safe to read
-  /// from the drive coordinator; records themselves are buffered per shard
-  /// until finalize_completions().
+  /// Completions recorded so far.
   [[nodiscard]] std::uint64_t completed_count() const {
-    return completed_count_.load(std::memory_order_relaxed);
+    return completed_count_;
   }
   /// Strict-failure drops notified so far (always 0 outside strict mode).
-  /// Like completed_count(), safe to read from the drive coordinator: the
-  /// notifications are milestone events, so completed + dropped can form
-  /// the drive goal at any shard count.
-  [[nodiscard]] std::uint64_t dropped_count() const {
-    return dropped_count_.load(std::memory_order_relaxed);
-  }
-  /// Flushes shard-buffered completion records into the collector in
-  /// global execution order (their finalized lineage ranks).  Call after
-  /// the drive finishes; a second call flushes only records buffered
-  /// since the first.
-  void finalize_completions();
+  /// The notifications are deferred events, so completed + dropped can form
+  /// the drive goal.
+  [[nodiscard]] std::uint64_t dropped_count() const { return dropped_count_; }
   /// Subtree-affine shard assignment: DFS preorder of the hierarchy cut
   /// into `shards` contiguous chunks.  Exposed for tests.
   static std::vector<std::size_t> assign_shards(
@@ -169,13 +157,6 @@ class AgentSystem {
   }
 
  private:
-  struct BufferedCompletion {
-    sched::CompletionRecord record;
-    /// The completion event's lineage reference: a plain rank on a lone
-    /// engine, its record while a sharded window is unsealed.
-    sim::LineageRef ticket;
-  };
-
   void build(const pace::ApplicationCatalogue& catalogue,
              metrics::MetricsCollector* collector);
   [[nodiscard]] sim::Engine& engine_for(std::size_t index) {
@@ -194,13 +175,9 @@ class AgentSystem {
   std::vector<std::unique_ptr<sched::NodeAvailability>> availability_;
   std::vector<std::unique_ptr<sched::ResourceMonitor>> monitors_;
   std::size_t head_index_ = 0;
-  // Completions are buffered per shard — each vector written exclusively
-  // by its shard's thread — and merged into the collector afterwards.
-  metrics::MetricsCollector* collector_ = nullptr;
   std::vector<std::size_t> shard_assignment_;
-  std::vector<std::vector<BufferedCompletion>> completion_buffers_;
-  std::atomic<std::uint64_t> completed_count_{0};
-  std::atomic<std::uint64_t> dropped_count_{0};
+  std::uint64_t completed_count_ = 0;
+  std::uint64_t dropped_count_ = 0;
 };
 
 }  // namespace gridlb::agents

@@ -1,8 +1,10 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <exception>
 #include <iomanip>
 #include <limits>
 #include <memory>
@@ -39,10 +41,7 @@ std::vector<std::string> resource_labels(const ExperimentConfig& config) {
 }
 
 /// Resolves `system.sim_shards` to a concrete shard count: 0 means one per
-/// hardware thread, anything is clamped to the agent count.  Strict
-/// failure mode shards like everything else: its drops are notified
-/// through milestone events (Agent::set_drop_sink), so the coordinator's
-/// exact-stop decision counts them exactly like completions.
+/// hardware thread, anything is clamped to the agent count.
 std::size_t resolve_sim_shards(const ExperimentConfig& config) {
   int shards = config.system.sim_shards;
   if (shards <= 0) {
@@ -200,18 +199,14 @@ class ObsScope {
 /// `interval, 2*interval, ...` and returns the count of executed ticks.
 /// Each tick is one extra engine event, so the caller subtracts the
 /// returned count from `sim_events` to keep the published result
-/// bit-for-bit identical to an unsampled run (DESIGN.md §14).  Ticks ride
-/// the milestone machinery, which keeps the cadence (and the exact-stop
-/// decision) partition-independent.  `interval` must be >= the engine's
-/// milestone lead (the lookahead when there are several shards).
+/// bit-for-bit identical to an unsampled run (DESIGN.md §14).
 std::shared_ptr<std::uint64_t> schedule_sampler_ticks(
     sim::Engine& engine, obs::Sampler& sampler, double interval,
     bool progress, std::uint64_t expected,
     std::function<std::uint64_t()> completed) {
   auto executed = std::make_shared<std::uint64_t>(0);
   // Each tick reschedules a copy of itself, so the queue holds the only
-  // reference (periodic chains are not used: their queue entries would not
-  // be milestones).  A tick that captured itself would never be freed.
+  // reference.  A tick that captured itself would never be freed.
   struct Tick {
     sim::Engine* engine;
     obs::Sampler* sampler;
@@ -232,10 +227,10 @@ std::shared_ptr<std::uint64_t> schedule_sampler_ticks(
                      "[gridlb] t=%.1fs  completed %" PRIu64 "/%" PRIu64 "\n",
                      now, completed(), expected);
       }
-      engine->schedule_milestone_at(now + interval, *this);
+      engine->schedule_at(now + interval, *this);
     }
   };
-  engine.schedule_milestone_at(
+  engine.schedule_at(
       interval, Tick{&engine, &sampler, executed, interval, progress, expected,
                      std::move(completed)});
   return executed;
@@ -287,7 +282,7 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
 
   ObsScope obs_scope(config);
   const std::size_t shards = resolve_sim_shards(config);
-  sim::ShardedEngine sharded(shards, config.system.network_latency);
+  sim::ShardedEngine sharded(shards);
   metrics::MetricsCollector collector;
   const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
@@ -449,10 +444,8 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
 
   const std::uint64_t expected = scheduled;
 
-  // Continuous profiling: sampler ticks live on the portal's shard so the
-  // series is written by exactly one event context at every shard count.
-  // The interval is clamped to the lookahead so each reschedule clears
-  // the milestone-lead requirement.
+  // Continuous profiling: sampler ticks live on the portal's shard, at
+  // least one network latency apart.
   std::shared_ptr<std::uint64_t> sampler_ticks;
   if (obs::Sampler* sampler = obs_scope.sampler()) {
     if (auto* reg = obs::registry()) {
@@ -471,20 +464,14 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   // (the periodic advertisement pulls keep the event queue non-empty
   // forever, so settlement — not queue exhaustion — is the stop
   // condition), or open-loop until the duration cutoff, whichever comes
-  // first.  Drops count through the milestone-notified dropped_count(), so
-  // one goal covers strict and non-strict mode at any shard count.
+  // first.  Drops count through dropped_count(), so one goal covers strict
+  // and non-strict mode.
   sim::DriveGoal goal;
   goal.done = [&system, expected]() {
     return system.completed_count() + system.dropped_count() >= expected;
   };
-  goal.remaining = [&system, expected]() {
-    const std::uint64_t settled =
-        system.completed_count() + system.dropped_count();
-    return settled >= expected ? std::uint64_t{0} : expected - settled;
-  };
   if (open_loop) goal.until = duration;
   sharded.drive(goal, config.horizon_limit);
-  system.finalize_completions();
 
   ExperimentResult result;
   result.name = config.name;
@@ -588,6 +575,40 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     cooled.system.agent_churn = {};
   }
   return run_impl(cooled);
+}
+
+std::vector<ExperimentResult> run_many(
+    std::span<const ExperimentConfig> configs) {
+  for (const ExperimentConfig& config : configs) {
+    GRIDLB_REQUIRE(!config.obs.enabled(),
+                   "run_many cannot observe runs: the trace recorder and "
+                   "metrics registry are process-global");
+  }
+  std::vector<ExperimentResult> results(configs.size());
+  std::vector<std::exception_ptr> errors(configs.size());
+  // Each worker takes the next unclaimed config until none is left, so a
+  // long run never holds up the short ones queued behind it.
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < configs.size(); i = next++) {
+      try {
+        results[i] = run_experiment(configs[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t threads = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), configs.size());
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) workers.emplace_back(work);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return results;
 }
 
 std::string format_table3(const std::vector<ExperimentResult>& results) {

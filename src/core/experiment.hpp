@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -157,11 +158,21 @@ struct ExperimentResult {
 ///       resource's scheduler.  This is the centralised architecture the
 ///       paper argues against; comparing it with experiment 3 quantifies
 ///       what neighbour-only discovery gives up for its
-///       decentralisation.  It always runs on one shard and ignores the
+///       decentralisation.  It always runs on one queue and ignores the
 ///       fault plan, fault tolerance and agent churn.
 /// Both non-agent families run with discovery and advertisement pulls
 /// off.  Local scheduling always uses `config.system.policy`.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// Runs independent configs concurrently and returns their results in
+/// input order, each identical to run_experiment(config).  Every run stays
+/// single-threaded; min(hardware threads, configs.size()) std::jthreads
+/// take the configs in turn.  No config may enable observability: the
+/// trace recorder and metrics registry are process-global.  The first
+/// failing config's exception (in input order) is rethrown once every
+/// run has finished.
+[[nodiscard]] std::vector<ExperimentResult> run_many(
+    std::span<const ExperimentConfig> configs);
 
 /// Formats results side by side in the layout of Table 3 (ε, υ, β columns
 /// per experiment, one row per resource plus the grid total).

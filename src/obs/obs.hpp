@@ -39,8 +39,8 @@ struct ObsConfig {
 
   /// Continuous profiling: snapshot the registry every `metrics_interval`
   /// sim-seconds (0 = use the 60 s default when a series output or
-  /// --progress turns the sampler on).  Sampling rides the engine's
-  /// milestone machinery, so the cadence is identical at any shard count.
+  /// --progress turns the sampler on).  Each sample is an engine event, so
+  /// the cadence is exact in virtual time.
   double metrics_interval = 0.0;
   std::string series_jsonl_out;  ///< time-series JSONL path ("" = off)
   std::string series_csv_out;    ///< time-series CSV path ("" = off)

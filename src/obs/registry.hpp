@@ -5,7 +5,7 @@
 // much / how often / how spread".  Instrumentation sites observe samples
 // live (discovery hops per request, advertisement staleness at use, GA
 // generations-to-converge, queue depth) and the experiment harness folds
-// in end-of-run aggregates (cache hit rate, per-shard occupancy, network
+// in end-of-run aggregates (cache hit rate, event counts, network
 // traffic) so the snapshot is consistent with Table 3's statistics.
 //
 // Snapshots render as an aligned text table or as a JSON document; both

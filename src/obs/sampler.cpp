@@ -1,16 +1,13 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
-#include <string_view>
 
 #include "common/assert.hpp"
-#include "obs/trace.hpp"
 
 namespace gridlb::obs {
 
@@ -33,28 +30,6 @@ void csv_number(std::ostringstream& os, double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.17g", value);
   os << buffer;
-}
-
-/// Splits "shard.<s>.<metric>" into its shard index and metric suffix.
-/// Returns false for every other name.
-bool parse_shard_metric(const std::string& name, std::uint32_t* shard,
-                        std::string* metric) {
-  constexpr std::string_view prefix = "shard.";
-  if (name.rfind(prefix, 0) != 0) return false;
-  std::size_t pos = prefix.size();
-  const auto digit = [&name](std::size_t i) {
-    return std::isdigit(static_cast<unsigned char>(name[i])) != 0;
-  };
-  if (pos >= name.size() || !digit(pos)) return false;
-  std::uint32_t s = 0;
-  while (pos < name.size() && digit(pos)) {
-    s = s * 10 + static_cast<std::uint32_t>(name[pos] - '0');
-    ++pos;
-  }
-  if (pos >= name.size() || name[pos] != '.') return false;
-  *shard = s;
-  *metric = name.substr(pos + 1);
-  return true;
 }
 
 }  // namespace
@@ -151,24 +126,11 @@ void Sampler::sample(SimTime at) {
   values.reserve(snap.counters.size() + snap.gauges.size() +
                  5 * snap.histograms.size());
 
-  // Per-shard engine telemetry re-published as Perfetto counter samples
-  // (chrome exporter renders kShardSample on the "engine shards" process).
-  std::map<std::uint32_t, std::pair<double, double>> shard_samples;
-
   for (const auto& [name, value] : snap.counters) {
     const auto it = prev_counters_.find(name);
     const std::uint64_t prev = it == prev_counters_.end() ? 0 : it->second;
     prev_counters_[name] = value;
     const std::uint64_t delta = value - prev;
-    std::uint32_t shard = 0;
-    std::string metric;
-    if (parse_shard_metric(name, &shard, &metric)) {
-      if (metric == "events") {
-        shard_samples[shard].first = static_cast<double>(delta);
-      } else if (metric == "barrier_wait_ns") {
-        shard_samples[shard].second = static_cast<double>(delta);
-      }
-    }
     if (delta != 0) {
       values.emplace_back(name, static_cast<double>(delta));
     }
@@ -205,14 +167,6 @@ void Sampler::sample(SimTime at) {
   std::sort(values.begin(), values.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   series_.append(at, std::move(values));
-
-  for (const auto& [shard, sample] : shard_samples) {
-    emit({.at = at,
-          .kind = EventKind::kShardSample,
-          .extra = shard,
-          .a = sample.first,     // events executed this interval
-          .b = sample.second});  // barrier-wait ns this interval
-  }
 }
 
 }  // namespace gridlb::obs

@@ -4,9 +4,8 @@
 // A single end-of-run registry snapshot collapses a multi-hour campaign
 // into one aggregate row; the sampler restores the time axis.  Every
 // `--metrics-interval` simulated seconds (the experiment harness drives
-// the ticks through the engine, so cadence is virtual-time exact and
-// identical at any shard count) the sampler reads the whole registry and
-// appends one row:
+// the ticks through the engine, so cadence is virtual-time exact) the
+// sampler reads the whole registry and appends one row:
 //
 //   * counters  — as per-interval deltas, so each column is a rate once
 //     divided by the interval (flow.completed = completions this window);
@@ -72,10 +71,7 @@ class TimeSeries {
 };
 
 /// Diffs registry snapshots between ticks into TimeSeries rows (see the
-/// file comment for the column scheme).  Additionally republishes the
-/// per-shard engine telemetry (`shard.<s>.events` / `.barrier_wait_ns`
-/// counters, DESIGN.md §14) as kShardSample trace events so Perfetto
-/// shows per-shard counter tracks over sim time.
+/// file comment for the column scheme).
 class Sampler {
  public:
   explicit Sampler(const MetricsRegistry& registry);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/sim_clock.hpp"
 
 namespace gridlb::obs {
 
@@ -32,7 +31,6 @@ std::string_view kind_name(EventKind kind) {
     case EventKind::kAgentRestarted: return "agent_restarted";
     case EventKind::kTaskResubmitted: return "task_resubmitted";
     case EventKind::kPlacementDecision: return "placement_decision";
-    case EventKind::kShardSample: return "shard_sample";
     case EventKind::kTaskMigrated: return "task_migrated";
   }
   return "unknown";
@@ -69,14 +67,6 @@ void TraceRecorder::record(const TraceEvent& event) {
   if (tls.epoch != epoch_) tls = ThreadRing{.epoch = epoch_};
   Ring*& ring = tls.ring;
   if (ring == nullptr) ring = register_ring();
-  if (event.shard == 0) {
-    // Stamp the executing engine shard (0 stays 0 on unsharded runs, so
-    // the exporter layout of a classic run is untouched).
-    TraceEvent stamped = event;
-    stamped.shard = simclock::current_shard();
-    ring->push(stamped);
-    return;
-  }
   ring->push(event);
 }
 

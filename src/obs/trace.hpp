@@ -15,8 +15,8 @@
 //
 // The recorder is installed globally (see obs.hpp's Session); merging and
 // exporting happen after the simulation has quiesced, so snapshot() must
-// not race with record() — in this codebase the shard threads are always
-// joined when a run ends, which provides that guarantee.
+// not race with record() — an observed run records on the one thread that
+// drives it and exports after its drive returns.
 #pragma once
 
 #include <atomic>
@@ -64,9 +64,6 @@ enum class EventKind : std::uint8_t {
   kPlacementDecision,  ///< hashed placement: resource=winning target,
                        ///< a=winning straw draw, b=live map weight,
                        ///< extra=target index
-  // Engine-shard telemetry (DESIGN.md §14).
-  kShardSample,        ///< sampler tick: extra=shard index (0-based),
-                       ///< a=events, b=barrier-wait ns this interval
   // Queue migration (DESIGN.md §16).
   kTaskMigrated,       ///< queued task re-homed: resource=target agent,
                        ///< a=own backlog, b=target backlog, extra=hops
@@ -85,15 +82,9 @@ enum class EventKind : std::uint8_t {
 ///              staleness at use; for kQueueDepth a=depth
 ///   extra    — small kind-specific integer (generation index, node count,
 ///              hop count, …)
-///   shard    — 1 + the engine shard the event was recorded on, or 0 when
-///              the run is unsharded (or the emitting thread is outside
-///              any shard).  Sites never set it: record() stamps it from
-///              the executing engine's published shard (sim_clock.hpp), so
-///              the chrome exporter can group a sharded run by shard.
 struct TraceEvent {
   SimTime at = 0.0;
   EventKind kind = EventKind::kRequestSubmitted;
-  std::uint16_t shard = 0;
   std::uint32_t extra = 0;
   std::uint64_t task = 0;
   std::uint64_t resource = 0;

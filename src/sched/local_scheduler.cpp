@@ -196,12 +196,7 @@ void LocalScheduler::commit(std::size_t pending_index, NodeMask mask,
   record.end = end;
   record.deadline = task.deadline;
 
-  // A completion is a *milestone*: it can flip the experiment's stop
-  // predicate, so the sharded driver must be able to count pending ones at
-  // its synchronization barriers (schedule_milestone_at is plain
-  // schedule_at on a non-sharded engine).  `end` is always at least a task
-  // execution time in the future, far beyond the lookahead lead.
-  engine_.schedule_milestone_at(end, [this, record = std::move(record)]() {
+  engine_.schedule_at(end, [this, record = std::move(record)]() {
     --running_;
     ++completed_;
     if (auto* reg = obs::registry()) {

@@ -17,9 +17,7 @@ enum DropReason : std::uint32_t {
 
 /// Stateless per-message fault seed: injective over (sender, ordinal) for
 /// any realistic endpoint count, then thoroughly mixed by Rng's splitmix64
-/// seeding.  Replaces the old shared send-order RNG stream, whose draws
-/// depended on the global interleaving of sends and so could not survive
-/// shard-count changes.
+/// seeding.  No draw depends on the global interleaving of sends.
 std::uint64_t message_seed(std::uint64_t plan_seed, EndpointId from,
                            std::uint64_t ordinal) {
   return plan_seed ^ (static_cast<std::uint64_t>(from) << 32) ^ ordinal;
@@ -30,8 +28,6 @@ Network::Network(ShardedEngine& engine, double latency_seconds,
                  FaultPlan plan)
     : engine_(engine), latency_(latency_seconds), plan_(std::move(plan)) {
   GRIDLB_REQUIRE(latency_seconds >= 0.0, "latency must be non-negative");
-  GRIDLB_REQUIRE(engine.lookahead() <= latency_seconds,
-                 "engine lookahead must not exceed the network latency");
   plan_.validate();
 }
 

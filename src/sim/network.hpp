@@ -15,16 +15,13 @@
 // RNG draws and the delivery schedule is bit-for-bit identical to a
 // network built without a plan.
 //
-// Sharding (DESIGN.md §13): every endpoint is pinned to the shard that was
-// current at registration time, and all mutable accounting (traffic stats,
-// fault counters) lives per endpoint so each shard only writes state it
-// owns.  Fault draws are stateless — each message's loss/jitter comes from
-// a hash of (plan seed, sender, sender's send ordinal), not from a shared
-// stream — so the fault pattern is independent of the global send
-// interleaving and therefore of the shard count.  Every delivery routes
-// through the shard coordinator, which keeps same-shard ones local and is
-// what turns the network latency into the conservative-lookahead window
-// for cross-shard ones.
+// Partitioning (DESIGN.md §13): every endpoint is pinned to the shard
+// that was current at registration time, and all mutable accounting
+// (traffic stats, fault counters) lives per endpoint.  Fault draws are
+// stateless — each message's loss/jitter comes from a hash of (plan seed,
+// sender, sender's send ordinal), not from a shared stream — so the fault
+// pattern depends on no global send interleaving.  Every delivery is
+// posted to the recipient's shard.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +100,8 @@ class Network {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  /// `latency` is the one-way delivery delay applied to every message
-  /// (it must not be below `engine`'s lookahead); `plan` (optional)
-  /// injects deterministic faults on top of it.  Deliveries are posted to
+  /// `latency` is the one-way delivery delay applied to every message;
+  /// `plan` (optional) injects deterministic faults on top of it.  Deliveries are posted to
   /// the recipient's shard of `engine`.
   Network(ShardedEngine& engine, double latency_seconds, FaultPlan plan = {});
 
@@ -151,8 +147,7 @@ class Network {
     Handler handler;
     EndpointStats stats;
     // Random/partition drops are charged to the sender, endpoint-down
-    // drops to the recipient, so each counter has exactly one writing
-    // shard.
+    // drops to the recipient.
     FaultStats faults;
     std::size_t shard = 0;
     bool up = true;

@@ -13,7 +13,7 @@ namespace gridlb::agents {
 namespace {
 
 struct AgentSystemFixture : ::testing::Test {
-  sim::ShardedEngine sharded{1, 0.05};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
@@ -136,7 +136,6 @@ TEST_F(AgentSystemFixture, CompletionsFlowIntoCollector) {
   Portal portal(engine, system.network(), catalogue, &collector);
   portal.submit(system.agent_named("B"), "closure", 1000.0);
   engine.run_until(3600.0);  // advertisement pulls never drain the queue
-  system.finalize_completions();
   EXPECT_EQ(collector.completed_tasks(), 1u);
 }
 
@@ -171,7 +170,7 @@ TEST_F(AgentSystemFixture, PerSchedulerSeedsDiffer) {
   // resources may evolve differently, but more importantly seeds must be
   // deterministic across system constructions.
   AgentSystem first(sharded, catalogue, two_level(), nullptr);
-  sim::ShardedEngine sharded2(1, 0.05);
+  sim::ShardedEngine sharded2(1);
   AgentSystem second(sharded2, catalogue, two_level(), nullptr);
   EXPECT_EQ(first.agent(0).scheduler().config().seed,
             second.agent(0).scheduler().config().seed);

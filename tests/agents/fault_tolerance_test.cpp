@@ -14,7 +14,7 @@ namespace gridlb::agents {
 namespace {
 
 struct FaultToleranceFixture : ::testing::Test {
-  sim::ShardedEngine sharded{1, 0.05};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
   metrics::MetricsCollector collector;
@@ -52,7 +52,6 @@ TEST_F(FaultToleranceFixture, LossyNetworkStillDeliversEveryTaskAndResult) {
     portal.submit(system.head(), i % 2 == 0 ? "fft" : "closure", 3500.0);
   }
   engine.run_until(3600.0);
-  system.finalize_completions();
 
   // Retransmission must mask every drop: no task lost, no result lost.
   EXPECT_EQ(collector.completed_tasks(), 20u);
@@ -77,7 +76,6 @@ TEST_F(FaultToleranceFixture, UnreachableEntryAgentFallsBackToTheHead) {
   for (TaskId task : entry.crash()) portal.resubmit(task);  // none yet
   for (int i = 0; i < 3; ++i) portal.submit(entry, "fft", 3500.0);
   engine.run_until(3600.0);
-  system.finalize_completions();
 
   // Every transmission died against the deaf endpoint; after the retry
   // budget the portal re-discovered each task through the head.
@@ -104,7 +102,6 @@ TEST_F(FaultToleranceFixture, CrashStrandsPendingTasksWhichTheHeadRecovers) {
   });
   engine.schedule_at(300.0, [&victim]() { victim.restart(); });
   engine.run_until(3600.0);
-  system.finalize_completions();
 
   // Tasks already running ride out the crash on the resource; the stranded
   // remainder re-enters through the head.  Nothing executes twice.
@@ -142,7 +139,6 @@ TEST_F(FaultToleranceFixture, ActExpiryShunsANeighbourThatStoppedAdvertising) {
     portal.submit(system.head(), "sweep3d", engine.now() + 10.0);
   });
   engine.run_until(3600.0);
-  system.finalize_completions();
 
   // The pre-crash task proves B was the preferred target; the post-crash
   // task falls back to local best-effort without ever probing the dead

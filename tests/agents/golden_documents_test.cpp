@@ -119,7 +119,7 @@ TEST(GoldenDocuments, ExecutionResult) {
 struct StampedDocuments : ::testing::Test {
   static constexpr double kLatency = 0.05;
 
-  sim::ShardedEngine sharded{1, kLatency};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
   pace::PredictionTable predictions{

@@ -42,7 +42,7 @@ struct Arrivals {
 };
 
 TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
-  sim::ShardedEngine sharded{1, 0.0};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
   Arrivals arrivals;
@@ -67,7 +67,7 @@ TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
 }
 
 TEST(ReliableLink, AckStopsRetransmission) {
-  sim::ShardedEngine sharded{1, 0.0};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
   Arrivals arrivals;
@@ -101,7 +101,7 @@ TEST(ReliableLink, AckStopsRetransmission) {
 }
 
 TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
-  sim::ShardedEngine sharded{1, 0.0};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
   ReliableLink sender(engine, network, enabled_policy());
@@ -141,7 +141,7 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
 }
 
 TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
-  sim::ShardedEngine sharded{1, 0.0};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
   ReliableLink receiver(engine, network, enabled_policy());
@@ -167,7 +167,7 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
 }
 
 TEST(ReliableLink, RejectsMalformedMsgid) {
-  sim::ShardedEngine sharded{1, 0.0};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
   ReliableLink receiver(engine, network, enabled_policy());
@@ -191,7 +191,7 @@ TEST(ReliableLink, RejectsMalformedMsgid) {
 }
 
 TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
-  sim::ShardedEngine sharded{1, 0.0};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
   ReliableLink receiver(engine, network, enabled_policy());
@@ -206,7 +206,7 @@ TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
 }
 
 TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
-  sim::ShardedEngine sharded{1, 0.0};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
   ReliableLink sender(engine, network, enabled_policy());

@@ -82,7 +82,7 @@ TEST(RequestOrigin, RoundTripsThroughXml) {
 // --- end-to-end delivery --------------------------------------------------
 
 struct ResultDeliveryFixture : ::testing::Test {
-  sim::ShardedEngine sharded{1, 0.05};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   metrics::MetricsCollector collector;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
@@ -147,7 +147,6 @@ TEST_F(ResultDeliveryFixture, EveryCampaignTaskGetsAResult) {
     });
   }
   engine.run_until(7200.0);
-  system.finalize_completions();
   EXPECT_EQ(portal.results_received(), 30u);
   EXPECT_GT(portal.mean_turnaround(), 0.0);
   // Met flags in the results agree with the metrics collector.
@@ -168,7 +167,6 @@ TEST_F(ResultDeliveryFixture, FireAndForgetRequestsProduceNoResult) {
   request.deadline = 1e6;
   system.agent_named("S1").receive_request(std::move(request));
   engine.run_until(3600.0);
-  system.finalize_completions();
   EXPECT_EQ(system.agent_named("S1").stats().results_sent, 0u);
   EXPECT_EQ(collector.completed_tasks(), 1u);
 }

@@ -13,7 +13,7 @@ namespace {
 // A chain: S1 (SPARC2, head) -> S2 (SPARC2) -> S3 (SGI).  S3 is the only
 // fast resource and is *not* a neighbour of S1.
 struct TransitiveFixture : ::testing::Test {
-  sim::ShardedEngine sharded{1, 0.05};
+  sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   metrics::MetricsCollector collector;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
@@ -46,12 +46,8 @@ struct TransitiveFixture : ::testing::Test {
   }
 
   std::uint64_t next_task = 0;
-  // Runs a bounded horizon (pulls never drain the queue), then flushes
-  // the buffered completions into the collector.
-  void drain(AgentSystem& system) {
-    engine.run_until(engine.now() + 7200.0);
-    system.finalize_completions();
-  }
+  // Runs a bounded horizon (pulls never drain the queue).
+  void drain() { engine.run_until(engine.now() + 7200.0); }
 };
 
 TEST_F(TransitiveFixture, OwnServiceScopeSeesOnlyNeighbours) {
@@ -92,7 +88,7 @@ TEST_F(TransitiveFixture, DiscoveryRoutesToGrandchild) {
   // grandchild (min 4 s).  With transitive entries S1 routes via S2.
   system->agent_named("S1").receive_request(
       make_request("sweep3d", engine.now() + 12.0));
-  drain(*system);
+  drain();
   EXPECT_EQ(system->agent_named("S3").stats().dispatched_local, 1u);
   EXPECT_EQ(collector.completed_tasks(), 1u);
   EXPECT_EQ(system->agent_named("S1").stats().forwarded_match, 1u);
@@ -110,7 +106,7 @@ TEST_F(TransitiveFixture, OwnServiceScopeCannotReachTheGrandchild) {
   engine.run_until(21.0);
   system->agent_named("S1").receive_request(
       make_request("sweep3d", engine.now() + 12.0));
-  drain(*system);
+  drain();
   EXPECT_EQ(system->agent_named("S3").stats().dispatched_local, 0u);
   std::uint64_t fallbacks = 0;
   for (std::size_t i = 0; i < system->size(); ++i) {
@@ -136,7 +132,7 @@ TEST_F(TransitiveFixture, HopBudgetForcesTermination) {
     request.visited.push_back(AgentId(i));
   }
   system->agent_named("S1").receive_request(std::move(request));
-  drain(*system);
+  drain();
   EXPECT_EQ(system->agent_named("S1").stats().fallback_dispatches, 1u);
   EXPECT_EQ(collector.completed_tasks(), 1u);
 }
@@ -154,7 +150,7 @@ TEST_F(TransitiveFixture, CampaignCompletesUnderTransitiveScope) {
                     engine.now() + rng.uniform(domain.lo, domain.hi));
     });
   }
-  drain(*system);
+  drain();
   EXPECT_EQ(collector.completed_tasks(), 40u);
   EXPECT_EQ(portal.results_received(), 40u);
 }

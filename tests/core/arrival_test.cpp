@@ -261,9 +261,8 @@ TEST(OpenLoop, ShardCountInvariant) {
 }
 
 TEST(OpenLoop, StrictModeShardCountInvariant) {
-  // Strict-failure drops are notified through milestone events with a
-  // shard-independent delay, so strict runs no longer force sim_shards=1
-  // and stay invariant too.
+  // Strict-failure drops are notified through events deferred by one
+  // network latency, so strict runs stay invariant too.
   const ExperimentResult reference = run_experiment(open_loop_config(1, true));
   for (const int shards : {2, 4}) {
     const ExperimentResult sharded =

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/assert.hpp"
 
 namespace gridlb::core {
@@ -105,6 +107,51 @@ TEST(RunExperiment, HorizonLimitAborts) {
 TEST(RunExperiment, RejectsEmptyResources) {
   ExperimentConfig config;
   EXPECT_THROW(run_experiment(config), AssertionError);
+}
+
+TEST(RunMany, MatchesRunExperimentInInputOrder) {
+  ExperimentConfig crush = scaled(experiment3(), 120);
+  crush.placement = PlacementFamily::kHashPlacement;
+  const std::vector<ExperimentConfig> configs = {
+      scaled(experiment1(), 120), scaled(experiment2(), 120),
+      scaled(experiment3(), 120), crush};
+  const std::vector<ExperimentResult> results = run_many(configs);
+  ASSERT_EQ(results.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const ExperimentResult alone = run_experiment(configs[i]);
+    const ExperimentResult& many = results[i];
+    EXPECT_EQ(many.name, alone.name) << i;
+    EXPECT_EQ(many.tasks_completed, alone.tasks_completed) << i;
+    EXPECT_EQ(many.sim_events, alone.sim_events) << i;
+    EXPECT_EQ(many.finished_at, alone.finished_at) << i;
+    EXPECT_EQ(many.network_messages, alone.network_messages) << i;
+    EXPECT_EQ(many.report.total.advance_time, alone.report.total.advance_time)
+        << i;
+    EXPECT_EQ(many.report.total.utilisation, alone.report.total.utilisation)
+        << i;
+    EXPECT_EQ(many.report.total.balance, alone.report.total.balance) << i;
+    ASSERT_EQ(many.completions.size(), alone.completions.size()) << i;
+    for (std::size_t c = 0; c < alone.completions.size(); ++c) {
+      EXPECT_EQ(many.completions[c].task, alone.completions[c].task);
+      EXPECT_EQ(many.completions[c].resource, alone.completions[c].resource);
+      EXPECT_EQ(many.completions[c].start, alone.completions[c].start);
+      EXPECT_EQ(many.completions[c].end, alone.completions[c].end);
+    }
+  }
+}
+
+TEST(RunMany, RejectsObservedConfigs) {
+  std::vector<ExperimentConfig> configs = {scaled(experiment1(), 24),
+                                           scaled(experiment1(), 24)};
+  configs[1].obs.metrics = true;
+  EXPECT_THROW((void)run_many(configs), AssertionError);
+}
+
+TEST(RunMany, RethrowsAFailingRun) {
+  std::vector<ExperimentConfig> configs = {scaled(experiment1(), 24),
+                                           scaled(experiment1(), 40)};
+  configs[1].horizon_limit = 3.0;  // aborts, as in HorizonLimitAborts
+  EXPECT_THROW((void)run_many(configs), AssertionError);
 }
 
 TEST(FormatTable3, RendersAllRows) {

@@ -1,17 +1,16 @@
 // Shard-count invariance pins (DESIGN.md §13).
 //
-// The sharding contract is that `--sim-shards` is a pure performance knob:
-// a sharded run produces the bit-for-bit identical ExperimentResult for
-// any shard count.  This file pins that three ways:
+// The contract is that `--sim-shards` changes nothing: the N queues are
+// merged into one (at, seq) order, so a partitioned run produces the
+// bit-for-bit identical ExperimentResult for any shard count.  This file
+// pins that three ways:
 //   1. The Table 2 presets at 2 and 4 shards reproduce the exact literals
 //      recorded before the fault subsystem existed (the same numbers
 //      tests/core/fault_regression_test.cpp pins at one shard).
 //   2. A larger generated scenario — with faults, node churn and agent
 //      churn all active — compares the full result field-by-field between
 //      one shard and several.
-//   3. A multi-shard hammer run doubles as the TSan workout for the
-//      coordinator's barriers, outboxes and window merges (the sanitize CI
-//      matrix runs every test under -fsanitize=thread).
+//   3. A four-shard run with the full fault stack repeats exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -174,10 +173,8 @@ TEST(ShardInvariance, FaultedScenarioFullResultEquality) {
   }
 }
 
-// The TSan hammer: four shards running the full fault stack.  Correctness
-// here is repeatability (two identical runs), and under the sanitize CI
-// matrix every barrier, outbox handoff and window merge in the
-// coordinator gets exercised with real thread interleavings.
+// Four shards running the full fault stack.  Correctness here is
+// repeatability: two identical runs.
 TEST(ShardInvariance, HammerMultiShardRepeatable) {
   const ExperimentResult first = run_experiment(hammer_config(4));
   const ExperimentResult second = run_experiment(hammer_config(4));

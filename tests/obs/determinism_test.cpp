@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/experiment.hpp"
@@ -76,7 +77,7 @@ TEST(ObservationNeutrality, FifoExperimentIsAlsoNeutral) {
 //
 // The sampler schedules real engine events, so neutrality is a stronger
 // claim than for passive tracing: the ticks must neither perturb the
-// schedule (lineage order, exact stop) nor leak into the published event
+// schedule ((at, seq) order, exact stop) nor leak into the published event
 // count.  Pinned here for every experiment shape at shard counts 1 and 4.
 
 /// Tracing + metrics + a fast sampling cadence, no output files.
@@ -131,32 +132,26 @@ TEST(SamplerNeutrality, CentralOracleIsNeutral) {
   EXPECT_GT(observed.trace_events, 0u);
 }
 
-/// Lines of the experiment's JSONL event dump that carry a shard stamp
-/// (the exporter writes "shard" only for a nonzero TraceEvent.shard).
-int stamped_event_lines(int shards) {
+/// The experiment's JSONL event dump at `shards` shards.
+std::string event_dump(int shards) {
   ExperimentConfig config = small_experiment3();
   config.system.sim_shards = shards;
-  config.obs.events_out = ::testing::TempDir() + "gridlb_stamps_" +
+  config.obs.events_out = ::testing::TempDir() + "gridlb_events_" +
                           std::to_string(shards) + ".jsonl";
   const ExperimentResult result = run_experiment(config);
   EXPECT_GT(result.trace_events, 0u);
   std::ifstream in(config.obs.events_out);
-  int lines = 0;
-  int stamped = 0;
-  for (std::string line; std::getline(in, line);) {
-    ++lines;
-    if (line.find("\"shard\"") != std::string::npos) ++stamped;
-  }
-  EXPECT_GT(lines, 0);
-  return stamped;
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
 }
 
-TEST(TraceShardStamps, OneShardRunStampsShardZero) {
-  // A one-shard run traces like an unsharded one, so its Chrome and JSONL
-  // exports keep the unsharded layout.
-  EXPECT_EQ(stamped_event_lines(1), 0);
-  // The check is not vacuous: a partitioned run stamps its events.
-  EXPECT_GT(stamped_event_lines(4), 0);
+TEST(TraceExports, EventDumpIsShardCountInvariant) {
+  // One event order at every shard count: the trace records the same
+  // events in the same order, so the dump is byte-identical.
+  const std::string one = event_dump(1);
+  EXPECT_FALSE(one.empty());
+  EXPECT_EQ(event_dump(4), one);
 }
 
 TEST(SamplerNeutrality, SamplerActuallySampled) {

@@ -95,74 +95,13 @@ TEST(EventsJsonl, OneObjectPerLineEveryKindIncluded) {
   EXPECT_TRUE(saw_retry);
 }
 
-TEST(ChromeTrace, ShardStampsGroupEventsByShardProcess) {
-  TraceSnapshot snapshot = sample_snapshot();
-  // Stamp the task span on shard 0 and the GA events on shard 1 (stamps
-  // are 1-based; 0 = unsharded).
-  snapshot.events[1].shard = 1;
-  snapshot.events[2].shard = 2;
-  snapshot.events[3].shard = 2;
-  snapshot.events[4].shard = 2;
-  const std::string json = chrome_trace_json(snapshot, {"S1", "S2"});
-  // One process per shard, named by 0-based index.
-  EXPECT_NE(json.find("\"pid\":10,\"tid\":0,\"args\":{\"name\":\"shard 0\"}"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"pid\":11,\"tid\":0,\"args\":{\"name\":\"shard 1\"}"),
-            std::string::npos);
-  // The stamped span renders inside its shard's process; GA tracks get
-  // the offset tid space with a named thread.
-  EXPECT_NE(json.find("\"ph\":\"X\",\"pid\":10,\"tid\":1"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"pid\":11,\"tid\":1002"), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"name\":\"S2 GA\"}"), std::string::npos);
-  // Unstamped events stay on the classic pids.
-  EXPECT_NE(json.find("\"pid\":1,\"tid\":1"), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-}
-
 TEST(ChromeTrace, UnshardedOutputIsByteIdenticalWithShardSupport) {
-  // The sharded layout must not disturb a classic run's export: every
-  // event carries stamp 0, so the emitted JSON has no shard processes.
+  // A run renders on the grid and GA processes alone, at any shard count:
+  // the export names no shard process.
   const std::string json =
       chrome_trace_json(sample_snapshot(), {"S1", "S2"});
   EXPECT_EQ(json.find("shard"), std::string::npos) << json;
   EXPECT_EQ(json.find("\"pid\":10"), std::string::npos);
-}
-
-TEST(ChromeTrace, ShardSamplesRenderAsEngineCounterTracks) {
-  TraceSnapshot snapshot;
-  TraceEvent sample =
-      make_event(EventKind::kShardSample, 60.0, 0, 0, 420.0, 2.5e6, 1);
-  // The recorder stamps the tick's executing shard; the described shard
-  // lives in `extra` and must win.
-  sample.shard = 1;
-  snapshot.events = {sample};
-  snapshot.recorded = 1;
-  const std::string json = chrome_trace_json(snapshot, {});
-  EXPECT_NE(json.find("\"name\":\"engine shards\""), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"name\":\"shard 1 events\",\"ph\":\"C\",\"pid\":3,"
-                      "\"tid\":2"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"args\":{\"events\":420}"), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"ms\":2.5}"), std::string::npos);
-}
-
-TEST(EventsJsonl, ShardFieldPresentOnlyWhenStamped) {
-  TraceSnapshot snapshot = sample_snapshot();
-  snapshot.events[1].shard = 3;
-  const std::string jsonl = events_jsonl(snapshot);
-  // Stamped event reports the 0-based shard; others omit the field.
-  std::size_t keys = 0;
-  for (std::size_t pos = jsonl.find("\"shard\":"); pos != std::string::npos;
-       pos = jsonl.find("\"shard\":", pos + 1)) {
-    ++keys;
-  }
-  EXPECT_EQ(keys, 1u) << jsonl;
-  EXPECT_NE(jsonl.find("\"shard\":2"), std::string::npos) << jsonl;
 }
 
 TEST(WriteFile, RoundTripsAndReportsFailure) {

@@ -1,9 +1,9 @@
-// Heap allocations per event.  A standalone engine or a lone shard ranks
-// every event as it runs, so its lineage references are plain ranks: once
-// the heap and the callback slab have grown to the run's depth, an event
-// whose closure fits std::function's inline buffer costs no allocation at
-// all.  The count comes from a replaced global operator new, which is why
-// this test has a binary of its own.
+// Heap allocations per event.  An event's order key is (at, seq), two
+// numbers: once the heap and the callback slab have grown to the run's
+// depth, an event whose closure fits std::function's inline buffer costs
+// no allocation at all, on one queue or across several.  The count comes
+// from a replaced global operator new, which is why this test has a binary
+// of its own.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -47,17 +47,25 @@ struct Tick {
 };
 static_assert(sizeof(Tick) == 8 && std::is_trivially_copyable_v<Tick>);
 
-/// Like Tick, but as a task completion: takes a ticket and reschedules
-/// itself as a milestone.
+/// Like Tick, but as a task completion: reschedules itself at an
+/// absolute time, as LocalScheduler schedules a task's end.
 struct Completion {
   Engine* engine;
-  void operator()() const {
-    static_cast<void>(engine->current_lineage());
-    engine->schedule_milestone_at(engine->now() + 1.0, *this);
-  }
+  void operator()() const { engine->schedule_at(engine->now() + 1.0, *this); }
 };
 static_assert(sizeof(Completion) == 8 &&
               std::is_trivially_copyable_v<Completion>);
+
+/// Hops to the next of the run's queues, round-robin, through a post.
+struct Hop {
+  ShardedEngine* sharded;
+  std::size_t shard;
+  void operator()() const {
+    const std::size_t next = (shard + 1) % sharded->shard_count();
+    sharded->post(next, 1.0, Hop{sharded, next});
+  }
+};
+static_assert(sizeof(Hop) == 16 && std::is_trivially_copyable_v<Hop>);
 
 /// Allocations made by the `kEvents` events after a warm-up of as many.
 std::uint64_t steady_state_allocations(Engine& engine) {
@@ -84,11 +92,31 @@ TEST(EngineAllocations, ChainBehindPendingEventsAllocatesNothingPerEvent) {
 }
 
 TEST(EngineAllocations, LoneShardCompletionsAllocateNothingPerEvent) {
-  ShardedEngine sharded(1, 1.0);
+  ShardedEngine sharded(1);
   Engine& engine = sharded.shard(0);
-  engine.schedule_milestone_at(1.0, Completion{&engine});
+  engine.schedule_at(1.0, Completion{&engine});
   EXPECT_EQ(steady_state_allocations(engine), 0u);
-  EXPECT_EQ(engine.count_milestones_below(1e9, 10), 1u);
+  EXPECT_TRUE(engine.has_pending());
+}
+
+TEST(EngineAllocations, FourQueueRoundRobinPostsAllocateNothingPerEvent) {
+  // Every event posts its successor to the next queue, so each one crosses
+  // queues; the drive merges the four into one order.
+  ShardedEngine sharded(4);
+  sharded.post(0, 1.0, Hop{&sharded, 0});
+  std::uint64_t target = kEvents;
+  DriveGoal goal;
+  goal.done = [&sharded, &target] {
+    return sharded.events_processed() >= target;
+  };
+  sharded.drive(goal, 1e12);
+  target = 2 * kEvents;
+  EXPECT_EQ(allocations([&] { sharded.drive(goal, 1e12); }), 0u);
+  EXPECT_EQ(sharded.events_processed(), std::uint64_t{2 * kEvents});
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(sharded.shard(s).events_processed(),
+              std::uint64_t{kEvents / 2});
+  }
 }
 
 }  // namespace

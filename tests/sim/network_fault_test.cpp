@@ -15,7 +15,7 @@ namespace {
 
 /// Sends `count` messages a→b at distinct times; returns delivery times.
 std::vector<SimTime> run_stream(const FaultPlan& plan, int count) {
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   Engine& engine = sharded.shard(0);
   Network network(sharded, 0.05, plan);
   std::vector<SimTime> delivered;
@@ -91,7 +91,7 @@ TEST(NetworkFaults, PartitionDropsCrossingTrafficDuringItsWindow) {
 }
 
 TEST(NetworkFaults, PartitionSparesIntraIslandTraffic) {
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   Engine& engine = sharded.shard(0);
   FaultPlan plan;
   plan.partitions.push_back({{"a.gridlb.sim", "b.gridlb.sim"}, 0.0, 10.0});
@@ -107,7 +107,7 @@ TEST(NetworkFaults, PartitionSparesIntraIslandTraffic) {
 }
 
 TEST(NetworkFaults, DownEndpointDropsAtDeliveryTime) {
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   Engine& engine = sharded.shard(0);
   FaultPlan plan;
   plan.jitter_max = 1e-9;  // activate the plan without visible effect
@@ -135,7 +135,7 @@ TEST(NetworkFaults, StatsBreakLossesDownByCause) {
   FaultPlan plan;
   plan.drop_prob = 0.5;
   plan.partitions.push_back({{"a.gridlb.sim"}, 0.0, 5.0});
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   Engine& engine = sharded.shard(0);
   Network network(sharded, 0.05, plan);
   const EndpointId a = network.register_endpoint("a.gridlb.sim", 1, [](auto&) {});
@@ -154,7 +154,7 @@ TEST(NetworkFaults, StatsBreakLossesDownByCause) {
 }
 
 TEST(NetworkFaults, RejectsInvalidPlans) {
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   {
     FaultPlan plan;
     plan.drop_prob = 1.0;  // would loop retries forever

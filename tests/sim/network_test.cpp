@@ -10,7 +10,7 @@ namespace gridlb::sim {
 namespace {
 
 struct NetworkFixture : ::testing::Test {
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   Engine& engine = sharded.shard(0);
   Network network{sharded, 0.05};
   std::vector<Message> inbox_a;
@@ -75,7 +75,7 @@ TEST_F(NetworkFixture, RejectsUnknownEndpoints) {
 }
 
 TEST(Network, ZeroLatencyDeliversSameTimestamp) {
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   Engine& engine = sharded.shard(0);
   Network network(sharded, 0.0);
   SimTime delivered = kNoTime;
@@ -87,18 +87,18 @@ TEST(Network, ZeroLatencyDeliversSameTimestamp) {
 }
 
 TEST(Network, RejectsNegativeLatency) {
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   EXPECT_THROW(Network(sharded, -1.0), AssertionError);
 }
 
 TEST(Network, RejectsNullHandler) {
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   Network network(sharded, 0.0);
   EXPECT_THROW(network.register_endpoint("a", 1, nullptr), AssertionError);
 }
 
 TEST(Network, HandlerCanSendReply) {
-  ShardedEngine sharded{1, 0.0};
+  ShardedEngine sharded{1};
   Engine& engine = sharded.shard(0);
   Network network(sharded, 0.1);
   std::vector<std::string> log;

@@ -1,8 +1,8 @@
-// Shard coordinator unit tests: lookahead-window admission, the milestone
-// lead that makes the exact-stop decision sound, and S=1 vs S>1
-// equivalence of a cross-shard event program (the engine-level half of
-// the shard-count-invariance contract; the experiment-level half lives in
-// tests/core/shard_invariance_test.cpp).
+// Partitioned-run unit tests: setup posts, cross-queue posts joining the
+// one (at, seq) order, the exact stop, exceptions surfacing from drive(),
+// and S=1 vs S>1 equivalence of a cross-queue event program (the
+// engine-level half of the shard-count-invariance contract; the
+// experiment-level half lives in tests/core/shard_invariance_test.cpp).
 #include "sim/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -16,128 +16,89 @@
 namespace gridlb::sim {
 namespace {
 
-TEST(SpinBarrier, SinglePartyPasses) {
-  SpinBarrier barrier(1);
-  EXPECT_TRUE(barrier.arrive_and_wait());
-  EXPECT_TRUE(barrier.arrive_and_wait());
+TEST(ShardedEngine, RequiresAtLeastOneShard) {
+  EXPECT_THROW(ShardedEngine(0), AssertionError);
 }
 
-TEST(SpinBarrier, KillReleasesWithFalse) {
-  SpinBarrier barrier(2);
-  barrier.kill();
-  EXPECT_FALSE(barrier.arrive_and_wait());
-}
-
-TEST(ShardedEngine, SingleShardRanksEventsAsTheyRun) {
-  // One shard has no windows to seal: every executed event's rank is
-  // final at once, during drive() and after it returns.
-  ShardedEngine sharded(1, 1.0);
-  Engine& engine = sharded.shard(0);
+TEST(ShardedEngine, DriveStopsAtTheEventThatMeetsTheGoal) {
+  // Four queues with equal-time events on each: the drive must stop right
+  // after the event that meets the goal, whichever queue holds the rest.
+  ShardedEngine sharded(4);
   int completed = 0;
-  engine.schedule_at(0.5, [&engine] { engine.schedule_at(0.75, [] {}); });
-  engine.schedule_milestone_at(1.0, [&engine, &completed] {
-    ++completed;
-    engine.schedule_at(2.0, [&engine] { engine.schedule_at(3.0, [] {}); });
-  });
+  for (std::size_t s = 0; s < 4; ++s) {
+    sharded.shard(s).schedule_at(1.0, [] {});
+    sharded.shard(s).schedule_at(2.0, [&completed] { ++completed; });
+    sharded.shard(s).schedule_at(2.0, [] {});
+  }
   DriveGoal goal;
-  goal.done = [&completed] { return completed == 1; };
-  goal.remaining = [&completed] {
-    return static_cast<std::uint64_t>(1 - completed);
-  };
+  goal.done = [&completed] { return completed == 2; };
   sharded.drive(goal, 100.0);
-  EXPECT_TRUE(engine.window_records().empty());
-  engine.run();
-  EXPECT_TRUE(engine.window_records().empty());
-  EXPECT_EQ(sharded.events_processed(), 5u);
-}
-
-TEST(ShardedEngine, MultiShardRequiresPositiveLookahead) {
-  EXPECT_THROW(ShardedEngine(2, 0.0), AssertionError);
+  // Four events at 1.0, then shard 0's and shard 1's completions with
+  // shard 0's filler between them.
+  EXPECT_EQ(sharded.events_processed(), 7u);
+  EXPECT_EQ(sharded.max_now(), 2.0);
 }
 
 TEST(ShardedEngine, SetupPostSchedulesDirectly) {
-  ShardedEngine sharded(2, 1.0);
-  // Outside any event there is no source shard; even a sub-lookahead
-  // delay is fine because nothing has run yet (the queues are at t=0).
+  // Outside any event there is no source queue: the post lands on the
+  // destination at its own clock plus the delay.
+  ShardedEngine sharded(2);
   bool fired = false;
   sharded.post(1, 0.25, [&fired] { fired = true; });
   int completed = 0;
-  sharded.shard(0).schedule_milestone_at(10.0, [&completed] { ++completed; });
-  sharded.shard(1).schedule_milestone_at(10.0, [&completed] { ++completed; });
+  sharded.shard(0).schedule_at(10.0, [&completed] { ++completed; });
+  sharded.shard(1).schedule_at(10.0, [&completed] { ++completed; });
   DriveGoal goal;
   goal.done = [&completed] { return completed == 2; };
-  goal.remaining = [&completed] {
-    return static_cast<std::uint64_t>(2 - completed);
-  };
   sharded.drive(goal, 100.0);
   EXPECT_TRUE(fired);
   EXPECT_EQ(completed, 2);
 }
 
-TEST(ShardedEngine, CrossShardPostBelowLookaheadThrows) {
-  ShardedEngine sharded(2, 1.0);
-  sharded.shard(0).schedule_at(0.0, [&sharded] {
-    sharded.post(1, 0.5, [] {});  // 0.5 < lookahead 1.0
+TEST(ShardedEngine, CrossShardPostOrdersWithLocalSchedules) {
+  // A zero-delay post to another queue joins the equal-time tie in
+  // scheduling order across every queue, as on one queue.
+  ShardedEngine sharded(2);
+  std::vector<char> order;
+  sharded.shard(0).schedule_at(1.0, [&sharded, &order] {
+    order.push_back('A');
+    sharded.post(1, 0.0, [&order] { order.push_back('X'); });
+    sharded.shard(0).schedule_at(1.0, [&order] { order.push_back('Y'); });
   });
-  int completed = 0;
-  sharded.shard(1).schedule_milestone_at(5.0, [&completed] { ++completed; });
+  sharded.shard(1).schedule_at(1.0, [&order] { order.push_back('B'); });
   DriveGoal goal;
-  goal.done = [&completed] { return completed == 1; };
-  goal.remaining = [&completed] {
-    return static_cast<std::uint64_t>(1 - completed);
-  };
-  EXPECT_THROW(sharded.drive(goal, 100.0), AssertionError);
+  goal.done = [&order] { return order.size() == 4; };
+  sharded.drive(goal, 100.0);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'X', 'Y'}));
 }
 
 TEST(ShardedEngine, CrossShardDeliveryRespectsSafeTime) {
-  // An event at t on shard 0 posting to shard 1 with delay == lookahead
-  // must execute on shard 1 at exactly t + lookahead, with shard 1's
-  // clock never having run past the safe time when it fires.
-  ShardedEngine sharded(2, 1.0);
-  std::vector<double> arrivals;  // only touched by shard 1's thread
+  // An event at t on shard 0 posting to shard 1 with delay d must execute
+  // on shard 1 at exactly t + d, even with shard 1 busy with its own
+  // events around that time.
+  ShardedEngine sharded(2);
+  std::vector<double> arrivals;
   sharded.shard(0).schedule_at(0.0, [&sharded, &arrivals] {
     sharded.post(1, 1.0, [&sharded, &arrivals] {
       arrivals.push_back(sharded.shard(1).now());
     });
   });
-  // Keep shard 1 busy with its own events so admission order matters.
   for (int i = 0; i < 8; ++i) {
     sharded.shard(1).schedule_at(0.25 * i, [] {});
   }
   int completed = 0;
-  sharded.shard(0).schedule_milestone_at(50.0, [&completed] { ++completed; });
+  sharded.shard(0).schedule_at(50.0, [&completed] { ++completed; });
   DriveGoal goal;
   goal.done = [&completed] { return completed == 1; };
-  goal.remaining = [&completed] {
-    return static_cast<std::uint64_t>(1 - completed);
-  };
   sharded.drive(goal, 100.0);
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], 1.0);
 }
 
-TEST(ShardedEngine, MilestoneInsideLookaheadWindowThrows) {
-  ShardedEngine sharded(2, 1.0);
-  sharded.shard(0).schedule_at(5.0, [&sharded] {
-    // 5.3 < now (5.0) + lead (1.0): the coordinator could not have counted
-    // this milestone at the last barrier, so it must be rejected.
-    sharded.shard(0).schedule_milestone_at(5.3, [] {});
-  });
-  int completed = 0;
-  sharded.shard(1).schedule_milestone_at(50.0, [&completed] { ++completed; });
-  DriveGoal goal;
-  goal.done = [&completed] { return completed == 1; };
-  goal.remaining = [&completed] {
-    return static_cast<std::uint64_t>(1 - completed);
-  };
-  EXPECT_THROW(sharded.drive(goal, 100.0), AssertionError);
-}
-
 TEST(ShardedEngine, WorkerShardExceptionSurfacesFromDrive) {
-  // Shard 3 runs on a worker thread, not the caller: its exception must
-  // kill the barrier (so shards 0-2 unwind instead of deadlocking) and
-  // come out of drive() on the calling thread.
-  ShardedEngine sharded(4, 1.0);
+  // An event on shard 3, not the first queue, throws: the exception must
+  // come out of drive() and no later event may run.
+  ShardedEngine sharded(4);
   for (std::size_t s = 0; s < 4; ++s) {
     for (int i = 0; i < 16; ++i) sharded.shard(s).schedule_at(0.5 * i, [] {});
   }
@@ -145,67 +106,38 @@ TEST(ShardedEngine, WorkerShardExceptionSurfacesFromDrive) {
     GRIDLB_REQUIRE(false, "shard 3 failed");
   });
   int completed = 0;
-  sharded.shard(0).schedule_milestone_at(50.0, [&completed] { ++completed; });
+  sharded.shard(0).schedule_at(50.0, [&completed] { ++completed; });
   DriveGoal goal;
   goal.done = [&completed] { return completed == 1; };
-  goal.remaining = [&completed] {
-    return static_cast<std::uint64_t>(1 - completed);
-  };
   EXPECT_THROW(sharded.drive(goal, 100.0), AssertionError);
   EXPECT_EQ(completed, 0);
   EXPECT_EQ(sharded.shard(3).now(), 2.0);
+  EXPECT_EQ(sharded.max_now(), 2.0);
 }
 
 TEST(ShardedEngine, CallerThreadUsableAfterShardZeroThrows) {
-  // Shard 0 runs on the calling thread.  Once its throwing event has
-  // unwound out of drive(), that thread must be outside any event again:
-  // a fresh engine's setup-time cross-shard post has to succeed.
+  // Once a throwing event has unwound out of drive(), the calling thread
+  // must be outside any event again: a fresh run's setup-time post has to
+  // read its destination's clock, not the dead run's.
   {
-    ShardedEngine sharded(2, 1.0);
+    ShardedEngine sharded(2);
     sharded.shard(0).schedule_at(1.0, [] {
       GRIDLB_REQUIRE(false, "shard 0 failed");
     });
-    sharded.shard(1).schedule_milestone_at(50.0, [] {});
+    sharded.shard(1).schedule_at(50.0, [] {});
     DriveGoal goal;
     goal.done = [] { return false; };
-    goal.remaining = [] { return std::uint64_t{1}; };
     EXPECT_THROW(sharded.drive(goal, 100.0), AssertionError);
   }
   EXPECT_EQ(Engine::current(), nullptr);
-  ShardedEngine next(2, 1.0);
+  ShardedEngine next(2);
   EXPECT_NO_THROW(next.post(1, 0.25, [] {}));
+  EXPECT_EQ(next.shard(1).next_event_time(), 0.25);
 }
 
-TEST(Engine, CountMilestonesBelowHonoursBoundAndCap) {
-  Engine engine;
-  engine.schedule_milestone_at(2.0, [] {});
-  engine.schedule_milestone_at(3.0, [] {});
-  engine.schedule_milestone_at(5.0, [] {});
-  EXPECT_EQ(engine.count_milestones_below(2.0, 10), 0u);  // strictly below
-  EXPECT_EQ(engine.count_milestones_below(4.0, 10), 2u);
-  EXPECT_EQ(engine.count_milestones_below(10.0, 10), 3u);
-  EXPECT_EQ(engine.count_milestones_below(10.0, 2), 2u);  // capped
-}
-
-TEST(Engine, CancelledMilestoneIsNotCounted) {
-  // A cancelled milestone can never flip the stop predicate, so once the
-  // sweep has discarded it the coordinator must not count it as due.
-  Engine engine;
-  const EventId first = engine.schedule_milestone_at(5.0, [] {});
-  engine.schedule_milestone_at(7.0, [] {});
-  EXPECT_TRUE(engine.cancel(first));
-  engine.run_until(20.0);
-  EXPECT_EQ(engine.count_milestones_below(100.0, 10), 0u);
-  EXPECT_EQ(engine.events_swept(), 1u);
-  // Later milestones are still counted.
-  engine.schedule_milestone_at(30.0, [] {});
-  EXPECT_EQ(engine.count_milestones_below(100.0, 10), 1u);
-}
-
-// A small cross-shard event program: `nodes` logical nodes, each pinned to
+// A small cross-queue event program: `nodes` logical nodes, each pinned to
 // shard (node % shard_count), ticking periodically and passing a token to
-// the next node with exactly-lookahead latency.  Per-node logs are only
-// ever touched by the owning shard's thread.
+// the next node one second later.
 struct ProgramResult {
   std::vector<std::vector<std::pair<double, int>>> logs;  // per node
   std::uint64_t events = 0;
@@ -214,8 +146,7 @@ struct ProgramResult {
 
 ProgramResult run_program(std::size_t shards) {
   constexpr int kNodes = 5;
-  constexpr double kLookahead = 1.0;
-  ShardedEngine sharded(shards, kLookahead);
+  ShardedEngine sharded(shards);
   ProgramResult result;
   result.logs.resize(kNodes);
   const auto shard_of = [&](int node) {
@@ -225,11 +156,11 @@ ProgramResult run_program(std::size_t shards) {
   int completed = 0;
   for (int node = 0; node < kNodes; ++node) {
     Engine& engine = sharded.shard(shard_of(node));
-    // Local periodic work, phase-shifted per node so windows overlap.
+    // Local periodic work, phase-shifted per node so the queues interleave.
     engine.schedule_periodic(0.3 * node, 0.7, [&result, &engine, node] {
       if (engine.now() < 12.0) result.logs[node].emplace_back(engine.now(), 0);
     });
-    // Token passing: node -> node+1, five hops each, at the lookahead.
+    // Token passing: node -> node+1, five hops each.
     for (int hop = 1; hop <= 5; ++hop) {
       engine.schedule_at(2.0 * hop, [&sharded, &result, &shard_of, node] {
         const int next = (node + 1) % kNodes;
@@ -242,14 +173,11 @@ ProgramResult run_program(std::size_t shards) {
         });
       });
     }
-    engine.schedule_milestone_at(15.0 + node, [&completed] { ++completed; });
+    engine.schedule_at(15.0 + node, [&completed] { ++completed; });
   }
 
   DriveGoal goal;
   goal.done = [&completed] { return completed == kNodes; };
-  goal.remaining = [&completed] {
-    return static_cast<std::uint64_t>(kNodes - completed);
-  };
   sharded.drive(goal, 1000.0);
   result.events = sharded.events_processed();
   result.finished_at = sharded.max_now();

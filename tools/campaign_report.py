@@ -24,7 +24,6 @@ Derived panels:
   in-flight    cumulative flow.submitted − flow.completed − flow.dropped
   utilisation  flow.busy_us per interval / (dt × grid.total_nodes × 1e6)
   rates        flow.submitted and flow.completed per sim-second
-  shards       per-shard events per interval + shard.load_imbalance
 """
 
 import argparse
@@ -70,17 +69,6 @@ def intervals(times):
         widths.append(max(t - prev, 1e-9))
         prev = t
     return widths
-
-
-def shard_keys(rows, suffix):
-    keys = set()
-    for row in rows:
-        for key in row:
-            if key.startswith("shard.") and key.endswith(suffix):
-                middle = key[len("shard."):-len(suffix)]
-                if middle.isdigit():
-                    keys.add(key)
-    return sorted(keys, key=lambda k: int(k.split(".")[1]))
 
 
 def build_panels(rows):
@@ -134,23 +122,6 @@ def build_panels(rows):
                 {"name": "p90",
                  "points": points(column(rows, "sched.queue_depth.p90"))},
             ],
-        })
-
-    event_keys = shard_keys(rows, ".events")
-    if event_keys:
-        panels.append({
-            "title": "Per-shard events per interval",
-            "unit": "engine events",
-            "series": [{"name": key[len("shard."):-len(".events")],
-                        "points": points(column(rows, key))}
-                       for key in event_keys],
-        })
-        panels.append({
-            "title": "Shard load imbalance",
-            "unit": "max/min window events (1 = perfect)",
-            "series": [{"name": "imbalance",
-                        "points":
-                            points(column(rows, "shard.load_imbalance"))}],
         })
 
     return panels

@@ -10,11 +10,11 @@ Arguments after the script name are (baseline, current, ratio-key)
 triples; the original two-argument form is kept as shorthand for the GA
 hot-path key `speedup_vs_full_decode`.  Every report carries a bench
 --json schema (the committed baseline may wrap it in a top-level
-"current" object, as BENCH_ga_hotpath.json and BENCH_sim_engine.json do).
+"current" object, as BENCH_ga_hotpath.json does).
 
 The gates are machine-normalized: each ratio compares two measurements
 taken in the same process on the same machine (hot-path evaluate vs full
-decode; sharded campaign vs single-shard campaign), so a slower CI runner
+decode; observed campaign vs plain campaign), so a slower CI runner
 shifts both sides equally and only a real regression moves the ratio.
 Raw ns/seconds are printed for context but never gated on.
 
@@ -22,7 +22,7 @@ A key fails (exit 1) when its current ratio drops below 75% of the
 committed one.  Additionally, when the *baseline* ratio exceeds 1.0 —
 the capturing machine demonstrated a real speedup, as the GA hot path
 does — the current ratio must also stay above 1.0.  Baselines captured
-at ~1.0 (e.g. the shard-scaling ratio recorded on a single-core box)
+at ~1.0 (e.g. a parallel speedup recorded on a single-core box)
 don't impose that floor, since the capturing machine could not express
 a speedup in the first place.
 

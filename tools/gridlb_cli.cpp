@@ -21,11 +21,13 @@
 // fanout|random, --grid-fanout, --grid-depth, --grid-seed, --grid-nodes
 // describe the hierarchy; --requests-per-agent, --arrival-interval
 // (0 = auto: hold the per-agent rate constant) and --deadline-scale scale
-// the workload with it.  --sim-shards N partitions the event queue across
-// N threads (0 = hardware concurrency; results are identical for any
-// shard count, see DESIGN.md §13).  --timeline-out writes the
-// per-resource utilisation timeline as CSV (--timeline-window buckets),
-// and --require-complete exits non-zero unless every task completed.
+// the workload with it.  --sim-shards N splits the event queue into N
+// queues merged back into one order on one thread (0 = one per hardware
+// thread).  It changes no result and buys no speed (DESIGN.md §13); it
+// stays only until the end-to-end benchmark stops building multi-queue
+// runs.  --timeline-out writes the per-resource utilisation timeline as
+// CSV (--timeline-window buckets), and --require-complete exits non-zero
+// unless every task completed.
 //
 // Placement families (experiment and campaign commands, DESIGN.md §15):
 // --placement selects how requests are routed onto resources — agent
@@ -560,7 +562,8 @@ Flags make_flags() {
   flags.declare("seed", "S", "workload seed");
   flags.declare("policy", "ga|fifo", "local scheduling policy");
   flags.declare("sim-shards", "N",
-                "engine shards (1 = classic, 0 = hardware concurrency)");
+                "event queues, merged in one order: same results, no "
+                "speedup (0 = one per hardware thread)");
   flags.declare("placement", "agent|central|crush",
                 "placement family routing requests onto resources");
   flags.declare("agents", "on|off", "agent-based discovery");
