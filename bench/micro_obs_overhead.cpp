@@ -1,6 +1,7 @@
 // micro_obs_overhead — observability overhead gate (DESIGN.md §14).  The
 // google-benchmark rows measure the per-site cost of an instrumentation
-// call with observability off (one relaxed load + branch) and fully on.
+// call with observability off (one thread-local load + branch) and fully
+// on.
 // `--json <path>` writes the machine-readable overhead report compared by
 // CI against the committed BENCH_obs_overhead.json: a 64-agent campaign
 // run once bare and once with tracing, metrics, and the continuous

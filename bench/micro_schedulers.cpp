@@ -214,14 +214,13 @@ void BM_RequestXmlRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_RequestXmlRoundTrip);
 
 void BM_ResultXmlRoundTrip(benchmark::State& state) {
-  agents::ExecutionResult result;
-  result.task = TaskId(42);
-  result.app_name = "sweep3d";
-  result.resource_name = "S3";
-  result.start = 120.5;
-  result.completion = 437.25;
-  result.deadline = 500.0;
-  result.email = "user@gridlb.sim";
+  const agents::ExecutionResult result{.task = TaskId(42),
+                                       .app_name = "sweep3d",
+                                       .resource_name = "S3",
+                                       .start = 120.5,
+                                       .completion = 437.25,
+                                       .deadline = 500.0,
+                                       .email = "user@gridlb.sim"};
   for (auto _ : state) {
     benchmark::DoNotOptimize(agents::result_from_xml(to_xml(result)));
   }

@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
               result.mean_hops,
               static_cast<unsigned long long>(result.network_messages),
               static_cast<unsigned long long>(result.network_bytes));
-  std::printf("PACE cache: %.1f%% hit rate over %llu lookups\n",
-              result.cache.hit_rate() * 100.0,
-              static_cast<unsigned long long>(result.cache.lookups()));
+  std::printf("prediction table: %llu reads over %llu entries\n",
+              static_cast<unsigned long long>(result.cache.hits),
+              static_cast<unsigned long long>(result.cache.misses));
 
   std::printf("\nper-agent discovery behaviour:\n");
   std::printf("  agent   recv  local  match     up  fallback\n");

@@ -516,7 +516,7 @@ void Agent::handle_advertisement(const sim::Message& message,
                                  const xml::Element& document) {
   const auto sender = neighbour_for_endpoint(message.from);
   if (!sender) {
-    log::warn("agent ", config_.name,
+    log::warn("agent ", config_.name, " t=", engine_.now(),
               " ignoring advertisement from non-neighbour endpoint");
     return;
   }

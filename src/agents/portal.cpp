@@ -112,8 +112,8 @@ void Portal::on_message(const sim::Message& message) {
   // The portal only ever receives result documents ("the task execution
   // results are sent directly back to the user").
   if (document->attribute("type") != "result") {
-    log::warn("portal ignoring unexpected ", message.payload.size(),
-              "-byte message");
+    log::warn("portal t=", engine_.now(), " ignoring unexpected ",
+              message.payload.size(), "-byte message");
     return;
   }
   Outcome outcome;

@@ -1,12 +1,9 @@
 #include "common/log.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
-
-#include "common/sim_clock.hpp"
 
 namespace gridlb::log {
 
@@ -33,9 +30,9 @@ std::atomic<Level>& level_storage() {
 const char* tag(Level lvl) {
   switch (lvl) {
     case Level::kDebug: return "DEBUG";
-    case Level::kInfo: return "INFO ";
-    case Level::kWarn: return "WARN ";
-    case Level::kOff: return "OFF  ";
+    case Level::kInfo: return "INFO";
+    case Level::kWarn: return "WARN";
+    case Level::kOff: return "OFF";
   }
   return "?";
 }
@@ -49,19 +46,9 @@ void set_level(Level lvl) {
 }
 
 void write(Level lvl, const std::string& message) {
-  // Prefix every line with the published simulation time so interleaved
-  // narration from different subsystems stays sortable; "t=-" before the
-  // first engine event (or outside any simulation).
-  char stamp[32];
-  if (simclock::available()) {
-    std::snprintf(stamp, sizeof stamp, "t=%.3f", simclock::now());
-  } else {
-    std::snprintf(stamp, sizeof stamp, "t=-");
-  }
   static std::mutex mutex;
   const std::lock_guard<std::mutex> lock(mutex);
-  std::cerr << "[gridlb " << tag(lvl) << ' ' << stamp << "] " << message
-            << '\n';
+  std::cerr << "[gridlb " << tag(lvl) << "] " << message << '\n';
 }
 
 }  // namespace gridlb::log

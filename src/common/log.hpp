@@ -4,8 +4,8 @@
 // GRIDLB_LOG environment variable: "debug" / "info" / "warn" / "off")
 // turns narration of scheduling and discovery decisions on or off — which
 // is invaluable when diagnosing a divergent experiment run.  Every line
-// carries the level and the current simulation time (`t=-` before the
-// first event), so interleaved narration stays sortable.
+// carries the level; a line written during a run states its simulation
+// time in its own text (`t=<now>`, read from the engine it runs on).
 #pragma once
 
 #include <sstream>

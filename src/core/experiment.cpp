@@ -16,7 +16,6 @@
 #include "agents/portal.hpp"
 #include "common/assert.hpp"
 #include "common/log.hpp"
-#include "common/sim_clock.hpp"
 #include "core/case_study.hpp"
 #include "obs/trace.hpp"
 #include "pace/paper_applications.hpp"
@@ -68,8 +67,7 @@ agents::RetryPolicy effective_retry(const agents::SystemConfig& system) {
 /// gauges below come from the authoritative per-subsystem statistics so
 /// the registry snapshot always agrees with Table 3's inputs.
 void populate_registry(obs::MetricsRegistry& registry,
-                       const ExperimentResult& result,
-                       agents::AgentSystem& system) {
+                       const ExperimentResult& result) {
   registry.counter("portal.requests_submitted").add(result.requests_submitted);
   registry.counter("sched.tasks_completed").add(result.tasks_completed);
   registry.counter("agents.requests_dropped").add(result.tasks_dropped);
@@ -84,16 +82,15 @@ void populate_registry(obs::MetricsRegistry& registry,
   registry.gauge("sim.shards").set(static_cast<double>(result.sim_shards));
   registry.counter("net.messages").add(result.network_messages);
   registry.counter("net.bytes").add(result.network_bytes);
-  registry.counter("pace.cache.hits").add(result.cache.hits);
-  registry.counter("pace.cache.misses").add(result.cache.misses);
   registry.counter("ga.decodes").add(result.ga_decodes);
   registry.counter("pace.table.reads").add(result.table_reads);
-  registry.gauge("pace.cache.hit_rate").set(result.cache.hit_rate());
+  // `cache` is the prediction table's traffic: every read, and one entry
+  // (one engine evaluation) per miss.
+  registry.counter("pace.table.reads_total").add(result.cache.hits);
+  registry.gauge("pace.table.entries")
+      .set(static_cast<double>(result.cache.misses));
   registry.gauge("discovery.mean_hops").set(result.mean_hops);
   registry.gauge("sim.finished_at").set(result.finished_at);
-
-  registry.gauge("pace.cache.entries")
-      .set(static_cast<double>(system.predictions().entries()));
 
   std::uint64_t forwarded = 0;
   std::uint64_t advertisements = 0;
@@ -161,17 +158,14 @@ int total_grid_nodes(const agents::SystemConfig& system) {
 class ObsScope {
  public:
   explicit ObsScope(const ExperimentConfig& config) : config_(&config) {
-    if (config.obs.enabled()) {
-      simclock::reset();
-      session_.emplace(config.obs);
-    }
+    if (config.obs.enabled()) session_.emplace(config.obs);
   }
 
   [[nodiscard]] obs::Sampler* sampler() {
     return session_ ? session_->sampler() : nullptr;
   }
 
-  void finish(ExperimentResult& result, agents::AgentSystem& system) {
+  void finish(ExperimentResult& result) {
     if (!session_) return;
     if (obs::TraceRecorder* recorder = session_->recorder()) {
       const obs::TraceSnapshot snapshot = recorder->snapshot();
@@ -185,7 +179,7 @@ class ObsScope {
       sampler->sample(result.finished_at);
     }
     if (obs::MetricsRegistry* registry = session_->registry()) {
-      populate_registry(*registry, result, system);
+      populate_registry(*registry, result);
     }
     session_->export_outputs(resource_labels(*config_));
   }
@@ -529,7 +523,7 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   }
   result.placement_decisions = placement_decisions;
   fill_flow_stats(result);
-  obs_scope.finish(result, system);
+  obs_scope.finish(result);
   return result;
 }
 
@@ -579,11 +573,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
 std::vector<ExperimentResult> run_many(
     std::span<const ExperimentConfig> configs) {
-  for (const ExperimentConfig& config : configs) {
-    GRIDLB_REQUIRE(!config.obs.enabled(),
-                   "run_many cannot observe runs: the trace recorder and "
-                   "metrics registry are process-global");
-  }
   std::vector<ExperimentResult> results(configs.size());
   std::vector<std::exception_ptr> errors(configs.size());
   // Each worker takes the next unclaimed config until none is left, so a

@@ -167,10 +167,10 @@ struct ExperimentResult {
 /// Runs independent configs concurrently and returns their results in
 /// input order, each identical to run_experiment(config).  Every run stays
 /// single-threaded; min(hardware threads, configs.size()) std::jthreads
-/// take the configs in turn.  No config may enable observability: the
-/// trace recorder and metrics registry are process-global.  The first
-/// failing config's exception (in input order) is rethrown once every
-/// run has finished.
+/// take the configs in turn.  An observed config installs its own
+/// obs::Session on the worker that runs it, so give each one its own
+/// output paths.  The first failing config's exception (in input order)
+/// is rethrown once every run has finished.
 [[nodiscard]] std::vector<ExperimentResult> run_many(
     std::span<const ExperimentConfig> configs);
 

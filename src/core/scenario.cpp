@@ -86,7 +86,9 @@ std::vector<agents::ResourceSpec> scenario_resources(
   resources.reserve(static_cast<std::size_t>(spec.agent_count));
   for (int i = 0; i < spec.agent_count; ++i) {
     agents::ResourceSpec resource;
-    resource.name = "S" + std::to_string(i + 1);
+    // Appended, as in obs/exporters.cpp's resource_label (g++ 12 -Wrestrict).
+    resource.name = "S";
+    resource.name += std::to_string(i + 1);
     resource.hardware = mix[static_cast<std::size_t>(i) % mix.size()];
     resource.node_count = spec.nodes_per_resource;
     resource.parent = parents[static_cast<std::size_t>(i)];

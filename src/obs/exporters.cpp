@@ -30,7 +30,11 @@ std::string resource_label(const std::vector<std::string>& names,
   if (id >= 1 && id <= names.size()) {
     return names[static_cast<std::size_t>(id - 1)];
   }
-  return "R" + std::to_string(id);
+  // Appended: g++ 12 flags `"R" + std::to_string(id)` with a false
+  // -Wrestrict at -O3.
+  std::string label = "R";
+  label += std::to_string(id);
+  return label;
 }
 
 void metadata(std::ostringstream& os, const char* what, int pid, int tid,

@@ -6,19 +6,17 @@
 namespace gridlb::obs {
 
 Session::Session(ObsConfig config) : config_(std::move(config)) {
-  // Qualified calls: the unqualified names would find the member
-  // accessors (still null mid-construction), not the global ones.
   if (config_.trace_enabled()) {
-    GRIDLB_REQUIRE(gridlb::obs::trace() == nullptr,
+    GRIDLB_REQUIRE(detail::g_recorder == nullptr,
                    "another observability session is already tracing");
     recorder_ = std::make_unique<TraceRecorder>(config_.ring_capacity);
-    detail::install_recorder(recorder_.get());
+    detail::g_recorder = recorder_.get();
   }
   if (config_.metrics_enabled()) {
-    GRIDLB_REQUIRE(gridlb::obs::registry() == nullptr,
+    GRIDLB_REQUIRE(detail::g_registry == nullptr,
                    "another observability session already has a registry");
     registry_ = std::make_unique<MetricsRegistry>();
-    detail::install_registry(registry_.get());
+    detail::g_registry = registry_.get();
     if (config_.sampler_enabled()) {
       sampler_ = std::make_unique<Sampler>(*registry_);
     }
@@ -26,8 +24,8 @@ Session::Session(ObsConfig config) : config_(std::move(config)) {
 }
 
 Session::~Session() {
-  if (recorder_ != nullptr) detail::install_recorder(nullptr);
-  if (registry_ != nullptr) detail::install_registry(nullptr);
+  if (recorder_ != nullptr) detail::g_recorder = nullptr;
+  if (registry_ != nullptr) detail::g_registry = nullptr;
 }
 
 bool Session::export_outputs(const std::vector<std::string>& resource_names) {

@@ -1,20 +1,21 @@
-// Observability session: configuration + scoped global installation.
+// Observability session: configuration + installation for one thread.
 //
 // Overhead contract (see DESIGN.md §9):
-//   * With no Session active every instrumentation site costs one relaxed
-//     atomic load and one branch; the engine additionally publishes its
-//     clock with one relaxed store per event.  Nothing allocates.
-//   * With a Session active, trace events go to bounded per-thread ring
-//     buffers with no locking on the steady-state path; registry updates
-//     take short uncontended mutexes off the per-event hot path.
+//   * A run executes on the one thread that drives it, so a Session's
+//     instruments belong to the thread that constructs it: one trace
+//     ring, registry instruments that are plain values, no locks and no
+//     atomics.  Another thread, a concurrent core::run_many worker say,
+//     sees null accessors unless it installs its own Session.
+//   * With no Session installed every instrumentation site costs one
+//     thread-local load and one branch.  Nothing allocates.
 //   * Observation never feeds back into scheduling: enabling tracing is
 //     bit-for-bit neutral to every experiment result (pinned by
 //     tests/obs/determinism_test.cpp).
 //
-// One Session may be active at a time; construction installs the recorder
-// and registry behind the global obs::trace()/obs::registry() accessors
-// and destruction uninstalls them, so scoping a Session to a run is all
-// the plumbing an experiment needs.
+// One Session may be active per thread; construction installs the
+// recorder and registry behind that thread's obs::trace()/obs::registry()
+// accessors and destruction uninstalls them, so scoping a Session to a
+// run is all the plumbing an experiment needs.
 #pragma once
 
 #include <memory>
@@ -32,7 +33,7 @@ struct ObsConfig {
   bool trace = false;
   /// Maintain the metrics registry (implied by metrics_json_out).
   bool metrics = false;
-  std::size_t ring_capacity = 1u << 18;  ///< events/thread
+  std::size_t ring_capacity = 1u << 18;  ///< trace ring size, in events
   std::string trace_out;        ///< Chrome trace-event JSON path ("" = off)
   std::string events_out;       ///< flat JSONL event dump path
   std::string metrics_json_out; ///< registry JSON snapshot path
@@ -67,8 +68,9 @@ struct ObsConfig {
 
 class Session {
  public:
-  /// Installs the configured instruments globally.  A config with nothing
-  /// enabled yields an inert session (accessors stay null).
+  /// Installs the configured instruments for the calling thread.  A
+  /// config with nothing enabled yields an inert session (accessors stay
+  /// null).  Destroy it on the thread that constructed it.
   explicit Session(ObsConfig config);
   ~Session();
 

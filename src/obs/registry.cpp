@@ -53,7 +53,6 @@ Histogram::Histogram(std::vector<double> bounds) {
 }
 
 void Histogram::observe(double value) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   if (data_.count == 0) {
     data_.min = data_.max = value;
   } else {
@@ -67,13 +66,7 @@ void Histogram::observe(double value) {
   ++data_.buckets[static_cast<std::size_t>(it - data_.bounds.begin())];
 }
 
-Histogram::Snapshot Histogram::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return data_;
-}
-
 Counter& MetricsRegistry::counter(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counters_.find(name);
   if (it != counters_.end()) return *it->second;
   return *counters_.emplace(std::string(name), std::make_unique<Counter>())
@@ -81,7 +74,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return *it->second;
   return *gauges_.emplace(std::string(name), std::make_unique<Gauge>())
@@ -90,7 +82,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> bounds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return *it->second;
   return *histograms_
@@ -100,7 +91,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 }
 
 std::string MetricsRegistry::text_snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;
   for (const auto& [name, counter] : counters_) {
     os << std::left << std::setw(36) << name << ' ' << counter->value()
@@ -110,7 +100,7 @@ std::string MetricsRegistry::text_snapshot() const {
     os << std::left << std::setw(36) << name << ' ' << gauge->value() << '\n';
   }
   for (const auto& [name, histogram] : histograms_) {
-    const Histogram::Snapshot snap = histogram->snapshot();
+    const Histogram::Snapshot& snap = histogram->snapshot();
     os << std::left << std::setw(36) << name << " count=" << snap.count
        << " mean=" << snap.mean() << " min=" << snap.min
        << " max=" << snap.max << '\n';
@@ -119,7 +109,6 @@ std::string MetricsRegistry::text_snapshot() const {
 }
 
 std::string MetricsRegistry::json_snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;
   os << "{\"counters\":{";
   bool first = true;
@@ -143,7 +132,7 @@ std::string MetricsRegistry::json_snapshot() const {
   for (const auto& [name, histogram] : histograms_) {
     if (!first) os << ',';
     first = false;
-    const Histogram::Snapshot snap = histogram->snapshot();
+    const Histogram::Snapshot& snap = histogram->snapshot();
     json_string(os, name);
     os << ":{\"count\":" << snap.count << ",\"sum\":";
     json_number(os, snap.sum);
@@ -171,7 +160,6 @@ std::string MetricsRegistry::json_snapshot() const {
 }
 
 RegistrySample MetricsRegistry::sample() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   RegistrySample out;
   out.counters.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) {
@@ -187,13 +175,5 @@ RegistrySample MetricsRegistry::sample() const {
   }
   return out;
 }
-
-namespace detail {
-
-void install_registry(MetricsRegistry* registry) {
-  g_registry.store(registry, std::memory_order_release);
-}
-
-}  // namespace detail
 
 }  // namespace gridlb::obs

@@ -5,23 +5,19 @@
 // much / how often / how spread".  Instrumentation sites observe samples
 // live (discovery hops per request, advertisement staleness at use, GA
 // generations-to-converge, queue depth) and the experiment harness folds
-// in end-of-run aggregates (cache hit rate, event counts, network
+// in end-of-run aggregates (prediction-table reads, event counts, network
 // traffic) so the snapshot is consistent with Table 3's statistics.
 //
 // Snapshots render as an aligned text table or as a JSON document; both
 // list every instrument in name order so diffs between runs are stable.
 //
-// Thread-safety: instrument lookup takes the registry mutex; Counter and
-// Gauge updates are atomic; Histogram::observe takes a per-histogram
-// mutex.  The hot simulator paths observe at most a few samples per
-// scheduling decision, so contention is negligible.
+// A registry belongs to the thread whose Session installed it (see
+// obs.hpp), so every instrument is a plain value with no lock.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,26 +26,20 @@ namespace gridlb::obs {
 
 class Counter {
  public:
-  void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void add(std::uint64_t n = 1) { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 class Gauge {
  public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void set(double value) { value_ = value; }
+  [[nodiscard]] double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 class Histogram {
@@ -71,10 +61,9 @@ class Histogram {
       return count == 0 ? 0.0 : sum / static_cast<double>(count);
     }
   };
-  [[nodiscard]] Snapshot snapshot() const;
+  [[nodiscard]] const Snapshot& snapshot() const { return data_; }
 
  private:
-  mutable std::mutex mutex_;
   Snapshot data_;
 };
 
@@ -110,21 +99,18 @@ class MetricsRegistry {
   [[nodiscard]] RegistrySample sample() const;
 
  private:
-  mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 namespace detail {
-inline std::atomic<MetricsRegistry*> g_registry{nullptr};
-void install_registry(MetricsRegistry* registry);
+/// This thread's installed registry (null = metrics off).
+inline constinit thread_local MetricsRegistry* g_registry = nullptr;
 }  // namespace detail
 
-/// The active registry, or null when metrics are disabled.  Sites guard
-/// with one branch: `if (auto* reg = obs::registry()) ...`.
-[[nodiscard]] inline MetricsRegistry* registry() {
-  return detail::g_registry.load(std::memory_order_acquire);
-}
+/// The calling thread's registry, or null when metrics are disabled.
+/// Sites guard with one branch: `if (auto* reg = obs::registry()) ...`.
+[[nodiscard]] inline MetricsRegistry* registry() { return detail::g_registry; }
 
 }  // namespace gridlb::obs

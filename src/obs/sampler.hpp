@@ -19,7 +19,7 @@
 // moved) and CSV (the sorted union of all columns; empty cells where a
 // column had no value yet).  Both are inputs to tools/campaign_report.py.
 //
-// Sampling is read-only on atomics plus short histogram mutexes, so it is
+// Sampling only reads the registry, on the thread that owns it, so it is
 // observation-neutral by construction; the experiment harness additionally
 // subtracts the tick events themselves from `sim_events` so the published
 // ExperimentResult stays bit-for-bit identical with the sampler on or off

@@ -36,62 +36,26 @@ std::string_view kind_name(EventKind kind) {
   return "unknown";
 }
 
-TraceRecorder::TraceRecorder(std::size_t capacity)
-    : capacity_(capacity),
-      epoch_(detail::g_epoch.fetch_add(1, std::memory_order_relaxed) + 1) {
-  GRIDLB_REQUIRE(capacity_ >= 1, "ring capacity must be >= 1");
-}
-
-TraceRecorder::~TraceRecorder() {
-  // Never destroy the installed recorder: stale thread-local ring pointers
-  // would dangle.  Sessions uninstall first.
-  GRIDLB_ASSERT(detail::g_recorder.load(std::memory_order_acquire) != this);
-}
-
-TraceRecorder::Ring* TraceRecorder::register_ring() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  rings_.push_back(std::make_unique<Ring>(capacity_));
-  return rings_.back().get();
+TraceRecorder::TraceRecorder(std::size_t capacity) : slots_(capacity) {
+  GRIDLB_REQUIRE(capacity >= 1, "ring capacity must be >= 1");
 }
 
 void TraceRecorder::record(const TraceEvent& event) {
-  // Per-thread ring cache.  `epoch` ties the cached pointer to one
-  // recorder generation: a new recorder (even one allocated at a recycled
-  // address) carries a fresh epoch and so invalidates every thread's
-  // cache on first use.
-  struct ThreadRing {
-    std::uint64_t epoch = 0;
-    Ring* ring = nullptr;
-  };
-  thread_local ThreadRing tls;
-  if (tls.epoch != epoch_) tls = ThreadRing{.epoch = epoch_};
-  Ring*& ring = tls.ring;
-  if (ring == nullptr) ring = register_ring();
-  ring->push(event);
-}
-
-std::size_t TraceRecorder::thread_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return rings_.size();
+  slots_[static_cast<std::size_t>(pushed_ % slots_.size())] = event;
+  ++pushed_;
 }
 
 TraceSnapshot TraceRecorder::snapshot() const {
   TraceSnapshot out;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& ring : rings_) {
-      out.recorded += ring->pushed;
-      const std::uint64_t capacity = ring->slots.size();
-      const std::uint64_t kept = std::min(ring->pushed, capacity);
-      out.dropped += ring->pushed - kept;
-      // Oldest surviving event first so a stable sort preserves each
-      // ring's emission order among equal timestamps.
-      const std::uint64_t first = ring->pushed - kept;
-      for (std::uint64_t i = first; i < ring->pushed; ++i) {
-        out.events.push_back(
-            ring->slots[static_cast<std::size_t>(i % capacity)]);
-      }
-    }
+  const std::uint64_t capacity = slots_.size();
+  const std::uint64_t kept = std::min(pushed_, capacity);
+  out.recorded = pushed_;
+  out.dropped = pushed_ - kept;
+  // Oldest surviving event first so the stable sort keeps emission order
+  // among equal timestamps.
+  out.events.reserve(static_cast<std::size_t>(kept));
+  for (std::uint64_t i = pushed_ - kept; i < pushed_; ++i) {
+    out.events.push_back(slots_[static_cast<std::size_t>(i % capacity)]);
   }
   std::stable_sort(out.events.begin(), out.events.end(),
                    [](const TraceEvent& x, const TraceEvent& y) {
@@ -99,17 +63,5 @@ TraceSnapshot TraceRecorder::snapshot() const {
                    });
   return out;
 }
-
-namespace detail {
-
-void install_recorder(TraceRecorder* recorder) {
-  g_recorder.store(recorder, std::memory_order_release);
-}
-
-std::uint64_t current_epoch() {
-  return g_epoch.load(std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 }  // namespace gridlb::obs

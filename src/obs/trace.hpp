@@ -2,27 +2,20 @@
 //
 // Every interesting moment in a run — a request moving through discovery,
 // a GA invocation converging, a task occupying nodes — is a typed,
-// timestamped TraceEvent.  Events are recorded into one ring buffer per
-// thread so that
-//   * disabled tracing costs one branch and one relaxed load per site
-//     (plus the engine's unconditional relaxed clock store), and
-//   * enabled tracing takes no locks on the steady-state path: each OS
-//     thread owns its ring outright and registration happens once per
-//     thread per session.
+// timestamped TraceEvent.  A run executes on the one thread that drives
+// it, so the recorder is one bounded ring buffer with no locks: disabled
+// tracing costs one thread-local load and one branch per site, and
+// enabled tracing one slot write.
 //
-// Rings are bounded; when a ring wraps, the oldest events are overwritten
-// and the loss is reported in the snapshot's `dropped` count.
+// When the ring wraps, the oldest events are overwritten and the loss is
+// reported in the snapshot's `dropped` count.
 //
-// The recorder is installed globally (see obs.hpp's Session); merging and
-// exporting happen after the simulation has quiesced, so snapshot() must
-// not race with record() — an observed run records on the one thread that
-// drives it and exports after its drive returns.
+// The recorder is installed for the thread that constructs its Session
+// (see obs.hpp); no other thread can reach it.  snapshot() sorts a copy,
+// so it may run at any point between records.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -92,67 +85,39 @@ struct TraceEvent {
   double b = 0.0;
 };
 
-/// Merged, time-sorted view of everything currently recorded.
+/// Time-sorted view of everything currently recorded.
 struct TraceSnapshot {
-  std::vector<TraceEvent> events;  ///< ascending `at`; stable within a ring
+  std::vector<TraceEvent> events;  ///< ascending `at`; emission order on ties
   std::uint64_t recorded = 0;      ///< events ever recorded
   std::uint64_t dropped = 0;       ///< overwritten by ring wrap-around
 };
 
 class TraceRecorder {
  public:
-  /// Capacity is per thread, in events.
+  /// Capacity of the ring, in events.
   explicit TraceRecorder(std::size_t capacity = 1u << 18);
-  ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Records one event into the calling thread's ring.  Lock-free except
-  /// for the first event per thread (ring registration).
+  /// Records one event, overwriting the oldest once the ring is full.
   void record(const TraceEvent& event);
 
-  /// Merged snapshot of every ring, sorted ascending by timestamp.  Must
-  /// only be called while no thread is concurrently recording.
+  /// The surviving events sorted ascending by timestamp.
   [[nodiscard]] TraceSnapshot snapshot() const;
 
-  [[nodiscard]] std::size_t thread_count() const;
-
  private:
-  struct Ring {
-    explicit Ring(std::size_t capacity) : slots(capacity) {}
-    std::vector<TraceEvent> slots;
-    std::uint64_t pushed = 0;  ///< total events; slot index = pushed % size
-    void push(const TraceEvent& event) {
-      slots[static_cast<std::size_t>(pushed % slots.size())] = event;
-      ++pushed;
-    }
-  };
-
-  [[nodiscard]] Ring* register_ring();
-
-  const std::size_t capacity_;
-  const std::uint64_t epoch_;  ///< distinguishes recorder generations
-
-  mutable std::mutex mutex_;   ///< guards `rings_` growth only
-  std::vector<std::unique_ptr<Ring>> rings_;
+  std::vector<TraceEvent> slots_;
+  std::uint64_t pushed_ = 0;  ///< total events; slot index = pushed_ % size
 };
 
 namespace detail {
-/// The installed recorder (null = tracing off) and its generation counter.
-/// Loaded with acquire so a worker thread that observes the pointer also
-/// observes the fully-constructed recorder.
-inline std::atomic<TraceRecorder*> g_recorder{nullptr};
-inline std::atomic<std::uint64_t> g_epoch{0};
-/// Installation used by obs::Session; pass nullptr to uninstall.
-void install_recorder(TraceRecorder* recorder);
-[[nodiscard]] std::uint64_t current_epoch();
+/// This thread's installed recorder (null = tracing off).
+inline constinit thread_local TraceRecorder* g_recorder = nullptr;
 }  // namespace detail
 
-/// The active recorder, or null when tracing is disabled.
-[[nodiscard]] inline TraceRecorder* trace() {
-  return detail::g_recorder.load(std::memory_order_acquire);
-}
+/// The calling thread's recorder, or null when tracing is disabled.
+[[nodiscard]] inline TraceRecorder* trace() { return detail::g_recorder; }
 
 /// Records `event` iff tracing is enabled — the one-branch fast path every
 /// instrumentation site goes through.

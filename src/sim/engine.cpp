@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "common/assert.hpp"
-#include "common/sim_clock.hpp"
 
 namespace gridlb::sim {
 
@@ -121,9 +120,6 @@ bool Engine::step() {
   const EventFn fn = std::move(slots_[key.slot]);
   release(key.slot);
   now_ = key.at;
-  // Publish the clock for consumers without an engine reference (logger
-  // sim-time prefixes, PACE cache trace events).
-  simclock::publish(now_);
   ++events_processed_;
   // Restored on every exit, a throwing callback included: a stale pointer
   // would make this thread's next post read a dead engine's clock.
@@ -165,7 +161,6 @@ void Engine::run_until(SimTime until) {
     step();
   }
   now_ = until;
-  simclock::publish(now_);
 }
 
 }  // namespace gridlb::sim

@@ -120,6 +120,8 @@ Element::Element(Element&& other) : arena_(other.arena_) {
   }
 }
 
+void* Element::operator new(std::size_t bytes) { return ::operator new(bytes); }
+
 void Element::operator delete(Element* element, std::destroying_delete_t) {
   if (element->in_arena_) {
     Arena* arena = element->arena_;

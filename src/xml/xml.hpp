@@ -70,6 +70,10 @@ class Element {
   /// `delete` of the root `parse` returns frees its whole arena, the root
   /// included, at once.
   void operator delete(Element* element, std::destroying_delete_t);
+  /// The allocations that delete pairs with: a root built on the heap, and
+  /// a node placed in a document arena.
+  static void* operator new(std::size_t bytes);
+  static void* operator new(std::size_t, void* where) { return where; }
 
   [[nodiscard]] std::string_view name() const { return name_; }
 

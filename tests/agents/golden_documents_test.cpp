@@ -85,14 +85,13 @@ TEST(GoldenDocuments, RequestFig6) {
 }
 
 TEST(GoldenDocuments, ExecutionResult) {
-  ExecutionResult result;
-  result.task = TaskId(7);
-  result.app_name = "sweep3d";
-  result.resource_name = "S3";
-  result.start = 10.0;
-  result.completion = 25.5;
-  result.deadline = 30.0;
-  result.email = "junwei@dcs.warwick.ac.uk";
+  const ExecutionResult result{.task = TaskId(7),
+                               .app_name = "sweep3d",
+                               .resource_name = "S3",
+                               .start = 10.0,
+                               .completion = 25.5,
+                               .deadline = 30.0,
+                               .email = "junwei@dcs.warwick.ac.uk"};
 
   const char* expected = R"(<agentgrid type="result" taskid="7">
   <application>
@@ -297,10 +296,10 @@ TEST_F(StampedDocuments, Ack) {
   RetryPolicy retry;
   retry.enabled = true;
   Portal portal(engine, wire, catalogue, nullptr, retry);
-  ExecutionResult result;
-  result.task = TaskId(7);
-  result.app_name = "cpi";
-  result.resource_name = "S2";
+  const ExecutionResult result{.task = TaskId(7),
+                               .app_name = "cpi",
+                               .resource_name = "S2",
+                               .email = {}};
   std::string payload = to_xml(result);
   payload.insert(payload.find('>'), R"( msgid="8589934593")");
   wire.send(0, 1, payload);

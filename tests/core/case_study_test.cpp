@@ -16,7 +16,9 @@ TEST(CaseStudy, TwelveResourcesSixteenNodesEach) {
 TEST(CaseStudy, NamesAreS1ToS12) {
   const auto specs = case_study_resources();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(specs[i].name, "S" + std::to_string(i + 1));
+    std::string name = "S";
+    name += std::to_string(i + 1);
+    EXPECT_EQ(specs[i].name, name);
   }
 }
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -109,6 +113,28 @@ TEST(RunExperiment, RejectsEmptyResources) {
   EXPECT_THROW(run_experiment(config), AssertionError);
 }
 
+/// `many` (one run_many result) is the run `alone` describes.
+void expect_same_run(const ExperimentResult& many,
+                     const ExperimentResult& alone, std::size_t i) {
+  EXPECT_EQ(many.name, alone.name) << i;
+  EXPECT_EQ(many.tasks_completed, alone.tasks_completed) << i;
+  EXPECT_EQ(many.sim_events, alone.sim_events) << i;
+  EXPECT_EQ(many.finished_at, alone.finished_at) << i;
+  EXPECT_EQ(many.network_messages, alone.network_messages) << i;
+  EXPECT_EQ(many.report.total.advance_time, alone.report.total.advance_time)
+      << i;
+  EXPECT_EQ(many.report.total.utilisation, alone.report.total.utilisation)
+      << i;
+  EXPECT_EQ(many.report.total.balance, alone.report.total.balance) << i;
+  ASSERT_EQ(many.completions.size(), alone.completions.size()) << i;
+  for (std::size_t c = 0; c < alone.completions.size(); ++c) {
+    EXPECT_EQ(many.completions[c].task, alone.completions[c].task);
+    EXPECT_EQ(many.completions[c].resource, alone.completions[c].resource);
+    EXPECT_EQ(many.completions[c].start, alone.completions[c].start);
+    EXPECT_EQ(many.completions[c].end, alone.completions[c].end);
+  }
+}
+
 TEST(RunMany, MatchesRunExperimentInInputOrder) {
   ExperimentConfig crush = scaled(experiment3(), 120);
   crush.placement = PlacementFamily::kHashPlacement;
@@ -118,33 +144,57 @@ TEST(RunMany, MatchesRunExperimentInInputOrder) {
   const std::vector<ExperimentResult> results = run_many(configs);
   ASSERT_EQ(results.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const ExperimentResult alone = run_experiment(configs[i]);
-    const ExperimentResult& many = results[i];
-    EXPECT_EQ(many.name, alone.name) << i;
-    EXPECT_EQ(many.tasks_completed, alone.tasks_completed) << i;
-    EXPECT_EQ(many.sim_events, alone.sim_events) << i;
-    EXPECT_EQ(many.finished_at, alone.finished_at) << i;
-    EXPECT_EQ(many.network_messages, alone.network_messages) << i;
-    EXPECT_EQ(many.report.total.advance_time, alone.report.total.advance_time)
-        << i;
-    EXPECT_EQ(many.report.total.utilisation, alone.report.total.utilisation)
-        << i;
-    EXPECT_EQ(many.report.total.balance, alone.report.total.balance) << i;
-    ASSERT_EQ(many.completions.size(), alone.completions.size()) << i;
-    for (std::size_t c = 0; c < alone.completions.size(); ++c) {
-      EXPECT_EQ(many.completions[c].task, alone.completions[c].task);
-      EXPECT_EQ(many.completions[c].resource, alone.completions[c].resource);
-      EXPECT_EQ(many.completions[c].start, alone.completions[c].start);
-      EXPECT_EQ(many.completions[c].end, alone.completions[c].end);
-    }
+    expect_same_run(results[i], run_experiment(configs[i]), i);
   }
 }
 
-TEST(RunMany, RejectsObservedConfigs) {
-  std::vector<ExperimentConfig> configs = {scaled(experiment1(), 24),
-                                           scaled(experiment1(), 24)};
-  configs[1].obs.metrics = true;
-  EXPECT_THROW((void)run_many(configs), AssertionError);
+/// The `"<key>":<integer>` value in a metrics JSON document.
+std::uint64_t json_counter(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = json.find(needle);
+  EXPECT_NE(at, std::string::npos) << key;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(json.substr(at + needle.size()));
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Each worker installs the observed run's own session, so two observed
+// runs side by side each write their own metrics, counting only their own
+// events.
+TEST(RunMany, ObservesEachRunOnItsOwnThread) {
+  std::vector<ExperimentConfig> configs = {scaled(experiment1(), 40),
+                                           scaled(experiment3(), 60)};
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    configs[i].obs.trace = true;
+    configs[i].obs.metrics_json_out = ::testing::TempDir() +
+                                      "gridlb_run_many_metrics_" +
+                                      std::to_string(i) + ".json";
+  }
+  const std::vector<ExperimentResult> results = run_many(configs);
+  ASSERT_EQ(results.size(), configs.size());
+  EXPECT_NE(results[0].sim_events, results[1].sim_events);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const std::string metrics = read_file(configs[i].obs.metrics_json_out);
+    EXPECT_EQ(json_counter(metrics, "sim.events"), results[i].sim_events)
+        << i;
+    EXPECT_EQ(json_counter(metrics, "obs.trace_events"),
+              results[i].trace_events)
+        << i;
+    EXPECT_GT(results[i].trace_events, 0u) << i;
+    std::remove(configs[i].obs.metrics_json_out.c_str());
+
+    const ExperimentResult alone = run_experiment(configs[i]);
+    std::remove(configs[i].obs.metrics_json_out.c_str());
+    EXPECT_EQ(results[i].trace_events, alone.trace_events) << i;
+    expect_same_run(results[i], alone, i);
+  }
 }
 
 TEST(RunMany, RethrowsAFailingRun) {

@@ -64,12 +64,12 @@ TEST(Registry, EmptyHistogramSnapshot) {
 TEST(Registry, JsonSnapshotStructure) {
   MetricsRegistry registry;
   registry.counter("sim.events").add(7);
-  registry.gauge("pace.cache.hit_rate").set(0.75);
+  registry.gauge("sched.shed_rate").set(0.75);
   registry.histogram("discovery.hops", {1.0, 2.0}).observe(1.0);
   const std::string json = registry.json_snapshot();
   EXPECT_NE(json.find("\"counters\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"sim.events\":7"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"pace.cache.hit_rate\":0.75"), std::string::npos)
+  EXPECT_NE(json.find("\"sched.shed_rate\":0.75"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"discovery.hops\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);

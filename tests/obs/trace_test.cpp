@@ -1,6 +1,6 @@
-// Trace recorder unit tests: the disabled path records nothing, rings
-// wrap with accurate drop accounting, and each thread records into its
-// own ring.
+// Trace recorder unit tests: the disabled path records nothing, the ring
+// wraps with accurate drop accounting, and a session's instruments are
+// reachable only from the thread that installed them.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -79,14 +79,26 @@ TEST(Trace, RingWrapKeepsNewestAndCountsDropped) {
   EXPECT_DOUBLE_EQ(snapshot.events.back().at, 9.0);
 }
 
-TEST(Trace, EachThreadGetsItsOwnRings) {
-  Session session(trace_config());
+TEST(Trace, OtherThreadsSeeNoInstruments) {
+  ObsConfig config = trace_config();
+  config.metrics = true;
+  Session session(config);
+  ASSERT_NE(trace(), nullptr);
+  ASSERT_NE(registry(), nullptr);
   emit(event_at(1.0));
-  std::thread worker([] { emit(event_at(2.0, EventKind::kGaRunFinished)); });
+  TraceRecorder* worker_trace = session.recorder();
+  MetricsRegistry* worker_registry = session.registry();
+  std::thread worker([&] {
+    worker_trace = trace();
+    worker_registry = registry();
+    emit(event_at(2.0, EventKind::kGaRunFinished));  // a no-op here
+  });
   worker.join();
+  EXPECT_EQ(worker_trace, nullptr);
+  EXPECT_EQ(worker_registry, nullptr);
   const TraceSnapshot snapshot = session.recorder()->snapshot();
-  EXPECT_EQ(snapshot.events.size(), 2u);
-  EXPECT_GE(session.recorder()->thread_count(), 2u);
+  ASSERT_EQ(snapshot.events.size(), 1u);
+  EXPECT_DOUBLE_EQ(snapshot.events[0].at, 1.0);
 }
 
 TEST(Trace, SecondSessionStartsEmpty) {
@@ -94,8 +106,7 @@ TEST(Trace, SecondSessionStartsEmpty) {
     Session first(trace_config());
     emit(event_at(1.0));
   }
-  // The thread-local ring cache must not leak events into a new recorder
-  // generation (epoch invalidation).
+  // Nothing the first session recorded may leak into the second.
   Session second(trace_config());
   emit(event_at(7.0));
   const TraceSnapshot snapshot = second.recorder()->snapshot();

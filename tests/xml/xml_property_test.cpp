@@ -29,7 +29,9 @@ void grow(Element& element, Rng& rng, int depth) {
   // Attributes.
   const auto attribute_count = rng.next_below(3);
   for (std::uint64_t i = 0; i < attribute_count; ++i) {
-    element.set_attribute("k" + std::to_string(i), random_text(rng));
+    std::string key = "k";
+    key += std::to_string(i);
+    element.set_attribute(key, random_text(rng));
   }
   // Either text content or children (mixed content order is not
   // preserved by design, so generate one or the other).

@@ -234,16 +234,21 @@ TEST(XmlRoundTrip, CompactAndPretty) {
 }
 
 TEST(XmlRoundTrip, DeepNesting) {
+  // Appended rather than `"l" + std::to_string(i)`, which g++ 12 flags
+  // with a false -Wrestrict at -O3.
+  const auto level = [](int i) {
+    std::string name = "l";
+    name += std::to_string(i);
+    return name;
+  };
   Element root("l0");
   Element* cursor = &root;
-  for (int i = 1; i < 20; ++i) {
-    cursor = &cursor->add_child("l" + std::to_string(i));
-  }
+  for (int i = 1; i < 20; ++i) cursor = &cursor->add_child(level(i));
   cursor->set_text("bottom");
   const auto parsed = parse(write(root));
   const Element* walk = parsed.get();
   for (int i = 1; i < 20; ++i) {
-    walk = walk->child("l" + std::to_string(i));
+    walk = walk->child(level(i));
     ASSERT_NE(walk, nullptr);
   }
   EXPECT_EQ(walk->text(), "bottom");

@@ -507,12 +507,14 @@ int cmd_campaign(const Flags& flags) {
     }
     std::cout << metrics::format_report(result.report, notes);
     std::printf("\n%llu/%llu tasks completed by t=%.0fs; %.2f mean hops; "
-                "%llu messages; cache hit rate %.1f%%\n",
+                "%llu messages; %llu prediction-table reads over %llu "
+                "entries\n",
                 static_cast<unsigned long long>(result.tasks_completed),
                 static_cast<unsigned long long>(result.requests_submitted),
                 result.finished_at, result.mean_hops,
                 static_cast<unsigned long long>(result.network_messages),
-                result.cache.hit_rate() * 100.0);
+                static_cast<unsigned long long>(result.cache.hits),
+                static_cast<unsigned long long>(result.cache.misses));
     if (result.placement_decisions > 0) {
       std::printf("%llu requests hash-placed by the stateless straw map "
                   "(0 discovery messages)\n",
