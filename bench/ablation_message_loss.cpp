@@ -9,7 +9,10 @@
 //
 // Single-point mode for CI smoke tests:
 //   ablation_message_loss --drop 0.05 --requests 600
-// runs one case and exits non-zero unless every submitted task completed.
+// runs one case with agent churn on and exits non-zero unless every
+// submitted task completed.  `--drop 0` leaves churn as the only fault:
+// the protocol is loss-tolerant whenever a fault source is active
+// (SystemConfig::loss_tolerant()), lossy network or not.
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +29,6 @@ core::ExperimentConfig lossy_config(double drop_prob, int requests) {
   core::ExperimentConfig config = core::experiment3();
   config.workload.count = requests;
   config.system.fault.drop_prob = drop_prob;
-  if (drop_prob > 0.0) config.system.fault_tolerance.enabled = true;
   return config;
 }
 

@@ -150,7 +150,6 @@ int churn_campaign(int agents) {
   config.placement = core::PlacementFamily::kHashPlacement;
   config.system.fault.drop_prob = 0.05;
   config.system.fault.jitter_max = 0.2;
-  config.system.fault_tolerance.enabled = true;
   config.system.agent_churn.enabled = true;
   config.system.agent_churn.mtbf = 1800.0;
   config.system.agent_churn.mttr = 20.0;

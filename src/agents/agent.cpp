@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "agents/agent_system.hpp"
 #include "agents/numbers.hpp"
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -14,15 +15,17 @@ namespace gridlb::agents {
 
 Agent::Agent(sim::Engine& engine, sim::Network& network,
              const pace::PredictionTable& predictions,
-             const pace::ApplicationCatalogue& catalogue, AgentConfig config,
+             const pace::ApplicationCatalogue& catalogue,
+             const SystemConfig& grid, AgentConfig config,
              sched::LocalScheduler& scheduler)
     : engine_(engine),
       network_(network),
       predictions_(predictions),
       catalogue_(catalogue),
+      grid_(grid),
       config_(std::move(config)),
       scheduler_(scheduler),
-      link_(engine, network, config_.retry) {
+      link_(engine, network, grid.retry_policy()) {
   GRIDLB_REQUIRE(config_.id.valid(), "agent needs a valid id");
   endpoint_ = network_.register_endpoint(
       config_.address, config_.port,
@@ -41,8 +44,8 @@ void Agent::add_child(Agent* child) {
 }
 
 void Agent::start() {
-  if (!config_.discovery_enabled || config_.pull_period <= 0.0) return;
-  pull_timer_ = engine_.schedule_periodic(0.0, config_.pull_period,
+  if (!grid_.discovery_enabled || grid_.pull_period <= 0.0) return;
+  pull_timer_ = engine_.schedule_periodic(0.0, grid_.pull_period,
                                           [this]() { pull_from_neighbours(); });
 }
 
@@ -84,9 +87,9 @@ void Agent::restart() {
              .kind = obs::EventKind::kAgentRestarted,
              .resource = config_.id.value()});
   log::info("agent ", config_.name, " t=", engine_.now(), " restarted");
-  if (!config_.discovery_enabled || config_.pull_period <= 0.0) return;
+  if (!grid_.discovery_enabled || grid_.pull_period <= 0.0) return;
   pull_timer_ = engine_.schedule_periodic(
-      engine_.now(), config_.pull_period, [this]() { pull_from_neighbours(); });
+      engine_.now(), grid_.pull_period, [this]() { pull_from_neighbours(); });
 }
 
 ServiceInfo Agent::service_snapshot() const {
@@ -169,17 +172,17 @@ void Agent::receive_request(Request request, bool final_dispatch) {
   ++stats_.requests_received;
   const auto hops = static_cast<std::uint64_t>(request.visited.size());
 
-  if (final_dispatch || !config_.discovery_enabled) {
+  if (final_dispatch || !grid_.discovery_enabled) {
     stats_.hops_accumulated += hops;
     if (hops == 0) ++stats_.zero_hop_dispatches;
     dispatch_local(std::move(request));
     return;
   }
 
-  if (hops >= static_cast<std::uint64_t>(config_.max_hops)) {
+  if (hops >= kMaxHops) {
     // Routing budget exhausted (only reachable with transitive routing
     // gone degenerate): execute here rather than bounce forever.
-    if (config_.strict_failure) {
+    if (grid_.strict_failure) {
       note_strict_drop(request, hops);
       return;
     }
@@ -223,10 +226,11 @@ void Agent::receive_request(Request request, bool final_dispatch) {
   const ServiceInfo* best_info = nullptr;
   SimTime best_eta = std::numeric_limits<double>::infinity();
   SimTime best_updated = 0.0;
+  const double act_expiry = grid_.act_expiry();
   for (const auto& entry : act_.entries()) {
     if (entry.agent == config_.id) continue;
     if (already_visited(request, entry.agent)) continue;
-    if (CapabilityTable::expired(entry, engine_.now(), config_.act_expiry)) {
+    if (CapabilityTable::expired(entry, engine_.now(), act_expiry)) {
       continue;  // neighbour stopped advertising — suspected dead
     }
     Agent* route = neighbour_by_id(entry.via);
@@ -282,7 +286,7 @@ void Agent::receive_request(Request request, bool final_dispatch) {
 
   // 4. Head of the hierarchy (or dead end): discovery terminated
   // unsuccessfully in the paper's sense.
-  if (config_.strict_failure) {
+  if (grid_.strict_failure) {
     note_strict_drop(request, hops);
     log::warn("agent ", config_.name, " t=", engine_.now(), " task ",
               request.task.str(), " dropped: no grid resource matches");
@@ -305,7 +309,7 @@ void Agent::receive_request(Request request, bool final_dispatch) {
     // Final dispatch executes at the recipient, so only services owned by
     // a direct neighbour qualify here.
     if (entry.via != entry.agent) continue;
-    if (CapabilityTable::expired(entry, engine_.now(), config_.act_expiry)) {
+    if (CapabilityTable::expired(entry, engine_.now(), act_expiry)) {
       continue;
     }
     Agent* neighbour = neighbour_by_id(entry.agent);
@@ -369,7 +373,7 @@ void Agent::dispatch_local(Request request) {
     pending_results_.push_back(
         PendingResult{request.task, *request.origin, request.email});
   }
-  if (config_.migration.enabled) queue_copies_.push_back(request);
+  if (grid_.migration.enabled) queue_copies_.push_back(request);
   sched::Task task;
   task.id = request.task;
   task.app = app;
@@ -377,7 +381,7 @@ void Agent::dispatch_local(Request request) {
   task.deadline = request.deadline;
   task.environment = request.environment;
   scheduler_.submit(std::move(task));
-  if (config_.push_on_dispatch) push_to_neighbours();
+  if (grid_.push_on_dispatch) push_to_neighbours();
 }
 
 void Agent::on_task_completed(const sched::CompletionRecord& record) {
@@ -498,7 +502,7 @@ void Agent::on_message(const sim::Message& message) {
 
 void Agent::handle_pull(const sim::Message& message) {
   network_.send(endpoint_, message.from, to_xml(service_snapshot()));
-  if (config_.scope != AdvertisementScope::kTransitive) return;
+  if (grid_.scope != AdvertisementScope::kTransitive) return;
   // Relay known services, split-horizon: never back toward the neighbour
   // they were learned from, and never the requester's own service.
   const auto requester = neighbour_for_endpoint(message.from);
@@ -544,18 +548,18 @@ void Agent::handle_advertisement(const sim::Message& message,
 }
 
 void Agent::maybe_migrate(AgentId described) {
-  if (!config_.migration.enabled || queue_copies_.empty()) return;
+  if (!grid_.migration.enabled || queue_copies_.empty()) return;
   // Migrations are final dispatches, so only a direct neighbour — one we
   // can deliver to ourselves — qualifies as a target.
   Agent* const target = neighbour_by_id(described);
   if (target == nullptr) return;
   const SimTime now = engine_.now();
   const double own_backlog = std::max(0.0, scheduler_.freetime() - now);
-  if (own_backlog <= config_.migration.overload_threshold) return;
+  if (own_backlog <= grid_.migration.overload_threshold) return;
   const CapabilityTable::Entry* entry = act_.find(described);
   if (entry == nullptr) return;
   if (std::max(0.0, entry->info.freetime - now) >=
-      config_.migration.underload_threshold) {
+      grid_.migration.underload_threshold) {
     return;
   }
 
@@ -563,13 +567,10 @@ void Agent::maybe_migrate(AgentId described) {
   // gain the most from re-homing.
   int moved = 0;
   for (std::size_t i = queue_copies_.size();
-       i-- > 0 && moved < config_.migration.max_batch;) {
+       i-- > 0 && moved < grid_.migration.max_batch;) {
     Request request = queue_copies_[i];
     if (already_visited(request, described)) continue;
-    if (request.visited.size() >=
-        static_cast<std::size_t>(config_.max_hops)) {
-      continue;
-    }
+    if (request.visited.size() >= kMaxHops) continue;
     if (!estimate_completion(entry->info, request)) continue;
     if (!scheduler_.cancel(request.task)) {
       // Already started (or gone): the retained copy is stale.

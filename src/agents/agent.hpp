@@ -51,6 +51,8 @@
 
 namespace gridlb::agents {
 
+struct SystemConfig;
+
 /// How much service information an agent shares when advertising.
 enum class AdvertisementScope {
   /// Each agent advertises only its own service (the case study's setup).
@@ -82,37 +84,19 @@ struct MigrationConfig {
   int max_batch = 4;
 };
 
+/// Discovery hop budget; exceeding it forces best-effort dispatch (or a
+/// drop under strict_failure).  Transitive routing can legitimately
+/// revisit an agent, so the budget — not the visited set — bounds it.
+inline constexpr std::size_t kMaxHops = 32;
+
+/// Identity of one agent.  The advertisement and discovery policy is the
+/// grid's (every agent runs the same one, paper §3): agents read it from
+/// the SystemConfig their AgentSystem owns.
 struct AgentConfig {
   AgentId id;
   std::string name;     ///< "S1".."S12" in the case study
   std::string address;  ///< identity tuple used in the XML documents
   int port = 0;
-  /// Experiments 1–2 disable the agent mechanism: every request executes
-  /// on the resource it arrived at.
-  bool discovery_enabled = true;
-  /// Literal paper semantics at the hierarchy head (drop unmatched
-  /// requests) instead of best-effort dispatch.
-  bool strict_failure = false;
-  /// Period of the advertisement pull (<= 0 disables pulling).
-  double pull_period = 10.0;
-  /// Push own service info to neighbours after every local dispatch
-  /// (event-triggered advertisement, for the ablation bench).
-  bool push_on_dispatch = false;
-  AdvertisementScope scope = AdvertisementScope::kOwnService;
-  /// Discovery hop budget; exceeding it forces best-effort dispatch (or a
-  /// drop under strict_failure).  Transitive routing can legitimately
-  /// revisit an agent, so the budget — not the visited set — bounds it.
-  int max_hops = 32;
-  /// Reliable delivery of request/result documents (DESIGN.md §10).
-  /// Disabled: sends are byte-identical to the pre-fault protocol.
-  RetryPolicy retry;
-  /// ACT entries older than this many seconds are distrusted during
-  /// discovery (a neighbour that stopped advertising is suspected dead).
-  /// <= 0 trusts every entry forever — the pre-fault behaviour.
-  double act_expiry = 0.0;
-  /// Queue migration (off by default: the protocol is byte-identical to
-  /// the non-migrating one when disabled).
-  MigrationConfig migration;
 };
 
 /// Counters for the discovery/advertisement behaviour of one agent.
@@ -141,11 +125,12 @@ struct AgentStats {
 class Agent {
  public:
   /// `predictions` must cover every application of `catalogue` and every
-  /// platform of the grid.
+  /// platform of the grid.  `grid` supplies the policy and must outlive
+  /// the agent.
   Agent(sim::Engine& engine, sim::Network& network,
         const pace::PredictionTable& predictions,
-        const pace::ApplicationCatalogue& catalogue, AgentConfig config,
-        sched::LocalScheduler& scheduler);
+        const pace::ApplicationCatalogue& catalogue, const SystemConfig& grid,
+        AgentConfig config, sched::LocalScheduler& scheduler);
 
   Agent(const Agent&) = delete;
   Agent& operator=(const Agent&) = delete;
@@ -185,7 +170,6 @@ class Agent {
   /// the request originates").
   void on_task_completed(const sched::CompletionRecord& record);
 
-  [[nodiscard]] const AgentConfig& config() const { return config_; }
   [[nodiscard]] AgentId id() const { return config_.id; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
   [[nodiscard]] Agent* parent() const { return parent_; }
@@ -246,6 +230,7 @@ class Agent {
   sim::Network& network_;
   const pace::PredictionTable& predictions_;
   const pace::ApplicationCatalogue& catalogue_;
+  const SystemConfig& grid_;
   AgentConfig config_;
   sched::LocalScheduler& scheduler_;
   ReliableLink link_;

@@ -149,27 +149,13 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
           }
         }));
 
-    AgentConfig agent_config;
-    agent_config.id = id;
-    agent_config.name = spec.name;
-    agent_config.address = spec.name + ".gridlb.sim";
-    agent_config.port = 1000 + static_cast<int>(i);
-    agent_config.discovery_enabled = config_.discovery_enabled;
-    agent_config.strict_failure = config_.strict_failure;
-    agent_config.pull_period = config_.pull_period;
-    agent_config.push_on_dispatch = config_.push_on_dispatch;
-    agent_config.scope = config_.scope;
-    if (config_.fault_tolerance.enabled) {
-      agent_config.retry = config_.fault_tolerance.retry;
-      agent_config.retry.enabled = true;
-      agent_config.act_expiry =
-          static_cast<double>(config_.fault_tolerance.act_expiry_periods) *
-          config_.pull_period;
-    }
-    agent_config.migration = config_.migration;
     agents_.push_back(std::make_unique<Agent>(
-        agent_engine, *network_, predictions_, catalogue,
-        std::move(agent_config), *schedulers_.back()));
+        agent_engine, *network_, predictions_, catalogue, config_,
+        AgentConfig{.id = id,
+                    .name = spec.name,
+                    .address = spec.name + ".gridlb.sim",
+                    .port = 1000 + static_cast<int>(i)},
+        *schedulers_.back()));
     agents_.back()->set_drop_sink([this](TaskId) { ++dropped_count_; });
   }
   GRIDLB_REQUIRE(heads == 1, "the hierarchy must have exactly one head");

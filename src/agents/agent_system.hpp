@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,10 +39,10 @@ struct ChurnConfig {
   std::uint64_t seed = 7;
 };
 
-/// Loss tolerance for the agent protocol (DESIGN.md §10).  Disabled, the
+/// Loss-tolerance knobs of the agent protocol (DESIGN.md §10).  They
+/// apply only while SystemConfig::loss_tolerant() holds; otherwise the
 /// protocol is byte-identical to the lossless one.
 struct FaultToleranceConfig {
-  bool enabled = false;
   /// Retry/timeout/backoff for request and result documents.
   RetryPolicy retry;
   /// An ACT entry missing this many advertisement periods is distrusted
@@ -88,6 +89,25 @@ struct SystemConfig {
   AgentChurnConfig agent_churn;
   /// Threshold-triggered queue migration, applied to every agent.
   MigrationConfig migration;
+
+  /// Whether the agents and the portal run the loss-tolerant protocol:
+  /// exactly when something can lose a message or an agent (an active
+  /// fault plan or agent churn).  Without either, sends stay plain.
+  [[nodiscard]] bool loss_tolerant() const {
+    return fault.active() || agent_churn.enabled;
+  }
+  /// The request/result retry policy; empty unless loss_tolerant().
+  [[nodiscard]] std::optional<RetryPolicy> retry_policy() const {
+    if (!loss_tolerant()) return std::nullopt;
+    return fault_tolerance.retry;
+  }
+  /// Age in seconds past which discovery distrusts an ACT entry:
+  /// act_expiry_periods × pull_period when loss_tolerant(), else 0
+  /// (trust every entry forever).
+  [[nodiscard]] double act_expiry() const {
+    return loss_tolerant() ? fault_tolerance.act_expiry_periods * pull_period
+                           : 0.0;
+  }
 
   /// Throws AssertionError unless the fault plan, both churn models and
   /// every resource's scheduler settings are in range.  The AgentSystem
@@ -166,7 +186,7 @@ class AgentSystem {
   void crash_agent(std::size_t index);
 
   sim::ShardedEngine& sharded_;
-  SystemConfig config_;
+  SystemConfig config_;  ///< read in place by every agent; never mutated
   pace::PredictionTable predictions_;  ///< after config_: built from it
   std::function<void(TaskId)> stranded_sink_;
   std::unique_ptr<sim::Network> network_;

@@ -11,7 +11,8 @@ namespace gridlb::agents {
 
 Portal::Portal(sim::Engine& engine, sim::Network& network,
                const pace::ApplicationCatalogue& catalogue,
-               metrics::MetricsCollector* collector, RetryPolicy retry)
+               metrics::MetricsCollector* collector,
+               std::optional<RetryPolicy> retry)
     : engine_(engine),
       network_(network),
       catalogue_(catalogue),

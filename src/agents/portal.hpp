@@ -8,6 +8,7 @@
 // like inter-agent traffic.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,11 +25,11 @@ class Portal {
  public:
   /// `collector` may be null.  `retry` governs reliable delivery of the
   /// request documents (and duplicate suppression of retransmitted
-  /// results); disabled, traffic is byte-identical to the lossless
-  /// protocol.
+  /// results); empty, traffic is byte-identical to the lossless protocol.
   Portal(sim::Engine& engine, sim::Network& network,
          const pace::ApplicationCatalogue& catalogue,
-         metrics::MetricsCollector* collector, RetryPolicy retry = {});
+         metrics::MetricsCollector* collector,
+         std::optional<RetryPolicy> retry = std::nullopt);
 
   /// Submits one request to `entry` now.  `deadline` is absolute
   /// simulation time.  Returns the assigned task id.

@@ -18,14 +18,15 @@
 //     duplicates (re-acking them), so at-least-once transport yields
 //     effectively-once processing.
 //
-// With the policy disabled the link is a transparent pass-through: sends
-// are byte-identical to a plain network_.send (no msgid attribute, no
+// Without a policy the link is a transparent pass-through: sends are
+// byte-identical to a plain network_.send (no msgid attribute, no
 // acks, no timers), which is what keeps the zero-fault experiment results
 // bit-for-bit identical to the pre-fault implementation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -39,7 +40,6 @@ namespace gridlb::agents {
 
 /// Retry/timeout/backoff knobs of one reliable sender.
 struct RetryPolicy {
-  bool enabled = false;
   double ack_timeout = 0.5;  ///< first acknowledgement timeout, seconds
   double backoff = 2.0;      ///< timeout multiplier per retransmission
   double max_timeout = 8.0;  ///< ceiling the backoff saturates at
@@ -63,7 +63,9 @@ class ReliableLink {
   using FailureFn =
       std::function<void(sim::EndpointId to, const std::string& payload)>;
 
-  ReliableLink(sim::Engine& engine, sim::Network& network, RetryPolicy policy);
+  /// An empty `policy` makes the link a plain pass-through.
+  ReliableLink(sim::Engine& engine, sim::Network& network,
+               std::optional<RetryPolicy> policy);
 
   ReliableLink(const ReliableLink&) = delete;
   ReliableLink& operator=(const ReliableLink&) = delete;
@@ -71,8 +73,8 @@ class ReliableLink {
   /// The owning endpoint; must be set (once) before the first send.
   void set_self(sim::EndpointId self) { self_ = self; }
 
-  /// Writes an agentgrid document once and sends it.  Disabled policy:
-  /// plain passthrough.  Enabled: stamps a msgid on the tree first, then
+  /// Writes an agentgrid document once and sends it.  No policy: plain
+  /// passthrough.  With one: stamps a msgid on the tree first, then
   /// transmits and retries until acked or the attempt budget runs out
   /// (then calls `on_failure`, if given).
   void send(sim::EndpointId to, xml::Element document,
@@ -95,7 +97,6 @@ class ReliableLink {
   /// request dying with its forwarder).
   std::vector<std::string> reset();
 
-  [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
 
@@ -114,7 +115,7 @@ class ReliableLink {
 
   sim::Engine& engine_;
   sim::Network& network_;
-  RetryPolicy policy_;
+  std::optional<RetryPolicy> policy_;
   sim::EndpointId self_ = 0;
   std::uint64_t next_serial_ = 0;
   std::unordered_map<std::uint64_t, Pending> pending_;

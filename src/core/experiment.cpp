@@ -51,17 +51,6 @@ std::size_t resolve_sim_shards(const ExperimentConfig& config) {
   return static_cast<std::size_t>(shards);
 }
 
-/// The retry policy the system's links run under (disabled unless fault
-/// tolerance is on).
-agents::RetryPolicy effective_retry(const agents::SystemConfig& system) {
-  agents::RetryPolicy retry;
-  if (system.fault_tolerance.enabled) {
-    retry = system.fault_tolerance.retry;
-    retry.enabled = true;
-  }
-  return retry;
-}
-
 /// End-of-run registry population.  Histograms fill live during the run
 /// (queue depth, hops, staleness, GA convergence); the counters and
 /// gauges below come from the authoritative per-subsystem statistics so
@@ -289,7 +278,7 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   sim::Engine& portal_engine = sharded.shard(portal_shard);
   system.network().set_registration_shard(portal_shard);
   agents::Portal portal(portal_engine, system.network(), catalogue, &collector,
-                        effective_retry(config.system));
+                        config.system.retry_policy());
   portal.set_fallback_entry(&system.head());
   // A crash strands tasks on an arbitrary shard; hop back to the portal's
   // shard with one network latency of delay.  The same deferral applies at
@@ -309,9 +298,6 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   std::optional<sched::HashPlacement> placement;
   std::uint64_t placement_decisions = 0;
   if (config.placement == PlacementFamily::kHashPlacement) {
-    sched::HashPlacement::Config placement_config;
-    placement_config.seed = config.placement_seed;
-    placement_config.load_tau = config.placement_load_tau;
     std::vector<sched::PlacementTarget> targets;
     targets.reserve(system.size());
     for (std::size_t i = 0; i < system.size(); ++i) {
@@ -321,7 +307,7 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
           sched::HashPlacement::hardware_weight(
               pace::ResourceModel::of(spec.hardware), spec.node_count)});
     }
-    placement.emplace(placement_config, std::move(targets));
+    placement.emplace(config.hash_placement, std::move(targets));
   }
   // Prediction-table reads made on the portal's side: the placement map's
   // occupancy snapshots and the oracle's eq. 10 scans.
@@ -562,10 +548,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     // The oracle reads every scheduler's live freetime, which only a
     // single event queue can order, so it always runs on one shard (its
     // numbers are trivially shard-count invariant).  Its submissions
-    // bypass the network, so the fault machinery has nothing to act on.
+    // bypass the network, so the fault machinery has nothing to act on
+    // (and, with no fault source left, the protocol is not loss-tolerant).
     cooled.system.sim_shards = 1;
     cooled.system.fault = {};
-    cooled.system.fault_tolerance = {};
     cooled.system.agent_churn = {};
   }
   return run_impl(cooled);

@@ -53,7 +53,9 @@ void MetricsCollector::record(const sched::CompletionRecord& record) {
                    "completion references a node beyond the resource");
     resource->node_busy[static_cast<std::size_t>(node)] += busy;
   });
-  resource->completions.push_back(record);
+  ++resource->tasks;
+  if (record.end <= record.deadline) ++resource->deadlines_met;
+  resource->advance += record.deadline - record.end;
   records_.push_back(record);
   last_completion_ = std::max(last_completion_, record.end);
 }
@@ -111,7 +113,8 @@ Report MetricsCollector::report(std::optional<SimTime> window_end) const {
   for (const auto& resource : resources_) {
     MetricsRow row;
     row.label = resource.label;
-    row.tasks = static_cast<int>(resource.completions.size());
+    row.tasks = resource.tasks;
+    row.deadlines_met = resource.deadlines_met;
 
     std::vector<double> rates;
     rates.reserve(resource.node_busy.size());
@@ -124,15 +127,11 @@ Report MetricsCollector::report(std::optional<SimTime> window_end) const {
     row.utilisation = spread.mean;
     row.balance = balance_of(spread);
 
-    double advance = 0.0;
-    for (const auto& completion : resource.completions) {
-      advance += completion.deadline - completion.end;
-      if (completion.end <= completion.deadline) ++row.deadlines_met;
-    }
-    row.advance_time =
-        row.tasks > 0 ? advance / static_cast<double>(row.tasks) : 0.0;
+    row.advance_time = row.tasks > 0 ? resource.advance /
+                                           static_cast<double>(row.tasks)
+                                     : 0.0;
 
-    total_advance += advance;
+    total_advance += resource.advance;
     total_tasks += row.tasks;
     total_met += row.deadlines_met;
     out.resources.push_back(std::move(row));

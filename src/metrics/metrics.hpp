@@ -78,7 +78,10 @@ class MetricsCollector {
     std::string label;
     int node_count = 0;
     std::vector<double> node_busy;  ///< busy seconds per node
-    std::vector<sched::CompletionRecord> completions;
+    // Running sums over this resource's completions, in record order.
+    int tasks = 0;
+    int deadlines_met = 0;
+    double advance = 0.0;  ///< Σ (deadline − end)
   };
 
   [[nodiscard]] const Resource* find(AgentId id) const;

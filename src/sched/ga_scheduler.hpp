@@ -27,11 +27,14 @@ struct GaConfig {
   double order_swap_rate = 0.25;  ///< P(transposition in the ordering part)
   double bit_flip_rate = 0.02;    ///< per-bit flip rate in the mapping part
   int elite = 1;  ///< individuals carried over unchanged each generation
-  /// Seed the population each invocation with two greedy list-scheduling
-  /// individuals (arrival order and earliest-deadline-first, each with the
-  /// per-task best node subset).  The arrival-order seed decodes to
-  /// exactly the FIFO baseline's schedule, so an elitist GA can never plan
-  /// worse than FIFO.
+  /// Seed the population each invocation with four greedy list-scheduling
+  /// individuals (fewer if the population is smaller): {arrival order,
+  /// earliest deadline first} × {earliest completion on the k earliest-free
+  /// nodes, narrowest deadline-feasible allocation}.  They replace the
+  /// tail of the population, so the warm-started best individual at the
+  /// front survives.  None of them is the FIFO baseline's schedule: FIFO's
+  /// default objective is min-execution, and even min-completion FIFO can
+  /// pick other nodes when free times tie.
   bool seed_heuristic = true;
   CostWeights weights;
 };

@@ -26,14 +26,11 @@ struct FaultToleranceFixture : ::testing::Test {
         {"B", pace::HardwareType::kSunUltra10, 8, 0},
         {"C", pace::HardwareType::kSunUltra1, 4, 0},
     };
-    config.fault_tolerance.enabled = true;
+    // Agent churn makes the grid loss-tolerant; a zero horizon schedules
+    // no crash, so the tests below do all the crashing themselves.
+    config.agent_churn.enabled = true;
+    config.agent_churn.horizon = 0.0;
     return config;
-  }
-
-  RetryPolicy portal_retry(const SystemConfig& config) {
-    RetryPolicy retry = config.fault_tolerance.retry;
-    retry.enabled = true;
-    return retry;
   }
 };
 
@@ -44,7 +41,7 @@ TEST_F(FaultToleranceFixture, LossyNetworkStillDeliversEveryTaskAndResult) {
   AgentSystem system(sharded, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
-                portal_retry(config));
+                config.retry_policy());
   portal.set_fallback_entry(&system.head());
   system.set_stranded_sink([&portal](TaskId task) { portal.resubmit(task); });
 
@@ -69,7 +66,7 @@ TEST_F(FaultToleranceFixture, UnreachableEntryAgentFallsBackToTheHead) {
   AgentSystem system(sharded, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
-                portal_retry(config));
+                config.retry_policy());
   portal.set_fallback_entry(&system.head());
 
   Agent& entry = system.agent_named("B");
@@ -92,7 +89,7 @@ TEST_F(FaultToleranceFixture, CrashStrandsPendingTasksWhichTheHeadRecovers) {
   AgentSystem system(sharded, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
-                portal_retry(config));
+                config.retry_policy());
   portal.set_fallback_entry(&system.head());
 
   Agent& victim = system.agent_named("C");  // 4 nodes: most tasks must queue
@@ -123,7 +120,7 @@ TEST_F(FaultToleranceFixture, ActExpiryShunsANeighbourThatStoppedAdvertising) {
   AgentSystem system(sharded, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
-                portal_retry(config));
+                config.retry_policy());
   portal.set_fallback_entry(&system.head());
 
   // sweep3d needs 75 s on the 4-node Ultra1 head but only 4 s on B: a

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "agents/agent.hpp"
+#include "agents/agent_system.hpp"
 #include "agents/portal.hpp"
 #include "agents/request.hpp"
 #include "agents/result.hpp"
@@ -127,6 +128,13 @@ struct StampedDocuments : ::testing::Test {
       16};
   sim::Network wire{sharded, kLatency};
   sim::Network elsewhere{sharded, kLatency};
+  /// The lossless grid policy the agents read, one per advertisement scope.
+  SystemConfig own_service_grid;
+  SystemConfig transitive_grid = [] {
+    SystemConfig grid;
+    grid.scope = AdvertisementScope::kTransitive;
+    return grid;
+  }();
   std::vector<std::unique_ptr<sched::LocalScheduler>> schedulers;
   std::vector<std::unique_ptr<Agent>> agents;
   /// Payloads received by recorder i, which on `wire` owns endpoint id i.
@@ -160,9 +168,11 @@ struct StampedDocuments : ::testing::Test {
     config.name = "S" + std::to_string(id);
     config.address = config.name + ".gridlb.sim";
     config.port = 1000 + static_cast<int>(id);
-    config.scope = scope;
+    const SystemConfig& grid = scope == AdvertisementScope::kTransitive
+                                   ? transitive_grid
+                                   : own_service_grid;
     agents.push_back(std::make_unique<Agent>(engine, network, predictions,
-                                             catalogue, std::move(config),
+                                             catalogue, grid, std::move(config),
                                              *schedulers.back()));
     return *agents.back();
   }
@@ -261,9 +271,7 @@ TEST_F(StampedDocuments, RelayedAdvertisement) {
 TEST_F(StampedDocuments, ReliableRequestCarriesMsgid) {
   add_recorders(1);
   Agent& entry = add_agent(elsewhere, 1, {"mpi", "pvm", "test"});
-  RetryPolicy retry;
-  retry.enabled = true;
-  Portal portal(engine, wire, catalogue, nullptr, retry);
+  Portal portal(engine, wire, catalogue, nullptr, RetryPolicy{});
   portal.submit(entry, "fft", 120.0, "mpi", "user@gridlb.sim");
   engine.run_until(0.25);  // before the first ack timeout
 
@@ -293,9 +301,7 @@ TEST_F(StampedDocuments, ReliableRequestCarriesMsgid) {
 
 TEST_F(StampedDocuments, Ack) {
   add_recorders(1);
-  RetryPolicy retry;
-  retry.enabled = true;
-  Portal portal(engine, wire, catalogue, nullptr, retry);
+  Portal portal(engine, wire, catalogue, nullptr, RetryPolicy{});
   const ExecutionResult result{.task = TaskId(7),
                                .app_name = "cpi",
                                .resource_name = "S2",

@@ -88,7 +88,6 @@ TEST(Migration, SurvivesMessageLossAndAgentChurn) {
   ExperimentConfig config = overloaded_config(true);
   config.system.fault.drop_prob = 0.05;
   config.system.fault.seed = 11;
-  config.system.fault_tolerance.enabled = true;
   config.system.agent_churn.enabled = true;
   config.system.agent_churn.mtbf = 2000.0;
   config.system.agent_churn.mttr = 20.0;

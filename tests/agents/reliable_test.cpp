@@ -1,6 +1,6 @@
 // ReliableLink: msgid stamping, ack-gated retransmission with bounded
-// exponential backoff, duplicate suppression, and the disabled-policy
-// passthrough that keeps zero-fault runs bit-for-bit unchanged.
+// exponential backoff, duplicate suppression, and the passthrough without
+// a policy that keeps zero-fault runs bit-for-bit unchanged.
 #include "agents/reliable.hpp"
 
 #include <gtest/gtest.h>
@@ -29,12 +29,6 @@ std::string request_payload(const std::string& marker) {
   return xml::write(request_document(marker));
 }
 
-RetryPolicy enabled_policy() {
-  RetryPolicy policy;
-  policy.enabled = true;
-  return policy;
-}
-
 /// One endpoint whose handler records arrivals, optionally through a link.
 struct Arrivals {
   std::vector<std::string> payloads;
@@ -46,7 +40,7 @@ TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
   Arrivals arrivals;
-  ReliableLink sender(engine, network, RetryPolicy{});
+  ReliableLink sender(engine, network, std::nullopt);
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b = network.register_endpoint(
       "b", 2, [&arrivals](const sim::Message& m) {
@@ -71,8 +65,8 @@ TEST(ReliableLink, AckStopsRetransmission) {
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
   Arrivals arrivals;
-  ReliableLink sender(engine, network, enabled_policy());
-  ReliableLink receiver(engine, network, enabled_policy());
+  ReliableLink sender(engine, network, RetryPolicy{});
+  ReliableLink receiver(engine, network, RetryPolicy{});
   const sim::EndpointId a = network.register_endpoint(
       "a", 1, [&sender](const sim::Message& m) {
         sender.on_message(m, *xml::parse(m.payload));
@@ -104,7 +98,7 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
   sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
-  ReliableLink sender(engine, network, enabled_policy());
+  ReliableLink sender(engine, network, RetryPolicy{});
   Arrivals arrivals;
   std::vector<std::string> failed;
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
@@ -144,7 +138,7 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
   sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
-  ReliableLink receiver(engine, network, enabled_policy());
+  ReliableLink receiver(engine, network, RetryPolicy{});
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
   receiver.set_self(b);
@@ -170,7 +164,7 @@ TEST(ReliableLink, RejectsMalformedMsgid) {
   sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
-  ReliableLink receiver(engine, network, enabled_policy());
+  ReliableLink receiver(engine, network, RetryPolicy{});
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
   receiver.set_self(b);
 
@@ -194,7 +188,7 @@ TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
   sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
-  ReliableLink receiver(engine, network, enabled_policy());
+  ReliableLink receiver(engine, network, RetryPolicy{});
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
   receiver.set_self(b);
 
@@ -209,7 +203,7 @@ TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
   sim::ShardedEngine sharded{1};
   sim::Engine& engine = sharded.shard(0);
   sim::Network network(sharded, kLatency);
-  ReliableLink sender(engine, network, enabled_policy());
+  ReliableLink sender(engine, network, RetryPolicy{});
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b =
       network.register_endpoint("b", 2, [](auto&) {});  // never acks

@@ -2,16 +2,19 @@
 //
 // Two guarantees from DESIGN.md §10 are pinned here:
 //   1. The zero-fault path is bit-for-bit identical to the pre-fault-model
-//      implementation: with `FaultPlan` inactive and fault tolerance
-//      disabled, experiments 1–3 and the central oracle reproduce the
-//      exact values recorded before the fault subsystem existed (the
-//      literals below).  Any change to these numbers means the fault
-//      machinery leaked into the perfect-delivery path.
-//   2. With faults enabled (message drop + agent churn), the grid degrades
-//      gracefully: every submitted task still completes — via retries,
-//      duplicate suppression and portal resubmission — and the fault
-//      counters account for the recovery work.
+//      implementation: with `FaultPlan` inactive and no agent churn (so the
+//      protocol is not loss-tolerant), experiments 1–3 and the central
+//      oracle reproduce the exact values recorded before the fault
+//      subsystem existed (the literals below).  Any change to these
+//      numbers means the fault machinery leaked into the perfect-delivery
+//      path.
+//   2. With faults enabled (message drop and/or agent churn), the grid
+//      degrades gracefully: every submitted task still completes — via
+//      retries, duplicate suppression and portal resubmission — and the
+//      fault counters account for the recovery work.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "core/experiment.hpp"
 
@@ -102,7 +105,6 @@ TEST(FaultedRegression, LossAndChurnDegradeGracefully) {
   ExperimentConfig config = scaled(experiment3(), 60);
   config.system.fault.drop_prob = 0.05;
   config.system.fault.seed = 11;
-  config.system.fault_tolerance.enabled = true;
   config.system.agent_churn.enabled = true;
   config.system.agent_churn.mtbf = 40.0;  // harsh: several crashes per run
   config.system.agent_churn.mttr = 5.0;
@@ -117,6 +119,26 @@ TEST(FaultedRegression, LossAndChurnDegradeGracefully) {
   EXPECT_GT(result.message_retries, 0u);
   EXPECT_GT(result.agent_crashes, 0u);
   EXPECT_GT(result.agent_restarts, 0u);
+}
+
+// Agent churn alone, on a lossless network, is a fault source: a crashed
+// agent strands its queue and the requests it was forwarding, so the
+// protocol must be loss-tolerant without any explicit switch.  A plain
+// protocol loses those requests and the run never drains.
+TEST(FaultedRegression, AgentChurnAloneCompletesEveryTask) {
+  ExperimentConfig config = scaled(experiment3(), 600);
+  config.system.agent_churn.enabled = true;
+
+  const ExperimentResult result = run_experiment(config);
+
+  EXPECT_GT(result.agent_crashes, 0u);
+  ASSERT_EQ(result.tasks_completed, 600u);
+  std::set<TaskId> seen;
+  for (const auto& record : result.completions) {
+    EXPECT_TRUE(seen.insert(record.task).second)
+        << "task " << record.task.value() << " completed twice";
+  }
+  EXPECT_EQ(seen.size(), 600u);
 }
 
 }  // namespace

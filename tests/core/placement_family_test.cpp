@@ -98,7 +98,7 @@ TEST(PlacementFamily, CrushIsSeedDeterministic) {
   expect_identical(second, first);
   // A different map seed is a different (but complete) placement.
   ExperimentConfig reseeded = small_crush();
-  reseeded.placement_seed = 0xfeed;
+  reseeded.hash_placement.seed = 0xfeed;
   const ExperimentResult other = run_experiment(reseeded);
   EXPECT_EQ(other.tasks_completed, other.requests_submitted);
   bool moved = false;
@@ -129,7 +129,6 @@ TEST(PlacementFamily, CrushRidesFaultToleranceUnderLossAndChurn) {
   config.system.fault.drop_prob = 0.05;
   config.system.fault.jitter_max = 0.2;
   config.system.fault.seed = 9;
-  config.system.fault_tolerance.enabled = true;
   config.system.agent_churn.enabled = true;
   config.system.agent_churn.mtbf = 1500.0;
   config.system.agent_churn.mttr = 20.0;

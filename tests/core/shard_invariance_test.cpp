@@ -153,7 +153,6 @@ ExperimentConfig hammer_config(int shards) {
   config.system.fault.drop_prob = 0.04;
   config.system.fault.jitter_max = 0.3;
   config.system.fault.seed = 5;
-  config.system.fault_tolerance.enabled = true;
   config.system.churn.enabled = true;
   config.system.churn.mtbf = 900.0;
   config.system.churn.mttr = 60.0;

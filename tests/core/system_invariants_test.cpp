@@ -2,6 +2,8 @@
 // configuration of the full grid (portal → agents → schedulers → metrics).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
 #include <set>
 
 #include "gridlb.hpp"
@@ -16,6 +18,18 @@ struct Scenario {
   bool agents;
   double prediction_error;
 };
+
+// CTest names each case after the printed parameter, so this keeps the
+// names stable (e.g. `.../seed6_ga_agents_error30pct`) in every build;
+// GoogleTest's default prints the struct's raw bytes, padding included.
+void PrintTo(const Scenario& scenario, std::ostream* os) {
+  *os << "seed" << scenario.seed << '_'
+      << (scenario.policy == sched::SchedulerPolicy::kGa ? "ga" : "fifo")
+      << (scenario.agents ? "_agents" : "_local");
+  if (scenario.prediction_error > 0.0) {
+    *os << "_error" << std::lround(scenario.prediction_error * 100.0) << "pct";
+  }
+}
 
 class SystemInvariants : public ::testing::TestWithParam<Scenario> {};
 

@@ -48,8 +48,9 @@
 // --migration-batch cap).
 //
 // Fault injection (experiment and campaign commands): --drop-prob,
-// --net-jitter, --agent-mtbf/--agent-mttr.  Any of these switches on the
-// loss-tolerant agent protocol (retries, ACT expiry, resubmission).
+// --net-jitter, --agent-mtbf/--agent-mttr.  The grid runs the loss-tolerant
+// agent protocol (retries, ACT expiry, resubmission) exactly when one of
+// them injects a fault (SystemConfig::loss_tolerant(), DESIGN.md §10).
 //
 // Observability (experiment and campaign commands):
 //   --trace-out=FILE        Chrome trace-event JSON (open in Perfetto)
@@ -214,9 +215,9 @@ void apply_obs_flags(const Flags& flags, core::ExperimentConfig& config) {
 }
 
 /// Fills the fault plan and agent churn from --drop-prob / --net-jitter /
-/// --agent-mtbf / --agent-mttr.  Any injected fault switches the loss-
-/// tolerant protocol on (running lossy without it would black-hole
-/// tasks); all-defaults leaves the bit-for-bit lossless behaviour.
+/// --agent-mtbf / --agent-mttr.  SystemConfig::loss_tolerant() then turns
+/// the loss-tolerant protocol on for any injected fault; all-defaults
+/// leaves the bit-for-bit lossless behaviour.
 void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
   agents::SystemConfig& system = config.system;
   system.fault.drop_prob = flags.get_double("drop-prob", 0.0);
@@ -229,9 +230,6 @@ void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
     system.agent_churn.horizon =
         config.workload.start +
         static_cast<double>(config.workload.count) * config.workload.interval;
-  }
-  if (system.fault.active() || system.agent_churn.enabled) {
-    system.fault_tolerance.enabled = true;
   }
 }
 
