@@ -49,12 +49,13 @@ int single_point(double drop_prob, int requests) {
   config.system.agent_churn.enabled = true;
   const core::ExperimentResult result = core::run_experiment(config);
   std::printf("drop=%.0f%% churn=on: %llu/%llu tasks completed, "
-              "%llu dropped msgs, %llu retries, %llu crashes, "
-              "%llu resubmitted\n",
+              "%llu dropped msgs, %llu lost at down agents, %llu retries, "
+              "%llu crashes, %llu resubmitted\n",
               drop_prob * 100.0,
               static_cast<unsigned long long>(result.tasks_completed),
               static_cast<unsigned long long>(result.requests_submitted),
               static_cast<unsigned long long>(result.messages_dropped),
+              static_cast<unsigned long long>(result.messages_lost_outage),
               static_cast<unsigned long long>(result.message_retries),
               static_cast<unsigned long long>(result.agent_crashes),
               static_cast<unsigned long long>(result.tasks_resubmitted));

@@ -70,7 +70,6 @@ core::ExperimentConfig campaign_config(bool observed) {
   spec.requests_per_agent = 25;
   spec.arrival_interval = 0.0;  // auto: the paper's per-agent rate
   core::ExperimentConfig config = core::scenario_experiment(spec);
-  config.system.sim_shards = 1;  // measure recording cost, not scaling
   if (observed) {
     config.obs.trace = true;
     config.obs.metrics = true;

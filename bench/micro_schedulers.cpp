@@ -164,11 +164,11 @@ BENCHMARK(BM_FifoPlacementLoaded);
 
 void BM_AgentMatchmaking(benchmark::State& state) {
   // eq. 10: one prediction row, minimum over its n entries.
-  sim::ShardedEngine sharded(1);
+  sim::Engine engine;
   const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
   agents::SystemConfig config;
   config.resources = {{"S1", pace::HardwareType::kSgiOrigin2000, 16, -1}};
-  agents::AgentSystem system(sharded, catalogue, std::move(config), nullptr);
+  agents::AgentSystem system(engine, catalogue, std::move(config), nullptr);
   const agents::Agent& agent = system.agent(0);
   const agents::ServiceInfo info = agent.service_snapshot();
   agents::Request request;

@@ -345,8 +345,9 @@ void Agent::note_strict_drop(const Request& request, std::uint64_t hops) {
              .task = request.task.value(),
              .resource = config_.id.value()});
   if (drop_sink_) {
-    // Deferred by one network latency: the drop flips the drive's stop
-    // predicate like a completion does, one hop after the rejection.
+    // Deferred by one network latency: the drop counts towards the run
+    // loop's stop condition like a completion does, one hop after the
+    // rejection.
     const TaskId task = request.task;
     engine_.schedule_at(engine_.now() + network_.latency(),
                         [this, task]() { drop_sink_(task); });

@@ -159,7 +159,7 @@ class Agent {
   void receive_request(Request request, bool final_dispatch = false);
 
   /// Observer for strict-failure drops.  The notification is deferred by
-  /// one network latency, so the drive goal counts it like a completion.
+  /// one network latency, so the run loop counts it like a completion.
   void set_drop_sink(std::function<void(TaskId)> sink) {
     drop_sink_ = std::move(sink);
   }

@@ -46,64 +46,20 @@ void SystemConfig::validate() const {
   }
 }
 
-AgentSystem::AgentSystem(sim::ShardedEngine& sharded,
+AgentSystem::AgentSystem(sim::Engine& engine,
                          const pace::ApplicationCatalogue& catalogue,
                          SystemConfig config,
                          metrics::MetricsCollector* collector)
-    : sharded_(sharded),
+    : engine_(engine),
       config_(std::move(config)),
       predictions_(grid_predictions(catalogue, config_.resources)) {
   build(catalogue, collector);
 }
 
-std::vector<std::size_t> AgentSystem::assign_shards(
-    const std::vector<ResourceSpec>& resources, std::size_t shards) {
-  const std::size_t n = resources.size();
-  std::vector<std::size_t> shard_of(n, 0);
-  if (n == 0) return shard_of;
-  std::vector<std::vector<std::size_t>> children(n);
-  std::size_t root = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (resources[i].parent >= 0) {
-      children[static_cast<std::size_t>(resources[i].parent)].push_back(i);
-    } else {
-      root = i;
-    }
-  }
-  // DFS preorder keeps each subtree contiguous, so cutting the order into
-  // equal chunks pins whole subtrees (parent/child message chatter)
-  // together wherever the chunk boundaries allow.
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<std::size_t> stack{root};
-  while (!stack.empty()) {
-    const std::size_t index = stack.back();
-    stack.pop_back();
-    order.push_back(index);
-    for (auto it = children[index].rbegin(); it != children[index].rend();
-         ++it) {
-      stack.push_back(*it);
-    }
-  }
-  GRIDLB_ASSERT(order.size() == n);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    shard_of[order[pos]] = pos * shards / n;
-  }
-  return shard_of;
-}
-
-std::size_t AgentSystem::shard_of(std::size_t index) const {
-  GRIDLB_REQUIRE(index < shard_assignment_.size(), "agent index out of range");
-  return shard_assignment_[index];
-}
-
 void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
                         metrics::MetricsCollector* collector) {
   config_.validate();
-  const std::size_t shards = sharded_.shard_count();
-  shard_assignment_ = assign_shards(config_.resources, shards);
-
-  network_ = std::make_unique<sim::Network>(sharded_, config_.network_latency,
+  network_ = std::make_unique<sim::Network>(engine_, config_.network_latency,
                                             config_.fault);
 
   Rng seeder(config_.seed);
@@ -124,9 +80,6 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
       collector->add_resource(id, spec.name, spec.node_count);
     }
 
-    sim::Engine& agent_engine = engine_for(i);
-    network_->set_registration_shard(shard_assignment_[i]);
-
     sched::LocalScheduler::Config scheduler_config;
     scheduler_config.resource_id = id;
     scheduler_config.resource = pace::ResourceModel::of(spec.hardware);
@@ -138,7 +91,7 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
     scheduler_config.prediction_error = config_.prediction_error;
     const std::size_t agent_index = i;
     schedulers_.push_back(std::make_unique<sched::LocalScheduler>(
-        agent_engine, predictions_, std::move(scheduler_config),
+        engine_, predictions_, std::move(scheduler_config),
         [this, collector, agent_index](const sched::CompletionRecord& record) {
           if (collector != nullptr) collector->record(record);
           ++completed_count_;
@@ -150,7 +103,7 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
         }));
 
     agents_.push_back(std::make_unique<Agent>(
-        agent_engine, *network_, predictions_, catalogue, config_,
+        engine_, *network_, predictions_, catalogue, config_,
         AgentConfig{.id = id,
                     .name = spec.name,
                     .address = spec.name + ".gridlb.sim",
@@ -167,13 +120,13 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
       availability_.push_back(
           std::make_unique<sched::NodeAvailability>(nodes));
       sched::schedule_availability(
-          engine_for(i), *availability_.back(),
+          engine_, *availability_.back(),
           sched::random_availability_script(nodes, config_.churn.horizon,
                                             config_.churn.mtbf,
                                             config_.churn.mttr,
                                             churn_seeder.next_u64()));
       monitors_.push_back(std::make_unique<sched::ResourceMonitor>(
-          engine_for(i), *schedulers_[i], *availability_.back(),
+          engine_, *schedulers_[i], *availability_.back(),
           config_.churn.poll_period));
     }
   }
@@ -203,9 +156,9 @@ void AgentSystem::schedule_agent_churn() {
     while (true) {
       t += exponential(churn.mtbf);
       if (t >= churn.horizon) break;
-      engine_for(i).schedule_at(t, [this, i]() { crash_agent(i); });
+      engine_.schedule_at(t, [this, i]() { crash_agent(i); });
       t += exponential(churn.mttr);
-      engine_for(i).schedule_at(t, [this, i]() { agents_[i]->restart(); });
+      engine_.schedule_at(t, [this, i]() { agents_[i]->restart(); });
     }
   }
 }

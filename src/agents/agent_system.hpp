@@ -15,7 +15,8 @@
 #include "metrics/metrics.hpp"
 #include "pace/hardware.hpp"
 #include "sched/resource_monitor.hpp"
-#include "sim/sharded_engine.hpp"
+#include "sim/engine.hpp"
+#include "sim/network.hpp"
 
 namespace gridlb::agents {
 
@@ -74,11 +75,9 @@ struct SystemConfig {
   bool push_on_dispatch = false;
   AdvertisementScope scope = AdvertisementScope::kOwnService;
   double network_latency = 0.05;   ///< one-way message delay, seconds
-  /// Event queues the agents are partitioned across: 0 = one per hardware
-  /// thread, N = exactly N (clamped to the agent count).  The queues are
-  /// merged into one order on the calling thread, so results are
-  /// bit-for-bit identical at any value and no value is faster (DESIGN.md
-  /// §13).
+  /// Read by nothing: every run owns one event queue (DESIGN.md §13).
+  /// perfbench/bench.cpp is the only writer; the benchmark change that
+  /// refreshes perfbench/ (ROADMAP item 2) deletes the field.
   int sim_shards = 1;
   std::uint64_t seed = 42;         ///< per-scheduler GA seeds derive from it
   double prediction_error = 0.0;   ///< see LocalScheduler::Config
@@ -118,12 +117,10 @@ struct SystemConfig {
 
 class AgentSystem {
  public:
-  /// Builds (but does not start) the system.  `collector` may be null; if
-  /// given, every resource is registered and completions are recorded.
-  /// Agents are pinned to `sharded`'s engine shards by subtree-affine
-  /// assignment (contiguous DFS-preorder chunks, head on shard 0) so
-  /// parent/child chatter stays intra-shard.
-  AgentSystem(sim::ShardedEngine& sharded,
+  /// Builds (but does not start) the system on `engine`.  `collector` may
+  /// be null; if given, every resource is registered and completions are
+  /// recorded.
+  AgentSystem(sim::Engine& engine,
               const pace::ApplicationCatalogue& catalogue, SystemConfig config,
               metrics::MetricsCollector* collector);
 
@@ -155,21 +152,14 @@ class AgentSystem {
     return predictions_;
   }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t head_index() const { return head_index_; }
-  /// Shard the given agent is pinned to (always 0 with one shard).
-  [[nodiscard]] std::size_t shard_of(std::size_t index) const;
   /// Completions recorded so far.
   [[nodiscard]] std::uint64_t completed_count() const {
     return completed_count_;
   }
   /// Strict-failure drops notified so far (always 0 outside strict mode).
   /// The notifications are deferred events, so completed + dropped can form
-  /// the drive goal.
+  /// the run loop's stop condition.
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_count_; }
-  /// Subtree-affine shard assignment: DFS preorder of the hierarchy cut
-  /// into `shards` contiguous chunks.  Exposed for tests.
-  static std::vector<std::size_t> assign_shards(
-      const std::vector<ResourceSpec>& resources, std::size_t shards);
   /// Per-resource monitors (empty unless churn is enabled).
   [[nodiscard]] const std::vector<std::unique_ptr<sched::ResourceMonitor>>&
   monitors() const {
@@ -179,13 +169,10 @@ class AgentSystem {
  private:
   void build(const pace::ApplicationCatalogue& catalogue,
              metrics::MetricsCollector* collector);
-  [[nodiscard]] sim::Engine& engine_for(std::size_t index) {
-    return sharded_.shard(shard_assignment_[index]);
-  }
   void schedule_agent_churn();
   void crash_agent(std::size_t index);
 
-  sim::ShardedEngine& sharded_;
+  sim::Engine& engine_;
   SystemConfig config_;  ///< read in place by every agent; never mutated
   pace::PredictionTable predictions_;  ///< after config_: built from it
   std::function<void(TaskId)> stranded_sink_;
@@ -195,7 +182,6 @@ class AgentSystem {
   std::vector<std::unique_ptr<sched::NodeAvailability>> availability_;
   std::vector<std::unique_ptr<sched::ResourceMonitor>> monitors_;
   std::size_t head_index_ = 0;
-  std::vector<std::size_t> shard_assignment_;
   std::uint64_t completed_count_ = 0;
   std::uint64_t dropped_count_ = 0;
 };

@@ -20,7 +20,7 @@
 #include "obs/trace.hpp"
 #include "pace/paper_applications.hpp"
 #include "sched/hash_placement.hpp"
-#include "sim/sharded_engine.hpp"
+#include "sim/engine.hpp"
 
 namespace gridlb::core {
 
@@ -37,18 +37,6 @@ std::vector<std::string> resource_labels(const ExperimentConfig& config) {
   names.reserve(config.system.resources.size());
   for (const auto& spec : config.system.resources) names.push_back(spec.name);
   return names;
-}
-
-/// Resolves `system.sim_shards` to a concrete shard count: 0 means one per
-/// hardware thread, anything is clamped to the agent count.
-std::size_t resolve_sim_shards(const ExperimentConfig& config) {
-  int shards = config.system.sim_shards;
-  if (shards <= 0) {
-    shards = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  }
-  shards = std::min(shards, static_cast<int>(config.system.resources.size()));
-  shards = std::max(shards, 1);
-  return static_cast<std::size_t>(shards);
 }
 
 /// End-of-run registry population.  Histograms fill live during the run
@@ -68,7 +56,6 @@ void populate_registry(obs::MetricsRegistry& registry,
   registry.gauge("sched.latency_p99").set(result.latency_p99);
   registry.counter("sim.events").add(result.sim_events);
   registry.counter("sim.events_swept").add(result.events_swept);
-  registry.gauge("sim.shards").set(static_cast<double>(result.sim_shards));
   registry.counter("net.messages").add(result.network_messages);
   registry.counter("net.bytes").add(result.network_bytes);
   registry.counter("ga.decodes").add(result.ga_decodes);
@@ -94,6 +81,7 @@ void populate_registry(obs::MetricsRegistry& registry,
   registry.counter("agents.pulls_sent").add(pulls);
 
   registry.counter("net.messages_dropped").add(result.messages_dropped);
+  registry.counter("net.messages_lost_outage").add(result.messages_lost_outage);
   registry.counter("ft.retries").add(result.message_retries);
   registry.counter("ft.sends_expired").add(result.sends_expired);
   registry.counter("ft.duplicates_suppressed")
@@ -257,44 +245,34 @@ namespace {
 ///       picks (run_experiment has already turned discovery and pulls off);
 ///   kCentralOracle  — the omniscient eq. 10 pick over every scheduler's
 ///       live freetime, submitted straight to the winning LocalScheduler
-///       (run_experiment has already forced one shard and cleared the
-///       fault machinery, which has nothing to act on).
+///       (run_experiment has already cleared the fault machinery, which
+///       has nothing to act on).
 ExperimentResult run_impl(const ExperimentConfig& config) {
   GRIDLB_REQUIRE(!config.system.resources.empty(),
                  "experiment needs resources");
 
   ObsScope obs_scope(config);
-  const std::size_t shards = resolve_sim_shards(config);
-  sim::ShardedEngine sharded(shards);
+  sim::Engine engine;
   metrics::MetricsCollector collector;
   const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
-  agents::AgentSystem system(sharded, catalogue, config.system, &collector);
+  agents::AgentSystem system(engine, catalogue, config.system, &collector);
   system.start();
-  // The portal lives on the head agent's shard: submissions enter the grid
-  // through the head, so this keeps the portal's traffic (and the
-  // collector's on_submission bookkeeping) single-shard.
-  const std::size_t portal_shard = system.shard_of(system.head_index());
-  sim::Engine& portal_engine = sharded.shard(portal_shard);
-  system.network().set_registration_shard(portal_shard);
-  agents::Portal portal(portal_engine, system.network(), catalogue, &collector,
+  agents::Portal portal(engine, system.network(), catalogue, &collector,
                         config.system.retry_policy());
   portal.set_fallback_entry(&system.head());
-  // A crash strands tasks on an arbitrary shard; hop back to the portal's
-  // shard with one network latency of delay.  The same deferral applies at
-  // every shard count so the fault path, too, is shard-count invariant.
+  // A crash strands tasks on the dead agent; they reach the portal one
+  // network latency later, as a message would (the fault-run pins
+  // depend on this delay).
   const double resubmit_delay = config.system.network_latency;
-  system.set_stranded_sink(
-      [&portal, &sharded, portal_shard, resubmit_delay](TaskId task) {
-        sharded.post(portal_shard, resubmit_delay,
-                     [&portal, task]() { portal.resubmit(task); });
-      });
+  system.set_stranded_sink([&portal, &engine, resubmit_delay](TaskId task) {
+    engine.schedule_in(resubmit_delay,
+                       [&portal, task]() { portal.resubmit(task); });
+  });
 
   // Stateless placement map (kHashPlacement only): one straw target per
-  // resource, weighted by hardware capacity.  The map lives on the portal
-  // shard and mutates only inside submission events — a strictly ordered,
-  // single-shard sequence — so every placement (and therefore the whole
-  // run) is identical at any shard count.
+  // resource, weighted by hardware capacity.  It mutates only inside
+  // submission events, which run in workload order.
   std::optional<sched::HashPlacement> placement;
   std::uint64_t placement_decisions = 0;
   if (config.placement == PlacementFamily::kHashPlacement) {
@@ -337,9 +315,8 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
     return it->second[index];
   };
   // The straw draw for workload entry `idx`.  The straw key is the
-  // workload ordinal — stable across shard counts and equal to the TaskId
-  // the portal is about to assign minus one (submissions execute in
-  // workload order).
+  // workload ordinal — equal to the TaskId the portal is about to assign
+  // minus one (submissions execute in workload order).
   const auto hashed_entry = [&](std::size_t idx, const std::string& app_name,
                                 SimTime now) -> std::size_t {
     const sched::PlacementDecision decision = placement->place(idx, now);
@@ -402,8 +379,8 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
       break;
     }
     ++scheduled;
-    portal_engine.schedule_at(spec.at, [&, spec, idx]() {
-      const SimTime now = portal_engine.now();
+    engine.schedule_at(spec.at, [&, spec, idx]() {
+      const SimTime now = engine.now();
       const SimTime deadline = now + spec.deadline_offset;
       switch (config.placement) {
         case PlacementFamily::kAgentDiscovery:
@@ -424,8 +401,8 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
 
   const std::uint64_t expected = scheduled;
 
-  // Continuous profiling: sampler ticks live on the portal's shard, at
-  // least one network latency apart.
+  // Continuous profiling: sampler ticks at least one network latency
+  // apart.
   std::shared_ptr<std::uint64_t> sampler_ticks;
   if (obs::Sampler* sampler = obs_scope.sampler()) {
     if (auto* reg = obs::registry()) {
@@ -436,22 +413,28 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
     const double interval = std::max(config.obs.effective_interval(),
                                      config.system.network_latency);
     sampler_ticks = schedule_sampler_ticks(
-        portal_engine, *sampler, interval, config.obs.progress, expected,
+        engine, *sampler, interval, config.obs.progress, expected,
         [&system]() { return system.completed_count(); });
   }
 
   // Drive: closed-loop until every submitted task completed or was dropped
   // (the periodic advertisement pulls keep the event queue non-empty
   // forever, so settlement — not queue exhaustion — is the stop
-  // condition), or open-loop until the duration cutoff, whichever comes
-  // first.  Drops count through dropped_count(), so one goal covers strict
-  // and non-strict mode.
-  sim::DriveGoal goal;
-  goal.done = [&system, expected]() {
-    return system.completed_count() + system.dropped_count() >= expected;
-  };
-  if (open_loop) goal.until = duration;
-  sharded.drive(goal, config.horizon_limit);
+  // condition), or open-loop until the duration cutoff: exactly the
+  // events with time < duration run.  Drops count through dropped_count(),
+  // so one condition covers strict and non-strict mode.
+  while (system.completed_count() + system.dropped_count() < expected) {
+    const SimTime next = engine.next_event_time();
+    if (next == kTimeInfinity) {
+      GRIDLB_REQUIRE(open_loop, "event queue drained with tasks missing");
+      break;
+    }
+    if (open_loop && next >= duration) break;
+    GRIDLB_REQUIRE(next <= config.horizon_limit,
+                   "experiment exceeded the horizon limit");
+    // Stepped here, not in engine.cpp: a --wrap of Engine::step must see it.
+    engine.step();
+  }
 
   ExperimentResult result;
   result.name = config.name;
@@ -462,14 +445,13 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   result.completions = collector.records();
   result.requests_submitted = expected;
   result.tasks_completed = collector.completed_tasks();
-  result.finished_at = sharded.max_now();
+  result.finished_at = engine.now();
   // Observation neutrality: sampler ticks are engine events, so their
   // executions are subtracted back out — the published count must be
   // bit-for-bit what an unsampled run reports.
-  result.sim_events = sharded.events_processed() -
+  result.sim_events = engine.events_processed() -
                       (sampler_ticks != nullptr ? *sampler_ticks : 0);
-  result.sim_shards = shards;
-  result.events_swept = sharded.events_swept();
+  result.events_swept = engine.events_swept();
   result.network_messages = system.network().total_messages();
   result.network_bytes = system.network().total_bytes();
 
@@ -494,7 +476,9 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
       executed > 0 ? static_cast<double>(hops) / static_cast<double>(executed)
                    : 0.0;
 
-  result.messages_dropped = system.network().fault_stats().dropped_total();
+  const sim::FaultStats& faults = system.network().fault_stats();
+  result.messages_dropped = faults.dropped_by_plan();
+  result.messages_lost_outage = faults.dropped_endpoint_down;
   result.tasks_resubmitted = portal.tasks_resubmitted();
   const auto tally_link = [&result](const agents::LinkStats& link) {
     result.message_retries += link.retries;
@@ -545,12 +529,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   cooled.system.discovery_enabled = false;
   cooled.system.pull_period = 0.0;
   if (config.placement == PlacementFamily::kCentralOracle) {
-    // The oracle reads every scheduler's live freetime, which only a
-    // single event queue can order, so it always runs on one shard (its
-    // numbers are trivially shard-count invariant).  Its submissions
-    // bypass the network, so the fault machinery has nothing to act on
-    // (and, with no fault source left, the protocol is not loss-tolerant).
-    cooled.system.sim_shards = 1;
+    // The oracle's submissions bypass the network, so the fault machinery
+    // has nothing to act on (and, with no fault source left, the protocol
+    // is not loss-tolerant).
     cooled.system.fault = {};
     cooled.system.agent_churn = {};
   }

@@ -67,9 +67,7 @@ struct ExperimentConfig {
   /// percentiles and the shed rate instead of batch completion.  Workload
   /// entries at or after the cutoff are never submitted.  0 (the default)
   /// keeps the paper's closed loop: run until every submitted task
-  /// completed or was dropped.  Either way the executed event set is a
-  /// property of the global timeline, so results stay bit-for-bit
-  /// identical at any sim_shards.
+  /// completed or was dropped.
   SimTime duration = 0.0;
   /// Abort (with an assertion) if the grid has not drained by this time.
   SimTime horizon_limit = 48.0 * 3600.0;
@@ -120,7 +118,6 @@ struct ExperimentResult {
   std::uint64_t ga_decodes = 0;
   std::uint64_t fifo_subsets = 0;
   std::uint64_t sim_events = 0;
-  std::uint64_t sim_shards = 1;        ///< engine shards the run used
   std::uint64_t events_swept = 0;      ///< cancelled entries lazily discarded
   SimTime finished_at = 0.0;           ///< virtual time of the last event
   // Observability (zero unless config.obs enabled tracing).
@@ -128,6 +125,9 @@ struct ExperimentResult {
   std::uint64_t trace_dropped = 0;     ///< events lost to ring wrap
   // Fault handling (all zero when faults and fault tolerance are off).
   std::uint64_t messages_dropped = 0;  ///< by the network fault plan
+  /// Messages that arrived at a crashed agent's endpoint and were lost
+  /// with it (agent churn; not part of the fault plan).
+  std::uint64_t messages_lost_outage = 0;
   std::uint64_t message_retries = 0;   ///< retransmissions, all links
   std::uint64_t sends_expired = 0;     ///< retry budgets exhausted
   std::uint64_t duplicates_suppressed = 0;
@@ -157,8 +157,8 @@ struct ExperimentResult {
 ///       resource's scheduler.  This is the centralised architecture the
 ///       paper argues against; comparing it with experiment 3 quantifies
 ///       what neighbour-only discovery gives up for its
-///       decentralisation.  It always runs on one queue and ignores the
-///       fault plan, fault tolerance and agent churn.
+///       decentralisation.  It ignores the fault plan, fault tolerance
+///       and agent churn.
 /// Both non-agent families run with discovery and advertisement pulls
 /// off.  Local scheduling always uses `config.system.policy`.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);

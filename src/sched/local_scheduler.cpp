@@ -201,8 +201,8 @@ void LocalScheduler::commit(std::size_t pending_index, NodeMask mask,
     ++completed_;
     if (auto* reg = obs::registry()) {
       // Live flow counters for the continuous sampler.  Busy time is
-      // node-seconds in integer microseconds: integer adds commute, so
-      // the running totals are identical at every shard count.
+      // node-seconds in integer microseconds, so the running totals carry
+      // no floating-point rounding drift.
       reg->counter("flow.completed").add(1);
       reg->counter("flow.busy_us")
           .add(static_cast<std::uint64_t>(

@@ -14,17 +14,7 @@ namespace {
 // Periodic-chain ids carry the top bit so they never collide with (or
 // linger in the cancellation set of) queued event ids.
 constexpr EventId kChainBit = EventId{1} << 63;
-
-thread_local Engine* tls_current_engine = nullptr;
 }  // namespace
-
-Engine::Engine() : next_seq_(&own_seq_) {}
-
-Engine::Engine(std::uint64_t* next_seq) : next_seq_(next_seq) {
-  GRIDLB_REQUIRE(next_seq != nullptr, "a queue needs a sequence counter");
-}
-
-Engine* Engine::current() { return tls_current_engine; }
 
 void Engine::release(std::uint32_t index) const {
   slots_[index] = nullptr;
@@ -45,7 +35,7 @@ EventId Engine::schedule_at(SimTime at, EventFn fn) {
     free_slots_.pop_back();
   }
   slots_[index] = std::move(fn);
-  const std::uint64_t seq = (*next_seq_)++;
+  const std::uint64_t seq = next_seq_++;
   heap_.push_back(Key{at, seq, index});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return seq;
@@ -89,7 +79,7 @@ bool Engine::cancel(EventId id) {
     cancelled_chains_.insert(id);
     return true;
   }
-  if (id == 0 || id >= *next_seq_) return false;
+  if (id == 0 || id >= next_seq_) return false;
   cancelled_.insert(id);
   return true;
 }
@@ -121,21 +111,8 @@ bool Engine::step() {
   release(key.slot);
   now_ = key.at;
   ++events_processed_;
-  // Restored on every exit, a throwing callback included: a stale pointer
-  // would make this thread's next post read a dead engine's clock.
-  struct CurrentScope {
-    Engine* const previous = tls_current_engine;
-    explicit CurrentScope(Engine* engine) { tls_current_engine = engine; }
-    ~CurrentScope() { tls_current_engine = previous; }
-  } scope(this);
   fn();
   return true;
-}
-
-std::optional<Engine::PeekKey> Engine::peek_key() const {
-  pop_cancelled();
-  if (heap_.empty()) return std::nullopt;
-  return PeekKey{heap_.front().at, heap_.front().seq};
 }
 
 bool Engine::has_pending() const {

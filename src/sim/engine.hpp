@@ -10,15 +10,12 @@
 //
 // Determinism: events at equal times fire in scheduling order, so a fixed
 // workload seed yields bit-identical runs.  The one tie-break rule is the
-// key (at, seq), where `seq` numbers every schedule in call order.  The
-// queues of one partitioned run (sharded_engine.hpp) draw `seq` from one
-// shared counter, so the key orders all of them as one queue would
-// (DESIGN.md §13).
+// key (at, seq), where `seq` numbers every schedule in call order
+// (DESIGN.md §13).  A run owns exactly one engine.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -35,11 +32,7 @@ using EventFn = std::function<void()>;
 
 class Engine {
  public:
-  /// A standalone engine, numbering its schedules from its own counter.
-  Engine();
-  /// One queue of several that number their schedules from `next_seq`
-  /// (owned by the caller, shared by every queue of the run).
-  explicit Engine(std::uint64_t* next_seq);
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -86,29 +79,12 @@ class Engine {
   /// Number of cancelled entries discarded by the lazy sweep so far.
   [[nodiscard]] std::uint64_t events_swept() const { return events_swept_; }
 
-  /// The engine currently executing an event on this thread, or nullptr
-  /// outside any callback.  Lets code reached from an event (network sends,
-  /// cross-queue posts) read the clock without threading the engine
-  /// through every call site.
-  [[nodiscard]] static Engine* current();
-
-  /// Order key of the next pending event, for merging several queues into
-  /// one order.  nullopt when the queue is empty.
-  struct PeekKey {
-    SimTime at = 0.0;
-    std::uint64_t seq = 0;
-    [[nodiscard]] bool operator<(const PeekKey& other) const {
-      return at != other.at ? at < other.at : seq < other.seq;
-    }
-  };
-  [[nodiscard]] std::optional<PeekKey> peek_key() const;
-
  private:
   // The queue is split in two.  The binary heap holds small POD keys —
   // everything the comparator reads, nothing it does not — so a sift moves
   // 24 bytes; the callback waits in a slab slot the key names, reused
   // through a free list, and is moved out once, when the event fires.  An
-  // event's id is its `seq`, unique across every queue of the run.
+  // event's id is its `seq`.
   struct Key {
     SimTime at;
     std::uint64_t seq;
@@ -137,8 +113,7 @@ class Engine {
   // `cancelled_` poisoning the lazy sweep's O(1) fast path.
   std::unordered_set<EventId> cancelled_chains_;
   SimTime now_ = 0.0;
-  std::uint64_t own_seq_ = 1;  // standalone engines only
-  std::uint64_t* next_seq_;
+  std::uint64_t next_seq_ = 1;
   EventId next_chain_ = 1;
   std::uint64_t events_processed_ = 0;
   mutable std::uint64_t events_swept_ = 0;

@@ -24,8 +24,7 @@ std::uint64_t message_seed(std::uint64_t plan_seed, EndpointId from,
 }
 }  // namespace
 
-Network::Network(ShardedEngine& engine, double latency_seconds,
-                 FaultPlan plan)
+Network::Network(Engine& engine, double latency_seconds, FaultPlan plan)
     : engine_(engine), latency_(latency_seconds), plan_(std::move(plan)) {
   GRIDLB_REQUIRE(latency_seconds >= 0.0, "latency must be non-negative");
   plan_.validate();
@@ -44,8 +43,8 @@ void FaultPlan::validate() const {
 EndpointId Network::register_endpoint(std::string address, int port,
                                       Handler handler) {
   GRIDLB_REQUIRE(handler != nullptr, "endpoint handler must be set");
-  endpoints_.push_back(Endpoint{std::move(address), port, std::move(handler),
-                                {}, {}, registration_shard_, true});
+  endpoints_.push_back(
+      Endpoint{std::move(address), port, std::move(handler), {}, true});
   return static_cast<EndpointId>(endpoints_.size() - 1);
 }
 
@@ -76,12 +75,7 @@ bool Network::partitioned(EndpointId from, EndpointId to, SimTime now) const {
 void Network::send(EndpointId from, EndpointId to, std::string payload) {
   GRIDLB_REQUIRE(from < endpoints_.size(), "unknown sender endpoint");
   GRIDLB_REQUIRE(to < endpoints_.size(), "unknown recipient endpoint");
-  // The clock of whichever shard is executing the sending event; outside
-  // any event (tests driving the network directly), the sender's shard.
-  Engine* const current = Engine::current();
-  const SimTime now = current != nullptr
-                          ? current->now()
-                          : engine_.shard(endpoints_[from].shard).now();
+  const SimTime now = engine_.now();
 
   Endpoint& sender = endpoints_[from];
   const std::uint64_t ordinal = sender.stats.messages_sent;
@@ -92,7 +86,7 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
   double latency = latency_;
   if (plan_.active()) {
     if (partitioned(from, to, now)) {
-      ++sender.faults.dropped_partition;
+      ++faults_.dropped_partition;
       obs::emit({.at = now,
                  .kind = obs::EventKind::kMessageDropped,
                  .extra = kDropPartition,
@@ -103,7 +97,7 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
     if (plan_.drop_prob > 0.0 || plan_.jitter_max > 0.0) {
       Rng draw(message_seed(plan_.seed, from, ordinal));
       if (plan_.drop_prob > 0.0 && draw.chance(plan_.drop_prob)) {
-        ++sender.faults.dropped_random;
+        ++faults_.dropped_random;
         obs::emit({.at = now,
                    .kind = obs::EventKind::kMessageDropped,
                    .extra = kDropRandom,
@@ -124,9 +118,9 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
   message.sent_at = now;
   auto deliver = [this, message = std::move(message)]() mutable {
     Endpoint& destination = endpoints_[message.to];
-    const SimTime arrival = Engine::current()->now();
+    const SimTime arrival = engine_.now();
     if (!destination.up) {
-      ++destination.faults.dropped_endpoint_down;
+      ++faults_.dropped_endpoint_down;
       obs::emit({.at = arrival,
                  .kind = obs::EventKind::kMessageDropped,
                  .extra = kDropEndpointDown,
@@ -139,17 +133,12 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
     destination.stats.bytes_received += message.payload.size();
     destination.handler(message);
   };
-  engine_.post(endpoints_[to].shard, latency, std::move(deliver));
+  engine_.schedule_in(latency, std::move(deliver));
 }
 
 const EndpointStats& Network::stats(EndpointId id) const {
   GRIDLB_REQUIRE(id < endpoints_.size(), "unknown endpoint");
   return endpoints_[id].stats;
-}
-
-std::size_t Network::endpoint_shard(EndpointId id) const {
-  GRIDLB_REQUIRE(id < endpoints_.size(), "unknown endpoint");
-  return endpoints_[id].shard;
 }
 
 std::uint64_t Network::total_messages() const {
@@ -164,16 +153,6 @@ std::uint64_t Network::total_bytes() const {
   std::uint64_t total = 0;
   for (const Endpoint& endpoint : endpoints_) {
     total += endpoint.stats.bytes_sent;
-  }
-  return total;
-}
-
-FaultStats Network::fault_stats() const {
-  FaultStats total;
-  for (const Endpoint& endpoint : endpoints_) {
-    total.dropped_random += endpoint.faults.dropped_random;
-    total.dropped_partition += endpoint.faults.dropped_partition;
-    total.dropped_endpoint_down += endpoint.faults.dropped_endpoint_down;
   }
   return total;
 }

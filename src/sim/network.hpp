@@ -15,13 +15,9 @@
 // RNG draws and the delivery schedule is bit-for-bit identical to a
 // network built without a plan.
 //
-// Partitioning (DESIGN.md §13): every endpoint is pinned to the shard
-// that was current at registration time, and all mutable accounting
-// (traffic stats, fault counters) lives per endpoint.  Fault draws are
-// stateless — each message's loss/jitter comes from a hash of (plan seed,
-// sender, sender's send ordinal), not from a shared stream — so the fault
-// pattern depends on no global send interleaving.  Every delivery is
-// posted to the recipient's shard.
+// Fault draws are stateless: each message's loss/jitter comes from a hash
+// of (plan seed, sender, sender's send ordinal), not from a shared stream,
+// so the fault pattern depends on no global send interleaving.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +28,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "sim/sharded_engine.hpp"
+#include "sim/engine.hpp"
 
 namespace gridlb::sim {
 
@@ -59,7 +55,7 @@ struct EndpointStats {
 /// Deterministic network-fault model.  Each message's faults are drawn
 /// from a stateless hash of (seed, sender, sender send ordinal), so a
 /// fixed (plan, workload) pair yields the same losses and jitters on every
-/// run — at any shard count.
+/// run.
 struct FaultPlan {
   /// Probability that any one message is silently lost in transit.
   double drop_prob = 0.0;
@@ -91,8 +87,13 @@ struct FaultStats {
   std::uint64_t dropped_random = 0;     ///< Bernoulli losses
   std::uint64_t dropped_partition = 0;  ///< partition-window losses
   std::uint64_t dropped_endpoint_down = 0;  ///< recipient was down
+  /// Losses the fault plan caused (random + partition); outage losses at
+  /// a down endpoint come from agent churn, not from the plan.
+  [[nodiscard]] std::uint64_t dropped_by_plan() const {
+    return dropped_random + dropped_partition;
+  }
   [[nodiscard]] std::uint64_t dropped_total() const {
-    return dropped_random + dropped_partition + dropped_endpoint_down;
+    return dropped_by_plan() + dropped_endpoint_down;
   }
 };
 
@@ -101,14 +102,9 @@ class Network {
   using Handler = std::function<void(const Message&)>;
 
   /// `latency` is the one-way delivery delay applied to every message;
-  /// `plan` (optional) injects deterministic faults on top of it.  Deliveries are posted to
-  /// the recipient's shard of `engine`.
-  Network(ShardedEngine& engine, double latency_seconds, FaultPlan plan = {});
-
-  /// Shard assigned to endpoints registered from now on.
-  void set_registration_shard(std::size_t shard) {
-    registration_shard_ = shard;
-  }
+  /// `plan` (optional) injects deterministic faults on top of it.
+  /// Deliveries are events on `engine`.
+  Network(Engine& engine, double latency_seconds, FaultPlan plan = {});
 
   /// Registers an endpoint; `address`/`port` mirror the identity tuple the
   /// paper's documents carry.  The handler runs when a message arrives.
@@ -129,12 +125,11 @@ class Network {
   [[nodiscard]] double latency() const { return latency_; }
   [[nodiscard]] std::size_t endpoint_count() const { return endpoints_.size(); }
   [[nodiscard]] const EndpointStats& stats(EndpointId id) const;
-  [[nodiscard]] std::size_t endpoint_shard(EndpointId id) const;
   /// Network-wide totals, summed over the per-endpoint accounting.
   [[nodiscard]] std::uint64_t total_messages() const;
   [[nodiscard]] std::uint64_t total_bytes() const;
   [[nodiscard]] const FaultPlan& fault_plan() const { return plan_; }
-  [[nodiscard]] FaultStats fault_stats() const;
+  [[nodiscard]] const FaultStats& fault_stats() const { return faults_; }
 
   /// Identity lookup for serialising Fig. 5 / Fig. 6 documents.
   [[nodiscard]] const std::string& address(EndpointId id) const;
@@ -146,10 +141,6 @@ class Network {
     int port;
     Handler handler;
     EndpointStats stats;
-    // Random/partition drops are charged to the sender, endpoint-down
-    // drops to the recipient.
-    FaultStats faults;
-    std::size_t shard = 0;
     bool up = true;
   };
 
@@ -157,10 +148,10 @@ class Network {
   [[nodiscard]] bool partitioned(EndpointId from, EndpointId to,
                                  SimTime now) const;
 
-  ShardedEngine& engine_;
-  std::size_t registration_shard_ = 0;
+  Engine& engine_;
   double latency_;
   FaultPlan plan_;
+  FaultStats faults_;
   std::vector<Endpoint> endpoints_;
 };
 

@@ -12,8 +12,7 @@ namespace {
 
 // A three-agent hierarchy: S1 (SGI, head) -> { S2 (Ultra5), S3 (SPARC2) }.
 struct AgentFixture : ::testing::Test {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
+  sim::Engine engine;
   metrics::MetricsCollector collector;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
@@ -28,7 +27,7 @@ struct AgentFixture : ::testing::Test {
   }
 
   std::unique_ptr<AgentSystem> make(SystemConfig config) {
-    auto system = std::make_unique<AgentSystem>(sharded, catalogue,
+    auto system = std::make_unique<AgentSystem>(engine, catalogue,
                                                 std::move(config), &collector);
     system->start();
     return system;

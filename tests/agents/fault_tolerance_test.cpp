@@ -14,8 +14,7 @@ namespace gridlb::agents {
 namespace {
 
 struct FaultToleranceFixture : ::testing::Test {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
+  sim::Engine engine;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
   metrics::MetricsCollector collector;
 
@@ -38,7 +37,7 @@ TEST_F(FaultToleranceFixture, LossyNetworkStillDeliversEveryTaskAndResult) {
   SystemConfig config = tolerant_config();
   config.fault.drop_prob = 0.1;
   config.fault.seed = 3;
-  AgentSystem system(sharded, catalogue, config, &collector);
+  AgentSystem system(engine, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
                 config.retry_policy());
@@ -63,7 +62,7 @@ TEST_F(FaultToleranceFixture, LossyNetworkStillDeliversEveryTaskAndResult) {
 
 TEST_F(FaultToleranceFixture, UnreachableEntryAgentFallsBackToTheHead) {
   const SystemConfig config = tolerant_config();
-  AgentSystem system(sharded, catalogue, config, &collector);
+  AgentSystem system(engine, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
                 config.retry_policy());
@@ -86,7 +85,7 @@ TEST_F(FaultToleranceFixture, UnreachableEntryAgentFallsBackToTheHead) {
 TEST_F(FaultToleranceFixture, CrashStrandsPendingTasksWhichTheHeadRecovers) {
   SystemConfig config = tolerant_config();
   config.discovery_enabled = false;  // pin the tasks to their entry agent
-  AgentSystem system(sharded, catalogue, config, &collector);
+  AgentSystem system(engine, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
                 config.retry_policy());
@@ -117,7 +116,7 @@ TEST_F(FaultToleranceFixture, ActExpiryShunsANeighbourThatStoppedAdvertising) {
       {"A", pace::HardwareType::kSunUltra1, 4, -1},
       {"B", pace::HardwareType::kSgiOrigin2000, 16, 0},
   };
-  AgentSystem system(sharded, catalogue, config, &collector);
+  AgentSystem system(engine, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
                 config.retry_policy());

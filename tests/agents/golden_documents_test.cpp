@@ -16,7 +16,6 @@
 #include "pace/paper_applications.hpp"
 #include "sched/local_scheduler.hpp"
 #include "sim/network.hpp"
-#include "sim/sharded_engine.hpp"
 
 namespace gridlb::agents {
 namespace {
@@ -119,15 +118,14 @@ TEST(GoldenDocuments, ExecutionResult) {
 struct StampedDocuments : ::testing::Test {
   static constexpr double kLatency = 0.05;
 
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
+  sim::Engine engine;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
   pace::PredictionTable predictions{
       catalogue,
       {pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000)},
       16};
-  sim::Network wire{sharded, kLatency};
-  sim::Network elsewhere{sharded, kLatency};
+  sim::Network wire{engine, kLatency};
+  sim::Network elsewhere{engine, kLatency};
   /// The lossless grid policy the agents read, one per advertisement scope.
   SystemConfig own_service_grid;
   SystemConfig transitive_grid = [] {

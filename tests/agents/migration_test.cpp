@@ -61,23 +61,20 @@ TEST(Migration, OffByDefaultAndCountersStayZero) {
   EXPECT_FALSE(preset.system.migration.enabled);
 }
 
-TEST(Migration, DeterministicAndShardInvariant) {
-  ExperimentConfig config = overloaded_config(true);
+TEST(Migration, Deterministic) {
+  const ExperimentConfig config = overloaded_config(true);
   const ExperimentResult reference = run_experiment(config);
   EXPECT_GT(reference.migrations, 0u);
-  for (const int shards : {2, 3}) {
-    config.system.sim_shards = shards;
-    const ExperimentResult sharded = run_experiment(config);
-    EXPECT_EQ(sharded.migrations, reference.migrations);
-    EXPECT_EQ(sharded.tasks_completed, reference.tasks_completed);
-    EXPECT_EQ(sharded.network_messages, reference.network_messages);
-    EXPECT_EQ(sharded.report.total.balance, reference.report.total.balance);
-    EXPECT_EQ(sharded.finished_at, reference.finished_at);
-    ASSERT_EQ(sharded.completions.size(), reference.completions.size());
-    for (std::size_t i = 0; i < sharded.completions.size(); ++i) {
-      EXPECT_EQ(sharded.completions[i].task, reference.completions[i].task);
-      EXPECT_EQ(sharded.completions[i].end, reference.completions[i].end);
-    }
+  const ExperimentResult again = run_experiment(config);
+  EXPECT_EQ(again.migrations, reference.migrations);
+  EXPECT_EQ(again.tasks_completed, reference.tasks_completed);
+  EXPECT_EQ(again.network_messages, reference.network_messages);
+  EXPECT_EQ(again.report.total.balance, reference.report.total.balance);
+  EXPECT_EQ(again.finished_at, reference.finished_at);
+  ASSERT_EQ(again.completions.size(), reference.completions.size());
+  for (std::size_t i = 0; i < again.completions.size(); ++i) {
+    EXPECT_EQ(again.completions[i].task, reference.completions[i].task);
+    EXPECT_EQ(again.completions[i].end, reference.completions[i].end);
   }
 }
 

@@ -36,9 +36,8 @@ struct Arrivals {
 };
 
 TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
-  sim::Network network(sharded, kLatency);
+  sim::Engine engine;
+  sim::Network network(engine, kLatency);
   Arrivals arrivals;
   ReliableLink sender(engine, network, std::nullopt);
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
@@ -61,9 +60,8 @@ TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
 }
 
 TEST(ReliableLink, AckStopsRetransmission) {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
-  sim::Network network(sharded, kLatency);
+  sim::Engine engine;
+  sim::Network network(engine, kLatency);
   Arrivals arrivals;
   ReliableLink sender(engine, network, RetryPolicy{});
   ReliableLink receiver(engine, network, RetryPolicy{});
@@ -95,9 +93,8 @@ TEST(ReliableLink, AckStopsRetransmission) {
 }
 
 TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
-  sim::Network network(sharded, kLatency);
+  sim::Engine engine;
+  sim::Network network(engine, kLatency);
   ReliableLink sender(engine, network, RetryPolicy{});
   Arrivals arrivals;
   std::vector<std::string> failed;
@@ -135,9 +132,8 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
 }
 
 TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
-  sim::Network network(sharded, kLatency);
+  sim::Engine engine;
+  sim::Network network(engine, kLatency);
   ReliableLink receiver(engine, network, RetryPolicy{});
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
@@ -161,9 +157,8 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
 }
 
 TEST(ReliableLink, RejectsMalformedMsgid) {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
-  sim::Network network(sharded, kLatency);
+  sim::Engine engine;
+  sim::Network network(engine, kLatency);
   ReliableLink receiver(engine, network, RetryPolicy{});
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
   receiver.set_self(b);
@@ -185,9 +180,8 @@ TEST(ReliableLink, RejectsMalformedMsgid) {
 }
 
 TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
-  sim::Network network(sharded, kLatency);
+  sim::Engine engine;
+  sim::Network network(engine, kLatency);
   ReliableLink receiver(engine, network, RetryPolicy{});
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
   receiver.set_self(b);
@@ -200,9 +194,8 @@ TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
 }
 
 TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
-  sim::Network network(sharded, kLatency);
+  sim::Engine engine;
+  sim::Network network(engine, kLatency);
   ReliableLink sender(engine, network, RetryPolicy{});
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b =

@@ -82,8 +82,7 @@ TEST(RequestOrigin, RoundTripsThroughXml) {
 // --- end-to-end delivery --------------------------------------------------
 
 struct ResultDeliveryFixture : ::testing::Test {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
+  sim::Engine engine;
   metrics::MetricsCollector collector;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
@@ -98,7 +97,7 @@ struct ResultDeliveryFixture : ::testing::Test {
 };
 
 TEST_F(ResultDeliveryFixture, PortalReceivesResultForLocalDispatch) {
-  AgentSystem system(sharded, catalogue, config(), &collector);
+  AgentSystem system(engine, catalogue, config(), &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector);
   const TaskId task = portal.submit(system.agent_named("S1"), "closure",
@@ -118,7 +117,7 @@ TEST_F(ResultDeliveryFixture, PortalReceivesResultForLocalDispatch) {
 }
 
 TEST_F(ResultDeliveryFixture, ResultComesFromTheExecutingAgent) {
-  AgentSystem system(sharded, catalogue, config(), &collector);
+  AgentSystem system(engine, catalogue, config(), &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector);
   engine.run_until(1.0);  // let advertisements land
@@ -133,7 +132,7 @@ TEST_F(ResultDeliveryFixture, ResultComesFromTheExecutingAgent) {
 }
 
 TEST_F(ResultDeliveryFixture, EveryCampaignTaskGetsAResult) {
-  AgentSystem system(sharded, catalogue, config(), &collector);
+  AgentSystem system(engine, catalogue, config(), &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector);
   Rng rng(5);
@@ -158,7 +157,7 @@ TEST_F(ResultDeliveryFixture, EveryCampaignTaskGetsAResult) {
 }
 
 TEST_F(ResultDeliveryFixture, FireAndForgetRequestsProduceNoResult) {
-  AgentSystem system(sharded, catalogue, config(), &collector);
+  AgentSystem system(engine, catalogue, config(), &collector);
   system.start();
   // A request injected directly (no origin attribute).
   Request request;

@@ -13,8 +13,7 @@ namespace {
 // A chain: S1 (SPARC2, head) -> S2 (SPARC2) -> S3 (SGI).  S3 is the only
 // fast resource and is *not* a neighbour of S1.
 struct TransitiveFixture : ::testing::Test {
-  sim::ShardedEngine sharded{1};
-  sim::Engine& engine = sharded.shard(0);
+  sim::Engine engine;
   metrics::MetricsCollector collector;
   pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
 
@@ -30,7 +29,7 @@ struct TransitiveFixture : ::testing::Test {
   }
 
   std::unique_ptr<AgentSystem> make(AdvertisementScope scope) {
-    auto system = std::make_unique<AgentSystem>(sharded, catalogue,
+    auto system = std::make_unique<AgentSystem>(engine, catalogue,
                                                 chain(scope), &collector);
     system->start();
     return system;
@@ -122,7 +121,7 @@ TEST_F(TransitiveFixture, HopBudgetForcesTermination) {
   SystemConfig config = chain(AdvertisementScope::kTransitive);
   // A hop budget of zero forces every non-local-dispatch into fallback.
   config.resources[0].name = "S1";
-  auto system = std::make_unique<AgentSystem>(sharded, catalogue,
+  auto system = std::make_unique<AgentSystem>(engine, catalogue,
                                               std::move(config), &collector);
   system->start();
   engine.run_until(21.0);

@@ -2,9 +2,8 @@
 //
 // The timing processes must be deterministic per seed, must never perturb
 // the per-request draws (entry agent, application, deadline), and the
-// JSONL trace export must replay bit-for-bit.  The open-loop cutoff is a
-// property of the global timeline, so its results — including strict-mode
-// drops — must be identical at any shard count.
+// JSONL trace export must replay bit-for-bit.  The open-loop cutoff runs
+// exactly the events before it, in strict and non-strict mode alike.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -201,7 +200,7 @@ TEST_F(ArrivalFixture, ValidationMessagesAreActionable) {
 
 // --- open-loop harness ------------------------------------------------
 
-ExperimentConfig open_loop_config(int shards, bool strict) {
+ExperimentConfig open_loop_config(bool strict) {
   ScenarioSpec spec;
   spec.agent_count = 12;
   spec.requests_per_agent = 30;
@@ -209,66 +208,29 @@ ExperimentConfig open_loop_config(int shards, bool strict) {
   ExperimentConfig config = scenario_experiment(spec);
   config.workload.arrival = ArrivalProcess::kOnOff;
   config.duration = 180.0;
-  config.system.sim_shards = shards;
   config.system.strict_failure = strict;
   return config;
 }
 
-void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.requests_submitted, b.requests_submitted);
-  EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-  EXPECT_EQ(a.tasks_dropped, b.tasks_dropped);
-  EXPECT_EQ(a.tasks_unfinished, b.tasks_unfinished);
-  EXPECT_EQ(a.shed_rate, b.shed_rate);
-  EXPECT_EQ(a.latency_p50, b.latency_p50);
-  EXPECT_EQ(a.latency_p99, b.latency_p99);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.network_messages, b.network_messages);
-  EXPECT_EQ(a.report.total.advance_time, b.report.total.advance_time);
-  EXPECT_EQ(a.report.total.utilisation, b.report.total.utilisation);
-  EXPECT_EQ(a.report.total.balance, b.report.total.balance);
-  ASSERT_EQ(a.completions.size(), b.completions.size());
-  for (std::size_t i = 0; i < a.completions.size(); ++i) {
-    EXPECT_EQ(a.completions[i].task, b.completions[i].task);
-    EXPECT_EQ(a.completions[i].end, b.completions[i].end);
-  }
-}
-
 TEST(OpenLoop, CutoffTruncatesTheWorkload) {
-  const ExperimentResult result = run_experiment(open_loop_config(1, false));
-  // The 360-request batch outlasts the 180 s window: some of the tail is
-  // never submitted, and the standing backlog is accounted, not lost.
-  EXPECT_LT(result.requests_submitted, 360u);
-  EXPECT_GT(result.requests_submitted, 0u);
-  EXPECT_EQ(result.tasks_unfinished, result.requests_submitted -
-                                         result.tasks_completed -
-                                         result.tasks_dropped);
-  EXPECT_GE(result.shed_rate, 0.0);
-  EXPECT_LE(result.shed_rate, 1.0);
-  EXPECT_LE(result.finished_at, 180.0);
-  // Percentiles come from real completions, so they are finite.
-  EXPECT_TRUE(std::isfinite(result.latency_p50));
-  EXPECT_TRUE(std::isfinite(result.latency_p99));
-  EXPECT_GE(result.latency_p99, result.latency_p50);
-}
-
-TEST(OpenLoop, ShardCountInvariant) {
-  const ExperimentResult reference = run_experiment(open_loop_config(1, false));
-  for (const int shards : {2, 4}) {
-    expect_same_run(run_experiment(open_loop_config(shards, false)),
-                    reference);
-  }
-}
-
-TEST(OpenLoop, StrictModeShardCountInvariant) {
-  // Strict-failure drops are notified through events deferred by one
-  // network latency, so strict runs stay invariant too.
-  const ExperimentResult reference = run_experiment(open_loop_config(1, true));
-  for (const int shards : {2, 4}) {
-    const ExperimentResult sharded =
-        run_experiment(open_loop_config(shards, true));
-    EXPECT_EQ(sharded.sim_shards, static_cast<std::uint64_t>(shards));
-    expect_same_run(sharded, reference);
+  // Strict mode too: its drops are notified through events deferred by
+  // one network latency, so they settle inside the window like completions.
+  for (const bool strict : {false, true}) {
+    const ExperimentResult result = run_experiment(open_loop_config(strict));
+    // The 360-request batch outlasts the 180 s window: some of the tail is
+    // never submitted, and the standing backlog is accounted, not lost.
+    EXPECT_LT(result.requests_submitted, 360u);
+    EXPECT_GT(result.requests_submitted, 0u);
+    EXPECT_EQ(result.tasks_unfinished, result.requests_submitted -
+                                           result.tasks_completed -
+                                           result.tasks_dropped);
+    EXPECT_GE(result.shed_rate, 0.0);
+    EXPECT_LE(result.shed_rate, 1.0);
+    EXPECT_LE(result.finished_at, 180.0);
+    // Percentiles come from real completions, so they are finite.
+    EXPECT_TRUE(std::isfinite(result.latency_p50));
+    EXPECT_TRUE(std::isfinite(result.latency_p99));
+    EXPECT_GE(result.latency_p99, result.latency_p50);
   }
 }
 

@@ -10,13 +10,15 @@
 //      path.
 //   2. With faults enabled (message drop and/or agent churn), the grid
 //      degrades gracefully: every submitted task still completes — via
-//      retries, duplicate suppression and portal resubmission — and the
-//      fault counters account for the recovery work.
+//      retries, duplicate suppression and portal resubmission — the
+//      fault counters account for the recovery work, and a run with the
+//      whole fault stack repeats exactly.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/experiment.hpp"
+#include "core/scenario.hpp"
 
 namespace gridlb::core {
 namespace {
@@ -62,9 +64,15 @@ TEST(ZeroFaultRegression, Experiment2MatchesPreFaultModel) {
 }
 
 TEST(ZeroFaultRegression, Experiment3MatchesPreFaultModel) {
-  expect_pinned(run_experiment(scaled(experiment3(), 40)),
-                {42.436478149999992, 0.53103311520920016, 0.60909669468947114,
-                 85.049999999999997, 492, 741, 40});
+  const ExperimentResult result = run_experiment(scaled(experiment3(), 40));
+  expect_pinned(result, {42.436478149999992, 0.53103311520920016,
+                         0.60909669468947114, 85.049999999999997, 492, 741,
+                         40});
+  // Prediction traffic: 7 applications × 5 platforms × 16 nodes, one
+  // engine evaluation per table entry; the agents' eq. 10 reads come on
+  // top of the schedulers' own.
+  EXPECT_EQ(result.cache.misses, 560u);
+  EXPECT_GT(result.cache.hits, result.table_reads);
 }
 
 TEST(ZeroFaultRegression, CentralOracleMatchesPreFaultModel) {
@@ -124,7 +132,9 @@ TEST(FaultedRegression, LossAndChurnDegradeGracefully) {
 // Agent churn alone, on a lossless network, is a fault source: a crashed
 // agent strands its queue and the requests it was forwarding, so the
 // protocol must be loss-tolerant without any explicit switch.  A plain
-// protocol loses those requests and the run never drains.
+// protocol loses those requests and the run never drains.  With no fault
+// plan, the plan drops nothing: the messages that reached a crashed agent
+// count as outage losses instead.
 TEST(FaultedRegression, AgentChurnAloneCompletesEveryTask) {
   ExperimentConfig config = scaled(experiment3(), 600);
   config.system.agent_churn.enabled = true;
@@ -132,6 +142,8 @@ TEST(FaultedRegression, AgentChurnAloneCompletesEveryTask) {
   const ExperimentResult result = run_experiment(config);
 
   EXPECT_GT(result.agent_crashes, 0u);
+  EXPECT_EQ(result.messages_dropped, 0u);
+  EXPECT_GT(result.messages_lost_outage, 0u);
   ASSERT_EQ(result.tasks_completed, 600u);
   std::set<TaskId> seen;
   for (const auto& record : result.completions) {
@@ -139,6 +151,69 @@ TEST(FaultedRegression, AgentChurnAloneCompletesEveryTask) {
         << "task " << record.task.value() << " completed twice";
   }
   EXPECT_EQ(seen.size(), 600u);
+}
+
+void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
+  EXPECT_EQ(a.report.total.advance_time, b.report.total.advance_time);
+  EXPECT_EQ(a.report.total.utilisation, b.report.total.utilisation);
+  EXPECT_EQ(a.report.total.balance, b.report.total.balance);
+  ASSERT_EQ(a.report.resources.size(), b.report.resources.size());
+  for (std::size_t i = 0; i < a.report.resources.size(); ++i) {
+    EXPECT_EQ(a.report.resources[i].advance_time,
+              b.report.resources[i].advance_time);
+    EXPECT_EQ(a.report.resources[i].utilisation,
+              b.report.resources[i].utilisation);
+    EXPECT_EQ(a.report.resources[i].balance, b.report.resources[i].balance);
+  }
+  ASSERT_EQ(a.completions.size(), b.completions.size());
+  for (std::size_t i = 0; i < a.completions.size(); ++i) {
+    EXPECT_EQ(a.completions[i].task, b.completions[i].task);
+    EXPECT_EQ(a.completions[i].resource, b.completions[i].resource);
+    EXPECT_EQ(a.completions[i].start, b.completions[i].start);
+    EXPECT_EQ(a.completions[i].end, b.completions[i].end);
+  }
+  EXPECT_EQ(a.requests_submitted, b.requests_submitted);
+  EXPECT_EQ(a.tasks_completed, b.tasks_completed);
+  EXPECT_EQ(a.tasks_dropped, b.tasks_dropped);
+  EXPECT_EQ(a.mean_hops, b.mean_hops);
+  EXPECT_EQ(a.network_messages, b.network_messages);
+  EXPECT_EQ(a.network_bytes, b.network_bytes);
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  EXPECT_EQ(a.finished_at, b.finished_at);
+  EXPECT_EQ(a.messages_dropped, b.messages_dropped);
+  EXPECT_EQ(a.messages_lost_outage, b.messages_lost_outage);
+  EXPECT_EQ(a.message_retries, b.message_retries);
+  EXPECT_EQ(a.sends_expired, b.sends_expired);
+  EXPECT_EQ(a.duplicates_suppressed, b.duplicates_suppressed);
+  EXPECT_EQ(a.agent_crashes, b.agent_crashes);
+  EXPECT_EQ(a.agent_restarts, b.agent_restarts);
+  EXPECT_EQ(a.tasks_resubmitted, b.tasks_resubmitted);
+}
+
+// Everything at once on a generated 24-agent grid — message loss and
+// jitter, node churn, agent crash/restart cycles — completes every task,
+// and a second run repeats the first exactly.
+TEST(FaultedRegression, FullFaultStackRepeatsExactly) {
+  ScenarioSpec spec;
+  spec.agent_count = 24;
+  spec.requests_per_agent = 8;
+  spec.arrival_interval = 0.0;  // auto per-agent rate
+  ExperimentConfig config = scenario_experiment(spec);
+  config.system.fault.drop_prob = 0.04;
+  config.system.fault.jitter_max = 0.3;
+  config.system.fault.seed = 5;
+  config.system.churn.enabled = true;
+  config.system.churn.mtbf = 900.0;
+  config.system.churn.mttr = 60.0;
+  config.system.churn.horizon = 400.0;
+  config.system.agent_churn.enabled = true;
+  config.system.agent_churn.mtbf = 2500.0;
+  config.system.agent_churn.mttr = 20.0;
+  config.system.agent_churn.horizon = 400.0;
+
+  const ExperimentResult first = run_experiment(config);
+  EXPECT_EQ(first.tasks_completed, first.requests_submitted);
+  expect_identical(run_experiment(config), first);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // PlacementFamily dispatch (DESIGN.md §15): name parsing and the hashed
-// family's contracts — zero discovery traffic, seed determinism, and
-// shard-count invariance.
+// family's contracts — zero discovery traffic and seed determinism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,12 +10,11 @@
 namespace gridlb::core {
 namespace {
 
-ExperimentConfig small_crush(int shards = 1) {
+ExperimentConfig small_crush() {
   ExperimentConfig config = experiment3();
   config.name = "crush";
   config.placement = PlacementFamily::kHashPlacement;
   config.workload.count = 40;
-  config.system.sim_shards = shards;
   return config;
 }
 
@@ -94,6 +92,7 @@ TEST(PlacementFamily, AgentFamilyReportsZeroPlacements) {
 
 TEST(PlacementFamily, CrushIsSeedDeterministic) {
   const ExperimentResult first = run_experiment(small_crush());
+  EXPECT_EQ(first.tasks_completed, first.requests_submitted);
   const ExperimentResult second = run_experiment(small_crush());
   expect_identical(second, first);
   // A different map seed is a different (but complete) placement.
@@ -110,16 +109,6 @@ TEST(PlacementFamily, CrushIsSeedDeterministic) {
     }
   }
   EXPECT_TRUE(moved);
-}
-
-TEST(PlacementFamily, CrushIsShardCountInvariant) {
-  const ExperimentResult reference = run_experiment(small_crush(1));
-  EXPECT_EQ(reference.tasks_completed, reference.requests_submitted);
-  for (const int shards : {2, 4}) {
-    const ExperimentResult sharded = run_experiment(small_crush(shards));
-    EXPECT_EQ(sharded.sim_shards, static_cast<std::uint64_t>(shards));
-    expect_identical(sharded, reference);
-  }
 }
 
 TEST(PlacementFamily, CrushRidesFaultToleranceUnderLossAndChurn) {

@@ -36,8 +36,7 @@ class SystemInvariants : public ::testing::TestWithParam<Scenario> {};
 TEST_P(SystemInvariants, HoldAcrossTheWholeRun) {
   const Scenario& scenario = GetParam();
 
-  sim::ShardedEngine sharded(1);
-  sim::Engine& engine = sharded.shard(0);
+  sim::Engine engine;
   metrics::MetricsCollector collector;
   const auto catalogue = pace::paper_catalogue();
 
@@ -47,7 +46,7 @@ TEST_P(SystemInvariants, HoldAcrossTheWholeRun) {
   system_config.discovery_enabled = scenario.agents;
   system_config.prediction_error = scenario.prediction_error;
   system_config.seed = scenario.seed;
-  agents::AgentSystem system(sharded, catalogue, std::move(system_config),
+  agents::AgentSystem system(engine, catalogue, std::move(system_config),
                              &collector);
   system.start();
   agents::Portal portal(engine, system.network(), catalogue, &collector);

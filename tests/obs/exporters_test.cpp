@@ -96,8 +96,8 @@ TEST(EventsJsonl, OneObjectPerLineEveryKindIncluded) {
 }
 
 TEST(ChromeTrace, UnshardedOutputIsByteIdenticalWithShardSupport) {
-  // A run renders on the grid and GA processes alone, at any shard count:
-  // the export names no shard process.
+  // A run renders on the grid and GA processes alone: the export names no
+  // shard process.
   const std::string json =
       chrome_trace_json(sample_snapshot(), {"S1", "S2"});
   EXPECT_EQ(json.find("shard"), std::string::npos) << json;

@@ -155,7 +155,6 @@ TEST(SamplerExperiment, TicksAlignToTheConfiguredInterval) {
   const std::string path = "sampler_test_series.tmp";
   core::ExperimentConfig config = core::experiment1();
   config.workload.count = 24;
-  config.system.sim_shards = 4;
   config.obs.metrics_interval = 50.0;
   config.obs.series_jsonl_out = path;
   const core::ExperimentResult result = core::run_experiment(config);

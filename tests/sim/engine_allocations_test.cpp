@@ -1,9 +1,8 @@
 // Heap allocations per event.  An event's order key is (at, seq), two
 // numbers: once the heap and the callback slab have grown to the run's
 // depth, an event whose closure fits std::function's inline buffer costs
-// no allocation at all, on one queue or across several.  The count comes
-// from a replaced global operator new, which is why this test has a binary
-// of its own.
+// no allocation at all.  The count comes from a replaced global operator
+// new, which is why this test has a binary of its own.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include <type_traits>
 
 #include "sim/engine.hpp"
-#include "sim/sharded_engine.hpp"
 
 namespace {
 
@@ -56,17 +54,6 @@ struct Completion {
 static_assert(sizeof(Completion) == 8 &&
               std::is_trivially_copyable_v<Completion>);
 
-/// Hops to the next of the run's queues, round-robin, through a post.
-struct Hop {
-  ShardedEngine* sharded;
-  std::size_t shard;
-  void operator()() const {
-    const std::size_t next = (shard + 1) % sharded->shard_count();
-    sharded->post(next, 1.0, Hop{sharded, next});
-  }
-};
-static_assert(sizeof(Hop) == 16 && std::is_trivially_copyable_v<Hop>);
-
 /// Allocations made by the `kEvents` events after a warm-up of as many.
 std::uint64_t steady_state_allocations(Engine& engine) {
   engine.run_until(kEvents);
@@ -92,31 +79,10 @@ TEST(EngineAllocations, ChainBehindPendingEventsAllocatesNothingPerEvent) {
 }
 
 TEST(EngineAllocations, LoneShardCompletionsAllocateNothingPerEvent) {
-  ShardedEngine sharded(1);
-  Engine& engine = sharded.shard(0);
+  Engine engine;
   engine.schedule_at(1.0, Completion{&engine});
   EXPECT_EQ(steady_state_allocations(engine), 0u);
   EXPECT_TRUE(engine.has_pending());
-}
-
-TEST(EngineAllocations, FourQueueRoundRobinPostsAllocateNothingPerEvent) {
-  // Every event posts its successor to the next queue, so each one crosses
-  // queues; the drive merges the four into one order.
-  ShardedEngine sharded(4);
-  sharded.post(0, 1.0, Hop{&sharded, 0});
-  std::uint64_t target = kEvents;
-  DriveGoal goal;
-  goal.done = [&sharded, &target] {
-    return sharded.events_processed() >= target;
-  };
-  sharded.drive(goal, 1e12);
-  target = 2 * kEvents;
-  EXPECT_EQ(allocations([&] { sharded.drive(goal, 1e12); }), 0u);
-  EXPECT_EQ(sharded.events_processed(), std::uint64_t{2 * kEvents});
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(sharded.shard(s).events_processed(),
-              std::uint64_t{kEvents / 2});
-  }
 }
 
 }  // namespace

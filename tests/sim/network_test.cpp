@@ -10,9 +10,8 @@ namespace gridlb::sim {
 namespace {
 
 struct NetworkFixture : ::testing::Test {
-  ShardedEngine sharded{1};
-  Engine& engine = sharded.shard(0);
-  Network network{sharded, 0.05};
+  Engine engine;
+  Network network{engine, 0.05};
   std::vector<Message> inbox_a;
   std::vector<Message> inbox_b;
   EndpointId a = network.register_endpoint(
@@ -75,9 +74,8 @@ TEST_F(NetworkFixture, RejectsUnknownEndpoints) {
 }
 
 TEST(Network, ZeroLatencyDeliversSameTimestamp) {
-  ShardedEngine sharded{1};
-  Engine& engine = sharded.shard(0);
-  Network network(sharded, 0.0);
+  Engine engine;
+  Network network(engine, 0.0);
   SimTime delivered = kNoTime;
   const EndpointId a = network.register_endpoint(
       "a", 1, [&](const Message& m) { delivered = m.delivered_at; });
@@ -87,20 +85,19 @@ TEST(Network, ZeroLatencyDeliversSameTimestamp) {
 }
 
 TEST(Network, RejectsNegativeLatency) {
-  ShardedEngine sharded{1};
-  EXPECT_THROW(Network(sharded, -1.0), AssertionError);
+  Engine engine;
+  EXPECT_THROW(Network(engine, -1.0), AssertionError);
 }
 
 TEST(Network, RejectsNullHandler) {
-  ShardedEngine sharded{1};
-  Network network(sharded, 0.0);
+  Engine engine;
+  Network network(engine, 0.0);
   EXPECT_THROW(network.register_endpoint("a", 1, nullptr), AssertionError);
 }
 
 TEST(Network, HandlerCanSendReply) {
-  ShardedEngine sharded{1};
-  Engine& engine = sharded.shard(0);
-  Network network(sharded, 0.1);
+  Engine engine;
+  Network network(engine, 0.1);
   std::vector<std::string> log;
   EndpointId a = 0;
   EndpointId b = 0;

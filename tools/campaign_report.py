@@ -129,7 +129,6 @@ def build_panels(rows):
 
 SUMMARY_ROWS = [
     ("Finished at", "gauges", "sim.finished_at", "sim-seconds"),
-    ("Engine shards", "gauges", "sim.shards", ""),
     ("Agents", "gauges", "grid.agents", ""),
     ("Grid nodes", "gauges", "grid.total_nodes", ""),
     ("Tasks submitted", "counters", "flow.submitted", ""),

@@ -22,9 +22,8 @@ A key fails (exit 1) when its current ratio drops below 75% of the
 committed one.  Additionally, when the *baseline* ratio exceeds 1.0 —
 the capturing machine demonstrated a real speedup, as the GA hot path
 does — the current ratio must also stay above 1.0.  Baselines captured
-at ~1.0 (e.g. a parallel speedup recorded on a single-core box)
-don't impose that floor, since the capturing machine could not express
-a speedup in the first place.
+at ~1.0 (a ratio of two sides that should cost the same) don't impose
+that floor, since there is no speedup to defend.
 
 A ratio key may carry an explicit absolute floor as `key@floor`
 (e.g. `plain_vs_observed@0.95`): the current ratio must then stay at or
@@ -153,16 +152,16 @@ def self_test():
             "current": {"bench": "fake",
                         "workload": {"tasks": 1},
                         "speedup_vs_full_decode": 2.0,
-                        "speedup_vs_single_shard": 1.0}})
+                        "second_ratio": 1.0}})
         good = write(tmp, "good.json", {
             "bench": "fake", "speedup_vs_full_decode": 1.9,
-            "speedup_vs_single_shard": 2.5})
+            "second_ratio": 2.5})
         slow = write(tmp, "slow.json", {
             "bench": "fake", "speedup_vs_full_decode": 1.2,
-            "speedup_vs_single_shard": 0.4})
+            "second_ratio": 0.4})
         floor = write(tmp, "floor.json", {
             "bench": "fake", "speedup_vs_full_decode": 0.9,
-            "speedup_vs_single_shard": 1.0})
+            "second_ratio": 1.0})
         nokey = write(tmp, "nokey.json", {"bench": "fake"})
 
         expect("two-arg pass", 0, base, good)
@@ -171,21 +170,21 @@ def self_test():
         # 2.0 > 1.0 so current must stay above 1.0; 0.9 fails.
         expect("hard floor when baseline > 1", 1, base, floor)
         expect("missing key", 2, base, nokey, DEFAULT_KEY)
-        expect("triple pass", 0, base, good, "speedup_vs_single_shard")
+        expect("triple pass", 0, base, good, "second_ratio")
         # ~1.0 baseline imposes no floor: 0.8 >= 0.75*1.0 passes.
         expect("no floor at ~1.0 baseline", 0,
                write(tmp, "ok80.json",
-                     {"bench": "fake", "speedup_vs_single_shard": 0.8}),
+                     {"bench": "fake", "second_ratio": 0.8}),
                write(tmp, "ok80b.json",
-                     {"bench": "fake", "speedup_vs_single_shard": 0.8}),
-               "speedup_vs_single_shard")
-        expect("triple regression", 1, base, slow, "speedup_vs_single_shard")
+                     {"bench": "fake", "second_ratio": 0.8}),
+               "second_ratio")
+        expect("triple regression", 1, base, slow, "second_ratio")
         expect("two triples, second fails", 1,
                base, good, DEFAULT_KEY,
-               base, slow, "speedup_vs_single_shard")
+               base, slow, "second_ratio")
         expect("two triples pass", 0,
                base, good, DEFAULT_KEY,
-               base, good, "speedup_vs_single_shard")
+               base, good, "second_ratio")
 
         # key@floor: absolute floors independent of the baseline ratio.
         obs_base = write(tmp, "obs_base.json", {

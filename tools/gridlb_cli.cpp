@@ -11,7 +11,7 @@
 //                   [--placement agent|central|crush] [--seed S]
 //                   [--pull-period P] [--prediction-error E]
 //                   [--churn-mtbf M --churn-mttr R]
-//                   [--sim-shards N] [--csv] [--trace S1]
+//                   [--csv] [--trace S1]
 //       Run a custom campaign on the Fig. 7 grid; --trace renders one
 //       resource's executed Gantt chart.  A leading `--` flag with no
 //       command runs a campaign, so `gridlb --grid-agents 192 …` works.
@@ -21,13 +21,10 @@
 // fanout|random, --grid-fanout, --grid-depth, --grid-seed, --grid-nodes
 // describe the hierarchy; --requests-per-agent, --arrival-interval
 // (0 = auto: hold the per-agent rate constant) and --deadline-scale scale
-// the workload with it.  --sim-shards N splits the event queue into N
-// queues merged back into one order on one thread (0 = one per hardware
-// thread).  It changes no result and buys no speed (DESIGN.md §13); it
-// stays only until the end-to-end benchmark stops building multi-queue
-// runs.  --timeline-out writes the per-resource utilisation timeline as
-// CSV (--timeline-window buckets), and --require-complete exits non-zero
-// unless every task completed.
+// the workload with it.  Every run, however large, is one event queue on
+// one thread (DESIGN.md §13).  --timeline-out writes the per-resource
+// utilisation timeline as CSV (--timeline-window buckets), and
+// --require-complete exits non-zero unless every task completed.
 //
 // Placement families (experiment and campaign commands, DESIGN.md §15):
 // --placement selects how requests are routed onto resources — agent
@@ -109,14 +106,6 @@ void require_valid(Check check) {
   } catch (const AssertionError& error) {
     throw FlagError(require_message(error));
   }
-}
-
-/// --sim-shards, shared by the experiment and campaign commands.
-int sim_shards_flag(const Flags& flags) {
-  const int shards = flags.get_int("sim-shards", 1);
-  require_flag(shards >= 0,
-               "--sim-shards must be >= 0 (0 = hardware concurrency)");
-  return shards;
 }
 
 /// --placement, shared by the experiment and campaign commands.
@@ -359,7 +348,6 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
                                         : sched::SchedulerPolicy::kFifo;
   config.placement = placement_flag(flags, config.placement);
   config.system.discovery_enabled = flags.get_bool("agents", true);
-  config.system.sim_shards = sim_shards_flag(flags);
   config.system.pull_period = flags.get_double("pull-period", 10.0);
   config.system.prediction_error = flags.get_double("prediction-error", 0.0);
   const double mtbf = flags.get_double("churn-mtbf", 0.0);
@@ -399,7 +387,6 @@ int cmd_experiment(const Flags& flags) {
     config.workload.seed =
         static_cast<std::uint64_t>(flags.get_int("seed", 2003));
     require_valid([&config] { core::validate_workload(config.workload); });
-    config.system.sim_shards = sim_shards_flag(flags);
     config.placement = placement_flag(flags, config.placement);
     apply_fault_flags(flags, config);
     apply_obs_flags(flags, config);
@@ -561,9 +548,6 @@ Flags make_flags() {
   flags.declare("requests", "N", "number of portal requests");
   flags.declare("seed", "S", "workload seed");
   flags.declare("policy", "ga|fifo", "local scheduling policy");
-  flags.declare("sim-shards", "N",
-                "event queues, merged in one order: same results, no "
-                "speedup (0 = one per hardware thread)");
   flags.declare("placement", "agent|central|crush",
                 "placement family routing requests onto resources");
   flags.declare("agents", "on|off", "agent-based discovery");
