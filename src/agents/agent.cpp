@@ -25,7 +25,7 @@ Agent::Agent(sim::Engine& engine, sim::Network& network,
       grid_(grid),
       config_(std::move(config)),
       scheduler_(scheduler),
-      link_(engine, network, grid.retry_policy()) {
+      link_(engine, network, grid.loss_tolerant()) {
   GRIDLB_REQUIRE(config_.id.valid(), "agent needs a valid id");
   endpoint_ = network_.register_endpoint(
       config_.address, config_.port,
@@ -556,11 +556,10 @@ void Agent::maybe_migrate(AgentId described) {
   if (target == nullptr) return;
   const SimTime now = engine_.now();
   const double own_backlog = std::max(0.0, scheduler_.freetime() - now);
-  if (own_backlog <= grid_.migration.overload_threshold) return;
+  if (own_backlog <= kMigrationOverload) return;
   const CapabilityTable::Entry* entry = act_.find(described);
   if (entry == nullptr) return;
-  if (std::max(0.0, entry->info.freetime - now) >=
-      grid_.migration.underload_threshold) {
+  if (std::max(0.0, entry->info.freetime - now) >= kMigrationUnderload) {
     return;
   }
 
@@ -568,7 +567,7 @@ void Agent::maybe_migrate(AgentId described) {
   // gain the most from re-homing.
   int moved = 0;
   for (std::size_t i = queue_copies_.size();
-       i-- > 0 && moved < grid_.migration.max_batch;) {
+       i-- > 0 && moved < kMigrationBatch;) {
     Request request = queue_copies_[i];
     if (already_visited(request, described)) continue;
     if (request.visited.size() >= kMaxHops) continue;

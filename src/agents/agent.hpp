@@ -66,23 +66,24 @@ enum class AdvertisementScope {
 
 /// Threshold-triggered migration of *queued* (never running) tasks
 /// (ROADMAP item 3, DESIGN.md §16).  When an advertisement shows a direct
-/// neighbour far idler than the own backlog, up to `max_batch` still-
+/// neighbour far idler than the own backlog, up to kMigrationBatch still-
 /// pending tasks are cancelled on the local scheduler and re-forwarded to
 /// that neighbour as final dispatches.  Migration documents are ordinary
 /// request documents riding the ReliableLink, so they survive message
 /// drops (retries) and churn (crash strands them back to the portal).
 struct MigrationConfig {
   bool enabled = false;
-  /// Own backlog (scheduler freetime − now, seconds) above which the agent
-  /// starts looking for a migration target.  90 s is tuned on the
-  /// ablation_migration sweep: 120 leaves hot queues standing, 60 thrashes
-  /// (re-homed tasks bounce between agents and balance degrades).
-  double overload_threshold = 90.0;
-  /// Advertised neighbour backlog below which it qualifies as a target.
-  double underload_threshold = 30.0;
-  /// Queued tasks re-homed per qualifying advertisement, newest first.
-  int max_batch = 4;
 };
+
+/// Own backlog (scheduler freetime − now, seconds) above which an agent
+/// starts looking for a migration target.  90 s is tuned on the
+/// ablation_migration sweep: 120 leaves hot queues standing, 60 thrashes
+/// (re-homed tasks bounce between agents and balance degrades).
+inline constexpr double kMigrationOverload = 90.0;
+/// Advertised neighbour backlog below which it qualifies as a target.
+inline constexpr double kMigrationUnderload = 30.0;
+/// Queued tasks re-homed per qualifying advertisement, newest first.
+inline constexpr int kMigrationBatch = 4;
 
 /// Discovery hop budget; exceeding it forces best-effort dispatch (or a
 /// drop under strict_failure).  Transitive routing can legitimately
@@ -213,7 +214,7 @@ class Agent {
   void note_strict_drop(const Request& request, std::uint64_t hops);
   /// Migration trigger, run after each advertisement upsert: when this
   /// agent is overloaded and the freshly described *direct neighbour* is
-  /// underloaded, re-home up to migration.max_batch still-queued tasks.
+  /// underloaded, re-home up to kMigrationBatch still-queued tasks.
   void maybe_migrate(AgentId described);
   [[nodiscard]] std::optional<AgentId> neighbour_for_endpoint(
       sim::EndpointId endpoint) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -23,6 +24,13 @@ pace::PredictionTable grid_predictions(
   return pace::PredictionTable(catalogue, platforms, width);
 }
 
+/// `value` in the fewest digits %g needs ("0.05", not "0.050000").
+std::string shortest_text(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%g", value);
+  return buffer;
+}
+
 }  // namespace
 
 void SystemConfig::validate() const {
@@ -30,6 +38,12 @@ void SystemConfig::validate() const {
   GRIDLB_REQUIRE(std::isfinite(pull_period) && pull_period >= 0.0,
                  "pull period must be finite and >= 0 (0 = no advertisement "
                  "pulls)");
+  // A period shorter than one network hop starts the next pull before the
+  // last one's advertisements can arrive, flooding the event queue.
+  GRIDLB_REQUIRE(pull_period == 0.0 || pull_period >= kNetworkLatency,
+                 "pull period must be 0 (no advertisement pulls) or at least "
+                 "one network latency (" + shortest_text(kNetworkLatency) +
+                     " s)");
   for (const ResourceSpec& spec : resources) {
     sched::LocalScheduler::Config scheduler;
     scheduler.node_count = spec.node_count;
@@ -59,7 +73,7 @@ AgentSystem::AgentSystem(sim::Engine& engine,
 void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
                         metrics::MetricsCollector* collector) {
   config_.validate();
-  network_ = std::make_unique<sim::Network>(engine_, config_.network_latency,
+  network_ = std::make_unique<sim::Network>(engine_, kNetworkLatency,
                                             config_.fault);
 
   Rng seeder(config_.seed);
@@ -151,7 +165,7 @@ void AgentSystem::schedule_agent_churn() {
   // Alternating up/down script per agent, fully drawn up-front so the
   // schedule depends only on the churn seed (never on simulation events).
   for (std::size_t i = 0; i < agents_.size(); ++i) {
-    if (churn.protect_head && i == head_index_) continue;
+    if (i == head_index_) continue;
     SimTime t = 0.0;
     while (true) {
       t += exponential(churn.mtbf);

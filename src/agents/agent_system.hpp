@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,27 +39,23 @@ struct ChurnConfig {
   std::uint64_t seed = 7;
 };
 
-/// Loss-tolerance knobs of the agent protocol (DESIGN.md §10).  They
-/// apply only while SystemConfig::loss_tolerant() holds; otherwise the
-/// protocol is byte-identical to the lossless one.
-struct FaultToleranceConfig {
-  /// Retry/timeout/backoff for request and result documents.
-  RetryPolicy retry;
-  /// An ACT entry missing this many advertisement periods is distrusted
-  /// during discovery (the neighbour is suspected dead).
-  int act_expiry_periods = 3;
-};
+/// Under the loss-tolerant protocol (DESIGN.md §10), an ACT entry missing
+/// this many advertisement periods is distrusted during discovery (the
+/// neighbour is suspected dead).
+inline constexpr int kActExpiryPeriods = 3;
+
+/// One-way message delay of the grid's network, seconds.
+inline constexpr double kNetworkLatency = 0.05;
 
 /// Whole-agent process churn: crashes kill the agent's protocol state and
 /// its pending queue; restarts come back with an empty ACT.  Distinct from
-/// node-level ChurnConfig, which only removes processing nodes.
+/// node-level ChurnConfig, which only removes processing nodes.  The
+/// hierarchy head never crashes: it is the portal's fallback entry.
 struct AgentChurnConfig {
   bool enabled = false;
   double mtbf = 1800.0;     ///< mean agent up-time, seconds
   double mttr = 30.0;       ///< mean process restart time, seconds
   double horizon = 600.0;   ///< crashes generated until this time
-  /// Keep the hierarchy head alive (it is the portal's fallback entry).
-  bool protect_head = true;
   std::uint64_t seed = 99;
 };
 
@@ -74,7 +69,6 @@ struct SystemConfig {
   double pull_period = 10.0;       ///< case study: ten seconds
   bool push_on_dispatch = false;
   AdvertisementScope scope = AdvertisementScope::kOwnService;
-  double network_latency = 0.05;   ///< one-way message delay, seconds
   /// Read by nothing: every run owns one event queue (DESIGN.md §13).
   /// perfbench/bench.cpp is the only writer; the benchmark change that
   /// refreshes perfbench/ (ROADMAP item 2) deletes the field.
@@ -82,9 +76,8 @@ struct SystemConfig {
   std::uint64_t seed = 42;         ///< per-scheduler GA seeds derive from it
   double prediction_error = 0.0;   ///< see LocalScheduler::Config
   ChurnConfig churn;
-  /// Deterministic network faults (drops, jitter, partitions).
+  /// Deterministic network faults (drops, jitter).
   sim::FaultPlan fault;
-  FaultToleranceConfig fault_tolerance;
   AgentChurnConfig agent_churn;
   /// Threshold-triggered queue migration, applied to every agent.
   MigrationConfig migration;
@@ -95,23 +88,17 @@ struct SystemConfig {
   [[nodiscard]] bool loss_tolerant() const {
     return fault.active() || agent_churn.enabled;
   }
-  /// The request/result retry policy; empty unless loss_tolerant().
-  [[nodiscard]] std::optional<RetryPolicy> retry_policy() const {
-    if (!loss_tolerant()) return std::nullopt;
-    return fault_tolerance.retry;
-  }
   /// Age in seconds past which discovery distrusts an ACT entry:
-  /// act_expiry_periods × pull_period when loss_tolerant(), else 0
+  /// kActExpiryPeriods × pull_period when loss_tolerant(), else 0
   /// (trust every entry forever).
   [[nodiscard]] double act_expiry() const {
-    return loss_tolerant() ? fault_tolerance.act_expiry_periods * pull_period
-                           : 0.0;
+    return loss_tolerant() ? kActExpiryPeriods * pull_period : 0.0;
   }
 
-  /// Throws AssertionError unless the fault plan, both churn models and
-  /// every resource's scheduler settings are in range.  The AgentSystem
-  /// constructor runs it first; a command line can run it before any
-  /// setup to report a bad flag.
+  /// Throws AssertionError unless the fault plan, the pull period, both
+  /// churn models and every resource's scheduler settings are in range.
+  /// The AgentSystem constructor runs it first; a command line can run it
+  /// before any setup to report a bad flag.
   void validate() const;
 };
 

@@ -11,13 +11,12 @@ namespace gridlb::agents {
 
 Portal::Portal(sim::Engine& engine, sim::Network& network,
                const pace::ApplicationCatalogue& catalogue,
-               metrics::MetricsCollector* collector,
-               std::optional<RetryPolicy> retry)
+               metrics::MetricsCollector* collector, bool reliable)
     : engine_(engine),
       network_(network),
       catalogue_(catalogue),
       collector_(collector),
-      link_(engine, network, retry) {
+      link_(engine, network, reliable) {
   endpoint_ = network_.register_endpoint(
       "portal.gridlb.sim", 80,
       [this](const sim::Message& message) { on_message(message); });

@@ -8,7 +8,6 @@
 // like inter-agent traffic.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,13 +22,12 @@ namespace gridlb::agents {
 
 class Portal {
  public:
-  /// `collector` may be null.  `retry` governs reliable delivery of the
-  /// request documents (and duplicate suppression of retransmitted
-  /// results); empty, traffic is byte-identical to the lossless protocol.
+  /// `collector` may be null.  `reliable` turns on reliable delivery of
+  /// the request documents (and duplicate suppression of retransmitted
+  /// results); false, traffic is byte-identical to the lossless protocol.
   Portal(sim::Engine& engine, sim::Network& network,
          const pace::ApplicationCatalogue& catalogue,
-         metrics::MetricsCollector* collector,
-         std::optional<RetryPolicy> retry = std::nullopt);
+         metrics::MetricsCollector* collector, bool reliable = false);
 
   /// Submits one request to `entry` now.  `deadline` is absolute
   /// simulation time.  Returns the assigned task id.

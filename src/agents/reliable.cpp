@@ -8,20 +8,19 @@
 
 namespace gridlb::agents {
 
+static_assert(kAckTimeout > 0.0, "ack timeout must be positive");
+static_assert(kBackoff >= 1.0, "backoff must not shrink timeouts");
+static_assert(kMaxTimeout >= kAckTimeout,
+              "timeout ceiling below the initial timeout");
+static_assert(kMaxAttempts >= 1, "need at least one attempt");
+
 ReliableLink::ReliableLink(sim::Engine& engine, sim::Network& network,
-                           std::optional<RetryPolicy> policy)
-    : engine_(engine), network_(network), policy_(policy) {
-  if (!policy_) return;
-  GRIDLB_REQUIRE(policy_->ack_timeout > 0.0, "ack timeout must be positive");
-  GRIDLB_REQUIRE(policy_->backoff >= 1.0, "backoff must not shrink timeouts");
-  GRIDLB_REQUIRE(policy_->max_timeout >= policy_->ack_timeout,
-                 "timeout ceiling below the initial timeout");
-  GRIDLB_REQUIRE(policy_->max_attempts >= 1, "need at least one attempt");
-}
+                           bool reliable)
+    : engine_(engine), network_(network), reliable_(reliable) {}
 
 void ReliableLink::send(sim::EndpointId to, xml::Element document,
                         FailureFn on_failure) {
-  if (!policy_) {
+  if (!reliable_) {
     network_.send(self_, to, xml::write(document));
     return;
   }
@@ -34,7 +33,7 @@ void ReliableLink::send(sim::EndpointId to, xml::Element document,
   Pending pending;
   pending.to = to;
   pending.payload = payload;
-  pending.timeout = policy_->ack_timeout;
+  pending.timeout = kAckTimeout;
   pending.on_failure = std::move(on_failure);
   pending_.emplace(msgid, std::move(pending));
   ++stats_.reliable_sent;
@@ -52,7 +51,7 @@ void ReliableLink::on_timeout(std::uint64_t msgid) {
   const auto it = pending_.find(msgid);
   if (it == pending_.end()) return;  // acked in the meantime
   Pending& pending = it->second;
-  if (pending.attempts >= policy_->max_attempts) {
+  if (pending.attempts >= kMaxAttempts) {
     ++stats_.expired;
     obs::emit({.at = engine_.now(),
                .kind = obs::EventKind::kMessageExpired,
@@ -69,8 +68,7 @@ void ReliableLink::on_timeout(std::uint64_t msgid) {
   }
   ++pending.attempts;
   ++stats_.retries;
-  pending.timeout = std::min(pending.timeout * policy_->backoff,
-                             policy_->max_timeout);
+  pending.timeout = std::min(pending.timeout * kBackoff, kMaxTimeout);
   obs::emit({.at = engine_.now(),
              .kind = obs::EventKind::kMessageRetry,
              .extra = static_cast<std::uint32_t>(pending.attempts),
@@ -82,7 +80,7 @@ void ReliableLink::on_timeout(std::uint64_t msgid) {
 
 ReliableLink::Inbound ReliableLink::on_message(const sim::Message& message,
                                                const xml::Element& document) {
-  if (!policy_) return Inbound::kDeliver;
+  if (!reliable_) return Inbound::kDeliver;
   if (document.attribute("type") == "ack") {
     const auto msgid_text = document.attribute("msgid");
     GRIDLB_REQUIRE(msgid_text.has_value(), "ack lacks a msgid");

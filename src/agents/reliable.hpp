@@ -11,14 +11,14 @@
 //     `<agentgrid type="ack" msgid="…"/>` document (acks are themselves
 //     unreliable — a lost ack simply provokes one more retransmission);
 //   * an unacknowledged message is retransmitted with bounded exponential
-//     backoff; after `max_attempts` transmissions the sender gives up and
+//     backoff; after kMaxAttempts transmissions the sender gives up and
 //     invokes the send's failure callback (e.g. to reroute a request away
 //     from a suspected-dead neighbour);
 //   * receivers remember every msgid they have delivered and suppress
 //     duplicates (re-acking them), so at-least-once transport yields
 //     effectively-once processing.
 //
-// Without a policy the link is a transparent pass-through: sends are
+// An unreliable link is a transparent pass-through: sends are
 // byte-identical to a plain network_.send (no msgid attribute, no
 // acks, no timers), which is what keeps the zero-fault experiment results
 // bit-for-bit identical to the pre-fault implementation.
@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -38,19 +37,17 @@
 
 namespace gridlb::agents {
 
-/// Retry/timeout/backoff knobs of one reliable sender.
-struct RetryPolicy {
-  double ack_timeout = 0.5;  ///< first acknowledgement timeout, seconds
-  double backoff = 2.0;      ///< timeout multiplier per retransmission
-  double max_timeout = 8.0;  ///< ceiling the backoff saturates at
-  int max_attempts = 5;      ///< total transmissions, the first included
-};
+/// Retry/timeout/backoff of every reliable sender (DESIGN.md §10).
+inline constexpr double kAckTimeout = 0.5;  ///< first ack timeout, seconds
+inline constexpr double kBackoff = 2.0;     ///< timeout multiplier per retry
+inline constexpr double kMaxTimeout = 8.0;  ///< ceiling of the backoff
+inline constexpr int kMaxAttempts = 5;  ///< transmissions, the first included
 
 /// Reliability bookkeeping of one link.
 struct LinkStats {
   std::uint64_t reliable_sent = 0;  ///< first transmissions with a msgid
   std::uint64_t retries = 0;        ///< retransmissions after a timeout
-  std::uint64_t expired = 0;        ///< sends that exhausted max_attempts
+  std::uint64_t expired = 0;        ///< sends that exhausted kMaxAttempts
   std::uint64_t acks_sent = 0;
   std::uint64_t acks_received = 0;
   std::uint64_t duplicates_suppressed = 0;
@@ -63,9 +60,8 @@ class ReliableLink {
   using FailureFn =
       std::function<void(sim::EndpointId to, const std::string& payload)>;
 
-  /// An empty `policy` makes the link a plain pass-through.
-  ReliableLink(sim::Engine& engine, sim::Network& network,
-               std::optional<RetryPolicy> policy);
+  /// `reliable` false makes the link a plain pass-through.
+  ReliableLink(sim::Engine& engine, sim::Network& network, bool reliable);
 
   ReliableLink(const ReliableLink&) = delete;
   ReliableLink& operator=(const ReliableLink&) = delete;
@@ -73,8 +69,8 @@ class ReliableLink {
   /// The owning endpoint; must be set (once) before the first send.
   void set_self(sim::EndpointId self) { self_ = self; }
 
-  /// Writes an agentgrid document once and sends it.  No policy: plain
-  /// passthrough.  With one: stamps a msgid on the tree first, then
+  /// Writes an agentgrid document once and sends it.  Unreliable: plain
+  /// passthrough.  Reliable: stamps a msgid on the tree first, then
   /// transmits and retries until acked or the attempt budget runs out
   /// (then calls `on_failure`, if given).
   void send(sim::EndpointId to, xml::Element document,
@@ -115,7 +111,7 @@ class ReliableLink {
 
   sim::Engine& engine_;
   sim::Network& network_;
-  std::optional<RetryPolicy> policy_;
+  bool reliable_;
   sim::EndpointId self_ = 0;
   std::uint64_t next_serial_ = 0;
   std::unordered_map<std::uint64_t, Pending> pending_;

@@ -26,6 +26,11 @@ namespace gridlb::core {
 
 namespace {
 
+/// The hash placement family's straw map: the default map seed and a
+/// backlog-discount τ of 60 s, so a target carrying b seconds of routed
+/// backlog competes with weight w / (1 + b/τ) (DESIGN.md §15).
+constexpr sched::HashPlacement::Config kStrawMap{.load_tau = 60.0};
+
 ExperimentConfig base_experiment() {
   ExperimentConfig config;
   config.system.resources = case_study_resources();
@@ -259,12 +264,12 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   agents::AgentSystem system(engine, catalogue, config.system, &collector);
   system.start();
   agents::Portal portal(engine, system.network(), catalogue, &collector,
-                        config.system.retry_policy());
+                        config.system.loss_tolerant());
   portal.set_fallback_entry(&system.head());
   // A crash strands tasks on the dead agent; they reach the portal one
   // network latency later, as a message would (the fault-run pins
   // depend on this delay).
-  const double resubmit_delay = config.system.network_latency;
+  const double resubmit_delay = system.network().latency();
   system.set_stranded_sink([&portal, &engine, resubmit_delay](TaskId task) {
     engine.schedule_in(resubmit_delay,
                        [&portal, task]() { portal.resubmit(task); });
@@ -285,7 +290,7 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
           sched::HashPlacement::hardware_weight(
               pace::ResourceModel::of(spec.hardware), spec.node_count)});
     }
-    placement.emplace(config.hash_placement, std::move(targets));
+    placement.emplace(kStrawMap, std::move(targets));
   }
   // Prediction-table reads made on the portal's side: the placement map's
   // occupancy snapshots and the oracle's eq. 10 scans.
@@ -411,7 +416,7 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
           .set(static_cast<double>(total_grid_nodes(config.system)));
     }
     const double interval = std::max(config.obs.effective_interval(),
-                                     config.system.network_latency);
+                                     system.network().latency());
     sampler_ticks = schedule_sampler_ticks(
         engine, *sampler, interval, config.obs.progress, expected,
         [&system]() { return system.completed_count(); });

@@ -18,7 +18,6 @@
 #include "core/workload.hpp"
 #include "metrics/metrics.hpp"
 #include "obs/obs.hpp"
-#include "sched/hash_placement.hpp"
 
 namespace gridlb::core {
 
@@ -56,11 +55,6 @@ struct ExperimentConfig {
   WorkloadConfig workload;
   /// Placement family dispatched by run_experiment (DESIGN.md §15).
   PlacementFamily placement = PlacementFamily::kAgentDiscovery;
-  /// Hash placement only: the straw map's seed and backlog-discount τ.
-  /// The portal's optimistic freetime snapshots use τ = 60 s here (a
-  /// target carrying b seconds of routed backlog competes with weight
-  /// w / (1 + b/τ)); 0 keeps the map purely hardware-weighted.
-  sched::HashPlacement::Config hash_placement{.load_tau = 60.0};
   /// Open-loop campaign cutoff: > 0 runs exactly the events with time <
   /// `duration` and then stops, completed or not — the sustained-rate
   /// regime whose success criteria are the steady-state latency

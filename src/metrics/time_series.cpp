@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -20,8 +21,16 @@ Timeline build_timeline(
   Timeline out;
   out.window = window;
   out.start = start;
-  const auto buckets = static_cast<std::size_t>(
-      std::max(1.0, std::ceil((end - start) / window)));
+  const double span_buckets = std::max(1.0, std::ceil((end - start) / window));
+  if (span_buckets > static_cast<double>(kMaxTimelineBuckets)) {
+    char message[192];
+    std::snprintf(message, sizeof message,
+                  "timeline window %g s splits %g s into %.0f buckets, more "
+                  "than the %zu allowed; widen the window",
+                  window, end - start, span_buckets, kMaxTimelineBuckets);
+    GRIDLB_REQUIRE(false, message);
+  }
+  const auto buckets = static_cast<std::size_t>(span_buckets);
 
   double total_nodes = 0.0;
   for (const auto& [label, node_count] : resources) {

@@ -30,11 +30,16 @@ struct Timeline {
   [[nodiscard]] std::size_t buckets() const { return total.size(); }
 };
 
+/// Most windows one timeline may hold: a 60 s window covers over 69 days,
+/// and a window too narrow for its span fails instead of exhausting memory.
+inline constexpr std::size_t kMaxTimelineBuckets = 100'000;
+
 /// Buckets `records` (each execution charges [start, end) on its nodes)
 /// into windows of `window` seconds starting at `start`.  `resources`
 /// supplies labels and node counts in AgentId order 1..N; records must
 /// carry 1-based resource ids.  Each record only touches the buckets its
-/// execution overlaps, so the build is linear in the record count.
+/// execution overlaps, so the build is linear in the record count.  More
+/// than kMaxTimelineBuckets windows fail with an AssertionError.
 [[nodiscard]] Timeline build_timeline(
     const std::vector<sched::CompletionRecord>& records,
     const std::vector<std::pair<std::string, int>>& resources, double window,

@@ -10,10 +10,9 @@
 // The key space of that cache is finite and known when a grid is built:
 // the application catalogue × the grid's platforms × nproc 1..width
 // (7 × 5 × 16 = 560 entries for the case study).  PredictionTable
-// therefore evaluates every entry once, eagerly, before any simulation
-// thread starts, and is read-only afterwards, so readers on any thread need
-// no locks.  Every entry is the engine's own value, so reading the table
-// is bit-identical to calling the engine.
+// therefore evaluates every entry once, eagerly, before the simulation
+// starts, and is read-only afterwards.  Every entry is the engine's own
+// value, so reading the table is bit-identical to calling the engine.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +52,7 @@ struct CacheStats {
 /// application key is the model's address: models are immutable and
 /// shared via ApplicationModelPtr, which the table holds, so the address
 /// is a stable identity for the table's lifetime.  Immutable after
-/// construction, so any number of threads may read it.
+/// construction.
 class PredictionTable {
  public:
   /// Evaluates every application of `catalogue` on every distinct platform

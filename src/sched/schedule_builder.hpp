@@ -19,7 +19,7 @@
 //     work (per-task prediction rows, clamped node availability) is
 //     hoisted into a DecodeContext by prepare(), and all
 //     mutable buffers live in a caller-owned DecodeScratch, so steady-state
-//     evaluation performs zero heap allocations and zero lock acquisitions.
+//     evaluation performs zero heap allocations.
 //   * decode() — evaluate() plus the per-task placements, run once for the
 //     winning solution (and by tests/tools that want the full Gantt view).
 #pragma once
@@ -136,8 +136,8 @@ class ScheduleBuilder {
 
   /// Metrics-only decode of `solution` under `context` — the GA's
   /// steady-state evaluation: zero heap allocations (all buffers live in
-  /// `scratch`) and zero lock acquisitions (all predictions come from the
-  /// context's hoisted rows).  Returns exactly the metrics decode() would.
+  /// `scratch`, all predictions in the context's hoisted rows).  Returns
+  /// exactly the metrics decode() would.
   [[nodiscard]] ScheduleMetrics evaluate(const DecodeContext& context,
                                          const SolutionString& solution,
                                          DecodeScratch& scratch) const;

@@ -1,17 +1,15 @@
 #include "sim/network.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
 
 namespace gridlb::sim {
 
 namespace {
-/// `extra` payload of a kMessageDropped trace event.
+/// `extra` payload of a kMessageDropped trace event.  The values are part
+/// of the exported event format, so they never change (1 is unassigned).
 enum DropReason : std::uint32_t {
   kDropRandom = 0,
-  kDropPartition = 1,
   kDropEndpointDown = 2,
 };
 
@@ -34,10 +32,6 @@ void FaultPlan::validate() const {
   GRIDLB_REQUIRE(drop_prob >= 0.0 && drop_prob < 1.0,
                  "drop probability must lie in [0, 1)");
   GRIDLB_REQUIRE(jitter_max >= 0.0, "jitter must be non-negative");
-  for (const Partition& partition : partitions) {
-    GRIDLB_REQUIRE(partition.until >= partition.from,
-                   "partition window must not end before it starts");
-  }
 }
 
 EndpointId Network::register_endpoint(std::string address, int port,
@@ -58,20 +52,6 @@ bool Network::endpoint_up(EndpointId id) const {
   return endpoints_[id].up;
 }
 
-bool Network::partitioned(EndpointId from, EndpointId to, SimTime now) const {
-  for (const FaultPlan::Partition& partition : plan_.partitions) {
-    if (now < partition.from || now >= partition.until) continue;
-    const auto inside = [&partition](const std::string& address) {
-      return std::find(partition.island.begin(), partition.island.end(),
-                       address) != partition.island.end();
-    };
-    if (inside(endpoints_[from].address) != inside(endpoints_[to].address)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void Network::send(EndpointId from, EndpointId to, std::string payload) {
   GRIDLB_REQUIRE(from < endpoints_.size(), "unknown sender endpoint");
   GRIDLB_REQUIRE(to < endpoints_.size(), "unknown recipient endpoint");
@@ -85,29 +65,18 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
 
   double latency = latency_;
   if (plan_.active()) {
-    if (partitioned(from, to, now)) {
-      ++faults_.dropped_partition;
+    Rng draw(message_seed(plan_.seed, from, ordinal));
+    if (plan_.drop_prob > 0.0 && draw.chance(plan_.drop_prob)) {
+      ++faults_.dropped_random;
       obs::emit({.at = now,
                  .kind = obs::EventKind::kMessageDropped,
-                 .extra = kDropPartition,
+                 .extra = kDropRandom,
                  .a = static_cast<double>(from),
                  .b = static_cast<double>(to)});
       return;
     }
-    if (plan_.drop_prob > 0.0 || plan_.jitter_max > 0.0) {
-      Rng draw(message_seed(plan_.seed, from, ordinal));
-      if (plan_.drop_prob > 0.0 && draw.chance(plan_.drop_prob)) {
-        ++faults_.dropped_random;
-        obs::emit({.at = now,
-                   .kind = obs::EventKind::kMessageDropped,
-                   .extra = kDropRandom,
-                   .a = static_cast<double>(from),
-                   .b = static_cast<double>(to)});
-        return;
-      }
-      if (plan_.jitter_max > 0.0) {
-        latency += draw.uniform(0.0, plan_.jitter_max);
-      }
+    if (plan_.jitter_max > 0.0) {
+      latency += draw.uniform(0.0, plan_.jitter_max);
     }
   }
 

@@ -9,8 +9,8 @@
 // act as a potential bottleneck").
 //
 // Fault injection (DESIGN.md §10): an optional, seeded FaultPlan makes the
-// network unreliable — per-message Bernoulli loss, uniform latency jitter,
-// timed partitions, and per-endpoint outages (crashed agents).  All knobs
+// network unreliable — per-message Bernoulli loss and uniform latency
+// jitter — and per-endpoint outages model crashed agents.  All knobs
 // default to "perfect delivery"; with an inactive plan `send` performs no
 // RNG draws and the delivery schedule is bit-for-bit identical to a
 // network built without a plan.
@@ -62,20 +62,11 @@ struct FaultPlan {
   /// Extra one-way delay, uniform in [0, jitter_max) seconds.
   double jitter_max = 0.0;
   std::uint64_t seed = 1;  ///< fault RNG stream (independent of workload)
-  /// A timed partition: while `from <= now < until`, messages crossing the
-  /// island boundary (one side's address inside `island`, the other's
-  /// outside) are dropped in both directions.
-  struct Partition {
-    std::vector<std::string> island;  ///< endpoint addresses on one side
-    SimTime from = 0.0;
-    SimTime until = 0.0;
-  };
-  std::vector<Partition> partitions;
 
   /// True when any fault source is configured; an inactive plan keeps the
   /// network on the perfect-delivery path (no RNG draws at all).
   [[nodiscard]] bool active() const {
-    return drop_prob > 0.0 || jitter_max > 0.0 || !partitions.empty();
+    return drop_prob > 0.0 || jitter_max > 0.0;
   }
 
   /// Throws AssertionError unless every knob is in range.
@@ -84,13 +75,12 @@ struct FaultPlan {
 
 /// Injected-fault accounting, network-wide.
 struct FaultStats {
-  std::uint64_t dropped_random = 0;     ///< Bernoulli losses
-  std::uint64_t dropped_partition = 0;  ///< partition-window losses
+  std::uint64_t dropped_random = 0;         ///< Bernoulli losses
   std::uint64_t dropped_endpoint_down = 0;  ///< recipient was down
-  /// Losses the fault plan caused (random + partition); outage losses at
-  /// a down endpoint come from agent churn, not from the plan.
+  /// Losses the fault plan caused; outage losses at a down endpoint come
+  /// from agent churn, not from the plan.
   [[nodiscard]] std::uint64_t dropped_by_plan() const {
-    return dropped_random + dropped_partition;
+    return dropped_random;
   }
   [[nodiscard]] std::uint64_t dropped_total() const {
     return dropped_by_plan() + dropped_endpoint_down;
@@ -143,10 +133,6 @@ class Network {
     EndpointStats stats;
     bool up = true;
   };
-
-  /// True if a partition window at time `now` separates the two endpoints.
-  [[nodiscard]] bool partitioned(EndpointId from, EndpointId to,
-                                 SimTime now) const;
 
   Engine& engine_;
   double latency_;

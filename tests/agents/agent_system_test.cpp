@@ -111,8 +111,10 @@ TEST_F(AgentSystemFixture, ValidateRejectsOutOfRangeKnobs) {
   config.agent_churn.enabled = true;
   config.agent_churn.mttr = 0.0;
   rejects(config);
+  // 0.001 s is positive but under one network latency (kNetworkLatency).
   for (const double period : {-1.0, std::nan(""),
-                              std::numeric_limits<double>::infinity()}) {
+                              std::numeric_limits<double>::infinity(),
+                              0.001}) {
     config = two_level();
     config.pull_period = period;
     rejects(config);

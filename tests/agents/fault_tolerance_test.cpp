@@ -40,7 +40,7 @@ TEST_F(FaultToleranceFixture, LossyNetworkStillDeliversEveryTaskAndResult) {
   AgentSystem system(engine, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
-                config.retry_policy());
+                config.loss_tolerant());
   portal.set_fallback_entry(&system.head());
   system.set_stranded_sink([&portal](TaskId task) { portal.resubmit(task); });
 
@@ -65,7 +65,7 @@ TEST_F(FaultToleranceFixture, UnreachableEntryAgentFallsBackToTheHead) {
   AgentSystem system(engine, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
-                config.retry_policy());
+                config.loss_tolerant());
   portal.set_fallback_entry(&system.head());
 
   Agent& entry = system.agent_named("B");
@@ -88,7 +88,7 @@ TEST_F(FaultToleranceFixture, CrashStrandsPendingTasksWhichTheHeadRecovers) {
   AgentSystem system(engine, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
-                config.retry_policy());
+                config.loss_tolerant());
   portal.set_fallback_entry(&system.head());
 
   Agent& victim = system.agent_named("C");  // 4 nodes: most tasks must queue
@@ -119,7 +119,7 @@ TEST_F(FaultToleranceFixture, ActExpiryShunsANeighbourThatStoppedAdvertising) {
   AgentSystem system(engine, catalogue, config, &collector);
   system.start();
   Portal portal(engine, system.network(), catalogue, &collector,
-                config.retry_policy());
+                config.loss_tolerant());
   portal.set_fallback_entry(&system.head());
 
   // sweep3d needs 75 s on the 4-node Ultra1 head but only 4 s on B: a
@@ -129,8 +129,9 @@ TEST_F(FaultToleranceFixture, ActExpiryShunsANeighbourThatStoppedAdvertising) {
     portal.submit(system.head(), "sweep3d", engine.now() + 10.0);
   });
   engine.schedule_at(100.5, [&child]() { (void)child.crash(); });
-  // act_expiry = 3 advertisement periods = 30 s; by t=140.5 the head's
-  // entry for B is stale and discovery must not trust it.
+  // act_expiry = kActExpiryPeriods (3) advertisement periods = 30 s; by
+  // t=140.5 the head's entry for B is stale and discovery must not trust
+  // it.
   engine.schedule_at(140.5, [&portal, &system, this]() {
     portal.submit(system.head(), "sweep3d", engine.now() + 10.0);
   });
@@ -144,6 +145,37 @@ TEST_F(FaultToleranceFixture, ActExpiryShunsANeighbourThatStoppedAdvertising) {
   EXPECT_EQ(system.head().stats().reroutes, 0u);
   EXPECT_EQ(system.head().link_stats().retries, 0u);
   EXPECT_EQ(system.head().link_stats().expired, 0u);
+}
+
+TEST(AgentChurn, HeadNeverCrashes) {
+  // Aggressive churn: a 20 s mean up-time over a 600 s horizon crashes
+  // every other agent many times.  The head is the portal's fallback
+  // entry, so its script is never drawn.
+  sim::Engine engine;
+  const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  SystemConfig config;
+  config.resources = {
+      {"A", pace::HardwareType::kSgiOrigin2000, 16, -1},
+      {"B", pace::HardwareType::kSunUltra10, 8, 0},
+      {"C", pace::HardwareType::kSunUltra1, 4, 0},
+      {"D", pace::HardwareType::kSunUltra5, 4, 1},
+      {"E", pace::HardwareType::kSunSparcStation2, 2, 1},
+  };
+  config.agent_churn.enabled = true;
+  config.agent_churn.mtbf = 20.0;
+  config.agent_churn.mttr = 5.0;
+  config.agent_churn.horizon = 600.0;
+  AgentSystem system(engine, catalogue, config, nullptr);
+  system.start();
+  engine.run_until(700.0);
+
+  EXPECT_EQ(system.head().stats().crashes, 0u);
+  EXPECT_TRUE(system.head().alive());
+  for (std::size_t i = 0; i < system.size(); ++i) {
+    const Agent& agent = system.agent(i);
+    if (&agent == &system.head()) continue;
+    EXPECT_GE(agent.stats().crashes, 1u) << agent.name();
+  }
 }
 
 }  // namespace

@@ -269,7 +269,7 @@ TEST_F(StampedDocuments, RelayedAdvertisement) {
 TEST_F(StampedDocuments, ReliableRequestCarriesMsgid) {
   add_recorders(1);
   Agent& entry = add_agent(elsewhere, 1, {"mpi", "pvm", "test"});
-  Portal portal(engine, wire, catalogue, nullptr, RetryPolicy{});
+  Portal portal(engine, wire, catalogue, nullptr, /*reliable=*/true);
   portal.submit(entry, "fft", 120.0, "mpi", "user@gridlb.sim");
   engine.run_until(0.25);  // before the first ack timeout
 
@@ -299,7 +299,7 @@ TEST_F(StampedDocuments, ReliableRequestCarriesMsgid) {
 
 TEST_F(StampedDocuments, Ack) {
   add_recorders(1);
-  Portal portal(engine, wire, catalogue, nullptr, RetryPolicy{});
+  Portal portal(engine, wire, catalogue, nullptr, /*reliable=*/true);
   const ExecutionResult result{.task = TaskId(7),
                                .app_name = "cpi",
                                .resource_name = "S2",

@@ -1,6 +1,6 @@
 // ReliableLink: msgid stamping, ack-gated retransmission with bounded
-// exponential backoff, duplicate suppression, and the passthrough without
-// a policy that keeps zero-fault runs bit-for-bit unchanged.
+// exponential backoff, duplicate suppression, and the unreliable
+// passthrough that keeps zero-fault runs bit-for-bit unchanged.
 #include "agents/reliable.hpp"
 
 #include <gtest/gtest.h>
@@ -39,7 +39,7 @@ TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
   Arrivals arrivals;
-  ReliableLink sender(engine, network, std::nullopt);
+  ReliableLink sender(engine, network, false);
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b = network.register_endpoint(
       "b", 2, [&arrivals](const sim::Message& m) {
@@ -63,8 +63,8 @@ TEST(ReliableLink, AckStopsRetransmission) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
   Arrivals arrivals;
-  ReliableLink sender(engine, network, RetryPolicy{});
-  ReliableLink receiver(engine, network, RetryPolicy{});
+  ReliableLink sender(engine, network, true);
+  ReliableLink receiver(engine, network, true);
   const sim::EndpointId a = network.register_endpoint(
       "a", 1, [&sender](const sim::Message& m) {
         sender.on_message(m, *xml::parse(m.payload));
@@ -95,7 +95,7 @@ TEST(ReliableLink, AckStopsRetransmission) {
 TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
-  ReliableLink sender(engine, network, RetryPolicy{});
+  ReliableLink sender(engine, network, true);
   Arrivals arrivals;
   std::vector<std::string> failed;
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
@@ -114,7 +114,7 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
   engine.run();
 
   // Transmissions at t=0, then after timeouts 0.5, 1, 2, 4 (doubling from
-  // ack_timeout, capped by max_timeout=8 which is never reached here).
+  // kAckTimeout, capped by kMaxTimeout=8 which is never reached here).
   const std::vector<SimTime> expected = {
       0.0 + kLatency, 0.5 + kLatency, 1.5 + kLatency, 3.5 + kLatency,
       7.5 + kLatency};
@@ -124,7 +124,7 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
     EXPECT_EQ(payload, arrivals.payloads[0]);
   }
   EXPECT_EQ(sender.stats().reliable_sent, 1u);
-  EXPECT_EQ(sender.stats().retries, 4u);  // max_attempts=5 incl. the first
+  EXPECT_EQ(sender.stats().retries, 4u);  // kMaxAttempts=5 incl. the first
   EXPECT_EQ(sender.stats().expired, 1u);
   ASSERT_EQ(failed.size(), 1u);
   EXPECT_EQ(failed[0], arrivals.payloads[0]);
@@ -134,7 +134,7 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
 TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
-  ReliableLink receiver(engine, network, RetryPolicy{});
+  ReliableLink receiver(engine, network, true);
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
   receiver.set_self(b);
@@ -159,7 +159,7 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
 TEST(ReliableLink, RejectsMalformedMsgid) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
-  ReliableLink receiver(engine, network, RetryPolicy{});
+  ReliableLink receiver(engine, network, true);
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
   receiver.set_self(b);
 
@@ -182,7 +182,7 @@ TEST(ReliableLink, RejectsMalformedMsgid) {
 TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
-  ReliableLink receiver(engine, network, RetryPolicy{});
+  ReliableLink receiver(engine, network, true);
   const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
   receiver.set_self(b);
 
@@ -196,7 +196,7 @@ TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
 TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
-  ReliableLink sender(engine, network, RetryPolicy{});
+  ReliableLink sender(engine, network, true);
   const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
   const sim::EndpointId b =
       network.register_endpoint("b", 2, [](auto&) {});  // never acks

@@ -95,20 +95,6 @@ TEST(PlacementFamily, CrushIsSeedDeterministic) {
   EXPECT_EQ(first.tasks_completed, first.requests_submitted);
   const ExperimentResult second = run_experiment(small_crush());
   expect_identical(second, first);
-  // A different map seed is a different (but complete) placement.
-  ExperimentConfig reseeded = small_crush();
-  reseeded.hash_placement.seed = 0xfeed;
-  const ExperimentResult other = run_experiment(reseeded);
-  EXPECT_EQ(other.tasks_completed, other.requests_submitted);
-  bool moved = false;
-  ASSERT_EQ(other.completions.size(), first.completions.size());
-  for (std::size_t i = 0; i < other.completions.size(); ++i) {
-    if (other.completions[i].resource != first.completions[i].resource) {
-      moved = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(moved);
 }
 
 TEST(PlacementFamily, CrushRidesFaultToleranceUnderLossAndChurn) {

@@ -74,6 +74,15 @@ TEST(Timeline, ValidatesArguments) {
                AssertionError);
 }
 
+TEST(Timeline, RejectsMoreBucketsThanTheCap) {
+  // One bucket past the cap fails; the cap itself still builds.
+  const auto cap = static_cast<double>(kMaxTimelineBuckets);
+  EXPECT_THROW(build_timeline({}, {{"S1", 1}}, 1.0, 0.0, cap + 1.0),
+               AssertionError);
+  EXPECT_EQ(build_timeline({}, {{"S1", 1}}, 1.0, 0.0, cap).buckets(),
+            kMaxTimelineBuckets);
+}
+
 TEST(Timeline, EmptyRangeStillHasOneBucket) {
   const auto timeline = build_timeline({}, kTwoResources, 10.0, 0.0, 0.0);
   EXPECT_EQ(timeline.buckets(), 1u);

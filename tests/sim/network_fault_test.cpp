@@ -1,5 +1,5 @@
-// The deterministic fault plan (DESIGN.md §10): drops, jitter, partitions
-// and endpoint outages, all reproducible from the plan's seed — plus the
+// The deterministic fault plan (DESIGN.md §10): drops and jitter, plus
+// endpoint outages, all reproducible from the plan's seed — plus the
 // neutrality contract that an inactive plan changes nothing at all.
 #include "sim/network.hpp"
 
@@ -77,33 +77,6 @@ TEST(NetworkFaults, JitterStaysBoundedAndDeterministic) {
   EXPECT_EQ(first, run_stream(plan, 100));
 }
 
-TEST(NetworkFaults, PartitionDropsCrossingTrafficDuringItsWindow) {
-  FaultPlan plan;
-  plan.partitions.push_back({{"a.gridlb.sim"}, 3.0, 7.0});
-  const auto delivered = run_stream(plan, 10);
-  // Sends at t=3..6 fall inside [3,7); the rest cross normally.
-  std::vector<SimTime> expected;
-  for (const int i : {0, 1, 2, 7, 8, 9}) {
-    expected.push_back(static_cast<double>(i) + 0.05);
-  }
-  EXPECT_EQ(delivered, expected);
-}
-
-TEST(NetworkFaults, PartitionSparesIntraIslandTraffic) {
-  Engine engine;
-  FaultPlan plan;
-  plan.partitions.push_back({{"a.gridlb.sim", "b.gridlb.sim"}, 0.0, 10.0});
-  Network network(engine, 0.05, plan);
-  int received = 0;
-  const EndpointId a = network.register_endpoint("a.gridlb.sim", 1, [](auto&) {});
-  const EndpointId b = network.register_endpoint(
-      "b.gridlb.sim", 2, [&received](const Message&) { ++received; });
-  network.send(a, b, "same island");
-  engine.run();
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(network.fault_stats().dropped_partition, 0u);
-}
-
 TEST(NetworkFaults, DownEndpointDropsAtDeliveryTime) {
   Engine engine;
   FaultPlan plan;
@@ -131,11 +104,17 @@ TEST(NetworkFaults, DownEndpointDropsAtDeliveryTime) {
 TEST(NetworkFaults, StatsBreakLossesDownByCause) {
   FaultPlan plan;
   plan.drop_prob = 0.5;
-  plan.partitions.push_back({{"a.gridlb.sim"}, 0.0, 5.0});
   Engine engine;
   Network network(engine, 0.05, plan);
+  int received = 0;
   const EndpointId a = network.register_endpoint("a.gridlb.sim", 1, [](auto&) {});
-  const EndpointId b = network.register_endpoint("b.gridlb.sim", 2, [](auto&) {});
+  const EndpointId b = network.register_endpoint(
+      "b.gridlb.sim", 2, [&received](const Message&) { ++received; });
+  // b is down for the sends at t=0..4; the plan's losses happen at send
+  // time, before an outage could claim the message.
+  network.set_endpoint_up(b, false);
+  engine.schedule_at(4.5,
+                     [&network, b]() { network.set_endpoint_up(b, true); });
   for (int i = 0; i < 20; ++i) {
     engine.schedule_at(static_cast<double>(i), [&network, a, b]() {
       network.send(a, b, "x");
@@ -143,10 +122,13 @@ TEST(NetworkFaults, StatsBreakLossesDownByCause) {
   }
   engine.run();
   const FaultStats& stats = network.fault_stats();
-  EXPECT_EQ(stats.dropped_partition, 5u);  // t=0..4 inside the window
   EXPECT_GT(stats.dropped_random, 0u);
+  EXPECT_GT(stats.dropped_endpoint_down, 0u);
+  EXPECT_EQ(stats.dropped_by_plan(), stats.dropped_random);
   EXPECT_EQ(stats.dropped_total(),
-            stats.dropped_random + stats.dropped_partition);
+            stats.dropped_random + stats.dropped_endpoint_down);
+  EXPECT_EQ(stats.dropped_total() + static_cast<std::uint64_t>(received),
+            20u);
 }
 
 TEST(NetworkFaults, RejectsInvalidPlans) {
@@ -159,11 +141,6 @@ TEST(NetworkFaults, RejectsInvalidPlans) {
   {
     FaultPlan plan;
     plan.jitter_max = -0.1;
-    EXPECT_THROW(Network(engine, 0.05, plan), AssertionError);
-  }
-  {
-    FaultPlan plan;
-    plan.partitions.push_back({{"a"}, 5.0, 2.0});  // until before from
     EXPECT_THROW(Network(engine, 0.05, plan), AssertionError);
   }
 }

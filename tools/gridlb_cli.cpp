@@ -40,9 +40,8 @@
 // open loop: stop at sim time T whether or not the batch drained, and
 // judge the run by shed rate and latency percentiles (--max-shed-rate X
 // exits non-zero above X).  --migration on re-homes queued tasks from
-// overloaded agents to idle direct neighbours
-// (--migration-overload/--migration-underload watermarks,
-// --migration-batch cap).
+// overloaded agents to idle direct neighbours (fixed watermarks and batch,
+// DESIGN.md §16).
 //
 // Fault injection (experiment and campaign commands): --drop-prob,
 // --net-jitter, --agent-mtbf/--agent-mttr.  The grid runs the loss-tolerant
@@ -215,7 +214,8 @@ void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
   if (mtbf > 0.0) {
     system.agent_churn.enabled = true;
     system.agent_churn.mtbf = mtbf;
-    system.agent_churn.mttr = flags.get_double("agent-mttr", 30.0);
+    system.agent_churn.mttr =
+        flags.get_double("agent-mttr", system.agent_churn.mttr);
     system.agent_churn.horizon =
         config.workload.start +
         static_cast<double>(config.workload.count) * config.workload.interval;
@@ -264,16 +264,7 @@ void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
   require_flag(config.duration >= 0.0,
                "--duration cannot be negative (0 = closed loop: run until "
                "the batch drains)");
-  agents::MigrationConfig& migration = config.system.migration;
-  migration.enabled = flags.get_bool("migration", false);
-  migration.overload_threshold =
-      flags.get_double("migration-overload", migration.overload_threshold);
-  migration.underload_threshold =
-      flags.get_double("migration-underload", migration.underload_threshold);
-  migration.max_batch = flags.get_int("migration-batch", migration.max_batch);
-  require_flag(migration.max_batch >= 1,
-               "--migration-batch must be >= 1 (tasks re-homed per "
-               "qualifying advertisement)");
+  config.system.migration.enabled = flags.get_bool("migration", false);
   require_valid([&config] {
     core::validate_workload(config.workload);
     if (config.workload.arrival == core::ArrivalProcess::kTrace) {
@@ -348,13 +339,15 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
                                         : sched::SchedulerPolicy::kFifo;
   config.placement = placement_flag(flags, config.placement);
   config.system.discovery_enabled = flags.get_bool("agents", true);
-  config.system.pull_period = flags.get_double("pull-period", 10.0);
+  config.system.pull_period =
+      flags.get_double("pull-period", config.system.pull_period);
   config.system.prediction_error = flags.get_double("prediction-error", 0.0);
   const double mtbf = flags.get_double("churn-mtbf", 0.0);
   if (mtbf > 0.0) {
     config.system.churn.enabled = true;
     config.system.churn.mtbf = mtbf;
-    config.system.churn.mttr = flags.get_double("churn-mttr", 120.0);
+    config.system.churn.mttr =
+        flags.get_double("churn-mttr", config.system.churn.mttr);
     config.system.churn.horizon =
         config.workload.start +
         static_cast<double>(config.workload.count) * config.workload.interval;
@@ -383,9 +376,9 @@ int cmd_experiment(const Flags& flags) {
               "overwrites the file; the last one wins");
   }
   for (auto& config : configs) {
-    config.workload.count = flags.get_int("requests", 600);
-    config.workload.seed =
-        static_cast<std::uint64_t>(flags.get_int("seed", 2003));
+    config.workload.count = flags.get_int("requests", config.workload.count);
+    config.workload.seed = static_cast<std::uint64_t>(
+        flags.get_int("seed", static_cast<int>(config.workload.seed)));
     require_valid([&config] { core::validate_workload(config.workload); });
     config.placement = placement_flag(flags, config.placement);
     apply_fault_flags(flags, config);
@@ -467,8 +460,12 @@ int cmd_campaign(const Flags& flags) {
     for (const auto& record : result.completions) {
       end = std::max(end, record.end);
     }
-    const metrics::Timeline timeline = metrics::build_timeline(
-        result.completions, resources, timeline_window, 0.0, end);
+    // Only now is the bucket count known; too many is a usage error.
+    metrics::Timeline timeline;
+    require_valid([&] {
+      timeline = metrics::build_timeline(result.completions, resources,
+                                         timeline_window, 0.0, end);
+    });
     const std::string path = flags.get("timeline-out", "");
     std::ofstream out(path);
     if (!out) {
@@ -587,12 +584,6 @@ Flags make_flags() {
                 "export the generated workload as replayable JSONL");
   flags.declare("migration", "on|off",
                 "threshold-triggered migration of queued tasks");
-  flags.declare("migration-overload", "sec",
-                "own backlog above which migration triggers");
-  flags.declare("migration-underload", "sec",
-                "neighbour backlog below which it accepts migrants");
-  flags.declare("migration-batch", "N",
-                "max queued tasks re-homed per advertisement");
   flags.declare("max-shed-rate", "x",
                 "exit non-zero if (submitted-completed)/submitted exceeds x");
   flags.declare("deadline-scale", "x",
