@@ -24,7 +24,6 @@ int main() {
   for (const int agent_count : {3, 6, 12, 24, 48, 96, 192}) {
     core::ScenarioSpec spec;
     spec.agent_count = agent_count;
-    spec.shape = core::HierarchyShape::kFanout;
     spec.fanout = 3;
     spec.requests_per_agent = 25;  // constant load per resource
     const auto result = core::run_experiment(core::scenario_experiment(spec));

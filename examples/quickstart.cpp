@@ -10,39 +10,12 @@
 //   ./build/examples/quickstart
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "gridlb.hpp"
-
-namespace {
+#include "report/gantt.hpp"
 
 using namespace gridlb;
-
-void print_gantt(const std::vector<sched::Task>& tasks,
-                 const sched::DecodedSchedule& schedule, int node_count) {
-  // One row per node; each column is a one-second slot.
-  const double horizon = schedule.makespan;
-  const int columns = 60;
-  const double slot = horizon / columns;
-  std::printf("\nGantt chart (one row per node, %.1fs per column):\n", slot);
-  for (int node = 0; node < node_count; ++node) {
-    std::string row(static_cast<std::size_t>(columns), '.');
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const sched::TaskPlacement& p = schedule.placements[t];
-      if ((p.mask & (sched::NodeMask{1} << node)) == 0) continue;
-      const char glyph = static_cast<char>('A' + static_cast<int>(t % 26));
-      const int from = static_cast<int>(p.start / slot);
-      const int to = static_cast<int>(p.end / slot);
-      for (int c = from; c < to && c < columns; ++c) {
-        row[static_cast<std::size_t>(c)] = glyph;
-      }
-    }
-    std::printf("  node %2d |%s|\n", node, row.c_str());
-  }
-}
-
-}  // namespace
 
 int main() {
   // A 16-node SGIOrigin2000 — the reference platform of Table 1.
@@ -96,6 +69,7 @@ int main() {
                 p.start, p.end, tasks[t].deadline,
                 p.end > tasks[t].deadline ? "  LATE" : "");
   }
-  print_gantt(tasks, result.schedule, nodes);
+  std::printf("\nGantt chart (one row per node):\n%s",
+              report::render_schedule(tasks, result.schedule, nodes).c_str());
   return 0;
 }

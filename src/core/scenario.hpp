@@ -3,18 +3,17 @@
 // The paper's evaluation is hard-wired to the twelve-agent Fig. 7 grid
 // and leaves scalability as future work ("further work is necessary to
 // test the scalability of the system", §3.1).  A ScenarioSpec describes a
-// whole family of grids instead: how many agents, how the hierarchy is
-// shaped (balanced fanout trees or seeded random trees with a depth cap),
-// which hardware mix the resources cycle through, how many nodes each
-// resource has, and how the workload scales with the grid (requests per
-// resource, arrival rate, deadline tightness).  The generator turns a
-// spec into the concrete `agents::ResourceSpec` tree + `WorkloadConfig`
-// every harness entry point already consumes, so the same code that
-// reproduces Table 3 runs any grid you can describe.
+// whole family of grids instead: how many agents, how many children each
+// agent has in the balanced hierarchy, and how the workload scales with
+// the grid (requests per resource, arrival rate, deadline tightness).
+// Every resource has `agents::ResourceSpec`'s 16 nodes, and the resources
+// cycle through the five case-study platforms, fastest first.  The
+// generator turns a spec into the concrete `agents::ResourceSpec` tree +
+// `WorkloadConfig` every harness entry point already consumes, so the same
+// code that reproduces Table 3 runs any grid you can describe.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "agents/agent_system.hpp"
@@ -23,36 +22,12 @@
 
 namespace gridlb::core {
 
-/// How scenario agents are wired into a hierarchy.
-enum class HierarchyShape {
-  /// Balanced tree: agent i's parent is (i − 1) / fanout — every interior
-  /// agent has up to `fanout` children and depth grows logarithmically.
-  kFanout,
-  /// Random tree: each agent picks a uniformly random earlier agent as
-  /// its parent (seeded, optionally depth-capped).  Models organically
-  /// grown grids instead of planned ones.
-  kRandom,
-};
-
-/// Shape name as spelled on the CLI ("fanout" / "random").
-[[nodiscard]] std::string shape_name(HierarchyShape shape);
-/// Inverse of shape_name; throws AssertionError for unknown names.
-[[nodiscard]] HierarchyShape shape_from_name(const std::string& name);
-
 struct ScenarioSpec {
   // --- grid ---
   int agent_count = 12;
-  HierarchyShape shape = HierarchyShape::kFanout;
-  int fanout = 3;  ///< children per interior agent (kFanout only)
-  /// Maximum tree depth for kRandom (root = depth 0); 0 = unbounded.
-  /// A cap of 1 yields a star, a large cap tends towards long chains.
-  int max_depth = 0;
-  std::uint64_t tree_seed = 1;  ///< parent selection seed (kRandom only)
-  /// Hardware assigned round-robin down the agent list (S1 gets mix[0],
-  /// S2 mix[1], …).  Empty = all five case-study platforms, fastest
-  /// first — the mix the scalability ablation has always used.
-  std::vector<pace::HardwareType> hardware_mix;
-  int nodes_per_resource = 16;
+  /// Children per interior agent: agent i's parent is (i − 1) / fanout, so
+  /// depth grows logarithmically with the grid.
+  int fanout = 3;
   // --- workload scaling ---
   int requests_per_agent = 25;    ///< total requests = agents × this
   /// Seconds between submissions; 0 = auto (12 s ÷ agent_count, i.e. the
@@ -63,8 +38,9 @@ struct ScenarioSpec {
 };
 
 /// Generates the resource tree for `spec`: agents named "S1".."SN" in
-/// topological (parent-first) order, hardware cycled from the mix.
-/// Deterministic — the same spec always yields the same tree.
+/// topological (parent-first) order, hardware cycled through
+/// pace::all_hardware_types() (S1 gets the fastest platform, S2 the next,
+/// …).  Deterministic — the same spec always yields the same tree.
 [[nodiscard]] std::vector<agents::ResourceSpec> scenario_resources(
     const ScenarioSpec& spec);
 

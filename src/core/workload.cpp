@@ -14,14 +14,6 @@ namespace gridlb::core {
 
 namespace {
 
-/// Timing draws come from a stream decoupled from the per-request draws:
-/// xoring the seed with a fixed tag ("arrival" in ASCII) gives a child
-/// seed without consuming anything from the main stream, so kUniform — the
-/// bit-identity reference — touches no randomness at all for timing.
-constexpr std::uint64_t kArrivalSeedTag = 0x61727269'76616c00ULL;
-
-constexpr double kPi = 3.14159265358979323846;
-
 std::string format_number(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.17g", value);
@@ -36,65 +28,22 @@ std::vector<SimTime> arrival_times(const WorkloadConfig& config) {
   switch (config.arrival) {
     case ArrivalProcess::kUniform:
       for (std::size_t i = 0; i < count; ++i) {
-        at.push_back(config.start +
+        at.push_back(kWorkloadStart +
                      static_cast<double>(i) * config.interval);
       }
       break;
-    case ArrivalProcess::kPoisson: {
-      Rng rng(config.seed ^ kArrivalSeedTag);
-      double t = config.start;
-      for (std::size_t i = 0; i < count; ++i) {
-        // Inverse-CDF exponential; 1 − u avoids log(0).
-        t += -config.interval * std::log(1.0 - rng.next_double());
-        at.push_back(t);
-      }
-      break;
-    }
     case ArrivalProcess::kOnOff: {
-      // Deterministic square wave anchored at `start`: arrivals during ON
-      // phases at duty-scaled spacing, silence during OFF phases.  The
-      // cycle average recovers the nominal 1/interval rate.
-      const double cycle = config.burst_on + config.burst_off;
-      const double spacing = config.interval * config.burst_on / cycle;
-      double t = 0.0;  // relative to start
+      // Deterministic square wave anchored at kWorkloadStart: arrivals
+      // during ON phases at duty-scaled spacing, silence during OFF phases.
+      // The cycle average recovers the nominal 1/interval rate.
+      constexpr double cycle = kBurstOn + kBurstOff;
+      const double spacing = config.interval * kBurstOn / cycle;
+      double t = 0.0;  // relative to kWorkloadStart
       for (std::size_t i = 0; i < count; ++i) {
         const double pos = std::fmod(t, cycle);
-        if (pos >= config.burst_on) t += cycle - pos;  // skip the OFF tail
-        at.push_back(config.start + t);
+        if (pos >= kBurstOn) t += cycle - pos;  // skip the OFF tail
+        at.push_back(kWorkloadStart + t);
         t += spacing;
-      }
-      break;
-    }
-    case ArrivalProcess::kDiurnal: {
-      // Deterministic inhomogeneous schedule: the i-th arrival solves
-      // Λ(x) = i for the cumulative rate Λ(x) = x/interval −
-      // a·P/(2π·interval)·(cos(2πx/P) − 1), x measured from `start`.
-      // Λ is strictly increasing (λ ≥ (1−a)/interval > 0), so bisection
-      // over a bracket of one worst-case gap converges deterministically.
-      const double w = 2.0 * kPi / config.diurnal_period;
-      const double a = config.diurnal_amplitude;
-      const auto cumulative = [&](double x) {
-        return x / config.interval -
-               a / (config.interval * w) * (std::cos(w * x) - 1.0);
-      };
-      const double max_gap = config.interval / (1.0 - a);
-      double x = 0.0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (i > 0) {
-          const double target = static_cast<double>(i);
-          double lo = x;
-          double hi = x + max_gap * 1.0001;
-          for (int iter = 0; iter < 64; ++iter) {
-            const double mid = 0.5 * (lo + hi);
-            if (cumulative(mid) < target) {
-              lo = mid;
-            } else {
-              hi = mid;
-            }
-          }
-          x = 0.5 * (lo + hi);
-        }
-        at.push_back(config.start + x);
       }
       break;
     }
@@ -132,9 +81,7 @@ std::vector<RequestSpec> replay_trace(const WorkloadConfig& config,
 std::string arrival_process_name(ArrivalProcess process) {
   switch (process) {
     case ArrivalProcess::kUniform: return "uniform";
-    case ArrivalProcess::kPoisson: return "poisson";
     case ArrivalProcess::kOnOff: return "onoff";
-    case ArrivalProcess::kDiurnal: return "diurnal";
     case ArrivalProcess::kTrace: return "trace";
   }
   GRIDLB_REQUIRE(false, "unknown arrival process");
@@ -142,18 +89,14 @@ std::string arrival_process_name(ArrivalProcess process) {
 
 ArrivalProcess arrival_process_from_name(const std::string& name) {
   if (name == "uniform") return ArrivalProcess::kUniform;
-  if (name == "poisson") return ArrivalProcess::kPoisson;
   if (name == "onoff") return ArrivalProcess::kOnOff;
-  if (name == "diurnal") return ArrivalProcess::kDiurnal;
   if (name == "trace") return ArrivalProcess::kTrace;
   GRIDLB_REQUIRE(false, "unknown arrival process: " + name +
-                            " (expected uniform, poisson, onoff, diurnal "
-                            "or trace)");
+                            " (expected uniform, onoff or trace)");
 }
 
 void validate_workload(const WorkloadConfig& config) {
   GRIDLB_REQUIRE(config.count >= 0, "negative request count");
-  GRIDLB_REQUIRE(config.start >= 0.0, "workload start cannot be negative");
   GRIDLB_REQUIRE(config.deadline_scale > 0.0,
                  "deadline scale must be positive");
   if (config.arrival == ArrivalProcess::kTrace) {
@@ -171,23 +114,6 @@ void validate_workload(const WorkloadConfig& config) {
           arrival_process_name(config.arrival) +
           "' process.  Pass a positive --arrival-interval (0 = auto is "
           "resolved only for generated grids, --grid-agents)");
-  if (config.arrival == ArrivalProcess::kOnOff) {
-    GRIDLB_REQUIRE(config.burst_on > 0.0,
-                   "onoff arrivals need --burst-on > 0 (seconds of each "
-                   "bursting phase)");
-    GRIDLB_REQUIRE(config.burst_off >= 0.0,
-                   "--burst-off cannot be negative (0 = no silent phase, "
-                   "i.e. uniform arrivals)");
-  }
-  if (config.arrival == ArrivalProcess::kDiurnal) {
-    GRIDLB_REQUIRE(config.diurnal_period > 0.0,
-                   "diurnal arrivals need --diurnal-period > 0 (seconds "
-                   "per modulation cycle)");
-    GRIDLB_REQUIRE(
-        config.diurnal_amplitude >= 0.0 && config.diurnal_amplitude < 1.0,
-        "--diurnal-amplitude must be in [0, 1): the rate swings between "
-        "(1−a)/interval and (1+a)/interval and must stay positive");
-  }
 }
 
 std::vector<RequestSpec> generate_workload(

@@ -13,8 +13,8 @@
 // The paper's workload is that fixed uniform batch; production traffic is
 // open-loop and bursty.  `ArrivalProcess` makes the submission *timing*
 // pluggable while the per-request draws (entry agent, application,
-// deadline) stay on the original random stream, so the default uniform
-// process remains bit-identical to the historical generator.
+// deadline) stay on the one random stream, so the default uniform process
+// remains bit-identical to the historical generator.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +40,11 @@ struct RequestSpec {
 /// the per-process interval semantics.
 enum class ArrivalProcess : std::uint8_t {
   kUniform,  ///< exact 1/interval spacing (the paper's batch; the default)
-  kPoisson,  ///< exponential interarrival gaps with mean `interval`
   kOnOff,    ///< square-wave bursts: ON phases at duty-scaled spacing
-  kDiurnal,  ///< sinusoidally modulated rate with period/amplitude knobs
   kTrace,    ///< replay a JSONL workload export verbatim
 };
 
-/// Canonical CLI spelling: "uniform" | "poisson" | "onoff" | "diurnal" |
-/// "trace".
+/// Canonical CLI spelling: "uniform" | "onoff" | "trace".
 [[nodiscard]] std::string arrival_process_name(ArrivalProcess process);
 
 /// Inverse of arrival_process_name; anything else fails with a message
@@ -55,44 +52,39 @@ enum class ArrivalProcess : std::uint8_t {
 [[nodiscard]] ArrivalProcess arrival_process_from_name(
     const std::string& name);
 
+/// Time of the first generated submission, seconds.
+inline constexpr double kWorkloadStart = 1.0;
+/// kOnOff: seconds of each ON (bursting) phase.
+inline constexpr double kBurstOn = 30.0;
+/// kOnOff: seconds of each silent OFF phase.
+inline constexpr double kBurstOff = 90.0;
+static_assert(kWorkloadStart >= 0.0, "submissions cannot precede t = 0");
+static_assert(kBurstOn > 0.0 && kBurstOff >= 0.0,
+              "an on/off cycle needs a bursting phase");
+
 struct WorkloadConfig {
   int count = 600;
   /// Mean seconds between submissions.  Exact semantics depend on the
   /// arrival process:
-  ///   kUniform — exact spacing: at_i = start + i·interval;
-  ///   kPoisson — mean of the exponential interarrival gaps;
+  ///   kUniform — exact spacing: at_i = kWorkloadStart + i·interval;
   ///   kOnOff   — cycle-averaged: ON-phase arrivals are spaced
-  ///              interval·burst_on/(burst_on+burst_off) apart and OFF
+  ///              interval·kBurstOn/(kBurstOn+kBurstOff) apart and OFF
   ///              phases are silent, so the offered rate averages
   ///              1/interval over each cycle;
-  ///   kDiurnal — mean of the modulated rate λ(t) = (1 + diurnal_amplitude
-  ///              · sin(2π(t−start)/diurnal_period)) / interval;
   ///   kTrace   — ignored (the trace's timestamps replay verbatim).
   /// Must be > 0 for every process except kTrace; `validate_workload`
   /// rejects anything else with an actionable message.
   double interval = 1.0;
-  double start = 1.0;     ///< time of the first submission
   std::uint64_t seed = 2003;
   /// Deadline tightness: the Table 1 deadline drawn for each request is
   /// multiplied by this factor (<1 squeezes deadlines, >1 relaxes them).
   /// 1.0 leaves the case-study workload bit-identical.  Ignored by kTrace
   /// (trace deadline offsets are already final and replay verbatim).
   double deadline_scale = 1.0;
-  /// Submission-timing process.  The timing draws come from a separate
-  /// random stream derived from `seed`, so switching processes never
-  /// perturbs the per-request agent/application/deadline selections —
-  /// and kUniform consumes no timing randomness at all, keeping the
-  /// default workload bit-identical to the historical generator.
+  /// Submission-timing process.  Both generated processes are
+  /// deterministic functions of the request index, so switching between
+  /// them never perturbs the per-request agent/application/deadline draws.
   ArrivalProcess arrival = ArrivalProcess::kUniform;
-  /// kOnOff: seconds of each ON (bursting) phase.  Must be > 0.
-  double burst_on = 30.0;
-  /// kOnOff: seconds of each silent OFF phase.  0 degenerates to uniform.
-  double burst_off = 90.0;
-  /// kDiurnal: modulation period in seconds.  Must be > 0.
-  double diurnal_period = 3600.0;
-  /// kDiurnal: relative rate swing in [0, 1): λ peaks at (1+a)/interval
-  /// and bottoms at (1−a)/interval.
-  double diurnal_amplitude = 0.8;
   /// kTrace: path of a JSONL workload export (see workload_to_jsonl).
   std::string trace_path;
 };

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -26,7 +25,6 @@ std::vector<int> depths(const std::vector<agents::ResourceSpec>& resources) {
 TEST(ScenarioResources, FanoutTreeShape) {
   ScenarioSpec spec;
   spec.agent_count = 13;
-  spec.shape = HierarchyShape::kFanout;
   spec.fanout = 3;
   const auto resources = scenario_resources(spec);
   ASSERT_EQ(resources.size(), 13u);
@@ -61,84 +59,29 @@ TEST(ScenarioResources, FanoutOneIsAChain) {
 TEST(ScenarioResources, NamesAndNodeCountsFollowTheSpec) {
   ScenarioSpec spec;
   spec.agent_count = 4;
-  spec.nodes_per_resource = 8;
   const auto resources = scenario_resources(spec);
   EXPECT_EQ(resources[0].name, "S1");
   EXPECT_EQ(resources[3].name, "S4");
   for (const auto& resource : resources) {
-    EXPECT_EQ(resource.node_count, 8);
+    EXPECT_EQ(resource.node_count, 16);
   }
 }
 
 TEST(ScenarioResources, HardwareMixCycles) {
+  // All five case-study platforms in turn, fastest first.
   ScenarioSpec spec;
-  spec.agent_count = 7;
-  spec.hardware_mix = {pace::HardwareType::kSgiOrigin2000,
-                       pace::HardwareType::kSunSparcStation2};
+  spec.agent_count = 12;
   const auto resources = scenario_resources(spec);
+  const auto& platforms = pace::all_hardware_types();
+  ASSERT_EQ(platforms.size(), 5u);
+  EXPECT_EQ(platforms.front(), pace::HardwareType::kSgiOrigin2000);
   for (std::size_t i = 0; i < resources.size(); ++i) {
-    EXPECT_EQ(resources[i].hardware,
-              i % 2 == 0 ? pace::HardwareType::kSgiOrigin2000
-                         : pace::HardwareType::kSunSparcStation2);
+    EXPECT_EQ(resources[i].hardware, platforms[i % platforms.size()])
+        << resources[i].name;
   }
-  // Default mix: all five case-study platforms, fastest first.
-  ScenarioSpec defaults;
-  defaults.agent_count = 5;
-  const auto mixed = scenario_resources(defaults);
-  std::set<pace::HardwareType> seen;
-  for (const auto& resource : mixed) seen.insert(resource.hardware);
-  EXPECT_EQ(seen.size(), 5u);
-}
-
-TEST(ScenarioResources, RandomTreeIsDeterministicBySeed) {
-  ScenarioSpec spec;
-  spec.agent_count = 64;
-  spec.shape = HierarchyShape::kRandom;
-  spec.tree_seed = 5;
-  const auto a = scenario_resources(spec);
-  const auto b = scenario_resources(spec);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].parent, b[i].parent);
-  }
-  spec.tree_seed = 6;
-  const auto c = scenario_resources(spec);
-  int differences = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].parent != c[i].parent) ++differences;
-  }
-  EXPECT_GT(differences, 10);
-}
-
-TEST(ScenarioResources, RandomTreeIsConnectedAndTopological) {
-  ScenarioSpec spec;
-  spec.agent_count = 50;
-  spec.shape = HierarchyShape::kRandom;
-  spec.tree_seed = 17;
-  const auto resources = scenario_resources(spec);
-  EXPECT_EQ(resources[0].parent, -1);
-  for (std::size_t i = 1; i < resources.size(); ++i) {
-    EXPECT_GE(resources[i].parent, 0);
-    EXPECT_LT(resources[i].parent, static_cast<int>(i));
-  }
-}
-
-TEST(ScenarioResources, RandomTreeHonoursDepthCap) {
-  ScenarioSpec spec;
-  spec.agent_count = 100;
-  spec.shape = HierarchyShape::kRandom;
-  spec.max_depth = 2;
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    spec.tree_seed = seed;
-    const auto depth = depths(scenario_resources(spec));
-    EXPECT_LE(*std::max_element(depth.begin(), depth.end()), 2)
-        << "seed " << seed;
-  }
-  // A cap of 1 is a star: everything hangs off the head.
-  spec.max_depth = 1;
-  const auto resources = scenario_resources(spec);
-  for (std::size_t i = 1; i < resources.size(); ++i) {
-    EXPECT_EQ(resources[i].parent, 0);
+  for (std::size_t i = 1; i < platforms.size(); ++i) {
+    EXPECT_GT(pace::performance_factor(platforms[i]),
+              pace::performance_factor(platforms[i - 1]));
   }
 }
 
@@ -185,7 +128,7 @@ TEST(ScenarioExperiment, WiresGridAndWorkloadTogether) {
   // Configured like experiment 3: GA local scheduling + discovery.
   EXPECT_EQ(config.system.policy, sched::SchedulerPolicy::kGa);
   EXPECT_TRUE(config.system.discovery_enabled);
-  EXPECT_NE(config.name.find("24 agents"), std::string::npos);
+  EXPECT_EQ(config.name, "scenario (24 agents, fanout 3, 240 requests)");
 }
 
 TEST(ScenarioExperiment, GeneratedGridRunsToCompletion) {
@@ -198,13 +141,6 @@ TEST(ScenarioExperiment, GeneratedGridRunsToCompletion) {
   EXPECT_EQ(result.tasks_dropped, 0u);
 }
 
-TEST(ScenarioSpec, ShapeNamesRoundTrip) {
-  EXPECT_EQ(shape_from_name("fanout"), HierarchyShape::kFanout);
-  EXPECT_EQ(shape_from_name("random"), HierarchyShape::kRandom);
-  EXPECT_EQ(shape_name(HierarchyShape::kRandom), "random");
-  EXPECT_THROW((void)shape_from_name("ring"), AssertionError);
-}
-
 TEST(ScenarioSpec, ValidatesItsFields) {
   const auto reject = [](auto mutate) {
     ScenarioSpec spec;
@@ -213,9 +149,6 @@ TEST(ScenarioSpec, ValidatesItsFields) {
   };
   reject([](ScenarioSpec& spec) { spec.agent_count = 0; });
   reject([](ScenarioSpec& spec) { spec.fanout = 0; });
-  reject([](ScenarioSpec& spec) { spec.max_depth = -1; });
-  reject([](ScenarioSpec& spec) { spec.nodes_per_resource = 0; });
-  reject([](ScenarioSpec& spec) { spec.nodes_per_resource = 33; });
   reject([](ScenarioSpec& spec) { spec.requests_per_agent = -1; });
   reject([](ScenarioSpec& spec) { spec.arrival_interval = -1.0; });
   reject([](ScenarioSpec& spec) { spec.deadline_scale = 0.0; });

@@ -19,7 +19,6 @@ TEST_F(WorkloadFixture, GeneratesRequestedCountAtFixedIntervals) {
   WorkloadConfig config;
   config.count = 600;
   config.interval = 1.0;
-  config.start = 1.0;
   const auto workload = generate_workload(config, catalogue, 12);
   ASSERT_EQ(workload.size(), 600u);
   // "requests ... are sent at one second intervals"; the request phase

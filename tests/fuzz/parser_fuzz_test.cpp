@@ -304,7 +304,7 @@ TEST(ParserFuzz, PaceModelRoundTripsOrThrowsModelParseError) {
 TEST(ParserFuzz, WorkloadJsonlRoundTripsOrThrowsItsOwnError) {
   core::WorkloadConfig config;
   config.count = 6;
-  config.arrival = core::ArrivalProcess::kPoisson;
+  config.arrival = core::ArrivalProcess::kOnOff;
   std::vector<std::string> corpus = {
       core::workload_to_jsonl(
           core::generate_workload(config, pace::paper_catalogue(), 12)),

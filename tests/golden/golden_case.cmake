@@ -1,0 +1,72 @@
+# Runs one gridlb command line in an empty directory and compares its stdout
+# and the files it writes with the expected outputs in tests/golden/<name>/.
+# Registered as golden.<name> ctests by tests/CMakeLists.txt.
+#
+#   cmake -DCLI=<gridlb> -DNAME=<name> "-DARGS=<arguments>"
+#         "-DFILES=<file file>" -DGOLDEN=<tests/golden> -DWORK=<dir>
+#         -P golden_case.cmake
+#
+# Each output is stored verbatim as <name>/<file> or, above kDigestBytes, as
+# its SHA-256 digest in <name>/<file>.sha256; stdout is the file "stdout".
+# With GRIDLB_REGEN_GOLDENS set in the environment the run rewrites the
+# expected outputs instead of checking them (tools/regen_goldens.sh).
+set(kDigestBytes 4096)
+
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+separate_arguments(argv UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${CLI}" ${argv}
+  WORKING_DIRECTORY "${WORK}"
+  RESULT_VARIABLE code OUTPUT_FILE "${WORK}/stdout" ERROR_VARIABLE err)
+if(NOT code STREQUAL "0")
+  message(FATAL_ERROR "gridlb ${ARGS}\n-- exit: ${code}\n-- stderr:\n${err}")
+endif()
+
+set(expected "${GOLDEN}/${NAME}")
+separate_arguments(files UNIX_COMMAND "${FILES}")
+set(outputs stdout ${files})
+if(DEFINED ENV{GRIDLB_REGEN_GOLDENS})
+  file(REMOVE_RECURSE "${expected}")
+  file(MAKE_DIRECTORY "${expected}")
+  foreach(output IN LISTS outputs)
+    file(SIZE "${WORK}/${output}" bytes)
+    if(bytes GREATER kDigestBytes)
+      file(SHA256 "${WORK}/${output}" digest)
+      file(WRITE "${expected}/${output}.sha256" "${digest}\n")
+    else()
+      file(COPY "${WORK}/${output}" DESTINATION "${expected}")
+    endif()
+  endforeach()
+  return()
+endif()
+
+set(failures "")
+foreach(output IN LISTS outputs)
+  set(got "${WORK}/${output}")
+  if(NOT EXISTS "${got}")
+    string(APPEND failures "\n${output}: not written")
+  elseif(EXISTS "${expected}/${output}.sha256")
+    file(SHA256 "${got}" digest)
+    file(STRINGS "${expected}/${output}.sha256" want LIMIT_COUNT 1)
+    if(NOT digest STREQUAL want)
+      string(APPEND failures
+        "\n${output}: SHA-256 ${digest}, expected ${want}")
+    endif()
+  elseif(EXISTS "${expected}/${output}")
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files "${expected}/${output}" "${got}"
+      RESULT_VARIABLE differs)
+    if(NOT differs EQUAL 0)
+      execute_process(COMMAND diff -u "${expected}/${output}" "${got}"
+        OUTPUT_VARIABLE diff_text)
+      string(APPEND failures "\n${output} differs:\n${diff_text}")
+    endif()
+  else()
+    string(APPEND failures "\n${output}: no expected output in ${expected}")
+  endif()
+endforeach()
+if(failures)
+  message(FATAL_ERROR "gridlb ${ARGS}${failures}\n"
+    "If the change is deliberate, rewrite the goldens with "
+    "tools/regen_goldens.sh and review their diff.")
+endif()

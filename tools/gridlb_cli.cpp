@@ -17,14 +17,14 @@
 //       command runs a campaign, so `gridlb --grid-agents 192 …` works.
 //
 // Scenario grids (campaign command, DESIGN.md §12): --grid-agents
-// replaces the Fig. 7 grid with a generated one — --grid-shape
-// fanout|random, --grid-fanout, --grid-depth, --grid-seed, --grid-nodes
-// describe the hierarchy; --requests-per-agent, --arrival-interval
-// (0 = auto: hold the per-agent rate constant) and --deadline-scale scale
-// the workload with it.  Every run, however large, is one event queue on
-// one thread (DESIGN.md §13).  --timeline-out writes the per-resource
-// utilisation timeline as CSV (--timeline-window buckets), and
-// --require-complete exits non-zero unless every task completed.
+// replaces the Fig. 7 grid with a generated fanout tree of 16-node
+// resources (--grid-fanout children per agent); --requests-per-agent,
+// --arrival-interval (0 = auto: hold the per-agent rate constant) and
+// --deadline-scale scale the workload with it.  Every run, however large,
+// is one event queue on one thread (DESIGN.md §13).  --timeline-out
+// writes the per-resource utilisation timeline as CSV (--timeline-window
+// buckets), and --require-complete exits non-zero unless every task
+// completed.
 //
 // Placement families (experiment and campaign commands, DESIGN.md §15):
 // --placement selects how requests are routed onto resources — agent
@@ -33,15 +33,14 @@
 // *local* scheduler.
 //
 // Traffic shaping (campaign command, DESIGN.md §16): --arrival selects
-// the submission-timing process — uniform (default), poisson, onoff
-// (--burst-on/--burst-off), diurnal (--diurnal-period,
-// --diurnal-amplitude) or trace (--arrival-trace FILE replays a JSONL
-// workload; --workload-out FILE exports one).  --duration T runs the
-// open loop: stop at sim time T whether or not the batch drained, and
-// judge the run by shed rate and latency percentiles (--max-shed-rate X
-// exits non-zero above X).  --migration on re-homes queued tasks from
-// overloaded agents to idle direct neighbours (fixed watermarks and batch,
-// DESIGN.md §16).
+// the submission-timing process — uniform (default), onoff (30 s bursts
+// every 120 s at the same mean rate) or trace (--arrival-trace FILE
+// replays a JSONL workload; --workload-out FILE exports one).
+// --duration T runs the open loop: stop at sim time T whether or not the
+// batch drained, and judge the run by shed rate and latency percentiles
+// (--max-shed-rate X exits non-zero above X).  --migration on re-homes
+// queued tasks from overloaded agents to idle direct neighbours (fixed
+// watermarks and batch, DESIGN.md §16).
 //
 // Fault injection (experiment and campaign commands): --drop-prob,
 // --net-jitter, --agent-mtbf/--agent-mttr.  The grid runs the loss-tolerant
@@ -217,7 +216,7 @@ void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
     system.agent_churn.mttr =
         flags.get_double("agent-mttr", system.agent_churn.mttr);
     system.agent_churn.horizon =
-        config.workload.start +
+        core::kWorkloadStart +
         static_cast<double>(config.workload.count) * config.workload.interval;
   }
 }
@@ -238,10 +237,9 @@ void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
   core::WorkloadConfig& workload = config.workload;
   if (flags.has("arrival")) {
     const std::string name = flags.get("arrival", "uniform");
-    require_flag(name == "uniform" || name == "poisson" || name == "onoff" ||
-                     name == "diurnal" || name == "trace",
-                 "--arrival must be uniform, poisson, onoff, diurnal or "
-                 "trace, got '" + name + "'");
+    require_flag(name == "uniform" || name == "onoff" || name == "trace",
+                 "--arrival must be uniform, onoff or trace, got '" + name +
+                     "'");
     workload.arrival = core::arrival_process_from_name(name);
   }
   workload.trace_path = flags.get("arrival-trace", workload.trace_path);
@@ -254,12 +252,6 @@ void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
                  "--arrival-trace: cannot open '" + workload.trace_path +
                      "'");
   }
-  workload.burst_on = flags.get_double("burst-on", workload.burst_on);
-  workload.burst_off = flags.get_double("burst-off", workload.burst_off);
-  workload.diurnal_period =
-      flags.get_double("diurnal-period", workload.diurnal_period);
-  workload.diurnal_amplitude =
-      flags.get_double("diurnal-amplitude", workload.diurnal_amplitude);
   config.duration = flags.get_double("duration", 0.0);
   require_flag(config.duration >= 0.0,
                "--duration cannot be negative (0 = closed loop: run until "
@@ -280,17 +272,7 @@ void apply_traffic_flags(const Flags& flags, core::ExperimentConfig& config) {
 core::ScenarioSpec scenario_spec_from_flags(const Flags& flags) {
   core::ScenarioSpec spec;
   spec.agent_count = flags.get_int("grid-agents", spec.agent_count);
-  const std::string shape =
-      flags.get("grid-shape", core::shape_name(spec.shape));
-  require_flag(shape == "fanout" || shape == "random",
-               "--grid-shape must be fanout or random, got '" + shape + "'");
-  spec.shape = core::shape_from_name(shape);
   spec.fanout = flags.get_int("grid-fanout", spec.fanout);
-  spec.max_depth = flags.get_int("grid-depth", spec.max_depth);
-  spec.tree_seed = static_cast<std::uint64_t>(
-      flags.get_int("grid-seed", static_cast<int>(spec.tree_seed)));
-  spec.nodes_per_resource =
-      flags.get_int("grid-nodes", spec.nodes_per_resource);
   spec.requests_per_agent =
       flags.get_int("requests-per-agent", spec.requests_per_agent);
   // Default 0 = auto: the CLI holds the per-agent arrival rate constant as
@@ -314,8 +296,7 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
     // The scenario flags describe a generated grid; the Fig. 7 campaign
     // has none to apply them to.
     for (const char* flag :
-         {"grid-shape", "grid-fanout", "grid-depth", "grid-seed", "grid-nodes",
-          "requests-per-agent", "deadline-scale"}) {
+         {"grid-fanout", "requests-per-agent", "deadline-scale"}) {
       require_flag(!flags.has(flag),
                    std::string("--") + flag + " needs --grid-agents");
     }
@@ -349,7 +330,7 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
     config.system.churn.mttr =
         flags.get_double("churn-mttr", config.system.churn.mttr);
     config.system.churn.horizon =
-        config.workload.start +
+        core::kWorkloadStart +
         static_cast<double>(config.workload.count) * config.workload.interval;
   }
   apply_traffic_flags(flags, config);
@@ -413,22 +394,32 @@ int cmd_campaign(const Flags& flags) {
                      "'");
     trace_index = static_cast<int>(it - resources.begin());
   }
+  // Generation is deterministic, so this is the workload the run below
+  // will see.
+  std::vector<core::RequestSpec> workload;
+  if (flags.has("timeline-out") || flags.has("workload-out")) {
+    workload = core::generate_workload(
+        config.workload, pace::paper_catalogue(),
+        static_cast<int>(config.system.resources.size()));
+  }
   const double timeline_window = flags.get_double("timeline-window", 60.0);
   if (flags.has("timeline-out")) {
-    // An empty timeline runs the same checks as the real one.
-    require_valid([&resources, timeline_window] {
-      (void)metrics::build_timeline({}, resources, timeline_window, 0.0, 0.0);
+    // An empty timeline runs the same checks as the real one.  In a closed
+    // loop every task finishes after it arrives, so the timeline spans at
+    // least the last arrival, and a window too narrow for that fails here
+    // instead of after the run.
+    const SimTime span = config.duration > 0.0 || workload.empty()
+                             ? 0.0
+                             : workload.back().at;
+    require_valid([&resources, timeline_window, span] {
+      (void)metrics::build_timeline({}, resources, timeline_window, 0.0,
+                                    span);
     });
   }
 
   if (flags.has("workload-out")) {
-    // Export the workload the run below will see, as a replayable JSONL
-    // trace (--arrival-trace).  Generation is deterministic, so the file
-    // matches the run bit-for-bit.
+    // Export the workload as a replayable JSONL trace (--arrival-trace).
     const std::string path = flags.get("workload-out", "");
-    const auto workload = core::generate_workload(
-        config.workload, pace::paper_catalogue(),
-        static_cast<int>(config.system.resources.size()));
     std::ofstream out(path);
     if (!out) {
       std::fprintf(stderr, "cannot write workload JSONL: %s\n", path.c_str());
@@ -460,7 +451,8 @@ int cmd_campaign(const Flags& flags) {
     for (const auto& record : result.completions) {
       end = std::max(end, record.end);
     }
-    // Only now is the bucket count known; too many is a usage error.
+    // Only now is the bucket count known (an open loop, or a window the
+    // early bound let through); too many is a usage error.
     metrics::Timeline timeline;
     require_valid([&] {
       timeline = metrics::build_timeline(result.completions, resources,
@@ -558,26 +550,16 @@ Flags make_flags() {
   flags.declare("agent-mttr", "sec", "mean agent restart time");
   flags.declare("grid-agents", "N",
                 "generate an N-agent scenario grid instead of Fig. 7");
-  flags.declare("grid-shape", "fanout|random", "scenario hierarchy shape");
-  flags.declare("grid-fanout", "F", "children per agent (fanout shape)");
-  flags.declare("grid-depth", "D",
-                "max tree depth, 0 = unbounded (random shape)");
-  flags.declare("grid-seed", "S", "random-tree wiring seed");
-  flags.declare("grid-nodes", "N", "processing nodes per resource");
+  flags.declare("grid-fanout", "F", "children per scenario agent");
   flags.declare("requests-per-agent", "N",
                 "scenario workload: requests per resource");
   flags.declare("arrival-interval", "sec",
                 "mean seconds between submissions (0 = auto per-agent "
                 "rate, scenario grids only)");
-  flags.declare("arrival", "uniform|poisson|onoff|diurnal|trace",
+  flags.declare("arrival", "uniform|onoff|trace",
                 "submission-timing process (campaign)");
   flags.declare("arrival-trace", "file",
                 "JSONL workload to replay verbatim (implies --arrival trace)");
-  flags.declare("burst-on", "sec", "onoff arrivals: ON phase length");
-  flags.declare("burst-off", "sec", "onoff arrivals: silent phase length");
-  flags.declare("diurnal-period", "sec", "diurnal arrivals: cycle length");
-  flags.declare("diurnal-amplitude", "a",
-                "diurnal arrivals: rate swing in [0,1)");
   flags.declare("duration", "sec",
                 "open-loop cutoff: stop at this sim time (0 = closed loop)");
   flags.declare("workload-out", "file",
