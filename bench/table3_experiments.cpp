@@ -1,7 +1,10 @@
-// Reproduces Table 3 (and the data behind Figs. 8–10): the three-way case
-// study comparing FIFO-only, GA-only, and GA + agent-based discovery on
-// the 12-resource grid of Fig. 7, under the §4.1 workload (600 requests,
-// one per second, random applications/deadlines/entry agents, fixed seed).
+// Reproduces the paper's case study (§4): Table 2's three experiments —
+// FIFO-only, GA-only, and GA + agent-based discovery — on the 12-resource
+// grid of Fig. 7, under the §4.1 workload (600 requests, one per second,
+// random applications/deadlines/entry agents, fixed seed).  One run of each
+// experiment feeds Table 3 and the Fig. 8–10 series, and the paper's 12
+// qualitative claims are checked against it: the bench exits 1 if any
+// check fails.
 //
 // The paper's absolute numbers were measured on 2001-era hardware with the
 // real PACE toolkit; this reproduction preserves the comparison's *shape*
@@ -60,6 +63,135 @@ void print_design() {
   std::printf("\n");
 }
 
+/// Prints one Fig. 8/9/10 series block: a column per experiment and a row
+/// per agent plus the grid total, using `select` to project a metric out of
+/// a MetricsRow.
+template <class Select>
+void print_series(const std::vector<core::ExperimentResult>& results,
+                  const char* metric_label, Select select) {
+  std::printf("%-7s", "agent");
+  for (std::size_t e = 1; e <= results.size(); ++e) {
+    std::printf("  exp%zu(%s)", e, metric_label);
+  }
+  std::printf("\n");
+  const std::size_t rows = results.front().report.resources.size();
+  for (std::size_t row = 0; row < rows; ++row) {
+    std::printf("%-7s", results.front().report.resources[row].label.c_str());
+    for (const auto& result : results) {
+      std::printf("  %11.1f", select(result.report.resources[row]));
+    }
+    std::printf("\n");
+  }
+  std::printf("%-7s", "Total");
+  for (const auto& result : results) {
+    std::printf("  %11.1f", select(result.report.total));
+  }
+  std::printf("\n");
+}
+
+/// Prints Table 3 next to the paper's and the Fig. 8, 9 and 10 series of
+/// experiments 1–3, each followed by the paper's claims it shows, and
+/// returns how many of those 12 checks failed.
+int print_results(const std::vector<core::ExperimentResult>& results) {
+  std::printf("\nTable 3 (this reproduction)\n%s\n",
+              core::format_table3(results).c_str());
+
+  std::printf("Table 3 (paper, for comparison)\n");
+  std::printf("%6s", "");
+  for (int e = 0; e < 3; ++e) {
+    std::printf(" | %9s%9s%9s", "eps(s)", "util(%)", "beta(%)");
+  }
+  std::printf("\n");
+  for (const PaperRow& row : kPaperTable3) {
+    std::printf("%6s", row.label);
+    for (const double* exp : {row.e1, row.e2, row.e3}) {
+      std::printf(" | %9.0f%9.0f%9.0f", exp[0], exp[1], exp[2]);
+    }
+    std::printf("\n");
+  }
+
+  int failures = 0;
+  const auto check = [&failures](bool ok, const char* what) {
+    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
+    if (!ok) ++failures;
+  };
+  const auto total = [&results](std::size_t e) -> const metrics::MetricsRow& {
+    return results[e].report.total;
+  };
+  const auto resource = [&results](std::size_t e, std::size_t agent)
+      -> const metrics::MetricsRow& {
+    return results[e].report.resources[agent];
+  };
+
+  std::printf("\nshape checks (paper's qualitative claims):\n");
+  check(total(0).advance_time < total(1).advance_time &&
+            total(1).advance_time < total(2).advance_time,
+        "eps improves monotonically across experiments 1->2->3");
+  check(total(0).utilisation < total(1).utilisation &&
+            total(1).utilisation < total(2).utilisation,
+        "utilisation improves monotonically across experiments 1->2->3");
+  check(total(0).balance < total(1).balance &&
+            total(1).balance < total(2).balance,
+        "grid balance improves monotonically across experiments 1->2->3");
+  check(total(2).balance - total(1).balance >
+            total(1).balance - total(0).balance,
+        "agents contribute more to global balance than GA alone");
+
+  // Fig. 8 (paper §4.2): ε improves with each mechanism, and the heavily
+  // loaded platforms (S11, S12) improve more than the lightly loaded ones
+  // (S1, S2).
+  std::printf("Fig. 8 — average advance time eps (s) by experiment\n\n");
+  print_series(results, "eps/s", [](const metrics::MetricsRow& row) {
+    return row.advance_time;
+  });
+  std::printf("\nshape checks:\n");
+  check(total(0).advance_time < total(1).advance_time,
+        "GA improves grid-average eps over FIFO (exp1 -> exp2)");
+  check(total(1).advance_time < total(2).advance_time,
+        "agents improve grid-average eps further (exp2 -> exp3)");
+  const auto improvement = [&resource](std::size_t agent) {
+    return resource(2, agent).advance_time - resource(0, agent).advance_time;
+  };
+  check(improvement(10) > improvement(0) && improvement(11) > improvement(1),
+        "S11/S12 (overloaded) improve more than S1/S2 (lightly loaded)");
+
+  // Fig. 9: utilisation rises with each mechanism, and S1, lightly loaded
+  // without agents, gains most of its utilisation from the agents
+  // dispatching work to it.
+  std::printf("Fig. 9 — resource utilisation rate (%%) by experiment\n\n");
+  print_series(results, "util%", [](const metrics::MetricsRow& row) {
+    return row.utilisation * 100.0;
+  });
+  std::printf("\nshape checks:\n");
+  check(total(0).utilisation < total(1).utilisation &&
+            total(1).utilisation < total(2).utilisation,
+        "grid utilisation improves monotonically across experiments");
+  check(resource(2, 0).utilisation - resource(1, 0).utilisation >
+            resource(1, 0).utilisation - resource(0, 0).utilisation,
+        "S1 benefits more from agents than from the GA");
+
+  // Fig. 10: "the GA scheduling contributes more to local grid load
+  // balancing and agents contribute more to global grid load balancing".
+  std::printf("Fig. 10 — load balancing level beta (%%) by experiment\n\n");
+  print_series(results, "beta%", [](const metrics::MetricsRow& row) {
+    return row.balance * 100.0;
+  });
+  const auto mean_local = [&results](std::size_t e) {
+    double sum = 0.0;
+    for (const auto& row : results[e].report.resources) sum += row.balance;
+    return sum / static_cast<double>(results[e].report.resources.size());
+  };
+  std::printf("\nshape checks:\n");
+  check(mean_local(1) > mean_local(0),
+        "GA lifts mean *local* balance (exp1 -> exp2)");
+  check(total(2).balance - total(1).balance >
+            total(1).balance - total(0).balance,
+        "agents provide the bigger jump in *global* balance (exp2 -> exp3)");
+  check(total(2).balance > 0.8,
+        "coupled system reaches high global balance (paper: 90%)");
+  return failures;
+}
+
 }  // namespace
 
 int main() {
@@ -79,41 +211,5 @@ int main() {
                 static_cast<unsigned long long>(r.network_messages));
   }
 
-  std::printf("\nTable 3 (this reproduction)\n%s\n",
-              core::format_table3(results).c_str());
-
-  std::printf("Table 3 (paper, for comparison)\n");
-  std::printf("%6s", "");
-  for (int e = 0; e < 3; ++e) {
-    std::printf(" | %9s%9s%9s", "eps(s)", "util(%)", "beta(%)");
-  }
-  std::printf("\n");
-  for (const PaperRow& row : kPaperTable3) {
-    std::printf("%6s", row.label);
-    for (const double* exp : {row.e1, row.e2, row.e3}) {
-      std::printf(" | %9.0f%9.0f%9.0f", exp[0], exp[1], exp[2]);
-    }
-    std::printf("\n");
-  }
-
-  std::printf("\nshape checks (paper's qualitative claims):\n");
-  const auto total = [&results](std::size_t e) -> const metrics::MetricsRow& {
-    return results[e].report.total;
-  };
-  const auto check = [](bool ok, const char* what) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
-  };
-  check(total(0).advance_time < total(1).advance_time &&
-            total(1).advance_time < total(2).advance_time,
-        "eps improves monotonically across experiments 1->2->3");
-  check(total(0).utilisation < total(1).utilisation &&
-            total(1).utilisation < total(2).utilisation,
-        "utilisation improves monotonically across experiments 1->2->3");
-  check(total(0).balance < total(1).balance &&
-            total(1).balance < total(2).balance,
-        "grid balance improves monotonically across experiments 1->2->3");
-  check(total(2).balance - total(1).balance >
-            total(1).balance - total(0).balance,
-        "agents contribute more to global balance than GA alone");
-  return 0;
+  return print_results(results) == 0 ? 0 : 1;
 }

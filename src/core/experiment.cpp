@@ -7,7 +7,6 @@
 #include <exception>
 #include <iomanip>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -170,47 +169,6 @@ class ObsScope {
   const ExperimentConfig* config_;
   std::optional<obs::Session> session_;
 };
-
-/// Schedules the self-rescheduling sampler tick on `engine` at
-/// `interval, 2*interval, ...` and returns the count of executed ticks.
-/// Each tick is one extra engine event, so the caller subtracts the
-/// returned count from `sim_events` to keep the published result
-/// bit-for-bit identical to an unsampled run (DESIGN.md §14).
-std::shared_ptr<std::uint64_t> schedule_sampler_ticks(
-    sim::Engine& engine, obs::Sampler& sampler, double interval,
-    bool progress, std::uint64_t expected,
-    std::function<std::uint64_t()> completed) {
-  auto executed = std::make_shared<std::uint64_t>(0);
-  // Each tick reschedules a copy of itself, so the queue holds the only
-  // reference.  A tick that captured itself would never be freed.
-  struct Tick {
-    sim::Engine* engine;
-    obs::Sampler* sampler;
-    std::shared_ptr<std::uint64_t> executed;
-    double interval;
-    bool progress;
-    std::uint64_t expected;
-    std::function<std::uint64_t()> completed;
-
-    void operator()() const {
-      ++*executed;
-      const SimTime now = engine->now();
-      sampler->sample(now);
-      if (progress) {
-        // Straight to stderr: the default log level hides log::info, and a
-        // heartbeat the user asked for must not be silenced.
-        std::fprintf(stderr,
-                     "[gridlb] t=%.1fs  completed %" PRIu64 "/%" PRIu64 "\n",
-                     now, completed(), expected);
-      }
-      engine->schedule_at(now + interval, *this);
-    }
-  };
-  engine.schedule_at(
-      interval, Tick{&engine, &sampler, executed, interval, progress, expected,
-                     std::move(completed)});
-  return executed;
-}
 
 }  // namespace
 
@@ -407,8 +365,9 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   const std::uint64_t expected = scheduled;
 
   // Continuous profiling: sampler ticks at least one network latency
-  // apart.
-  std::shared_ptr<std::uint64_t> sampler_ticks;
+  // apart, at interval, 2·interval, ...  Each tick is one extra engine
+  // event, counted here so the result can subtract it back out.
+  std::uint64_t sampler_ticks = 0;
   if (obs::Sampler* sampler = obs_scope.sampler()) {
     if (auto* reg = obs::registry()) {
       reg->gauge("grid.agents").set(static_cast<double>(system.size()));
@@ -417,9 +376,21 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
     }
     const double interval = std::max(config.obs.effective_interval(),
                                      system.network().latency());
-    sampler_ticks = schedule_sampler_ticks(
-        engine, *sampler, interval, config.obs.progress, expected,
-        [&system]() { return system.completed_count(); });
+    engine.schedule_periodic(
+        interval, interval,
+        [&engine, &system, &sampler_ticks, sampler, expected,
+         progress = config.obs.progress] {
+          ++sampler_ticks;
+          sampler->sample(engine.now());
+          if (progress) {
+            // Straight to stderr: the default log level hides log::info,
+            // and a heartbeat the user asked for must not be silenced.
+            std::fprintf(stderr,
+                         "[gridlb] t=%.1fs  completed %" PRIu64 "/%" PRIu64
+                         "\n",
+                         engine.now(), system.completed_count(), expected);
+          }
+        });
   }
 
   // Drive: closed-loop until every submitted task completed or was dropped
@@ -453,9 +424,8 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   result.finished_at = engine.now();
   // Observation neutrality: sampler ticks are engine events, so their
   // executions are subtracted back out — the published count must be
-  // bit-for-bit what an unsampled run reports.
-  result.sim_events = engine.events_processed() -
-                      (sampler_ticks != nullptr ? *sampler_ticks : 0);
+  // bit-for-bit what an unsampled run reports (DESIGN.md §14).
+  result.sim_events = engine.events_processed() - sampler_ticks;
   result.events_swept = engine.events_swept();
   result.network_messages = system.network().total_messages();
   result.network_bytes = system.network().total_bytes();

@@ -92,32 +92,23 @@ Element::~Element() {
 }
 
 Element::Element(Element&& other) : arena_(other.arena_) {
-  if (other.owns_arena_ && !other.in_arena_) {
-    name_ = other.name_;
-    text_ = other.text_;
-    attributes_ = other.attributes_;
-    attribute_count_ = other.attribute_count_;
-    attribute_capacity_ = other.attribute_capacity_;
-    first_child_ = other.first_child_;
-    last_child_ = other.last_child_;
-    owns_arena_ = true;
-    other.arena_ = nullptr;
-    other.owns_arena_ = false;
-    other.name_ = other.text_ = {};
-    other.attributes_ = nullptr;
-    other.attribute_count_ = other.attribute_capacity_ = 0;
-    other.first_child_ = other.last_child_ = nullptr;
-    return;
-  }
-  arena_ = Arena::create(Arena::kBuilderBlock);
+  GRIDLB_REQUIRE(other.owns_arena_ && !other.in_arena_,
+                 "only a root built by Element(name) can be moved: a node "
+                 "and the root parse returns live in their document's arena");
+  name_ = other.name_;
+  text_ = other.text_;
+  attributes_ = other.attributes_;
+  attribute_count_ = other.attribute_count_;
+  attribute_capacity_ = other.attribute_capacity_;
+  first_child_ = other.first_child_;
+  last_child_ = other.last_child_;
   owns_arena_ = true;
-  try {
-    name_ = store(other.name_);
-    copy_subtree(other);
-  } catch (...) {
-    Arena::release(arena_);
-    throw;
-  }
+  other.arena_ = nullptr;
+  other.owns_arena_ = false;
+  other.name_ = other.text_ = {};
+  other.attributes_ = nullptr;
+  other.attribute_count_ = other.attribute_capacity_ = 0;
+  other.first_child_ = other.last_child_ = nullptr;
 }
 
 void* Element::operator new(std::size_t bytes) { return ::operator new(bytes); }
@@ -169,16 +160,6 @@ void Element::push_attribute(Attribute attribute) {
   attributes_[attribute_count_++] = attribute;
 }
 
-void Element::copy_subtree(const Element& from) {
-  text_ = store(from.text_);
-  for (const Attribute& attribute : from.attributes()) {
-    push_attribute({store(attribute.key), store(attribute.value)});
-  }
-  for (const Element& child : from.children()) {
-    append_child(store(child.name_)).copy_subtree(child);
-  }
-}
-
 void Element::set_attribute(std::string_view key, std::string_view value) {
   for (Attribute& existing : std::span(attributes_, attribute_count_)) {
     if (existing.key == key) {
@@ -220,13 +201,6 @@ Element& Element::add_child_with_text(std::string_view name,
   Element& child = add_child(name);
   child.text_ = store(text);
   return child;
-}
-
-Element& Element::adopt_child(std::unique_ptr<Element> child) {
-  GRIDLB_REQUIRE(child != nullptr, "adopt_child requires a non-null child");
-  Element& copy = add_child(child->name_);
-  copy.copy_subtree(*child);
-  return copy;
 }
 
 const Element* Element::child(std::string_view name) const {

@@ -58,10 +58,10 @@ class Element {
   explicit Element(std::string_view name);
   ~Element();
 
-  /// Moving a root hands its arena over; the moved-from root is empty and
-  /// may only be destroyed.  Moving anything else (a node, or the root
-  /// `parse` placed inside its own arena) copies the subtree into a new
-  /// document.
+  /// Moving a root built by the constructor above hands its arena over;
+  /// the moved-from root is empty and may only be destroyed.  Moving
+  /// anything else (a node, or the root `parse` placed inside its own
+  /// arena) fails with an AssertionError.
   Element(Element&& other);
   Element(const Element&) = delete;
   Element& operator=(const Element&) = delete;
@@ -94,9 +94,6 @@ class Element {
   Element& add_child(std::string_view name);
   /// Adds `<name>text</name>` and returns the new child.
   Element& add_child_with_text(std::string_view name, std::string_view text);
-  /// Copies an already-built subtree into this document and returns the
-  /// copy.
-  Element& adopt_child(std::unique_ptr<Element> child);
 
   /// Forward range over the children in document order, optionally only
   /// those with one element name.
@@ -176,7 +173,6 @@ class Element {
   [[nodiscard]] std::string_view store(std::string_view text);
   Element& append_child(std::string_view stored_name);
   void push_attribute(Attribute attribute);
-  void copy_subtree(const Element& from);
 
   Arena* arena_;
   std::string_view name_;

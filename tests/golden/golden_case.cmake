@@ -1,8 +1,9 @@
-# Runs one gridlb command line in an empty directory and compares its stdout
-# and the files it writes with the expected outputs in tests/golden/<name>/.
+# Runs one command line (the gridlb CLI or a report bench) in an empty
+# directory and compares its stdout and the files it writes with the expected
+# outputs in tests/golden/<name>/.  A non-zero exit fails the case.
 # Registered as golden.<name> ctests by tests/CMakeLists.txt.
 #
-#   cmake -DCLI=<gridlb> -DNAME=<name> "-DARGS=<arguments>"
+#   cmake -DEXE=<executable> -DNAME=<name> "-DARGS=<arguments>"
 #         "-DFILES=<file file>" -DGOLDEN=<tests/golden> -DWORK=<dir>
 #         -P golden_case.cmake
 #
@@ -15,11 +16,13 @@ set(kDigestBytes 4096)
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 separate_arguments(argv UNIX_COMMAND "${ARGS}")
-execute_process(COMMAND "${CLI}" ${argv}
+get_filename_component(command "${EXE}" NAME)
+string(STRIP "${command} ${ARGS}" command)
+execute_process(COMMAND "${EXE}" ${argv}
   WORKING_DIRECTORY "${WORK}"
   RESULT_VARIABLE code OUTPUT_FILE "${WORK}/stdout" ERROR_VARIABLE err)
 if(NOT code STREQUAL "0")
-  message(FATAL_ERROR "gridlb ${ARGS}\n-- exit: ${code}\n-- stderr:\n${err}")
+  message(FATAL_ERROR "${command}\n-- exit: ${code}\n-- stderr:\n${err}")
 endif()
 
 set(expected "${GOLDEN}/${NAME}")
@@ -66,7 +69,7 @@ foreach(output IN LISTS outputs)
   endif()
 endforeach()
 if(failures)
-  message(FATAL_ERROR "gridlb ${ARGS}${failures}\n"
+  message(FATAL_ERROR "${command}${failures}\n"
     "If the change is deliberate, rewrite the goldens with "
     "tools/regen_goldens.sh and review their diff.")
 endif()

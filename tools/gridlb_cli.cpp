@@ -201,10 +201,34 @@ void apply_obs_flags(const Flags& flags, core::ExperimentConfig& config) {
   config.obs.progress = flags.get_bool("progress", false);
 }
 
+/// End of the arrival window, which is where both churn models stop
+/// generating failures: kWorkloadStart + count × interval for generated
+/// arrivals; for a replayed trace, its last arrival plus its mean
+/// inter-arrival gap, which is the generator's own value for a trace
+/// exported from a uniform workload (never before kWorkloadStart).  Reads
+/// the trace, so it runs after apply_traffic_flags has validated it.
+double arrival_window_end(const core::ExperimentConfig& config) {
+  const core::WorkloadConfig& workload = config.workload;
+  if (workload.arrival != core::ArrivalProcess::kTrace) {
+    return core::kWorkloadStart +
+           static_cast<double>(workload.count) * workload.interval;
+  }
+  const std::vector<core::RequestSpec> trace = core::generate_workload(
+      workload, pace::paper_catalogue(),
+      static_cast<int>(config.system.resources.size()));
+  if (trace.empty()) return core::kWorkloadStart;
+  const double mean_gap =
+      trace.size() == 1 ? 0.0
+                        : (trace.back().at - trace.front().at) /
+                              static_cast<double>(trace.size() - 1);
+  return std::max(core::kWorkloadStart, trace.back().at + mean_gap);
+}
+
 /// Fills the fault plan and agent churn from --drop-prob / --net-jitter /
 /// --agent-mtbf / --agent-mttr.  SystemConfig::loss_tolerant() then turns
 /// the loss-tolerant protocol on for any injected fault; all-defaults
-/// leaves the bit-for-bit lossless behaviour.
+/// leaves the bit-for-bit lossless behaviour.  Runs after the workload is
+/// final: the crash horizon is its arrival window's end.
 void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
   agents::SystemConfig& system = config.system;
   system.fault.drop_prob = flags.get_double("drop-prob", 0.0);
@@ -215,9 +239,7 @@ void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
     system.agent_churn.mtbf = mtbf;
     system.agent_churn.mttr =
         flags.get_double("agent-mttr", system.agent_churn.mttr);
-    system.agent_churn.horizon =
-        core::kWorkloadStart +
-        static_cast<double>(config.workload.count) * config.workload.interval;
+    system.agent_churn.horizon = arrival_window_end(config);
   }
 }
 
@@ -323,17 +345,15 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
   config.system.pull_period =
       flags.get_double("pull-period", config.system.pull_period);
   config.system.prediction_error = flags.get_double("prediction-error", 0.0);
+  apply_traffic_flags(flags, config);
   const double mtbf = flags.get_double("churn-mtbf", 0.0);
   if (mtbf > 0.0) {
     config.system.churn.enabled = true;
     config.system.churn.mtbf = mtbf;
     config.system.churn.mttr =
         flags.get_double("churn-mttr", config.system.churn.mttr);
-    config.system.churn.horizon =
-        core::kWorkloadStart +
-        static_cast<double>(config.workload.count) * config.workload.interval;
+    config.system.churn.horizon = arrival_window_end(config);
   }
-  apply_traffic_flags(flags, config);
   apply_fault_flags(flags, config);
   apply_obs_flags(flags, config);
   validate_system_flags(config);
