@@ -22,7 +22,7 @@ namespace {
 
 using namespace gridlb;
 
-struct Outcome {
+struct Totals {
   double busy_node_seconds = 0.0;
   double horizon = 0.0;
   double lateness = 0.0;
@@ -34,7 +34,7 @@ struct Outcome {
 // profile equals plain idle; we cannot swap the decoder's formula from a
 // bench, so "flat" uses a halved weight (φ averages ~1×, front-weighting
 // doubles early gaps) and "none" zeroes the idle weight.
-Outcome run(double idle_weight) {
+Totals run(double idle_weight) {
   sim::Engine engine;
   const auto catalogue = pace::paper_catalogue();
 
@@ -47,7 +47,7 @@ Outcome run(double idle_weight) {
   config.seed = 3;
   const pace::PredictionTable table(catalogue, {config.resource}, 16);
 
-  Outcome outcome;
+  Totals outcome;
   sched::LocalScheduler scheduler(
       engine, table, config, [&](const sched::CompletionRecord& r) {
         outcome.busy_node_seconds +=
@@ -93,7 +93,7 @@ int main() {
       {"disabled, W_i=0", 0.0},
   };
   for (const auto& variant : variants) {
-    const Outcome outcome = run(variant.weight);
+    const Totals outcome = run(variant.weight);
     const double util =
         outcome.busy_node_seconds / (outcome.horizon * 16.0) * 100.0;
     std::printf("  %-26s %9.1f %9.1f %9.1f %7d\n", variant.label,

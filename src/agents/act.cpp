@@ -53,12 +53,4 @@ const CapabilityTable::Entry* CapabilityTable::find(AgentId agent) const {
   return nullptr;
 }
 
-double CapabilityTable::max_staleness(SimTime now) const {
-  double staleness = 0.0;
-  for (const auto& entry : entries_) {
-    staleness = std::max(staleness, now - entry.updated_at);
-  }
-  return staleness;
-}
-
 }  // namespace gridlb::agents

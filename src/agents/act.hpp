@@ -61,9 +61,6 @@ class CapabilityTable {
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  /// Age of the oldest entry at `now` (0 when empty).
-  [[nodiscard]] double max_staleness(SimTime now) const;
-
  private:
   std::vector<Entry> entries_;
 };

@@ -42,8 +42,6 @@ TaskId Portal::submit(Agent& entry, const std::string& app_name,
   request.email = email;
   request.origin = endpoint_;
 
-  submit_times_.resize(static_cast<std::size_t>(submitted_) + 1, kNoTime);
-  submit_times_[static_cast<std::size_t>(submitted_)] = engine_.now();
   submissions_.resize(static_cast<std::size_t>(submitted_) + 1);
   submissions_[static_cast<std::size_t>(submitted_)] =
       Submission{app_name, deadline, environment, email};
@@ -116,21 +114,8 @@ void Portal::on_message(const sim::Message& message) {
               message.payload.size(), "-byte message");
     return;
   }
-  Outcome outcome;
-  outcome.result = result_from_xml(*document);
-  outcome.delivered = engine_.now();
-  const auto task_value = outcome.result.task.value();
-  if (outcome.result.task.valid() && task_value < submit_times_.size()) {
-    outcome.submitted = submit_times_[static_cast<std::size_t>(task_value)];
-  }
-  outcomes_.push_back(std::move(outcome));
-}
-
-double Portal::mean_turnaround() const {
-  if (outcomes_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& outcome : outcomes_) sum += outcome.turnaround();
-  return sum / static_cast<double>(outcomes_.size());
+  // The collector already holds the task's completion record.
+  ++results_received_;
 }
 
 }  // namespace gridlb::agents

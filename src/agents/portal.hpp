@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "agents/agent.hpp"
-#include "agents/result.hpp"
 #include "metrics/metrics.hpp"
 #include "pace/application_model.hpp"
 #include "sim/engine.hpp"
@@ -49,24 +48,10 @@ class Portal {
   }
   [[nodiscard]] const LinkStats& link_stats() const { return link_.stats(); }
 
-  /// One delivered execution result plus the user-visible turnaround
-  /// (result delivery time − submission time, network latency included).
-  struct Outcome {
-    ExecutionResult result;
-    SimTime submitted = 0.0;
-    SimTime delivered = 0.0;
-    [[nodiscard]] double turnaround() const { return delivered - submitted; }
-  };
-
-  /// Results received so far, delivery order.
-  [[nodiscard]] const std::vector<Outcome>& outcomes() const {
-    return outcomes_;
-  }
+  /// Execution results delivered so far.
   [[nodiscard]] std::uint64_t results_received() const {
-    return outcomes_.size();
+    return results_received_;
   }
-  /// Mean turnaround over delivered results (0 when none).
-  [[nodiscard]] double mean_turnaround() const;
 
  private:
   void on_message(const sim::Message& message);
@@ -81,9 +66,7 @@ class Portal {
   Agent* fallback_ = nullptr;
   std::uint64_t submitted_ = 0;
   std::uint64_t resubmitted_ = 0;
-  std::vector<Outcome> outcomes_;
-  /// Submission times by task id (dense: task ids are 1-based serials).
-  std::vector<SimTime> submit_times_;
+  std::uint64_t results_received_ = 0;
   /// What was asked for, so a stranded task can be re-discovered.
   struct Submission {
     std::string app_name;

@@ -4,7 +4,7 @@
 // where the request originates" (paper §2.2); the case-study portal posts
 // them to the user's email address.  In simulation the executing agent
 // composes a result document and sends it over the network to the
-// request's originating endpoint (the portal), which records the outcome:
+// request's originating endpoint (the portal), which counts it:
 //
 //   <agentgrid type="result" taskid="…">
 //     <application> <name>sweep3d</name> </application>
@@ -31,8 +31,6 @@ struct ExecutionResult {
   SimTime completion = 0.0;  ///< η_j
   SimTime deadline = 0.0;    ///< δ_j
   std::string email;
-
-  [[nodiscard]] bool met_deadline() const { return completion <= deadline; }
 
   bool operator==(const ExecutionResult&) const = default;
 };

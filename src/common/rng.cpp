@@ -22,14 +22,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  GRIDLB_REQUIRE(lo <= hi, "uniform_int requires lo <= hi");
-  const auto span =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // hi-lo < 2^63 in practice
-  return lo + static_cast<std::int64_t>(span == 0 ? next_u64()
-                                                  : next_below(span));
-}
-
 double Rng::uniform(double lo, double hi) {
   GRIDLB_REQUIRE(lo <= hi, "uniform requires lo <= hi");
   return lo + (hi - lo) * next_double();

@@ -44,9 +44,6 @@ class Rng {
     }
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1): the top 53 bits, scaled exactly.
   double next_double() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
@@ -65,7 +62,7 @@ class Rng {
 
   /// `n` (0..64) Bernoulli draws with probability `p`, in order: bit i of
   /// the result is the outcome of draw i.  Consumes exactly the stream of
-  /// `n` calls to `chance(p)` and gives the same outcomes, with the state
+  /// `n` calls to `chance(p)` and gives the same results, with the state
   /// held in registers for the whole run.  Each draw tests the 53-bit
   /// integer u behind `next_double()` against ceil(p·2^53): scaling by a
   /// power of two is exact, so u·2^-53 < p ⟺ u < p·2^53 ⟺ u < ceil(p·2^53).
@@ -83,7 +80,7 @@ class Rng {
                   (static_cast<double>(floor) < scaled ? 1 : 0);
     }
     std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
-    // Outcomes enter at the top and shift down, so draw i ends at bit i.
+    // Draws enter at the top and shift down, so draw i ends at bit i.
     // u − threshold, both below 2^53, has its top bit set iff u wins.
     constexpr std::uint64_t kTopBit = std::uint64_t{1} << 63;
     std::uint64_t bits = 0;

@@ -9,6 +9,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
@@ -162,7 +163,11 @@ class ObsScope {
     if (obs::MetricsRegistry* registry = session_->registry()) {
       populate_registry(*registry, result);
     }
-    session_->export_outputs(resource_labels(*config_));
+    // Session opened every path before the run; a write can still fail
+    // now (a full disk, say), and that fails the run too.
+    if (!session_->export_outputs(resource_labels(*config_))) {
+      throw std::runtime_error("failed to write an observability output");
+    }
   }
 
  private:

@@ -1,24 +1,18 @@
 #include "core/workload.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/number.hpp"
 #include "common/rng.hpp"
 
 namespace gridlb::core {
 
 namespace {
-
-std::string format_number(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
 
 /// Submission times for every process except kTrace; always non-decreasing.
 std::vector<SimTime> arrival_times(const WorkloadConfig& config) {
@@ -109,7 +103,7 @@ void validate_workload(const WorkloadConfig& config) {
   }
   GRIDLB_REQUIRE(
       config.interval > 0.0,
-      "arrival interval must be > 0 (got " + format_number(config.interval) +
+      "arrival interval must be > 0 (got " + exact_number(config.interval) +
           "): it is the mean seconds between submissions for the '" +
           arrival_process_name(config.arrival) +
           "' process.  Pass a positive --arrival-interval (0 = auto is "
@@ -150,9 +144,9 @@ std::vector<RequestSpec> generate_workload(
 std::string workload_to_jsonl(const std::vector<RequestSpec>& workload) {
   std::ostringstream os;
   for (const RequestSpec& spec : workload) {
-    os << "{\"at\":" << format_number(spec.at)
+    os << "{\"at\":" << exact_number(spec.at)
        << ",\"agent\":" << spec.agent_index << ",\"app\":\"" << spec.app_name
-       << "\",\"deadline_offset\":" << format_number(spec.deadline_offset)
+       << "\",\"deadline_offset\":" << exact_number(spec.deadline_offset)
        << "}\n";
   }
   return os.str();

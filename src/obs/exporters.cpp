@@ -1,12 +1,11 @@
 #include "obs/exporters.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/number.hpp"
 
 namespace gridlb::obs {
 
@@ -14,16 +13,6 @@ namespace {
 
 constexpr int kGridPid = 1;
 constexpr int kGaPid = 2;
-
-void number(std::ostringstream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  os << buffer;
-}
 
 std::string resource_label(const std::vector<std::string>& names,
                            std::uint64_t id) {
@@ -84,9 +73,9 @@ std::string chrome_trace_json(const TraceSnapshot& snapshot,
         os << "{\"name\":\"task " << event.task << "\",\"cat\":\"task\","
            << "\"ph\":\"X\",\"pid\":" << kGridPid << ",\"tid\":" << tid
            << ",\"ts\":";
-        number(os, ts_us(event.a));
+        os << exact_number(ts_us(event.a), "null");
         os << ",\"dur\":";
-        number(os, ts_us(event.b - event.a));
+        os << exact_number(ts_us(event.b - event.a), "null");
         os << ",\"args\":{\"task\":" << event.task
            << ",\"nodes\":" << event.extra << "}}";
         break;
@@ -100,11 +89,11 @@ std::string chrome_trace_json(const TraceSnapshot& snapshot,
            << resource_label(resource_names, event.resource)
            << " ga cost\",\"ph\":\"C\",\"pid\":" << kGaPid
            << ",\"tid\":" << tid << ",\"ts\":";
-        number(os, ts_us(event.at) + event.extra);
+        os << exact_number(ts_us(event.at) + event.extra, "null");
         os << ",\"args\":{\"best\":";
-        number(os, event.a);
+        os << exact_number(event.a, "null");
         os << ",\"mean\":";
-        number(os, event.b);
+        os << exact_number(event.b, "null");
         os << "}}";
         break;
       }
@@ -115,9 +104,9 @@ std::string chrome_trace_json(const TraceSnapshot& snapshot,
            << resource_label(resource_names, event.resource)
            << " queue\",\"ph\":\"C\",\"pid\":" << kGridPid
            << ",\"tid\":" << tid << ",\"ts\":";
-        number(os, ts_us(event.at));
+        os << exact_number(ts_us(event.at), "null");
         os << ",\"args\":{\"depth\":";
-        number(os, event.a);
+        os << exact_number(event.a, "null");
         os << "}}";
         break;
       }
@@ -131,11 +120,11 @@ std::string chrome_trace_json(const TraceSnapshot& snapshot,
         os << "{\"name\":\"" << kind_name(event.kind)
            << "\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"pid\":"
            << (ga ? kGaPid : kGridPid) << ",\"tid\":" << tid << ",\"ts\":";
-        number(os, ts_us(event.at));
+        os << exact_number(ts_us(event.at), "null");
         os << ",\"args\":{\"task\":" << event.task << ",\"a\":";
-        number(os, event.a);
+        os << exact_number(event.a, "null");
         os << ",\"b\":";
-        number(os, event.b);
+        os << exact_number(event.b, "null");
         os << ",\"extra\":" << event.extra << "}}";
         break;
       }
@@ -150,14 +139,14 @@ std::string events_jsonl(const TraceSnapshot& snapshot) {
   std::ostringstream os;
   for (const TraceEvent& event : snapshot.events) {
     os << "{\"t\":";
-    number(os, event.at);
+    os << exact_number(event.at, "null");
     os << ",\"kind\":\"" << kind_name(event.kind) << '"';
     if (event.task != 0) os << ",\"task\":" << event.task;
     if (event.resource != 0) os << ",\"resource\":" << event.resource;
     os << ",\"a\":";
-    number(os, event.a);
+    os << exact_number(event.a, "null");
     os << ",\"b\":";
-    number(os, event.b);
+    os << exact_number(event.b, "null");
     os << ",\"extra\":" << event.extra << "}\n";
   }
   return os.str();

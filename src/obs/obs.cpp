@@ -1,11 +1,23 @@
 #include "obs/obs.hpp"
 
+#include <fstream>
+#include <stdexcept>
+
 #include "common/assert.hpp"
 #include "obs/exporters.hpp"
 
 namespace gridlb::obs {
 
 Session::Session(ObsConfig config) : config_(std::move(config)) {
+  // Open every output before the run, so an unwritable path fails now and
+  // not after the whole run.  Appending leaves an existing file intact.
+  for (const std::string* path :
+       {&config_.trace_out, &config_.events_out, &config_.metrics_json_out,
+        &config_.series_jsonl_out, &config_.series_csv_out}) {
+    if (!path->empty() && !std::ofstream(*path, std::ios::app)) {
+      throw std::runtime_error("cannot write " + *path);
+    }
+  }
   if (config_.trace_enabled()) {
     GRIDLB_REQUIRE(detail::g_recorder == nullptr,
                    "another observability session is already tracing");

@@ -70,7 +70,9 @@ class Session {
  public:
   /// Installs the configured instruments for the calling thread.  A
   /// config with nothing enabled yields an inert session (accessors stay
-  /// null).  Destroy it on the thread that constructed it.
+  /// null).  Throws std::runtime_error, before installing anything, if an
+  /// output path cannot be opened for writing.  Destroy it on the thread
+  /// that constructed it.
   explicit Session(ObsConfig config);
   ~Session();
 
@@ -84,9 +86,10 @@ class Session {
   [[nodiscard]] Sampler* sampler() { return sampler_.get(); }
 
   /// Writes every configured output file (Chrome trace, JSONL dump,
-  /// metrics JSON).  `resource_names[i]` labels AgentId i+1.  Returns
-  /// false if any write failed.  Call after the simulation has quiesced.
-  bool export_outputs(const std::vector<std::string>& resource_names);
+  /// metrics JSON, time series).  `resource_names[i]` labels AgentId i+1.
+  /// Returns false if any write failed.  Call after the simulation has
+  /// quiesced.
+  [[nodiscard]] bool export_outputs(const std::vector<std::string>& resource_names);
 
  private:
   ObsConfig config_;

@@ -1,24 +1,15 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <iomanip>
+#include <cstdio>
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/number.hpp"
 
 namespace gridlb::obs {
 
 namespace {
-
-/// JSON-safe number: non-finite doubles have no JSON spelling.
-void json_number(std::ostringstream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  os << std::setprecision(17) << value << std::setprecision(6);
-}
 
 void json_string(std::ostringstream& os, std::string_view text) {
   os << '"';
@@ -90,24 +81,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
               .first->second;
 }
 
-std::string MetricsRegistry::text_snapshot() const {
-  std::ostringstream os;
-  for (const auto& [name, counter] : counters_) {
-    os << std::left << std::setw(36) << name << ' ' << counter->value()
-       << '\n';
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    os << std::left << std::setw(36) << name << ' ' << gauge->value() << '\n';
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    const Histogram::Snapshot& snap = histogram->snapshot();
-    os << std::left << std::setw(36) << name << " count=" << snap.count
-       << " mean=" << snap.mean() << " min=" << snap.min
-       << " max=" << snap.max << '\n';
-  }
-  return os.str();
-}
-
 std::string MetricsRegistry::json_snapshot() const {
   std::ostringstream os;
   os << "{\"counters\":{";
@@ -125,7 +98,7 @@ std::string MetricsRegistry::json_snapshot() const {
     first = false;
     json_string(os, name);
     os << ':';
-    json_number(os, gauge->value());
+    os << exact_number(gauge->value(), "null");
   }
   os << "},\"histograms\":{";
   first = true;
@@ -135,19 +108,19 @@ std::string MetricsRegistry::json_snapshot() const {
     const Histogram::Snapshot& snap = histogram->snapshot();
     json_string(os, name);
     os << ":{\"count\":" << snap.count << ",\"sum\":";
-    json_number(os, snap.sum);
+    os << exact_number(snap.sum, "null");
     os << ",\"min\":";
-    json_number(os, snap.min);
+    os << exact_number(snap.min, "null");
     os << ",\"max\":";
-    json_number(os, snap.max);
+    os << exact_number(snap.max, "null");
     os << ",\"mean\":";
-    json_number(os, snap.mean());
+    os << exact_number(snap.mean(), "null");
     os << ",\"buckets\":[";
     for (std::size_t i = 0; i < snap.buckets.size(); ++i) {
       if (i != 0) os << ',';
       os << "{\"le\":";
       if (i < snap.bounds.size()) {
-        json_number(os, snap.bounds[i]);
+        os << exact_number(snap.bounds[i], "null");
       } else {
         os << "\"+inf\"";
       }

@@ -8,8 +8,8 @@
 // in end-of-run aggregates (prediction-table reads, event counts, network
 // traffic) so the snapshot is consistent with Table 3's statistics.
 //
-// Snapshots render as an aligned text table or as a JSON document; both
-// list every instrument in name order so diffs between runs are stable.
+// Snapshots render as a JSON document that lists every instrument in name
+// order, so diffs between runs are stable.
 //
 // A registry belongs to the thread whose Session installed it (see
 // obs.hpp), so every instrument is a plain value with no lock.
@@ -90,8 +90,6 @@ class MetricsRegistry {
   /// calls with a different spec return the existing instrument.
   Histogram& histogram(std::string_view name, std::vector<double> bounds);
 
-  /// Aligned human-readable table, one instrument per line.
-  [[nodiscard]] std::string text_snapshot() const;
   /// {"counters":{...},"gauges":{...},"histograms":{...}} — valid JSON
   /// (non-finite values are serialised as null).
   [[nodiscard]] std::string json_snapshot() const;

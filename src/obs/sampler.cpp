@@ -1,38 +1,14 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/number.hpp"
 
 namespace gridlb::obs {
-
-namespace {
-
-void number(std::ostringstream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  os << buffer;
-}
-
-/// CSV cell: shortest round-trip-safe spelling, no quoting needed (column
-/// names are metric identifiers, values are numbers).
-void csv_number(std::ostringstream& os, double value) {
-  if (!std::isfinite(value)) return;  // empty cell
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  os << buffer;
-}
-
-}  // namespace
 
 double histogram_percentile(const std::vector<double>& bounds,
                             const std::vector<std::uint64_t>& buckets,
@@ -78,10 +54,10 @@ std::string TimeSeries::jsonl() const {
   std::ostringstream os;
   for (const Row& row : rows_) {
     os << "{\"t\":";
-    number(os, row.t);
+    os << exact_number(row.t, "null");
     for (const auto& [name, value] : row.values) {
       os << ",\"" << name << "\":";
-      number(os, value);
+      os << exact_number(value, "null");
     }
     os << "}\n";
   }
@@ -98,14 +74,14 @@ std::string TimeSeries::csv() const {
   for (const std::string& column : columns) os << ',' << column;
   os << '\n';
   for (const Row& row : rows_) {
-    csv_number(os, row.t);
+    os << exact_number(row.t, "");
     // row.values and `columns` are both name-sorted: one linear sweep.
     auto it = row.values.begin();
     for (const std::string& column : columns) {
       os << ',';
       while (it != row.values.end() && it->first < column) ++it;
       if (it != row.values.end() && it->first == column) {
-        csv_number(os, it->second);
+        os << exact_number(it->second, "");
       }
     }
     os << '\n';
@@ -119,7 +95,6 @@ void Sampler::sample(SimTime at) {
   if (have_row_ && at <= last_at_) return;  // duplicate end-of-run tick
   have_row_ = true;
   last_at_ = at;
-  ++samples_;
 
   const RegistrySample snap = registry_->sample();
   std::vector<std::pair<std::string, double>> values;

@@ -82,14 +82,12 @@ class Sampler {
   void sample(SimTime at);
 
   [[nodiscard]] const TimeSeries& series() const { return series_; }
-  [[nodiscard]] std::uint64_t samples_taken() const { return samples_; }
 
  private:
   const MetricsRegistry* registry_;
   std::map<std::string, std::uint64_t> prev_counters_;
   std::map<std::string, Histogram::Snapshot> prev_histograms_;
   TimeSeries series_;
-  std::uint64_t samples_ = 0;
   bool have_row_ = false;
   SimTime last_at_ = 0.0;
 };

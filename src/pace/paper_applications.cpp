@@ -41,16 +41,6 @@ const std::vector<PaperApp>& paper_apps() {
 
 }  // namespace
 
-const std::vector<std::string>& paper_application_names() {
-  static const std::vector<std::string> kNames = [] {
-    std::vector<std::string> names;
-    names.reserve(paper_apps().size());
-    for (const auto& app : paper_apps()) names.emplace_back(app.name);
-    return names;
-  }();
-  return kNames;
-}
-
 ApplicationModelPtr make_paper_application(const std::string& name) {
   for (const auto& app : paper_apps()) {
     if (name == app.name) {

@@ -12,10 +12,6 @@
 
 namespace gridlb::pace {
 
-/// Names in Table 1 order: sweep3d, fft, improc, closure, jacobi, memsort,
-/// cpi.
-[[nodiscard]] const std::vector<std::string>& paper_application_names();
-
 /// Builds the Table 1 model for one application (throws on unknown name).
 [[nodiscard]] ApplicationModelPtr make_paper_application(
     const std::string& name);

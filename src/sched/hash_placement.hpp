@@ -40,7 +40,7 @@ struct PlacementTarget {
   double weight = 1.0;  ///< relative capacity, > 0
 };
 
-/// Outcome of one placement.
+/// Result of one placement.
 struct PlacementDecision {
   std::size_t index = 0;  ///< position in the target list
   AgentId resource;       ///< targets()[index].resource

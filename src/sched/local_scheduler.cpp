@@ -135,8 +135,6 @@ void LocalScheduler::submit(Task task) {
   log::debug("resource ", config_.resource_id.str(), " t=", engine_.now(),
              " submit task ", task.id.str(), " app=", task.app->name());
   pending_.push_back(std::move(task));
-  queue_stats_.peak_queue_length =
-      std::max(queue_stats_.peak_queue_length, pending_count());
   observe_queue_depth(engine_.now(), config_.resource_id, pending_count());
   if (config_.policy == SchedulerPolicy::kFifo) {
     // FIFO fixes the allocation immediately and permanently.
@@ -160,11 +158,6 @@ void LocalScheduler::commit(std::size_t pending_index, NodeMask mask,
   const Task task = pending_[static_cast<std::size_t>(pending_index)];
   pending_.erase(pending_.begin() +
                  static_cast<std::ptrdiff_t>(pending_index));
-  queue_stats_.started += 1;
-  const double wait = std::max(0.0, start - task.arrival);
-  queue_stats_.total_wait += wait;
-  queue_stats_.max_wait = std::max(queue_stats_.max_wait, wait);
-  queue_stats_.total_execution += end - start;
   if (config_.prediction_error > 0.0) {
     // The schedule was built from the prediction; reality deviates.
     const double u = hash_unit(config_.seed, task.id);
@@ -255,7 +248,6 @@ void LocalScheduler::reschedule() {
 
   // GA policy: re-optimise the whole pending set, then start the tasks
   // whose planned moment has arrived.
-  ++ga_runs_;
   obs::emit({.at = now,
              .kind = obs::EventKind::kGaRunStarted,
              .resource = config_.resource_id.value(),

@@ -40,18 +40,6 @@ enum class SchedulerPolicy { kFifo, kGa };
 
 [[nodiscard]] std::string_view policy_name(SchedulerPolicy policy);
 
-/// Aggregate queueing behaviour of one scheduler.
-struct QueueStats {
-  std::uint64_t started = 0;       ///< tasks that began executing
-  double total_wait = 0.0;         ///< Σ (start − arrival), seconds
-  double max_wait = 0.0;
-  double total_execution = 0.0;    ///< Σ (end − start) as committed
-  int peak_queue_length = 0;       ///< largest pending count observed
-  [[nodiscard]] double mean_wait() const {
-    return started > 0 ? total_wait / static_cast<double>(started) : 0.0;
-  }
-};
-
 /// Emitted once per task at its (virtual-time) completion.
 struct CompletionRecord {
   TaskId task;
@@ -141,7 +129,6 @@ class LocalScheduler {
   }
   [[nodiscard]] const ScheduleBuilder& builder() const { return builder_; }
   /// GA statistics (zero when the FIFO policy is active).
-  [[nodiscard]] std::uint64_t ga_invocations() const { return ga_runs_; }
   [[nodiscard]] std::uint64_t ga_decodes() const {
     return ga_ ? ga_->total_decodes() : 0;
   }
@@ -154,7 +141,6 @@ class LocalScheduler {
     if (ga_) return ga_->total_table_reads();
     return fifo_ ? fifo_->table_reads() : 0;
   }
-  [[nodiscard]] const QueueStats& queue_stats() const { return queue_stats_; }
 
  private:
   void request_reschedule();
@@ -175,8 +161,6 @@ class LocalScheduler {
   SimTime last_plan_completion_ = 0.0;
   int running_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t ga_runs_ = 0;
-  QueueStats queue_stats_;
   bool reschedule_pending_ = false;
 };
 

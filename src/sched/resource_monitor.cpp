@@ -17,11 +17,7 @@ NodeAvailability::NodeAvailability(int node_count)
 void NodeAvailability::set(int node, bool up) {
   GRIDLB_REQUIRE(node >= 0 && node < node_count_, "node index out of range");
   const NodeMask bit = NodeMask{1} << node;
-  const NodeMask updated = up ? (mask_ | bit) : (mask_ & ~bit);
-  if (updated != mask_) {
-    mask_ = updated;
-    ++transitions_;
-  }
+  mask_ = up ? (mask_ | bit) : (mask_ & ~bit);
 }
 
 bool NodeAvailability::up(int node) const {
@@ -94,12 +90,10 @@ void ResourceMonitor::start() {
 }
 
 void ResourceMonitor::poll() {
-  ++polls_;
   const NodeMask current = truth_.mask();
   const NodeMask changed = current ^ view_;
   if (changed == 0) return;
   for_each_node(changed, [&](int node) {
-    ++changes_;
     scheduler_.set_node_available(node, truth_.up(node));
   });
   view_ = current;

@@ -36,13 +36,10 @@ class NodeAvailability {
   [[nodiscard]] bool up(int node) const;
   [[nodiscard]] NodeMask mask() const { return mask_; }
   [[nodiscard]] int node_count() const { return node_count_; }
-  /// Number of state changes applied so far.
-  [[nodiscard]] std::uint64_t transitions() const { return transitions_; }
 
  private:
   NodeMask mask_;
   int node_count_;
-  std::uint64_t transitions_ = 0;
 };
 
 /// One scripted failure or repair.
@@ -80,19 +77,12 @@ class ResourceMonitor {
   /// One query of every known node (also called by the periodic event).
   void poll();
 
-  [[nodiscard]] std::uint64_t polls() const { return polls_; }
-  [[nodiscard]] std::uint64_t changes_reported() const { return changes_; }
-  [[nodiscard]] NodeMask last_view() const { return view_; }
-  [[nodiscard]] double poll_period() const { return poll_period_; }
-
  private:
   sim::Engine& engine_;
   LocalScheduler& scheduler_;
   const NodeAvailability& truth_;
   double poll_period_;
   NodeMask view_;
-  std::uint64_t polls_ = 0;
-  std::uint64_t changes_ = 0;
   bool started_ = false;
 };
 

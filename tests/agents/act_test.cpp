@@ -19,7 +19,6 @@ TEST(CapabilityTable, StartsEmpty) {
   CapabilityTable act;
   EXPECT_EQ(act.size(), 0u);
   EXPECT_EQ(act.find(AgentId(1)), nullptr);
-  EXPECT_DOUBLE_EQ(act.max_staleness(100.0), 0.0);
 }
 
 TEST(CapabilityTable, UpsertInsertsAndRefreshes) {
@@ -49,13 +48,6 @@ TEST(CapabilityTable, RejectsInvalidAgentId) {
   CapabilityTable act;
   EXPECT_THROW(act.upsert(AgentId(), info_with_freetime(1.0), 0.0),
                AssertionError);
-}
-
-TEST(CapabilityTable, MaxStaleness) {
-  CapabilityTable act;
-  act.upsert(AgentId(1), info_with_freetime(1.0), 10.0);
-  act.upsert(AgentId(2), info_with_freetime(1.0), 30.0);
-  EXPECT_DOUBLE_EQ(act.max_staleness(40.0), 30.0);
 }
 
 TEST(CapabilityTable, AdvanceFreetimeBumpsFromFuture) {

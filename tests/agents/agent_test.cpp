@@ -245,9 +245,9 @@ TEST_F(AgentFixture, AdvertisementsRefreshPeriodically) {
   engine.run_until(35.0);
   // Pulls at t = 0, 10, 20, 30 -> 2 neighbours × 4 rounds.
   EXPECT_EQ(system->agent_named("S1").stats().pulls_sent, 8u);
-  const double staleness =
-      system->agent_named("S1").act().max_staleness(engine.now());
-  EXPECT_LE(staleness, 10.0);
+  for (const auto& entry : system->agent_named("S1").act().entries()) {
+    EXPECT_LE(engine.now() - entry.updated_at, 10.0);
+  }
 }
 
 TEST_F(AgentFixture, PullDisabledLeavesActEmpty) {

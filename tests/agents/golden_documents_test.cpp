@@ -311,7 +311,7 @@ TEST_F(StampedDocuments, Ack) {
 
   ASSERT_EQ(recorded[0].size(), 1u);
   EXPECT_EQ(recorded[0][0], "<agentgrid type=\"ack\" msgid=\"8589934593\"/>\n");
-  EXPECT_EQ(portal.outcomes().size(), 1u);
+  EXPECT_EQ(portal.results_received(), 1u);
 }
 
 }  // namespace

@@ -27,13 +27,6 @@ TEST(ExecutionResult, RoundTrip) {
   EXPECT_EQ(result_from_xml(to_xml(example())), example());
 }
 
-TEST(ExecutionResult, MetDeadlineHelper) {
-  ExecutionResult result = example();
-  EXPECT_TRUE(result.met_deadline());
-  result.completion = 41.0;
-  EXPECT_FALSE(result.met_deadline());
-}
-
 TEST(ExecutionResult, DocumentShape) {
   const auto doc = xml::parse(to_xml(example()));
   EXPECT_EQ(*doc->attribute("type"), "result");
@@ -103,16 +96,13 @@ TEST_F(ResultDeliveryFixture, PortalReceivesResultForLocalDispatch) {
   const TaskId task = portal.submit(system.agent_named("S1"), "closure",
                                     1000.0, "test", "user@example.org");
   engine.run_until(3600.0);
-  ASSERT_EQ(portal.results_received(), 1u);
-  const auto& outcome = portal.outcomes()[0];
-  EXPECT_EQ(outcome.result.task, task);
-  EXPECT_EQ(outcome.result.app_name, "closure");
-  EXPECT_EQ(outcome.result.resource_name, "S1");
-  EXPECT_EQ(outcome.result.email, "user@example.org");
-  EXPECT_TRUE(outcome.result.met_deadline());
-  // Turnaround covers two network trips plus the execution time.
-  EXPECT_GT(outcome.turnaround(), outcome.result.completion -
-                                      outcome.result.start);
+  EXPECT_EQ(portal.results_received(), 1u);
+  ASSERT_EQ(collector.records().size(), 1u);
+  const sched::CompletionRecord& record = collector.records()[0];
+  EXPECT_EQ(record.task, task);
+  EXPECT_EQ(record.app_name, "closure");
+  EXPECT_EQ(record.resource, system.agent_named("S1").id());
+  EXPECT_LE(record.end, record.deadline);
   EXPECT_EQ(system.agent_named("S1").stats().results_sent, 1u);
 }
 
@@ -125,8 +115,9 @@ TEST_F(ResultDeliveryFixture, ResultComesFromTheExecutingAgent) {
   // request forwards to S1, which must also send the result.
   portal.submit(system.agent_named("S2"), "sweep3d", engine.now() + 10.0);
   engine.run_until(3600.0);
-  ASSERT_EQ(portal.results_received(), 1u);
-  EXPECT_EQ(portal.outcomes()[0].result.resource_name, "S1");
+  EXPECT_EQ(portal.results_received(), 1u);
+  ASSERT_EQ(collector.records().size(), 1u);
+  EXPECT_EQ(collector.records()[0].resource, system.agent_named("S1").id());
   EXPECT_EQ(system.agent_named("S1").stats().results_sent, 1u);
   EXPECT_EQ(system.agent_named("S2").stats().results_sent, 0u);
 }
@@ -147,13 +138,7 @@ TEST_F(ResultDeliveryFixture, EveryCampaignTaskGetsAResult) {
   }
   engine.run_until(7200.0);
   EXPECT_EQ(portal.results_received(), 30u);
-  EXPECT_GT(portal.mean_turnaround(), 0.0);
-  // Met flags in the results agree with the metrics collector.
-  int met_via_results = 0;
-  for (const auto& outcome : portal.outcomes()) {
-    if (outcome.result.met_deadline()) ++met_via_results;
-  }
-  EXPECT_EQ(met_via_results, collector.report().total.deadlines_met);
+  EXPECT_EQ(collector.completed_tasks(), 30u);
 }
 
 TEST_F(ResultDeliveryFixture, FireAndForgetRequestsProduceNoResult) {
@@ -168,6 +153,37 @@ TEST_F(ResultDeliveryFixture, FireAndForgetRequestsProduceNoResult) {
   engine.run_until(3600.0);
   EXPECT_EQ(system.agent_named("S1").stats().results_sent, 0u);
   EXPECT_EQ(collector.completed_tasks(), 1u);
+}
+
+TEST_F(ResultDeliveryFixture, ResultDocumentDescribesTheExecution) {
+  AgentSystem system(engine, catalogue, config(), &collector);
+  system.start();
+  // A recorder stands in for the portal and keeps the result verbatim.
+  std::vector<std::string> received;
+  const sim::EndpointId user = system.network().register_endpoint(
+      "user", 1, [&received](const sim::Message& message) {
+        received.push_back(message.payload);
+      });
+  Request request;
+  request.task = TaskId(5);
+  request.app_name = "closure";
+  request.deadline = 1000.0;
+  request.email = "user@example.org";
+  request.origin = user;
+  system.agent_named("S1").receive_request(std::move(request));
+  engine.run_until(3600.0);
+
+  ASSERT_EQ(received.size(), 1u);
+  ASSERT_EQ(collector.records().size(), 1u);
+  const sched::CompletionRecord& record = collector.records()[0];
+  const ExecutionResult result = result_from_xml(received[0]);
+  EXPECT_EQ(result.task, TaskId(5));
+  EXPECT_EQ(result.app_name, "closure");
+  EXPECT_EQ(result.resource_name, "S1");
+  EXPECT_EQ(result.email, "user@example.org");
+  EXPECT_DOUBLE_EQ(result.start, record.start);
+  EXPECT_DOUBLE_EQ(result.completion, record.end);
+  EXPECT_DOUBLE_EQ(result.deadline, record.deadline);
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 #   cmake -DCLI=<gridlb> -DARGS="<arguments>" -DEXIT=2
 #         "-DMESSAGE=<text>" -P cli_case.cmake
 #       "error: <text>" and then the usage on stderr, exit 2
+#   cmake -DCLI=<gridlb> -DARGS="<arguments>" -DEXIT=1
+#         "-DMESSAGE=<text>" -P cli_case.cmake
+#       a run that fails before it starts: "error: <text>" on stderr, no
+#       usage, nothing on stdout, exit 1
 #   cmake -DCLI=<gridlb> -DARGS="<arguments>" -DEXIT=2
 #         "-DRETIRED=--a --b" -P cli_case.cmake
 #       for each retired flag: "<arguments> --a 1" fails with
@@ -29,6 +33,11 @@ function(check_case args message)
   if(EXIT EQUAL 0)
     set(want "usage: gridlb ")
     string(FIND "${out}" "${want}" at)
+  elseif(EXIT EQUAL 1)
+    if(NOT out STREQUAL "" OR NOT err STREQUAL "error: ${message}\n")
+      message(FATAL_ERROR "want only 'error: ${message}': ${context}")
+    endif()
+    return()
   else()
     set(want "error: ${message}\nusage: gridlb ")
     string(FIND "${err}" "${want}" at)

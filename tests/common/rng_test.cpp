@@ -56,31 +56,6 @@ TEST(Rng, NextBelowCoversAllResidues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Rng, UniformIntInclusiveBounds) {
-  Rng rng(11);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(Rng, UniformIntSingleton) {
-  Rng rng(11);
-  EXPECT_EQ(rng.uniform_int(5, 5), 5);
-}
-
-TEST(Rng, UniformIntRejectsInvertedBounds) {
-  Rng rng(11);
-  EXPECT_THROW(rng.uniform_int(2, 1), AssertionError);
-}
-
 TEST(Rng, NextDoubleInUnitInterval) {
   Rng rng(3);
   for (int i = 0; i < 10000; ++i) {

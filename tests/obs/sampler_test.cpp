@@ -90,7 +90,6 @@ TEST(Sampler, CountersAreReportedAsIntervalDeltas) {
   ASSERT_EQ(rows[1].values.size(), 1u);
   EXPECT_DOUBLE_EQ(rows[1].values[0].second, 5.0);
   EXPECT_TRUE(rows[2].values.empty());
-  EXPECT_EQ(sampler.samples_taken(), 3u);
 }
 
 TEST(Sampler, GaugesAreAlwaysCurrent) {
@@ -146,7 +145,6 @@ TEST(Sampler, DuplicateTimestampIsIgnored) {
   registry.counter("c").add(1);
   sampler.sample(5.0);  // final end-of-run sample coinciding with a tick
   EXPECT_EQ(sampler.series().rows().size(), 1u);
-  EXPECT_EQ(sampler.samples_taken(), 1u);
 }
 
 // --- Experiment-level interval alignment ---------------------------------

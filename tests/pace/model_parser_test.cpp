@@ -196,6 +196,13 @@ TEST(ModelParser, WriteModelRoundTripsParametric) {
 // Property: every paper application survives a write/parse round trip.
 class ModelRoundTrip : public ::testing::TestWithParam<std::string> {};
 
+std::vector<std::string> paper_app_names() {
+  const ApplicationCatalogue catalogue = paper_catalogue();
+  std::vector<std::string> names;
+  for (const auto& app : catalogue.all()) names.push_back(app->name());
+  return names;
+}
+
 TEST_P(ModelRoundTrip, Identity) {
   const auto original = make_paper_application(GetParam());
   const auto reparsed = parse_model(write_model(*original));
@@ -206,7 +213,7 @@ TEST_P(ModelRoundTrip, Identity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, ModelRoundTrip,
-                         ::testing::ValuesIn(paper_application_names()));
+                         ::testing::ValuesIn(paper_app_names()));
 
 }  // namespace
 }  // namespace gridlb::pace

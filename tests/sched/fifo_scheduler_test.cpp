@@ -80,11 +80,11 @@ TEST_F(FifoFixture, MinCompletionOnIdleMachineMatchesMinExecution) {
   const std::vector<SimTime> idle(16, 0.0);
   FifoScheduler a(table, sgi, 16, FifoObjective::kMinExecution);
   FifoScheduler b(table, sgi, 16, FifoObjective::kMinCompletion);
-  for (const auto& name : pace::paper_application_names()) {
-    const auto task = make_task(name.c_str());
+  for (const auto& app : catalogue.all()) {
+    const auto task = make_task(app->name().c_str());
     EXPECT_DOUBLE_EQ(a.place(task, idle, 0.0).end,
                      b.place(task, idle, 0.0).end)
-        << name;
+        << app->name();
   }
 }
 
@@ -135,6 +135,13 @@ TEST_F(FifoFixture, RejectsMismatchedFreeVector) {
 // k-earliest-free reduction for every application and load pattern.
 class FifoOptimality : public ::testing::TestWithParam<std::string> {};
 
+std::vector<std::string> paper_app_names() {
+  const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  std::vector<std::string> names;
+  for (const auto& app : catalogue.all()) names.push_back(app->name());
+  return names;
+}
+
 TEST_P(FifoOptimality, MinCompletionBeatsAllSubsets) {
   const auto ultra = pace::ResourceModel::of(pace::HardwareType::kSunUltra1);
   const auto catalogue = pace::paper_catalogue();
@@ -164,7 +171,7 @@ TEST_P(FifoOptimality, MinCompletionBeatsAllSubsets) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, FifoOptimality,
-                         ::testing::ValuesIn(pace::paper_application_names()));
+                         ::testing::ValuesIn(paper_app_names()));
 
 // The subset enumeration FifoScheduler::place used before its per-width
 // closed form, kept verbatim as the reference: every non-empty mask in

@@ -13,7 +13,6 @@ TEST(NodeAvailability, StartsAllUp) {
   EXPECT_EQ(availability.mask(), full_mask(4));
   EXPECT_TRUE(availability.up(0));
   EXPECT_TRUE(availability.up(3));
-  EXPECT_EQ(availability.transitions(), 0u);
 }
 
 TEST(NodeAvailability, SetTogglesAndCounts) {
@@ -21,10 +20,9 @@ TEST(NodeAvailability, SetTogglesAndCounts) {
   availability.set(2, false);
   EXPECT_FALSE(availability.up(2));
   EXPECT_EQ(availability.mask(), 0b1011u);
-  availability.set(2, false);  // idempotent: no transition
-  EXPECT_EQ(availability.transitions(), 1u);
+  availability.set(2, false);  // idempotent
+  EXPECT_EQ(availability.mask(), 0b1011u);
   availability.set(2, true);
-  EXPECT_EQ(availability.transitions(), 2u);
   EXPECT_EQ(availability.mask(), full_mask(4));
 }
 
@@ -132,9 +130,8 @@ TEST_F(MonitorFixture, PollPeriodGovernsStaleness) {
   EXPECT_TRUE((scheduler->available_nodes() >> 2) & 1u);
   // The t=300 poll reports the change.
   engine.run_until(301.0);
-  EXPECT_FALSE((scheduler->available_nodes() >> 2) & 1u);
-  EXPECT_EQ(monitor.changes_reported(), 1u);
-  EXPECT_GE(monitor.polls(), 2u);
+  EXPECT_EQ(scheduler->available_nodes(),
+            full_mask(8) & ~(NodeMask{1} << 2));
 }
 
 TEST_F(MonitorFixture, ReportsRepairsToo) {
@@ -146,8 +143,7 @@ TEST_F(MonitorFixture, ReportsRepairsToo) {
   engine.run_until(51.0);
   EXPECT_FALSE((scheduler->available_nodes() >> 5) & 1u);
   engine.run_until(101.0);
-  EXPECT_TRUE((scheduler->available_nodes() >> 5) & 1u);
-  EXPECT_EQ(monitor.changes_reported(), 2u);
+  EXPECT_EQ(scheduler->available_nodes(), full_mask(8));
 }
 
 TEST_F(MonitorFixture, FlapWithinOnePollWindowIsInvisible) {
@@ -158,7 +154,6 @@ TEST_F(MonitorFixture, FlapWithinOnePollWindowIsInvisible) {
   // Down at t=10, back at t=50: the t=100 poll sees no difference.
   schedule_availability(engine, truth, {{10.0, 4, false}, {50.0, 4, true}});
   engine.run_until(150.0);
-  EXPECT_EQ(monitor.changes_reported(), 0u);
   EXPECT_EQ(scheduler->available_nodes(), full_mask(8));
 }
 
