@@ -213,20 +213,6 @@ void BM_RequestXmlRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_RequestXmlRoundTrip);
 
-void BM_ResultXmlRoundTrip(benchmark::State& state) {
-  const agents::ExecutionResult result{.task = TaskId(42),
-                                       .app_name = "sweep3d",
-                                       .resource_name = "S3",
-                                       .start = 120.5,
-                                       .completion = 437.25,
-                                       .deadline = 500.0,
-                                       .email = "user@gridlb.sim"};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(agents::result_from_xml(to_xml(result)));
-  }
-}
-BENCHMARK(BM_ResultXmlRoundTrip);
-
 // The receiver's side of one delivered request: one parse, then the typed
 // reader over the tree.
 void BM_DeliverRequest(benchmark::State& state) {

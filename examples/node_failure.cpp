@@ -31,15 +31,14 @@ int main() {
       engine, table, config,
       [&](const sched::CompletionRecord& r) { completions.push_back(r); });
 
-  // Ground truth + monitor: nodes 8..15 fail at t=100 and return at t=300.
-  sched::NodeAvailability truth(16);
-  std::vector<sched::AvailabilityEvent> script;
+  // The monitor owns the ground truth: nodes 8..15 fail at t=100 and
+  // return at t=300.
+  std::vector<sched::ChurnEvent> script;
   for (int node = 8; node < 16; ++node) {
     script.push_back({100.0, node, false});
     script.push_back({300.0, node, true});
   }
-  sched::schedule_availability(engine, truth, std::move(script));
-  sched::ResourceMonitor monitor(engine, scheduler, truth, 30.0);
+  sched::ResourceMonitor monitor(engine, scheduler, script, 30.0);
   monitor.start();
 
   // A steady stream: one task every 12 s for 20 minutes — comfortable

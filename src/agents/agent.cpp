@@ -28,7 +28,6 @@ Agent::Agent(sim::Engine& engine, sim::Network& network,
       link_(engine, network, grid.loss_tolerant()) {
   GRIDLB_REQUIRE(config_.id.valid(), "agent needs a valid id");
   endpoint_ = network_.register_endpoint(
-      config_.address, config_.port,
       [this](const sim::Message& message) { on_message(message); });
   link_.set_self(endpoint_);
 }

@@ -50,14 +50,8 @@ void SystemConfig::validate() const {
     scheduler.prediction_error = prediction_error;
     scheduler.validate();
   }
-  if (churn.enabled) {
-    GRIDLB_REQUIRE(churn.mtbf > 0.0 && churn.mttr > 0.0,
-                   "node churn needs positive mtbf and mttr");
-  }
-  if (agent_churn.enabled) {
-    GRIDLB_REQUIRE(agent_churn.mtbf > 0.0 && agent_churn.mttr > 0.0,
-                   "agent churn needs positive mtbf and mttr");
-  }
+  churn.validate("node");
+  agent_churn.validate("agent");
 }
 
 AgentSystem::AgentSystem(sim::Engine& engine,
@@ -128,20 +122,13 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
   GRIDLB_REQUIRE(heads == 1, "the hierarchy must have exactly one head");
 
   if (config_.churn.enabled) {
-    Rng churn_seeder(config_.churn.seed);
+    Rng churn_seeder(kNodeChurnSeed);
     for (std::size_t i = 0; i < schedulers_.size(); ++i) {
-      const int nodes = config_.resources[i].node_count;
-      availability_.push_back(
-          std::make_unique<sched::NodeAvailability>(nodes));
-      sched::schedule_availability(
-          engine_, *availability_.back(),
-          sched::random_availability_script(nodes, config_.churn.horizon,
-                                            config_.churn.mtbf,
-                                            config_.churn.mttr,
-                                            churn_seeder.next_u64()));
       monitors_.push_back(std::make_unique<sched::ResourceMonitor>(
-          engine_, *schedulers_[i], *availability_.back(),
-          config_.churn.poll_period));
+          engine_, *schedulers_[i],
+          sched::churn_script(config_.churn, config_.resources[i].node_count,
+                              churn_seeder.next_u64()),
+          config_.monitor_poll_period));
     }
   }
 
@@ -152,27 +139,18 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
     agents_[static_cast<std::size_t>(parent)]->add_child(agents_[i].get());
   }
 
-  if (config_.agent_churn.enabled) schedule_agent_churn();
-}
-
-void AgentSystem::schedule_agent_churn() {
-  const AgentChurnConfig& churn = config_.agent_churn;
-  Rng rng(churn.seed);
-  const auto exponential = [&rng](double mean) {
-    // Inverse-CDF sampling; 1 − u avoids log(0).
-    return -mean * std::log(1.0 - rng.next_double());
-  };
-  // Alternating up/down script per agent, fully drawn up-front so the
-  // schedule depends only on the churn seed (never on simulation events).
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    if (i == head_index_) continue;
-    SimTime t = 0.0;
-    while (true) {
-      t += exponential(churn.mtbf);
-      if (t >= churn.horizon) break;
-      engine_.schedule_at(t, [this, i]() { crash_agent(i); });
-      t += exponential(churn.mttr);
-      engine_.schedule_at(t, [this, i]() { agents_[i]->restart(); });
+  if (config_.agent_churn.enabled) {
+    // Drawn up front, so the crashes depend only on the churn seed (never
+    // on simulation events).
+    for (const sched::ChurnEvent& event : sched::churn_script(
+             config_.agent_churn, static_cast<int>(agents_.size()),
+             kAgentChurnSeed, static_cast<int>(head_index_))) {
+      const auto i = static_cast<std::size_t>(event.unit);
+      if (event.up) {
+        engine_.schedule_at(event.at, [this, i]() { agents_[i]->restart(); });
+      } else {
+        engine_.schedule_at(event.at, [this, i]() { crash_agent(i); });
+      }
     }
   }
 }

@@ -29,16 +29,6 @@ struct ResourceSpec {
   int parent = -1;
 };
 
-/// Optional node-churn model applied identically to every resource.
-struct ChurnConfig {
-  bool enabled = false;
-  double mtbf = 600.0;        ///< mean node up-time, seconds
-  double mttr = 120.0;        ///< mean repair time, seconds
-  double horizon = 1200.0;    ///< failures generated until this time
-  double poll_period = 300.0; ///< resource-monitor query period (paper: 5 min)
-  std::uint64_t seed = 7;
-};
-
 /// Under the loss-tolerant protocol (DESIGN.md §10), an ACT entry missing
 /// this many advertisement periods is distrusted during discovery (the
 /// neighbour is suspected dead).
@@ -47,17 +37,10 @@ inline constexpr int kActExpiryPeriods = 3;
 /// One-way message delay of the grid's network, seconds.
 inline constexpr double kNetworkLatency = 0.05;
 
-/// Whole-agent process churn: crashes kill the agent's protocol state and
-/// its pending queue; restarts come back with an empty ACT.  Distinct from
-/// node-level ChurnConfig, which only removes processing nodes.  The
-/// hierarchy head never crashes: it is the portal's fallback entry.
-struct AgentChurnConfig {
-  bool enabled = false;
-  double mtbf = 1800.0;     ///< mean agent up-time, seconds
-  double mttr = 30.0;       ///< mean process restart time, seconds
-  double horizon = 600.0;   ///< crashes generated until this time
-  std::uint64_t seed = 99;
-};
+/// Seeds of the two churn processes' streams (node churn seeds one child
+/// stream per resource from its own).
+inline constexpr std::uint64_t kNodeChurnSeed = 7;
+inline constexpr std::uint64_t kAgentChurnSeed = 99;
 
 struct SystemConfig {
   std::vector<ResourceSpec> resources;
@@ -75,10 +58,18 @@ struct SystemConfig {
   int sim_shards = 1;
   std::uint64_t seed = 42;         ///< per-scheduler GA seeds derive from it
   double prediction_error = 0.0;   ///< see LocalScheduler::Config
-  ChurnConfig churn;
+  /// Node churn: every resource's processing nodes fail and return; its
+  /// ResourceMonitor reports the changes every monitor_poll_period.
+  sched::ChurnConfig churn{.mtbf = 600.0, .mttr = 120.0, .horizon = 1200.0};
+  /// Agent churn: whole agent processes crash, losing their protocol state
+  /// and pending queue, and restart with an empty ACT.  The hierarchy head
+  /// never crashes: it is the portal's fallback entry.
+  sched::ChurnConfig agent_churn{.mtbf = 1800.0, .mttr = 30.0,
+                                 .horizon = 600.0};
+  /// Resource-monitor query period under node churn (paper: five minutes).
+  double monitor_poll_period = 300.0;
   /// Deterministic network faults (drops, jitter).
   sim::FaultPlan fault;
-  AgentChurnConfig agent_churn;
   /// Threshold-triggered queue migration, applied to every agent.
   MigrationConfig migration;
 
@@ -147,16 +138,10 @@ class AgentSystem {
   /// The notifications are deferred events, so completed + dropped can form
   /// the run loop's stop condition.
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_count_; }
-  /// Per-resource monitors (empty unless churn is enabled).
-  [[nodiscard]] const std::vector<std::unique_ptr<sched::ResourceMonitor>>&
-  monitors() const {
-    return monitors_;
-  }
 
  private:
   void build(const pace::ApplicationCatalogue& catalogue,
              metrics::MetricsCollector* collector);
-  void schedule_agent_churn();
   void crash_agent(std::size_t index);
 
   sim::Engine& engine_;
@@ -166,7 +151,7 @@ class AgentSystem {
   std::unique_ptr<sim::Network> network_;
   std::vector<std::unique_ptr<sched::LocalScheduler>> schedulers_;
   std::vector<std::unique_ptr<Agent>> agents_;
-  std::vector<std::unique_ptr<sched::NodeAvailability>> availability_;
+  /// One per resource under node churn, else none.
   std::vector<std::unique_ptr<sched::ResourceMonitor>> monitors_;
   std::size_t head_index_ = 0;
   std::uint64_t completed_count_ = 0;

@@ -18,7 +18,6 @@ Portal::Portal(sim::Engine& engine, sim::Network& network,
       collector_(collector),
       link_(engine, network, reliable) {
   endpoint_ = network_.register_endpoint(
-      "portal.gridlb.sim", 80,
       [this](const sim::Message& message) { on_message(message); });
   link_.set_self(endpoint_);
 }

@@ -1,7 +1,6 @@
 #include "agents/result.hpp"
 
 #include "agents/numbers.hpp"
-#include "common/assert.hpp"
 
 namespace gridlb::agents {
 
@@ -27,36 +26,6 @@ xml::Element to_document(const ExecutionResult& result) {
 
 std::string to_xml(const ExecutionResult& result) {
   return xml::write(to_document(result));
-}
-
-ExecutionResult result_from_xml(std::string_view document) {
-  return result_from_xml(*xml::parse(document));
-}
-
-ExecutionResult result_from_xml(const xml::Element& root) {
-  GRIDLB_REQUIRE(root.name() == "agentgrid", "not an agentgrid document");
-  GRIDLB_REQUIRE(root.attribute("type") == "result",
-                 "not a result document");
-
-  ExecutionResult result;
-  if (const auto taskid = root.attribute("taskid")) {
-    result.task = TaskId(read_number<std::uint64_t>(*taskid, "taskid"));
-  }
-  const xml::Element* application = root.child("application");
-  GRIDLB_REQUIRE(application != nullptr, "result lacks <application>");
-  result.app_name = application->child_text("name");
-
-  const xml::Element* execution = root.child("execution");
-  GRIDLB_REQUIRE(execution != nullptr, "result lacks <execution>");
-  result.resource_name = execution->child_text("resource");
-  result.start = read_number<double>(execution->child_text("start"), "start");
-  result.completion =
-      read_number<double>(execution->child_text("completion"), "completion");
-  result.deadline =
-      read_number<double>(execution->child_text("deadline"), "deadline");
-
-  result.email = root.child_text("email");
-  return result;
 }
 
 }  // namespace gridlb::agents

@@ -40,9 +40,4 @@ struct ExecutionResult {
 [[nodiscard]] xml::Element to_document(const ExecutionResult& result);
 [[nodiscard]] std::string to_xml(const ExecutionResult& result);
 
-/// Reads a result from a parsed document; throws on an incomplete or
-/// malformed one.
-[[nodiscard]] ExecutionResult result_from_xml(const xml::Element& document);
-[[nodiscard]] ExecutionResult result_from_xml(std::string_view document);
-
 }  // namespace gridlb::agents

@@ -513,7 +513,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     // has nothing to act on (and, with no fault source left, the protocol
     // is not loss-tolerant).
     cooled.system.fault = {};
-    cooled.system.agent_churn = {};
+    cooled.system.agent_churn.enabled = false;
   }
   return run_impl(cooled);
 }

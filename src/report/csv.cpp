@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "sched/node_mask.hpp"
-
 namespace gridlb::report {
 
 std::string csv_field(const std::string& raw) {
@@ -17,21 +15,6 @@ std::string csv_field(const std::string& raw) {
   }
   out += '"';
   return out;
-}
-
-std::string completions_csv(
-    std::span<const sched::CompletionRecord> records) {
-  std::ostringstream os;
-  os << "task,resource,app,nodes,mask,submitted,start,end,deadline,met\n";
-  for (const auto& record : records) {
-    os << record.task.value() << ',' << record.resource.value() << ','
-       << csv_field(record.app_name) << ','
-       << sched::node_count(record.mask) << ',' << record.mask << ','
-       << record.submitted << ',' << record.start << ',' << record.end << ','
-       << record.deadline << ',' << (record.end <= record.deadline ? 1 : 0)
-       << '\n';
-  }
-  return os.str();
 }
 
 std::string report_csv(const metrics::Report& report) {

@@ -1,5 +1,5 @@
-// CSV export of simulation results — completion traces, metric reports
-// and multi-experiment comparisons — for analysis outside the simulator
+// CSV export of simulation results — metric reports and
+// multi-experiment comparisons — for analysis outside the simulator
 // (spreadsheets, pandas, gnuplot).  Fields containing separators or
 // quotes are quoted per RFC 4180.
 #pragma once
@@ -9,16 +9,11 @@
 
 #include "core/experiment.hpp"
 #include "metrics/metrics.hpp"
-#include "sched/local_scheduler.hpp"
 
 namespace gridlb::report {
 
 /// Escapes one CSV field (quotes only when needed).
 [[nodiscard]] std::string csv_field(const std::string& raw);
-
-/// task,resource,app,nodes,mask,submitted,start,end,deadline,met
-[[nodiscard]] std::string completions_csv(
-    std::span<const sched::CompletionRecord> records);
 
 /// resource,tasks,deadlines_met,advance_time_s,utilisation,balance
 /// (per-resource rows plus the Total row).

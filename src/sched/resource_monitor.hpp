@@ -1,4 +1,4 @@
-// Resource monitoring (paper §2.2).
+// Resource monitoring (paper §2.2) and the churn process that feeds it.
 //
 // "The resource monitoring is responsible for gathering statistics
 // concerning the process nodes on which tasks may execute. …  Currently,
@@ -7,18 +7,19 @@
 // scheduler as the currently available resources P on which tasks can be
 // scheduled."
 //
-// Three pieces:
-//  * NodeAvailability — the ground truth of which nodes are up, mutated by
-//    failure/repair events on the simulation engine;
-//  * availability scripts — deterministic exponential failure/repair event
-//    sequences (MTBF / MTTR), plus a helper to arm them on the engine;
-//  * ResourceMonitor — polls the truth every `poll_period` (default 300 s,
-//    the paper's five minutes) and pushes changes into the LocalScheduler.
-//    The polling gap means the scheduler's view can lag reality, exactly
-//    as in the paper's implementation.
+// Two pieces:
+//  * churn scripts — one deterministic exponential failure/repair process
+//    (MTBF / MTTR), drawn up front for processing nodes (node churn) and
+//    for whole agents (agent churn, agents/agent_system);
+//  * ResourceMonitor — owns the ground truth of which nodes are up, arms
+//    its resource's script to flip it, and polls it every `poll_period`
+//    (the paper's five minutes by default), pushing changes into the
+//    LocalScheduler.  The polling gap means the scheduler's view can lag
+//    reality, exactly as in the paper's implementation.
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "sched/local_scheduler.hpp"
@@ -26,50 +27,44 @@
 
 namespace gridlb::sched {
 
-/// Ground-truth up/down state of one resource's processing nodes.
-class NodeAvailability {
- public:
-  /// All nodes start up.
-  explicit NodeAvailability(int node_count);
+/// An alternating failure/repair process applied to every unit (node or
+/// agent) alike.  Off unless `enabled`.
+struct ChurnConfig {
+  bool enabled = false;
+  double mtbf = 0.0;     ///< mean up-time, seconds
+  double mttr = 0.0;     ///< mean repair time, seconds
+  double horizon = 0.0;  ///< failures are drawn until this time
 
-  void set(int node, bool up);
-  [[nodiscard]] bool up(int node) const;
-  [[nodiscard]] NodeMask mask() const { return mask_; }
-  [[nodiscard]] int node_count() const { return node_count_; }
-
- private:
-  NodeMask mask_;
-  int node_count_;
+  /// Throws AssertionError ("<what> churn needs positive mtbf and mttr")
+  /// unless the process is off or both means are positive.
+  void validate(std::string_view what) const;
 };
 
-/// One scripted failure or repair.
-struct AvailabilityEvent {
+/// One scripted failure (`up` false) or repair of one unit.
+struct ChurnEvent {
   SimTime at = 0.0;
-  int node = 0;
+  int unit = 0;
   bool up = false;
 };
 
-/// Deterministic per-node alternating renewal process: up-times are
-/// exponential with mean `mtbf`, repair times exponential with mean
-/// `mttr`, generated until `horizon`.  Events are returned time-sorted.
-[[nodiscard]] std::vector<AvailabilityEvent> random_availability_script(
-    int node_count, SimTime horizon, double mtbf, double mttr,
-    std::uint64_t seed);
+/// Draws `config`'s process for units 0..units-1 in turn from one stream
+/// seeded by `seed`; unit `skip` draws nothing.  Up-times are exponential
+/// with mean `mtbf`, repair times with mean `mttr`.  Every failure falls
+/// before the horizon and is followed by its repair, even a repair that
+/// falls after it, so no unit stays down for good.  Events come in draw
+/// order: unit by unit, each unit's in time order.
+[[nodiscard]] std::vector<ChurnEvent> churn_script(const ChurnConfig& config,
+                                                   int units,
+                                                   std::uint64_t seed,
+                                                   int skip = -1);
 
-/// Arms a script on the engine: each event mutates `truth` at its time.
-/// `truth` must outlive the engine run.
-void schedule_availability(sim::Engine& engine, NodeAvailability& truth,
-                           std::vector<AvailabilityEvent> script);
-
-/// Periodic poller bridging ground truth to the scheduler's view.
+/// Periodic poller bridging a resource's ground truth to its scheduler.
 class ResourceMonitor {
  public:
-  /// The paper's poll period is five minutes.
-  static constexpr double kDefaultPollPeriod = 300.0;
-
+  /// Arms `script` (events of this resource's nodes) on `engine`: each
+  /// event sets its node's true state at its time.  All nodes start up.
   ResourceMonitor(sim::Engine& engine, LocalScheduler& scheduler,
-                  const NodeAvailability& truth,
-                  double poll_period = kDefaultPollPeriod);
+                  const std::vector<ChurnEvent>& script, double poll_period);
 
   /// Performs an immediate poll and arms the periodic query.
   void start();
@@ -77,11 +72,14 @@ class ResourceMonitor {
   /// One query of every known node (also called by the periodic event).
   void poll();
 
+  /// The nodes up right now; the scheduler sees them at the next poll.
+  [[nodiscard]] NodeMask truth() const { return truth_; }
+
  private:
   sim::Engine& engine_;
   LocalScheduler& scheduler_;
-  const NodeAvailability& truth_;
   double poll_period_;
+  NodeMask truth_;
   NodeMask view_;
   bool started_ = false;
 };

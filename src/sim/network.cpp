@@ -34,11 +34,9 @@ void FaultPlan::validate() const {
   GRIDLB_REQUIRE(jitter_max >= 0.0, "jitter must be non-negative");
 }
 
-EndpointId Network::register_endpoint(std::string address, int port,
-                                      Handler handler) {
+EndpointId Network::register_endpoint(Handler handler) {
   GRIDLB_REQUIRE(handler != nullptr, "endpoint handler must be set");
-  endpoints_.push_back(
-      Endpoint{std::move(address), port, std::move(handler), {}, true});
+  endpoints_.push_back(Endpoint{.handler = std::move(handler)});
   return static_cast<EndpointId>(endpoints_.size() - 1);
 }
 
@@ -57,11 +55,9 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
   GRIDLB_REQUIRE(to < endpoints_.size(), "unknown recipient endpoint");
   const SimTime now = engine_.now();
 
-  Endpoint& sender = endpoints_[from];
-  const std::uint64_t ordinal = sender.stats.messages_sent;
-  const auto size = static_cast<std::uint64_t>(payload.size());
-  sender.stats.messages_sent += 1;
-  sender.stats.bytes_sent += size;
+  const std::uint64_t ordinal = endpoints_[from].sent++;
+  messages_ += 1;
+  bytes_ += payload.size();
 
   double latency = latency_;
   if (plan_.active()) {
@@ -98,42 +94,9 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
       return;
     }
     message.delivered_at = arrival;
-    destination.stats.messages_received += 1;
-    destination.stats.bytes_received += message.payload.size();
     destination.handler(message);
   };
   engine_.schedule_in(latency, std::move(deliver));
-}
-
-const EndpointStats& Network::stats(EndpointId id) const {
-  GRIDLB_REQUIRE(id < endpoints_.size(), "unknown endpoint");
-  return endpoints_[id].stats;
-}
-
-std::uint64_t Network::total_messages() const {
-  std::uint64_t total = 0;
-  for (const Endpoint& endpoint : endpoints_) {
-    total += endpoint.stats.messages_sent;
-  }
-  return total;
-}
-
-std::uint64_t Network::total_bytes() const {
-  std::uint64_t total = 0;
-  for (const Endpoint& endpoint : endpoints_) {
-    total += endpoint.stats.bytes_sent;
-  }
-  return total;
-}
-
-const std::string& Network::address(EndpointId id) const {
-  GRIDLB_REQUIRE(id < endpoints_.size(), "unknown endpoint");
-  return endpoints_[id].address;
-}
-
-int Network::port(EndpointId id) const {
-  GRIDLB_REQUIRE(id < endpoints_.size(), "unknown endpoint");
-  return endpoints_[id].port;
 }
 
 }  // namespace gridlb::sim

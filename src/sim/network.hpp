@@ -1,10 +1,10 @@
 // Simulated message-passing network.
 //
 // The paper's agents are Java processes exchanging XML documents over TCP
-// (each identified by an address/port tuple, Fig. 5).  Here an endpoint is
-// registered with the same address/port identity and a delivery handler;
-// `send` delivers the payload after a configurable latency through the
-// discrete-event engine.  Message and byte counters support the
+// (each identified by an address/port tuple, Fig. 5, which the documents
+// themselves carry).  Here an endpoint is a delivery handler; `send`
+// delivers the payload after a configurable latency through the
+// discrete-event engine.  Network-wide message and byte totals support the
 // scalability ablation ("the system has no central structure which might
 // act as a potential bottleneck").
 //
@@ -44,14 +44,6 @@ struct Message {
   SimTime delivered_at = 0.0;
 };
 
-/// Per-endpoint traffic statistics.
-struct EndpointStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_received = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-};
-
 /// Deterministic network-fault model.  Each message's faults are drawn
 /// from a stateless hash of (seed, sender, sender send ordinal), so a
 /// fixed (plan, workload) pair yields the same losses and jitters on every
@@ -82,9 +74,6 @@ struct FaultStats {
   [[nodiscard]] std::uint64_t dropped_by_plan() const {
     return dropped_random;
   }
-  [[nodiscard]] std::uint64_t dropped_total() const {
-    return dropped_by_plan() + dropped_endpoint_down;
-  }
 };
 
 class Network {
@@ -96,9 +85,8 @@ class Network {
   /// Deliveries are events on `engine`.
   Network(Engine& engine, double latency_seconds, FaultPlan plan = {});
 
-  /// Registers an endpoint; `address`/`port` mirror the identity tuple the
-  /// paper's documents carry.  The handler runs when a message arrives.
-  EndpointId register_endpoint(std::string address, int port, Handler handler);
+  /// Registers an endpoint; the handler runs when a message arrives.
+  EndpointId register_endpoint(Handler handler);
 
   /// Queues `payload` for delivery to `to` after the network latency
   /// (plus jitter).  Under an active fault plan the message may instead be
@@ -113,24 +101,15 @@ class Network {
   [[nodiscard]] bool endpoint_up(EndpointId id) const;
 
   [[nodiscard]] double latency() const { return latency_; }
-  [[nodiscard]] std::size_t endpoint_count() const { return endpoints_.size(); }
-  [[nodiscard]] const EndpointStats& stats(EndpointId id) const;
-  /// Network-wide totals, summed over the per-endpoint accounting.
-  [[nodiscard]] std::uint64_t total_messages() const;
-  [[nodiscard]] std::uint64_t total_bytes() const;
-  [[nodiscard]] const FaultPlan& fault_plan() const { return plan_; }
+  /// Messages and payload bytes sent, network-wide (dropped ones too).
+  [[nodiscard]] std::uint64_t total_messages() const { return messages_; }
+  [[nodiscard]] std::uint64_t total_bytes() const { return bytes_; }
   [[nodiscard]] const FaultStats& fault_stats() const { return faults_; }
-
-  /// Identity lookup for serialising Fig. 5 / Fig. 6 documents.
-  [[nodiscard]] const std::string& address(EndpointId id) const;
-  [[nodiscard]] int port(EndpointId id) const;
 
  private:
   struct Endpoint {
-    std::string address;
-    int port;
     Handler handler;
-    EndpointStats stats;
+    std::uint64_t sent = 0;  ///< send ordinal, hashed by the fault draws
     bool up = true;
   };
 
@@ -139,6 +118,8 @@ class Network {
   FaultPlan plan_;
   FaultStats faults_;
   std::vector<Endpoint> endpoints_;
+  std::uint64_t messages_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace gridlb::sim

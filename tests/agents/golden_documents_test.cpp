@@ -142,7 +142,6 @@ struct StampedDocuments : ::testing::Test {
     recorded.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
       const sim::EndpointId id = wire.register_endpoint(
-          "recorder", static_cast<int>(i),
           [this, i](const sim::Message& message) {
             recorded[i].push_back(message.payload);
           });

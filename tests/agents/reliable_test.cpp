@@ -40,9 +40,9 @@ TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
   sim::Network network(engine, kLatency);
   Arrivals arrivals;
   ReliableLink sender(engine, network, false);
-  const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
+  const sim::EndpointId a = network.register_endpoint([](auto&) {});
   const sim::EndpointId b = network.register_endpoint(
-      "b", 2, [&arrivals](const sim::Message& m) {
+      [&arrivals](const sim::Message& m) {
         arrivals.payloads.push_back(m.payload);
       });
   sender.set_self(a);
@@ -66,11 +66,11 @@ TEST(ReliableLink, AckStopsRetransmission) {
   ReliableLink sender(engine, network, true);
   ReliableLink receiver(engine, network, true);
   const sim::EndpointId a = network.register_endpoint(
-      "a", 1, [&sender](const sim::Message& m) {
+      [&sender](const sim::Message& m) {
         sender.on_message(m, *xml::parse(m.payload));
       });
   const sim::EndpointId b = network.register_endpoint(
-      "b", 2, [&receiver, &arrivals](const sim::Message& m) {
+      [&receiver, &arrivals](const sim::Message& m) {
         if (receiver.on_message(m, *xml::parse(m.payload)) ==
             ReliableLink::Inbound::kDeliver) {
           arrivals.payloads.push_back(m.payload);
@@ -98,10 +98,10 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
   ReliableLink sender(engine, network, true);
   Arrivals arrivals;
   std::vector<std::string> failed;
-  const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
+  const sim::EndpointId a = network.register_endpoint([](auto&) {});
   // The receiver never acks, so every transmission times out.
   const sim::EndpointId b = network.register_endpoint(
-      "b", 2, [&arrivals, &engine](const sim::Message& m) {
+      [&arrivals, &engine](const sim::Message& m) {
         arrivals.payloads.push_back(m.payload);
         arrivals.times.push_back(engine.now());
       });
@@ -135,8 +135,8 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
   ReliableLink receiver(engine, network, true);
-  const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
-  const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
+  const sim::EndpointId a = network.register_endpoint([](auto&) {});
+  const sim::EndpointId b = network.register_endpoint([](auto&) {});
   receiver.set_self(b);
 
   auto document = xml::parse(request_payload("dup"));
@@ -160,7 +160,7 @@ TEST(ReliableLink, RejectsMalformedMsgid) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
   ReliableLink receiver(engine, network, true);
-  const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
+  const sim::EndpointId b = network.register_endpoint([](auto&) {});
   receiver.set_self(b);
 
   // Read through std::stoull, "x" escaped as std::invalid_argument and
@@ -183,7 +183,7 @@ TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
   ReliableLink receiver(engine, network, true);
-  const sim::EndpointId b = network.register_endpoint("b", 2, [](auto&) {});
+  const sim::EndpointId b = network.register_endpoint([](auto&) {});
   receiver.set_self(b);
 
   sim::Message message;
@@ -197,9 +197,9 @@ TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
   sim::Engine engine;
   sim::Network network(engine, kLatency);
   ReliableLink sender(engine, network, true);
-  const sim::EndpointId a = network.register_endpoint("a", 1, [](auto&) {});
+  const sim::EndpointId a = network.register_endpoint([](auto&) {});
   const sim::EndpointId b =
-      network.register_endpoint("b", 2, [](auto&) {});  // never acks
+      network.register_endpoint([](auto&) {});  // never acks
   sender.set_self(a);
 
   sender.send(b, request_document("first"));

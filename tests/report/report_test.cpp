@@ -88,14 +88,6 @@ TEST(Csv, FieldQuoting) {
   EXPECT_EQ(csv_field("line\nbreak"), "\"line\nbreak\"");
 }
 
-TEST(Csv, CompletionsHaveHeaderAndRows) {
-  const std::vector<sched::CompletionRecord> records = {
-      record(7, 0b11, 1.0, 3.0, 2.5)};
-  const std::string csv = completions_csv(records);
-  EXPECT_NE(csv.find("task,resource,app"), std::string::npos);
-  EXPECT_NE(csv.find("7,1,fft,2,3,0,1,3,2.5,0"), std::string::npos) << csv;
-}
-
 TEST(Csv, ReportIncludesTotalRow) {
   metrics::MetricsCollector collector;
   collector.add_resource(AgentId(1), "S1", 2);

@@ -2,100 +2,121 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <string>
+
 #include "common/assert.hpp"
 #include "pace/paper_applications.hpp"
 
 namespace gridlb::sched {
 namespace {
 
-TEST(NodeAvailability, StartsAllUp) {
-  const NodeAvailability availability(4);
-  EXPECT_EQ(availability.mask(), full_mask(4));
-  EXPECT_TRUE(availability.up(0));
-  EXPECT_TRUE(availability.up(3));
-}
-
-TEST(NodeAvailability, SetTogglesAndCounts) {
-  NodeAvailability availability(4);
-  availability.set(2, false);
-  EXPECT_FALSE(availability.up(2));
-  EXPECT_EQ(availability.mask(), 0b1011u);
-  availability.set(2, false);  // idempotent
-  EXPECT_EQ(availability.mask(), 0b1011u);
-  availability.set(2, true);
-  EXPECT_EQ(availability.mask(), full_mask(4));
-}
-
-TEST(NodeAvailability, RejectsBadIndices) {
-  NodeAvailability availability(4);
-  EXPECT_THROW(availability.set(-1, true), AssertionError);
-  EXPECT_THROW(availability.set(4, true), AssertionError);
-  EXPECT_THROW((void)availability.up(4), AssertionError);
+ChurnConfig churn(double horizon, double mtbf, double mttr) {
+  return ChurnConfig{
+      .enabled = true, .mtbf = mtbf, .mttr = mttr, .horizon = horizon};
 }
 
 TEST(AvailabilityScript, DeterministicAndSorted) {
-  const auto a = random_availability_script(8, 1000.0, 100.0, 20.0, 5);
-  const auto b = random_availability_script(8, 1000.0, 100.0, 20.0, 5);
+  const auto a = churn_script(churn(1000.0, 100.0, 20.0), 8, 5);
+  const auto b = churn_script(churn(1000.0, 100.0, 20.0), 8, 5);
+  ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].at, b[i].at);
-    EXPECT_EQ(a[i].node, b[i].node);
+    EXPECT_EQ(a[i].unit, b[i].unit);
     EXPECT_EQ(a[i].up, b[i].up);
   }
+  // Draw order: unit by unit, each unit's events in time order.
   for (std::size_t i = 1; i < a.size(); ++i) {
-    EXPECT_LE(a[i - 1].at, a[i].at);
+    EXPECT_LE(a[i - 1].unit, a[i].unit);
+    if (a[i - 1].unit == a[i].unit) {
+      EXPECT_LT(a[i - 1].at, a[i].at);
+    }
   }
 }
 
 TEST(AvailabilityScript, AlternatesPerNode) {
-  const auto script = random_availability_script(4, 2000.0, 100.0, 30.0, 9);
-  // Per node the first event must be a failure, and states must alternate.
+  const auto script = churn_script(churn(2000.0, 100.0, 30.0), 4, 9);
+  // Per node: failures fall before the horizon, and each failure is
+  // followed by its repair (which may fall after it), so every node ends
+  // up.
   std::array<int, 4> last_state;  // 1 = up, 0 = down, -1 = unknown
   last_state.fill(-1);
   for (const auto& event : script) {
-    const int state = event.up ? 1 : 0;
-    if (last_state[static_cast<std::size_t>(event.node)] == -1) {
+    int& last = last_state[static_cast<std::size_t>(event.unit)];
+    if (last == -1) {
       EXPECT_FALSE(event.up) << "first event must be a failure";
     } else {
-      EXPECT_NE(state, last_state[static_cast<std::size_t>(event.node)]);
+      EXPECT_NE(event.up ? 1 : 0, last);
     }
-    last_state[static_cast<std::size_t>(event.node)] = state;
-    EXPECT_LT(event.at, 2000.0);
+    last = event.up ? 1 : 0;
+    if (!event.up) {
+      EXPECT_LT(event.at, 2000.0);
+    }
     EXPECT_GT(event.at, 0.0);
   }
+  for (const int last : last_state) EXPECT_EQ(last, 1);
+}
+
+TEST(AvailabilityScript, RepairPastTheHorizonIsKept) {
+  // Failures arrive far faster than repairs: the last failure of every
+  // unit is repaired only after the horizon.
+  const auto script = churn_script(churn(100.0, 5.0, 1000.0), 4, 3);
+  ASSERT_EQ(script.size() % 2, 0u);
+  std::array<bool, 4> past{};
+  for (const auto& event : script) {
+    if (event.up && event.at >= 100.0) {
+      past[static_cast<std::size_t>(event.unit)] = true;
+    }
+  }
+  for (const bool repaired_late : past) EXPECT_TRUE(repaired_late);
+}
+
+TEST(AvailabilityScript, SkippedUnitDrawsNothing) {
+  const auto all = churn_script(churn(1000.0, 100.0, 20.0), 3, 5);
+  const auto skipped = churn_script(churn(1000.0, 100.0, 20.0), 3, 5, 0);
+  for (const auto& event : skipped) EXPECT_NE(event.unit, 0);
+  // Unit 1 of the skipped script draws what unit 0 of the full one drew.
+  std::vector<SimTime> first;
+  std::vector<SimTime> second;
+  for (const auto& event : all) {
+    if (event.unit == 0) first.push_back(event.at);
+  }
+  for (const auto& event : skipped) {
+    if (event.unit == 1) second.push_back(event.at);
+  }
+  EXPECT_EQ(first, second);
 }
 
 TEST(AvailabilityScript, IntensityScalesWithMtbf) {
-  const auto rare = random_availability_script(16, 10000.0, 2000.0, 100.0, 3);
-  const auto frequent =
-      random_availability_script(16, 10000.0, 200.0, 100.0, 3);
+  const auto rare = churn_script(churn(10000.0, 2000.0, 100.0), 16, 3);
+  const auto frequent = churn_script(churn(10000.0, 200.0, 100.0), 16, 3);
   EXPECT_GT(frequent.size(), rare.size() * 2);
 }
 
 TEST(AvailabilityScript, ValidatesArguments) {
-  EXPECT_THROW(random_availability_script(0, 100.0, 10.0, 1.0, 1),
+  EXPECT_THROW((void)churn_script(churn(100.0, 10.0, 1.0), 0, 1),
                AssertionError);
-  EXPECT_THROW(random_availability_script(4, 0.0, 10.0, 1.0, 1),
+  EXPECT_THROW((void)churn_script(churn(100.0, 0.0, 1.0), 4, 1),
                AssertionError);
-  EXPECT_THROW(random_availability_script(4, 100.0, 0.0, 1.0, 1),
+  EXPECT_THROW((void)churn_script(churn(100.0, 10.0, 0.0), 4, 1),
                AssertionError);
-  EXPECT_THROW(random_availability_script(4, 100.0, 10.0, 0.0, 1),
+  EXPECT_THROW((void)churn_script(churn(std::nan(""), 10.0, 1.0), 4, 1),
                AssertionError);
-}
-
-TEST(ScheduleAvailability, MutatesTruthAtEventTimes) {
-  sim::Engine engine;
-  NodeAvailability truth(4);
-  schedule_availability(engine, truth,
-                        {{10.0, 1, false}, {20.0, 1, true}, {15.0, 3, false}});
-  engine.run_until(12.0);
-  EXPECT_FALSE(truth.up(1));
-  EXPECT_TRUE(truth.up(3));
-  engine.run_until(16.0);
-  EXPECT_FALSE(truth.up(3));
-  engine.run_until(25.0);
-  EXPECT_TRUE(truth.up(1));
-  EXPECT_FALSE(truth.up(3));
+  // A zero horizon draws one up-time per unit and fails nothing.
+  EXPECT_TRUE(churn_script(churn(0.0, 10.0, 1.0), 4, 1).empty());
+  // The config's own check names the process.
+  EXPECT_NO_THROW(ChurnConfig{}.validate("node"));
+  ChurnConfig no_repair = churn(100.0, 10.0, 0.0);
+  try {
+    no_repair.validate("agent");
+    ADD_FAILURE() << "a zero mttr must be rejected";
+  } catch (const AssertionError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("agent churn needs positive mtbf and mttr"),
+              std::string::npos);
+  }
 }
 
 struct MonitorFixture : ::testing::Test {
@@ -118,12 +139,59 @@ struct MonitorFixture : ::testing::Test {
   }
 };
 
+// The monitor owns its resource's ground truth.
+struct NodeAvailability : MonitorFixture {};
+struct ScheduleAvailability : MonitorFixture {};
+
+TEST_F(NodeAvailability, StartsAllUp) {
+  auto scheduler = make_scheduler();
+  const ResourceMonitor monitor(engine, *scheduler, {}, 10.0);
+  EXPECT_EQ(monitor.truth(), full_mask(8));
+}
+
+TEST_F(NodeAvailability, SetTogglesAndCounts) {
+  auto scheduler = make_scheduler();
+  const ResourceMonitor monitor(
+      engine, *scheduler,
+      {{1.0, 2, false}, {2.0, 2, false}, {3.0, 2, true}}, 10.0);
+  engine.run_until(1.5);
+  EXPECT_EQ(monitor.truth(), full_mask(8) & ~(NodeMask{1} << 2));
+  engine.run_until(2.5);  // a second failure of a down node changes nothing
+  EXPECT_EQ(monitor.truth(), full_mask(8) & ~(NodeMask{1} << 2));
+  engine.run_until(3.5);
+  EXPECT_EQ(monitor.truth(), full_mask(8));
+}
+
+TEST_F(NodeAvailability, RejectsBadIndices) {
+  auto scheduler = make_scheduler();
+  EXPECT_THROW(ResourceMonitor(engine, *scheduler, {{1.0, -1, false}}, 10.0),
+               AssertionError);
+  EXPECT_THROW(ResourceMonitor(engine, *scheduler, {{1.0, 8, false}}, 10.0),
+               AssertionError);
+}
+
+TEST_F(ScheduleAvailability, MutatesTruthAtEventTimes) {
+  auto scheduler = make_scheduler();
+  const ResourceMonitor monitor(
+      engine, *scheduler,
+      {{10.0, 1, false}, {20.0, 1, true}, {15.0, 3, false}}, 100.0);
+  const auto up = [&monitor](int node) {
+    return ((monitor.truth() >> node) & 1u) != 0;
+  };
+  engine.run_until(12.0);
+  EXPECT_FALSE(up(1));
+  EXPECT_TRUE(up(3));
+  engine.run_until(16.0);
+  EXPECT_FALSE(up(3));
+  engine.run_until(25.0);
+  EXPECT_TRUE(up(1));
+  EXPECT_FALSE(up(3));
+}
+
 TEST_F(MonitorFixture, PollPeriodGovernsStaleness) {
   auto scheduler = make_scheduler();
-  NodeAvailability truth(8);
-  ResourceMonitor monitor(engine, *scheduler, truth, 300.0);
+  ResourceMonitor monitor(engine, *scheduler, {{10.0, 2, false}}, 300.0);
   monitor.start();
-  schedule_availability(engine, truth, {{10.0, 2, false}});
 
   // Before the next poll the scheduler still believes node 2 is up.
   engine.run_until(100.0);
@@ -136,10 +204,9 @@ TEST_F(MonitorFixture, PollPeriodGovernsStaleness) {
 
 TEST_F(MonitorFixture, ReportsRepairsToo) {
   auto scheduler = make_scheduler();
-  NodeAvailability truth(8);
-  ResourceMonitor monitor(engine, *scheduler, truth, 50.0);
+  ResourceMonitor monitor(engine, *scheduler,
+                          {{10.0, 5, false}, {60.0, 5, true}}, 50.0);
   monitor.start();
-  schedule_availability(engine, truth, {{10.0, 5, false}, {60.0, 5, true}});
   engine.run_until(51.0);
   EXPECT_FALSE((scheduler->available_nodes() >> 5) & 1u);
   engine.run_until(101.0);
@@ -148,26 +215,25 @@ TEST_F(MonitorFixture, ReportsRepairsToo) {
 
 TEST_F(MonitorFixture, FlapWithinOnePollWindowIsInvisible) {
   auto scheduler = make_scheduler();
-  NodeAvailability truth(8);
-  ResourceMonitor monitor(engine, *scheduler, truth, 100.0);
-  monitor.start();
   // Down at t=10, back at t=50: the t=100 poll sees no difference.
-  schedule_availability(engine, truth, {{10.0, 4, false}, {50.0, 4, true}});
+  ResourceMonitor monitor(engine, *scheduler,
+                          {{10.0, 4, false}, {50.0, 4, true}}, 100.0);
+  monitor.start();
   engine.run_until(150.0);
   EXPECT_EQ(scheduler->available_nodes(), full_mask(8));
 }
 
 TEST_F(MonitorFixture, SchedulerAvoidsDownNodes) {
   auto scheduler = make_scheduler();
-  NodeAvailability truth(8);
-  ResourceMonitor monitor(engine, *scheduler, truth, 10.0);
-  monitor.start();
   // Nodes 4..7 fail immediately; the first poll is at t = 0 and the
   // failure at t = 1, so the t = 10 poll reports it.
-  schedule_availability(engine, truth, {{1.0, 4, false},
-                                        {1.0, 5, false},
-                                        {1.0, 6, false},
-                                        {1.0, 7, false}});
+  ResourceMonitor monitor(engine, *scheduler,
+                          {{1.0, 4, false},
+                           {1.0, 5, false},
+                           {1.0, 6, false},
+                           {1.0, 7, false}},
+                          10.0);
+  monitor.start();
   // Submit after the report.
   engine.schedule_at(12.0, [this, &scheduler]() {
     for (std::uint64_t i = 0; i < 6; ++i) {
@@ -189,13 +255,11 @@ TEST_F(MonitorFixture, SchedulerAvoidsDownNodes) {
 
 TEST_F(MonitorFixture, AllNodesDownHoldsQueueUntilRepair) {
   auto scheduler = make_scheduler();
-  NodeAvailability truth(8);
-  ResourceMonitor monitor(engine, *scheduler, truth, 5.0);
-  monitor.start();
-  std::vector<AvailabilityEvent> script;
+  std::vector<ChurnEvent> script;
   for (int node = 0; node < 8; ++node) script.push_back({1.0, node, false});
   for (int node = 0; node < 8; ++node) script.push_back({100.0, node, true});
-  schedule_availability(engine, truth, std::move(script));
+  ResourceMonitor monitor(engine, *scheduler, script, 5.0);
+  monitor.start();
 
   engine.schedule_at(10.0, [this, &scheduler]() {
     Task task;
@@ -215,18 +279,14 @@ TEST_F(MonitorFixture, AllNodesDownHoldsQueueUntilRepair) {
 
 TEST_F(MonitorFixture, MonitorValidatesConstruction) {
   auto scheduler = make_scheduler();
-  NodeAvailability wrong(4);
-  EXPECT_THROW(ResourceMonitor(engine, *scheduler, wrong, 10.0),
-               AssertionError);
-  NodeAvailability truth(8);
-  EXPECT_THROW(ResourceMonitor(engine, *scheduler, truth, 0.0),
+  EXPECT_THROW(ResourceMonitor(engine, *scheduler, {}, 0.0), AssertionError);
+  EXPECT_THROW(ResourceMonitor(engine, *scheduler, {}, -1.0),
                AssertionError);
 }
 
 TEST_F(MonitorFixture, StartTwiceThrows) {
   auto scheduler = make_scheduler();
-  NodeAvailability truth(8);
-  ResourceMonitor monitor(engine, *scheduler, truth, 10.0);
+  ResourceMonitor monitor(engine, *scheduler, {}, 10.0);
   monitor.start();
   EXPECT_THROW(monitor.start(), AssertionError);
 }

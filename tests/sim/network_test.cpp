@@ -15,9 +15,9 @@ struct NetworkFixture : ::testing::Test {
   std::vector<Message> inbox_a;
   std::vector<Message> inbox_b;
   EndpointId a = network.register_endpoint(
-      "a.gridlb.sim", 1000, [this](const Message& m) { inbox_a.push_back(m); });
+      [this](const Message& m) { inbox_a.push_back(m); });
   EndpointId b = network.register_endpoint(
-      "b.gridlb.sim", 1001, [this](const Message& m) { inbox_b.push_back(m); });
+      [this](const Message& m) { inbox_b.push_back(m); });
 };
 
 TEST_F(NetworkFixture, DeliversAfterLatency) {
@@ -54,23 +54,12 @@ TEST_F(NetworkFixture, CountsTraffic) {
   engine.run();
   EXPECT_EQ(network.total_messages(), 2u);
   EXPECT_EQ(network.total_bytes(), 8u);
-  EXPECT_EQ(network.stats(a).messages_sent, 1u);
-  EXPECT_EQ(network.stats(a).bytes_sent, 5u);
-  EXPECT_EQ(network.stats(a).messages_received, 1u);
-  EXPECT_EQ(network.stats(a).bytes_received, 3u);
-  EXPECT_EQ(network.stats(b).messages_received, 1u);
-}
-
-TEST_F(NetworkFixture, IdentityLookup) {
-  EXPECT_EQ(network.address(a), "a.gridlb.sim");
-  EXPECT_EQ(network.port(b), 1001);
-  EXPECT_EQ(network.endpoint_count(), 2u);
 }
 
 TEST_F(NetworkFixture, RejectsUnknownEndpoints) {
   EXPECT_THROW(network.send(a, 99, "x"), AssertionError);
   EXPECT_THROW(network.send(99, b, "x"), AssertionError);
-  EXPECT_THROW((void)network.stats(99), AssertionError);
+  EXPECT_THROW(network.set_endpoint_up(99, false), AssertionError);
 }
 
 TEST(Network, ZeroLatencyDeliversSameTimestamp) {
@@ -78,7 +67,7 @@ TEST(Network, ZeroLatencyDeliversSameTimestamp) {
   Network network(engine, 0.0);
   SimTime delivered = kNoTime;
   const EndpointId a = network.register_endpoint(
-      "a", 1, [&](const Message& m) { delivered = m.delivered_at; });
+      [&](const Message& m) { delivered = m.delivered_at; });
   engine.schedule_at(3.0, [&]() { network.send(a, a, "x"); });
   engine.run();
   EXPECT_EQ(delivered, 3.0);
@@ -92,7 +81,7 @@ TEST(Network, RejectsNegativeLatency) {
 TEST(Network, RejectsNullHandler) {
   Engine engine;
   Network network(engine, 0.0);
-  EXPECT_THROW(network.register_endpoint("a", 1, nullptr), AssertionError);
+  EXPECT_THROW(network.register_endpoint(nullptr), AssertionError);
 }
 
 TEST(Network, HandlerCanSendReply) {
@@ -101,10 +90,10 @@ TEST(Network, HandlerCanSendReply) {
   std::vector<std::string> log;
   EndpointId a = 0;
   EndpointId b = 0;
-  a = network.register_endpoint("a", 1, [&](const Message& m) {
+  a = network.register_endpoint([&](const Message& m) {
     log.push_back("a got " + m.payload);
   });
-  b = network.register_endpoint("b", 2, [&](const Message& m) {
+  b = network.register_endpoint([&](const Message& m) {
     log.push_back("b got " + m.payload);
     network.send(b, m.from, "pong");
   });

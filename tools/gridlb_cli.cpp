@@ -72,6 +72,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,6 +82,7 @@
 #include "core/scenario.hpp"
 #include "gridlb.hpp"
 #include "metrics/time_series.hpp"
+#include "obs/exporters.hpp"
 #include "pace/model_parser.hpp"
 #include "report/csv.hpp"
 #include "report/gantt.hpp"
@@ -224,23 +226,29 @@ double arrival_window_end(const core::ExperimentConfig& config) {
   return std::max(core::kWorkloadStart, trace.back().at + mean_gap);
 }
 
+/// Turns `churn` on when --<name>-mtbf is positive, with --<name>-mttr
+/// (default: the config's own) and failures drawn until the arrival
+/// window's end.  Runs after the workload is final.
+void apply_churn_flags(const Flags& flags, const std::string& name,
+                       const core::ExperimentConfig& config,
+                       sched::ChurnConfig& churn) {
+  const double mtbf = flags.get_double(name + "-mtbf", 0.0);
+  if (mtbf <= 0.0) return;
+  churn.enabled = true;
+  churn.mtbf = mtbf;
+  churn.mttr = flags.get_double(name + "-mttr", churn.mttr);
+  churn.horizon = arrival_window_end(config);
+}
+
 /// Fills the fault plan and agent churn from --drop-prob / --net-jitter /
 /// --agent-mtbf / --agent-mttr.  SystemConfig::loss_tolerant() then turns
 /// the loss-tolerant protocol on for any injected fault; all-defaults
-/// leaves the bit-for-bit lossless behaviour.  Runs after the workload is
-/// final: the crash horizon is its arrival window's end.
+/// leaves the bit-for-bit lossless behaviour.
 void apply_fault_flags(const Flags& flags, core::ExperimentConfig& config) {
   agents::SystemConfig& system = config.system;
   system.fault.drop_prob = flags.get_double("drop-prob", 0.0);
   system.fault.jitter_max = flags.get_double("net-jitter", 0.0);
-  const double mtbf = flags.get_double("agent-mtbf", 0.0);
-  if (mtbf > 0.0) {
-    system.agent_churn.enabled = true;
-    system.agent_churn.mtbf = mtbf;
-    system.agent_churn.mttr =
-        flags.get_double("agent-mttr", system.agent_churn.mttr);
-    system.agent_churn.horizon = arrival_window_end(config);
-  }
+  apply_churn_flags(flags, "agent", config, system.agent_churn);
 }
 
 /// Runs the agent system's own validation of the filled-in config, so an
@@ -346,14 +354,7 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
       flags.get_double("pull-period", config.system.pull_period);
   config.system.prediction_error = flags.get_double("prediction-error", 0.0);
   apply_traffic_flags(flags, config);
-  const double mtbf = flags.get_double("churn-mtbf", 0.0);
-  if (mtbf > 0.0) {
-    config.system.churn.enabled = true;
-    config.system.churn.mtbf = mtbf;
-    config.system.churn.mttr =
-        flags.get_double("churn-mttr", config.system.churn.mttr);
-    config.system.churn.horizon = arrival_window_end(config);
-  }
+  apply_churn_flags(flags, "churn", config, config.system.churn);
   apply_fault_flags(flags, config);
   apply_obs_flags(flags, config);
   validate_system_flags(config);
@@ -394,6 +395,13 @@ int cmd_experiment(const Flags& flags) {
     std::cout << core::format_table3(results);
   }
   return 0;
+}
+
+/// Writes one campaign export; a failed write fails the run.
+void write_export(const std::string& path, const std::string& contents) {
+  if (!obs::write_file(path, contents)) {
+    throw std::runtime_error("cannot write " + path);
+  }
 }
 
 int cmd_campaign(const Flags& flags) {
@@ -437,20 +445,40 @@ int cmd_campaign(const Flags& flags) {
     });
   }
 
+  // Open both exports before the run, as the obs outputs are, so an
+  // unwritable path fails now and not after the whole run.  Appending
+  // leaves an existing file intact.
+  for (const char* flag : {"workload-out", "timeline-out"}) {
+    const std::string path = flags.get(flag, "");
+    if (flags.has(flag) && !std::ofstream(path, std::ios::app)) {
+      throw std::runtime_error("cannot write " + path);
+    }
+  }
   if (flags.has("workload-out")) {
     // Export the workload as a replayable JSONL trace (--arrival-trace).
     const std::string path = flags.get("workload-out", "");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write workload JSONL: %s\n", path.c_str());
-      return 1;
-    }
-    out << core::workload_to_jsonl(workload);
+    write_export(path, core::workload_to_jsonl(workload));
     log::info("wrote workload JSONL to ", path);
   }
 
   const core::ExperimentResult result = core::run_experiment(config);
 
+  if (flags.has("timeline-out")) {
+    SimTime end = 0.0;
+    for (const auto& record : result.completions) {
+      end = std::max(end, record.end);
+    }
+    // Only now is the bucket count known (an open loop, or a window the
+    // early bound let through); too many is a usage error.
+    metrics::Timeline timeline;
+    require_valid([&] {
+      timeline = metrics::build_timeline(result.completions, resources,
+                                         timeline_window, 0.0, end);
+    });
+    const std::string path = flags.get("timeline-out", "");
+    write_export(path, metrics::timeline_csv(timeline));
+    log::info("wrote timeline CSV to ", path);
+  }
   if (trace_index >= 0) {
     // Render one resource's executed Gantt chart.
     const auto& [name, node_count] =
@@ -465,27 +493,6 @@ int cmd_campaign(const Flags& flags) {
     std::printf("%s — %zu executions\n", name.c_str(), records.size());
     std::cout << report::render_trace(records, node_count);
     return 0;
-  }
-  if (flags.has("timeline-out")) {
-    SimTime end = 0.0;
-    for (const auto& record : result.completions) {
-      end = std::max(end, record.end);
-    }
-    // Only now is the bucket count known (an open loop, or a window the
-    // early bound let through); too many is a usage error.
-    metrics::Timeline timeline;
-    require_valid([&] {
-      timeline = metrics::build_timeline(result.completions, resources,
-                                         timeline_window, 0.0, end);
-    });
-    const std::string path = flags.get("timeline-out", "");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write timeline CSV: %s\n", path.c_str());
-      return 1;
-    }
-    out << metrics::timeline_csv(timeline);
-    log::info("wrote timeline CSV to ", path);
   }
   if (flags.get_bool("csv", false)) {
     std::cout << report::report_csv(result.report);
