@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/log.hpp"
 #include "gridlb.hpp"
 #include "metrics/time_series.hpp"
 
@@ -25,7 +24,6 @@ int main() {
        {core::experiment1(), core::experiment2(), core::experiment3()}) {
     core::ExperimentConfig config = base;
     config.workload.count = 600;
-    log::info("running ", config.name, "…");
     core::ExperimentResult result = core::run_experiment(config);
 
     std::vector<std::pair<std::string, int>> resources;

@@ -85,7 +85,6 @@ void Agent::restart() {
   obs::emit({.at = engine_.now(),
              .kind = obs::EventKind::kAgentRestarted,
              .resource = config_.id.value()});
-  log::info("agent ", config_.name, " t=", engine_.now(), " restarted");
   if (!grid_.discovery_enabled || grid_.pull_period <= 0.0) return;
   pull_timer_ = engine_.schedule_periodic(
       engine_.now(), grid_.pull_period, [this]() { pull_from_neighbours(); });
@@ -203,8 +202,6 @@ void Agent::receive_request(Request request, bool final_dispatch) {
   const ServiceInfo own = service_snapshot();
   if (const auto eta = estimate_completion(own, request);
       eta && *eta <= request.deadline) {
-    log::debug("agent ", config_.name, " t=", engine_.now(), " task ",
-               request.task.str(), " matched locally, eta=", *eta);
     stats_.hops_accumulated += hops;
     if (hops == 0) ++stats_.zero_hop_dispatches;
     obs::emit({.at = engine_.now(),
@@ -258,10 +255,6 @@ void Agent::receive_request(Request request, bool final_dispatch) {
                      {0.0, 0.5, 1, 2, 5, 10, 20, 50, 100, 200})
           .observe(staleness);
     }
-    log::debug("agent ", config_.name, " t=", engine_.now(), " task ",
-               request.task.str(), " forwarded toward agent ",
-               best_described.str(), " via ", best_route->name(),
-               ", eta=", best_eta);
     if (const auto occupancy = expected_occupancy(*best_info, request)) {
       act_.advance_freetime(best_described, engine_.now(), *occupancy);
     }
@@ -277,8 +270,6 @@ void Agent::receive_request(Request request, bool final_dispatch) {
                .extra = static_cast<std::uint32_t>(hops),
                .task = request.task.value(),
                .resource = parent_->id().value()});
-    log::debug("agent ", config_.name, " t=", engine_.now(), " task ",
-               request.task.str(), " escalated to ", parent_->name());
     forward(std::move(request), parent_, false);
     return;
   }
@@ -325,9 +316,6 @@ void Agent::receive_request(Request request, bool final_dispatch) {
     if (hops == 0) ++stats_.zero_hop_dispatches;
     dispatch_local(std::move(request));
   } else {
-    log::debug("agent ", config_.name, " t=", engine_.now(), " task ",
-               request.task.str(), " best-effort dispatch to ",
-               target->name());
     if (const auto occupancy = expected_occupancy(*target_info, request)) {
       act_.advance_freetime(target->id(), engine_.now(), *occupancy);
     }
@@ -595,9 +583,6 @@ void Agent::maybe_migrate(AgentId described) {
                .resource = described.value(),
                .a = own_backlog,
                .b = std::max(0.0, entry->info.freetime - now)});
-    log::debug("agent ", config_.name, " t=", now, " task ",
-               request.task.str(), " migrated to ", target->name(),
-               " (backlog ", own_backlog, "s)");
     if (const auto occupancy = expected_occupancy(entry->info, request)) {
       act_.advance_freetime(described, now, *occupancy);
     }

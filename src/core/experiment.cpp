@@ -15,7 +15,6 @@
 
 #include "agents/portal.hpp"
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "core/case_study.hpp"
 #include "obs/trace.hpp"
 #include "pace/paper_applications.hpp"
@@ -165,9 +164,9 @@ class ObsScope {
     }
     // Session opened every path before the run; a write can still fail
     // now (a full disk, say), and that fails the run too.
-    if (!session_->export_outputs(resource_labels(*config_))) {
-      throw std::runtime_error("failed to write an observability output");
-    }
+    const std::string failed =
+        session_->export_outputs(resource_labels(*config_));
+    if (!failed.empty()) throw std::runtime_error("cannot write " + failed);
   }
 
  private:
@@ -388,8 +387,7 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
           ++sampler_ticks;
           sampler->sample(engine.now());
           if (progress) {
-            // Straight to stderr: the default log level hides log::info,
-            // and a heartbeat the user asked for must not be silenced.
+            // Not a warning: the heartbeat the user asked for.
             std::fprintf(stderr,
                          "[gridlb] t=%.1fs  completed %" PRIu64 "/%" PRIu64
                          "\n",

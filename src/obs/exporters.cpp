@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/log.hpp"
 #include "common/number.hpp"
 
 namespace gridlb::obs {
@@ -154,12 +153,9 @@ std::string events_jsonl(const TraceSnapshot& snapshot) {
 
 bool write_file(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (out) out << contents;
-  if (!out) {
-    log::warn("failed to write ", path);
-    return false;
-  }
-  return true;
+  out << contents;
+  out.close();  // a full disk fails the final flush
+  return !out.fail();
 }
 
 }  // namespace gridlb::obs

@@ -32,9 +32,8 @@ namespace gridlb::obs {
 
 [[nodiscard]] std::string events_jsonl(const TraceSnapshot& snapshot);
 
-/// Writes `contents` to `path`; returns false (and logs a warning naming
-/// the path) on IO failure instead of throwing, so the other outputs of a
-/// finished run are still written.
+/// Writes `contents` to `path`; returns false on IO failure instead of
+/// throwing, so the other outputs of a finished run are still written.
 bool write_file(const std::string& path, const std::string& contents);
 
 }  // namespace gridlb::obs

@@ -21,7 +21,7 @@ Session::Session(ObsConfig config) : config_(std::move(config)) {
   if (config_.trace_enabled()) {
     GRIDLB_REQUIRE(detail::g_recorder == nullptr,
                    "another observability session is already tracing");
-    recorder_ = std::make_unique<TraceRecorder>(config_.ring_capacity);
+    recorder_ = std::make_unique<TraceRecorder>();
     detail::g_recorder = recorder_.get();
   }
   if (config_.metrics_enabled()) {
@@ -40,31 +40,35 @@ Session::~Session() {
   if (registry_ != nullptr) detail::g_registry = nullptr;
 }
 
-bool Session::export_outputs(const std::vector<std::string>& resource_names) {
-  bool ok = true;
+std::string Session::export_outputs(
+    const std::vector<std::string>& resource_names) {
+  std::string failed;
+  const auto write = [&failed](const std::string& path,
+                               const std::string& contents) {
+    if (!write_file(path, contents) && failed.empty()) failed = path;
+  };
   if (recorder_ != nullptr &&
       (!config_.trace_out.empty() || !config_.events_out.empty())) {
     const TraceSnapshot snapshot = recorder_->snapshot();
     if (!config_.trace_out.empty()) {
-      ok &= write_file(config_.trace_out,
-                       chrome_trace_json(snapshot, resource_names));
+      write(config_.trace_out, chrome_trace_json(snapshot, resource_names));
     }
     if (!config_.events_out.empty()) {
-      ok &= write_file(config_.events_out, events_jsonl(snapshot));
+      write(config_.events_out, events_jsonl(snapshot));
     }
   }
   if (registry_ != nullptr && !config_.metrics_json_out.empty()) {
-    ok &= write_file(config_.metrics_json_out, registry_->json_snapshot());
+    write(config_.metrics_json_out, registry_->json_snapshot());
   }
   if (sampler_ != nullptr) {
     if (!config_.series_jsonl_out.empty()) {
-      ok &= write_file(config_.series_jsonl_out, sampler_->series().jsonl());
+      write(config_.series_jsonl_out, sampler_->series().jsonl());
     }
     if (!config_.series_csv_out.empty()) {
-      ok &= write_file(config_.series_csv_out, sampler_->series().csv());
+      write(config_.series_csv_out, sampler_->series().csv());
     }
   }
-  return ok;
+  return failed;
 }
 
 }  // namespace gridlb::obs

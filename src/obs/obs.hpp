@@ -33,7 +33,6 @@ struct ObsConfig {
   bool trace = false;
   /// Maintain the metrics registry (implied by metrics_json_out).
   bool metrics = false;
-  std::size_t ring_capacity = 1u << 18;  ///< trace ring size, in events
   std::string trace_out;        ///< Chrome trace-event JSON path ("" = off)
   std::string events_out;       ///< flat JSONL event dump path
   std::string metrics_json_out; ///< registry JSON snapshot path
@@ -87,9 +86,10 @@ class Session {
 
   /// Writes every configured output file (Chrome trace, JSONL dump,
   /// metrics JSON, time series).  `resource_names[i]` labels AgentId i+1.
-  /// Returns false if any write failed.  Call after the simulation has
-  /// quiesced.
-  [[nodiscard]] bool export_outputs(const std::vector<std::string>& resource_names);
+  /// Returns the first path whose write failed, or "" if all were written.
+  /// Call after the simulation has quiesced.
+  [[nodiscard]] std::string export_outputs(
+      const std::vector<std::string>& resource_names);
 
  private:
   ObsConfig config_;

@@ -97,8 +97,6 @@ bool LocalScheduler::cancel(TaskId task) {
       std::find_if(pending_.begin(), pending_.end(),
                    [task](const Task& pending) { return pending.id == task; });
   if (it == pending_.end()) return false;
-  log::debug("resource ", config_.resource_id.str(), " t=", engine_.now(),
-             " cancel task ", task.str());
   pending_.erase(it);
   return true;
 }
@@ -122,9 +120,6 @@ void LocalScheduler::set_node_available(int node, bool up) {
   const NodeMask updated = up ? (available_ | bit) : (available_ & ~bit);
   if (updated == available_) return;
   available_ = updated;
-  log::debug("resource ", config_.resource_id.str(), " t=", engine_.now(),
-             " node ", node, up ? " up" : " down", ", available=",
-             available_);
   if (!pending_.empty()) request_reschedule();
 }
 
@@ -132,8 +127,6 @@ void LocalScheduler::submit(Task task) {
   GRIDLB_REQUIRE(task.app != nullptr, "task needs an application model");
   GRIDLB_REQUIRE(supports(task.environment),
                  "unsupported execution environment: " + task.environment);
-  log::debug("resource ", config_.resource_id.str(), " t=", engine_.now(),
-             " submit task ", task.id.str(), " app=", task.app->name());
   pending_.push_back(std::move(task));
   observe_queue_depth(engine_.now(), config_.resource_id, pending_count());
   if (config_.policy == SchedulerPolicy::kFifo) {
@@ -237,9 +230,6 @@ void LocalScheduler::reschedule() {
       const Task& task = pending_.front();
       const FifoPlacement placement =
           fifo_->place(task, node_free_, now, available_);
-      log::debug("resource ", config_.resource_id.str(), " t=", now,
-                 " FIFO fixes task ", task.id.str(), " mask=",
-                 placement.mask, " start=", placement.start);
       commit(0, placement.mask, placement.start, placement.end);
     }
     last_plan_completion_ = freetime();
@@ -314,9 +304,6 @@ void LocalScheduler::reschedule() {
     });
     if (!nodes_free) continue;
 
-    log::debug("resource ", config_.resource_id.str(), " t=", now,
-               " GA starts task ", id.str(), " mask=", placement.mask,
-               " end=", placement.end);
     commit(static_cast<std::size_t>(it - pending_.begin()), placement.mask,
            placement.start, placement.end);
   }

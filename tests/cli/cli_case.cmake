@@ -8,8 +8,9 @@
 #       "error: <text>" and then the usage on stderr, exit 2
 #   cmake -DCLI=<gridlb> -DARGS="<arguments>" -DEXIT=1
 #         "-DMESSAGE=<text>" -P cli_case.cmake
-#       a run that fails before it starts: "error: <text>" on stderr, no
-#       usage, nothing on stdout, exit 1
+#       a run that fails before it starts, or whose outputs cannot be
+#       written after it: "error: <text>" on stderr, no usage, nothing on
+#       stdout, exit 1
 #   cmake -DCLI=<gridlb> -DARGS="<arguments>" -DEXIT=2
 #         "-DRETIRED=--a --b" -P cli_case.cmake
 #       for each retired flag: "<arguments> --a 1" fails with

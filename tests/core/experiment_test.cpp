@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -195,6 +196,47 @@ TEST(RunMany, ObservesEachRunOnItsOwnThread) {
     EXPECT_EQ(results[i].trace_events, alone.trace_events) << i;
     expect_same_run(results[i], alone, i);
   }
+}
+
+/// The lines `run` writes to stderr, sorted.
+template <class Run>
+std::vector<std::string> stderr_lines(Run run) {
+  ::testing::internal::CaptureStderr();
+  run();
+  std::istringstream text(::testing::internal::GetCapturedStderr());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+// Agent churn makes every run warn about its crashes.  Concurrent workers
+// write each warning in one call, so the lines stay whole and equal, as a
+// multiset, those of the same runs one at a time.
+TEST(RunMany, ConcurrentWarningsStayWholeLines) {
+  std::vector<ExperimentConfig> configs;
+  for (const double mtbf : {40.0, 60.0, 90.0}) {
+    ExperimentConfig config = scaled(experiment3(), 60);
+    config.system.agent_churn.enabled = true;
+    config.system.agent_churn.mtbf = mtbf;
+    config.system.agent_churn.mttr = 5.0;
+    config.system.agent_churn.horizon = 200.0;
+    configs.push_back(config);
+  }
+  const std::vector<std::string> together =
+      stderr_lines([&configs] { (void)run_many(configs); });
+  std::vector<std::string> alone;
+  for (const ExperimentConfig& config : configs) {
+    const std::vector<std::string> lines =
+        stderr_lines([&config] { (void)run_experiment(config); });
+    EXPECT_FALSE(lines.empty()) << config.system.agent_churn.mtbf;
+    alone.insert(alone.end(), lines.begin(), lines.end());
+  }
+  std::sort(alone.begin(), alone.end());
+  for (const std::string& line : together) {
+    EXPECT_EQ(line.rfind("[gridlb WARN] ", 0), 0u) << line;
+  }
+  EXPECT_EQ(together, alone);
 }
 
 TEST(RunMany, RethrowsAFailingRun) {

@@ -1,16 +1,16 @@
 # Runs one command line (the gridlb CLI or a report bench) in an empty
-# directory and compares its stdout and the files it writes with the expected
-# outputs in tests/golden/<name>/.  A non-zero exit fails the case.
+# directory and compares its stdout, its stderr and the files it writes with
+# the expected outputs in tests/golden/<name>/.  A non-zero exit fails the case.
 # Registered as golden.<name> ctests by tests/CMakeLists.txt.
 #
 #   cmake -DEXE=<executable> -DNAME=<name> "-DARGS=<arguments>"
 #         "-DFILES=<file file>" -DGOLDEN=<tests/golden> -DWORK=<dir>
 #         -P golden_case.cmake
 #
-# stdout is stored verbatim as <name>/stdout at any size, so a failing case
-# shows which printed numbers moved.  Each exported file is stored verbatim
-# as <name>/<file> or, above kDigestBytes, as its SHA-256 digest in
-# <name>/<file>.sha256.
+# stdout and stderr are stored verbatim as <name>/stdout and <name>/stderr at
+# any size, so a failing case shows which printed numbers or warnings moved.
+# Each exported file is stored verbatim as <name>/<file> or, above
+# kDigestBytes, as its SHA-256 digest in <name>/<file>.sha256.
 # With GRIDLB_REGEN_GOLDENS set in the environment the run rewrites the
 # expected outputs instead of checking them (tools/regen_goldens.sh).
 set(kDigestBytes 4096)
@@ -22,20 +22,21 @@ get_filename_component(command "${EXE}" NAME)
 string(STRIP "${command} ${ARGS}" command)
 execute_process(COMMAND "${EXE}" ${argv}
   WORKING_DIRECTORY "${WORK}"
-  RESULT_VARIABLE code OUTPUT_FILE "${WORK}/stdout" ERROR_VARIABLE err)
+  RESULT_VARIABLE code OUTPUT_FILE "${WORK}/stdout" ERROR_FILE "${WORK}/stderr")
 if(NOT code STREQUAL "0")
+  file(READ "${WORK}/stderr" err)
   message(FATAL_ERROR "${command}\n-- exit: ${code}\n-- stderr:\n${err}")
 endif()
 
 set(expected "${GOLDEN}/${NAME}")
 separate_arguments(files UNIX_COMMAND "${FILES}")
-set(outputs stdout ${files})
+set(outputs stdout stderr ${files})
 if(DEFINED ENV{GRIDLB_REGEN_GOLDENS})
   file(REMOVE_RECURSE "${expected}")
   file(MAKE_DIRECTORY "${expected}")
   foreach(output IN LISTS outputs)
     file(SIZE "${WORK}/${output}" bytes)
-    if(bytes GREATER kDigestBytes AND NOT output STREQUAL "stdout")
+    if(bytes GREATER kDigestBytes AND NOT output MATCHES "^std(out|err)$")
       file(SHA256 "${WORK}/${output}" digest)
       file(WRITE "${expected}/${output}.sha256" "${digest}\n")
     else()

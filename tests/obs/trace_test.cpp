@@ -19,10 +19,9 @@ TraceEvent event_at(SimTime at, EventKind kind = EventKind::kQueueDepth) {
   return event;
 }
 
-ObsConfig trace_config(std::size_t capacity = 16) {
+ObsConfig trace_config() {
   ObsConfig config;
   config.trace = true;
-  config.ring_capacity = capacity;
   return config;
 }
 
@@ -69,9 +68,11 @@ TEST(Trace, UninstalledOnSessionDestruction) {
 }
 
 TEST(Trace, RingWrapKeepsNewestAndCountsDropped) {
-  Session session(trace_config(/*capacity=*/4));
-  for (int i = 0; i < 10; ++i) emit(event_at(static_cast<double>(i)));
-  const TraceSnapshot snapshot = session.recorder()->snapshot();
+  TraceRecorder recorder(/*capacity=*/4);
+  for (int i = 0; i < 10; ++i) {
+    recorder.record(event_at(static_cast<double>(i)));
+  }
+  const TraceSnapshot snapshot = recorder.snapshot();
   EXPECT_EQ(snapshot.recorded, 10u);
   EXPECT_EQ(snapshot.dropped, 6u);
   ASSERT_EQ(snapshot.events.size(), 4u);

@@ -386,7 +386,6 @@ int cmd_experiment(const Flags& flags) {
     apply_fault_flags(flags, config);
     apply_obs_flags(flags, config);
     validate_system_flags(config);
-    log::info("running ", config.name, "…");
     results.push_back(core::run_experiment(config));
   }
   if (flags.get_bool("csv", false)) {
@@ -456,9 +455,8 @@ int cmd_campaign(const Flags& flags) {
   }
   if (flags.has("workload-out")) {
     // Export the workload as a replayable JSONL trace (--arrival-trace).
-    const std::string path = flags.get("workload-out", "");
-    write_export(path, core::workload_to_jsonl(workload));
-    log::info("wrote workload JSONL to ", path);
+    write_export(flags.get("workload-out", ""),
+                 core::workload_to_jsonl(workload));
   }
 
   const core::ExperimentResult result = core::run_experiment(config);
@@ -475,9 +473,8 @@ int cmd_campaign(const Flags& flags) {
       timeline = metrics::build_timeline(result.completions, resources,
                                          timeline_window, 0.0, end);
     });
-    const std::string path = flags.get("timeline-out", "");
-    write_export(path, metrics::timeline_csv(timeline));
-    log::info("wrote timeline CSV to ", path);
+    write_export(flags.get("timeline-out", ""),
+                 metrics::timeline_csv(timeline));
   }
   if (trace_index >= 0) {
     // Render one resource's executed Gantt chart.
