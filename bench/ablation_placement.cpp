@@ -93,7 +93,7 @@ void remap_section(int agents) {
             pace::ResourceModel::of(resources[i].hardware),
             resources[i].node_count)});
   }
-  sched::HashPlacement placement(sched::HashPlacement::Config{}, targets);
+  sched::HashPlacement placement(targets);
   const std::uint64_t keys = 100000;
   std::vector<std::size_t> before(keys);
   for (std::uint64_t key = 0; key < keys; ++key) {

@@ -1,9 +1,9 @@
-// Shared plumbing for the benches' machine-readable `--json <path>` mode
-// (DESIGN.md §11): a tiny argv extractor that runs before
+// Plumbing for a bench's machine-readable `--json <path>` report
+// (DESIGN.md §14): a tiny argv extractor that runs before
 // benchmark::Initialize, a steady_clock ns-per-op timer that calibrates
 // its own batch size, peak RSS (VmHWM), and a minimal ordered JSON
-// writer.  The emitted files are what tools/ci/check_bench_regression.py
-// compares against the committed BENCH_ga_hotpath.json baseline.
+// writer.  micro_obs_overhead is its one user: its report is the CI
+// artifact of the overhead gate, which the bench checks itself.
 #pragma once
 
 #include <sys/resource.h>

@@ -1,25 +1,21 @@
 // Microbenchmarks (google-benchmark) for the scheduling kernels:
 //   * PACE evaluation — raw engine vs a prediction-table read,
-//   * schedule decoding (the GA's inner loop), both as the legacy
-//     self-contained full decode and as the DESIGN.md §11 hot path
-//     (prepared context + metrics-only evaluate),
-//   * one GA generation at the paper's settings,
+//   * the GA's steady-state evaluation (DESIGN.md §11: prepared context +
+//     metrics-only evaluate) at five queue depths,
+//   * whole GA optimize() calls at the paper's settings, and the breeding
+//     operators (mutation, crossover) on their own,
 //   * one FIFO placement (the per-width argmin over all 2^16−1 subsets)
 //     on an idle resource and on a loaded one with two nodes down,
 //   * agent matchmaking (eq. 10),
 //   * XML round-trip of the agent documents, and the receiver's parse plus
 //     typed read of one delivered request.
 // These back the performance discussion in §2.2 of the paper with
-// measured numbers on this machine.  `--json <path>` writes the decode vs
-// evaluate comparison (plus the PACE layer costs and peak RSS) as a
-// machine-readable report.
+// measured numbers on this machine.  They diagnose; the end-to-end
+// numbers of perfbench/ are the claims.
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
-
 #include "gridlb.hpp"
-#include "json_bench.hpp"
 
 namespace {
 
@@ -78,21 +74,6 @@ void BM_PaceTableRead(benchmark::State& state) {
 }
 BENCHMARK(BM_PaceTableRead);
 
-void BM_ScheduleDecode(benchmark::State& state) {
-  sched::ScheduleBuilder builder(sgi_table(), kSgi, 16);
-  const auto tasks = make_tasks(static_cast<int>(state.range(0)));
-  Rng rng(9);
-  const auto solution =
-      sched::SolutionString::random(static_cast<int>(tasks.size()), 16, rng);
-  const std::vector<SimTime> idle(16, 0.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(builder.decode(tasks, solution, idle, 0.0));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(tasks.size()));
-}
-BENCHMARK(BM_ScheduleDecode)->Arg(5)->Arg(20)->Arg(50)->Arg(200)->Arg(600);
-
 // The GA's steady-state evaluation (DESIGN.md §11): prediction rows and
 // node availability hoisted into a prepared context, metrics-only decode
 // into a reusable scratch — no allocations.
@@ -114,21 +95,69 @@ void BM_ScheduleEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleEvaluate)->Arg(5)->Arg(20)->Arg(50)->Arg(200)->Arg(600);
 
-void BM_GaGeneration(benchmark::State& state) {
-  // One optimize() call with a single generation at the paper's settings
-  // (population 50); ~50 decodes ≈ the paper's "1000 evaluations per
-  // generation" once the 20-task decode loop is unrolled.
+// Whole optimize() calls at the paper's settings (population 50) over a
+// 20-task queue: evaluation plus selection, crossover and mutation, for one
+// generation and for ten.  items_per_second is evaluations/s.
+void BM_GaOptimize(benchmark::State& state) {
   sched::ScheduleBuilder builder(sgi_table(), kSgi, 16);
   const auto tasks = make_tasks(20);
   sched::GaConfig config;
-  config.generations = 1;
+  config.generations = static_cast<int>(state.range(0));
   sched::GaScheduler scheduler(builder, config, 11);
   const std::vector<SimTime> idle(16, 0.0);
+  std::uint64_t decodes = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.optimize(tasks, idle, 0.0));
+    const auto result = scheduler.optimize(tasks, idle, 0.0);
+    decodes += result.decodes;
+    benchmark::DoNotOptimize(result.best_cost);
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(decodes));
 }
-BENCHMARK(BM_GaGeneration);
+BENCHMARK(BM_GaOptimize)->Arg(1)->Arg(10)->Unit(benchmark::kMicrosecond);
+
+constexpr int kPopulation = 50;
+
+std::vector<sched::SolutionString> make_population(int tasks) {
+  Rng rng(7);
+  std::vector<sched::SolutionString> population;
+  for (int k = 0; k < kPopulation; ++k) {
+    population.push_back(sched::SolutionString::random(tasks, 16, rng));
+  }
+  return population;
+}
+
+// The breeding operators alone, at the queue lengths the local schedulers
+// see (3 tasks: experiment 3's mean; 40: a backed-up queue) on 16 nodes.
+// items_per_second is children bred per second.
+void BM_Mutate(benchmark::State& state) {
+  auto population = make_population(static_cast<int>(state.range(0)));
+  const sched::GaConfig config;
+  Rng rng(23);
+  for (auto _ : state) {
+    for (auto& solution : population) {
+      solution.mutate(config.order_swap_rate, config.bit_flip_rate, rng);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kPopulation);
+}
+BENCHMARK(BM_Mutate)->Arg(3)->Arg(40);
+
+void BM_Crossover(benchmark::State& state) {
+  const auto population = make_population(static_cast<int>(state.range(0)));
+  sched::SolutionString child;
+  Rng rng(29);
+  for (auto _ : state) {
+    for (int k = 0; k < kPopulation; ++k) {
+      population[static_cast<std::size_t>(k)].crossover(
+          population[static_cast<std::size_t>((k + 1) % kPopulation)], rng,
+          child);
+      benchmark::DoNotOptimize(child.order().data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kPopulation);
+}
+BENCHMARK(BM_Crossover)->Arg(3)->Arg(40);
 
 void BM_FifoPlacement(benchmark::State& state) {
   sched::FifoScheduler fifo(sgi_table(), kSgi, 16);
@@ -233,82 +262,6 @@ void BM_DeliverRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_DeliverRequest);
 
-// The `--json` report: decode vs evaluate ns at three queue depths, the
-// PACE layer costs, and peak RSS — steady_clock, independent of
-// google-benchmark's own reporters.
-void write_json_report(const std::string& path) {
-  sched::ScheduleBuilder builder(sgi_table(), kSgi, 16);
-  const std::vector<SimTime> idle(16, 0.0);
-
-  std::ofstream out(path);
-  benchjson::JsonWriter json(out);
-  json.begin_object();
-  json.field("bench", "micro_schedulers");
-  json.field("schema_version", 2);
-  json.begin_array("schedule");
-  for (const int count : {20, 200, 600}) {
-    const auto tasks = make_tasks(count);
-    Rng rng(9);
-    const auto solution = sched::SolutionString::random(count, 16, rng);
-    const double decode_ns =
-        benchjson::measure_ns_per_op([&](std::int64_t iters) {
-          for (std::int64_t i = 0; i < iters; ++i) {
-            benchmark::DoNotOptimize(
-                builder.decode(tasks, solution, idle, 0.0));
-          }
-        });
-    sched::DecodeContext context;
-    sched::DecodeScratch scratch;
-    builder.prepare(context, tasks, idle, 0.0, sched::full_mask(16));
-    (void)builder.evaluate(context, solution, scratch);
-    const double evaluate_ns =
-        benchjson::measure_ns_per_op([&](std::int64_t iters) {
-          for (std::int64_t i = 0; i < iters; ++i) {
-            benchmark::DoNotOptimize(
-                builder.evaluate(context, solution, scratch));
-          }
-        });
-    json.begin_object();
-    json.field("tasks", count);
-    json.field("full_decode_ns", decode_ns);
-    json.field("evaluate_ns", evaluate_ns);
-    json.field("speedup_vs_full_decode", decode_ns / evaluate_ns);
-    json.end_object();
-  }
-  json.end_array();
-  const auto& model = *catalogue().find("sweep3d");
-  int nproc = 1;
-  const double raw_ns = benchjson::measure_ns_per_op([&](std::int64_t iters) {
-    for (std::int64_t i = 0; i < iters; ++i) {
-      benchmark::DoNotOptimize(
-          pace::EvaluationEngine::evaluate(model, kSgi, nproc));
-      nproc = nproc % 16 + 1;
-    }
-  });
-  const double table_ns =
-      benchjson::measure_ns_per_op([&](std::int64_t iters) {
-        for (std::int64_t i = 0; i < iters; ++i) {
-          benchmark::DoNotOptimize(sgi_table().row(model, kSgi)[
-              static_cast<std::size_t>(nproc - 1)]);
-          nproc = nproc % 16 + 1;
-        }
-      });
-  json.begin_object("pace");
-  json.field("raw_ns", raw_ns);
-  json.field("table_ns", table_ns);
-  json.end_object();
-  json.field("peak_rss_bytes", benchjson::peak_rss_bytes());
-  json.end_object();
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json_path =
-      gridlb::benchjson::extract_json_path(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  if (!json_path.empty()) write_json_report(json_path);
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,15 +1,11 @@
 // micro_sim_engine — event-loop microbench (DESIGN.md §13).  The
 // google-benchmark rows measure the per-event cost of schedule + pop +
-// dispatch on one queue, bare and behind 600 pending events.  `--json
-// <path>` additionally writes the same two figures as a machine-readable
-// report.  Raw ns are reported, never gated on.
+// dispatch on one queue, bare and behind 600 pending events.  Raw ns are
+// reported, never gated on.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <fstream>
-#include <string>
 
-#include "json_bench.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -24,7 +20,7 @@ using namespace gridlb;
 // submissions wait in a real run, so every push and pop sifts through a
 // heap that deep.
 void run_event_chain(sim::Engine& engine, std::int64_t events,
-                     std::int64_t pending = 0) {
+                     std::int64_t pending) {
   struct Tick {
     sim::Engine* engine;
     std::int64_t* remaining;
@@ -55,41 +51,6 @@ BENCHMARK(BM_EventChain)
     ->Args({100000, 600})
     ->UseRealTime();
 
-// --- the --json report ----------------------------------------------------
-
-void write_report(const std::string& path) {
-  const double chain_ns =
-      benchjson::measure_ns_per_op([](std::int64_t iters) {
-        sim::Engine engine;
-        run_event_chain(engine, iters);
-      });
-  const double pending_ns =
-      benchjson::measure_ns_per_op([](std::int64_t iters) {
-        sim::Engine engine;
-        run_event_chain(engine, iters, 600);
-      });
-
-  std::ofstream out(path);
-  benchjson::JsonWriter json(out);
-  json.begin_object();
-  json.field("bench", "micro_sim_engine");
-  json.field("schema_version", 2);
-  json.begin_object("event_loop");
-  json.field("ns_per_event", chain_ns);
-  json.field("behind_600_pending_ns_per_event", pending_ns);
-  json.end_object();
-  json.field("peak_rss_bytes", benchjson::peak_rss_bytes());
-  json.end_object();
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json_path =
-      gridlb::benchjson::extract_json_path(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  if (!json_path.empty()) write_report(json_path);
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -30,20 +30,9 @@ TaskId Portal::submit(Agent& entry, const std::string& app_name,
   GRIDLB_REQUIRE(deadline >= engine_.now(),
                  "deadline lies before submission time");
 
-  Request request;
-  request.task = TaskId(++submitted_);
-  request.app_name = app_name;
-  request.binary_file = "/gridlb/binary/" + app_name;
-  request.input_file = "/gridlb/binary/" + app_name + ".input";
-  request.model_name = "/gridlb/model/" + app_name;
-  request.environment = environment;
-  request.deadline = deadline;
-  request.email = email;
-  request.origin = endpoint_;
-
+  const TaskId task(++submitted_);
   submissions_.resize(static_cast<std::size_t>(submitted_) + 1);
-  submissions_[static_cast<std::size_t>(submitted_)] =
-      Submission{app_name, deadline, environment, email};
+  submissions_.back() = Submission{app_name, deadline, environment, email};
 
   if (collector_ != nullptr) collector_->on_submission(engine_.now());
   // Live arrival counter for the continuous sampler; the end-of-run
@@ -51,11 +40,11 @@ TaskId Portal::submit(Agent& entry, const std::string& app_name,
   if (auto* reg = obs::registry()) reg->counter("flow.submitted").add(1);
   obs::emit({.at = engine_.now(),
              .kind = obs::EventKind::kRequestSubmitted,
-             .task = request.task.value(),
+             .task = task.value(),
              .resource = entry.id().value(),
              .a = deadline});
-  send_request(request, entry.endpoint());
-  return request.task;
+  send_request(make_request(task, submissions_.back()), entry.endpoint());
+  return task;
 }
 
 void Portal::resubmit(TaskId task) {
@@ -68,17 +57,6 @@ void Portal::resubmit(TaskId task) {
 
   // Same task id — the stranded submission never executed, so this is a
   // re-discovery, not a new task (the collector saw the submission once).
-  Request request;
-  request.task = task;
-  request.app_name = original.app_name;
-  request.binary_file = "/gridlb/binary/" + original.app_name;
-  request.input_file = "/gridlb/binary/" + original.app_name + ".input";
-  request.model_name = "/gridlb/model/" + original.app_name;
-  request.environment = original.environment;
-  request.deadline = original.deadline;
-  request.email = original.email;
-  request.origin = endpoint_;
-
   ++resubmitted_;
   obs::emit({.at = engine_.now(),
              .kind = obs::EventKind::kTaskResubmitted,
@@ -87,7 +65,22 @@ void Portal::resubmit(TaskId task) {
              .a = original.deadline});
   log::warn("portal t=", engine_.now(), " resubmitting task ", task.str(),
             " through ", fallback_->name());
-  send_request(request, fallback_->endpoint());
+  send_request(make_request(task, original), fallback_->endpoint());
+}
+
+Request Portal::make_request(TaskId task,
+                             const Submission& submission) const {
+  Request request;
+  request.task = task;
+  request.app_name = submission.app_name;
+  request.binary_file = "/gridlb/binary/" + submission.app_name;
+  request.input_file = "/gridlb/binary/" + submission.app_name + ".input";
+  request.model_name = "/gridlb/model/" + submission.app_name;
+  request.environment = submission.environment;
+  request.deadline = submission.deadline;
+  request.email = submission.email;
+  request.origin = endpoint_;
+  return request;
 }
 
 void Portal::send_request(const Request& request, sim::EndpointId to) {

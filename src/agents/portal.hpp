@@ -54,7 +54,19 @@ class Portal {
   }
 
  private:
+  /// What was asked for, so a stranded task can be re-discovered.
+  struct Submission {
+    std::string app_name;
+    SimTime deadline = 0.0;
+    std::string environment;
+    std::string email;
+  };
+
   void on_message(const sim::Message& message);
+  /// The request document for `task`: the submission's fields plus the
+  /// binary, input and model paths derived from the application name.
+  [[nodiscard]] Request make_request(TaskId task,
+                                     const Submission& submission) const;
   void send_request(const Request& request, sim::EndpointId to);
 
   sim::Engine& engine_;
@@ -67,13 +79,6 @@ class Portal {
   std::uint64_t submitted_ = 0;
   std::uint64_t resubmitted_ = 0;
   std::uint64_t results_received_ = 0;
-  /// What was asked for, so a stranded task can be re-discovered.
-  struct Submission {
-    std::string app_name;
-    SimTime deadline = 0.0;
-    std::string environment;
-    std::string email;
-  };
   std::vector<Submission> submissions_;
 };
 

@@ -25,11 +25,6 @@ namespace gridlb::core {
 
 namespace {
 
-/// The hash placement family's straw map: the default map seed and a
-/// backlog-discount τ of 60 s, so a target carrying b seconds of routed
-/// backlog competes with weight w / (1 + b/τ) (DESIGN.md §15).
-constexpr sched::HashPlacement::Config kStrawMap{.load_tau = 60.0};
-
 ExperimentConfig base_experiment() {
   ExperimentConfig config;
   config.system.resources = case_study_resources();
@@ -252,7 +247,7 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
           sched::HashPlacement::hardware_weight(
               pace::ResourceModel::of(spec.hardware), spec.node_count)});
     }
-    placement.emplace(kStrawMap, std::move(targets));
+    placement.emplace(std::move(targets));
   }
   // Prediction-table reads made on the portal's side: the placement map's
   // occupancy snapshots and the oracle's eq. 10 scans.

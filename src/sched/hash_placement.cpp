@@ -29,11 +29,9 @@ double unit_draw(std::uint64_t seed, std::uint64_t key, std::uint64_t target) {
 
 }  // namespace
 
-HashPlacement::HashPlacement(Config config, std::vector<PlacementTarget> targets)
-    : config_(config), targets_(std::move(targets)) {
+HashPlacement::HashPlacement(std::vector<PlacementTarget> targets)
+    : targets_(std::move(targets)) {
   GRIDLB_REQUIRE(!targets_.empty(), "placement needs at least one target");
-  GRIDLB_REQUIRE(config_.load_tau >= 0.0,
-                 "load tau cannot be negative (0 = no load tracking)");
   for (const PlacementTarget& target : targets_) {
     GRIDLB_REQUIRE(target.resource.valid(),
                    "placement target needs a valid resource id");
@@ -61,13 +59,10 @@ PlacementDecision HashPlacement::place(std::uint64_t key, SimTime now) const {
   bool found = false;
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     if (!available_[i]) continue;
-    double weight = targets_[i].weight;
-    if (config_.load_tau > 0.0) {
-      const double backlog = std::max(0.0, busy_until_[i] - now);
-      weight /= 1.0 + backlog / config_.load_tau;
-    }
+    const double backlog = std::max(0.0, busy_until_[i] - now);
+    const double weight = targets_[i].weight / (1.0 + backlog / kLoadTau);
     const double draw =
-        std::log(unit_draw(config_.seed, key, targets_[i].resource.value())) /
+        std::log(unit_draw(kSeed, key, targets_[i].resource.value())) /
         weight;
     if (!found || draw > best_draw) {
       found = true;
@@ -84,15 +79,8 @@ PlacementDecision HashPlacement::place(std::uint64_t key, SimTime now) const {
 void HashPlacement::record_dispatch(std::size_t index, SimTime now,
                                     double occupancy) {
   GRIDLB_REQUIRE(index < targets_.size(), "placement target out of range");
-  if (config_.load_tau <= 0.0) return;
   busy_until_[index] =
       std::max(busy_until_[index], now) + std::max(0.0, occupancy);
-}
-
-void HashPlacement::set_weight(std::size_t index, double weight) {
-  GRIDLB_REQUIRE(index < targets_.size(), "placement target out of range");
-  GRIDLB_REQUIRE(weight > 0.0, "placement weights must be positive");
-  targets_[index].weight = weight;
 }
 
 void HashPlacement::set_available(std::size_t index, bool up) {

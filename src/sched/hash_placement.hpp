@@ -20,7 +20,7 @@
 //    and no key moves between two surviving resources.
 //
 // Weights default to hardware capacity (node count over the PACE
-// performance factor).  An optional load tracker discounts a target's
+// performance factor).  A load tracker discounts a target's
 // weight by the backlog the *placer itself* has routed there — optimistic
 // local bookkeeping in the spirit of the ACT freetime advance, still
 // involving no messages.
@@ -49,17 +49,14 @@ struct PlacementDecision {
 
 class HashPlacement {
  public:
-  struct Config {
-    /// Placement-map generation: two maps with different seeds place the
-    /// same keys independently.
-    std::uint64_t seed = 0x6c6f6164;
-    /// Backlog discount time constant τ in seconds: a target carrying b
-    /// seconds of tracked backlog competes with weight w / (1 + b/τ).
-    /// 0 disables load tracking entirely (pure static weights).
-    double load_tau = 0.0;
-  };
+  /// Placement-map generation: the seed every straw draw hashes, so any
+  /// frontend holding the same targets computes the same placement.
+  static constexpr std::uint64_t kSeed = 0x6c6f6164;
+  /// Backlog discount time constant τ in seconds: a target carrying b
+  /// seconds of tracked backlog competes with weight w / (1 + b/τ).
+  static constexpr double kLoadTau = 60.0;
 
-  HashPlacement(Config config, std::vector<PlacementTarget> targets);
+  explicit HashPlacement(std::vector<PlacementTarget> targets);
 
   /// Default capacity weight of a homogeneous resource: node count over
   /// the PACE slowdown factor (a 16-node SGI outweighs a 16-node SPARC).
@@ -67,18 +64,14 @@ class HashPlacement {
       const pace::ResourceModel& model, int node_count);
 
   /// Places `key` on a target — a pure function of (seed, key, live
-  /// weights).  `now` only matters with load tracking enabled.  At least
-  /// one target must be available.
+  /// weights).  `now` only matters once dispatches have been recorded.
+  /// At least one target must be available.
   [[nodiscard]] PlacementDecision place(std::uint64_t key,
                                         SimTime now = 0.0) const;
 
   /// Optimistic local bookkeeping: `occupancy` seconds of backlog were
-  /// just routed to target `index` at time `now`.  No-op unless the
-  /// config enables load tracking.
+  /// just routed to target `index` at time `now`.
   void record_dispatch(std::size_t index, SimTime now, double occupancy);
-
-  /// Re-weights one target (e.g. a refreshed freetime snapshot).
-  void set_weight(std::size_t index, double weight);
 
   /// Marks a target in or out of the map (resource churn).  Draws for
   /// the surviving targets are unaffected — the bounded-remap property.
@@ -93,7 +86,6 @@ class HashPlacement {
   [[nodiscard]] double total_weight() const;
 
  private:
-  Config config_;
   std::vector<PlacementTarget> targets_;
   std::vector<char> available_;
   std::vector<SimTime> busy_until_;  ///< tracked backlog horizon per target

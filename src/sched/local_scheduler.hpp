@@ -127,7 +127,6 @@ class LocalScheduler {
   [[nodiscard]] std::span<const SimTime> node_free() const {
     return node_free_;
   }
-  [[nodiscard]] const ScheduleBuilder& builder() const { return builder_; }
   /// GA statistics (zero when the FIFO policy is active).
   [[nodiscard]] std::uint64_t ga_decodes() const {
     return ga_ ? ga_->total_decodes() : 0;

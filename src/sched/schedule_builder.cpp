@@ -62,26 +62,6 @@ DecodedSchedule ScheduleBuilder::decode(const DecodeContext& context,
   return out;
 }
 
-DecodedSchedule ScheduleBuilder::decode(std::span<const Task> tasks,
-                                        const SolutionString& solution,
-                                        std::span<const SimTime> node_free,
-                                        SimTime now) const {
-  return decode(tasks, solution, node_free, now, full_mask(node_count_));
-}
-
-DecodedSchedule ScheduleBuilder::decode(std::span<const Task> tasks,
-                                        const SolutionString& solution,
-                                        std::span<const SimTime> node_free,
-                                        SimTime now,
-                                        NodeMask available) const {
-  GRIDLB_REQUIRE(static_cast<int>(tasks.size()) == solution.task_count(),
-                 "solution does not cover the task set");
-  DecodeContext context;
-  DecodeScratch scratch;
-  prepare(context, tasks, node_free, now, available);
-  return decode(context, solution, scratch);
-}
-
 ScheduleMetrics ScheduleBuilder::run(const DecodeContext& context,
                                      const SolutionString& solution,
                                      DecodeScratch& scratch,

@@ -14,14 +14,15 @@
 //      are penalised by weighting pockets of idle time",
 //   θ  contract penalty — total deadline overrun Σ max(0, η_j − δ_j).
 //
-// Two decoding paths share one implementation (DESIGN.md §11):
+// The builder's API is prepare(), then evaluate() or decode(); the two
+// decoding paths share one implementation (DESIGN.md §11):
 //   * evaluate() — metrics only, the GA's hot path.  All genome-invariant
 //     work (per-task prediction rows, clamped node availability) is
 //     hoisted into a DecodeContext by prepare(), and all
 //     mutable buffers live in a caller-owned DecodeScratch, so steady-state
 //     evaluation performs zero heap allocations.
 //   * decode() — evaluate() plus the per-task placements, run once for the
-//     winning solution (and by tests/tools that want the full Gantt view).
+//     winning solution.
 #pragma once
 
 #include <array>
@@ -121,8 +122,6 @@ class ScheduleBuilder {
   ScheduleBuilder(const pace::PredictionTable& table,
                   pace::ResourceModel resource, int node_count);
 
-  // -- hot path -----------------------------------------------------------
-
   /// Builds `context` for one scheduling run: hoists each task's
   /// prediction row out of the table and clamps per-node
   /// availability (`node_free` entries before `now` count as free-at-`now`
@@ -147,22 +146,6 @@ class ScheduleBuilder {
   [[nodiscard]] DecodedSchedule decode(const DecodeContext& context,
                                        const SolutionString& solution,
                                        DecodeScratch& scratch) const;
-
-  // -- convenience (self-contained, allocates its own context) ------------
-
-  /// Decodes `solution` over `tasks`, starting from per-node earliest
-  /// availability `node_free` (absolute times).
-  [[nodiscard]] DecodedSchedule decode(std::span<const Task> tasks,
-                                       const SolutionString& solution,
-                                       std::span<const SimTime> node_free,
-                                       SimTime now) const;
-
-  /// As above, but nodes outside `available` are down (resource-monitor
-  /// view).
-  [[nodiscard]] DecodedSchedule decode(std::span<const Task> tasks,
-                                       const SolutionString& solution,
-                                       std::span<const SimTime> node_free,
-                                       SimTime now, NodeMask available) const;
 
   /// Virtual availability horizon for down nodes (seconds past `now`).
   static constexpr double kUnavailableHorizon = 1e7;

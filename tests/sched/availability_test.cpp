@@ -3,6 +3,8 @@
 // task cancellation, and the prediction-error execution model.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/assert.hpp"
 #include "pace/paper_applications.hpp"
 #include "sched/fifo_scheduler.hpp"
@@ -11,6 +13,22 @@
 
 namespace gridlb::sched {
 namespace {
+
+/// The full Gantt view of one schedule: prepares a fresh context and
+/// decodes `solution` under it, every node up unless `available` says
+/// otherwise.
+DecodedSchedule prepare_and_decode(const ScheduleBuilder& builder,
+                                   std::span<const Task> tasks,
+                                   const SolutionString& solution,
+                                   std::span<const SimTime> node_free,
+                                   SimTime now,
+                                   NodeMask available = ~NodeMask{0}) {
+  DecodeContext context;
+  DecodeScratch scratch;
+  builder.prepare(context, tasks, node_free, now,
+                  available & full_mask(builder.node_count()));
+  return builder.decode(context, solution, scratch);
+}
 
 struct AvailabilityFixture : ::testing::Test {
   pace::ResourceModel sgi =
@@ -64,7 +82,8 @@ TEST_F(AvailabilityFixture, DecodePushesDownNodeWorkToHorizon) {
   // Task allocated on node 7, which is down.
   const SolutionString solution({0}, {0b10000000}, 8);
   const auto decoded =
-      builder.decode(tasks, solution, idle, 0.0, /*available=*/0b01111111);
+      prepare_and_decode(builder, tasks, solution, idle, 0.0,
+                         /*available=*/0b01111111);
   EXPECT_GE(decoded.placements[0].start, ScheduleBuilder::kUnavailableHorizon);
 }
 
@@ -72,8 +91,10 @@ TEST_F(AvailabilityFixture, DecodeIgnoresDownNodesForIdle) {
   const auto tasks = make_tasks(1);
   const SolutionString solution({0}, {0b00000001}, 8);
   const NodeMask half = 0b00001111;
-  const auto full_decode = builder.decode(tasks, solution, idle, 0.0);
-  const auto half_decode = builder.decode(tasks, solution, idle, 0.0, half);
+  const auto full_decode =
+      prepare_and_decode(builder, tasks, solution, idle, 0.0);
+  const auto half_decode =
+      prepare_and_decode(builder, tasks, solution, idle, 0.0, half);
   // With 4 nodes down, only 3 idle nodes remain to accumulate trailing
   // idle (vs 7 with everything up).
   EXPECT_LT(half_decode.total_idle, full_decode.total_idle);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "common/assert.hpp"
 #include "pace/paper_applications.hpp"
@@ -11,6 +12,22 @@
 
 namespace gridlb::sched {
 namespace {
+
+/// The full Gantt view of one schedule: prepares a fresh context and
+/// decodes `solution` under it, every node up unless `available` says
+/// otherwise.
+DecodedSchedule prepare_and_decode(const ScheduleBuilder& builder,
+                                   std::span<const Task> tasks,
+                                   const SolutionString& solution,
+                                   std::span<const SimTime> node_free,
+                                   SimTime now,
+                                   NodeMask available = ~NodeMask{0}) {
+  DecodeContext context;
+  DecodeScratch scratch;
+  builder.prepare(context, tasks, node_free, now,
+                  available & full_mask(builder.node_count()));
+  return builder.decode(context, solution, scratch);
+}
 
 struct GaFixture : ::testing::Test {
   pace::ResourceModel sgi =
@@ -65,7 +82,8 @@ TEST_F(GaFixture, ResultIsValidAndDecodesConsistently) {
   const auto result = scheduler.optimize(tasks, idle, 0.0);
   EXPECT_TRUE(result.best.valid());
   EXPECT_EQ(result.best.task_count(), 10);
-  const auto redecoded = builder.decode(tasks, result.best, idle, 0.0);
+  const auto redecoded =
+      prepare_and_decode(builder, tasks, result.best, idle, 0.0);
   EXPECT_DOUBLE_EQ(redecoded.makespan, result.schedule.makespan);
   EXPECT_DOUBLE_EQ(cost_value(redecoded, scheduler.config().weights),
                    result.best_cost);
@@ -159,7 +177,7 @@ TEST_F(GaFixture, BeatsRandomSolutions) {
   double best_random = 1e300;
   for (int i = 0; i < 200; ++i) {
     const auto random = SolutionString::random(12, 16, rng);
-    const auto decoded = builder.decode(tasks, random, idle, 0.0);
+    const auto decoded = prepare_and_decode(builder, tasks, random, idle, 0.0);
     best_random = std::min(best_random,
                            cost_value(decoded, scheduler.config().weights));
   }
@@ -190,7 +208,8 @@ TEST_F(GaFixture, GaCostNeverExceedsGreedyListScheduling) {
     });
   }
   const SolutionString greedy(std::move(order), std::move(mapping), 16);
-  const auto greedy_decoded = builder.decode(tasks, greedy, idle, 0.0);
+  const auto greedy_decoded =
+      prepare_and_decode(builder, tasks, greedy, idle, 0.0);
   const double greedy_cost =
       cost_value(greedy_decoded, scheduler.config().weights);
   EXPECT_LE(result.best_cost, greedy_cost + 1e-9);

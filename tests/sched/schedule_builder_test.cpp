@@ -2,11 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/assert.hpp"
 #include "pace/paper_applications.hpp"
 
 namespace gridlb::sched {
 namespace {
+
+/// The full Gantt view of one schedule: prepares a fresh context and
+/// decodes `solution` under it, every node up unless `available` says
+/// otherwise.
+DecodedSchedule prepare_and_decode(const ScheduleBuilder& builder,
+                                   std::span<const Task> tasks,
+                                   const SolutionString& solution,
+                                   std::span<const SimTime> node_free,
+                                   SimTime now,
+                                   NodeMask available = ~NodeMask{0}) {
+  DecodeContext context;
+  DecodeScratch scratch;
+  builder.prepare(context, tasks, node_free, now,
+                  available & full_mask(builder.node_count()));
+  return builder.decode(context, solution, scratch);
+}
 
 struct BuilderFixture : ::testing::Test {
   pace::ResourceModel sgi =
@@ -32,7 +50,7 @@ TEST_F(BuilderFixture, EmptyScheduleIsZero) {
   const std::vector<Task> tasks;
   const SolutionString solution({}, {}, 4);
   const std::vector<SimTime> free(4, 0.0);
-  const auto decoded = builder.decode(tasks, solution, free, 0.0);
+  const auto decoded = prepare_and_decode(builder, tasks, solution, free, 0.0);
   EXPECT_EQ(decoded.makespan, 0.0);
   EXPECT_EQ(decoded.total_idle, 0.0);
   EXPECT_EQ(decoded.contract_penalty, 0.0);
@@ -44,7 +62,7 @@ TEST_F(BuilderFixture, SingleTaskOnAllNodes) {
   const std::vector<Task> tasks = {make_task(1, "closure", 100.0)};
   const SolutionString solution({0}, {0b1111}, 4);
   const std::vector<SimTime> free(4, 0.0);
-  const auto decoded = builder.decode(tasks, solution, free, 0.0);
+  const auto decoded = prepare_and_decode(builder, tasks, solution, free, 0.0);
   EXPECT_DOUBLE_EQ(decoded.placements[0].start, 0.0);
   EXPECT_DOUBLE_EQ(decoded.placements[0].end, 8.0);
   EXPECT_DOUBLE_EQ(decoded.makespan, 8.0);
@@ -57,9 +75,9 @@ TEST_F(BuilderFixture, ExecutionTimeDependsOnAllocationWidth) {
   const std::vector<Task> tasks = {make_task(1, "closure", 100.0)};
   const std::vector<SimTime> free(4, 0.0);
   // 1 node: 9 s; 2 nodes: 9 s; 3 nodes: 8 s (Table 1 row for closure).
-  const auto one = builder.decode(
+  const auto one = prepare_and_decode(builder,
       tasks, SolutionString({0}, {0b0001}, 4), free, 0.0);
-  const auto three = builder.decode(
+  const auto three = prepare_and_decode(builder,
       tasks, SolutionString({0}, {0b0111}, 4), free, 0.0);
   EXPECT_DOUBLE_EQ(one.placements[0].end, 9.0);
   EXPECT_DOUBLE_EQ(three.placements[0].end, 8.0);
@@ -72,7 +90,7 @@ TEST_F(BuilderFixture, TasksSharingNodesSerialise) {
   // width 2).
   const SolutionString solution({0, 1}, {0b0011, 0b0011}, 4);
   const std::vector<SimTime> free(4, 0.0);
-  const auto decoded = builder.decode(tasks, solution, free, 0.0);
+  const auto decoded = prepare_and_decode(builder, tasks, solution, free, 0.0);
   EXPECT_DOUBLE_EQ(decoded.placements[0].start, 0.0);
   EXPECT_DOUBLE_EQ(decoded.placements[0].end, 9.0);
   EXPECT_DOUBLE_EQ(decoded.placements[1].start, 9.0);
@@ -84,7 +102,7 @@ TEST_F(BuilderFixture, DisjointTasksRunInParallel) {
                                    make_task(2, "closure", 100.0)};
   const SolutionString solution({0, 1}, {0b0011, 0b1100}, 4);
   const std::vector<SimTime> free(4, 0.0);
-  const auto decoded = builder.decode(tasks, solution, free, 0.0);
+  const auto decoded = prepare_and_decode(builder, tasks, solution, free, 0.0);
   EXPECT_DOUBLE_EQ(decoded.placements[0].start, 0.0);
   EXPECT_DOUBLE_EQ(decoded.placements[1].start, 0.0);
   EXPECT_DOUBLE_EQ(decoded.makespan, 9.0);
@@ -95,9 +113,9 @@ TEST_F(BuilderFixture, OrderingPartControlsSequence) {
                                    make_task(2, "fft", 100.0)};
   const std::vector<SimTime> free(4, 0.0);
   // Same masks, different order: the first-positioned task starts at 0.
-  const auto closure_first = builder.decode(
+  const auto closure_first = prepare_and_decode(builder,
       tasks, SolutionString({0, 1}, {0b1111, 0b1111}, 4), free, 0.0);
-  const auto fft_first = builder.decode(
+  const auto fft_first = prepare_and_decode(builder,
       tasks, SolutionString({1, 0}, {0b1111, 0b1111}, 4), free, 0.0);
   EXPECT_DOUBLE_EQ(closure_first.placements[0].start, 0.0);
   EXPECT_DOUBLE_EQ(closure_first.placements[1].start, 8.0);
@@ -111,7 +129,7 @@ TEST_F(BuilderFixture, UnisonStartWaitsForAllAllocatedNodes) {
   const std::vector<Task> tasks = {make_task(1, "closure", 100.0)};
   const SolutionString solution({0}, {0b1001}, 4);
   const std::vector<SimTime> free = {0.0, 0.0, 0.0, 10.0};
-  const auto decoded = builder.decode(tasks, solution, free, 0.0);
+  const auto decoded = prepare_and_decode(builder, tasks, solution, free, 0.0);
   EXPECT_DOUBLE_EQ(decoded.placements[0].start, 10.0);
   // idle: node 0 waits 10 s; nodes 1,2 idle for the whole 19 s window.
   EXPECT_DOUBLE_EQ(decoded.total_idle, 10.0 + 19.0 + 19.0);
@@ -123,7 +141,8 @@ TEST_F(BuilderFixture, PastFreeTimesAreSunkCost) {
   const std::vector<Task> tasks = {make_task(1, "closure", 1000.0)};
   const SolutionString solution({0}, {0b1111}, 4);
   const std::vector<SimTime> free(4, -50.0);
-  const auto decoded = builder.decode(tasks, solution, free, 100.0);
+  const auto decoded =
+      prepare_and_decode(builder, tasks, solution, free, 100.0);
   EXPECT_DOUBLE_EQ(decoded.placements[0].start, 100.0);
   EXPECT_DOUBLE_EQ(decoded.total_idle, 0.0);
   EXPECT_DOUBLE_EQ(decoded.makespan, 8.0);
@@ -136,7 +155,7 @@ TEST_F(BuilderFixture, ContractPenaltySumsOverruns) {
   };
   const SolutionString solution({0, 1}, {0b1111, 0b1111}, 4);
   const std::vector<SimTime> free(4, 0.0);
-  const auto decoded = builder.decode(tasks, solution, free, 0.0);
+  const auto decoded = prepare_and_decode(builder, tasks, solution, free, 0.0);
   EXPECT_DOUBLE_EQ(decoded.contract_penalty, 3.0);
   EXPECT_EQ(decoded.deadline_misses, 1);
 }
@@ -151,15 +170,15 @@ TEST_F(BuilderFixture, FrontWeightedIdlePenalisesEarlyGaps) {
   // long task runs after on the same nodes 0,1... construct instead:
   // A: closure first on {2,3} (9 s), fft on {2,3} after -> nodes 0,1 idle
   //    the whole window (gap spans the full window, weight ~1 on average).
-  const auto flat = builder.decode(
+  const auto flat = prepare_and_decode(builder,
       tasks, SolutionString({0, 1}, {0b1100, 0b1100}, 4), free, 0.0);
   // B: fft on {0,1} and closure on {2,3}; nodes 2,3 idle at the END of the
   // window (after 9 s) — late idle weighs less.
-  const auto late = builder.decode(
+  const auto late = prepare_and_decode(builder,
       tasks, SolutionString({0, 1}, {0b1100, 0b0011}, 4), free, 0.0);
   // C: closure on {2,3} *delayed* behind fft (shared nodes) — the idle on
   // nodes 2,3 sits at the front.
-  const auto early = builder.decode(
+  const auto early = prepare_and_decode(builder,
       tasks, SolutionString({1, 0}, {0b0011, 0b0011}, 4), free, 0.0);
   // late idle (B): 24-9=15 s at the back on two nodes plus none else.
   // early idle (C): fft runs 0..24 on {0,1}? no — both tasks on {0,1}.
@@ -177,7 +196,7 @@ TEST_F(BuilderFixture, MeanCompletionAveragesFlowtime) {
                                    make_task(2, "closure", 1e3)};
   const SolutionString solution({0, 1}, {0b1111, 0b1111}, 4);
   const std::vector<SimTime> free(4, 0.0);
-  const auto decoded = builder.decode(tasks, solution, free, 0.0);
+  const auto decoded = prepare_and_decode(builder, tasks, solution, free, 0.0);
   EXPECT_DOUBLE_EQ(decoded.mean_completion, (8.0 + 16.0) / 2.0);
 }
 
@@ -187,11 +206,13 @@ TEST_F(BuilderFixture, RejectsMismatchedInputs) {
   // Solution covers 2 tasks but only 1 given.
   Rng rng(1);
   const auto two = SolutionString::random(2, 4, rng);
-  EXPECT_THROW(builder.decode(tasks, two, free, 0.0), AssertionError);
+  EXPECT_THROW(prepare_and_decode(builder, tasks, two, free, 0.0),
+               AssertionError);
   // Wrong node_free width.
   const auto one = SolutionString::random(1, 4, rng);
   const std::vector<SimTime> narrow(3, 0.0);
-  EXPECT_THROW(builder.decode(tasks, one, narrow, 0.0), AssertionError);
+  EXPECT_THROW(prepare_and_decode(builder, tasks, one, narrow, 0.0),
+               AssertionError);
 }
 
 TEST_F(BuilderFixture, ResourceFactorScalesSchedule) {
@@ -199,8 +220,8 @@ TEST_F(BuilderFixture, ResourceFactorScalesSchedule) {
   const std::vector<Task> tasks = {make_task(1, "closure", 1e3)};
   const SolutionString solution({0}, {0b1111}, 4);
   const std::vector<SimTime> free(4, 0.0);
-  const auto fast = builder.decode(tasks, solution, free, 0.0);
-  const auto scaled = slow.decode(tasks, solution, free, 0.0);
+  const auto fast = prepare_and_decode(builder, tasks, solution, free, 0.0);
+  const auto scaled = prepare_and_decode(slow, tasks, solution, free, 0.0);
   EXPECT_DOUBLE_EQ(
       scaled.makespan,
       fast.makespan *
@@ -233,7 +254,7 @@ TEST_P(DecodeInvariants, NoNodeOverlapAndConsistentMetrics) {
   const SimTime now = 10.0;
 
   const auto solution = SolutionString::random(12, nodes, rng);
-  const auto decoded = builder.decode(tasks, solution, free, now);
+  const auto decoded = prepare_and_decode(builder, tasks, solution, free, now);
 
   // Per-node intervals must not overlap and must start no earlier than the
   // node's (clamped) availability.
@@ -304,7 +325,8 @@ TEST_P(EvaluateEquivalence, MetricsOnlyEvaluateMatchesFullDecode) {
     if (available == 0) available = 1;
 
     const auto solution = SolutionString::random(m, nodes, rng);
-    const auto full = builder.decode(tasks, solution, free, now, available);
+    const auto full =
+        prepare_and_decode(builder, tasks, solution, free, now, available);
 
     builder.prepare(context, tasks, free, now, available);
     const ScheduleMetrics metrics =
@@ -324,7 +346,8 @@ TEST_P(EvaluateEquivalence, MetricsOnlyEvaluateMatchesFullDecode) {
     solution.crossover(SolutionString::random(m, nodes, rng), rng, child);
     child.mutate(0.5, 0.1, rng);
     const ScheduleMetrics bred = builder.evaluate(context, child, scratch);
-    const auto bred_full = builder.decode(tasks, child, free, now, available);
+    const auto bred_full =
+        prepare_and_decode(builder, tasks, child, free, now, available);
     EXPECT_EQ(bred.completion, bred_full.completion);
     EXPECT_EQ(bred.makespan, bred_full.makespan);
     EXPECT_EQ(bred.total_idle, bred_full.total_idle);
@@ -333,8 +356,8 @@ TEST_P(EvaluateEquivalence, MetricsOnlyEvaluateMatchesFullDecode) {
     EXPECT_EQ(bred.mean_completion, bred_full.mean_completion);
     EXPECT_EQ(bred.deadline_misses, bred_full.deadline_misses);
 
-    // And the context-based full decode agrees placement-by-placement
-    // with the self-contained convenience overload.
+    // And a full decode under the reused context agrees
+    // placement-by-placement with one under a fresh context.
     const auto via_context = builder.decode(context, solution, scratch);
     ASSERT_EQ(via_context.placements.size(), full.placements.size());
     for (std::size_t i = 0; i < full.placements.size(); ++i) {

@@ -501,7 +501,9 @@ int cmd_campaign(const Flags& flags) {
       notes.push_back(
           "trace ring overflow: " + std::to_string(result.trace_dropped) +
           " of " + std::to_string(result.trace_events) +
-          " events dropped; raise the ring capacity or shorten the run");
+          " events dropped (the ring keeps only the newest); trace a "
+          "shorter or smaller run: fewer --requests or --requests-per-agent, "
+          "a shorter --duration or fewer --grid-agents");
     }
     std::cout << metrics::format_report(result.report, notes);
     std::printf("\n%llu/%llu tasks completed by t=%.0fs; %.2f mean hops; "
