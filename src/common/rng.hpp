@@ -15,6 +15,19 @@
 
 namespace gridlb {
 
+/// splitmix64's increment, 2^64 / φ: the step between seeding inputs, and
+/// the multiplier that spreads consecutive keys before a mix.
+inline constexpr std::uint64_t kGoldenGamma = 0x9E3779B97F4A7C15ULL;
+
+/// The splitmix64 finalizer: a stateless, full-avalanche mix of one 64-bit
+/// word.  Rng's seeding, the straw-map placement hash and the per-task
+/// prediction-error draw all mix through it.
+constexpr std::uint64_t splitmix64_mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256** engine with convenience distributions.
 ///
 /// Not thread-safe; each simulation component owns its own stream (use
@@ -25,7 +38,7 @@ namespace gridlb {
 class Rng {
  public:
   /// Seeds the four 64-bit words of state from `seed` via splitmix64.
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
+  explicit Rng(std::uint64_t seed = kGoldenGamma);
 
   /// Next raw 64-bit output.
   std::uint64_t next_u64() { return step(s_[0], s_[1], s_[2], s_[3]); }

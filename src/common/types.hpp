@@ -50,13 +50,10 @@ class StrongId {
 }  // namespace detail
 
 struct TaskTag {};
-struct NodeTag {};
 struct AgentTag {};
 
 /// Identifies one task (one submitted request) for its whole lifetime.
 using TaskId = detail::StrongId<TaskTag>;
-/// Identifies one processing node within a single grid resource (0-based).
-using NodeId = detail::StrongId<NodeTag>;
 /// Identifies one agent == one grid resource (S1..S12 in the case study).
 using AgentId = detail::StrongId<AgentTag>;
 

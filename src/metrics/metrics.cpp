@@ -89,16 +89,6 @@ double balance_of(const Spread& spread) {
 
 }  // namespace
 
-std::vector<std::pair<std::string, int>> MetricsCollector::resource_specs()
-    const {
-  std::vector<std::pair<std::string, int>> specs;
-  specs.reserve(resources_.size());
-  for (const auto& resource : resources_) {
-    specs.emplace_back(resource.label, resource.node_count);
-  }
-  return specs;
-}
-
 Report MetricsCollector::report(std::optional<SimTime> window_end) const {
   Report out;
   out.window_start = first_submission_.value_or(0.0);

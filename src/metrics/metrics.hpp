@@ -59,13 +59,6 @@ class MetricsCollector {
   [[nodiscard]] const std::vector<sched::CompletionRecord>& records() const {
     return records_;
   }
-  /// Registered resources as (label, node_count), registration order.
-  [[nodiscard]] std::vector<std::pair<std::string, int>> resource_specs()
-      const;
-  [[nodiscard]] SimTime window_start() const {
-    return first_submission_.value_or(0.0);
-  }
-  [[nodiscard]] SimTime last_completion() const { return last_completion_; }
 
   /// Computes the full ε/υ/β report.  `window_end` defaults to the last
   /// completion; pass an explicit end to evaluate a truncated window.

@@ -86,12 +86,6 @@ Timeline build_timeline(
   return out;
 }
 
-Timeline build_timeline(const MetricsCollector& collector, double window) {
-  return build_timeline(collector.records(), collector.resource_specs(),
-                        window, collector.window_start(),
-                        collector.last_completion());
-}
-
 std::string timeline_csv(const Timeline& timeline) {
   std::ostringstream os;
   os << "window_start,resource,utilisation\n";

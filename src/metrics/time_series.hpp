@@ -45,10 +45,6 @@ inline constexpr std::size_t kMaxTimelineBuckets = 100'000;
     const std::vector<std::pair<std::string, int>>& resources, double window,
     SimTime start, SimTime end);
 
-/// Convenience over a collector's records and registered resources.
-[[nodiscard]] Timeline build_timeline(const MetricsCollector& collector,
-                                      double window);
-
 /// window_start,resource,utilisation rows (long format).
 [[nodiscard]] std::string timeline_csv(const Timeline& timeline);
 

@@ -5,19 +5,16 @@
 #include <limits>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 
 namespace gridlb::sched {
 
 namespace {
 
-/// splitmix64 finalizer: a full-avalanche 64-bit mix, the same shape the
-/// Rng seeder uses.  Placement only needs a stationary hash (no stream),
-/// so one round per word keeps place() cheap.
+/// One splitmix64 round: placement only needs a stationary hash (no
+/// stream), so one round per word keeps place() cheap.
 std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+  return splitmix64_mix(x + kGoldenGamma);
 }
 
 /// Hash of (seed, key, target) mapped to (0, 1]: the top 53 bits make the

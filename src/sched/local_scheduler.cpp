@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -30,10 +31,8 @@ void observe_queue_depth(SimTime now, AgentId resource, int depth) {
 // Deterministic per-task uniform(0,1) draw, independent of call order (so
 // FIFO and GA runs see identical realities for the same task).
 double hash_unit(std::uint64_t seed, TaskId task) {
-  std::uint64_t x = seed ^ (task.value() * 0x9E3779B97F4A7C15ULL);
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  x ^= x >> 31;
+  const std::uint64_t x =
+      splitmix64_mix(seed ^ (task.value() * kGoldenGamma));
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 

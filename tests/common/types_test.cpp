@@ -27,7 +27,6 @@ TEST(StrongId, Comparisons) {
 }
 
 TEST(StrongId, DistinctTagsAreDistinctTypes) {
-  static_assert(!std::is_same_v<TaskId, NodeId>);
   static_assert(!std::is_same_v<TaskId, AgentId>);
 }
 

@@ -215,18 +215,6 @@ TEST(Timeline, RecordRunningBackwardsIsRejected) {
                AssertionError);
 }
 
-TEST(Timeline, FromCollector) {
-  MetricsCollector collector;
-  collector.add_resource(AgentId(1), "S1", 2);
-  collector.on_submission(0.0);
-  collector.record(record(1, 0b11, 0.0, 30.0));
-  const auto timeline = build_timeline(collector, 10.0);
-  ASSERT_EQ(timeline.buckets(), 3u);
-  for (const double u : timeline.resources[0].utilisation) {
-    EXPECT_DOUBLE_EQ(u, 1.0);
-  }
-}
-
 TEST(Timeline, CsvLongFormat) {
   const auto timeline = build_timeline({record(1, 0b01, 0.0, 10.0)},
                                        kTwoResources, 10.0, 0.0, 10.0);
