@@ -398,15 +398,15 @@ void Agent::on_task_completed(const sched::CompletionRecord& record) {
   const sim::EndpointId origin = it->origin;
   pending_results_.erase(it);
   ++stats_.results_sent;
-  link_.send(origin, to_document(result));
+  link_.send(origin, to_xml(result));
 }
 
 void Agent::forward(Request request, Agent* to, bool final_dispatch) {
   GRIDLB_REQUIRE(to != nullptr, "cannot forward to a null agent");
-  xml::Element document = to_document(request);
+  std::string payload = to_xml(request);
   // The `final` marker rides as a root attribute, like taskid/visited.
-  if (final_dispatch) document.set_attribute("final", "1");
-  link_.send(to->endpoint(), std::move(document),
+  if (final_dispatch) xml::stamp_root(payload, "final", "1");
+  link_.send(to->endpoint(), std::move(payload),
              [this](sim::EndpointId dead, const std::string& lost) {
                handle_send_failure(dead, lost);
              });
@@ -441,9 +441,11 @@ void Agent::pull_from_neighbours() {
              .kind = obs::EventKind::kAdvertisementPull,
              .resource = config_.id.value(),
              .a = static_cast<double>(act_.size())});
-  xml::Element pull("agentgrid");
-  pull.set_attribute("type", "pull");
-  const std::string payload = xml::write(pull);
+  xml::Writer pull(32);
+  pull.open("agentgrid");
+  pull.attribute("type", "pull");
+  pull.close();
+  const std::string payload = std::move(pull).finish();
   if (parent_ != nullptr) {
     ++stats_.pulls_sent;
     network_.send(endpoint_, parent_->endpoint(), payload);
@@ -497,10 +499,10 @@ void Agent::handle_pull(const sim::Message& message) {
   if (!requester) return;
   for (const auto& entry : act_.entries()) {
     if (entry.via == *requester || entry.agent == *requester) continue;
-    xml::Element document = to_document(entry.info);
-    document.set_attribute("agentid",
-                           NumberText(entry.agent.value()).view());
-    network_.send(endpoint_, message.from, xml::write(document));
+    std::string document = to_xml(entry.info);
+    xml::stamp_root(document, "agentid",
+                    NumberText(entry.agent.value()).view());
+    network_.send(endpoint_, message.from, std::move(document));
   }
 }
 

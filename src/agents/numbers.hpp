@@ -55,7 +55,8 @@ class NumberText {
   }
 
   /// "%f" of the largest double: a sign, 309 digits, a point, 6 decimals.
-  std::array<char, 320> buffer_{};
+  /// Left uninitialised: only [0, size_) is ever written or read.
+  std::array<char, 320> buffer_;
   std::size_t size_ = 0;
 };
 

@@ -85,7 +85,7 @@ Request Portal::make_request(TaskId task,
 
 void Portal::send_request(const Request& request, sim::EndpointId to) {
   const TaskId task = request.task;
-  link_.send(to, to_document(request),
+  link_.send(to, to_xml(request),
              [this, task](sim::EndpointId, const std::string&) {
                // Entry unreachable after the full retry budget: route the
                // task through the fallback instead of black-holing it.

@@ -18,17 +18,16 @@ ReliableLink::ReliableLink(sim::Engine& engine, sim::Network& network,
                            bool reliable)
     : engine_(engine), network_(network), reliable_(reliable) {}
 
-void ReliableLink::send(sim::EndpointId to, xml::Element document,
+void ReliableLink::send(sim::EndpointId to, std::string payload,
                         FailureFn on_failure) {
   if (!reliable_) {
-    network_.send(self_, to, xml::write(document));
+    network_.send(self_, to, std::move(payload));
     return;
   }
   // Globally unique: the owning endpoint in the high bits, a serial below.
   const std::uint64_t msgid =
       (static_cast<std::uint64_t>(self_) << 32) | (next_serial_++ & 0xFFFFFFFF);
-  document.set_attribute("msgid", NumberText(msgid).view());
-  std::string payload = xml::write(document);
+  xml::stamp_root(payload, "msgid", NumberText(msgid).view());
 
   Pending pending;
   pending.to = to;
@@ -96,11 +95,13 @@ ReliableLink::Inbound ReliableLink::on_message(const sim::Message& message,
   const auto msgid_text = document.attribute("msgid");
   if (!msgid_text) return Inbound::kDeliver;  // unreliable traffic
   const auto msgid = read_number<std::uint64_t>(*msgid_text, "msgid");
-  xml::Element ack("agentgrid");
-  ack.set_attribute("type", "ack");
-  ack.set_attribute("msgid", *msgid_text);
+  xml::Writer ack(64);
+  ack.open("agentgrid");
+  ack.attribute("type", "ack");
+  ack.attribute("msgid", *msgid_text);
+  ack.close();
   ++stats_.acks_sent;
-  network_.send(self_, message.from, xml::write(ack));
+  network_.send(self_, message.from, std::move(ack).finish());
   if (!delivered_.insert(msgid).second) {
     ++stats_.duplicates_suppressed;
     obs::emit({.at = engine_.now(),

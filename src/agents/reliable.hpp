@@ -69,11 +69,11 @@ class ReliableLink {
   /// The owning endpoint; must be set (once) before the first send.
   void set_self(sim::EndpointId self) { self_ = self; }
 
-  /// Writes an agentgrid document once and sends it.  Unreliable: plain
-  /// passthrough.  Reliable: stamps a msgid on the tree first, then
-  /// transmits and retries until acked or the attempt budget runs out
-  /// (then calls `on_failure`, if given).
-  void send(sim::EndpointId to, xml::Element document,
+  /// Sends a written agentgrid document.  Unreliable: plain passthrough.
+  /// Reliable: stamps a msgid on its root first, then transmits and
+  /// retries until acked or the attempt budget runs out (then calls
+  /// `on_failure`, if given).
+  void send(sim::EndpointId to, std::string payload,
             FailureFn on_failure = nullptr);
 
   /// Inbound filter over the message and its parsed `document`; the

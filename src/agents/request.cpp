@@ -5,12 +5,13 @@
 
 namespace gridlb::agents {
 
-xml::Element to_document(const Request& request) {
-  xml::Element root("agentgrid");
-  root.set_attribute("type", "request");
-  root.set_attribute("taskid", NumberText(request.task.value()).view());
+std::string to_xml(const Request& request) {
+  xml::Writer document;
+  document.open("agentgrid");
+  document.attribute("type", "request");
+  document.attribute("taskid", NumberText(request.task.value()).view());
   if (request.origin) {
-    root.set_attribute("origin", NumberText(*request.origin).view());
+    document.attribute("origin", NumberText(*request.origin).view());
   }
   if (!request.visited.empty()) {
     std::string visited;
@@ -18,29 +19,29 @@ xml::Element to_document(const Request& request) {
       if (!visited.empty()) visited += ',';
       visited += NumberText(agent.value()).view();
     }
-    root.set_attribute("visited", visited);
+    document.attribute("visited", visited);
   }
 
-  xml::Element& application = root.add_child("application");
-  application.add_child_with_text("name", request.app_name);
-  xml::Element& binary = application.add_child("binary");
-  binary.add_child_with_text("file", request.binary_file);
-  binary.add_child_with_text("inputfile", request.input_file);
-  xml::Element& performance = application.add_child("performance");
-  performance.add_child_with_text("datatype", "pacemodel");
-  performance.add_child_with_text("modelname", request.model_name);
+  document.open("application");
+  document.leaf("name", request.app_name);
+  document.open("binary");
+  document.leaf("file", request.binary_file);
+  document.leaf("inputfile", request.input_file);
+  document.close();
+  document.open("performance");
+  document.leaf("datatype", "pacemodel");
+  document.leaf("modelname", request.model_name);
+  document.close();
+  document.close();
 
-  xml::Element& requirement = root.add_child("requirement");
-  requirement.add_child_with_text("environment", request.environment);
-  requirement.add_child_with_text("deadline",
-                                  NumberText(request.deadline).view());
+  document.open("requirement");
+  document.leaf("environment", request.environment);
+  document.leaf("deadline", NumberText(request.deadline).view());
+  document.close();
 
-  root.add_child_with_text("email", request.email);
-  return root;
-}
-
-std::string to_xml(const Request& request) {
-  return xml::write(to_document(request));
+  document.leaf("email", request.email);
+  document.close();
+  return std::move(document).finish();
 }
 
 Request request_from_xml(std::string_view document) {

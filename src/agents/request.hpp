@@ -56,9 +56,8 @@ struct Request {
   bool operator==(const Request&) const = default;
 };
 
-/// The Fig. 6 document tree; transport attributes (`final`, `msgid`) are
-/// set on it before its one write.
-[[nodiscard]] xml::Element to_document(const Request& request);
+/// Writes the Fig. 6 document; the transport stamps its `final` and
+/// `msgid` attributes on the written bytes (xml::stamp_root).
 [[nodiscard]] std::string to_xml(const Request& request);
 
 /// Reads a request from a parsed document; throws on an incomplete or

@@ -19,7 +19,6 @@
 #include <string>
 
 #include "common/types.hpp"
-#include "xml/xml.hpp"
 
 namespace gridlb::agents {
 
@@ -35,9 +34,8 @@ struct ExecutionResult {
   bool operator==(const ExecutionResult&) const = default;
 };
 
-/// The result document tree; a reliable send stamps `msgid` on it before
-/// its one write.
-[[nodiscard]] xml::Element to_document(const ExecutionResult& result);
+/// Writes the result document; a reliable send stamps its `msgid` on the
+/// written bytes (xml::stamp_root).
 [[nodiscard]] std::string to_xml(const ExecutionResult& result);
 
 }  // namespace gridlb::agents

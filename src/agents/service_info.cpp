@@ -5,29 +5,29 @@
 
 namespace gridlb::agents {
 
-xml::Element to_document(const ServiceInfo& info) {
-  xml::Element root("agentgrid");
-  root.set_attribute("type", "service");
-
-  xml::Element& agent = root.add_child("agent");
-  agent.add_child_with_text("address", info.agent_address);
-  agent.add_child_with_text("port", NumberText(info.agent_port).view());
-
-  xml::Element& local = root.add_child("local");
-  local.add_child_with_text("address", info.local_address);
-  local.add_child_with_text("port", NumberText(info.local_port).view());
-  local.add_child_with_text("type", info.hardware_type);
-  local.add_child_with_text("nproc", NumberText(info.nproc).view());
-  for (const auto& environment : info.environments) {
-    local.add_child_with_text("environment", environment);
-  }
-  local.add_child_with_text("freetime", NumberText(info.freetime).view());
-
-  return root;
-}
-
 std::string to_xml(const ServiceInfo& info) {
-  return xml::write(to_document(info));
+  xml::Writer document;
+  document.open("agentgrid");
+  document.attribute("type", "service");
+
+  document.open("agent");
+  document.leaf("address", info.agent_address);
+  document.leaf("port", NumberText(info.agent_port).view());
+  document.close();
+
+  document.open("local");
+  document.leaf("address", info.local_address);
+  document.leaf("port", NumberText(info.local_port).view());
+  document.leaf("type", info.hardware_type);
+  document.leaf("nproc", NumberText(info.nproc).view());
+  for (const auto& environment : info.environments) {
+    document.leaf("environment", environment);
+  }
+  document.leaf("freetime", NumberText(info.freetime).view());
+  document.close();
+
+  document.close();
+  return std::move(document).finish();
 }
 
 ServiceInfo service_info_from_xml(std::string_view document) {

@@ -41,10 +41,8 @@ struct ServiceInfo {
   bool operator==(const ServiceInfo&) const = default;
 };
 
-/// The Fig. 5 document tree; a relay stamps `agentid` on it before its
-/// one write.
-[[nodiscard]] xml::Element to_document(const ServiceInfo& info);
-/// Serialises to the Fig. 5 document shape.
+/// Writes the Fig. 5 document; a relay stamps its `agentid` on the written
+/// bytes (xml::stamp_root).
 [[nodiscard]] std::string to_xml(const ServiceInfo& info);
 
 /// Reads a Fig. 5 document; throws AssertionError on an incomplete or

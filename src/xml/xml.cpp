@@ -13,11 +13,11 @@ ParseError::ParseError(const std::string& message, std::size_t byte_offset)
                          ")"),
       offset_(byte_offset) {}
 
-/// A document's storage: one block, sized for the whole document when it is
-/// known up front, plus overflow blocks for builders that outgrow it.  In
-/// the current block nodes and attribute arrays grow up from `low` and
-/// characters grow down from `high`, so the attribute array an element is
-/// filling stays the newest object and extends in place.  The Arena itself
+/// A parsed document's storage: one block, sized from the input, plus
+/// overflow blocks for input denser than the estimate.  In the current
+/// block nodes and attribute arrays grow up from `low` and characters grow
+/// down from `high`, so the attribute array an element is filling stays
+/// the newest object and extends in place.  The Arena itself
 /// heads its first block.
 struct Element::Arena {
   char* low;
@@ -27,9 +27,6 @@ struct Element::Arena {
 
   static constexpr std::size_t kHeader = 32;  ///< sizeof(Arena), aligned
   static constexpr std::size_t kLink = 16;    ///< overflow block header
-  /// First block of a built document: a request document (the largest the
-  /// agents build) fits, so building one allocates once.
-  static constexpr std::size_t kBuilderBlock = 2048 - kHeader;
 
   static Arena* create(std::size_t bytes) {
     static_assert(sizeof(Arena) <= kHeader);
@@ -81,59 +78,15 @@ struct Element::Arena {
   }
 };
 
-Element::Element(std::string_view name)
-    : arena_(Arena::create(std::max(Arena::kBuilderBlock, name.size()))),
-      owns_arena_(true) {
-  name_ = store(name);
-}
-
-Element::~Element() {
-  if (owns_arena_ && !in_arena_) Arena::release(arena_);
-}
-
-Element::Element(Element&& other) : arena_(other.arena_) {
-  GRIDLB_REQUIRE(other.owns_arena_ && !other.in_arena_,
-                 "only a root built by Element(name) can be moved: a node "
-                 "and the root parse returns live in their document's arena");
-  name_ = other.name_;
-  text_ = other.text_;
-  attributes_ = other.attributes_;
-  attribute_count_ = other.attribute_count_;
-  attribute_capacity_ = other.attribute_capacity_;
-  first_child_ = other.first_child_;
-  last_child_ = other.last_child_;
-  owns_arena_ = true;
-  other.arena_ = nullptr;
-  other.owns_arena_ = false;
-  other.name_ = other.text_ = {};
-  other.attributes_ = nullptr;
-  other.attribute_count_ = other.attribute_capacity_ = 0;
-  other.first_child_ = other.last_child_ = nullptr;
-}
-
-void* Element::operator new(std::size_t bytes) { return ::operator new(bytes); }
-
 void Element::operator delete(Element* element, std::destroying_delete_t) {
-  if (element->in_arena_) {
-    Arena* arena = element->arena_;
-    element->~Element();
-    Arena::release(arena);
-    return;
-  }
+  Arena* arena = element->arena_;
   element->~Element();
-  ::operator delete(element);
+  Arena::release(arena);
 }
 
-std::string_view Element::store(std::string_view text) {
-  if (text.empty()) return {};
-  char* chars = arena_->allocate_chars(text.size());
-  std::memcpy(chars, text.data(), text.size());
-  return {chars, text.size()};
-}
-
-Element& Element::append_child(std::string_view stored_name) {
-  auto* node = new (arena_->allocate_object(sizeof(Element)))
-      Element(arena_, stored_name);
+Element& Element::append_child() {
+  auto* node =
+      new (arena_->allocate_object(sizeof(Element))) Element(arena_, {});
   if (last_child_ != nullptr) {
     last_child_->next_sibling_ = node;
   } else {
@@ -160,16 +113,6 @@ void Element::push_attribute(Attribute attribute) {
   attributes_[attribute_count_++] = attribute;
 }
 
-void Element::set_attribute(std::string_view key, std::string_view value) {
-  for (Attribute& existing : std::span(attributes_, attribute_count_)) {
-    if (existing.key == key) {
-      existing.value = store(value);
-      return;
-    }
-  }
-  push_attribute({store(key), store(value)});
-}
-
 std::optional<std::string_view> Element::attribute(
     std::string_view key) const {
   for (const Attribute& existing : attributes()) {
@@ -178,29 +121,11 @@ std::optional<std::string_view> Element::attribute(
   return std::nullopt;
 }
 
-void Element::set_text(std::string_view text) { text_ = store(text); }
-
 void Element::append_text(std::string_view text) {
-  if (text.empty()) return;
-  if (text_.empty()) {
-    set_text(text);
-    return;
-  }
   char* chars = arena_->allocate_chars(text_.size() + text.size());
   std::memcpy(chars, text_.data(), text_.size());
   std::memcpy(chars + text_.size(), text.data(), text.size());
   text_ = {chars, text_.size() + text.size()};
-}
-
-Element& Element::add_child(std::string_view name) {
-  return append_child(store(name));
-}
-
-Element& Element::add_child_with_text(std::string_view name,
-                                      std::string_view text) {
-  Element& child = add_child(name);
-  child.text_ = store(text);
-  return child;
 }
 
 const Element* Element::child(std::string_view name) const {
@@ -253,96 +178,37 @@ constexpr std::string_view entity_for(char ch) {
   }
 }
 
-/// Where `write_element` puts the document: a first pass only counts the
-/// bytes, so the second fills a string allocated once at its final size.
-struct Measure {
-  std::size_t bytes = 0;
-  void put(std::string_view text) { bytes += text.size(); }
-  void put(char) { ++bytes; }
-  void put_escaped(std::string_view raw) {
-    bytes += raw.size();
-    for (const char ch : raw) {
-      if (is(ch, kEscaped)) bytes += entity_for(ch).size() - 1;
-    }
+/// Bytes `raw` takes once its escaped bytes are entities.
+std::size_t escaped_size(std::string_view raw) {
+  std::size_t bytes = raw.size();
+  for (const char ch : raw) {
+    if (is(ch, kEscaped)) bytes += entity_for(ch).size() - 1;
   }
-  void put_spaces(std::size_t count) { bytes += count; }
-};
-
-struct Fill {
-  char* cursor;
-  void put(std::string_view text) {
-    if (text.empty()) return;
-    std::memcpy(cursor, text.data(), text.size());
-    cursor += text.size();
-  }
-  void put(char ch) { *cursor++ = ch; }
-  /// Copies each run of plain bytes as one slice.
-  void put_escaped(std::string_view raw) {
-    std::size_t plain = 0;
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      if (!is(raw[i], kEscaped)) continue;
-      put(raw.substr(plain, i - plain));
-      put(entity_for(raw[i]));
-      plain = i + 1;
-    }
-    put(raw.substr(plain));
-  }
-  void put_spaces(std::size_t count) {
-    std::memset(cursor, ' ', count);
-    cursor += count;
-  }
-};
-
-template <class Sink>
-void put_indent(Sink& sink, int indent, int depth) {
-  if (indent > 0) sink.put_spaces(static_cast<std::size_t>(indent * depth));
+  return bytes;
 }
 
-template <class Sink>
-void write_element(Sink& sink, const Element& element, int indent, int depth) {
-  put_indent(sink, indent, depth);
-  sink.put('<');
-  sink.put(element.name());
-  for (const auto& [key, value] : element.attributes()) {
-    sink.put(' ');
-    sink.put(key);
-    sink.put("=\"");
-    sink.put_escaped(value);
-    sink.put('"');
+/// Copies `raw` to `out`, its escaped bytes as entities, each run of plain
+/// bytes as one slice; returns the end of the copy.
+char* copy_escaped(char* out, std::string_view raw) {
+  const auto copy = [&out](std::string_view bytes) {
+    if (bytes.empty()) return;
+    std::memcpy(out, bytes.data(), bytes.size());
+    out += bytes.size();
+  };
+  std::size_t plain = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    if (!is(raw[i], kEscaped)) continue;
+    copy(raw.substr(plain, i - plain));
+    copy(entity_for(raw[i]));
+    plain = i + 1;
   }
-  if (element.children().empty()) {
-    if (element.text().empty()) {
-      sink.put("/>");
-    } else {
-      sink.put('>');
-      sink.put_escaped(element.text());
-      sink.put("</");
-      sink.put(element.name());
-      sink.put('>');
-    }
-    if (indent >= 0) sink.put('\n');
-    return;
-  }
-  sink.put('>');
-  if (indent >= 0) sink.put('\n');
-  if (!element.text().empty()) {
-    put_indent(sink, indent, depth + 1);
-    sink.put_escaped(element.text());
-    if (indent >= 0) sink.put('\n');
-  }
-  for (const Element& child : element.children()) {
-    write_element(sink, child, indent, depth + 1);
-  }
-  put_indent(sink, indent, depth);
-  sink.put("</");
-  sink.put(element.name());
-  sink.put('>');
-  if (indent >= 0) sink.put('\n');
+  copy(raw.substr(plain));
+  return out;
 }
 
 /// Arena bytes `parse` reserves for `input`: its terminated copy, one node
-/// per 24 input bytes and room for eight attributes.  Every agent document,
-/// written compactly or not, fits; denser input grows the arena.
+/// per 24 input bytes and room for eight attributes.  Every agent document
+/// fits; denser input grows the arena.
 std::size_t parse_arena_bytes(std::string_view input) {
   return input.size() + 1 + (input.size() / 24 + 1) * sizeof(Element) +
          8 * sizeof(Attribute);
@@ -359,8 +225,6 @@ class Element::Parser {
     Arena* arena = Arena::create(parse_arena_bytes(input));
     root_.reset(new (arena->allocate_object(sizeof(Element)))
                     Element(arena, {}));
-    root_->owns_arena_ = true;
-    root_->in_arena_ = true;
     // A NUL after the copy ends every scan over a byte class at the end of
     // the input without a bounds check.
     copy_ = arena->allocate_chars(input.size() + 1);
@@ -543,7 +407,7 @@ class Element::Parser {
         expect('>');
         return;
       }
-      parse_element(element.append_child({}), depth + 1);
+      parse_element(element.append_child(), depth + 1);
     }
   }
 
@@ -553,23 +417,101 @@ class Element::Parser {
   std::size_t pos_ = 0;
 };
 
-std::string escape(std::string_view raw) {
-  Measure measure;
-  measure.put_escaped(raw);
-  std::string out(measure.bytes, '\0');
-  Fill fill{out.data()};
-  fill.put_escaped(raw);
-  return out;
+Writer::Writer(std::size_t capacity)
+    : out_(std::max<std::size_t>(capacity, 1), '\0'),
+      at_(out_.data()),
+      end_(out_.data() + out_.size()) {}
+
+void Writer::grow(std::size_t bytes) {
+  const auto used = static_cast<std::size_t>(at_ - out_.data());
+  out_.resize(std::max(2 * out_.size(), used + bytes));
+  at_ = out_.data() + used;
+  end_ = out_.data() + out_.size();
 }
 
-std::string write(const Element& root, int indent) {
-  Measure measure;
-  write_element(measure, root, indent, 0);
-  std::string out(measure.bytes, '\0');
-  Fill fill{out.data()};
-  write_element(fill, root, indent, 0);
-  GRIDLB_ASSERT(fill.cursor == out.data() + out.size());
-  return out;
+void Writer::put_escaped(std::string_view raw) {
+  // Most values hold no escaped byte: one scan, then one copy.
+  if (std::none_of(raw.begin(), raw.end(),
+                   [](char ch) { return is(ch, kEscaped); })) {
+    make_room(raw.size());
+    put(raw);
+    return;
+  }
+  make_room(escaped_size(raw));
+  at_ = copy_escaped(at_, raw);
+}
+
+void Writer::open(std::string_view name) {
+  GRIDLB_ASSERT(depth_ < kMaxDepth);
+  make_room(2 + 2 * depth_ + 1 + name.size());
+  if (depth_ > 0 && state_ != State::kChildren) {
+    if (state_ == State::kStartTag) *at_++ = '>';
+    *at_++ = '\n';
+  }
+  put_indent(depth_);
+  *at_++ = '<';
+  put(name);
+  open_[depth_++] = {name.data(), name.size()};
+  state_ = State::kStartTag;
+}
+
+void Writer::attribute(std::string_view key, std::string_view value) {
+  GRIDLB_ASSERT(state_ == State::kStartTag);
+  make_room(1 + key.size() + 2);
+  *at_++ = ' ';
+  put(key);
+  put("=\"");
+  put_escaped(value);
+  make_room(1);
+  *at_++ = '"';
+}
+
+void Writer::text(std::string_view text) {
+  GRIDLB_ASSERT(depth_ > 0 && state_ != State::kChildren);
+  if (text.empty()) return;
+  if (state_ == State::kStartTag) {
+    make_room(1);
+    *at_++ = '>';
+    state_ = State::kText;
+  }
+  put_escaped(text);
+}
+
+void Writer::close() {
+  GRIDLB_ASSERT(depth_ > 0);
+  const Name name = open_[--depth_];
+  make_room(2 * depth_ + name.size + 4);
+  if (state_ == State::kStartTag) {
+    put("/>\n");
+  } else {
+    if (state_ == State::kChildren) put_indent(depth_);
+    put("</");
+    put({name.data, name.size});
+    put(">\n");
+  }
+  state_ = State::kChildren;
+}
+
+std::string Writer::finish() && {
+  GRIDLB_ASSERT(depth_ == 0 && at_ != out_.data());
+  out_.resize(static_cast<std::size_t>(at_ - out_.data()));
+  return std::move(out_);
+}
+
+void stamp_root(std::string& document, std::string_view key,
+                std::string_view value) {
+  std::size_t end = document.find('>');
+  GRIDLB_REQUIRE(end != std::string::npos && end > 0,
+                 "no root start tag to stamp");
+  if (document[end - 1] == '/') --end;
+  // Opened in place with one move of the tail, then filled.
+  document.insert(end, 1 + key.size() + 2 + escaped_size(value) + 1, ' ');
+  char* out = document.data() + end + 1;
+  std::memcpy(out, key.data(), key.size());
+  out += key.size();
+  *out++ = '=';
+  *out++ = '"';
+  *copy_escaped(out, value) = '"';
 }
 
 std::unique_ptr<Element> parse(std::string_view input) {

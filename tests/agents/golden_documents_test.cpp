@@ -109,6 +109,137 @@ TEST(GoldenDocuments, ExecutionResult) {
   EXPECT_EQ(to_xml(result), expected);
 }
 
+// Every text field holds all five escaped characters.  Their bytes were
+// captured from the tree writer the one-pass writer replaced.
+constexpr const char* kSpecial = "a&b<c>d\"e'f";
+
+TEST(GoldenDocuments, EscapedRequest) {
+  Request request;
+  request.task = TaskId(7);
+  request.app_name = std::string("app ") + kSpecial;
+  request.binary_file = std::string("/bin/") + kSpecial;
+  request.input_file = std::string("/in/") + kSpecial;
+  request.model_name = std::string("/model/") + kSpecial;
+  request.environment = std::string("env ") + kSpecial;
+  request.deadline = 437.25;
+  request.email = std::string("mail ") + kSpecial;
+  request.origin = 9;
+  request.visited = {AgentId(4), AgentId(1)};
+
+  const char* expected =
+      R"(<agentgrid type="request" taskid="7" origin="9" visited="4,1">
+  <application>
+    <name>app a&amp;b&lt;c&gt;d&quot;e&apos;f</name>
+    <binary>
+      <file>/bin/a&amp;b&lt;c&gt;d&quot;e&apos;f</file>
+      <inputfile>/in/a&amp;b&lt;c&gt;d&quot;e&apos;f</inputfile>
+    </binary>
+    <performance>
+      <datatype>pacemodel</datatype>
+      <modelname>/model/a&amp;b&lt;c&gt;d&quot;e&apos;f</modelname>
+    </performance>
+  </application>
+  <requirement>
+    <environment>env a&amp;b&lt;c&gt;d&quot;e&apos;f</environment>
+    <deadline>437.250000</deadline>
+  </requirement>
+  <email>mail a&amp;b&lt;c&gt;d&quot;e&apos;f</email>
+</agentgrid>
+)";
+  EXPECT_EQ(to_xml(request), expected);
+  EXPECT_EQ(request_from_xml(expected), request);
+}
+
+TEST(GoldenDocuments, EscapedExecutionResult) {
+  const ExecutionResult result{
+      .task = TaskId(7),
+      .app_name = std::string("app ") + kSpecial,
+      .resource_name = std::string("S3 ") + kSpecial,
+      .start = 10.0,
+      .completion = 25.5,
+      .deadline = 30.0,
+      .email = std::string("mail ") + kSpecial};
+
+  const char* expected = R"(<agentgrid type="result" taskid="7">
+  <application>
+    <name>app a&amp;b&lt;c&gt;d&quot;e&apos;f</name>
+  </application>
+  <execution>
+    <resource>S3 a&amp;b&lt;c&gt;d&quot;e&apos;f</resource>
+    <start>10.000000</start>
+    <completion>25.500000</completion>
+    <deadline>30.000000</deadline>
+  </execution>
+  <email>mail a&amp;b&lt;c&gt;d&quot;e&apos;f</email>
+</agentgrid>
+)";
+  EXPECT_EQ(to_xml(result), expected);
+}
+
+TEST(GoldenDocuments, EscapedServiceInfo) {
+  ServiceInfo info;
+  info.agent_address = std::string("agent ") + kSpecial;
+  info.agent_port = 1000;
+  info.local_address = std::string("local ") + kSpecial;
+  info.local_port = 10000;
+  info.hardware_type = std::string("hw ") + kSpecial;
+  info.nproc = 16;
+  info.environments = {std::string("mpi ") + kSpecial, "test"};
+  info.freetime = 100.5;
+
+  const char* expected = R"(<agentgrid type="service">
+  <agent>
+    <address>agent a&amp;b&lt;c&gt;d&quot;e&apos;f</address>
+    <port>1000</port>
+  </agent>
+  <local>
+    <address>local a&amp;b&lt;c&gt;d&quot;e&apos;f</address>
+    <port>10000</port>
+    <type>hw a&amp;b&lt;c&gt;d&quot;e&apos;f</type>
+    <nproc>16</nproc>
+    <environment>mpi a&amp;b&lt;c&gt;d&quot;e&apos;f</environment>
+    <environment>test</environment>
+    <freetime>100.500000</freetime>
+  </local>
+</agentgrid>
+)";
+  EXPECT_EQ(to_xml(info), expected);
+  EXPECT_EQ(service_info_from_xml(expected), info);
+}
+
+TEST(GoldenDocuments, EmptyEmailSelfCloses) {
+  Request request;
+  request.task = TaskId(3);
+  request.app_name = "fft";
+  request.binary_file = "/gridlb/binary/fft";
+  request.input_file = "/gridlb/binary/fft.input";
+  request.model_name = "/gridlb/model/fft";
+  request.environment = "mpi";
+  request.deadline = 50.0;
+
+  const char* expected = R"(<agentgrid type="request" taskid="3">
+  <application>
+    <name>fft</name>
+    <binary>
+      <file>/gridlb/binary/fft</file>
+      <inputfile>/gridlb/binary/fft.input</inputfile>
+    </binary>
+    <performance>
+      <datatype>pacemodel</datatype>
+      <modelname>/gridlb/model/fft</modelname>
+    </performance>
+  </application>
+  <requirement>
+    <environment>mpi</environment>
+    <deadline>50.000000</deadline>
+  </requirement>
+  <email/>
+</agentgrid>
+)";
+  EXPECT_EQ(to_xml(request), expected);
+  EXPECT_EQ(request_from_xml(expected), request);
+}
+
 // The documents the transport stamps on the way out: the final-dispatch
 // marker, the relay's agentid, the reliable msgid and the ack.  They are
 // captured on the wire as the agents send them.  The agent or portal under
@@ -207,6 +338,53 @@ TEST_F(StampedDocuments, FinalDispatchRequest) {
 
   const char* expected =
       R"(<agentgrid type="request" taskid="7" origin="9" visited="4,1" final="1">
+  <application>
+    <name>cpi</name>
+    <binary>
+      <file>/gridlb/binary/cpi</file>
+      <inputfile>/gridlb/binary/cpi.input</inputfile>
+    </binary>
+    <performance>
+      <datatype>pacemodel</datatype>
+      <modelname>/gridlb/model/cpi</modelname>
+    </performance>
+  </application>
+  <requirement>
+    <environment>test</environment>
+    <deadline>0.500000</deadline>
+  </requirement>
+  <email>user@gridlb.sim</email>
+</agentgrid>
+)";
+  ASSERT_EQ(recorded[0].size(), 1u);
+  EXPECT_EQ(recorded[0][0], expected);
+}
+
+TEST_F(StampedDocuments, ReliableFinalDispatchRequest) {
+  // On a loss-tolerant grid the agents' links are reliable: the link's
+  // msgid follows the agent's final marker.
+  own_service_grid.agent_churn.enabled = true;
+  add_recorders(1);
+  Agent& child = add_agent(elsewhere, 3, {"mpi", "pvm", "test"});
+  Agent& head = add_agent(wire, 1, {"mpi"});
+  head.add_child(&child);
+  advertise(child, head);
+
+  Request request;
+  request.task = TaskId(7);
+  request.app_name = "cpi";
+  request.binary_file = "/gridlb/binary/cpi";
+  request.input_file = "/gridlb/binary/cpi.input";
+  request.model_name = "/gridlb/model/cpi";
+  request.deadline = 0.5;
+  request.email = "user@gridlb.sim";
+  request.origin = 9;
+  request.visited = {AgentId(4)};
+  head.receive_request(request);
+  engine.run_until(engine.now() + 0.25);  // before the first ack timeout
+
+  const char* expected =
+      R"(<agentgrid type="request" taskid="7" origin="9" visited="4,1" final="1" msgid="4294967296">
   <application>
     <name>cpi</name>
     <binary>

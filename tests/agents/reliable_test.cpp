@@ -18,15 +18,18 @@ namespace {
 
 constexpr double kLatency = 0.05;
 
-xml::Element request_document(const std::string& marker) {
-  xml::Element document("agentgrid");
-  document.set_attribute("type", "request");
-  document.set_attribute("marker", marker);
-  return document;
-}
-
-std::string request_payload(const std::string& marker) {
-  return xml::write(request_document(marker));
+/// An agentgrid document of `type`, told apart by its `marker`, and
+/// stamped with `msgid` when one is given.
+std::string payload_of(const std::string& marker,
+                       const std::string& type = "request",
+                       const char* msgid = nullptr) {
+  xml::Writer document(0);
+  document.open("agentgrid");
+  document.attribute("type", type);
+  document.attribute("marker", marker);
+  if (msgid != nullptr) document.attribute("msgid", msgid);
+  document.close();
+  return std::move(document).finish();
 }
 
 /// One endpoint whose handler records arrivals, optionally through a link.
@@ -47,8 +50,8 @@ TEST(ReliableLink, DisabledPolicyIsATransparentPassthrough) {
       });
   sender.set_self(a);
 
-  const std::string payload = request_payload("plain");
-  sender.send(b, request_document("plain"));
+  const std::string payload = payload_of("plain");
+  sender.send(b, payload);
   engine.run();
 
   // Byte-identical delivery: no msgid attribute, no ack, no bookkeeping.
@@ -79,7 +82,7 @@ TEST(ReliableLink, AckStopsRetransmission) {
   sender.set_self(a);
   receiver.set_self(b);
 
-  sender.send(b, request_document("acked"));
+  sender.send(b, payload_of("acked"));
   engine.run();
 
   ASSERT_EQ(arrivals.payloads.size(), 1u);
@@ -107,7 +110,7 @@ TEST(ReliableLink, RetriesWithBoundedExponentialBackoffThenFails) {
       });
   sender.set_self(a);
 
-  sender.send(b, request_document("doomed"),
+  sender.send(b, payload_of("doomed"),
               [&failed](sim::EndpointId, const std::string& payload) {
                 failed.push_back(payload);
               });
@@ -139,12 +142,11 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
   const sim::EndpointId b = network.register_endpoint([](auto&) {});
   receiver.set_self(b);
 
-  auto document = xml::parse(request_payload("dup"));
-  document->set_attribute("msgid", "42");
   sim::Message message;
   message.from = a;
   message.to = b;
-  message.payload = xml::write(*document);
+  message.payload = payload_of("dup", "request", "42");
+  const auto document = xml::parse(message.payload);
 
   // First arrival is fresh; a retransmission of the same msgid must be
   // swallowed but still acknowledged (the first ack may have been lost).
@@ -167,11 +169,9 @@ TEST(ReliableLink, RejectsMalformedMsgid) {
   // "-1" wrapped to a valid msgid.
   for (const char* msgid : {"x", "-1", "42junk", ""}) {
     for (const char* type : {"request", "ack"}) {
-      auto document = xml::parse(request_payload("bad"));
-      document->set_attribute("type", type);
-      document->set_attribute("msgid", msgid);
       sim::Message message;
-      message.payload = xml::write(*document);
+      message.payload = payload_of("bad", type, msgid);
+      const auto document = xml::parse(message.payload);
       EXPECT_THROW(receiver.on_message(message, *document), AssertionError)
           << type << " msgid='" << msgid << "'";
     }
@@ -187,7 +187,7 @@ TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
   receiver.set_self(b);
 
   sim::Message message;
-  message.payload = request_payload("no msgid");  // e.g. a pull or an ad
+  message.payload = payload_of("no msgid");  // e.g. a pull or an ad
   EXPECT_EQ(receiver.on_message(message, *xml::parse(message.payload)),
             ReliableLink::Inbound::kDeliver);
   EXPECT_EQ(receiver.stats().acks_sent, 0u);
@@ -202,9 +202,9 @@ TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
       network.register_endpoint([](auto&) {});  // never acks
   sender.set_self(a);
 
-  sender.send(b, request_document("first"));
-  sender.send(b, request_document("second"));
-  sender.send(b, request_document("third"));
+  sender.send(b, payload_of("first"));
+  sender.send(b, payload_of("second"));
+  sender.send(b, payload_of("third"));
   EXPECT_EQ(sender.in_flight(), 3u);
 
   const std::vector<std::string> undelivered = sender.reset();

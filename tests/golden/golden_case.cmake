@@ -1,6 +1,8 @@
 # Runs one command line (the gridlb CLI or a report bench) in an empty
 # directory and compares its stdout, its stderr and the files it writes with
-# the expected outputs in tests/golden/<name>/.  A non-zero exit fails the case.
+# the expected outputs in tests/golden/<name>/.  A non-zero exit fails the case
+# and prints the last 40 lines of stdout and all of stderr: a report bench
+# prints the claim that failed (`[FAIL] ...`) on stdout.
 # Registered as golden.<name> ctests by tests/CMakeLists.txt.
 #
 #   cmake -DEXE=<executable> -DNAME=<name> "-DARGS=<arguments>"
@@ -24,8 +26,25 @@ execute_process(COMMAND "${EXE}" ${argv}
   WORKING_DIRECTORY "${WORK}"
   RESULT_VARIABLE code OUTPUT_FILE "${WORK}/stdout" ERROR_FILE "${WORK}/stderr")
 if(NOT code STREQUAL "0")
+  file(READ "${WORK}/stdout" out)
+  # Cut at the 41st newline from the end (the last one ends the last line).
+  set(head "${out}")
+  foreach(line RANGE 40)
+    string(FIND "${head}" "\n" at REVERSE)
+    if(at EQUAL -1)
+      set(head "")
+      break()
+    endif()
+    string(SUBSTRING "${head}" 0 ${at} head)
+  endforeach()
+  string(LENGTH "${head}" start)
+  if(start GREATER 0)
+    math(EXPR start "${start} + 1")
+  endif()
+  string(SUBSTRING "${out}" ${start} -1 tail)
   file(READ "${WORK}/stderr" err)
-  message(FATAL_ERROR "${command}\n-- exit: ${code}\n-- stderr:\n${err}")
+  message(FATAL_ERROR "${command}\n-- exit: ${code}\n"
+    "-- stdout (last 40 lines):\n${tail}\n-- stderr:\n${err}")
 endif()
 
 set(expected "${GOLDEN}/${NAME}")

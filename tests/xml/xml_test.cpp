@@ -4,122 +4,181 @@
 
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/assert.hpp"
 
 namespace gridlb::xml {
 namespace {
 
+/// `<x>text</x>` as the writer writes it.
+std::string written_leaf(std::string_view text) {
+  Writer writer(0);
+  writer.leaf("x", text);
+  return std::move(writer).finish();
+}
+
 TEST(XmlEscape, EscapesAllFiveEntities) {
-  EXPECT_EQ(escape("a&b<c>d\"e'f"), "a&amp;b&lt;c&gt;d&quot;e&apos;f");
+  EXPECT_EQ(written_leaf("a&b<c>d\"e'f"),
+            "<x>a&amp;b&lt;c&gt;d&quot;e&apos;f</x>\n");
 }
 
 TEST(XmlEscape, LeavesPlainTextAlone) {
-  EXPECT_EQ(escape("hello world 123"), "hello world 123");
+  EXPECT_EQ(written_leaf("hello world 123"), "<x>hello world 123</x>\n");
 }
 
 TEST(XmlElement, AttributesUpsert) {
-  Element e("x");
-  e.set_attribute("k", "1");
-  e.set_attribute("k", "2");
-  ASSERT_TRUE(e.attribute("k").has_value());
-  EXPECT_EQ(*e.attribute("k"), "2");
-  EXPECT_EQ(e.attributes().size(), 1u);
+  // A repeated key keeps its first place and its last value.
+  const auto e = parse("<x k=\"1\" k=\"2\"/>");
+  ASSERT_TRUE(e->attribute("k").has_value());
+  EXPECT_EQ(*e->attribute("k"), "2");
+  EXPECT_EQ(e->attributes().size(), 1u);
 }
 
 TEST(XmlElement, MissingAttributeIsNullopt) {
-  Element e("x");
-  EXPECT_FALSE(e.attribute("nope").has_value());
+  const auto e = parse("<x/>");
+  EXPECT_FALSE(e->attribute("nope").has_value());
 }
 
 TEST(XmlElement, ChildLookup) {
-  Element root("root");
-  root.add_child_with_text("a", "1");
-  root.add_child_with_text("b", "2");
-  root.add_child_with_text("a", "3");
-  ASSERT_NE(root.child("a"), nullptr);
-  EXPECT_EQ(root.child("a")->text(), "1");
-  EXPECT_EQ(std::ranges::distance(root.children_named("a")), 2);
-  EXPECT_EQ(root.child_text("b"), "2");
-  EXPECT_EQ(root.child_text("missing"), "");
+  const auto root = parse("<root><a>1</a><b>2</b><a>3</a></root>");
+  ASSERT_NE(root->child("a"), nullptr);
+  EXPECT_EQ(root->child("a")->text(), "1");
+  EXPECT_EQ(std::ranges::distance(root->children_named("a")), 2);
+  EXPECT_EQ(root->child_text("b"), "2");
+  EXPECT_EQ(root->child_text("missing"), "");
 }
 
-TEST(XmlElement, AttributesSetAfterChildrenKeepTheirOrder) {
-  // The attribute array moves once children follow it in the arena.
-  Element root("r");
-  root.set_attribute("a", "1");
-  root.add_child_with_text("c", "t");
-  root.set_attribute("b", "2");
-  root.set_attribute("c", "3");
-  root.set_attribute("a", "4");
-  EXPECT_EQ(write(root, -1), "<r a=\"4\" b=\"2\" c=\"3\"><c>t</c></r>");
+TEST(XmlElement, AttributesOutgrowingTheFirstBlockKeepTheirOrder) {
+  // Two thousand attributes fill the block parse sizes for the input, so
+  // the attribute array moves to an overflow block part way.
+  std::string input = "<r";
+  for (int i = 0; i < 2000; ++i) {
+    input += " k";
+    input += std::to_string(i);
+    input += "=\"\"";
+  }
+  input += "><c>t</c></r>";
+  const auto root = parse(input);
+  ASSERT_EQ(root->attributes().size(), 2000u);
+  for (std::size_t i = 0; i < 2000; ++i) {
+    EXPECT_EQ(root->attributes()[i].key.substr(1), std::to_string(i));
+  }
+  EXPECT_EQ(root->child_text("c"), "t");
 }
 
 TEST(XmlElement, LargeDocumentsOutgrowTheFirstBlock) {
-  Element root("r");
+  Writer writer(0);
+  writer.open("r");
   for (int i = 0; i < 1000; ++i) {
-    Element& child = root.add_child("item");
-    child.set_attribute("i", std::to_string(i));
-    child.set_text(std::string(static_cast<std::size_t>(i % 50), 'x'));
+    writer.open("item");
+    writer.attribute("i", std::to_string(i));
+    writer.text(std::string(static_cast<std::size_t>(i % 50), 'x'));
+    writer.close();
   }
-  const std::string written = write(root);
-  const auto parsed = parse(written);
+  writer.close();
+  const auto parsed = parse(std::move(writer).finish());
   EXPECT_EQ(std::ranges::distance(parsed->children_named("item")), 1000);
-  EXPECT_EQ(write(*parsed), written);
+  int i = 0;
+  for (const Element& item : parsed->children()) {
+    EXPECT_EQ(*item.attribute("i"), std::to_string(i));
+    EXPECT_EQ(item.text().size(), static_cast<std::size_t>(i % 50));
+    ++i;
+  }
   // Dense input: one node per four bytes, far past the parse's estimate.
   std::string dense = "<r>";
-  for (int i = 0; i < 1000; ++i) dense += "<a/>";
+  for (int j = 0; j < 1000; ++j) dense += "<a/>";
   dense += "</r>";
   EXPECT_EQ(std::ranges::distance(parse(dense)->children()), 1000);
 }
 
-TEST(XmlElement, MovingANodeOrAParsedRootIsRejected) {
-  // Both live inside their document's arena, so only a copy could move
-  // them; the agents only ever move built roots.
-  auto parsed = parse("<r k=\"v\"><c>t</c></r>");
-  EXPECT_THROW(Element moved(std::move(*parsed)), AssertionError);
-  EXPECT_EQ(write(*parsed, -1), "<r k=\"v\"><c>t</c></r>");
-
-  Element built("b");
-  Element& node = built.add_child("n");
-  node.add_child_with_text("leaf", "x");
-  EXPECT_THROW(Element moved(std::move(node)), AssertionError);
-  EXPECT_EQ(write(built, -1), "<b><n><leaf>x</leaf></n></b>");
-}
-
-TEST(XmlElement, MovingABuiltRootKeepsItsTree) {
-  Element root("r");
-  Element& child = root.add_child("c");
-  child.set_text("t");
-  const Element moved(std::move(root));
-  EXPECT_EQ(write(moved, -1), "<r><c>t</c></r>");
-  EXPECT_EQ(&*moved.children().begin(), &child);  // handed over, not copied
-}
-
 TEST(XmlWrite, EmptyElementSelfCloses) {
-  Element e("empty");
-  EXPECT_EQ(write(e, -1), "<empty/>");
+  Writer writer(0);
+  writer.open("empty");
+  writer.close();
+  EXPECT_EQ(std::move(writer).finish(), "<empty/>\n");
+  Writer leaf(0);
+  leaf.leaf("empty", "");
+  EXPECT_EQ(std::move(leaf).finish(), "<empty/>\n");
 }
 
 TEST(XmlWrite, TextOnlyElement) {
-  Element e("name");
-  e.set_text("sweep3d");
-  EXPECT_EQ(write(e, -1), "<name>sweep3d</name>");
+  Writer writer(0);
+  writer.leaf("name", "sweep3d");
+  EXPECT_EQ(std::move(writer).finish(), "<name>sweep3d</name>\n");
 }
 
 TEST(XmlWrite, AttributesAndChildren) {
-  Element root("agentgrid");
-  root.set_attribute("type", "service");
-  root.add_child_with_text("port", "1000");
-  EXPECT_EQ(write(root, -1),
-            "<agentgrid type=\"service\"><port>1000</port></agentgrid>");
+  Writer writer(0);
+  writer.open("agentgrid");
+  writer.attribute("type", "service");
+  writer.open("agent");
+  writer.leaf("port", "1000");
+  writer.leaf("empty", "");
+  writer.close();
+  writer.close();
+  EXPECT_EQ(std::move(writer).finish(),
+            "<agentgrid type=\"service\">\n"
+            "  <agent>\n"
+            "    <port>1000</port>\n"
+            "    <empty/>\n"
+            "  </agent>\n"
+            "</agentgrid>\n");
 }
 
 TEST(XmlWrite, EscapesTextAndAttributes) {
-  Element root("r");
-  root.set_attribute("a", "x<y");
-  root.set_text("a&b");
-  EXPECT_EQ(write(root, -1), "<r a=\"x&lt;y\">a&amp;b</r>");
+  Writer writer(0);
+  writer.open("r");
+  writer.attribute("a", "x<y");
+  writer.text("a&b");
+  writer.close();
+  EXPECT_EQ(std::move(writer).finish(), "<r a=\"x&lt;y\">a&amp;b</r>\n");
+}
+
+TEST(XmlWrite, StampsTheRootStartTag) {
+  // Last among the root's attributes, escaped, also on a self-closing root.
+  std::string document = "<r a=\"1\">\n  <c/>\n</r>\n";
+  stamp_root(document, "k", "<&>\"'");
+  EXPECT_EQ(document,
+            "<r a=\"1\" k=\"&lt;&amp;&gt;&quot;&apos;\">\n  <c/>\n</r>\n");
+  std::string empty = "<agentgrid type=\"pull\"/>\n";
+  stamp_root(empty, "msgid", "42");
+  EXPECT_EQ(empty, "<agentgrid type=\"pull\" msgid=\"42\"/>\n");
+  std::string bare = "<r/>\n";
+  stamp_root(bare, "k", "v");
+  EXPECT_EQ(bare, "<r k=\"v\"/>\n");
+  EXPECT_EQ(*parse(document)->attribute("k"), "<&>\"'");
+}
+
+TEST(XmlWrite, MixedContentReadsBack) {
+  // Inline text, then the children on lines of their own.
+  Writer writer(0);
+  writer.open("r");
+  writer.text("a");
+  writer.text("b");
+  writer.leaf("c", "t");
+  writer.close();
+  const std::string written = std::move(writer).finish();
+  EXPECT_EQ(written, "<r>ab\n  <c>t</c>\n</r>\n");
+  const auto parsed = parse(written);
+  EXPECT_EQ(parsed->text(), "ab");
+  EXPECT_EQ(parsed->child_text("c"), "t");
+}
+
+TEST(XmlWrite, RejectsMisnestedCalls) {
+  Writer late(0);
+  late.open("r");
+  late.leaf("c", "t");
+  EXPECT_THROW(late.attribute("k", "v"), AssertionError);  // after a child
+  EXPECT_THROW(late.text("t"), AssertionError);
+  Writer unclosed(0);
+  unclosed.open("r");
+  EXPECT_THROW((void)std::move(unclosed).finish(), AssertionError);
+  Writer stray(0);
+  EXPECT_THROW(stray.close(), AssertionError);
+  Writer deep(0);
+  for (std::size_t i = 0; i < kMaxDepth; ++i) deep.open("a");
+  EXPECT_THROW(deep.open("a"), AssertionError);
 }
 
 TEST(XmlParse, SimpleDocument) {
@@ -217,19 +276,30 @@ TEST(XmlParse, BoundsNestingDepth) {
 }
 
 TEST(XmlRoundTrip, CompactAndPretty) {
-  Element root("agentgrid");
-  root.set_attribute("type", "request");
-  Element& app = root.add_child("application");
-  app.add_child_with_text("name", "sweep3d");
-  Element& req = root.add_child("requirement");
-  req.add_child_with_text("deadline", "17.5");
-
-  for (const int indent : {-1, 0, 2, 4}) {
-    const auto parsed = parse(write(root, indent));
+  // The parser reads a document the same with or without the writer's
+  // line breaks and indentation.
+  Writer writer(0);
+  writer.open("agentgrid");
+  writer.attribute("type", "request");
+  writer.open("application");
+  writer.leaf("name", "sweep3d");
+  writer.close();
+  writer.open("requirement");
+  writer.leaf("deadline", "17.5");
+  writer.close();
+  writer.close();
+  const std::string pretty = std::move(writer).finish();
+  const std::string compact =
+      "<agentgrid type=\"request\"><application><name>sweep3d</name>"
+      "</application><requirement><deadline>17.5</deadline></requirement>"
+      "</agentgrid>";
+  for (const std::string& document : {pretty, compact}) {
+    const auto parsed = parse(document);
     EXPECT_EQ(parsed->name(), "agentgrid");
     EXPECT_EQ(*parsed->attribute("type"), "request");
     EXPECT_EQ(parsed->child("application")->child_text("name"), "sweep3d");
     EXPECT_EQ(parsed->child("requirement")->child_text("deadline"), "17.5");
+    EXPECT_EQ(parsed->text(), "");
   }
 }
 
@@ -241,12 +311,15 @@ TEST(XmlRoundTrip, DeepNesting) {
     name += std::to_string(i);
     return name;
   };
-  Element root("l0");
-  Element* cursor = &root;
-  for (int i = 1; i < 20; ++i) cursor = &cursor->add_child(level(i));
-  cursor->set_text("bottom");
-  const auto parsed = parse(write(root));
+  std::vector<std::string> names;
+  for (int i = 0; i < 20; ++i) names.push_back(level(i));
+  Writer writer(0);
+  for (int i = 0; i < 19; ++i) writer.open(names[static_cast<std::size_t>(i)]);
+  writer.leaf(names[19], "bottom");
+  for (int i = 0; i < 19; ++i) writer.close();
+  const auto parsed = parse(std::move(writer).finish());
   const Element* walk = parsed.get();
+  EXPECT_EQ(walk->name(), "l0");
   for (int i = 1; i < 20; ++i) {
     walk = walk->child(level(i));
     ASSERT_NE(walk, nullptr);
@@ -255,10 +328,12 @@ TEST(XmlRoundTrip, DeepNesting) {
 }
 
 TEST(XmlRoundTrip, SpecialCharactersSurvive) {
-  Element root("r");
-  root.set_text("<tag> & \"quoted\" 'apos'");
-  root.set_attribute("a", "<&>\"'");
-  const auto parsed = parse(write(root));
+  Writer writer(0);
+  writer.open("r");
+  writer.attribute("a", "<&>\"'");
+  writer.text("<tag> & \"quoted\" 'apos'");
+  writer.close();
+  const auto parsed = parse(std::move(writer).finish());
   EXPECT_EQ(parsed->text(), "<tag> & \"quoted\" 'apos'");
   EXPECT_EQ(*parsed->attribute("a"), "<&>\"'");
 }

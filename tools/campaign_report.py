@@ -249,8 +249,9 @@ def render(title, panels, summary, dropped):
     warning = ""
     if dropped:
         warning = (f"<p class=\"warn\">Trace ring overflowed: {dropped} "
-                   "events dropped — raise the ring capacity or shorten "
-                   "the run.</p>")
+                   "events dropped — trace a shorter or smaller run: fewer "
+                   "--requests or --requests-per-agent, a shorter --duration "
+                   "or fewer --grid-agents.</p>")
     # </script> inside the JSON payload would terminate the data block.
     payload = json.dumps({"panels": panels}).replace("</", "<\\/")
     return PAGE.format(title=html.escape(title), warning=warning,
