@@ -1,16 +1,19 @@
-// Numbers in agent documents: the one strict reader and the one writer the
-// request, result and service codecs and the transport stamps share.
+// Numbers and leaves in agent documents: the one strict number reader, the
+// one number writer and the first-wins leaf rule the request, result and
+// service codecs and the transport stamps share.
 #pragma once
 
 #include <array>
 #include <charconv>
 #include <cmath>
 #include <concepts>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
 
 #include "common/assert.hpp"
+#include "xml/xml.hpp"
 
 namespace gridlb::agents {
 
@@ -59,5 +62,18 @@ class NumberText {
   std::array<char, 320> buffer_;
   std::size_t size_ = 0;
 };
+
+/// The text of a document's first child of one name, if it has one.
+using Leaf = std::optional<std::string_view>;
+
+/// Reads the current element, a child of its name, as `leaf`'s text if it
+/// is the first; a later one is checked and skipped.
+inline void read_leaf(xml::Reader& document, Leaf& leaf) {
+  if (leaf) {
+    document.skip();
+  } else {
+    leaf = document.text();
+  }
+}
 
 }  // namespace gridlb::agents

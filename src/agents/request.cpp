@@ -44,8 +44,98 @@ std::string to_xml(const Request& request) {
   return std::move(document).finish();
 }
 
-Request request_from_xml(std::string_view document) {
-  return request_from_xml(*xml::parse(document));
+Request request_from_xml(xml::Reader& document) {
+  GRIDLB_REQUIRE(document.name() == "agentgrid", "not an agentgrid document");
+  GRIDLB_REQUIRE(document.attribute("type") == "request",
+                 "not a request document");
+
+  Request request;
+  if (const auto taskid = document.attribute("taskid")) {
+    request.task = TaskId(read_number<std::uint64_t>(*taskid, "taskid"));
+  }
+  if (const auto origin = document.attribute("origin")) {
+    request.origin = read_number<std::uint32_t>(*origin, "origin");
+  }
+  if (const auto visited = document.attribute("visited")) {
+    for (std::string_view rest = *visited;;) {
+      const auto comma = rest.find(',');
+      request.visited.emplace_back(
+          read_number<std::uint64_t>(rest.substr(0, comma), "visited"));
+      if (comma == std::string_view::npos) break;
+      rest.remove_prefix(comma + 1);
+    }
+  }
+
+  // The first child of each name counts; later ones and unknown ones are
+  // checked and skipped.
+  bool application = false;
+  bool binary = false;
+  bool performance = false;
+  bool requirement = false;
+  Leaf name, file, inputfile, datatype, modelname, environment, deadline,
+      email;
+  while (document.next_child()) {
+    const std::string_view child = document.name();
+    if (child == "application" && !application) {
+      application = true;
+      while (document.next_child()) {
+        const std::string_view part = document.name();
+        if (part == "name") {
+          read_leaf(document, name);
+        } else if (part == "binary" && !binary) {
+          binary = true;
+          while (document.next_child()) {
+            const std::string_view leaf = document.name();
+            if (leaf == "file") read_leaf(document, file);
+            else if (leaf == "inputfile") read_leaf(document, inputfile);
+            else document.skip();
+          }
+        } else if (part == "performance" && !performance) {
+          performance = true;
+          while (document.next_child()) {
+            const std::string_view leaf = document.name();
+            if (leaf == "datatype") read_leaf(document, datatype);
+            else if (leaf == "modelname") read_leaf(document, modelname);
+            else document.skip();
+          }
+        } else {
+          document.skip();
+        }
+      }
+    } else if (child == "requirement" && !requirement) {
+      requirement = true;
+      while (document.next_child()) {
+        const std::string_view leaf = document.name();
+        if (leaf == "environment") read_leaf(document, environment);
+        else if (leaf == "deadline") read_leaf(document, deadline);
+        else document.skip();
+      }
+    } else if (child == "email") {
+      read_leaf(document, email);
+    } else {
+      document.skip();
+    }
+  }
+  document.finish();
+
+  GRIDLB_REQUIRE(application, "request lacks <application>");
+  request.app_name = name.value_or("");
+  request.binary_file = file.value_or("");
+  request.input_file = inputfile.value_or("");
+  GRIDLB_REQUIRE(!performance || datatype == "pacemodel",
+                 "unsupported performance data type");
+  request.model_name = modelname.value_or("");
+  GRIDLB_REQUIRE(requirement, "request lacks <requirement>");
+  request.environment = environment.value_or("");
+  GRIDLB_REQUIRE(!deadline.value_or("").empty(), "request lacks a deadline");
+  request.deadline = read_number<double>(*deadline, "deadline");
+  request.email = email.value_or("");
+  return request;
+}
+
+Request request_from_xml(const std::string& document) {
+  xml::Reader reader(document);
+  return request_from_xml(reader);
 }
 
 Request request_from_xml(const xml::Element& root) {

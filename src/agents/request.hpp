@@ -63,6 +63,11 @@ struct Request {
 /// Reads a request from a parsed document; throws on an incomplete or
 /// malformed one.
 [[nodiscard]] Request request_from_xml(const xml::Element& document);
-[[nodiscard]] Request request_from_xml(std::string_view document);
+/// Reads the rest of a request document whose root start tag `document`
+/// has read, through its end: the first child of each name counts, in any
+/// order.  Throws xml::ParseError / AssertionError on a malformed or
+/// incomplete one.
+[[nodiscard]] Request request_from_xml(xml::Reader& document);
+[[nodiscard]] Request request_from_xml(const std::string& document);
 
 }  // namespace gridlb::agents

@@ -30,8 +30,69 @@ std::string to_xml(const ServiceInfo& info) {
   return std::move(document).finish();
 }
 
-ServiceInfo service_info_from_xml(std::string_view document) {
-  return service_info_from_xml(*xml::parse(document));
+ServiceInfo service_info_from_xml(const std::string& document) {
+  xml::Reader reader(document);
+  return service_info_from_xml(reader);
+}
+
+ServiceInfo service_info_from_xml(xml::Reader& document) {
+  GRIDLB_REQUIRE(document.name() == "agentgrid", "not an agentgrid document");
+  GRIDLB_REQUIRE(document.attribute("type") == "service",
+                 "not a service document");
+
+  // The first child of each name counts, except that every <environment>
+  // does; later and unknown ones are checked and skipped.
+  ServiceInfo info;
+  bool agent = false;
+  bool local = false;
+  Leaf agent_address, agent_port, local_address, local_port, type, nproc,
+      freetime;
+  while (document.next_child()) {
+    const std::string_view child = document.name();
+    if (child == "agent" && !agent) {
+      agent = true;
+      while (document.next_child()) {
+        const std::string_view leaf = document.name();
+        if (leaf == "address") read_leaf(document, agent_address);
+        else if (leaf == "port") read_leaf(document, agent_port);
+        else document.skip();
+      }
+    } else if (child == "local" && !local) {
+      local = true;
+      while (document.next_child()) {
+        const std::string_view leaf = document.name();
+        if (leaf == "environment") {
+          info.environments.emplace_back(document.text());
+        } else if (leaf == "address") {
+          read_leaf(document, local_address);
+        } else if (leaf == "port") {
+          read_leaf(document, local_port);
+        } else if (leaf == "type") {
+          read_leaf(document, type);
+        } else if (leaf == "nproc") {
+          read_leaf(document, nproc);
+        } else if (leaf == "freetime") {
+          read_leaf(document, freetime);
+        } else {
+          document.skip();
+        }
+      }
+    } else {
+      document.skip();
+    }
+  }
+  document.finish();
+
+  GRIDLB_REQUIRE(agent, "service document lacks <agent>");
+  info.agent_address = agent_address.value_or("");
+  info.agent_port = read_number<int>(agent_port.value_or(""), "agent port");
+  GRIDLB_REQUIRE(local, "service document lacks <local>");
+  info.local_address = local_address.value_or("");
+  info.local_port = read_number<int>(local_port.value_or(""), "local port");
+  info.hardware_type = type.value_or("");
+  info.nproc = read_number<int>(nproc.value_or(""), "nproc");
+  info.freetime = read_number<double>(freetime.value_or(""), "freetime");
+  return info;
 }
 
 ServiceInfo service_info_from_xml(const xml::Element& root) {

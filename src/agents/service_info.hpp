@@ -48,8 +48,11 @@ struct ServiceInfo {
 /// Reads a Fig. 5 document; throws AssertionError on an incomplete or
 /// malformed one.
 [[nodiscard]] ServiceInfo service_info_from_xml(const xml::Element& document);
-/// Parses a Fig. 5 document; throws xml::ParseError / AssertionError on
-/// malformed or incomplete input.
-[[nodiscard]] ServiceInfo service_info_from_xml(std::string_view document);
+/// Reads the rest of a Fig. 5 document whose root start tag `document` has
+/// read, through its end: the first child of each name counts, except that
+/// every <environment> does, in any order.  Throws xml::ParseError /
+/// AssertionError on a malformed or incomplete one.
+[[nodiscard]] ServiceInfo service_info_from_xml(xml::Reader& document);
+[[nodiscard]] ServiceInfo service_info_from_xml(const std::string& document);
 
 }  // namespace gridlb::agents

@@ -326,7 +326,9 @@ class Element::Parser {
 
   std::string_view parse_attribute_value() {
     const char quote = take();
-    if (quote != '"' && quote != '\'') fail("expected quoted attribute value");
+    if (quote != '"' && quote != '\'') {
+      fail("expected quoted attribute value");
+    }
     const std::size_t start = pos_;
     const auto end = input_.find(quote, pos_);
     pos_ = end == std::string_view::npos ? input_.size() : end;
@@ -416,6 +418,263 @@ class Element::Parser {
   std::string_view input_;
   std::size_t pos_ = 0;
 };
+
+Reader::Reader(const std::string& document)
+    : data_(document.c_str()), size_(document.size()) {
+  skip_whitespace();
+  skip_declaration();
+  skip_whitespace();
+  open_element();
+}
+
+void Reader::fail(const std::string& message) const {
+  throw ParseError(message, pos_);
+}
+
+char Reader::peek() const {
+  if (eof()) fail("unexpected end of input");
+  return data_[pos_];
+}
+
+char Reader::take() {
+  const char ch = peek();
+  ++pos_;
+  return ch;
+}
+
+void Reader::expect(char ch) {
+  if (take() != ch) {
+    --pos_;
+    fail(std::string("expected '") + ch + "'");
+  }
+}
+
+bool Reader::looking_at(std::string_view prefix) const {
+  return std::string_view(data_ + pos_, size_ - pos_).starts_with(prefix);
+}
+
+void Reader::skip_whitespace() {
+  while (is(data_[pos_], kSpace)) ++pos_;
+}
+
+void Reader::skip_declaration() {
+  if (!looking_at("<?xml")) return;
+  const auto end = std::string_view(data_, size_).find("?>", pos_);
+  if (end == std::string_view::npos) fail("unterminated XML declaration");
+  pos_ = end + 2;
+}
+
+void Reader::skip_comment() {
+  const auto end = std::string_view(data_, size_).find("-->", pos_ + 4);
+  if (end == std::string_view::npos) fail("unterminated comment");
+  pos_ = end + 3;
+}
+
+std::string_view Reader::read_name() {
+  const std::size_t start = pos_;
+  while (is(data_[pos_], kName)) ++pos_;
+  if (pos_ == start) fail("expected a name");
+  return {data_ + start, pos_ - start};
+}
+
+void Reader::decode(std::string_view raw, std::string* out) const {
+  std::size_t plain = 0;
+  for (std::size_t amp = raw.find('&'); amp != std::string_view::npos;
+       amp = raw.find('&', plain)) {
+    if (out != nullptr) out->append(raw.substr(plain, amp - plain));
+    const auto semi = raw.find(';', amp);
+    if (semi == std::string_view::npos) fail("unterminated entity");
+    const std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
+    char ch = '\'';  // &apos;
+    if (entity == "amp") ch = '&';
+    else if (entity == "lt") ch = '<';
+    else if (entity == "gt") ch = '>';
+    else if (entity == "quot") ch = '"';
+    else if (entity != "apos") {
+      fail("unknown entity &" + std::string(entity) + ";");
+    }
+    if (out != nullptr) out->push_back(ch);
+    plain = semi + 1;
+  }
+  if (out != nullptr) out->append(raw.substr(plain));
+}
+
+void Reader::open_element() {
+  if (depth_ == kMaxDepth) {
+    fail("elements nested deeper than " + std::to_string(kMaxDepth));
+  }
+  expect('<');
+  Open& open = open_[depth_];
+  const std::string_view name = read_name();
+  open.name = static_cast<std::size_t>(name.data() - data_);
+  open.name_size = name.size();
+  // Attributes: checked now, looked up again in place when asked for.
+  for (;;) {
+    skip_whitespace();
+    const char ch = peek();
+    if (ch == '/' || ch == '>') break;
+    read_name();
+    skip_whitespace();
+    expect('=');
+    skip_whitespace();
+    const char quote = take();
+    if (quote != '"' && quote != '\'') {
+      fail("expected quoted attribute value");
+    }
+    const std::size_t start = pos_;
+    const auto* end = static_cast<const char*>(
+        std::memchr(data_ + pos_, quote, size_ - pos_));
+    pos_ = end == nullptr ? size_ : static_cast<std::size_t>(end - data_);
+    if (eof()) fail("unterminated attribute value");
+    decode({data_ + start, pos_ - start}, nullptr);
+    ++pos_;  // closing quote
+  }
+  open.tag_end = pos_;
+  ++depth_;
+  if (peek() == '/') {
+    take();
+    expect('>');
+    closed_in_tag_ = true;
+    return;
+  }
+  expect('>');
+}
+
+std::string_view Reader::name() const {
+  GRIDLB_ASSERT(depth_ > 0);
+  const Open& open = open_[depth_ - 1];
+  return {data_ + open.name, open.name_size};
+}
+
+std::size_t Reader::attributes_begin() const {
+  GRIDLB_ASSERT(depth_ > 0);
+  const Open& open = open_[depth_ - 1];
+  return open.name + open.name_size;
+}
+
+bool Reader::next_attribute(std::size_t& at, std::string_view& key,
+                            std::string_view& raw) const {
+  while (is(data_[at], kSpace)) ++at;
+  if (at >= open_[depth_ - 1].tag_end) return false;
+  const std::size_t key_start = at;
+  while (is(data_[at], kName)) ++at;
+  key = {data_ + key_start, at - key_start};
+  while (data_[at] != '"' && data_[at] != '\'') ++at;  // past `=`
+  const char quote = data_[at++];
+  const auto* end =
+      static_cast<const char*>(std::memchr(data_ + at, quote, size_ - at));
+  raw = {data_ + at, static_cast<std::size_t>(end - (data_ + at))};
+  at = static_cast<std::size_t>(end - data_) + 1;
+  return true;
+}
+
+std::optional<std::string_view> Reader::attribute(std::string_view key) const {
+  std::optional<std::string_view> value;
+  std::size_t at = attributes_begin();
+  std::string_view key_at;
+  std::string_view raw;
+  while (next_attribute(at, key_at, raw)) {
+    if (key_at == key) value = raw;
+  }
+  if (value) value = decoded(*value);
+  return value;
+}
+
+std::string_view Reader::decoded(std::string_view raw) const {
+  if (raw.find('&') == std::string_view::npos) return raw;
+  std::string& out = decoded_.emplace_front();
+  decode(raw, &out);
+  return out;
+}
+
+Reader::Item Reader::next() {
+  GRIDLB_ASSERT(depth_ > 0);
+  if (closed_in_tag_) {
+    closed_in_tag_ = false;
+    --depth_;
+    return Item::kEnd;
+  }
+  for (;;) {
+    const std::size_t text_start = pos_;
+    const auto* tag = static_cast<const char*>(
+        std::memchr(data_ + pos_, '<', size_ - pos_));
+    pos_ = tag == nullptr ? size_ : static_cast<std::size_t>(tag - data_);
+    // Keep interior whitespace but drop pure-indentation runs.  Entities
+    // never decode to whitespace, so trimming before decoding is exact.
+    std::size_t first = text_start;
+    while (first < pos_ && is(data_[first], kTrimmed)) ++first;
+    if (first < pos_) {
+      std::size_t last = pos_;
+      while (is(data_[last - 1], kTrimmed)) --last;
+      run_ = {data_ + first, last - first};
+      decode(run_, nullptr);
+      return Item::kText;
+    }
+    if (eof()) fail("unterminated element <" + std::string(name()) + ">");
+    const char after = data_[pos_ + 1];  // the NUL past the end at worst
+    if (after == '!' && looking_at("<!--")) {
+      skip_comment();
+      continue;
+    }
+    if (after == '/') {
+      pos_ += 2;
+      const std::string_view closing = read_name();
+      if (closing != name()) {
+        fail("mismatched closing tag </" + std::string(closing) + "> for <" +
+             std::string(name()) + ">");
+      }
+      skip_whitespace();
+      expect('>');
+      --depth_;
+      return Item::kEnd;
+    }
+    open_element();
+    return Item::kChild;
+  }
+}
+
+bool Reader::next_child() {
+  for (;;) {
+    switch (next()) {
+      case Item::kChild: return true;
+      case Item::kEnd: return false;
+      case Item::kText: break;
+    }
+  }
+}
+
+std::string_view Reader::text() {
+  const std::size_t depth = depth_;
+  std::string_view leaf;
+  std::string* joined = nullptr;
+  for (;;) {
+    const Item item = next();
+    if (depth_ < depth) break;  // the element's own end tag
+    if (item != Item::kText || depth_ > depth) continue;  // inside a child
+    if (joined == nullptr && leaf.empty() &&
+        run_.find('&') == std::string_view::npos) {
+      leaf = run_;  // the common leaf: one run, no entity
+      continue;
+    }
+    if (joined == nullptr) {
+      joined = &decoded_.emplace_front();
+      decode(leaf, joined);
+    }
+    decode(run_, joined);
+  }
+  return joined != nullptr ? std::string_view(*joined) : leaf;
+}
+
+void Reader::skip() {
+  const std::size_t depth = depth_;
+  while (depth_ >= depth) next();
+}
+
+void Reader::finish() {
+  while (depth_ > 0) next();
+  skip_whitespace();
+  if (!eof()) fail("trailing content after document root");
+}
 
 Writer::Writer(std::size_t capacity)
     : out_(std::max<std::size_t>(capacity, 1), '\0'),

@@ -1,4 +1,4 @@
-// Minimal XML: a streaming writer and a parser into a read-only tree.
+// Minimal XML: a streaming writer and a one-pass pull reader.
 //
 // The paper's agents exchange service information (Fig. 5) and request
 // documents (Fig. 6) as XML; this module provides just enough XML to
@@ -8,17 +8,15 @@
 // protocol uses none of them.
 //
 // A sent document is written in one pass, straight to its bytes, by
-// `Writer`; no tree is built for it.  A received one is parsed into one
-// arena: the root element owns it, and every other node, every attribute
-// and every name, value and text of the tree lives in it, so parsing a
-// document costs one allocation, not one per node and string.  Nodes link
-// first-child/next-sibling, and the readers hand out views into the arena
-// that stay valid while the root lives.
+// `Writer`.  A received one is read in place, in one pass, by `Reader`,
+// which builds nothing: each receiver pulls only what it uses, from the
+// root start tag alone up to the whole body.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <forward_list>
 #include <iterator>
 #include <memory>
 #include <new>
@@ -249,6 +247,109 @@ class Writer {
 /// the first `>` (or `/>`) of the document ends the root start tag.
 void stamp_root(std::string& document, std::string_view key,
                 std::string_view value);
+
+/// Reads one document in place, in one pass, and builds nothing.  It reads
+/// the root start tag on construction (an optional `<?xml ...?>`
+/// declaration and whitespace may precede it); the caller then pulls the
+/// content in document order, reading a child as a leaf's text or skipping
+/// it.  Whatever the reader passes over it checks as `Writer`'s grammar
+/// plus comments, so a document read to its end (`finish`) is well formed;
+/// malformed input throws ParseError with the byte offset, also for
+/// elements nested deeper than kMaxDepth.
+///
+/// The reader views the document's bytes: the string must outlive it, and
+/// the NUL a std::string keeps after its bytes ends every byte scan.  A
+/// value holding no entity is a view into the document; one holding an
+/// entity, and a text split by comments or children, is decoded into
+/// storage of the reader's own.  Every view lives as long as both.
+class Reader {
+ public:
+  /// What `next` read from the current element's content.
+  enum class Item : unsigned char { kText, kChild, kEnd };
+
+  explicit Reader(const std::string& document);
+  Reader(std::string&&) = delete;  ///< the views would outlive it
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
+
+  // -- the current element: the innermost open one, the root at first ----
+  [[nodiscard]] std::string_view name() const;
+  /// The value of `key` in the current element's start tag; a repeated key
+  /// keeps its last value.
+  [[nodiscard]] std::optional<std::string_view> attribute(
+      std::string_view key) const;
+  /// Calls `visit(key, value)` for each attribute of the current element's
+  /// start tag, in document order, repeats included.
+  template <class Visit>
+  void for_each_attribute(Visit visit) const {
+    std::size_t at = attributes_begin();
+    std::string_view key;
+    std::string_view value;
+    while (next_attribute(at, key, value)) visit(key, decoded(value));
+  }
+
+  // -- pulling the content ------------------------------------------------
+  /// Reads the current element's next item: a run of text between tags,
+  /// indentation trimmed (`run`); a child's start tag, and the child becomes
+  /// the current element; or the element's end tag, and its parent becomes
+  /// the current element.  Comments are passed over.
+  Item next();
+  /// The text run `next` last returned kText for, decoded.
+  [[nodiscard]] std::string_view run() const { return decoded(run_); }
+  /// Enters the current element's next child, passing over its text; false
+  /// once the element's end tag is read.
+  bool next_child();
+  /// Reads the rest of the current element as a leaf, through its end tag:
+  /// its text runs, joined; its children are checked and skipped.
+  std::string_view text();
+  /// Reads the rest of the current element through its end tag, checking it.
+  void skip();
+  /// Reads and checks the rest of the document: every open element must
+  /// close, and only whitespace may follow the root.
+  void finish();
+
+ private:
+  /// An open element, as offsets into the document; left uninitialised
+  /// until pushed.  Its attributes lie between its name and `tag_end`.
+  struct Open {
+    std::size_t name;
+    std::size_t name_size;
+    std::size_t tag_end;
+  };
+
+  [[noreturn]] void fail(const std::string& message) const;
+  [[nodiscard]] bool eof() const { return pos_ >= size_; }
+  [[nodiscard]] char peek() const;
+  char take();
+  void expect(char ch);
+  [[nodiscard]] bool looking_at(std::string_view prefix) const;
+  void skip_whitespace();
+  void skip_declaration();
+  void skip_comment();
+  std::string_view read_name();
+  /// Checks the entities of `raw`, and appends it to `out`, if given, with
+  /// them decoded.
+  void decode(std::string_view raw, std::string* out) const;
+  /// Reads a start tag at `<` and pushes its element.
+  void open_element();
+
+  [[nodiscard]] std::size_t attributes_begin() const;
+  /// The attribute of the current start tag at `at`, checked when the tag
+  /// was read; false past the last.
+  bool next_attribute(std::size_t& at, std::string_view& key,
+                      std::string_view& raw) const;
+  /// `raw`, or its decoding in the reader's storage if it holds an entity.
+  [[nodiscard]] std::string_view decoded(std::string_view raw) const;
+
+  const char* data_;  ///< the document's bytes, a NUL after the last
+  std::size_t size_;
+  std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< elements open
+  bool closed_in_tag_ = false;  ///< the current element was `<name/>`
+  std::string_view run_;
+  mutable std::forward_list<std::string> decoded_;
+  Open open_[kMaxDepth];
+};
 
 /// Parses a single-rooted document.  Leading/trailing whitespace and an
 /// optional `<?xml ...?>` declaration are accepted.  Throws ParseError,
