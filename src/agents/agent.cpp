@@ -69,9 +69,9 @@ std::vector<TaskId> Agent::crash() {
   // without recovery they would be black holes (the sender's retries are
   // gone too).  Results are not recovered: their execution already counted.
   for (const std::string& payload : link_.reset()) {
-    const auto document = xml::parse(payload);
-    if (document->attribute("type") == "request") {
-      stranded.push_back(request_from_xml(*document).task);
+    xml::Reader document(payload);
+    if (document.attribute("type") == "request") {
+      stranded.push_back(request_from_xml(document).task);
     }
   }
   return stranded;
@@ -415,8 +415,8 @@ void Agent::forward(Request request, Agent* to, bool final_dispatch) {
 void Agent::handle_send_failure(sim::EndpointId to, const std::string& payload) {
   if (!alive_) return;  // crashed while the retries were in flight
   const auto neighbour = neighbour_for_endpoint(to);
-  const auto document = xml::parse(payload);
-  const auto type = document->attribute("type");
+  xml::Reader document(payload);
+  const auto type = document.attribute("type");
   if (neighbour) {
     // Retry budget exhausted: distrust everything learned from or about
     // that neighbour so discovery stops routing through it.
@@ -426,7 +426,7 @@ void Agent::handle_send_failure(sim::EndpointId to, const std::string& payload) 
               " ACT entries");
   }
   if (type != "request") return;  // results are re-requested by the portal
-  Request request = request_from_xml(*document);
+  Request request = request_from_xml(document);
   if (neighbour && !already_visited(request, *neighbour)) {
     request.visited.push_back(*neighbour);
   }
@@ -467,24 +467,26 @@ void Agent::push_to_neighbours() {
 }
 
 void Agent::on_message(const sim::Message& message) {
-  const auto document = xml::parse(message.payload);
-  if (link_.on_message(message, *document) ==
+  // Dispatch on the root start tag; the typed readers read the body.
+  xml::Reader document(message.payload);
+  if (link_.on_message(message, document) ==
       ReliableLink::Inbound::kConsumed) {
     return;
   }
-  GRIDLB_REQUIRE(document->name() == "agentgrid",
+  GRIDLB_REQUIRE(document.name() == "agentgrid",
                  "unexpected message document: " +
-                     std::string(document->name()));
-  const auto type = document->attribute("type");
+                     std::string(document.name()));
+  const auto type = document.attribute("type");
   GRIDLB_REQUIRE(type.has_value(), "agentgrid message lacks a type");
 
   if (*type == "pull") {
+    document.finish();
     handle_pull(message);
   } else if (*type == "service") {
-    handle_advertisement(message, *document);
+    handle_advertisement(message, document);
   } else if (*type == "request") {
-    const bool final_dispatch = document->attribute("final") == "1";
-    receive_request(request_from_xml(*document), final_dispatch);
+    const bool final_dispatch = document.attribute("final") == "1";
+    receive_request(request_from_xml(document), final_dispatch);
   } else {
     GRIDLB_REQUIRE(false, "unknown agentgrid message type");
   }
@@ -507,11 +509,12 @@ void Agent::handle_pull(const sim::Message& message) {
 }
 
 void Agent::handle_advertisement(const sim::Message& message,
-                                 const xml::Element& document) {
+                                 xml::Reader& document) {
   const auto sender = neighbour_for_endpoint(message.from);
   if (!sender) {
     log::warn("agent ", config_.name, " t=", engine_.now(),
               " ignoring advertisement from non-neighbour endpoint");
+    document.finish();
     return;
   }
   ++stats_.advertisements_received;
@@ -521,7 +524,10 @@ void Agent::handle_advertisement(const sim::Message& message,
   if (const auto agentid = document.attribute("agentid")) {
     described = AgentId(read_number<std::uint64_t>(*agentid, "agentid"));
   }
-  if (described == config_.id) return;  // echo of our own service
+  if (described == config_.id) {  // echo of our own service
+    document.finish();
+    return;
+  }
   // `a` carries the age of the entry being replaced (0 for a first sight):
   // the refresh interval actually achieved, as opposed to the staleness
   // observed when an entry is *used* (kDiscoveryNeighbour's `b`).

@@ -7,10 +7,12 @@
 #include <charconv>
 #include <cmath>
 #include <concepts>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "xml/xml.hpp"
@@ -73,6 +75,26 @@ inline void read_leaf(xml::Reader& document, Leaf& leaf) {
     document.skip();
   } else {
     leaf = document.text();
+  }
+}
+
+/// Reads the current element's children through its end tag, each named
+/// in `leaves` into its slot by `read_leaf`; the rest are checked and
+/// skipped.
+inline void read_leaves(
+    xml::Reader& document,
+    std::initializer_list<std::pair<std::string_view, Leaf*>> leaves) {
+  while (document.next_child()) {
+    const std::string_view name = document.name();
+    Leaf* slot = nullptr;
+    for (const auto& [leaf_name, leaf] : leaves) {
+      if (leaf_name == name) slot = leaf;
+    }
+    if (slot != nullptr) {
+      read_leaf(document, *slot);
+    } else {
+      document.skip();
+    }
   }
 }
 

@@ -31,8 +31,7 @@ TaskId Portal::submit(Agent& entry, const std::string& app_name,
                  "deadline lies before submission time");
 
   const TaskId task(++submitted_);
-  submissions_.resize(static_cast<std::size_t>(submitted_) + 1);
-  submissions_.back() = Submission{app_name, deadline, environment, email};
+  submissions_.emplace_back(app_name, deadline, environment, email);
 
   if (collector_ != nullptr) collector_->on_submission(engine_.now());
   // Live arrival counter for the continuous sampler; the end-of-run
@@ -43,17 +42,18 @@ TaskId Portal::submit(Agent& entry, const std::string& app_name,
              .task = task.value(),
              .resource = entry.id().value(),
              .a = deadline});
-  send_request(make_request(task, submissions_.back()), entry.endpoint());
+  send_request(make_request(task, submissions_.back(), endpoint_),
+               entry.endpoint());
   return task;
 }
 
 void Portal::resubmit(TaskId task) {
   const auto value = static_cast<std::size_t>(task.value());
-  GRIDLB_REQUIRE(task.valid() && value < submissions_.size(),
+  GRIDLB_REQUIRE(value >= 1 && value <= submissions_.size(),
                  "resubmit of a task never submitted: " + task.str());
   GRIDLB_REQUIRE(fallback_ != nullptr,
                  "resubmission needs a fallback entry agent");
-  const Submission& original = submissions_[value];
+  const Submission& original = submissions_[value - 1];
 
   // Same task id — the stranded submission never executed, so this is a
   // re-discovery, not a new task (the collector saw the submission once).
@@ -65,21 +65,36 @@ void Portal::resubmit(TaskId task) {
              .a = original.deadline});
   log::warn("portal t=", engine_.now(), " resubmitting task ", task.str(),
             " through ", fallback_->name());
-  send_request(make_request(task, original), fallback_->endpoint());
+  send_request(make_request(task, original, endpoint_),
+               fallback_->endpoint());
 }
 
-Request Portal::make_request(TaskId task,
-                             const Submission& submission) const {
+namespace {
+
+/// `prefix`, `name` and `suffix` joined in one string, sized once.
+std::string joined(std::string_view prefix, std::string_view name,
+                   std::string_view suffix = {}) {
+  std::string path;
+  path.reserve(prefix.size() + name.size() + suffix.size());
+  path.append(prefix).append(name).append(suffix);
+  return path;
+}
+
+}  // namespace
+
+Request make_request(TaskId task, const Submission& submission,
+                     sim::EndpointId origin) {
   Request request;
   request.task = task;
   request.app_name = submission.app_name;
-  request.binary_file = "/gridlb/binary/" + submission.app_name;
-  request.input_file = "/gridlb/binary/" + submission.app_name + ".input";
-  request.model_name = "/gridlb/model/" + submission.app_name;
+  request.binary_file = joined("/gridlb/binary/", submission.app_name);
+  request.input_file =
+      joined("/gridlb/binary/", submission.app_name, ".input");
+  request.model_name = joined("/gridlb/model/", submission.app_name);
   request.environment = submission.environment;
   request.deadline = submission.deadline;
   request.email = submission.email;
-  request.origin = endpoint_;
+  request.origin = origin;
   return request;
 }
 
@@ -94,14 +109,15 @@ void Portal::send_request(const Request& request, sim::EndpointId to) {
 }
 
 void Portal::on_message(const sim::Message& message) {
-  const auto document = xml::parse(message.payload);
-  if (link_.on_message(message, *document) ==
+  // The root start tag is all the portal and its link read.
+  const xml::Reader document(message.payload);
+  if (link_.on_message(message, document) ==
       ReliableLink::Inbound::kConsumed) {
     return;
   }
   // The portal only ever receives result documents ("the task execution
   // results are sent directly back to the user").
-  if (document->attribute("type") != "result") {
+  if (document.attribute("type") != "result") {
     log::warn("portal t=", engine_.now(), " ignoring unexpected ",
               message.payload.size(), "-byte message");
     return;

@@ -19,6 +19,21 @@
 
 namespace gridlb::agents {
 
+/// What a user asked the portal for, kept so a stranded task can be
+/// re-discovered.
+struct Submission {
+  std::string app_name;
+  SimTime deadline = 0.0;
+  std::string environment;
+  std::string email;
+};
+
+/// The request document for `task`: the submission's fields, the binary,
+/// input and model paths derived from the application name, and `origin`,
+/// the endpoint the result goes back to.
+[[nodiscard]] Request make_request(TaskId task, const Submission& submission,
+                                   sim::EndpointId origin);
+
 class Portal {
  public:
   /// `collector` may be null.  `reliable` turns on reliable delivery of
@@ -47,6 +62,7 @@ class Portal {
     return resubmitted_;
   }
   [[nodiscard]] const LinkStats& link_stats() const { return link_.stats(); }
+  [[nodiscard]] sim::EndpointId endpoint() const { return endpoint_; }
 
   /// Execution results delivered so far.
   [[nodiscard]] std::uint64_t results_received() const {
@@ -54,19 +70,7 @@ class Portal {
   }
 
  private:
-  /// What was asked for, so a stranded task can be re-discovered.
-  struct Submission {
-    std::string app_name;
-    SimTime deadline = 0.0;
-    std::string environment;
-    std::string email;
-  };
-
   void on_message(const sim::Message& message);
-  /// The request document for `task`: the submission's fields plus the
-  /// binary, input and model paths derived from the application name.
-  [[nodiscard]] Request make_request(TaskId task,
-                                     const Submission& submission) const;
   void send_request(const Request& request, sim::EndpointId to);
 
   sim::Engine& engine_;
@@ -79,7 +83,7 @@ class Portal {
   std::uint64_t submitted_ = 0;
   std::uint64_t resubmitted_ = 0;
   std::uint64_t results_received_ = 0;
-  std::vector<Submission> submissions_;
+  std::vector<Submission> submissions_;  ///< task t at index t - 1
 };
 
 }  // namespace gridlb::agents

@@ -78,7 +78,7 @@ void ReliableLink::on_timeout(std::uint64_t msgid) {
 }
 
 ReliableLink::Inbound ReliableLink::on_message(const sim::Message& message,
-                                               const xml::Element& document) {
+                                               const xml::Reader& document) {
   if (!reliable_) return Inbound::kDeliver;
   if (document.attribute("type") == "ack") {
     const auto msgid_text = document.attribute("msgid");

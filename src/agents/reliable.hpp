@@ -76,13 +76,14 @@ class ReliableLink {
   void send(sim::EndpointId to, std::string payload,
             FailureFn on_failure = nullptr);
 
-  /// Inbound filter over the message and its parsed `document`; the
+  /// Inbound filter over the message, given a reader of its `document`
+  /// that has read the root start tag, the only part the link reads; the
   /// endpoint handler must call this first.
   ///   kConsumed — the message was an ack or a duplicate; do not process.
   ///   kDeliver  — fresh traffic (acked if it carried a msgid); process it.
   enum class Inbound { kDeliver, kConsumed };
   Inbound on_message(const sim::Message& message,
-                     const xml::Element& document);
+                     const xml::Reader& document);
 
   /// Drops all in-flight sends and their timers without invoking failure
   /// callbacks — the state a crashing process loses.  Delivered-msgid

@@ -84,32 +84,19 @@ Request request_from_xml(xml::Reader& document) {
           read_leaf(document, name);
         } else if (part == "binary" && !binary) {
           binary = true;
-          while (document.next_child()) {
-            const std::string_view leaf = document.name();
-            if (leaf == "file") read_leaf(document, file);
-            else if (leaf == "inputfile") read_leaf(document, inputfile);
-            else document.skip();
-          }
+          read_leaves(document, {{"file", &file}, {"inputfile", &inputfile}});
         } else if (part == "performance" && !performance) {
           performance = true;
-          while (document.next_child()) {
-            const std::string_view leaf = document.name();
-            if (leaf == "datatype") read_leaf(document, datatype);
-            else if (leaf == "modelname") read_leaf(document, modelname);
-            else document.skip();
-          }
+          read_leaves(document,
+                      {{"datatype", &datatype}, {"modelname", &modelname}});
         } else {
           document.skip();
         }
       }
     } else if (child == "requirement" && !requirement) {
       requirement = true;
-      while (document.next_child()) {
-        const std::string_view leaf = document.name();
-        if (leaf == "environment") read_leaf(document, environment);
-        else if (leaf == "deadline") read_leaf(document, deadline);
-        else document.skip();
-      }
+      read_leaves(document,
+                  {{"environment", &environment}, {"deadline", &deadline}});
     } else if (child == "email") {
       read_leaf(document, email);
     } else {
@@ -136,52 +123,6 @@ Request request_from_xml(xml::Reader& document) {
 Request request_from_xml(const std::string& document) {
   xml::Reader reader(document);
   return request_from_xml(reader);
-}
-
-Request request_from_xml(const xml::Element& root) {
-  GRIDLB_REQUIRE(root.name() == "agentgrid", "not an agentgrid document");
-  GRIDLB_REQUIRE(root.attribute("type") == "request",
-                 "not a request document");
-
-  Request request;
-  if (const auto taskid = root.attribute("taskid")) {
-    request.task = TaskId(read_number<std::uint64_t>(*taskid, "taskid"));
-  }
-  if (const auto origin = root.attribute("origin")) {
-    request.origin = read_number<std::uint32_t>(*origin, "origin");
-  }
-  if (const auto visited = root.attribute("visited")) {
-    for (std::string_view rest = *visited;;) {
-      const auto comma = rest.find(',');
-      request.visited.emplace_back(
-          read_number<std::uint64_t>(rest.substr(0, comma), "visited"));
-      if (comma == std::string_view::npos) break;
-      rest.remove_prefix(comma + 1);
-    }
-  }
-
-  const xml::Element* application = root.child("application");
-  GRIDLB_REQUIRE(application != nullptr, "request lacks <application>");
-  request.app_name = application->child_text("name");
-  if (const xml::Element* binary = application->child("binary")) {
-    request.binary_file = binary->child_text("file");
-    request.input_file = binary->child_text("inputfile");
-  }
-  if (const xml::Element* performance = application->child("performance")) {
-    GRIDLB_REQUIRE(performance->child_text("datatype") == "pacemodel",
-                   "unsupported performance data type");
-    request.model_name = performance->child_text("modelname");
-  }
-
-  const xml::Element* requirement = root.child("requirement");
-  GRIDLB_REQUIRE(requirement != nullptr, "request lacks <requirement>");
-  request.environment = requirement->child_text("environment");
-  const std::string_view deadline_text = requirement->child_text("deadline");
-  GRIDLB_REQUIRE(!deadline_text.empty(), "request lacks a deadline");
-  request.deadline = read_number<double>(deadline_text, "deadline");
-
-  request.email = root.child_text("email");
-  return request;
 }
 
 }  // namespace gridlb::agents

@@ -60,9 +60,6 @@ struct Request {
 /// `msgid` attributes on the written bytes (xml::stamp_root).
 [[nodiscard]] std::string to_xml(const Request& request);
 
-/// Reads a request from a parsed document; throws on an incomplete or
-/// malformed one.
-[[nodiscard]] Request request_from_xml(const xml::Element& document);
 /// Reads the rest of a request document whose root start tag `document`
 /// has read, through its end: the first child of each name counts, in any
 /// order.  Throws xml::ParseError / AssertionError on a malformed or

@@ -51,12 +51,8 @@ ServiceInfo service_info_from_xml(xml::Reader& document) {
     const std::string_view child = document.name();
     if (child == "agent" && !agent) {
       agent = true;
-      while (document.next_child()) {
-        const std::string_view leaf = document.name();
-        if (leaf == "address") read_leaf(document, agent_address);
-        else if (leaf == "port") read_leaf(document, agent_port);
-        else document.skip();
-      }
+      read_leaves(document,
+                  {{"address", &agent_address}, {"port", &agent_port}});
     } else if (child == "local" && !local) {
       local = true;
       while (document.next_child()) {
@@ -92,32 +88,6 @@ ServiceInfo service_info_from_xml(xml::Reader& document) {
   info.hardware_type = type.value_or("");
   info.nproc = read_number<int>(nproc.value_or(""), "nproc");
   info.freetime = read_number<double>(freetime.value_or(""), "freetime");
-  return info;
-}
-
-ServiceInfo service_info_from_xml(const xml::Element& root) {
-  GRIDLB_REQUIRE(root.name() == "agentgrid", "not an agentgrid document");
-  GRIDLB_REQUIRE(root.attribute("type") == "service",
-                 "not a service document");
-
-  ServiceInfo info;
-  const xml::Element* agent = root.child("agent");
-  GRIDLB_REQUIRE(agent != nullptr, "service document lacks <agent>");
-  info.agent_address = agent->child_text("address");
-  info.agent_port = read_number<int>(agent->child_text("port"), "agent port");
-
-  const xml::Element* local = root.child("local");
-  GRIDLB_REQUIRE(local != nullptr, "service document lacks <local>");
-  info.local_address = local->child_text("address");
-  info.local_port = read_number<int>(local->child_text("port"), "local port");
-  info.hardware_type = local->child_text("type");
-  info.nproc = read_number<int>(local->child_text("nproc"), "nproc");
-  for (const xml::Element& environment :
-       local->children_named("environment")) {
-    info.environments.emplace_back(environment.text());
-  }
-  info.freetime =
-      read_number<double>(local->child_text("freetime"), "freetime");
   return info;
 }
 

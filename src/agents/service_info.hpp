@@ -45,9 +45,6 @@ struct ServiceInfo {
 /// bytes (xml::stamp_root).
 [[nodiscard]] std::string to_xml(const ServiceInfo& info);
 
-/// Reads a Fig. 5 document; throws AssertionError on an incomplete or
-/// malformed one.
-[[nodiscard]] ServiceInfo service_info_from_xml(const xml::Element& document);
 /// Reads the rest of a Fig. 5 document whose root start tag `document` has
 /// read, through its end: the first child of each name counts, except that
 /// every <environment> does, in any order.  Throws xml::ParseError /

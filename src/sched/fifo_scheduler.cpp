@@ -51,38 +51,43 @@ FifoPlacement FifoScheduler::place(const Task& task,
   // waits for the k-th earliest-free node.  Widths are visited in ascending
   // order and replace the incumbent only when strictly better, which is
   // the fewer-nodes tie-break.
-  FifoPlacement best;
+  std::size_t best_k = 0;
   double best_exec = 0.0;
+  SimTime best_end = 0.0;
   for (std::size_t k = 1; k <= up; ++k) {
     const double exec = exec_row[k - 1];
     const SimTime end = sorted[k - 1] + exec;
-    bool better = best.mask == 0;
+    bool better = best_k == 0;
     if (objective_ == FifoObjective::kMinExecution) {
       // Execution time first; among equally-fast allocations take the one
       // that can begin earliest.
       better = better || exec < best_exec ||
-               (exec == best_exec && end < best.end);
+               (exec == best_exec && end < best_end);
     } else {
-      better = better || end < best.end;
+      better = better || end < best_end;
     }
     if (!better) continue;
-    // The lowest mask completing at `end`: a later-free node whose sum
-    // rounds to the same `end` also qualifies, so eligibility is judged on
-    // the rounded sum, not on the free time.
-    NodeMask mask = 0;
-    SimTime start = now;
-    for (std::size_t i = 0, taken = 0; taken < k; ++i) {
-      const SimTime f = free[i];
-      if (((available >> i) & 1u) == 0 || f + exec > end) continue;
-      mask |= NodeMask{1} << i;
-      start = std::max(start, f);
-      ++taken;
-    }
+    best_k = k;
     best_exec = exec;
-    best = FifoPlacement{mask, start, start + exec};
+    best_end = end;
   }
-  GRIDLB_ASSERT(best.mask != 0);
-  return best;
+  GRIDLB_ASSERT(best_k != 0);
+
+  // The lowest mask completing at `best_end`: a later-free node whose sum
+  // rounds to the same end also qualifies, so eligibility is judged on the
+  // rounded sum, not on the free time.  The chosen nodes' latest free time
+  // is at least sorted[best_k - 1] and completes by `best_end`, so
+  // start + best_exec == best_end.
+  NodeMask mask = 0;
+  SimTime start = now;
+  for (std::size_t i = 0, taken = 0; taken < best_k; ++i) {
+    const SimTime f = free[i];
+    if (((available >> i) & 1u) == 0 || f + best_exec > best_end) continue;
+    mask |= NodeMask{1} << i;
+    start = std::max(start, f);
+    ++taken;
+  }
+  return FifoPlacement{mask, start, start + best_exec};
 }
 
 }  // namespace gridlb::sched

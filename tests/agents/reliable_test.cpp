@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -70,11 +71,11 @@ TEST(ReliableLink, AckStopsRetransmission) {
   ReliableLink receiver(engine, network, true);
   const sim::EndpointId a = network.register_endpoint(
       [&sender](const sim::Message& m) {
-        sender.on_message(m, *xml::parse(m.payload));
+        sender.on_message(m, xml::Reader(m.payload));
       });
   const sim::EndpointId b = network.register_endpoint(
       [&receiver, &arrivals](const sim::Message& m) {
-        if (receiver.on_message(m, *xml::parse(m.payload)) ==
+        if (receiver.on_message(m, xml::Reader(m.payload)) ==
             ReliableLink::Inbound::kDeliver) {
           arrivals.payloads.push_back(m.payload);
         }
@@ -86,8 +87,7 @@ TEST(ReliableLink, AckStopsRetransmission) {
   engine.run();
 
   ASSERT_EQ(arrivals.payloads.size(), 1u);
-  const auto document = xml::parse(arrivals.payloads[0]);
-  EXPECT_TRUE(document->attribute("msgid").has_value());
+  EXPECT_TRUE(xml::Reader(arrivals.payloads[0]).attribute("msgid"));
   EXPECT_EQ(sender.stats().reliable_sent, 1u);
   EXPECT_EQ(sender.stats().acks_received, 1u);
   EXPECT_EQ(sender.stats().retries, 0u);
@@ -146,13 +146,13 @@ TEST(ReliableLink, SuppressesDuplicatesAndReAcks) {
   message.from = a;
   message.to = b;
   message.payload = payload_of("dup", "request", "42");
-  const auto document = xml::parse(message.payload);
+  const xml::Reader document(message.payload);
 
   // First arrival is fresh; a retransmission of the same msgid must be
   // swallowed but still acknowledged (the first ack may have been lost).
-  EXPECT_EQ(receiver.on_message(message, *document),
+  EXPECT_EQ(receiver.on_message(message, document),
             ReliableLink::Inbound::kDeliver);
-  EXPECT_EQ(receiver.on_message(message, *document),
+  EXPECT_EQ(receiver.on_message(message, document),
             ReliableLink::Inbound::kConsumed);
   EXPECT_EQ(receiver.stats().acks_sent, 2u);
   EXPECT_EQ(receiver.stats().duplicates_suppressed, 1u);
@@ -171,8 +171,8 @@ TEST(ReliableLink, RejectsMalformedMsgid) {
     for (const char* type : {"request", "ack"}) {
       sim::Message message;
       message.payload = payload_of("bad", type, msgid);
-      const auto document = xml::parse(message.payload);
-      EXPECT_THROW(receiver.on_message(message, *document), AssertionError)
+      const xml::Reader document(message.payload);
+      EXPECT_THROW(receiver.on_message(message, document), AssertionError)
           << type << " msgid='" << msgid << "'";
     }
   }
@@ -188,9 +188,41 @@ TEST(ReliableLink, UnreliableTrafficPassesUntouched) {
 
   sim::Message message;
   message.payload = payload_of("no msgid");  // e.g. a pull or an ad
-  EXPECT_EQ(receiver.on_message(message, *xml::parse(message.payload)),
+  EXPECT_EQ(receiver.on_message(message, xml::Reader(message.payload)),
             ReliableLink::Inbound::kDeliver);
   EXPECT_EQ(receiver.stats().acks_sent, 0u);
+}
+
+TEST(ReliableLink, ConsumesAnAckByItsRootStartTag) {
+  // The link reads only the root start tag: an ack is matched by its msgid
+  // whatever follows the tag.
+  sim::Engine engine;
+  sim::Network network(engine, kLatency);
+  ReliableLink sender(engine, network, true);
+  const sim::EndpointId a = network.register_endpoint([](auto&) {});
+  const sim::EndpointId b = network.register_endpoint([](auto&) {});
+  sender.set_self(a);
+  sender.send(b, payload_of("acked"));
+  ASSERT_EQ(sender.in_flight(), 1u);
+
+  sim::Message ack;
+  ack.from = b;
+  ack.to = a;
+  ack.payload = "<agentgrid type=\"ack\" msgid=\"" +
+                std::to_string(std::uint64_t{a} << 32) +
+                "\"><never-read>&bogus;";
+  EXPECT_EQ(sender.on_message(ack, xml::Reader(ack.payload)),
+            ReliableLink::Inbound::kConsumed);
+  EXPECT_EQ(sender.stats().acks_received, 1u);
+  EXPECT_EQ(sender.in_flight(), 0u);
+}
+
+TEST(ReliableLink, MalformedRootStartTagStillThrows) {
+  for (const std::string payload :
+       {"<agentgrid type=\"ack\" msgid=\"1>", "<agentgrid type=ack/>",
+        "agentgrid type=\"ack\"/>", ""}) {
+    EXPECT_THROW(xml::Reader{payload}, xml::ParseError) << payload;
+  }
 }
 
 TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
@@ -210,9 +242,8 @@ TEST(ReliableLink, ResetReturnsUndeliveredPayloadsInSendOrder) {
   const std::vector<std::string> undelivered = sender.reset();
   ASSERT_EQ(undelivered.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto document = xml::parse(undelivered[i]);
     const std::vector<std::string> markers = {"first", "second", "third"};
-    EXPECT_EQ(document->attribute("marker"), markers[i]);
+    EXPECT_EQ(xml::Reader(undelivered[i]).attribute("marker"), markers[i]);
   }
   EXPECT_EQ(sender.in_flight(), 0u);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
+#include "support/xml_tree.hpp"
 #include "xml/xml.hpp"
 
 namespace gridlb::agents {
@@ -34,10 +35,10 @@ TEST(Request, RoundTripWithVisitedAgents) {
 }
 
 TEST(Request, DocumentShapeMatchesFig6) {
-  const auto doc = xml::parse(to_xml(example()));
-  EXPECT_EQ(doc->name(), "agentgrid");
-  EXPECT_EQ(*doc->attribute("type"), "request");
-  const xml::Element* application = doc->child("application");
+  const xml::testing::Node doc = xml::testing::read_tree(to_xml(example()));
+  EXPECT_EQ(doc.name, "agentgrid");
+  EXPECT_EQ(doc.attribute("type"), "request");
+  const xml::testing::Node* application = doc.child("application");
   ASSERT_NE(application, nullptr);
   EXPECT_EQ(application->child_text("name"), "sweep3d");
   ASSERT_NE(application->child("binary"), nullptr);
@@ -46,10 +47,41 @@ TEST(Request, DocumentShapeMatchesFig6) {
   ASSERT_NE(application->child("performance"), nullptr);
   EXPECT_EQ(application->child("performance")->child_text("datatype"),
             "pacemodel");
-  const xml::Element* requirement = doc->child("requirement");
+  const xml::testing::Node* requirement = doc.child("requirement");
   ASSERT_NE(requirement, nullptr);
   EXPECT_EQ(requirement->child_text("environment"), "test");
-  EXPECT_EQ(doc->child_text("email"), "junwei@dcs.warwick.ac.uk");
+  EXPECT_EQ(doc.child_text("email"), "junwei@dcs.warwick.ac.uk");
+}
+
+TEST(Request, ReadsChildrenInAnyOrderAndTheFirstOfANameCounts) {
+  const Request parsed = request_from_xml(
+      "<agentgrid type=\"request\"><email>a&amp;b</email>"
+      "<requirement><deadline>2.5</deadline><unknown><x/></unknown>"
+      "<environment>mpi</environment><deadline>9</deadline></requirement>"
+      "<application><performance><modelname>m</modelname>"
+      "<datatype>pacemodel</datatype></performance>"
+      "<name>n<!-- split -->ame</name><name>later</name></application>"
+      "<application><name>second</name></application><email>e</email>"
+      "</agentgrid>");
+  EXPECT_EQ(parsed.email, "a&b");
+  EXPECT_DOUBLE_EQ(parsed.deadline, 2.5);
+  EXPECT_EQ(parsed.environment, "mpi");
+  EXPECT_EQ(parsed.model_name, "m");
+  EXPECT_EQ(parsed.app_name, "name");
+  EXPECT_EQ(parsed.binary_file, "");  // no <binary>
+}
+
+TEST(Request, RejectsMalformedBodyAfterTheFields) {
+  // Every field is read before the bad bytes, and still the reader
+  // checks the document to its end.
+  EXPECT_THROW(request_from_xml(to_xml(example()) + "<trailing/>"),
+               xml::ParseError);
+  EXPECT_THROW(
+      request_from_xml("<agentgrid type=\"request\"><application><name>x"
+                       "</name></application><requirement><deadline>1"
+                       "</deadline></requirement><junk>&bogus;</junk>"
+                       "</agentgrid>"),
+      xml::ParseError);
 }
 
 TEST(Request, EmailWithSpecialCharactersSurvives) {

@@ -6,6 +6,7 @@
 #include "agents/numbers.hpp"
 #include "agents/portal.hpp"
 #include "pace/paper_applications.hpp"
+#include "support/xml_tree.hpp"
 #include "xml/xml.hpp"
 
 namespace gridlb::agents {
@@ -24,16 +25,16 @@ ExecutionResult example() {
 }
 
 TEST(ExecutionResult, DocumentShape) {
-  const auto doc = xml::parse(to_xml(example()));
-  EXPECT_EQ(*doc->attribute("type"), "result");
-  EXPECT_EQ(*doc->attribute("taskid"), "17");
-  ASSERT_NE(doc->child("execution"), nullptr);
-  EXPECT_EQ(doc->child("execution")->child_text("resource"), "S4");
-  EXPECT_EQ(doc->child("execution")->child_text("start"), "12.500000");
-  EXPECT_EQ(doc->child("execution")->child_text("completion"), "31.000000");
-  EXPECT_EQ(doc->child("execution")->child_text("deadline"), "40.000000");
-  EXPECT_EQ(doc->child("application")->child_text("name"), "jacobi");
-  EXPECT_EQ(doc->child_text("email"), "junwei@dcs.warwick.ac.uk");
+  const xml::testing::Node doc = xml::testing::read_tree(to_xml(example()));
+  EXPECT_EQ(doc.attribute("type"), "result");
+  EXPECT_EQ(doc.attribute("taskid"), "17");
+  ASSERT_NE(doc.child("execution"), nullptr);
+  EXPECT_EQ(doc.child("execution")->child_text("resource"), "S4");
+  EXPECT_EQ(doc.child("execution")->child_text("start"), "12.500000");
+  EXPECT_EQ(doc.child("execution")->child_text("completion"), "31.000000");
+  EXPECT_EQ(doc.child("execution")->child_text("deadline"), "40.000000");
+  EXPECT_EQ(doc.child("application")->child_text("name"), "jacobi");
+  EXPECT_EQ(doc.child_text("email"), "junwei@dcs.warwick.ac.uk");
 }
 
 TEST(RequestOrigin, RoundTripsThroughXml) {
@@ -154,12 +155,12 @@ TEST_F(ResultDeliveryFixture, ResultDocumentDescribesTheExecution) {
   ASSERT_EQ(received.size(), 1u);
   ASSERT_EQ(collector.records().size(), 1u);
   const sched::CompletionRecord& record = collector.records()[0];
-  const auto document = xml::parse(received[0]);
-  EXPECT_EQ(*document->attribute("type"), "result");
-  EXPECT_EQ(*document->attribute("taskid"), "5");
-  EXPECT_EQ(document->child("application")->child_text("name"), "closure");
-  EXPECT_EQ(document->child_text("email"), "user@example.org");
-  const xml::Element* execution = document->child("execution");
+  const xml::testing::Node document = xml::testing::read_tree(received[0]);
+  EXPECT_EQ(document.attribute("type"), "result");
+  EXPECT_EQ(document.attribute("taskid"), "5");
+  EXPECT_EQ(document.child("application")->child_text("name"), "closure");
+  EXPECT_EQ(document.child_text("email"), "user@example.org");
+  const xml::testing::Node* execution = document.child("execution");
   ASSERT_NE(execution, nullptr);
   EXPECT_EQ(execution->child_text("resource"), "S1");
   EXPECT_EQ(execution->child_text("start"), NumberText(record.start).view());
@@ -167,6 +168,32 @@ TEST_F(ResultDeliveryFixture, ResultDocumentDescribesTheExecution) {
             NumberText(record.end).view());
   EXPECT_EQ(execution->child_text("deadline"),
             NumberText(record.deadline).view());
+}
+
+// --- what the portal reads ------------------------------------------------
+
+TEST(PortalResults, CountedByTheirRootStartTag) {
+  // The portal reads a result's root start tag and nothing after it.
+  sim::Engine engine;
+  sim::Network network(engine, 0.05);
+  const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  Portal portal(engine, network, catalogue, nullptr);
+  const sim::EndpointId agent = network.register_endpoint([](auto&) {});
+  network.send(agent, portal.endpoint(),
+               "<agentgrid type=\"result\" taskid=\"5\"><never-read>&bogus;");
+  engine.run();
+  EXPECT_EQ(portal.results_received(), 1u);
+}
+
+TEST(PortalResults, MalformedRootStartTagStillThrows) {
+  sim::Engine engine;
+  sim::Network network(engine, 0.05);
+  const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
+  Portal portal(engine, network, catalogue, nullptr);
+  const sim::EndpointId agent = network.register_endpoint([](auto&) {});
+  network.send(agent, portal.endpoint(), "<agentgrid type=\"result>");
+  EXPECT_THROW(engine.run(), xml::ParseError);
+  EXPECT_EQ(portal.results_received(), 0u);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <iterator>
+#include <string>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "support/xml_tree.hpp"
 #include "xml/xml.hpp"
 
 namespace gridlb::agents {
@@ -31,19 +33,37 @@ TEST(ServiceInfo, RoundTrip) {
 }
 
 TEST(ServiceInfo, DocumentShapeMatchesFig5) {
-  const auto doc = xml::parse(to_xml(example()));
-  EXPECT_EQ(doc->name(), "agentgrid");
-  EXPECT_EQ(*doc->attribute("type"), "service");
-  const xml::Element* agent = doc->child("agent");
+  const xml::testing::Node doc = xml::testing::read_tree(to_xml(example()));
+  EXPECT_EQ(doc.name, "agentgrid");
+  EXPECT_EQ(doc.attribute("type"), "service");
+  const xml::testing::Node* agent = doc.child("agent");
   ASSERT_NE(agent, nullptr);
   EXPECT_EQ(agent->child_text("address"), "gem.dcs.warwick.ac.uk");
   EXPECT_EQ(agent->child_text("port"), "1000");
-  const xml::Element* local = doc->child("local");
+  const xml::testing::Node* local = doc.child("local");
   ASSERT_NE(local, nullptr);
   EXPECT_EQ(local->child_text("type"), "SunUltra10");
   EXPECT_EQ(local->child_text("nproc"), "16");
-  EXPECT_EQ(std::ranges::distance(local->children_named("environment")), 3);
+  EXPECT_EQ(local->count("environment"), 3u);
   EXPECT_FALSE(local->child_text("freetime").empty());
+}
+
+TEST(ServiceInfo, ReadsChildrenInAnyOrderAndKeepsEveryEnvironment) {
+  const ServiceInfo parsed = service_info_from_xml(
+      "<agentgrid type=\"service\"><local><freetime>1.5</freetime>"
+      "<environment>pvm</environment><nproc>4</nproc><port>2</port>"
+      "<environment>mpi</environment><port>99</port><type>t</type>"
+      "<address>l</address><skipped a='1'><x/></skipped></local>"
+      "<agent><port>1</port><address>a</address></agent>"
+      "<local><nproc>8</nproc></local></agentgrid>");
+  EXPECT_EQ(parsed.agent_address, "a");
+  EXPECT_EQ(parsed.agent_port, 1);
+  EXPECT_EQ(parsed.local_address, "l");
+  EXPECT_EQ(parsed.local_port, 2);
+  EXPECT_EQ(parsed.hardware_type, "t");
+  EXPECT_EQ(parsed.nproc, 4);
+  EXPECT_EQ(parsed.environments, (std::vector<std::string>{"pvm", "mpi"}));
+  EXPECT_DOUBLE_EQ(parsed.freetime, 1.5);
 }
 
 TEST(ServiceInfo, EmptyEnvironmentListSurvives) {

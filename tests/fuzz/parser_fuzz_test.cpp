@@ -1,5 +1,5 @@
 // Deterministic mutation fuzzing of the text parsers that read user or
-// wire input: xml::parse and the typed agent-document readers on top of it,
+// wire input: xml::Reader and the typed agent-document readers on top of it,
 // pace::parse_model (model files) and core::parse_workload_jsonl
 // (--arrival-trace).  Seeded byte flips, truncations and splices of a small
 // corpus; every mutant must either parse and round-trip through the
@@ -23,6 +23,7 @@
 #include "core/workload.hpp"
 #include "pace/model_parser.hpp"
 #include "pace/paper_applications.hpp"
+#include "support/xml_tree.hpp"
 #include "xml/xml.hpp"
 
 namespace gridlb {
@@ -110,23 +111,24 @@ void fuzz(const std::vector<std::string>& corpus, std::uint64_t seed,
   EXPECT_GT(rejected, kMutantsPerParser / 20);
 }
 
-/// Writes a parsed tree back out with xml::Writer: an element's text
-/// inline after its start tag, then its children.
-void write_element(xml::Writer& writer, const xml::Element& element) {
-  writer.open(element.name());
-  for (const auto& [key, value] : element.attributes()) {
+/// Writes a tree read back out with xml::Writer: an element's text inline
+/// after its start tag, then its children.
+void write_element(xml::Writer& writer, const xml::testing::Node& element) {
+  writer.open(element.name);
+  for (const auto& [key, value] : element.attributes) {
     writer.attribute(key, value);
   }
-  writer.text(element.text());
-  for (const xml::Element& child : element.children()) {
+  writer.text(element.text);
+  for (const xml::testing::Node& child : element.children) {
     write_element(writer, child);
   }
   writer.close();
 }
 
-std::string rewrite(const xml::Element& root) {
+/// Reads `document` into a tree and writes it back out.
+std::string rewrite(const std::string& document) {
   xml::Writer writer(0);
-  write_element(writer, root);
+  write_element(writer, xml::testing::read_tree(document));
   return std::move(writer).finish();
 }
 
@@ -166,24 +168,27 @@ TEST(ParserFuzz, XmlParseRoundTripsOrThrowsParseError) {
   fuzz(
       corpus, 0x786d6c,
       [](const std::string& input) {
-        const std::string once = rewrite(*xml::parse(input));
-        EXPECT_EQ(rewrite(*xml::parse(once)), once) << input;
+        const std::string once = rewrite(input);
+        EXPECT_EQ(rewrite(once), once) << input;
       },
       [](const std::exception& error) {
         return dynamic_cast<const xml::ParseError*>(&error) != nullptr;
       });
 }
 
-/// Reads `document` with `read`, writes it and reads it back: the value a
-/// write has rounded (doubles keep six decimals) must then be a fixed
-/// point, written to the same text and read back equal.
+/// Reads `document`, whose root start tag the reader has read, with
+/// `read`, writes it and reads it back: the value a write has rounded
+/// (doubles keep six decimals) must then be a fixed point, written to the
+/// same text and read back equal.
 template <class Value, class Read>
-void expect_reads_back(const xml::Element& document, Read read) {
+void expect_reads_back(xml::Reader& document, Read read) {
   const std::string text = agents::to_xml(read(document));
-  const Value again = read(*xml::parse(text));
+  xml::Reader again_reader(text);
+  const Value again = read(again_reader);
   const std::string rewritten = agents::to_xml(again);
   EXPECT_EQ(rewritten, text);
-  EXPECT_TRUE(read(*xml::parse(rewritten)) == again) << rewritten;
+  xml::Reader rewritten_reader(rewritten);
+  EXPECT_TRUE(read(rewritten_reader) == again) << rewritten;
 }
 
 TEST(ParserFuzz, AgentDocumentsReadBackOrThrowTheirOwnError) {
@@ -255,16 +260,15 @@ TEST(ParserFuzz, AgentDocumentsReadBackOrThrowTheirOwnError) {
   fuzz(
       corpus, 0x61676e74,
       [](const std::string& input) {
-        const auto document = xml::parse(input);
-        const auto type = document->attribute("type");
-        if (type == "service") {
+        xml::Reader document(input);
+        if (document.attribute("type") == "service") {
           expect_reads_back<agents::ServiceInfo>(
-              *document, [](const xml::Element& d) {
+              document, [](xml::Reader& d) {
                 return agents::service_info_from_xml(d);
               });
         } else {  // requests, and every other type the request reader rejects
           expect_reads_back<agents::Request>(
-              *document, [](const xml::Element& d) {
+              document, [](xml::Reader& d) {
                 return agents::request_from_xml(d);
               });
         }

@@ -1,9 +1,9 @@
 // Heap allocations per agent message.  Writing a request document, its
-// msgid stamp included, takes one: the written string.  Parsing a
-// delivered one and reading it takes at most four: the document arena is
-// one, and the rest are the Request's own strings.  The count comes from a
-// replaced global operator new, which is why this test has a binary of its
-// own.
+// msgid stamp included, takes one: the written string.  Reading a
+// delivered one takes three, the Request's path strings: the reader
+// allocates nothing.  The portal builds each path in one string, so making
+// a request takes those three too.  The count comes from a replaced global
+// operator new, which is why this test has a binary of its own.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <new>
 #include <string>
 
+#include "agents/portal.hpp"
 #include "agents/request.hpp"
 #include "xml/xml.hpp"
 
@@ -32,7 +33,8 @@ namespace gridlb::agents {
 namespace {
 
 constexpr std::uint64_t kWriteBudget = 1;
-constexpr std::uint64_t kReadBudget = 4;
+constexpr std::uint64_t kReadBudget = 3;
+constexpr std::uint64_t kMakeRequestBudget = 3;
 
 template <class Work>
 std::uint64_t allocations(Work work) {
@@ -73,11 +75,28 @@ TEST(XmlAllocations, ParseAndReadDeliveredRequest) {
   xml::stamp_root(payload, "msgid", "4294967296");
   Request delivered;
   const std::uint64_t count = allocations([&] {
-    const auto document = xml::parse(payload);
-    delivered = request_from_xml(*document);
+    xml::Reader document(payload);
+    delivered = request_from_xml(document);
   });
   EXPECT_LE(count, kReadBudget);
   EXPECT_EQ(delivered, request);
+}
+
+TEST(XmlAllocations, PortalMakesARequest) {
+  // Only the three paths outgrow the small-string buffer, each built in one
+  // string sized once.  Joined with `+`, the input path grew its first
+  // string once more for an application name of 10 bytes or longer.
+  for (const char* app : {"fft", "stencil_3d1"}) {
+    const Submission submission{app, 120.0, "mpi", "user@gridlb.sim"};
+    Request made;
+    const std::uint64_t count = allocations(
+        [&] { made = make_request(TaskId(1), submission, 1); });
+    EXPECT_LE(count, kMakeRequestBudget) << app;
+    EXPECT_EQ(made.input_file, "/gridlb/binary/" + std::string(app) +
+                                   ".input");
+  }
+  const Submission fft{"fft", 120.0, "mpi", "user@gridlb.sim"};
+  EXPECT_EQ(make_request(TaskId(1), fft, 1), submitted());
 }
 
 }  // namespace

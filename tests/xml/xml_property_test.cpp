@@ -1,6 +1,6 @@
 // Property test: randomly generated documents, written by xml::Writer,
-// parse back to exactly the tree that was written (names, attributes,
-// text, structure).
+// read back through xml::Reader to exactly the tree that was written
+// (names, attributes, text, structure).
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "support/xml_tree.hpp"
 #include "xml/xml.hpp"
 
 namespace gridlb::xml {
@@ -28,13 +29,7 @@ std::string random_text(Rng& rng) {
   return kTexts[rng.next_below(std::size(kTexts))];
 }
 
-/// The tree a random document describes, kept to compare the parse with.
-struct Node {
-  std::string name;
-  std::vector<std::pair<std::string, std::string>> attributes;
-  std::string text;
-  std::vector<Node> children;
-};
+using testing::Node;
 
 Node grow(std::string name, Rng& rng, int depth) {
   Node node;
@@ -68,22 +63,6 @@ void write(Writer& writer, const Node& node) {
   writer.close();
 }
 
-void expect_equal(const Node& written, const Element& parsed) {
-  ASSERT_EQ(written.name, parsed.name());
-  ASSERT_EQ(written.text, parsed.text());
-  ASSERT_EQ(written.attributes.size(), parsed.attributes().size());
-  for (std::size_t i = 0; i < written.attributes.size(); ++i) {
-    EXPECT_EQ(written.attributes[i].first, parsed.attributes()[i].key);
-    EXPECT_EQ(written.attributes[i].second, parsed.attributes()[i].value);
-  }
-  ASSERT_EQ(static_cast<std::ptrdiff_t>(written.children.size()),
-            std::ranges::distance(parsed.children()));
-  auto parsed_child = parsed.children().begin();
-  for (const Node& child : written.children) {
-    expect_equal(child, *parsed_child++);
-  }
-}
-
 class XmlRoundTripProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -93,7 +72,7 @@ TEST_P(XmlRoundTripProperty, RandomTreesSurvive) {
     const Node root = grow(random_name(rng), rng, 0);
     Writer writer(0);
     write(writer, root);
-    expect_equal(root, *parse(std::move(writer).finish()));
+    EXPECT_EQ(testing::read_tree(std::move(writer).finish()), root);
   }
 }
 

@@ -7,7 +7,7 @@ Usage:
 
 <perfbench-output> is the standard output of
 `python3 perfbench/run.py --trace 1 ...`, whose last line is one JSON
-object with a "metrics" map.  Each named metric (e.g. xml.parse.calls)
+object with a "metrics" map.  Each named metric (e.g. agents.self_ns)
 must be present and non-zero.
 
 The traced driver counts a layer by wrapping its functions at link time,
