@@ -21,10 +21,6 @@ void CapabilityTable::upsert(AgentId agent, ServiceInfo info, SimTime now,
   entries_.push_back(Entry{agent, via, std::move(info), now});
 }
 
-void CapabilityTable::upsert(AgentId agent, ServiceInfo info, SimTime now) {
-  upsert(agent, std::move(info), now, agent);
-}
-
 void CapabilityTable::advance_freetime(AgentId agent, SimTime now,
                                        double seconds) {
   GRIDLB_REQUIRE(seconds >= 0.0, "cannot rewind a freetime estimate");

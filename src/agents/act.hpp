@@ -27,8 +27,6 @@ class CapabilityTable {
   /// neighbour the advertisement arrived from; for a neighbour's own
   /// service, `via == agent`.
   void upsert(AgentId agent, ServiceInfo info, SimTime now, AgentId via);
-  /// Convenience for direct (neighbour-own) advertisements.
-  void upsert(AgentId agent, ServiceInfo info, SimTime now);
 
   /// Optimistically advances the cached freetime of `agent` by `seconds`.
   ///

@@ -425,7 +425,9 @@ void Agent::handle_send_failure(sim::EndpointId to, const std::string& payload) 
               neighbour->str(), " unresponsive, purged ", purged,
               " ACT entries");
   }
-  if (type != "request") return;  // results are re-requested by the portal
+  // A result whose retries ran out is lost: nothing sends it again, and
+  // the portal's count of received results misses it.
+  if (type != "request") return;
   Request request = request_from_xml(document);
   if (neighbour && !already_visited(request, *neighbour)) {
     request.visited.push_back(*neighbour);
@@ -514,7 +516,7 @@ void Agent::handle_advertisement(const sim::Message& message,
   if (!sender) {
     log::warn("agent ", config_.name, " t=", engine_.now(),
               " ignoring advertisement from non-neighbour endpoint");
-    document.finish();
+    static_cast<void>(service_info_from_xml(document));  // still checked
     return;
   }
   ++stats_.advertisements_received;
@@ -524,8 +526,8 @@ void Agent::handle_advertisement(const sim::Message& message,
   if (const auto agentid = document.attribute("agentid")) {
     described = AgentId(read_number<std::uint64_t>(*agentid, "agentid"));
   }
-  if (described == config_.id) {  // echo of our own service
-    document.finish();
+  if (described == config_.id) {  // echo of our own service, still checked
+    static_cast<void>(service_info_from_xml(document));
     return;
   }
   // `a` carries the age of the entry being replaced (0 for a first sight):

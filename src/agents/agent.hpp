@@ -85,9 +85,12 @@ inline constexpr double kMigrationUnderload = 30.0;
 /// Queued tasks re-homed per qualifying advertisement, newest first.
 inline constexpr int kMigrationBatch = 4;
 
-/// Discovery hop budget; exceeding it forces best-effort dispatch (or a
-/// drop under strict_failure).  Transitive routing can legitimately
-/// revisit an agent, so the budget — not the visited set — bounds it.
+/// Discovery budget; reaching it forces best-effort dispatch (or a drop
+/// under strict_failure), and no migration sends a request that reached
+/// it.  It is compared with `request.visited.size()`, the distinct agents
+/// the request has tried, not with its hops: a revisit through transitive
+/// routing does not grow it, so on a grid of fewer than 32 agents it never
+/// triggers.
 inline constexpr std::size_t kMaxHops = 32;
 
 /// Identity of one agent.  The advertisement and discovery policy is the

@@ -1,21 +1,17 @@
-// Numbers and leaves in agent documents: the one strict number reader, the
-// one number writer and the first-wins leaf rule the request, result and
-// service codecs and the transport stamps share.
+// Numbers in agent documents: the one strict number reader and the one
+// number writer the request, result and service codecs and the transport
+// stamps share.
 #pragma once
 
 #include <array>
 #include <charconv>
 #include <cmath>
 #include <concepts>
-#include <initializer_list>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
-#include <utility>
 
 #include "common/assert.hpp"
-#include "xml/xml.hpp"
 
 namespace gridlb::agents {
 
@@ -64,38 +60,5 @@ class NumberText {
   std::array<char, 320> buffer_;
   std::size_t size_ = 0;
 };
-
-/// The text of a document's first child of one name, if it has one.
-using Leaf = std::optional<std::string_view>;
-
-/// Reads the current element, a child of its name, as `leaf`'s text if it
-/// is the first; a later one is checked and skipped.
-inline void read_leaf(xml::Reader& document, Leaf& leaf) {
-  if (leaf) {
-    document.skip();
-  } else {
-    leaf = document.text();
-  }
-}
-
-/// Reads the current element's children through its end tag, each named
-/// in `leaves` into its slot by `read_leaf`; the rest are checked and
-/// skipped.
-inline void read_leaves(
-    xml::Reader& document,
-    std::initializer_list<std::pair<std::string_view, Leaf*>> leaves) {
-  while (document.next_child()) {
-    const std::string_view name = document.name();
-    Leaf* slot = nullptr;
-    for (const auto& [leaf_name, leaf] : leaves) {
-      if (leaf_name == name) slot = leaf;
-    }
-    if (slot != nullptr) {
-      read_leaf(document, *slot);
-    } else {
-      document.skip();
-    }
-  }
-}
 
 }  // namespace gridlb::agents

@@ -66,57 +66,27 @@ Request request_from_xml(xml::Reader& document) {
     }
   }
 
-  // The first child of each name counts; later ones and unknown ones are
-  // checked and skipped.
-  bool application = false;
-  bool binary = false;
-  bool performance = false;
-  bool requirement = false;
-  Leaf name, file, inputfile, datatype, modelname, environment, deadline,
-      email;
-  while (document.next_child()) {
-    const std::string_view child = document.name();
-    if (child == "application" && !application) {
-      application = true;
-      while (document.next_child()) {
-        const std::string_view part = document.name();
-        if (part == "name") {
-          read_leaf(document, name);
-        } else if (part == "binary" && !binary) {
-          binary = true;
-          read_leaves(document, {{"file", &file}, {"inputfile", &inputfile}});
-        } else if (part == "performance" && !performance) {
-          performance = true;
-          read_leaves(document,
-                      {{"datatype", &datatype}, {"modelname", &modelname}});
-        } else {
-          document.skip();
-        }
-      }
-    } else if (child == "requirement" && !requirement) {
-      requirement = true;
-      read_leaves(document,
-                  {{"environment", &environment}, {"deadline", &deadline}});
-    } else if (child == "email") {
-      read_leaf(document, email);
-    } else {
-      document.skip();
-    }
-  }
-  document.finish();
-
-  GRIDLB_REQUIRE(application, "request lacks <application>");
-  request.app_name = name.value_or("");
-  request.binary_file = file.value_or("");
-  request.input_file = inputfile.value_or("");
-  GRIDLB_REQUIRE(!performance || datatype == "pacemodel",
+  document.open("application");
+  request.app_name = document.leaf("name");
+  document.open("binary");
+  request.binary_file = document.leaf("file");
+  request.input_file = document.leaf("inputfile");
+  document.close();
+  document.open("performance");
+  GRIDLB_REQUIRE(document.leaf("datatype") == "pacemodel",
                  "unsupported performance data type");
-  request.model_name = modelname.value_or("");
-  GRIDLB_REQUIRE(requirement, "request lacks <requirement>");
-  request.environment = environment.value_or("");
-  GRIDLB_REQUIRE(!deadline.value_or("").empty(), "request lacks a deadline");
-  request.deadline = read_number<double>(*deadline, "deadline");
-  request.email = email.value_or("");
+  request.model_name = document.leaf("modelname");
+  document.close();
+  document.close();
+
+  document.open("requirement");
+  request.environment = document.leaf("environment");
+  request.deadline = read_number<double>(document.leaf("deadline"), "deadline");
+  document.close();
+
+  request.email = document.leaf("email");
+  document.close();
+  document.finish();
   return request;
 }
 

@@ -61,9 +61,10 @@ struct Request {
 [[nodiscard]] std::string to_xml(const Request& request);
 
 /// Reads the rest of a request document whose root start tag `document`
-/// has read, through its end: the first child of each name counts, in any
-/// order.  Throws xml::ParseError / AssertionError on a malformed or
-/// incomplete one.
+/// has read, through its end: every child `to_xml` writes, in its order,
+/// each leaf's text verbatim.  Throws xml::ParseError on anything `to_xml`
+/// cannot write, and AssertionError on a wrong type, a malformed number or
+/// a performance data type other than `pacemodel`.
 [[nodiscard]] Request request_from_xml(xml::Reader& document);
 [[nodiscard]] Request request_from_xml(const std::string& document);
 

@@ -40,54 +40,25 @@ ServiceInfo service_info_from_xml(xml::Reader& document) {
   GRIDLB_REQUIRE(document.attribute("type") == "service",
                  "not a service document");
 
-  // The first child of each name counts, except that every <environment>
-  // does; later and unknown ones are checked and skipped.
   ServiceInfo info;
-  bool agent = false;
-  bool local = false;
-  Leaf agent_address, agent_port, local_address, local_port, type, nproc,
-      freetime;
-  while (document.next_child()) {
-    const std::string_view child = document.name();
-    if (child == "agent" && !agent) {
-      agent = true;
-      read_leaves(document,
-                  {{"address", &agent_address}, {"port", &agent_port}});
-    } else if (child == "local" && !local) {
-      local = true;
-      while (document.next_child()) {
-        const std::string_view leaf = document.name();
-        if (leaf == "environment") {
-          info.environments.emplace_back(document.text());
-        } else if (leaf == "address") {
-          read_leaf(document, local_address);
-        } else if (leaf == "port") {
-          read_leaf(document, local_port);
-        } else if (leaf == "type") {
-          read_leaf(document, type);
-        } else if (leaf == "nproc") {
-          read_leaf(document, nproc);
-        } else if (leaf == "freetime") {
-          read_leaf(document, freetime);
-        } else {
-          document.skip();
-        }
-      }
-    } else {
-      document.skip();
-    }
-  }
-  document.finish();
+  document.open("agent");
+  info.agent_address = document.leaf("address");
+  info.agent_port = read_number<int>(document.leaf("port"), "agent port");
+  document.close();
 
-  GRIDLB_REQUIRE(agent, "service document lacks <agent>");
-  info.agent_address = agent_address.value_or("");
-  info.agent_port = read_number<int>(agent_port.value_or(""), "agent port");
-  GRIDLB_REQUIRE(local, "service document lacks <local>");
-  info.local_address = local_address.value_or("");
-  info.local_port = read_number<int>(local_port.value_or(""), "local port");
-  info.hardware_type = type.value_or("");
-  info.nproc = read_number<int>(nproc.value_or(""), "nproc");
-  info.freetime = read_number<double>(freetime.value_or(""), "freetime");
+  document.open("local");
+  info.local_address = document.leaf("address");
+  info.local_port = read_number<int>(document.leaf("port"), "local port");
+  info.hardware_type = document.leaf("type");
+  info.nproc = read_number<int>(document.leaf("nproc"), "nproc");
+  while (document.next_is("environment")) {
+    info.environments.emplace_back(document.leaf("environment"));
+  }
+  info.freetime = read_number<double>(document.leaf("freetime"), "freetime");
+  document.close();
+
+  document.close();
+  document.finish();
   return info;
 }
 

@@ -46,9 +46,10 @@ struct ServiceInfo {
 [[nodiscard]] std::string to_xml(const ServiceInfo& info);
 
 /// Reads the rest of a Fig. 5 document whose root start tag `document` has
-/// read, through its end: the first child of each name counts, except that
-/// every <environment> does, in any order.  Throws xml::ParseError /
-/// AssertionError on a malformed or incomplete one.
+/// read, through its end: every child `to_xml` writes, in its order, with
+/// any number of <environment> leaves, each leaf's text verbatim.  Throws
+/// xml::ParseError on anything `to_xml` cannot write, and AssertionError on
+/// a wrong type or a malformed number.
 [[nodiscard]] ServiceInfo service_info_from_xml(xml::Reader& document);
 [[nodiscard]] ServiceInfo service_info_from_xml(const std::string& document);
 

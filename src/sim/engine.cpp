@@ -115,11 +115,6 @@ bool Engine::step() {
   return true;
 }
 
-bool Engine::has_pending() const {
-  pop_cancelled();
-  return !heap_.empty();
-}
-
 SimTime Engine::next_event_time() const {
   pop_cancelled();
   return heap_.empty() ? kTimeInfinity : heap_.front().at;

@@ -65,9 +65,6 @@ class Engine {
   /// Processes exactly one event; returns false if the queue was empty.
   bool step();
 
-  /// True if any events remain pending.
-  [[nodiscard]] bool has_pending() const;
-
   /// Timestamp of the next pending event (kTimeInfinity when idle).
   [[nodiscard]] SimTime next_event_time() const;
 
@@ -99,8 +96,8 @@ class Engine {
   void release(std::uint32_t slot) const;  ///< frees a popped key's slot
   void pop_cancelled() const;
 
-  // The queue and `cancelled_` are mutable so const queries (has_pending,
-  // next_event_time) can share pop_cancelled's lazy sweep: discarding a
+  // The queue and `cancelled_` are mutable so the const query
+  // next_event_time can share pop_cancelled's lazy sweep: discarding a
   // cancelled top entry is observationally pure — the entry could never
   // fire — and beats the previous approach of copying the whole queue
   // (O(n) allocation + O(n log n) pops) per query.

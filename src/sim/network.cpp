@@ -45,11 +45,6 @@ void Network::set_endpoint_up(EndpointId id, bool up) {
   endpoints_[id].up = up;
 }
 
-bool Network::endpoint_up(EndpointId id) const {
-  GRIDLB_REQUIRE(id < endpoints_.size(), "unknown endpoint");
-  return endpoints_[id].up;
-}
-
 void Network::send(EndpointId from, EndpointId to, std::string payload) {
   GRIDLB_REQUIRE(from < endpoints_.size(), "unknown sender endpoint");
   GRIDLB_REQUIRE(to < endpoints_.size(), "unknown recipient endpoint");
@@ -76,24 +71,17 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
     }
   }
 
-  Message message;
-  message.from = from;
-  message.to = to;
-  message.payload = std::move(payload);
-  message.sent_at = now;
-  auto deliver = [this, message = std::move(message)]() mutable {
+  auto deliver = [this, message = Message{from, to, std::move(payload)}]() {
     Endpoint& destination = endpoints_[message.to];
-    const SimTime arrival = engine_.now();
     if (!destination.up) {
       ++faults_.dropped_endpoint_down;
-      obs::emit({.at = arrival,
+      obs::emit({.at = engine_.now(),
                  .kind = obs::EventKind::kMessageDropped,
                  .extra = kDropEndpointDown,
                  .a = static_cast<double>(message.from),
                  .b = static_cast<double>(message.to)});
       return;
     }
-    message.delivered_at = arrival;
     destination.handler(message);
   };
   engine_.schedule_in(latency, std::move(deliver));

@@ -40,8 +40,6 @@ struct Message {
   EndpointId from = 0;
   EndpointId to = 0;
   std::string payload;   ///< Serialised XML document in the agent protocol.
-  SimTime sent_at = 0.0;
-  SimTime delivered_at = 0.0;
 };
 
 /// Deterministic network-fault model.  Each message's faults are drawn
@@ -98,7 +96,6 @@ class Network {
   /// arriving at a down endpoint are dropped at delivery time, so traffic
   /// already in flight when the endpoint fails is lost with it.
   void set_endpoint_up(EndpointId id, bool up);
-  [[nodiscard]] bool endpoint_up(EndpointId id) const;
 
   [[nodiscard]] double latency() const { return latency_; }
   /// Messages and payload bytes sent, network-wide (dropped ones too).

@@ -19,8 +19,7 @@ namespace {
 enum : unsigned char {
   kEscaped = 1,  ///< written as an entity: & < > " '
   kSpace = 2,    ///< isspace in the "C" locale
-  kTrimmed = 4,  ///< indentation the reader drops around text: ' ' \t \r \n
-  kName = 8,     ///< isalnum in the "C" locale, plus _ - . :
+  kName = 4,     ///< isalnum in the "C" locale, plus _ - . :
 };
 
 constexpr std::array<unsigned char, 256> kClasses = [] {
@@ -30,7 +29,6 @@ constexpr std::array<unsigned char, 256> kClasses = [] {
   };
   mark("&<>\"'", kEscaped);
   mark(" \t\n\v\f\r", kSpace);
-  mark(" \t\r\n", kTrimmed);
   mark("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.:",
        kName);
   return classes;
@@ -83,10 +81,7 @@ char* copy_escaped(char* out, std::string_view raw) {
 
 Reader::Reader(const std::string& document)
     : data_(document.c_str()), size_(document.size()) {
-  skip_whitespace();
-  skip_declaration();
-  skip_whitespace();
-  open_element();
+  start_tag({});
 }
 
 void Reader::fail(const std::string& message) const {
@@ -98,38 +93,13 @@ inline char Reader::peek() const {
   return data_[pos_];
 }
 
-inline char Reader::take() {
-  const char ch = peek();
-  ++pos_;
-  return ch;
-}
-
 inline void Reader::expect(char ch) {
-  if (take() != ch) {
-    --pos_;
-    fail(std::string("expected '") + ch + "'");
-  }
-}
-
-inline bool Reader::looking_at(std::string_view prefix) const {
-  return std::string_view(data_ + pos_, size_ - pos_).starts_with(prefix);
+  if (peek() != ch) fail(std::string("expected '") + ch + "'");
+  ++pos_;
 }
 
 inline void Reader::skip_whitespace() {
   while (is(data_[pos_], kSpace)) ++pos_;
-}
-
-void Reader::skip_declaration() {
-  if (!looking_at("<?xml")) return;
-  const auto end = std::string_view(data_, size_).find("?>", pos_);
-  if (end == std::string_view::npos) fail("unterminated XML declaration");
-  pos_ = end + 2;
-}
-
-void Reader::skip_comment() {
-  const auto end = std::string_view(data_, size_).find("-->", pos_ + 4);
-  if (end == std::string_view::npos) fail("unterminated comment");
-  pos_ = end + 3;
 }
 
 inline std::string_view Reader::read_name() {
@@ -137,6 +107,14 @@ inline std::string_view Reader::read_name() {
   while (is(data_[pos_], kName)) ++pos_;
   if (pos_ == start) fail("expected a name");
   return {data_ + start, pos_ - start};
+}
+
+inline void Reader::to_tag() {
+  skip_whitespace();
+  if (eof()) fail("unterminated element <" + std::string(name()) + ">");
+  if (data_[pos_] != '<') {
+    fail("text beside child elements of <" + std::string(name()) + ">");
+  }
 }
 
 void Reader::decode(std::string_view raw, std::string* out) const {
@@ -161,108 +139,6 @@ void Reader::decode(std::string_view raw, std::string* out) const {
   if (out != nullptr) out->append(raw.substr(plain));
 }
 
-void Reader::open_element() {
-  if (depth_ == kMaxDepth) {
-    fail("elements nested deeper than " + std::to_string(kMaxDepth));
-  }
-  expect('<');
-  Open& open = open_[depth_];
-  const std::string_view name = read_name();
-  open.name = static_cast<std::size_t>(name.data() - data_);
-  open.name_size = name.size();
-  open.first = slots_used_;
-  open.count = 0;
-  for (;;) {
-    skip_whitespace();
-    const char ch = peek();
-    if (ch == '/' || ch == '>') break;
-    const std::string_view key = read_name();
-    skip_whitespace();
-    expect('=');
-    skip_whitespace();
-    const char quote = take();
-    if (quote != '"' && quote != '\'') {
-      fail("expected quoted attribute value");
-    }
-    const std::size_t start = pos_;
-    const auto* end = static_cast<const char*>(
-        std::memchr(data_ + pos_, quote, size_ - pos_));
-    pos_ = end == nullptr ? size_ : static_cast<std::size_t>(end - data_);
-    if (eof()) fail("unterminated attribute value");
-    const std::string_view value(data_ + start, pos_ - start);
-    if (value.find('&') != std::string_view::npos) decode(value, nullptr);
-    if (open.count != kUnstored) {
-      if (slots_used_ == kSlots) {
-        open.count = kUnstored;
-        slots_used_ = open.first;
-      } else {
-        slots_[slots_used_++] = {key.data(), value.data(), key.size(),
-                                 value.size()};
-        ++open.count;
-      }
-    }
-    ++pos_;  // closing quote
-  }
-  open.tag_end = pos_;
-  ++depth_;
-  if (peek() == '/') {
-    take();
-    expect('>');
-    closed_in_tag_ = true;
-    return;
-  }
-  expect('>');
-}
-
-inline void Reader::close_element() {
-  slots_used_ = open_[--depth_].first;
-}
-
-std::size_t Reader::attributes_begin() const {
-  GRIDLB_ASSERT(depth_ > 0);
-  const Open& open = open_[depth_ - 1];
-  return open.name + open.name_size;
-}
-
-bool Reader::next_attribute(std::size_t& at, std::string_view& key,
-                            std::string_view& raw) const {
-  while (is(data_[at], kSpace)) ++at;
-  if (at >= open_[depth_ - 1].tag_end) return false;
-  const std::size_t key_start = at;
-  while (is(data_[at], kName)) ++at;
-  key = {data_ + key_start, at - key_start};
-  while (data_[at] != '"' && data_[at] != '\'') ++at;  // past `=`
-  const char quote = data_[at++];
-  const auto* end =
-      static_cast<const char*>(std::memchr(data_ + at, quote, size_ - at));
-  raw = {data_ + at, static_cast<std::size_t>(end - (data_ + at))};
-  at = static_cast<std::size_t>(end - data_) + 1;
-  return true;
-}
-
-std::optional<std::string_view> Reader::attribute(std::string_view key) const {
-  GRIDLB_ASSERT(depth_ > 0);
-  std::optional<std::string_view> value;
-  const Open& open = open_[depth_ - 1];
-  if (open.count != kUnstored) {
-    for (std::size_t i = open.first; i < open.first + open.count; ++i) {
-      const Slot& slot = slots_[i];
-      if (std::string_view(slot.key, slot.key_size) == key) {
-        value = std::string_view(slot.value, slot.value_size);
-      }
-    }
-  } else {
-    std::size_t at = attributes_begin();
-    std::string_view key_at;
-    std::string_view raw;
-    while (next_attribute(at, key_at, raw)) {
-      if (key_at == key) value = raw;
-    }
-  }
-  if (value) value = decoded(*value);
-  return value;
-}
-
 std::string_view Reader::decoded(std::string_view raw) const {
   if (raw.find('&') == std::string_view::npos) return raw;
   std::string& out = decoded_.emplace_front();
@@ -270,93 +146,115 @@ std::string_view Reader::decoded(std::string_view raw) const {
   return out;
 }
 
-inline Reader::Item Reader::step() {
-  GRIDLB_ASSERT(depth_ > 0);
-  if (closed_in_tag_) {
-    closed_in_tag_ = false;
-    close_element();
-    return Item::kEnd;
+void Reader::start_tag(std::string_view expected) {
+  if (depth_ == kMaxDepth) {
+    fail("elements nested deeper than " + std::to_string(kMaxDepth));
   }
+  expect('<');
+  const std::string_view name = read_name();
+  if (!expected.empty() && name != expected) {
+    fail("expected <" + std::string(expected) + ">, found <" +
+         std::string(name) + ">");
+  }
+  open_[depth_++] = {name.data(), name.size()};
+  tag_depth_ = depth_;
+  attributes_ = 0;
   for (;;) {
-    // Keep interior whitespace but drop pure-indentation runs, which most
-    // often run straight into the next tag.  Entities never decode to
-    // whitespace, so trimming before decoding is exact.
-    while (is(data_[pos_], kTrimmed)) ++pos_;
-    if (!eof() && data_[pos_] != '<') {
-      const std::size_t first = pos_;
-      const auto* tag = static_cast<const char*>(
-          std::memchr(data_ + pos_, '<', size_ - pos_));
-      pos_ = tag == nullptr ? size_ : static_cast<std::size_t>(tag - data_);
-      std::size_t last = pos_;
-      while (is(data_[last - 1], kTrimmed)) --last;
-      run_ = {data_ + first, last - first};
-      run_has_entity_ = run_.find('&') != std::string_view::npos;
-      if (run_has_entity_) decode(run_, nullptr);
-      return Item::kText;
+    skip_whitespace();
+    const char ch = peek();
+    if (ch == '/' || ch == '>') break;
+    if (attributes_ == kMaxAttributes) {
+      fail("more than " + std::to_string(kMaxAttributes) + " attributes");
     }
-    if (eof()) fail("unterminated element <" + std::string(name()) + ">");
-    const char after = data_[pos_ + 1];  // the NUL past the end at worst
-    if (after == '!' && looking_at("<!--")) {
-      skip_comment();
-      continue;
-    }
-    if (after == '/') {
-      pos_ += 2;
-      const std::string_view closing = read_name();
-      if (closing != name()) {
-        fail("mismatched closing tag </" + std::string(closing) + "> for <" +
-             std::string(name()) + ">");
-      }
-      skip_whitespace();
-      expect('>');
-      close_element();
-      return Item::kEnd;
-    }
-    open_element();
-    return Item::kChild;
+    const std::string_view key = read_name();
+    expect('=');
+    expect('"');
+    const std::size_t start = pos_;
+    const auto* end = static_cast<const char*>(
+        std::memchr(data_ + pos_, '"', size_ - pos_));
+    pos_ = end == nullptr ? size_ : static_cast<std::size_t>(end - data_);
+    if (eof()) fail("unterminated attribute value");
+    const std::string_view value(data_ + start, pos_ - start);
+    if (value.find('&') != std::string_view::npos) decode(value, nullptr);
+    keys_[attributes_] = {key.data(), key.size()};
+    values_[attributes_++] = {value.data(), value.size()};
+    ++pos_;  // closing quote
   }
+  empty_ = data_[pos_] == '/';
+  if (empty_) ++pos_;
+  expect('>');
 }
 
-Reader::Item Reader::next() { return step(); }
-
-bool Reader::next_child() {
-  for (;;) {
-    switch (step()) {
-      case Item::kChild: return true;
-      case Item::kEnd: return false;
-      case Item::kText: break;
+std::optional<std::string_view> Reader::attribute(std::string_view key) const {
+  GRIDLB_ASSERT(depth_ > 0 && depth_ == tag_depth_);
+  std::optional<std::string_view> value;
+  for (std::size_t i = 0; i < attributes_; ++i) {
+    if (std::string_view(keys_[i].data, keys_[i].size) == key) {
+      value = std::string_view(values_[i].data, values_[i].size);
     }
   }
+  if (value) value = decoded(*value);
+  return value;
+}
+
+void Reader::open(std::string_view name) {
+  GRIDLB_ASSERT(depth_ > 0 && !name.empty());
+  if (!empty_) to_tag();
+  if (empty_ || data_[pos_ + 1] == '/') {
+    fail("missing <" + std::string(name) + "> in <" +
+         std::string(this->name()) + ">");
+  }
+  start_tag(name);
+}
+
+bool Reader::next_is(std::string_view name) {
+  GRIDLB_ASSERT(depth_ > 0);
+  if (empty_) return false;
+  to_tag();
+  return std::string_view(data_ + pos_ + 1, size_ - pos_ - 1)
+             .starts_with(name) &&
+         !is(data_[pos_ + 1 + name.size()], kName);
 }
 
 std::string_view Reader::text() {
-  const std::size_t depth = depth_;
-  std::string_view leaf;
-  std::string* joined = nullptr;
-  for (;;) {
-    const Item item = step();
-    if (depth_ < depth) break;  // the element's own end tag
-    if (item != Item::kText || depth_ > depth) continue;  // inside a child
-    if (joined == nullptr && leaf.empty() && !run_has_entity_) {
-      leaf = run_;  // the common leaf: one run, no entity
-      continue;
-    }
-    if (joined == nullptr) {
-      joined = &decoded_.emplace_front();
-      decode(leaf, joined);
-    }
-    decode(run_, joined);
+  GRIDLB_ASSERT(depth_ > 0);
+  if (empty_) return {};
+  const std::size_t start = pos_;
+  const auto* tag =
+      static_cast<const char*>(std::memchr(data_ + pos_, '<', size_ - pos_));
+  pos_ = tag == nullptr ? size_ : static_cast<std::size_t>(tag - data_);
+  if (eof()) fail("unterminated element <" + std::string(name()) + ">");
+  if (data_[pos_ + 1] != '/') {
+    fail("text beside child elements of <" + std::string(name()) + ">");
   }
-  return joined != nullptr ? std::string_view(*joined) : leaf;
+  return decoded({data_ + start, pos_ - start});
 }
 
-void Reader::skip() {
-  const std::size_t depth = depth_;
-  while (depth_ >= depth) step();
+void Reader::close() {
+  GRIDLB_ASSERT(depth_ > 0);
+  if (empty_) {
+    empty_ = false;
+    --depth_;
+    return;
+  }
+  to_tag();
+  if (data_[pos_ + 1] != '/') {
+    ++pos_;
+    fail("unexpected <" + std::string(read_name()) + "> in <" +
+         std::string(name()) + ">");
+  }
+  pos_ += 2;
+  const std::string_view closing = read_name();
+  if (closing != name()) {
+    fail("mismatched closing tag </" + std::string(closing) + "> for <" +
+         std::string(name()) + ">");
+  }
+  expect('>');
+  --depth_;
 }
 
 void Reader::finish() {
-  while (depth_ > 0) step();
+  while (depth_ > 0) close();
   skip_whitespace();
   if (!eof()) fail("trailing content after document root");
 }
@@ -386,10 +284,10 @@ void Writer::put_escaped(std::string_view raw) {
 }
 
 void Writer::open(std::string_view name) {
-  GRIDLB_ASSERT(depth_ < kMaxDepth);
+  GRIDLB_ASSERT(depth_ < kMaxDepth && state_ != State::kText);
   make_room(2 + 2 * depth_ + 1 + name.size());
-  if (depth_ > 0 && state_ != State::kChildren) {
-    if (state_ == State::kStartTag) *at_++ = '>';
+  if (state_ == State::kStartTag) {
+    *at_++ = '>';
     *at_++ = '\n';
   }
   put_indent(depth_);

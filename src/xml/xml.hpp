@@ -1,4 +1,4 @@
-// Minimal XML: a streaming writer and a one-pass pull reader.
+// Minimal XML: a streaming writer and a strict one-pass reader.
 //
 // The paper's agents exchange service information (Fig. 5) and request
 // documents (Fig. 6) as XML; this module provides just enough XML to
@@ -9,8 +9,9 @@
 //
 // A sent document is written in one pass, straight to its bytes, by
 // `Writer`.  A received one is read in place, in one pass, by `Reader`,
-// which builds nothing: each receiver pulls only what it uses, from the
-// root start tag alone up to the whole body.
+// which builds nothing and reads exactly the grammar the writer writes, in
+// the writer's order: each receiver reads either the root start tag alone
+// or the whole document.
 #pragma once
 
 #include <cstddef>
@@ -62,8 +63,8 @@ class Writer {
   /// An attribute of the element opened last, before its first child or
   /// text.
   void attribute(std::string_view key, std::string_view value);
-  /// Text of the open element, inline after its start tag, before any
-  /// child.
+  /// Text of the open element, inline after its start tag; an element
+  /// with text has no children.
   void text(std::string_view text);
   /// Ends the open element.
   void close();
@@ -119,134 +120,105 @@ class Writer {
 void stamp_root(std::string& document, std::string_view key,
                 std::string_view value);
 
-/// Reads one document in place, in one pass, and builds nothing.  It reads
-/// the root start tag on construction (an optional `<?xml ...?>`
-/// declaration and whitespace may precede it); the caller then pulls the
-/// content in document order, reading a child as a leaf's text or skipping
-/// it.  Whatever it passes over it checks: the grammar `Writer` writes,
-/// plus comments, single-quoted values and interior whitespace, so a
-/// document read to its end (`finish`) is well formed.  Malformed input
-/// throws ParseError with the byte offset, also for elements nested deeper
-/// than kMaxDepth.
+/// Reads one document in place, in one pass, and builds nothing: the
+/// grammar `Writer` writes, in the writer's order.  Calls mirror the
+/// writer's: the constructor reads the root start tag, then `attribute`,
+/// `open("agent")`, `leaf("port")`, `close()`, ..., `finish()`.  Whitespace
+/// between tags is skipped, because the writer indents; a leaf's text is
+/// read verbatim.  Anything the writer cannot write throws ParseError with
+/// the byte offset: a declaration or a comment, a single-quoted value, text
+/// beside child elements, a child other than the one asked for (missing,
+/// repeated, unknown or out of order), a start tag with more than
+/// kMaxAttributes attributes, elements nested deeper than kMaxDepth, and a
+/// mismatched or unterminated tag, an unknown entity or trailing content.
 ///
 /// The reader views the document's bytes: the string must outlive it, and
 /// the NUL a std::string keeps after its bytes ends every byte scan.  A
 /// value holding no entity is a view into the document; one holding an
-/// entity, and a text split by comments or children, is decoded into
-/// storage of the reader's own.  Every view lives as long as both.
+/// entity is decoded into storage of the reader's own.  Every view lives as
+/// long as both.
 class Reader {
  public:
-  /// What `next` read from the current element's content.
-  enum class Item : unsigned char { kText, kChild, kEnd };
+  /// Most attributes one start tag may carry; the agent documents' roots
+  /// carry up to six.
+  static constexpr std::size_t kMaxAttributes = 8;
 
   explicit Reader(const std::string& document);
   Reader(std::string&&) = delete;  ///< the views would outlive it
   Reader(const Reader&) = delete;
   Reader& operator=(const Reader&) = delete;
 
-  // -- the current element: the innermost open one, the root at first ----
+  /// The current element: the one opened last and not yet closed, the
+  /// root at first.
   [[nodiscard]] std::string_view name() const {
     GRIDLB_ASSERT(depth_ > 0);
-    const Open& open = open_[depth_ - 1];
-    return {data_ + open.name, open.name_size};
+    const Span& name = open_[depth_ - 1];
+    return {name.data, name.size};
   }
-  /// The value of `key` in the current element's start tag; a repeated key
-  /// keeps its last value.
+  /// The value of `key` in the current element's start tag, before its
+  /// first child is opened; a repeated key keeps its last value.
   [[nodiscard]] std::optional<std::string_view> attribute(
       std::string_view key) const;
-  /// Calls `visit(key, value)` for each attribute of the current element's
-  /// start tag, in document order, repeats included.
-  template <class Visit>
-  void for_each_attribute(Visit visit) const {
-    std::size_t at = attributes_begin();
-    std::string_view key;
-    std::string_view value;
-    while (next_attribute(at, key, value)) visit(key, decoded(value));
-  }
 
-  // -- pulling the content ------------------------------------------------
-  /// Reads the current element's next item: a run of text between tags,
-  /// indentation trimmed (`run`); a child's start tag, and the child becomes
-  /// the current element; or the element's end tag, and its parent becomes
-  /// the current element.  Comments are passed over.
-  Item next();
-  /// The text run `next` last returned kText for, decoded.
-  [[nodiscard]] std::string_view run() const { return decoded(run_); }
-  /// Enters the current element's next child, passing over its text; false
-  /// once the element's end tag is read.
-  bool next_child();
-  /// Reads the rest of the current element as a leaf, through its end tag:
-  /// its text runs, joined; its children are checked and skipped.
+  /// Reads the current element's next child's start tag, which must be
+  /// `<name`; the child becomes the current element.
+  void open(std::string_view name);
+  /// Whether the current element's next child is named `name`, reading
+  /// nothing but whitespace: the end of a run of repeated leaves.
+  bool next_is(std::string_view name);
+  /// The current element's text, verbatim and decoded, up to its end tag;
+  /// empty for `<name/>`.
   std::string_view text();
-  /// Reads the rest of the current element through its end tag, checking it.
-  void skip();
-  /// Reads and checks the rest of the document: every open element must
-  /// close, and only whitespace may follow the root.
+  /// Reads the current element's end tag; its parent becomes current.
+  void close();
+  /// `<name>text</name>` or `<name/>` as the next child: its text.
+  std::string_view leaf(std::string_view name) {
+    open(name);
+    const std::string_view leaf_text = text();
+    close();
+    return leaf_text;
+  }
+  /// Closes every open element, and checks that only whitespace follows
+  /// the root.
   void finish();
 
  private:
-  /// Start-tag attributes kept as views, over every open element; an
-  /// element whose attributes do not fit is read again from its tag.
-  static constexpr std::size_t kSlots = 32;
-  static constexpr std::size_t kUnstored = static_cast<std::size_t>(-1);
-  /// One attribute's key and raw value; left uninitialised until stored.
-  struct Slot {
-    const char* key;
-    const char* value;
-    std::size_t key_size;
-    std::size_t value_size;
-  };
-  /// An open element, as offsets into the document; left uninitialised
-  /// until pushed.  Its attributes lie between its name and `tag_end`, and
-  /// are `slots_[first, first + count)` unless `count` is kUnstored.
-  struct Open {
-    std::size_t name;
-    std::size_t name_size;
-    std::size_t tag_end;
-    std::size_t first;
-    std::size_t count;
+  /// A name, key or raw value in the document; left uninitialised until
+  /// stored.
+  struct Span {
+    const char* data;
+    std::size_t size;
   };
 
   [[noreturn]] void fail(const std::string& message) const;
   [[nodiscard]] bool eof() const { return pos_ >= size_; }
   [[nodiscard]] char peek() const;
-  char take();
   void expect(char ch);
-  [[nodiscard]] bool looking_at(std::string_view prefix) const;
   void skip_whitespace();
-  void skip_declaration();
-  void skip_comment();
   std::string_view read_name();
+  /// Skips whitespace to the current element's next tag; text there stands
+  /// beside child elements.
+  void to_tag();
+  /// Reads a start tag at `<` named `expected` (any name if empty), pushes
+  /// its element and stores its attributes.
+  void start_tag(std::string_view expected);
   /// Checks the entities of `raw`, and appends it to `out`, if given, with
   /// them decoded.
   void decode(std::string_view raw, std::string* out) const;
-  /// Reads a start tag at `<` and pushes its element.
-  void open_element();
-  /// Pops the current element once its end is read.
-  void close_element();
-  /// The body of `next`, inlined into `next_child`, `text`, `skip` and
-  /// `finish`.
-  Item step();
-
-  [[nodiscard]] std::size_t attributes_begin() const;
-  /// The attribute of the current start tag at `at`, checked when the tag
-  /// was read; false past the last.
-  bool next_attribute(std::size_t& at, std::string_view& key,
-                      std::string_view& raw) const;
   /// `raw`, or its decoding in the reader's storage if it holds an entity.
   [[nodiscard]] std::string_view decoded(std::string_view raw) const;
 
   const char* data_;  ///< the document's bytes, a NUL after the last
   std::size_t size_;
   std::size_t pos_ = 0;
-  std::size_t depth_ = 0;  ///< elements open
-  std::size_t slots_used_ = 0;
-  bool closed_in_tag_ = false;  ///< the current element was `<name/>`
-  bool run_has_entity_ = false;
-  std::string_view run_;
+  std::size_t depth_ = 0;      ///< elements open
+  std::size_t tag_depth_ = 0;  ///< the depth whose start tag `keys_` holds
+  std::size_t attributes_ = 0;
+  bool empty_ = false;  ///< the current element was `<name/>`
   mutable std::forward_list<std::string> decoded_;
-  Open open_[kMaxDepth];
-  Slot slots_[kSlots];
+  Span open_[kMaxDepth];
+  Span keys_[kMaxAttributes];
+  Span values_[kMaxAttributes];
 };
 
 /// Declared only because `perfbench/trace_on.cpp` still wraps the deleted

@@ -23,12 +23,12 @@ TEST(CapabilityTable, StartsEmpty) {
 
 TEST(CapabilityTable, UpsertInsertsAndRefreshes) {
   CapabilityTable act;
-  act.upsert(AgentId(1), info_with_freetime(10.0), 5.0);
+  act.upsert(AgentId(1), info_with_freetime(10.0), 5.0, AgentId(1));
   ASSERT_NE(act.find(AgentId(1)), nullptr);
   EXPECT_DOUBLE_EQ(act.find(AgentId(1))->info.freetime, 10.0);
   EXPECT_DOUBLE_EQ(act.find(AgentId(1))->updated_at, 5.0);
 
-  act.upsert(AgentId(1), info_with_freetime(20.0), 15.0);
+  act.upsert(AgentId(1), info_with_freetime(20.0), 15.0, AgentId(1));
   EXPECT_EQ(act.size(), 1u);
   EXPECT_DOUBLE_EQ(act.find(AgentId(1))->info.freetime, 20.0);
   EXPECT_DOUBLE_EQ(act.find(AgentId(1))->updated_at, 15.0);
@@ -36,9 +36,9 @@ TEST(CapabilityTable, UpsertInsertsAndRefreshes) {
 
 TEST(CapabilityTable, TracksMultipleAgents) {
   CapabilityTable act;
-  act.upsert(AgentId(1), info_with_freetime(1.0), 0.0);
-  act.upsert(AgentId(2), info_with_freetime(2.0), 0.0);
-  act.upsert(AgentId(3), info_with_freetime(3.0), 0.0);
+  act.upsert(AgentId(1), info_with_freetime(1.0), 0.0, AgentId(1));
+  act.upsert(AgentId(2), info_with_freetime(2.0), 0.0, AgentId(2));
+  act.upsert(AgentId(3), info_with_freetime(3.0), 0.0, AgentId(3));
   EXPECT_EQ(act.size(), 3u);
   EXPECT_DOUBLE_EQ(act.find(AgentId(2))->info.freetime, 2.0);
   EXPECT_EQ(act.entries()[0].agent, AgentId(1));  // insertion order
@@ -46,13 +46,14 @@ TEST(CapabilityTable, TracksMultipleAgents) {
 
 TEST(CapabilityTable, RejectsInvalidAgentId) {
   CapabilityTable act;
-  EXPECT_THROW(act.upsert(AgentId(), info_with_freetime(1.0), 0.0),
-               AssertionError);
+  EXPECT_THROW(
+      act.upsert(AgentId(), info_with_freetime(1.0), 0.0, AgentId(1)),
+      AssertionError);
 }
 
 TEST(CapabilityTable, AdvanceFreetimeBumpsFromFuture) {
   CapabilityTable act;
-  act.upsert(AgentId(1), info_with_freetime(100.0), 0.0);
+  act.upsert(AgentId(1), info_with_freetime(100.0), 0.0, AgentId(1));
   act.advance_freetime(AgentId(1), 50.0, 7.0);
   EXPECT_DOUBLE_EQ(act.find(AgentId(1))->info.freetime, 107.0);
 }
@@ -61,7 +62,7 @@ TEST(CapabilityTable, AdvanceFreetimeBumpsFromNowWhenIdle) {
   // If the cached freetime is already in the past the resource is idle;
   // the optimistic estimate starts from `now`.
   CapabilityTable act;
-  act.upsert(AgentId(1), info_with_freetime(10.0), 0.0);
+  act.upsert(AgentId(1), info_with_freetime(10.0), 0.0, AgentId(1));
   act.advance_freetime(AgentId(1), 50.0, 7.0);
   EXPECT_DOUBLE_EQ(act.find(AgentId(1))->info.freetime, 57.0);
 }
@@ -73,15 +74,16 @@ TEST(CapabilityTable, AdvanceFreetimeUnknownAgentIsNoop) {
 
 TEST(CapabilityTable, AdvanceFreetimeRejectsNegative) {
   CapabilityTable act;
-  act.upsert(AgentId(1), info_with_freetime(10.0), 0.0);
+  act.upsert(AgentId(1), info_with_freetime(10.0), 0.0, AgentId(1));
   EXPECT_THROW(act.advance_freetime(AgentId(1), 0.0, -1.0), AssertionError);
 }
 
 TEST(CapabilityTable, RealAdvertisementOverwritesOptimisticEstimate) {
   CapabilityTable act;
-  act.upsert(AgentId(1), info_with_freetime(100.0), 0.0);
+  act.upsert(AgentId(1), info_with_freetime(100.0), 0.0, AgentId(1));
   act.advance_freetime(AgentId(1), 0.0, 50.0);  // estimate: 150
-  act.upsert(AgentId(1), info_with_freetime(110.0), 10.0);  // truth arrives
+  // The truth arrives.
+  act.upsert(AgentId(1), info_with_freetime(110.0), 10.0, AgentId(1));
   EXPECT_DOUBLE_EQ(act.find(AgentId(1))->info.freetime, 110.0);
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "agents/agent_system.hpp"
+#include "agents/numbers.hpp"
 #include "agents/portal.hpp"
 #include "common/assert.hpp"
 #include "pace/paper_applications.hpp"
+#include "xml/xml.hpp"
 
 namespace gridlb::agents {
 namespace {
@@ -299,6 +301,36 @@ TEST_F(AgentFixture, AgentWiring) {
   EXPECT_EQ(s2.parent(), &s1);
   ASSERT_EQ(s1.children().size(), 2u);
   EXPECT_EQ(s1.children()[0], &s2);
+}
+
+TEST_F(AgentFixture, IgnoredAdvertisementsAreStillChecked) {
+  // An advertisement from a non-neighbour, and an echo of the agent's own
+  // service, are dropped unused, but each is read through the service
+  // reader first: a child the writer cannot write throws.
+  SystemConfig config = base_config();
+  config.pull_period = 0.0;  // no traffic but the test's
+  auto system = make(std::move(config));
+  Agent& s2 = system->agent_named("S2");
+  sim::Network& network = system->network();
+  const sim::EndpointId stranger = network.register_endpoint([](auto&) {});
+  const std::string service = to_xml(s2.service_snapshot());
+  std::string extra = service;
+  extra.insert(extra.rfind("</agentgrid>"), "<extra/>");
+  std::string echo = extra;
+  xml::stamp_root(echo, "agentid", NumberText(s2.id().value()).view());
+  const sim::EndpointId parent = system->agent_named("S1").endpoint();
+
+  network.send(stranger, s2.endpoint(), extra);
+  EXPECT_THROW(drain(), xml::ParseError);
+  network.send(parent, s2.endpoint(), echo);
+  EXPECT_THROW(drain(), xml::ParseError);
+  // The same documents without the extra child are read and ignored.
+  network.send(stranger, s2.endpoint(), service);
+  echo = service;
+  xml::stamp_root(echo, "agentid", NumberText(s2.id().value()).view());
+  network.send(parent, s2.endpoint(), echo);
+  drain();
+  EXPECT_EQ(s2.act().size(), 0u);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include "agents/numbers.hpp"
 #include "agents/portal.hpp"
 #include "pace/paper_applications.hpp"
-#include "support/xml_tree.hpp"
 #include "xml/xml.hpp"
 
 namespace gridlb::agents {
@@ -25,16 +24,21 @@ ExecutionResult example() {
 }
 
 TEST(ExecutionResult, DocumentShape) {
-  const xml::testing::Node doc = xml::testing::read_tree(to_xml(example()));
+  const std::string document = to_xml(example());
+  xml::Reader doc(document);
   EXPECT_EQ(doc.attribute("type"), "result");
   EXPECT_EQ(doc.attribute("taskid"), "17");
-  ASSERT_NE(doc.child("execution"), nullptr);
-  EXPECT_EQ(doc.child("execution")->child_text("resource"), "S4");
-  EXPECT_EQ(doc.child("execution")->child_text("start"), "12.500000");
-  EXPECT_EQ(doc.child("execution")->child_text("completion"), "31.000000");
-  EXPECT_EQ(doc.child("execution")->child_text("deadline"), "40.000000");
-  EXPECT_EQ(doc.child("application")->child_text("name"), "jacobi");
-  EXPECT_EQ(doc.child_text("email"), "junwei@dcs.warwick.ac.uk");
+  doc.open("application");
+  EXPECT_EQ(doc.leaf("name"), "jacobi");
+  doc.close();
+  doc.open("execution");
+  EXPECT_EQ(doc.leaf("resource"), "S4");
+  EXPECT_EQ(doc.leaf("start"), "12.500000");
+  EXPECT_EQ(doc.leaf("completion"), "31.000000");
+  EXPECT_EQ(doc.leaf("deadline"), "40.000000");
+  doc.close();
+  EXPECT_EQ(doc.leaf("email"), "junwei@dcs.warwick.ac.uk");
+  doc.finish();
 }
 
 TEST(RequestOrigin, RoundTripsThroughXml) {
@@ -155,19 +159,20 @@ TEST_F(ResultDeliveryFixture, ResultDocumentDescribesTheExecution) {
   ASSERT_EQ(received.size(), 1u);
   ASSERT_EQ(collector.records().size(), 1u);
   const sched::CompletionRecord& record = collector.records()[0];
-  const xml::testing::Node document = xml::testing::read_tree(received[0]);
+  xml::Reader document(received[0]);
   EXPECT_EQ(document.attribute("type"), "result");
   EXPECT_EQ(document.attribute("taskid"), "5");
-  EXPECT_EQ(document.child("application")->child_text("name"), "closure");
-  EXPECT_EQ(document.child_text("email"), "user@example.org");
-  const xml::testing::Node* execution = document.child("execution");
-  ASSERT_NE(execution, nullptr);
-  EXPECT_EQ(execution->child_text("resource"), "S1");
-  EXPECT_EQ(execution->child_text("start"), NumberText(record.start).view());
-  EXPECT_EQ(execution->child_text("completion"),
-            NumberText(record.end).view());
-  EXPECT_EQ(execution->child_text("deadline"),
-            NumberText(record.deadline).view());
+  document.open("application");
+  EXPECT_EQ(document.leaf("name"), "closure");
+  document.close();
+  document.open("execution");
+  EXPECT_EQ(document.leaf("resource"), "S1");
+  EXPECT_EQ(document.leaf("start"), NumberText(record.start).view());
+  EXPECT_EQ(document.leaf("completion"), NumberText(record.end).view());
+  EXPECT_EQ(document.leaf("deadline"), NumberText(record.deadline).view());
+  document.close();
+  EXPECT_EQ(document.leaf("email"), "user@example.org");
+  document.finish();
 }
 
 // --- what the portal reads ------------------------------------------------

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "support/xml_tree.hpp"
 #include "xml/xml.hpp"
 
 namespace gridlb::agents {
@@ -33,37 +32,89 @@ TEST(ServiceInfo, RoundTrip) {
 }
 
 TEST(ServiceInfo, DocumentShapeMatchesFig5) {
-  const xml::testing::Node doc = xml::testing::read_tree(to_xml(example()));
-  EXPECT_EQ(doc.name, "agentgrid");
+  const std::string document = to_xml(example());
+  xml::Reader doc(document);
+  EXPECT_EQ(doc.name(), "agentgrid");
   EXPECT_EQ(doc.attribute("type"), "service");
-  const xml::testing::Node* agent = doc.child("agent");
-  ASSERT_NE(agent, nullptr);
-  EXPECT_EQ(agent->child_text("address"), "gem.dcs.warwick.ac.uk");
-  EXPECT_EQ(agent->child_text("port"), "1000");
-  const xml::testing::Node* local = doc.child("local");
-  ASSERT_NE(local, nullptr);
-  EXPECT_EQ(local->child_text("type"), "SunUltra10");
-  EXPECT_EQ(local->child_text("nproc"), "16");
-  EXPECT_EQ(local->count("environment"), 3u);
-  EXPECT_FALSE(local->child_text("freetime").empty());
+  doc.open("agent");
+  EXPECT_EQ(doc.leaf("address"), "gem.dcs.warwick.ac.uk");
+  EXPECT_EQ(doc.leaf("port"), "1000");
+  doc.close();
+  doc.open("local");
+  EXPECT_EQ(doc.leaf("address"), "gem.dcs.warwick.ac.uk");
+  EXPECT_EQ(doc.leaf("port"), "10000");
+  EXPECT_EQ(doc.leaf("type"), "SunUltra10");
+  EXPECT_EQ(doc.leaf("nproc"), "16");
+  EXPECT_EQ(doc.leaf("environment"), "mpi");
+  EXPECT_EQ(doc.leaf("environment"), "pvm");
+  EXPECT_EQ(doc.leaf("environment"), "test");
+  EXPECT_EQ(doc.leaf("freetime"), "4312.500000");
+  doc.close();
+  doc.finish();
 }
 
-TEST(ServiceInfo, ReadsChildrenInAnyOrderAndKeepsEveryEnvironment) {
-  const ServiceInfo parsed = service_info_from_xml(
-      "<agentgrid type=\"service\"><local><freetime>1.5</freetime>"
-      "<environment>pvm</environment><nproc>4</nproc><port>2</port>"
-      "<environment>mpi</environment><port>99</port><type>t</type>"
-      "<address>l</address><skipped a='1'><x/></skipped></local>"
-      "<agent><port>1</port><address>a</address></agent>"
-      "<local><nproc>8</nproc></local></agentgrid>");
-  EXPECT_EQ(parsed.agent_address, "a");
-  EXPECT_EQ(parsed.agent_port, 1);
-  EXPECT_EQ(parsed.local_address, "l");
-  EXPECT_EQ(parsed.local_port, 2);
-  EXPECT_EQ(parsed.hardware_type, "t");
-  EXPECT_EQ(parsed.nproc, 4);
-  EXPECT_EQ(parsed.environments, (std::vector<std::string>{"pvm", "mpi"}));
-  EXPECT_DOUBLE_EQ(parsed.freetime, 1.5);
+TEST(ServiceInfo, RejectsChildrenOutOfOrder) {
+  // What a reader that dispatched by name once read, keeping the first of
+  // each name and every <environment>.
+  EXPECT_THROW(
+      service_info_from_xml(
+          "<agentgrid type=\"service\"><local><freetime>1.5</freetime>"
+          "<environment>pvm</environment><nproc>4</nproc><port>2</port>"
+          "<environment>mpi</environment><port>99</port><type>t</type>"
+          "<address>l</address><skipped a='1'><x/></skipped></local>"
+          "<agent><port>1</port><address>a</address></agent>"
+          "<local><nproc>8</nproc></local></agentgrid>"),
+      xml::ParseError);
+}
+
+TEST(ServiceInfo, LeafTextRoundTripsVerbatim) {
+  ServiceInfo info = example();
+  info.agent_address = " gem.dcs.warwick.ac.uk";
+  info.local_address = "gem.dcs.warwick.ac.uk ";
+  info.hardware_type = " SunUltra10 ";
+  info.environments = {" mpi", "pvm ", "  "};
+  const ServiceInfo parsed = service_info_from_xml(to_xml(info));
+  EXPECT_EQ(parsed.environments, info.environments);
+  EXPECT_EQ(parsed, info);
+}
+
+TEST(ServiceInfo, RejectsWhatToXmlCannotWrite) {
+  // Each is one edit of a written document, and a ParseError.  The run of
+  // <environment> leaves may be empty or long, but stands between
+  // <nproc> and <freetime>.
+  const std::string document = to_xml(example());
+  const auto edit = [&document](const std::string& from,
+                                const std::string& to) {
+    std::string edited = document;
+    const auto at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return edited.replace(at, from.size(), to);
+  };
+  const std::string port = "    <port>1000</port>\n";
+  const std::string type = "    <type>SunUltra10</type>\n";
+  const std::string test = "    <environment>test</environment>\n";
+  const std::string freetime = "    <freetime>4312.500000</freetime>\n";
+  const struct {
+    const char* what;
+    std::string document;
+  } cases[] = {
+      {"a declaration", "<?xml version=\"1.0\"?>\n" + document},
+      {"a comment", edit("<local>", "<local><!-- note -->")},
+      {"a single-quoted value", edit("type=\"service\"", "type='service'")},
+      {"text beside child elements", edit("<agent>", "<agent>note")},
+      {"a child out of order",
+       edit("    <address>gem.dcs.warwick.ac.uk</address>\n" + port,
+            port + "    <address>gem.dcs.warwick.ac.uk</address>\n")},
+      {"an environment out of its run",
+       edit(test + freetime, freetime + test)},
+      {"a missing child", edit(type, "")},
+      {"a repeated child", edit(port, port + port)},
+      {"an unknown child", edit("<local>", "<local><extra/>")},
+  };
+  for (const auto& [what, edited] : cases) {
+    EXPECT_THROW(service_info_from_xml(edited), xml::ParseError)
+        << what << "\n" << edited;
+  }
 }
 
 TEST(ServiceInfo, EmptyEnvironmentListSurvives) {
@@ -80,11 +131,11 @@ TEST(ServiceInfo, RejectsWrongDocumentType) {
 
 TEST(ServiceInfo, RejectsMissingSections) {
   EXPECT_THROW(service_info_from_xml("<agentgrid type=\"service\"/>"),
-               AssertionError);
+               xml::ParseError);
   EXPECT_THROW(service_info_from_xml(
                    "<agentgrid type=\"service\"><agent><address>a</address>"
                    "<port>1</port></agent></agentgrid>"),
-               AssertionError);
+               xml::ParseError);
 }
 
 TEST(ServiceInfo, RejectsMalformedNumbers) {

@@ -1,6 +1,6 @@
 // Deterministic mutation fuzzing of the text parsers that read user or
-// wire input: xml::Reader and the typed agent-document readers on top of it,
-// pace::parse_model (model files) and core::parse_workload_jsonl
+// wire input: the typed agent-document readers and the xml::Reader under
+// them, pace::parse_model (model files) and core::parse_workload_jsonl
 // (--arrival-trace).  Seeded byte flips, truncations and splices of a small
 // corpus; every mutant must either parse and round-trip through the
 // matching writer, or fail with that parser's own error.  Any other
@@ -16,14 +16,12 @@
 #include <vector>
 
 #include "agents/request.hpp"
-#include "agents/result.hpp"
 #include "agents/service_info.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "core/workload.hpp"
 #include "pace/model_parser.hpp"
 #include "pace/paper_applications.hpp"
-#include "support/xml_tree.hpp"
 #include "xml/xml.hpp"
 
 namespace gridlb {
@@ -109,71 +107,6 @@ void fuzz(const std::vector<std::string>& corpus, std::uint64_t seed,
   // Neither outcome may be vacuous.
   EXPECT_GT(parsed, kMutantsPerParser / 20);
   EXPECT_GT(rejected, kMutantsPerParser / 20);
-}
-
-/// Writes a tree read back out with xml::Writer: an element's text inline
-/// after its start tag, then its children.
-void write_element(xml::Writer& writer, const xml::testing::Node& element) {
-  writer.open(element.name);
-  for (const auto& [key, value] : element.attributes) {
-    writer.attribute(key, value);
-  }
-  writer.text(element.text);
-  for (const xml::testing::Node& child : element.children) {
-    write_element(writer, child);
-  }
-  writer.close();
-}
-
-/// Reads `document` into a tree and writes it back out.
-std::string rewrite(const std::string& document) {
-  xml::Writer writer(0);
-  write_element(writer, xml::testing::read_tree(document));
-  return std::move(writer).finish();
-}
-
-TEST(ParserFuzz, XmlParseRoundTripsOrThrowsParseError) {
-  agents::ServiceInfo info;
-  info.agent_address = "gem.dcs.warwick.ac.uk";
-  info.agent_port = 1000;
-  info.local_address = "gem.dcs.warwick.ac.uk";
-  info.local_port = 10000;
-  info.hardware_type = "SunUltra10";
-  info.nproc = 16;
-  info.environments = {"mpi", "pvm", "test"};
-  info.freetime = 100.5;
-  agents::Request request;
-  request.task = TaskId(7);
-  request.app_name = "sweep3d";
-  request.binary_file = "/dcs/agentgrid/binary/sweep3d";
-  request.input_file = "/dcs/agentgrid/binary/input.50";
-  request.model_name = "/dcs/agentgrid/model/sweep3d";
-  request.environment = "test";
-  request.deadline = 437.25;
-  request.email = "user@example.org";
-  request.origin = 42;
-  agents::ExecutionResult result;
-  result.task = TaskId(7);
-  result.app_name = "fft <&> \"quoted\" 'single'";
-  result.start = 1.5;
-  result.completion = 9.25;
-  result.deadline = 10.0;
-  const std::vector<std::string> corpus = {
-      agents::to_xml(info),
-      agents::to_xml(request),
-      agents::to_xml(result),
-      "<?xml version=\"1.0\"?>\n<a x='1' y=\"&lt;&amp;&gt;\"><b/>t&quot;"
-      "<c>u</c>&apos;</a>",
-  };
-  fuzz(
-      corpus, 0x786d6c,
-      [](const std::string& input) {
-        const std::string once = rewrite(input);
-        EXPECT_EQ(rewrite(once), once) << input;
-      },
-      [](const std::exception& error) {
-        return dynamic_cast<const xml::ParseError*>(&error) != nullptr;
-      });
 }
 
 /// Reads `document`, whose root start tag the reader has read, with

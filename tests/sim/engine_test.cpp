@@ -13,7 +13,7 @@ namespace {
 TEST(Engine, StartsAtZero) {
   Engine engine;
   EXPECT_EQ(engine.now(), 0.0);
-  EXPECT_FALSE(engine.has_pending());
+  EXPECT_EQ(engine.next_event_time(), kTimeInfinity);
 }
 
 TEST(Engine, RunsEventsInTimeOrder) {
@@ -235,11 +235,11 @@ TEST(Engine, ConstQueriesSkipCancelledEvents) {
   EXPECT_TRUE(engine.cancel(first));
   // The queries prune the cancelled head lazily instead of copying the
   // whole queue; the cancelled event must be invisible either way.
-  EXPECT_TRUE(engine.has_pending());
+  EXPECT_NE(engine.next_event_time(), kTimeInfinity);
   EXPECT_EQ(engine.next_event_time(), 2.0);
   engine.run();
   EXPECT_FALSE(fired);
-  EXPECT_FALSE(engine.has_pending());
+  EXPECT_EQ(engine.next_event_time(), kTimeInfinity);
   EXPECT_EQ(engine.next_event_time(), kTimeInfinity);
 }
 
@@ -250,7 +250,7 @@ TEST(Engine, AllCancelledReadsAsIdle) {
     ids.push_back(engine.schedule_at(static_cast<double>(i) + 1.0, []() {}));
   }
   for (const EventId id : ids) EXPECT_TRUE(engine.cancel(id));
-  EXPECT_FALSE(engine.has_pending());
+  EXPECT_EQ(engine.next_event_time(), kTimeInfinity);
   EXPECT_EQ(engine.next_event_time(), kTimeInfinity);
   engine.run();
   EXPECT_EQ(engine.events_processed(), 0u);

@@ -6,17 +6,20 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "support/xml_tree.hpp"
 
 namespace gridlb::xml {
 namespace {
 
-using testing::Node;
-using testing::read_tree;
-
-/// Reads all of `document`, checking it.
+/// Reads a document whose root has no children, checking it.
 void read_all(const std::string& document) {
   Reader reader(document);
+  reader.finish();
+}
+
+/// Reads `document` as the root `a` holding `depth - 1` nested `a`s.
+void read_nested(const std::string& document, std::size_t depth) {
+  Reader reader(document);
+  for (std::size_t i = 1; i < depth; ++i) reader.open("a");
   reader.finish();
 }
 
@@ -37,17 +40,11 @@ TEST(XmlEscape, LeavesPlainTextAlone) {
 }
 
 TEST(XmlElement, AttributesUpsert) {
-  // A repeated key keeps its last value; the visit sees every occurrence.
+  // A repeated key keeps its last value.
   const std::string document = "<x k=\"1\" k=\"2\"/>";
   const Reader reader(document);
   ASSERT_TRUE(reader.attribute("k").has_value());
   EXPECT_EQ(*reader.attribute("k"), "2");
-  std::string visited;
-  reader.for_each_attribute([&visited](std::string_view key,
-                                       std::string_view value) {
-    visited.append(key).append("=").append(value).append(";");
-  });
-  EXPECT_EQ(visited, "k=1;k=2;");
 }
 
 TEST(XmlElement, MissingAttributeIsNullopt) {
@@ -56,38 +53,46 @@ TEST(XmlElement, MissingAttributeIsNullopt) {
 }
 
 TEST(XmlElement, ChildLookup) {
-  // Children are pulled in document order, each read as a leaf's text.
+  // Children are read in document order, each as a leaf's text; a name may
+  // recur.
   const std::string document = "<root><a>1</a><b>2</b><a>3</a></root>";
   Reader reader(document);
-  std::string seen;
-  while (reader.next_child()) {
-    seen.append(reader.name()).append("=");
-    seen.append(reader.text()).append(";");
-  }
-  EXPECT_EQ(seen, "a=1;b=2;a=3;");
+  EXPECT_EQ(reader.leaf("a"), "1");
+  EXPECT_EQ(reader.leaf("b"), "2");
+  EXPECT_TRUE(reader.next_is("a"));
+  EXPECT_FALSE(reader.next_is("b"));
+  EXPECT_EQ(reader.leaf("a"), "3");
+  EXPECT_FALSE(reader.next_is("a"));
   reader.finish();
 }
 
 TEST(XmlElement, ManyAttributesKeepTheirOrder) {
-  std::string input = "<r";
-  for (int i = 0; i < 2000; ++i) {
-    input += " k";
-    input += std::to_string(i);
-    input += "=\"\"";
+  // Up to Reader::kMaxAttributes per start tag, each read by its key;
+  // one more is rejected.
+  const auto tag = [](std::size_t count) {
+    std::string input = "<r";
+    for (std::size_t i = 0; i < count; ++i) {
+      input += " k";
+      input += std::to_string(i);
+      input += "=\"";
+      input += std::to_string(i);
+      input += "\"";
+    }
+    input += "><c>t</c></r>";
+    return input;
+  };
+  const std::string full = tag(Reader::kMaxAttributes);
+  Reader reader(full);
+  for (std::size_t i = 0; i < Reader::kMaxAttributes; ++i) {
+    const std::string value = std::to_string(i);
+    std::string key = "k";
+    key += value;
+    EXPECT_EQ(reader.attribute(key), value);
   }
-  input += "><c>t</c></r>";
-  Reader reader(input);
-  std::size_t i = 0;
-  reader.for_each_attribute([&i](std::string_view key, std::string_view) {
-    EXPECT_EQ(key.substr(1), std::to_string(i));
-    ++i;
-  });
-  EXPECT_EQ(i, 2000u);
-  EXPECT_EQ(reader.attribute("k1999"), "");
-  ASSERT_TRUE(reader.next_child());
-  EXPECT_EQ(reader.name(), "c");
-  EXPECT_EQ(reader.text(), "t");
+  EXPECT_EQ(reader.leaf("c"), "t");
   reader.finish();
+  const std::string overfull = tag(Reader::kMaxAttributes + 1);
+  EXPECT_THROW(Reader{overfull}, ParseError);
 }
 
 TEST(XmlElement, LargeDocumentsReadInOrder) {
@@ -102,20 +107,22 @@ TEST(XmlElement, LargeDocumentsReadInOrder) {
   writer.close();
   const std::string written = std::move(writer).finish();
   Reader reader(written);
-  int i = 0;
-  while (reader.next_child()) {
-    EXPECT_EQ(reader.name(), "item");
+  for (int i = 0; i < 1000; ++i) {
+    reader.open("item");
     EXPECT_EQ(*reader.attribute("i"), std::to_string(i));
     EXPECT_EQ(reader.text().size(), static_cast<std::size_t>(i % 50));
-    ++i;
+    reader.close();
   }
-  EXPECT_EQ(i, 1000);
   reader.finish();
   // Dense input: one element per four bytes.
   std::string dense = "<r>";
   for (int j = 0; j < 1000; ++j) dense += "<a/>";
   dense += "</r>";
-  EXPECT_EQ(read_tree(dense).count("a"), 1000u);
+  Reader dense_reader(dense);
+  std::size_t count = 0;
+  for (; dense_reader.next_is("a"); ++count) dense_reader.leaf("a");
+  dense_reader.finish();
+  EXPECT_EQ(count, 1000u);
 }
 
 TEST(XmlWrite, EmptyElementSelfCloses) {
@@ -176,19 +183,27 @@ TEST(XmlWrite, StampsTheRootStartTag) {
   EXPECT_EQ(Reader(document).attribute("k"), "<&>\"'");
 }
 
-TEST(XmlWrite, MixedContentReadsBack) {
-  // Inline text, then the children on lines of their own.
+TEST(XmlWrite, RejectsMixedContent) {
+  // An element with text has no children: the writer cannot write one, and
+  // the reader rejects the text beside the children on either side.
   Writer writer(0);
   writer.open("r");
   writer.text("a");
   writer.text("b");
-  writer.leaf("c", "t");
-  writer.close();
-  const std::string written = std::move(writer).finish();
-  EXPECT_EQ(written, "<r>ab\n  <c>t</c>\n</r>\n");
-  const Node parsed = read_tree(written);
-  EXPECT_EQ(parsed.text, "ab");
-  EXPECT_EQ(parsed.child_text("c"), "t");
+  EXPECT_THROW(writer.open("c"), AssertionError);
+  for (const std::string mixed :
+       {"<r>ab\n  <c>t</c>\n</r>\n", "<r>\n  <c>t</c>\nab</r>\n"}) {
+    Reader reader(mixed);
+    EXPECT_THROW(
+        {
+          reader.leaf("c");
+          reader.finish();
+        },
+        ParseError)
+        << mixed;
+    Reader as_leaf(mixed);
+    EXPECT_THROW(as_leaf.text(), ParseError) << mixed;
+  }
 }
 
 TEST(XmlWrite, RejectsMisnestedCalls) {
@@ -211,33 +226,38 @@ TEST(XmlParse, SimpleDocument) {
   const std::string document = "<a><b>text</b></a>";
   Reader reader(document);
   EXPECT_EQ(reader.name(), "a");
-  ASSERT_TRUE(reader.next_child());
+  reader.open("b");
   EXPECT_EQ(reader.name(), "b");
   EXPECT_EQ(reader.text(), "text");
+  reader.close();
   EXPECT_EQ(reader.name(), "a");
-  EXPECT_FALSE(reader.next_child());
+  EXPECT_FALSE(reader.next_is("b"));
   reader.finish();
 }
 
 TEST(XmlParse, SelfClosingTag) {
   const std::string document = "<a><b/><c/></a>";
   Reader reader(document);
-  using Item = Reader::Item;
-  EXPECT_EQ(reader.next(), Item::kChild);
+  reader.open("b");
   EXPECT_EQ(reader.name(), "b");
-  EXPECT_EQ(reader.next(), Item::kEnd);
-  EXPECT_EQ(reader.next(), Item::kChild);
-  EXPECT_EQ(reader.name(), "c");
+  reader.close();
+  reader.open("c");
   EXPECT_EQ(reader.text(), "");
-  EXPECT_EQ(reader.next(), Item::kEnd);
+  reader.close();
+  EXPECT_EQ(reader.name(), "a");
   reader.finish();
 }
 
 TEST(XmlParse, Attributes) {
-  const std::string document = "<a x=\"1\" y='two'/>";
+  const std::string document = "<a x=\"1\" y=\"two\"/>";
   const Reader reader(document);
   EXPECT_EQ(*reader.attribute("x"), "1");
   EXPECT_EQ(*reader.attribute("y"), "two");
+}
+
+TEST(XmlParse, RejectsSingleQuotedValues) {
+  const std::string document = "<a x=\"1\" y='two'/>";
+  EXPECT_THROW(Reader{document}, ParseError);
 }
 
 TEST(XmlParse, DecodesEntities) {
@@ -247,29 +267,79 @@ TEST(XmlParse, DecodesEntities) {
   EXPECT_EQ(reader.text(), "&\"'");
 }
 
-TEST(XmlParse, AcceptsDeclarationAndWhitespace) {
-  const std::string document = "  <?xml version=\"1.0\"?>\n  <a/>  ";
+TEST(XmlParse, RejectsDeclaration) {
+  for (const std::string document : {"<?xml version=\"1.0\"?>\n<a/>\n",
+                                     "  <?xml version=\"1.0\"?>\n  <a/>  "}) {
+    EXPECT_THROW(Reader{document}, ParseError) << document;
+  }
+  // Whitespace may follow the root, as the writer's newline does.
+  const std::string document = "<a/>\n  ";
   Reader reader(document);
   EXPECT_EQ(reader.name(), "a");
   reader.finish();
 }
 
-TEST(XmlParse, SkipsComments) {
-  const std::string document = "<a><!-- note --><b/></a>";
-  EXPECT_EQ(read_tree(document).children.size(), 1u);
-  // A comment splits a leaf's text into runs, which read joined.
+TEST(XmlParse, RejectsComments) {
+  const std::string child = "<a><!-- note --><b/></a>";
+  Reader before_child(child);
+  EXPECT_THROW(before_child.open("b"), ParseError);
+  Reader before_end(child);
+  EXPECT_THROW(before_end.finish(), ParseError);
   const std::string split = "<a>x<!-- note -->y</a>";
-  EXPECT_EQ(Reader(split).text(), "xy");
+  Reader in_leaf(split);
+  EXPECT_THROW(in_leaf.text(), ParseError);
 }
 
 TEST(XmlParse, TrimsIndentationWhitespace) {
-  const Node doc = read_tree("<a>\n  <b>x</b>\n</a>");
-  EXPECT_EQ(doc.text, "");
-  EXPECT_EQ(doc.child_text("b"), "x");
+  // Whitespace between tags is skipped.
+  const std::string document = "<a>\n  <b>x</b>\n</a>";
+  Reader reader(document);
+  EXPECT_EQ(reader.leaf("b"), "x");
+  reader.finish();
 }
 
 TEST(XmlParse, PreservesInteriorTextSpaces) {
-  EXPECT_EQ(read_tree("<a>hello world</a>").text, "hello world");
+  const std::string document = "<a>hello world</a>";
+  EXPECT_EQ(Reader(document).text(), "hello world");
+}
+
+TEST(XmlParse, ReadsLeafTextVerbatim) {
+  // Leading and trailing spaces, a whitespace-only text and line breaks
+  // read back as written.
+  for (const std::string_view text :
+       {" lead", "trail ", "  both  ", "   ", "\n", " a\n b "}) {
+    Writer writer(0);
+    writer.open("r");
+    writer.leaf("t", text);
+    writer.close();
+    const std::string written = std::move(writer).finish();
+    Reader reader(written);
+    EXPECT_EQ(reader.leaf("t"), text) << written;
+    reader.finish();
+  }
+}
+
+TEST(XmlParse, RejectsAChildOtherThanTheOneAskedFor) {
+  const std::string document = "<r>\n  <a>1</a>\n  <b>2</b>\n</r>\n";
+  Reader in_order(document);
+  EXPECT_EQ(in_order.leaf("a"), "1");
+  EXPECT_EQ(in_order.leaf("b"), "2");
+  in_order.finish();
+  // Out of order or unknown.
+  Reader out_of_order(document);
+  EXPECT_THROW(out_of_order.leaf("b"), ParseError);
+  // Missing.
+  Reader missing(document);
+  missing.leaf("a");
+  missing.leaf("b");
+  EXPECT_THROW(missing.leaf("c"), ParseError);
+  const std::string empty = "<r/>";
+  Reader in_empty(empty);
+  EXPECT_THROW(in_empty.open("a"), ParseError);
+  // Repeated, or left unread.
+  Reader unread(document);
+  unread.leaf("a");
+  EXPECT_THROW(unread.finish(), ParseError);
 }
 
 TEST(XmlParse, RejectsMismatchedClosingTag) {
@@ -277,7 +347,14 @@ TEST(XmlParse, RejectsMismatchedClosingTag) {
 }
 
 TEST(XmlParse, RejectsUnterminatedElement) {
-  EXPECT_THROW(read_all("<a><b></b>"), ParseError);
+  const std::string document = "<a><b></b>";
+  Reader reader(document);
+  reader.leaf("b");
+  EXPECT_THROW(reader.finish(), ParseError);
+  const std::string leaf = "<a><b>text";
+  Reader in_leaf(leaf);
+  in_leaf.open("b");
+  EXPECT_THROW(in_leaf.text(), ParseError);
 }
 
 TEST(XmlParse, RejectsTrailingContent) {
@@ -285,7 +362,9 @@ TEST(XmlParse, RejectsTrailingContent) {
 }
 
 TEST(XmlParse, RejectsUnknownEntity) {
-  EXPECT_THROW(read_all("<a>&bogus;</a>"), ParseError);
+  const std::string document = "<a>&bogus;</a>";
+  EXPECT_THROW(Reader(document).text(), ParseError);
+  EXPECT_THROW(read_all("<a k=\"&bogus;\"/>"), ParseError);
 }
 
 TEST(XmlParse, RejectsUnterminatedAttribute) {
@@ -309,11 +388,11 @@ TEST(XmlParse, BoundsNestingDepth) {
     for (std::size_t i = 0; i < depth; ++i) document += "</a>";
     return document;
   };
-  EXPECT_NO_THROW(read_all(nested(64)));
+  EXPECT_NO_THROW(read_nested(nested(64), 64));
   // Deep enough to overflow a reader whose open elements had no bound.
   for (const std::size_t depth : {65u, 100000u}) {
     try {
-      read_all(nested(depth));
+      read_nested(nested(depth), depth);
       ADD_FAILURE() << "expected ParseError at depth " << depth;
     } catch (const ParseError& error) {
       EXPECT_EQ(error.offset(), 3u * 64u);  // the 65th <a>
@@ -328,38 +407,20 @@ TEST(XmlReader, ReadsOnlyWhatItIsAskedFor) {
   const Reader reader(document);
   EXPECT_EQ(reader.attribute("type"), "result");
   Reader body(document);
-  EXPECT_THROW(body.finish(), ParseError);
+  body.open("a");
+  EXPECT_THROW(body.text(), ParseError);
   // A malformed root start tag throws at once.
   for (const std::string bad : {"<r type=result>", "<r type=\"x>", "r/>", ""}) {
     EXPECT_THROW(Reader{bad}, ParseError) << bad;
   }
 }
 
-TEST(XmlReader, SkippedChildrenAreStillChecked) {
-  const std::string good = "<r><skip a='&lt;'><x>1</x><y/></skip><k>v</k></r>";
-  Reader reader(good);
-  ASSERT_TRUE(reader.next_child());
-  reader.skip();
-  ASSERT_TRUE(reader.next_child());
-  EXPECT_EQ(reader.text(), "v");
-  reader.finish();
-  for (const std::string bad :
-       {"<r><skip><x></y></skip></r>", "<r><skip a='&no;'/></r>",
-        "<r><skip>&no;</skip></r>", "<r><skip>"}) {
-    Reader skipping(bad);
-    EXPECT_THROW(
-        {
-          while (skipping.next_child()) skipping.skip();
-        },
-        ParseError)
-        << bad;
+TEST(XmlReader, RejectsALeafWithChildren) {
+  // A leaf's text runs to its end tag; a child there is not read past.
+  for (const std::string document :
+       {"<a>x<b>inner</b>y&amp;<c/>z</a>", "<a><b/></a>"}) {
+    EXPECT_THROW(Reader(document).text(), ParseError) << document;
   }
-}
-
-TEST(XmlReader, LeafTextSkipsChildren) {
-  // The element's own runs, joined; a child's text is not its text.
-  const std::string document = "<a>x<b>inner</b>y&amp;<c/>z</a>";
-  EXPECT_EQ(Reader(document).text(), "xy&z");
 }
 
 TEST(XmlReader, PlainValuesAreViewsIntoTheDocument) {
@@ -372,13 +433,13 @@ TEST(XmlReader, PlainValuesAreViewsIntoTheDocument) {
   EXPECT_TRUE(inside(*reader.attribute("k")));
   EXPECT_FALSE(inside(*reader.attribute("e")));  // decoded, so copied
   EXPECT_EQ(reader.attribute("e"), "&");
-  ASSERT_TRUE(reader.next_child());
+  reader.open("c");
   EXPECT_TRUE(inside(reader.name()));
   EXPECT_TRUE(inside(reader.text()));
 }
 
 TEST(XmlRoundTrip, CompactAndPretty) {
-  // The parser reads a document the same with or without the writer's
+  // The reader reads a document the same with or without the writer's
   // line breaks and indentation.
   Writer writer(0);
   writer.open("agentgrid");
@@ -395,13 +456,18 @@ TEST(XmlRoundTrip, CompactAndPretty) {
       "<agentgrid type=\"request\"><application><name>sweep3d</name>"
       "</application><requirement><deadline>17.5</deadline></requirement>"
       "</agentgrid>";
-  EXPECT_EQ(read_tree(pretty), read_tree(compact));
-  const Node parsed = read_tree(compact);
-  EXPECT_EQ(parsed.name, "agentgrid");
-  EXPECT_EQ(parsed.attribute("type"), "request");
-  EXPECT_EQ(parsed.child("application")->child_text("name"), "sweep3d");
-  EXPECT_EQ(parsed.child("requirement")->child_text("deadline"), "17.5");
-  EXPECT_EQ(parsed.text, "");
+  for (const std::string& document : {pretty, compact}) {
+    Reader reader(document);
+    EXPECT_EQ(reader.name(), "agentgrid");
+    EXPECT_EQ(reader.attribute("type"), "request");
+    reader.open("application");
+    EXPECT_EQ(reader.leaf("name"), "sweep3d");
+    reader.close();
+    reader.open("requirement");
+    EXPECT_EQ(reader.leaf("deadline"), "17.5");
+    reader.close();
+    reader.finish();
+  }
 }
 
 TEST(XmlRoundTrip, DeepNesting) {
@@ -421,10 +487,7 @@ TEST(XmlRoundTrip, DeepNesting) {
   const std::string written = std::move(writer).finish();
   Reader reader(written);
   EXPECT_EQ(reader.name(), "l0");
-  for (int i = 1; i < 20; ++i) {
-    ASSERT_TRUE(reader.next_child());
-    EXPECT_EQ(reader.name(), level(i));
-  }
+  for (int i = 1; i < 20; ++i) reader.open(level(i));
   EXPECT_EQ(reader.text(), "bottom");
   reader.finish();
 }
