@@ -42,10 +42,16 @@ void Agent::add_child(Agent* child) {
   children_.push_back(child);
 }
 
-void Agent::start() {
+void Agent::start() { start_pulls(0.0); }
+
+void Agent::start_pulls(SimTime start) {
   if (!grid_.discovery_enabled || grid_.pull_period <= 0.0) return;
-  pull_timer_ = engine_.schedule_periodic(0.0, grid_.pull_period,
-                                          [this]() { pull_from_neighbours(); });
+  engine_.schedule_periodic(start, grid_.pull_period,
+                            [this, epoch = pull_epoch_]() {
+                              if (epoch != pull_epoch_) return false;
+                              pull_from_neighbours();
+                              return true;
+                            });
 }
 
 std::vector<TaskId> Agent::crash() {
@@ -53,10 +59,7 @@ std::vector<TaskId> Agent::crash() {
   alive_ = false;
   ++stats_.crashes;
   network_.set_endpoint_up(endpoint_, false);
-  if (pull_timer_ != 0) {
-    engine_.cancel(pull_timer_);
-    pull_timer_ = 0;
-  }
+  ++pull_epoch_;
   act_ = CapabilityTable{};
   pending_results_.clear();
   queue_copies_.clear();  // the drained pending tasks go back via the portal
@@ -85,9 +88,7 @@ void Agent::restart() {
   obs::emit({.at = engine_.now(),
              .kind = obs::EventKind::kAgentRestarted,
              .resource = config_.id.value()});
-  if (!grid_.discovery_enabled || grid_.pull_period <= 0.0) return;
-  pull_timer_ = engine_.schedule_periodic(
-      engine_.now(), grid_.pull_period, [this]() { pull_from_neighbours(); });
+  start_pulls(engine_.now());
 }
 
 ServiceInfo Agent::service_snapshot() const {
@@ -171,9 +172,7 @@ void Agent::receive_request(Request request, bool final_dispatch) {
   const auto hops = static_cast<std::uint64_t>(request.visited.size());
 
   if (final_dispatch || !grid_.discovery_enabled) {
-    stats_.hops_accumulated += hops;
-    if (hops == 0) ++stats_.zero_hop_dispatches;
-    dispatch_local(std::move(request));
+    dispatch_local(std::move(request), hops);
     return;
   }
 
@@ -185,13 +184,12 @@ void Agent::receive_request(Request request, bool final_dispatch) {
       return;
     }
     ++stats_.fallback_dispatches;
-    stats_.hops_accumulated += hops;
     obs::emit({.at = engine_.now(),
                .kind = obs::EventKind::kDiscoveryFallback,
                .extra = static_cast<std::uint32_t>(hops),
                .task = request.task.value(),
                .resource = config_.id.value()});
-    dispatch_local(std::move(request));
+    dispatch_local(std::move(request), hops);
     return;
   }
   if (!already_visited(request, config_.id)) {
@@ -202,15 +200,13 @@ void Agent::receive_request(Request request, bool final_dispatch) {
   const ServiceInfo own = service_snapshot();
   if (const auto eta = estimate_completion(own, request);
       eta && *eta <= request.deadline) {
-    stats_.hops_accumulated += hops;
-    if (hops == 0) ++stats_.zero_hop_dispatches;
     obs::emit({.at = engine_.now(),
                .kind = obs::EventKind::kDiscoveryLocal,
                .extra = static_cast<std::uint32_t>(hops),
                .task = request.task.value(),
                .resource = config_.id.value(),
                .a = *eta});
-    dispatch_local(std::move(request));
+    dispatch_local(std::move(request), hops);
     return;
   }
 
@@ -312,9 +308,7 @@ void Agent::receive_request(Request request, bool final_dispatch) {
     }
   }
   if (target == nullptr) {
-    stats_.hops_accumulated += hops;
-    if (hops == 0) ++stats_.zero_hop_dispatches;
-    dispatch_local(std::move(request));
+    dispatch_local(std::move(request), hops);
   } else {
     if (const auto occupancy = expected_occupancy(*target_info, request)) {
       act_.advance_freetime(target->id(), engine_.now(), *occupancy);
@@ -341,8 +335,10 @@ void Agent::note_strict_drop(const Request& request, std::uint64_t hops) {
   }
 }
 
-void Agent::dispatch_local(Request request) {
+void Agent::dispatch_local(Request request, std::uint64_t hops_before) {
   ++stats_.dispatched_local;
+  stats_.hops_accumulated += hops_before;
+  if (hops_before == 0) ++stats_.zero_hop_dispatches;
   const auto hops = static_cast<std::uint32_t>(request.visited.size());
   obs::emit({.at = engine_.now(),
              .kind = obs::EventKind::kRequestDispatched,

@@ -146,7 +146,7 @@ class Agent {
   /// Arms the periodic advertisement pull.
   void start();
 
-  /// Agent-churn process failure: the endpoint goes deaf, the pull timer
+  /// Agent-churn process failure: the endpoint goes deaf, the pull chain
   /// and in-flight retries die, and the ACT plus reply-routing state is
   /// lost.  Tasks still *pending* (not yet started) on the local scheduler
   /// die with the process and are returned so the portal can re-discover
@@ -212,7 +212,11 @@ class Agent {
   void handle_send_failure(sim::EndpointId to, const std::string& payload);
   void pull_from_neighbours();
   void push_to_neighbours();
-  void dispatch_local(Request request);
+  /// Arms the periodic pull from `start`; the chain ends at the next crash.
+  void start_pulls(SimTime start);
+  /// Executes `request` here.  `hops_before` is the hop count the request
+  /// arrived with, before discovery adds this agent to `visited`.
+  void dispatch_local(Request request, std::uint64_t hops_before);
   void forward(Request request, Agent* to, bool final_dispatch);
   void note_strict_drop(const Request& request, std::uint64_t hops);
   /// Migration trigger, run after each advertisement upsert: when this
@@ -239,7 +243,9 @@ class Agent {
   sched::LocalScheduler& scheduler_;
   ReliableLink link_;
   bool alive_ = true;
-  sim::EventId pull_timer_ = 0;
+  /// Incremented by crash(): a pull tick armed in an earlier epoch ends
+  /// its chain without pulling.
+  std::uint64_t pull_epoch_ = 0;
   sim::EndpointId endpoint_ = 0;
   Agent* parent_ = nullptr;
   std::vector<Agent*> children_;

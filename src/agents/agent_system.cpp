@@ -102,7 +102,6 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
         engine_, predictions_, std::move(scheduler_config),
         [this, collector, agent_index](const sched::CompletionRecord& record) {
           if (collector != nullptr) collector->record(record);
-          ++completed_count_;
           // The agent may not exist yet while the system is being built,
           // but completions only fire once the simulation runs.
           if (agent_index < agents_.size()) {

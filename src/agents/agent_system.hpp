@@ -130,13 +130,9 @@ class AgentSystem {
     return predictions_;
   }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
-  /// Completions recorded so far.
-  [[nodiscard]] std::uint64_t completed_count() const {
-    return completed_count_;
-  }
   /// Strict-failure drops notified so far (always 0 outside strict mode).
-  /// The notifications are deferred events, so completed + dropped can form
-  /// the run loop's stop condition.
+  /// The notifications are deferred events, so the collector's completions
+  /// plus these drops can form the run loop's stop condition.
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_count_; }
 
  private:
@@ -154,7 +150,6 @@ class AgentSystem {
   /// One per resource under node churn, else none.
   std::vector<std::unique_ptr<sched::ResourceMonitor>> monitors_;
   std::size_t head_index_ = 0;
-  std::uint64_t completed_count_ = 0;
   std::uint64_t dropped_count_ = 0;
 };
 

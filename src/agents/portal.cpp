@@ -30,8 +30,8 @@ TaskId Portal::submit(Agent& entry, const std::string& app_name,
   GRIDLB_REQUIRE(deadline >= engine_.now(),
                  "deadline lies before submission time");
 
-  const TaskId task(++submitted_);
   submissions_.emplace_back(app_name, deadline, environment, email);
+  const TaskId task(submissions_.size());
 
   if (collector_ != nullptr) collector_->on_submission(engine_.now());
   // Live arrival counter for the continuous sampler; the end-of-run

@@ -43,6 +43,9 @@ class Portal {
          const pace::ApplicationCatalogue& catalogue,
          metrics::MetricsCollector* collector, bool reliable = false);
 
+  /// Sizes the submission list for `submissions` requests up front.
+  void reserve(std::size_t submissions) { submissions_.reserve(submissions); }
+
   /// Submits one request to `entry` now.  `deadline` is absolute
   /// simulation time.  Returns the assigned task id.
   TaskId submit(Agent& entry, const std::string& app_name, SimTime deadline,
@@ -57,7 +60,6 @@ class Portal {
   /// submission never executed) through the fallback entry.
   void resubmit(TaskId task);
 
-  [[nodiscard]] std::uint64_t requests_sent() const { return submitted_; }
   [[nodiscard]] std::uint64_t tasks_resubmitted() const {
     return resubmitted_;
   }
@@ -80,7 +82,6 @@ class Portal {
   ReliableLink link_;
   sim::EndpointId endpoint_;
   Agent* fallback_ = nullptr;
-  std::uint64_t submitted_ = 0;
   std::uint64_t resubmitted_ = 0;
   std::uint64_t results_received_ = 0;
   std::vector<Submission> submissions_;  ///< task t at index t - 1

@@ -35,7 +35,11 @@ std::optional<std::string> Flags::find_value(const std::string& name) const {
   return std::nullopt;
 }
 
-void Flags::parse(int argc, const char* const* argv) {
+void Flags::parse(int argc, const char* const* argv, std::string_view command,
+                  const std::vector<std::string_view>& reads) {
+  // Input the command would ignore; reported after the whole line is read,
+  // so that --help anywhere still wins.
+  std::optional<std::string> rejected;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -43,12 +47,15 @@ void Flags::parse(int argc, const char* const* argv) {
       continue;
     }
     if (arg.rfind("--", 0) != 0) {
-      // "-x" is a mistyped flag, never a positional; "-5" and "-" are.
+      // "-x" is a mistyped flag; "-5" and "-" are positional arguments.
       if (arg.size() > 1 && arg[0] == '-' &&
           std::isalpha(static_cast<unsigned char>(arg[1])) != 0) {
         throw FlagError("unknown flag " + arg);
       }
-      positional_.push_back(arg);
+      if (!rejected) {
+        rejected = std::string(command) +
+                   " takes no positional arguments, got '" + arg + "'";
+      }
       continue;
     }
     std::string name = arg.substr(2);
@@ -68,8 +75,13 @@ void Flags::parse(int argc, const char* const* argv) {
       have_value = true;
     }
     if (!wants_value && !have_value) value = "true";
+    if (!rejected &&
+        std::find(reads.begin(), reads.end(), name) == reads.end()) {
+      rejected = std::string(command) + " does not read --" + name;
+    }
     values_.push_back(Value{std::move(name), std::move(value)});
   }
+  if (rejected && !help_requested_) throw FlagError(*rejected);
 }
 
 bool Flags::has(const std::string& name) const {

@@ -1,18 +1,21 @@
 // Minimal command-line flag parser for the tools and examples.
 //
-// Supports `--key value`, `--key=value` and boolean `--flag` forms, plus
-// positional arguments.  Repeated flags resolve last-wins (scripts append
-// overrides to a baseline command line), and numeric getters require the
-// whole token to parse ("16x" is an error, not 16).  Declared flags carry
-// a help line; `usage()` renders them.  `--help` / `-h` are always
-// accepted and only set `help_requested()`.  Unknown flags, missing
-// values and malformed values raise FlagError so typos fail fast with a
+// Supports `--key value`, `--key=value` and boolean `--flag` forms; a
+// command line is parsed for one command, which reads some of the declared
+// flags and no positional arguments.  Repeated flags resolve last-wins
+// (scripts append overrides to a baseline command line), and numeric
+// getters require the whole token to parse ("16x" is an error, not 16).
+// Declared flags carry a help line; `usage()` renders them.  `--help` /
+// `-h` are always accepted and only set `help_requested()`.  Unknown
+// flags, missing values, malformed values, flags the command does not read
+// and positional arguments raise FlagError so typos fail fast with a
 // message a tool can print next to its usage.
 #pragma once
 
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gridlb {
@@ -31,9 +34,13 @@ class Flags {
   /// for boolean flags).
   void declare(std::string name, std::string value_hint, std::string help);
 
-  /// Parses argv (excluding argv[0]).  Throws FlagError on unknown flags
-  /// (including single-dash `-x` forms) and on flags missing a value.
-  void parse(int argc, const char* const* argv);
+  /// Parses argv (excluding argv[0]) for `command`, which reads only the
+  /// flags named in `reads`.  Throws FlagError on unknown flags (including
+  /// single-dash `-x` forms) and on flags missing a value; unless `--help`
+  /// or `-h` appears, also on the first flag outside `reads` or positional
+  /// argument, naming it and `command`.
+  void parse(int argc, const char* const* argv, std::string_view command,
+             const std::vector<std::string_view>& reads);
 
   /// True once `--help` or `-h` appeared on the parsed command line.
   [[nodiscard]] bool help_requested() const { return help_requested_; }
@@ -47,10 +54,6 @@ class Flags {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
-
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
-  }
 
   [[nodiscard]] std::string usage(const std::string& program) const;
 
@@ -72,7 +75,6 @@ class Flags {
 
   std::vector<Declaration> declarations_;
   std::vector<Value> values_;
-  std::vector<std::string> positional_;
   bool help_requested_ = false;
 };
 

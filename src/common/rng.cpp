@@ -18,9 +18,4 @@ double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * next_double();
 }
 
-Rng Rng::split() {
-  Rng child(next_u64());
-  return child;
-}
-
 }  // namespace gridlb

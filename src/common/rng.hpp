@@ -30,8 +30,8 @@ constexpr std::uint64_t splitmix64_mix(std::uint64_t z) {
 
 /// xoshiro256** engine with convenience distributions.
 ///
-/// Not thread-safe; each simulation component owns its own stream (use
-/// `split()` to derive independent child streams deterministically).
+/// Not thread-safe; each simulation component owns its own stream, seeded
+/// from a parent stream's draws where several must stay independent.
 ///
 /// The per-draw methods are defined inline: the GA's breeding loop makes
 /// tens of millions of draws per experiment (DESIGN.md §11).
@@ -117,10 +117,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  /// Derives a child stream whose sequence is independent of later draws
-  /// from this stream (both are fully determined by the original seed).
-  Rng split();
 
  private:
   /// One xoshiro256** step over the four state words.

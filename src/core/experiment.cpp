@@ -362,6 +362,9 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   }
 
   const std::uint64_t expected = scheduled;
+  if (config.placement != PlacementFamily::kCentralOracle) {
+    portal.reserve(expected);
+  }
 
   // Continuous profiling: sampler ticks at least one network latency
   // apart, at interval, 2·interval, ...  Each tick is one extra engine
@@ -377,17 +380,17 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
                                      system.network().latency());
     engine.schedule_periodic(
         interval, interval,
-        [&engine, &system, &sampler_ticks, sampler, expected,
+        [&engine, &collector, &sampler_ticks, sampler, expected,
          progress = config.obs.progress] {
           ++sampler_ticks;
           sampler->sample(engine.now());
           if (progress) {
             // Not a warning: the heartbeat the user asked for.
             std::fprintf(stderr,
-                         "[gridlb] t=%.1fs  completed %" PRIu64 "/%" PRIu64
-                         "\n",
-                         engine.now(), system.completed_count(), expected);
+                         "[gridlb] t=%.1fs  completed %zu/%" PRIu64 "\n",
+                         engine.now(), collector.completed_tasks(), expected);
           }
+          return true;
         });
   }
 
@@ -397,7 +400,7 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   // condition), or open-loop until the duration cutoff: exactly the
   // events with time < duration run.  Drops count through dropped_count(),
   // so one condition covers strict and non-strict mode.
-  while (system.completed_count() + system.dropped_count() < expected) {
+  while (collector.completed_tasks() + system.dropped_count() < expected) {
     const SimTime next = engine.next_event_time();
     if (next == kTimeInfinity) {
       GRIDLB_REQUIRE(open_loop, "event queue drained with tasks missing");
@@ -416,9 +419,9 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   // the cutoff, not at the last completion inside it.
   result.report = collector.report(
       open_loop ? std::optional<SimTime>(duration) : std::nullopt);
-  result.completions = collector.records();
-  result.requests_submitted = expected;
   result.tasks_completed = collector.completed_tasks();
+  result.completions = std::move(collector).records();
+  result.requests_submitted = expected;
   result.finished_at = engine.now();
   // Observation neutrality: sampler ticks are engine events, so their
   // executions are subtracted back out — the published count must be

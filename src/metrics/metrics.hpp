@@ -19,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -56,8 +57,13 @@ class MetricsCollector {
   void record(const sched::CompletionRecord& record);
 
   [[nodiscard]] std::size_t completed_tasks() const { return records_.size(); }
-  [[nodiscard]] const std::vector<sched::CompletionRecord>& records() const {
+  [[nodiscard]] const std::vector<sched::CompletionRecord>& records()
+      const& {
     return records_;
+  }
+  /// Hands the records over; the collector is spent.
+  [[nodiscard]] std::vector<sched::CompletionRecord> records() && {
+    return std::move(records_);
   }
 
   /// Computes the full ε/υ/β report.  `window_end` defaults to the last

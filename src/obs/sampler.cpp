@@ -92,9 +92,8 @@ std::string TimeSeries::csv() const {
 Sampler::Sampler(const MetricsRegistry& registry) : registry_(&registry) {}
 
 void Sampler::sample(SimTime at) {
-  if (have_row_ && at <= last_at_) return;  // duplicate end-of-run tick
-  have_row_ = true;
-  last_at_ = at;
+  // A duplicate end-of-run tick.
+  if (!series_.empty() && at <= series_.rows().back().t) return;
 
   const RegistrySample snap = registry_->sample();
   std::vector<std::pair<std::string, double>> values;

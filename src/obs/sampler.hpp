@@ -88,8 +88,6 @@ class Sampler {
   std::map<std::string, std::uint64_t> prev_counters_;
   std::map<std::string, Histogram::Snapshot> prev_histograms_;
   TimeSeries series_;
-  bool have_row_ = false;
-  SimTime last_at_ = 0.0;
 };
 
 }  // namespace gridlb::obs

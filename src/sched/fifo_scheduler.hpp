@@ -59,8 +59,6 @@ class FifoScheduler {
                 pace::ResourceModel resource, int node_count,
                 FifoObjective objective = FifoObjective::kMinExecution);
 
-  [[nodiscard]] FifoObjective objective() const { return objective_; }
-
   /// Chooses the fixed allocation for `task` given the current per-node
   /// free times (absolute; values before `now` count as free now).
   [[nodiscard]] FifoPlacement place(const Task& task,

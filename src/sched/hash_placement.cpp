@@ -85,11 +85,6 @@ void HashPlacement::set_available(std::size_t index, bool up) {
   available_[index] = up ? 1 : 0;
 }
 
-bool HashPlacement::available(std::size_t index) const {
-  GRIDLB_REQUIRE(index < targets_.size(), "placement target out of range");
-  return available_[index] != 0;
-}
-
 double HashPlacement::total_weight() const {
   double total = 0.0;
   for (std::size_t i = 0; i < targets_.size(); ++i) {

@@ -76,7 +76,6 @@ class HashPlacement {
   /// Marks a target in or out of the map (resource churn).  Draws for
   /// the surviving targets are unaffected — the bounded-remap property.
   void set_available(std::size_t index, bool up);
-  [[nodiscard]] bool available(std::size_t index) const;
 
   [[nodiscard]] const std::vector<PlacementTarget>& targets() const {
     return targets_;

@@ -38,14 +38,6 @@ double hash_unit(std::uint64_t seed, TaskId task) {
 
 }  // namespace
 
-std::string_view policy_name(SchedulerPolicy policy) {
-  switch (policy) {
-    case SchedulerPolicy::kFifo: return "FIFO";
-    case SchedulerPolicy::kGa: return "GA";
-  }
-  GRIDLB_ASSERT(false);
-}
-
 void LocalScheduler::Config::validate() const {
   GRIDLB_REQUIRE(node_count >= 1 && node_count <= kMaxNodesPerResource,
                  "node count out of range");
@@ -183,7 +175,6 @@ void LocalScheduler::commit(std::size_t pending_index, NodeMask mask,
 
   engine_.schedule_at(end, [this, record = std::move(record)]() {
     --running_;
-    ++completed_;
     if (auto* reg = obs::registry()) {
       // Live flow counters for the continuous sampler.  Busy time is
       // node-seconds in integer microseconds, so the running totals carry

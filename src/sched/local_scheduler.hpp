@@ -38,8 +38,6 @@ namespace gridlb::sched {
 
 enum class SchedulerPolicy { kFifo, kGa };
 
-[[nodiscard]] std::string_view policy_name(SchedulerPolicy policy);
-
 /// Emitted once per task at its (virtual-time) completion.
 struct CompletionRecord {
   TaskId task;
@@ -123,10 +121,6 @@ class LocalScheduler {
     return static_cast<int>(pending_.size());
   }
   [[nodiscard]] int running_count() const { return running_; }
-  [[nodiscard]] std::uint64_t tasks_completed() const { return completed_; }
-  [[nodiscard]] std::span<const SimTime> node_free() const {
-    return node_free_;
-  }
   /// GA statistics (zero when the FIFO policy is active).
   [[nodiscard]] std::uint64_t ga_decodes() const {
     return ga_ ? ga_->total_decodes() : 0;
@@ -159,7 +153,6 @@ class LocalScheduler {
   NodeMask available_ = 0;
   SimTime last_plan_completion_ = 0.0;
   int running_ = 0;
-  std::uint64_t completed_ = 0;
   bool reschedule_pending_ = false;
 };
 

@@ -49,8 +49,7 @@ ResourceMonitor::ResourceMonitor(sim::Engine& engine,
     : engine_(engine),
       scheduler_(scheduler),
       poll_period_(poll_period),
-      truth_(full_mask(scheduler.config().node_count)),
-      view_(truth_) {
+      truth_(full_mask(scheduler.config().node_count)) {
   GRIDLB_REQUIRE(poll_period > 0.0, "poll period must be positive");
   const int nodes = scheduler.config().node_count;
   for (const ChurnEvent& event : script) {
@@ -66,16 +65,16 @@ ResourceMonitor::ResourceMonitor(sim::Engine& engine,
 void ResourceMonitor::start() {
   GRIDLB_REQUIRE(!started_, "monitor already started");
   started_ = true;
-  engine_.schedule_periodic(0.0, poll_period_, [this]() { poll(); });
+  engine_.schedule_periodic(0.0, poll_period_, [this]() {
+    poll();
+    return true;
+  });
 }
 
 void ResourceMonitor::poll() {
-  const NodeMask changed = truth_ ^ view_;
-  if (changed == 0) return;
-  for_each_node(changed, [&](int node) {
+  for_each_node(truth_ ^ scheduler_.available_nodes(), [&](int node) {
     scheduler_.set_node_available(node, ((truth_ >> node) & 1u) != 0);
   });
-  view_ = truth_;
 }
 
 }  // namespace gridlb::sched

@@ -14,8 +14,9 @@
 //  * ResourceMonitor — owns the ground truth of which nodes are up, arms
 //    its resource's script to flip it, and polls it every `poll_period`
 //    (the paper's five minutes by default), pushing changes into the
-//    LocalScheduler.  The polling gap means the scheduler's view can lag
-//    reality, exactly as in the paper's implementation.
+//    LocalScheduler, whose available-node mask is the one view of them.
+//    The polling gap means that view can lag reality, exactly as in the
+//    paper's implementation.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +81,6 @@ class ResourceMonitor {
   LocalScheduler& scheduler_;
   double poll_period_;
   NodeMask truth_;
-  NodeMask view_;
   bool started_ = false;
 };
 

@@ -10,12 +10,6 @@
 
 namespace gridlb::sim {
 
-namespace {
-// Periodic-chain ids carry the top bit so they never collide with (or
-// linger in the cancellation set of) queued event ids.
-constexpr EventId kChainBit = EventId{1} << 63;
-}  // namespace
-
 void Engine::release(std::uint32_t index) const {
   slots_[index] = nullptr;
   free_slots_.push_back(index);
@@ -46,39 +40,26 @@ EventId Engine::schedule_in(SimTime delay, EventFn fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-EventId Engine::schedule_periodic(SimTime start, SimTime period, EventFn fn) {
+void Engine::schedule_periodic(SimTime start, SimTime period, PeriodicFn fn) {
   GRIDLB_REQUIRE(period > 0.0, "period must be positive");
-  // The chain id lives in its own id space and is never placed on the
-  // queue; each tick consults cancelled_chains_ before firing.
-  const EventId chain_id = kChainBit | next_chain_++;
   // Each firing reschedules a copy of itself, so the queue holds the only
-  // reference to the chain: cancelling it or destroying the engine frees
-  // the callback (a tick that captured itself would keep it alive).
+  // reference to the chain: ending it or destroying the engine frees the
+  // callback (a tick that captured itself would keep it alive).
   struct Tick {
     Engine* engine;
-    EventId chain_id;
     SimTime period;
-    std::shared_ptr<EventFn> fn;
+    std::shared_ptr<PeriodicFn> fn;
 
     void operator()() const {
-      if (engine->cancelled_chains_.erase(chain_id) != 0) return;
-      (*fn)();
-      if (engine->cancelled_chains_.erase(chain_id) != 0) return;
+      if (!(*fn)()) return;
       engine->schedule_at(engine->now_ + period, *this);
     }
   };
-  schedule_at(start, Tick{this, chain_id, period,
-                          std::make_shared<EventFn>(std::move(fn))});
-  return chain_id;
+  schedule_at(start,
+              Tick{this, period, std::make_shared<PeriodicFn>(std::move(fn))});
 }
 
 bool Engine::cancel(EventId id) {
-  if (id & kChainBit) {
-    const EventId chain = id & ~kChainBit;
-    if (chain == 0 || chain >= next_chain_) return false;
-    cancelled_chains_.insert(id);
-    return true;
-  }
   if (id == 0 || id >= next_seq_) return false;
   cancelled_.insert(id);
   return true;

@@ -30,6 +30,9 @@ using EventId = std::uint64_t;
 /// the event's timestamp when the callback runs.
 using EventFn = std::function<void()>;
 
+/// Callback of a periodic chain: returns whether the chain goes on.
+using PeriodicFn = std::function<bool()>;
+
 class Engine {
  public:
   Engine() = default;
@@ -46,12 +49,13 @@ class Engine {
   /// Schedules `fn` after a relative delay `delay` (>= 0).
   EventId schedule_in(SimTime delay, EventFn fn);
 
-  /// Schedules `fn` every `period` seconds starting at `start`.  The
-  /// returned id cancels the *whole* periodic chain.
-  EventId schedule_periodic(SimTime start, SimTime period, EventFn fn);
+  /// Runs `fn` at `start`, then every `period` seconds for as long as it
+  /// returns true.  The chain's owner ends it: there is no handle, and a
+  /// tick that returns false is still one processed event.
+  void schedule_periodic(SimTime start, SimTime period, PeriodicFn fn);
 
-  /// Cancels a pending event (or periodic chain).  Returns false if the
-  /// event already fired or was never scheduled.
+  /// Cancels a pending one-shot event.  Returns false if the event
+  /// already fired or was never scheduled.
   bool cancel(EventId id);
 
   /// Runs until the queue is empty.
@@ -105,13 +109,8 @@ class Engine {
   mutable std::vector<EventFn> slots_;
   mutable std::vector<std::uint32_t> free_slots_;
   mutable std::unordered_set<EventId> cancelled_;
-  // Periodic chains: chain ids live in their own id space (top bit set) and
-  // are never enqueued, so a cancelled chain id never lingers in
-  // `cancelled_` poisoning the lazy sweep's O(1) fast path.
-  std::unordered_set<EventId> cancelled_chains_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
-  EventId next_chain_ = 1;
   std::uint64_t events_processed_ = 0;
   mutable std::uint64_t events_swept_ = 0;
 };

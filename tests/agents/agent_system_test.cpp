@@ -147,8 +147,8 @@ TEST_F(AgentSystemFixture, PortalAssignsUniqueTaskIds) {
   Portal portal(engine, system.network(), catalogue, &collector);
   const TaskId a = portal.submit(system.head(), "fft", 1000.0);
   const TaskId b = portal.submit(system.head(), "fft", 1000.0);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(portal.requests_sent(), 2u);
+  EXPECT_EQ(a, TaskId(1));  // numbered by place in the submission list
+  EXPECT_EQ(b, TaskId(2));
 }
 
 TEST_F(AgentSystemFixture, PortalRejectsUnknownApplication) {

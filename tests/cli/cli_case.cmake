@@ -15,6 +15,10 @@
 #         "-DRETIRED=--a --b" -P cli_case.cmake
 #       for each retired flag: "<arguments> --a 1" fails with
 #       "error: unknown flag --a" and then the usage, exit 2
+#   cmake -DCLI=<gridlb> -DARGS="<arguments>" -DEXIT=1
+#         "-DSTDERR=<text>" -P cli_case.cmake
+#       a run whose own check fails, or no command: stderr starts with
+#       <text> (a `FAIL: ...` line, or the usage), exit 1
 #
 # In every case stderr must not carry assertion text: a user error is not a
 # gridlb bug.
@@ -31,7 +35,10 @@ function(check_case args message)
   if(NOT assertion EQUAL -1)
     message(FATAL_ERROR "user error surfaced as an assertion: ${context}")
   endif()
-  if(EXIT EQUAL 0)
+  if(DEFINED STDERR)
+    set(want "${STDERR}")
+    string(FIND "${err}" "${want}" at)
+  elseif(EXIT EQUAL 0)
     set(want "usage: gridlb ")
     string(FIND "${out}" "${want}" at)
   elseif(EXIT EQUAL 1)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/assert.hpp"
 
 namespace gridlb {
@@ -17,9 +21,28 @@ Flags declared() {
   return flags;
 }
 
-void parse(Flags& flags, std::initializer_list<const char*> args) {
+/// Parses `args` for a command that reads only `reads`.
+void parse_for(Flags& flags, const std::vector<std::string_view>& reads,
+               std::initializer_list<const char*> args) {
   std::vector<const char*> argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
+  flags.parse(static_cast<int>(argv.size()), argv.data(), "tool", reads);
+}
+
+/// Parses `args` for a command that reads every declared flag.
+void parse(Flags& flags, std::initializer_list<const char*> args) {
+  parse_for(flags, {"requests", "policy", "placement", "rate", "csv"}, args);
+}
+
+/// The message of the FlagError that parsing `args` for `reads` throws.
+std::string rejection(const std::vector<std::string_view>& reads,
+                      std::initializer_list<const char*> args) {
+  Flags flags = declared();
+  try {
+    parse_for(flags, reads, args);
+  } catch (const FlagError& error) {
+    return error.what();
+  }
+  return "no FlagError";
 }
 
 TEST(Flags, SeparateValueForm) {
@@ -60,10 +83,32 @@ TEST(Flags, FallbacksWhenAbsent) {
 }
 
 TEST(Flags, PositionalArguments) {
+  // A command reads no positional argument: the first one is a usage error
+  // that names it and the command.
+  const std::vector<std::string_view> all = {"requests", "csv"};
+  EXPECT_EQ(rejection(all, {"run", "--requests", "5", "extra"}),
+            "tool takes no positional arguments, got 'run'");
+  EXPECT_EQ(rejection(all, {"--requests", "5", "extra"}),
+            "tool takes no positional arguments, got 'extra'");
+  EXPECT_EQ(rejection(all, {"--csv", "-"}),
+            "tool takes no positional arguments, got '-'");
+  EXPECT_EQ(rejection(all, {"--csv", "-5"}),
+            "tool takes no positional arguments, got '-5'");
+  // A value that looks like one still belongs to its flag.
   Flags flags = declared();
-  parse(flags, {"run", "--requests", "5", "extra"});
-  EXPECT_EQ(flags.positional(),
-            (std::vector<std::string>{"run", "extra"}));
+  parse(flags, {"--requests", "-5"});
+  EXPECT_EQ(flags.get_int("requests", 0), -5);
+}
+
+TEST(Flags, FlagsTheCommandDoesNotReadThrow) {
+  // Declared but not read by this command: the first such flag is a usage
+  // error that names it and the command, in every value form.
+  EXPECT_EQ(rejection({"csv"}, {"--csv", "--requests", "5", "--rate", "2"}),
+            "tool does not read --requests");
+  EXPECT_EQ(rejection({"csv"}, {"--rate=2"}), "tool does not read --rate");
+  EXPECT_EQ(rejection({}, {"--csv"}), "tool does not read --csv");
+  // An unknown flag is still reported as unknown.
+  EXPECT_EQ(rejection({}, {"--csv", "--bogus"}), "unknown flag --bogus");
 }
 
 TEST(Flags, UnknownFlagThrows) {
@@ -106,12 +151,14 @@ TEST(Flags, HelpIsRequestedNotRejected) {
     parse(flags, {"--requests", "3", help});
     EXPECT_TRUE(flags.help_requested()) << help;
     EXPECT_EQ(flags.get_int("requests", 0), 3);
-    EXPECT_TRUE(flags.positional().empty());
   }
+  // Help wins over input the command would reject, wherever it appears.
+  Flags stray = declared();
+  parse_for(stray, {}, {"extra", "--requests", "3", "-h"});
+  EXPECT_TRUE(stray.help_requested());
   Flags plain = declared();
-  parse(plain, {"--csv", "-", "-5"});
+  parse(plain, {"--csv"});
   EXPECT_FALSE(plain.help_requested());
-  EXPECT_EQ(plain.positional(), (std::vector<std::string>{"-", "-5"}));
 }
 
 TEST(Flags, LastOccurrenceWins) {

@@ -130,26 +130,6 @@ TEST(Rng, ShuffleHandlesEmptyAndSingleton) {
   EXPECT_EQ(one, std::vector<int>{42});
 }
 
-TEST(Rng, SplitStreamsAreDeterministic) {
-  Rng a(31);
-  Rng b(31);
-  Rng child_a = a.split();
-  Rng child_b = b.split();
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(child_a.next_u64(), child_b.next_u64());
-  }
-}
-
-TEST(Rng, SplitChildDiffersFromParent) {
-  Rng parent(37);
-  Rng child = parent.split();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.next_u64() == child.next_u64()) ++equal;
-  }
-  EXPECT_LT(equal, 2);
-}
-
 // bernoulli_bits(n, p) is n calls to chance(p) folded into one word: same
 // outcomes, bit i for draw i, and the same stream position afterwards.
 void expect_bernoulli_bits_match_chance(double p) {

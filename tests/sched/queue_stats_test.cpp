@@ -46,7 +46,6 @@ TEST_F(QueueStatsFixture, FreshSchedulerHasZeroStats) {
   engine.run();
   EXPECT_TRUE(completions.empty());
   EXPECT_EQ(scheduler->pending_count(), 0);
-  EXPECT_EQ(scheduler->tasks_completed(), 0u);
 }
 
 TEST_F(QueueStatsFixture, SingleImmediateTaskHasNoWait) {

@@ -155,47 +155,42 @@ TEST(Engine, NextEventTime) {
 TEST(Engine, PeriodicFiresRepeatedly) {
   Engine engine;
   int count = 0;
-  engine.schedule_periodic(0.0, 10.0, [&count]() { ++count; });
+  engine.schedule_periodic(0.0, 10.0, [&count]() {
+    ++count;
+    return true;
+  });
   engine.run_until(35.0);
   EXPECT_EQ(count, 4);  // t = 0, 10, 20, 30
 }
 
-TEST(Engine, PeriodicCancelStopsChain) {
+TEST(Engine, PeriodicChainEndsWhenCallbackReturnsFalse) {
   Engine engine;
   int count = 0;
-  const EventId chain =
-      engine.schedule_periodic(0.0, 1.0, [&count]() { ++count; });
-  engine.schedule_at(4.5, [&engine, chain]() { engine.cancel(chain); });
+  engine.schedule_periodic(0.0, 1.0, [&count]() { return ++count < 3; });
   engine.run_until(100.0);
-  EXPECT_EQ(count, 5);  // t = 0..4
-}
-
-TEST(Engine, PeriodicCancelFromInsideCallback) {
-  Engine engine;
-  int count = 0;
-  EventId chain = 0;
-  chain = engine.schedule_periodic(0.0, 1.0, [&]() {
-    ++count;
-    if (count == 3) engine.cancel(chain);
-  });
-  engine.run_until(100.0);
-  EXPECT_EQ(count, 3);
+  EXPECT_EQ(count, 3);  // t = 0, 1, 2; the tick at 2 ends the chain
+  EXPECT_EQ(engine.events_processed(), 3u);
+  EXPECT_EQ(engine.next_event_time(), kTimeInfinity);
 }
 
 TEST(Engine, PeriodicRejectsNonPositivePeriod) {
   Engine engine;
-  EXPECT_THROW(engine.schedule_periodic(0.0, 0.0, []() {}), AssertionError);
+  EXPECT_THROW(engine.schedule_periodic(0.0, 0.0, []() { return true; }),
+               AssertionError);
 }
 
 // A periodic chain must own its callback only through the queue: a tick
 // that captured itself would leak the callback (and everything it holds)
-// past both cancellation and the engine's destruction.
+// past both the chain's end and the engine's destruction.
 TEST(Engine, PeriodicChainFreesCallbackWhenEngineDestroyedPending) {
   auto sentinel = std::make_shared<int>(0);
   const std::weak_ptr<int> watch = sentinel;
   {
     Engine engine;
-    engine.schedule_periodic(0.0, 1.0, [sentinel]() { ++*sentinel; });
+    engine.schedule_periodic(0.0, 1.0, [sentinel]() {
+      ++*sentinel;
+      return true;
+    });
     sentinel.reset();
     engine.run_until(3.5);
     EXPECT_FALSE(watch.expired());  // the chain is still pending
@@ -203,18 +198,17 @@ TEST(Engine, PeriodicChainFreesCallbackWhenEngineDestroyedPending) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST(Engine, PeriodicChainFreesCallbackWhenCancelled) {
+TEST(Engine, PeriodicChainFreesCallbackWhenItEnds) {
   auto sentinel = std::make_shared<int>(0);
   const std::weak_ptr<int> watch = sentinel;
   {
     Engine engine;
-    const EventId chain =
-        engine.schedule_periodic(0.0, 1.0, [sentinel]() { ++*sentinel; });
+    engine.schedule_periodic(0.0, 1.0,
+                             [sentinel]() { return ++*sentinel < 2; });
     sentinel.reset();
     engine.run_until(0.5);  // fired once
     EXPECT_EQ(*watch.lock(), 1);
-    EXPECT_TRUE(engine.cancel(chain));
-    engine.run_until(5.0);  // the pending tick sees the cancel and stops
+    engine.run_until(5.0);  // the tick at 1 returns false
     EXPECT_TRUE(watch.expired());
   }
   EXPECT_TRUE(watch.expired());
@@ -273,27 +267,6 @@ TEST(Engine, EventsSweptCountsLazyDiscards) {
   engine.run();
   EXPECT_EQ(engine.events_swept(), 2u);
   EXPECT_EQ(engine.events_processed(), 1u);
-}
-
-TEST(Engine, ChainCancelKeepsSweepFastPath) {
-  // Cancelling a periodic chain must not leave a stale id poisoning the
-  // lazy sweep: chain ids live in their own id space and are never
-  // enqueued, so after the chain stops no entry is ever swept for it.
-  Engine engine;
-  int count = 0;
-  const EventId chain =
-      engine.schedule_periodic(0.0, 1.0, [&count]() { ++count; });
-  engine.schedule_at(2.5, [&engine, chain]() { engine.cancel(chain); });
-  engine.run_until(50.0);
-  EXPECT_EQ(count, 3);  // t = 0, 1, 2
-  const std::uint64_t swept = engine.events_swept();
-  for (int i = 0; i < 100; ++i) {
-    engine.schedule_at(60.0 + i, []() {});
-  }
-  engine.run();
-  // No plain-event cancellations are outstanding, so the O(1) fast path
-  // never sweeps anything for the dead chain.
-  EXPECT_EQ(engine.events_swept(), swept);
 }
 
 TEST(Engine, ManyEventsStressOrder) {

@@ -63,10 +63,12 @@
 // and enabling tracing never changes results (DESIGN.md §9).
 //
 // `gridlb --help` (or -h, after any command) prints the usage and exits 0.
-// An unknown flag, a flag missing its value, a malformed or out-of-range
-// value, an unreadable or malformed input file (`--arrival-trace`,
-// `predict --model`) or an unknown command prints the error and the usage
-// to stderr and exits 2; a run that fails exits 1.
+// An unknown flag, a flag the command does not read, a positional
+// argument, a flag missing its value, a malformed or out-of-range value, an
+// unreadable or malformed input file (`--arrival-trace`, `predict --model`)
+// or an unknown command prints the error and the usage to stderr and exits
+// 2; a run that fails exits 1, and so does a bare `gridlb`, which prints
+// the usage.
 
 #include <algorithm>
 #include <cstdio>
@@ -510,9 +512,7 @@ int cmd_campaign(const Flags& flags) {
     }
     std::printf("%s — %zu executions\n", name.c_str(), records.size());
     std::cout << report::render_trace(records, node_count);
-    return 0;
-  }
-  if (flags.get_bool("csv", false)) {
+  } else if (flags.get_bool("csv", false)) {
     std::cout << report::report_csv(result.report);
   } else {
     // Surface trace-ring drops next to the numbers they taint: a truncated
@@ -638,6 +638,38 @@ Flags make_flags() {
   return flags;
 }
 
+/// One command and the flags it reads; any other flag is a usage error.
+struct Command {
+  std::string_view name;
+  int (*run)(const Flags&);
+  std::vector<std::string_view> reads;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"table1", [](const Flags&) { return cmd_table1(); }, {}},
+      {"predict", cmd_predict, {"app", "model", "hardware"}},
+      {"experiment",
+       cmd_experiment,
+       {"id", "requests", "seed", "placement", "drop-prob", "net-jitter",
+        "agent-mtbf", "agent-mttr", "csv", "trace-out", "events-out",
+        "metrics-json", "metrics-interval", "series-out", "series-csv",
+        "progress"}},
+      {"campaign",
+       cmd_campaign,
+       {"requests", "seed", "policy", "placement", "agents", "pull-period",
+        "prediction-error", "churn-mtbf", "churn-mttr", "drop-prob",
+        "net-jitter", "agent-mtbf", "agent-mttr", "grid-agents",
+        "grid-fanout", "requests-per-agent", "arrival-interval", "arrival",
+        "arrival-trace", "duration", "workload-out", "migration",
+        "max-shed-rate", "deadline-scale", "timeline-out", "timeline-window",
+        "require-complete", "csv", "trace", "trace-out", "events-out",
+        "metrics-json", "metrics-interval", "series-out", "series-csv",
+        "progress"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -656,11 +688,19 @@ int main(int argc, char** argv) {
     command = "campaign";
     flag_start = 1;
   }
+  const auto found =
+      std::find_if(commands().begin(), commands().end(),
+                   [&command](const Command& c) { return c.name == command; });
+  const bool known = found != commands().end();
   // Usage errors exit 2 with the usage text; --help is not an error.
   try {
-    flags.parse(argc - flag_start, argv + flag_start);
+    flags.parse(argc - flag_start, argv + flag_start, command,
+                known ? found->reads : std::vector<std::string_view>{});
   } catch (const FlagError& error) {
-    std::fprintf(stderr, "error: %s\n%s", error.what(), usage.c_str());
+    // An unknown command reads no flag; naming the command says more.
+    const std::string message =
+        known ? error.what() : "unknown command " + command;
+    std::fprintf(stderr, "error: %s\n%s", message.c_str(), usage.c_str());
     return 2;
   }
   if (flags.help_requested()) {
@@ -668,10 +708,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
-    if (command == "table1") return cmd_table1();
-    if (command == "predict") return cmd_predict(flags);
-    if (command == "experiment") return cmd_experiment(flags);
-    if (command == "campaign") return cmd_campaign(flags);
+    if (known) return found->run(flags);
     std::fprintf(stderr, "error: unknown command %s\n%s", command.c_str(),
                  usage.c_str());
     return 2;
