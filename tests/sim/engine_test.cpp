@@ -163,7 +163,24 @@ TEST(Engine, PeriodicFiresRepeatedly) {
   EXPECT_EQ(count, 4);  // t = 0, 10, 20, 30
 }
 
-TEST(Engine, PeriodicChainEndsWhenCallbackReturnsFalse) {
+// A chain has no handle: its owner stops it by having the callback return
+// false, here on a flag that another event sets.
+TEST(Engine, PeriodicCancelStopsChain) {
+  Engine engine;
+  int count = 0;
+  bool stopped = false;
+  engine.schedule_periodic(0.0, 1.0, [&]() {
+    if (stopped) return false;
+    ++count;
+    return true;
+  });
+  engine.schedule_at(4.5, [&stopped]() { stopped = true; });
+  engine.run_until(100.0);
+  EXPECT_EQ(count, 5);  // t = 0..4; the tick at 5 ends the chain
+  EXPECT_EQ(engine.next_event_time(), kTimeInfinity);
+}
+
+TEST(Engine, PeriodicCancelFromInsideCallback) {
   Engine engine;
   int count = 0;
   engine.schedule_periodic(0.0, 1.0, [&count]() { return ++count < 3; });
