@@ -341,21 +341,23 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
       break;
     }
     ++scheduled;
-    engine.schedule_at(spec.at, [&, spec, idx]() {
+    // The workload outlives the drive, so the event names its entry.
+    engine.schedule_at(spec.at, [&, idx]() {
+      const RequestSpec& entry = workload[idx];
       const SimTime now = engine.now();
-      const SimTime deadline = now + spec.deadline_offset;
+      const SimTime deadline = now + entry.deadline_offset;
       switch (config.placement) {
         case PlacementFamily::kAgentDiscovery:
           portal.submit(
-              system.agent(static_cast<std::size_t>(spec.agent_index)),
-              spec.app_name, deadline);
+              system.agent(static_cast<std::size_t>(entry.agent_index)),
+              entry.app_name, deadline);
           return;
         case PlacementFamily::kHashPlacement:
-          portal.submit(system.agent(hashed_entry(idx, spec.app_name, now)),
-                        spec.app_name, deadline);
+          portal.submit(system.agent(hashed_entry(idx, entry.app_name, now)),
+                        entry.app_name, deadline);
           return;
         case PlacementFamily::kCentralOracle:
-          oracle_submit(idx, spec.app_name, now, deadline);
+          oracle_submit(idx, entry.app_name, now, deadline);
           return;
       }
     });

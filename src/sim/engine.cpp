@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/assert.hpp"
@@ -18,7 +17,7 @@ void Engine::release(std::uint32_t index) const {
 EventId Engine::schedule_at(SimTime at, EventFn fn) {
   GRIDLB_REQUIRE(std::isfinite(at), "event time must be finite");
   GRIDLB_REQUIRE(at >= now_, "cannot schedule an event in the past");
-  GRIDLB_REQUIRE(fn != nullptr, "event callback must be set");
+  GRIDLB_REQUIRE(static_cast<bool>(fn), "event callback must be set");
   std::uint32_t index;
   if (free_slots_.empty()) {
     GRIDLB_REQUIRE(slots_.size() < UINT32_MAX, "too many pending events");
@@ -88,7 +87,7 @@ bool Engine::step() {
   GRIDLB_ASSERT(key.at >= now_);
   // Moved out before running: the callback may schedule into this slot
   // once it is free, or grow the slab under it.
-  const EventFn fn = std::move(slots_[key.slot]);
+  EventFn fn = std::move(slots_[key.slot]);
   release(key.slot);
   now_ = key.at;
   ++events_processed_;

@@ -146,15 +146,30 @@ std::string_view Reader::decoded(std::string_view raw) const {
   return out;
 }
 
+inline bool Reader::at_name(std::size_t at, std::string_view name) const {
+  // The NUL after the document stops the boundary check at its end.
+  return name.size() <= size_ - at &&
+         std::memcmp(data_ + at, name.data(), name.size()) == 0 &&
+         !is(data_[at + name.size()], kName);
+}
+
 void Reader::start_tag(std::string_view expected) {
   if (depth_ == kMaxDepth) {
     fail("elements nested deeper than " + std::to_string(kMaxDepth));
   }
-  expect('<');
-  const std::string_view name = read_name();
-  if (!expected.empty() && name != expected) {
-    fail("expected <" + std::string(expected) + ">, found <" +
-         std::string(name) + ">");
+  std::string_view name;
+  if (!expected.empty() && !eof() && data_[pos_] == '<' &&
+      at_name(pos_ + 1, expected)) {
+    name = {data_ + pos_ + 1, expected.size()};
+    pos_ += 1 + expected.size();
+  } else {
+    // Any name, or the error the byte-by-byte scan finds.
+    expect('<');
+    name = read_name();
+    if (!expected.empty() && name != expected) {
+      fail("expected <" + std::string(expected) + ">, found <" +
+           std::string(name) + ">");
+    }
   }
   open_[depth_++] = {name.data(), name.size()};
   tag_depth_ = depth_;
@@ -211,9 +226,7 @@ bool Reader::next_is(std::string_view name) {
   GRIDLB_ASSERT(depth_ > 0);
   if (empty_) return false;
   to_tag();
-  return std::string_view(data_ + pos_ + 1, size_ - pos_ - 1)
-             .starts_with(name) &&
-         !is(data_[pos_ + 1 + name.size()], kName);
+  return at_name(pos_ + 1, name);
 }
 
 std::string_view Reader::text() {
@@ -244,10 +257,17 @@ void Reader::close() {
          std::string(name()) + ">");
   }
   pos_ += 2;
+  const std::string_view current = name();
+  if (at_name(pos_, current) && data_[pos_ + current.size()] == '>') {
+    pos_ += current.size() + 1;
+    --depth_;
+    return;
+  }
+  // The error the byte-by-byte scan finds.
   const std::string_view closing = read_name();
-  if (closing != name()) {
+  if (closing != current) {
     fail("mismatched closing tag </" + std::string(closing) + "> for <" +
-         std::string(name()) + ">");
+         std::string(current) + ">");
   }
   expect('>');
   --depth_;

@@ -196,6 +196,9 @@ class Reader {
   void expect(char ch);
   void skip_whitespace();
   std::string_view read_name();
+  /// Whether the name at byte `at` is `name`: its bytes, then a byte no
+  /// name holds.
+  [[nodiscard]] bool at_name(std::size_t at, std::string_view name) const;
   /// Skips whitespace to the current element's next tag; text there stands
   /// beside child elements.
   void to_tag();

@@ -1,14 +1,19 @@
 // Heap allocations per event.  An event's order key is (at, seq), two
-// numbers: once the heap and the callback slab have grown to the run's
-// depth, an event whose closure fits std::function's inline buffer costs
-// no allocation at all.  The count comes from a replaced global operator
-// new, which is why this test has a binary of its own.
+// numbers, and its closure lives inline in its slab slot (EventFn): once
+// the heap and the slab have grown to the run's depth, an event costs no
+// allocation at all, whatever closure up to EventFn::kCapacity it holds.
+// The count comes from a replaced global operator new, which is why this
+// test has a binary of its own.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "sim/engine.hpp"
 
@@ -54,6 +59,39 @@ struct Completion {
 static_assert(sizeof(Completion) == 8 &&
               std::is_trivially_copyable_v<Completion>);
 
+/// A task completion's size: the scheduler and its CompletionRecord, a
+/// string among them.  Copied into each event it schedules.
+struct CompletionSized {
+  Engine* engine;
+  std::string app_name = "sweep3d";
+  std::array<double, 9> times{};
+  void operator()() const { engine->schedule_in(1.0, *this); }
+};
+static_assert(sizeof(CompletionSized) == 112 &&
+              sizeof(CompletionSized) <= EventFn::kCapacity);
+
+/// A network delivery's size: the network and its Message, a payload
+/// string among them.  Moves itself, payload and all, into the next event.
+struct DeliverySized {
+  Engine* engine;
+  std::uint32_t from = 0;
+  std::uint32_t to = 1;
+  std::string payload = std::string(600, 'x');
+  void operator()() { engine->schedule_in(1.0, std::move(*this)); }
+};
+static_assert(sizeof(DeliverySized) == 48);
+
+/// Move-only: owns its state and hands it on to the next event.
+struct MoveOnly {
+  Engine* engine;
+  std::unique_ptr<int> fired = std::make_unique<int>(0);
+  void operator()() {
+    ++*fired;
+    engine->schedule_in(1.0, std::move(*this));
+  }
+};
+static_assert(!std::is_copy_constructible_v<MoveOnly>);
+
 /// Allocations made by the `kEvents` events after a warm-up of as many.
 std::uint64_t steady_state_allocations(Engine& engine) {
   engine.run_until(kEvents);
@@ -83,6 +121,48 @@ TEST(EngineAllocations, LoneShardCompletionsAllocateNothingPerEvent) {
   engine.schedule_at(1.0, Completion{&engine});
   EXPECT_EQ(steady_state_allocations(engine), 0u);
   EXPECT_NE(engine.next_event_time(), kTimeInfinity);
+}
+
+TEST(EngineAllocations, CompletionSizedClosuresAllocateNothingPerEvent) {
+  Engine engine;
+  for (int i = 0; i < 600; ++i) {
+    engine.schedule_at(1e9 + i, CompletionSized{&engine});
+  }
+  engine.schedule_in(1.0, CompletionSized{&engine});
+  EXPECT_EQ(steady_state_allocations(engine), 0u);
+}
+
+TEST(EngineAllocations, DeliverySizedClosuresAllocateNothingPerEvent) {
+  // The payload is on the heap; the closure that carries it is not.
+  Engine engine;
+  engine.schedule_in(1.0, DeliverySized{&engine});
+  EXPECT_EQ(steady_state_allocations(engine), 0u);
+}
+
+TEST(EngineAllocations, MoveOnlyClosuresAllocateNothingPerEvent) {
+  Engine engine;
+  MoveOnly chain{&engine};
+  const int* fired = chain.fired.get();
+  engine.schedule_in(1.0, std::move(chain));
+  EXPECT_EQ(steady_state_allocations(engine), 0u);
+  EXPECT_GE(*fired, 2 * kEvents);
+}
+
+TEST(EngineAllocations, PendingClosuresDieWithTheEngine) {
+  // Every closure still queued, cancelled or not, is destroyed with the
+  // engine, and a fired one once it has run: nothing it owns leaks.
+  const auto owned = std::make_shared<int>(0);
+  {
+    Engine engine;
+    engine.schedule_at(1.0, [owned] {});
+    engine.schedule_at(2.0, [owned, heap = std::make_unique<int>(1)] {});
+    engine.cancel(engine.schedule_at(3.0, [owned] {}));
+    engine.schedule_at(4.0, MoveOnly{&engine});
+    EXPECT_EQ(owned.use_count(), 4);
+    engine.run_until(1.0);
+    EXPECT_EQ(owned.use_count(), 3);
+  }
+  EXPECT_EQ(owned.use_count(), 1);
 }
 
 }  // namespace

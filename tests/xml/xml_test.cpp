@@ -415,6 +415,52 @@ TEST(XmlReader, ReadsOnlyWhatItIsAskedFor) {
   }
 }
 
+/// The `what()` of the ParseError `read` throws, offset included.
+template <class Read>
+std::string parse_error(Read read) {
+  try {
+    read();
+  } catch (const ParseError& error) {
+    return error.what();
+  }
+  return "no ParseError";
+}
+
+TEST(XmlReader, NamesThatShareAPrefixFailAsABadName) {
+  // A name is matched as a whole: a longer or shorter name in the
+  // expected one's place is the error a byte-by-byte scan reports, at the
+  // same offset.
+  EXPECT_EQ(parse_error([] {
+              const std::string document = "<r><namex>t</namex></r>";
+              Reader(document).open("name");
+            }),
+            "expected <name>, found <namex> (at byte 9)");
+  EXPECT_EQ(parse_error([] {
+              const std::string document = "<r><nam";
+              Reader(document).open("name");
+            }),
+            "expected <name>, found <nam> (at byte 7)");
+  const auto close_leaf = [](const std::string& document) {
+    return parse_error([&document] {
+      Reader reader(document);
+      reader.open("name");
+      EXPECT_EQ(reader.text(), "t");
+      reader.close();
+    });
+  };
+  EXPECT_EQ(close_leaf("<r><name>t</namex></r>"),
+            "mismatched closing tag </namex> for <name> (at byte 17)");
+  EXPECT_EQ(close_leaf("<r><name>t</nam></r>"),
+            "mismatched closing tag </nam> for <name> (at byte 15)");
+  EXPECT_EQ(close_leaf("<r><name>t</nam"),
+            "mismatched closing tag </nam> for <name> (at byte 15)");
+  EXPECT_EQ(close_leaf("<r><name>t</name </r>"),
+            "expected '>' (at byte 16)");
+  EXPECT_EQ(close_leaf("<r><name>t</name"),
+            "unexpected end of input (at byte 16)");
+  EXPECT_EQ(close_leaf("<r><name>t</name></r>"), "no ParseError");
+}
+
 TEST(XmlReader, RejectsALeafWithChildren) {
   // A leaf's text runs to its end tag; a child there is not read past.
   for (const std::string document :

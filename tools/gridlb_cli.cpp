@@ -12,10 +12,11 @@
 //                   [--placement agent|central|crush] [--seed S]
 //                   [--pull-period P] [--prediction-error E]
 //                   [--churn-mtbf M --churn-mttr R]
-//                   [--csv] [--trace S1]
+//                   [--csv | --trace S1]
 //       Run a custom campaign on the Fig. 7 grid; --trace renders one
-//       resource's executed Gantt chart.  A leading `--` flag with no
-//       command runs a campaign, so `gridlb --grid-agents 192 …` works.
+//       resource's executed Gantt chart instead of the report.  A
+//       leading `--` flag with no command runs a campaign, so
+//       `gridlb --grid-agents 192 …` works.
 //
 // Scenario grids (campaign command, DESIGN.md §12): --grid-agents
 // replaces the Fig. 7 grid with a generated fanout tree of 16-node
@@ -435,6 +436,9 @@ int cmd_campaign(const Flags& flags) {
   // The output flags are checked before the run, not after it.
   int trace_index = -1;
   if (flags.has("trace")) {
+    require_flag(!flags.get_bool("csv", false),
+                 "--trace prints a Gantt chart, not CSV; drop --csv or "
+                 "--trace");
     const std::string name = flags.get("trace", "S1");
     const auto it = std::find_if(
         resources.begin(), resources.end(),
