@@ -14,8 +14,10 @@ using namespace gridlb;
 
 // Self-perpetuating event chain: the per-event cost of schedule + pop +
 // dispatch, the inner loop of every experiment.  The closure is two
-// pointers; like every closure, it lives inline in its slab slot
-// (sim::EventFn), so the row times the queue and no allocator.  `pending`
+// pointers, trivially copyable, so it lives inside the std::function and
+// the row times the queue rather than a heap-held functor; every closure
+// of a task's path is that small too, its larger state parked in a
+// sim::Slab.  `pending`
 // background events wait behind the chain, as the portal's up-front
 // submissions wait in a real run, so every push and pop sifts through a
 // heap that deep.

@@ -333,34 +333,36 @@ ExperimentResult run_impl(const ExperimentConfig& config) {
   const SimTime duration = config.duration;
   const bool open_loop = duration > 0.0;
   std::uint64_t scheduled = 0;
-  for (std::size_t idx = 0; idx < workload.size(); ++idx) {
+  // The workload outlives the drive, so a submission event names its
+  // entry by index: two words, which std::function holds without a heap
+  // allocation (sim/slab.hpp).
+  const auto submit = [&](std::size_t idx) {
     const RequestSpec& spec = workload[idx];
-    if (open_loop && spec.at >= duration) {
+    const SimTime now = engine.now();
+    const SimTime deadline = now + spec.deadline_offset;
+    switch (config.placement) {
+      case PlacementFamily::kAgentDiscovery:
+        portal.submit(system.agent(static_cast<std::size_t>(spec.agent_index)),
+                      spec.app_name, deadline);
+        return;
+      case PlacementFamily::kHashPlacement:
+        portal.submit(system.agent(hashed_entry(idx, spec.app_name, now)),
+                      spec.app_name, deadline);
+        return;
+      case PlacementFamily::kCentralOracle:
+        oracle_submit(idx, spec.app_name, now, deadline);
+        return;
+    }
+  };
+  for (std::size_t idx = 0; idx < workload.size(); ++idx) {
+    const SimTime at = workload[idx].at;
+    if (open_loop && at >= duration) {
       // Submission times are non-decreasing, so everything from here on is
       // past the cutoff and would never execute.
       break;
     }
     ++scheduled;
-    // The workload outlives the drive, so the event names its entry.
-    engine.schedule_at(spec.at, [&, idx]() {
-      const RequestSpec& entry = workload[idx];
-      const SimTime now = engine.now();
-      const SimTime deadline = now + entry.deadline_offset;
-      switch (config.placement) {
-        case PlacementFamily::kAgentDiscovery:
-          portal.submit(
-              system.agent(static_cast<std::size_t>(entry.agent_index)),
-              entry.app_name, deadline);
-          return;
-        case PlacementFamily::kHashPlacement:
-          portal.submit(system.agent(hashed_entry(idx, entry.app_name, now)),
-                        entry.app_name, deadline);
-          return;
-        case PlacementFamily::kCentralOracle:
-          oracle_submit(idx, entry.app_name, now, deadline);
-          return;
-      }
-    });
+    engine.schedule_at(at, [&submit, idx]() { submit(idx); });
   }
 
   const std::uint64_t expected = scheduled;

@@ -173,33 +173,38 @@ void LocalScheduler::commit(std::size_t pending_index, NodeMask mask,
   record.end = end;
   record.deadline = task.deadline;
 
-  engine_.schedule_at(end, [this, record = std::move(record)]() {
-    --running_;
-    if (auto* reg = obs::registry()) {
-      // Live flow counters for the continuous sampler.  Busy time is
-      // node-seconds in integer microseconds, so the running totals carry
-      // no floating-point rounding drift.
-      reg->counter("flow.completed").add(1);
-      reg->counter("flow.busy_us")
-          .add(static_cast<std::uint64_t>(
-                   std::llround((record.end - record.start) * 1e6)) *
-               static_cast<std::uint64_t>(node_count(record.mask)));
-      // Sojourn time (completion − submission): the steady-state latency
-      // the open-loop campaigns track as a success criterion.
-      reg->histogram("sched.latency",
-                     {1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600, 7200})
-          .observe(record.end - record.submitted);
-    }
-    obs::emit({.at = engine_.now(),
-               .kind = obs::EventKind::kTaskCompleted,
-               .task = record.task.value(),
-               .resource = record.resource.value(),
-               .a = record.deadline - record.end});  // advance time ε_j
-    sink_(record);
-    if (config_.policy == SchedulerPolicy::kGa && !pending_.empty()) {
-      request_reschedule();
-    }
-  });
+  const std::uint32_t slot = completions_.park(std::move(record));
+  engine_.schedule_at(end, [this, slot]() { complete(slot); });
+}
+
+void LocalScheduler::complete(std::uint32_t slot) {
+  // Taken out first: the sink may commit, and so park, in turn.
+  const CompletionRecord record = completions_.take(slot);
+  --running_;
+  if (auto* reg = obs::registry()) {
+    // Live flow counters for the continuous sampler.  Busy time is
+    // node-seconds in integer microseconds, so the running totals carry
+    // no floating-point rounding drift.
+    reg->counter("flow.completed").add(1);
+    reg->counter("flow.busy_us")
+        .add(static_cast<std::uint64_t>(
+                 std::llround((record.end - record.start) * 1e6)) *
+             static_cast<std::uint64_t>(node_count(record.mask)));
+    // Sojourn time (completion − submission): the steady-state latency
+    // the open-loop campaigns track as a success criterion.
+    reg->histogram("sched.latency",
+                   {1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600, 7200})
+        .observe(record.end - record.submitted);
+  }
+  obs::emit({.at = engine_.now(),
+             .kind = obs::EventKind::kTaskCompleted,
+             .task = record.task.value(),
+             .resource = record.resource.value(),
+             .a = record.deadline - record.end});  // advance time ε_j
+  sink_(record);
+  if (config_.policy == SchedulerPolicy::kGa && !pending_.empty()) {
+    request_reschedule();
+  }
 }
 
 void LocalScheduler::reschedule() {

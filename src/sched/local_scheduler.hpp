@@ -33,6 +33,7 @@
 #include "sched/fifo_scheduler.hpp"
 #include "sched/ga_scheduler.hpp"
 #include "sim/engine.hpp"
+#include "sim/slab.hpp"
 
 namespace gridlb::sched {
 
@@ -140,6 +141,8 @@ class LocalScheduler {
   void reschedule();
   void commit(std::size_t pending_index, NodeMask mask, SimTime start,
               SimTime end);
+  /// Completion event of the task whose record is parked in `slot`.
+  void complete(std::uint32_t slot);
 
   sim::Engine& engine_;
   Config config_;
@@ -149,6 +152,9 @@ class LocalScheduler {
   CompletionSink sink_;
 
   std::vector<Task> pending_;
+  /// Records of running tasks: a completion closure names its record's
+  /// slot, so it fits std::function's inline buffer (sim/slab.hpp).
+  sim::Slab<CompletionRecord> completions_;
   std::vector<SimTime> node_free_;
   NodeMask available_ = 0;
   SimTime last_plan_completion_ = 0.0;

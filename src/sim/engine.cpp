@@ -3,33 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "common/assert.hpp"
 
 namespace gridlb::sim {
 
-void Engine::release(std::uint32_t index) const {
-  slots_[index] = nullptr;
-  free_slots_.push_back(index);
-}
-
 EventId Engine::schedule_at(SimTime at, EventFn fn) {
   GRIDLB_REQUIRE(std::isfinite(at), "event time must be finite");
   GRIDLB_REQUIRE(at >= now_, "cannot schedule an event in the past");
-  GRIDLB_REQUIRE(static_cast<bool>(fn), "event callback must be set");
-  std::uint32_t index;
-  if (free_slots_.empty()) {
-    GRIDLB_REQUIRE(slots_.size() < UINT32_MAX, "too many pending events");
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  slots_[index] = std::move(fn);
+  GRIDLB_REQUIRE(fn != nullptr, "event callback must be set");
+  const std::uint32_t slot = slots_.park(std::move(fn));
   const std::uint64_t seq = next_seq_++;
-  heap_.push_back(Key{at, seq, index});
+  heap_.push_back(Key{at, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return seq;
 }
@@ -73,7 +60,7 @@ void Engine::pop_cancelled() const {
     if (cancelled_.erase(top.seq) == 0) return;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
-    release(top.slot);
+    slots_.take(top.slot);  // destroys the cancelled callback
     ++events_swept_;
   }
 }
@@ -85,10 +72,9 @@ bool Engine::step() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
   GRIDLB_ASSERT(key.at >= now_);
-  // Moved out before running: the callback may schedule into this slot
+  // Taken out before running: the callback may schedule into this slot
   // once it is free, or grow the slab under it.
-  EventFn fn = std::move(slots_[key.slot]);
-  release(key.slot);
+  const EventFn fn = slots_.take(key.slot);
   now_ = key.at;
   ++events_processed_;
   fn();

@@ -14,17 +14,13 @@
 // (DESIGN.md §13).  A run owns exactly one engine.
 #pragma once
 
-#include <concepts>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <new>
-#include <type_traits>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "sim/slab.hpp"
 
 namespace gridlb::sim {
 
@@ -33,81 +29,7 @@ using EventId = std::uint64_t;
 
 /// Callback invoked when an event fires.  The engine's clock already shows
 /// the event's timestamp when the callback runs.
-///
-/// A move-only callable that holds its closure inline, in `kCapacity`
-/// bytes: a closure that does not fit fails to compile, so no event's
-/// callback is ever on the heap.  The largest closure a run schedules is a
-/// task's completion (112 B: the scheduler and its CompletionRecord).
-class EventFn {
- public:
-  static constexpr std::size_t kCapacity = 112;
-
-  EventFn() = default;
-  /// An empty callback, as from a null std::function.
-  EventFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
-  template <class F>
-    requires(!std::same_as<std::remove_cvref_t<F>, EventFn> &&
-             std::invocable<std::remove_cvref_t<F>&>)
-  EventFn(F&& fn) {  // NOLINT(google-explicit-constructor)
-    using Closure = std::remove_cvref_t<F>;
-    static_assert(sizeof(Closure) <= kCapacity,
-                  "event closure larger than EventFn::kCapacity");
-    static_assert(alignof(Closure) <= alignof(std::max_align_t),
-                  "event closure over-aligned for EventFn");
-    static_assert(std::is_nothrow_move_constructible_v<Closure>,
-                  "event closure must be nothrow-movable");
-    ::new (static_cast<void*>(storage_)) Closure(std::forward<F>(fn));
-    ops_ = &kOps<Closure>;
-  }
-  EventFn(EventFn&& other) noexcept { take(other); }
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      take(other);
-    }
-    return *this;
-  }
-  EventFn& operator=(std::nullptr_t) noexcept {
-    reset();
-    return *this;
-  }
-  ~EventFn() { reset(); }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-  void operator()() { ops_->call(storage_); }
-
- private:
-  struct Ops {
-    void (*call)(void* closure);
-    /// Moves the closure at `from` to `to` and ends its life at `from`.
-    void (*relocate)(void* from, void* to) noexcept;
-    void (*destroy)(void* closure) noexcept;
-  };
-  template <class Closure>
-  static constexpr Ops kOps = {
-      [](void* closure) { (*static_cast<Closure*>(closure))(); },
-      [](void* from, void* to) noexcept {
-        auto* source = static_cast<Closure*>(from);
-        ::new (to) Closure(std::move(*source));
-        source->~Closure();
-      },
-      [](void* closure) noexcept {
-        static_cast<Closure*>(closure)->~Closure();
-      },
-  };
-
-  void take(EventFn& other) noexcept {
-    ops_ = std::exchange(other.ops_, nullptr);
-    if (ops_ != nullptr) ops_->relocate(other.storage_, storage_);
-  }
-  void reset() noexcept {
-    if (ops_ != nullptr) std::exchange(ops_, nullptr)->destroy(storage_);
-  }
-
-  /// Left uninitialised until a closure is placed in it.
-  alignas(std::max_align_t) std::byte storage_[kCapacity];
-  const Ops* ops_ = nullptr;
-};
+using EventFn = std::function<void()>;
 
 /// Callback of a periodic chain: returns whether the chain goes on.
 using PeriodicFn = std::function<bool()>;
@@ -162,9 +84,9 @@ class Engine {
  private:
   // The queue is split in two.  The binary heap holds small POD keys —
   // everything the comparator reads, nothing it does not — so a sift moves
-  // 24 bytes; the callback waits, inline, in a slab slot the key names,
-  // reused through a free list, and is moved out once, when the event
-  // fires.  An event's id is its `seq`.
+  // 24 bytes; the callback waits in a slab slot the key names, reused
+  // through a free list, and is moved out once, when the event fires.  An
+  // event's id is its `seq`.
   struct Key {
     SimTime at;
     std::uint64_t seq;
@@ -176,7 +98,6 @@ class Engine {
     }
   };
 
-  void release(std::uint32_t slot) const;  ///< frees a popped key's slot
   void pop_cancelled() const;
 
   // The queue and `cancelled_` are mutable so the const query
@@ -185,8 +106,7 @@ class Engine {
   // fire — and beats the previous approach of copying the whole queue
   // (O(n) allocation + O(n log n) pops) per query.
   mutable std::vector<Key> heap_;
-  mutable std::vector<EventFn> slots_;
-  mutable std::vector<std::uint32_t> free_slots_;
+  mutable Slab<EventFn> slots_;
   mutable std::unordered_set<EventId> cancelled_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;

@@ -71,20 +71,25 @@ void Network::send(EndpointId from, EndpointId to, std::string payload) {
     }
   }
 
-  auto deliver = [this, message = Message{from, to, std::move(payload)}]() {
-    Endpoint& destination = endpoints_[message.to];
-    if (!destination.up) {
-      ++faults_.dropped_endpoint_down;
-      obs::emit({.at = engine_.now(),
-                 .kind = obs::EventKind::kMessageDropped,
-                 .extra = kDropEndpointDown,
-                 .a = static_cast<double>(message.from),
-                 .b = static_cast<double>(message.to)});
-      return;
-    }
-    destination.handler(message);
-  };
-  engine_.schedule_in(latency, std::move(deliver));
+  const std::uint32_t slot =
+      in_flight_.park(Message{from, to, std::move(payload)});
+  engine_.schedule_in(latency, [this, slot]() { deliver(slot); });
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // Taken out first: the handler may send, and so park, in turn.
+  const Message message = in_flight_.take(slot);
+  Endpoint& destination = endpoints_[message.to];
+  if (!destination.up) {
+    ++faults_.dropped_endpoint_down;
+    obs::emit({.at = engine_.now(),
+               .kind = obs::EventKind::kMessageDropped,
+               .extra = kDropEndpointDown,
+               .a = static_cast<double>(message.from),
+               .b = static_cast<double>(message.to)});
+    return;
+  }
+  destination.handler(message);
 }
 
 }  // namespace gridlb::sim

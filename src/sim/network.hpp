@@ -29,6 +29,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/engine.hpp"
+#include "sim/slab.hpp"
 
 namespace gridlb::sim {
 
@@ -104,6 +105,9 @@ class Network {
   [[nodiscard]] const FaultStats& fault_stats() const { return faults_; }
 
  private:
+  /// Delivery event of the message parked in `slot`.
+  void deliver(std::uint32_t slot);
+
   struct Endpoint {
     Handler handler;
     std::uint64_t sent = 0;  ///< send ordinal, hashed by the fault draws
@@ -115,6 +119,9 @@ class Network {
   FaultPlan plan_;
   FaultStats faults_;
   std::vector<Endpoint> endpoints_;
+  /// Messages in flight: a delivery closure names its message's slot, so
+  /// it fits std::function's inline buffer (sim/slab.hpp).
+  Slab<Message> in_flight_;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
 };

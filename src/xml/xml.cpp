@@ -258,7 +258,11 @@ void Reader::close() {
   }
   pos_ += 2;
   const std::string_view current = name();
-  if (at_name(pos_, current) && data_[pos_ + current.size()] == '>') {
+  // A '>' right after the name is also the boundary check; the NUL after
+  // the document stops it at its end.
+  if (current.size() <= size_ - pos_ &&
+      std::memcmp(data_ + pos_, current.data(), current.size()) == 0 &&
+      data_[pos_ + current.size()] == '>') {
     pos_ += current.size() + 1;
     --depth_;
     return;

@@ -57,7 +57,7 @@ TEST_P(SystemInvariants, HoldAcrossTheWholeRun) {
   const auto workload = generate_workload(workload_config, catalogue,
                                           static_cast<int>(system.size()));
   for (const auto& spec : workload) {
-    engine.schedule_at(spec.at, [&, spec = spec]() {
+    engine.schedule_at(spec.at, [&, spec]() {
       portal.submit(system.agent(static_cast<std::size_t>(spec.agent_index)),
                     spec.app_name, engine.now() + spec.deadline_offset);
     });

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -105,6 +106,28 @@ TEST(Network, HandlerCanSendReply) {
   EXPECT_EQ(log[0], "b got ping");
   EXPECT_EQ(log[1], "a got pong");
   EXPECT_EQ(engine.now(), 0.2);
+}
+
+TEST(Network, RepliesSentDuringADeliveryKeepEveryPayload) {
+  // A reply is parked while the message being delivered has just left its
+  // slot, so the reply may reuse that slot; neither payload may change.
+  Engine engine;
+  Network network(engine, 0.1);
+  std::vector<std::string> log;
+  EndpointId b = 0;
+  const EndpointId a = network.register_endpoint(
+      [&](const Message& m) { log.push_back("a got " + m.payload); });
+  b = network.register_endpoint([&](const Message& m) {
+    network.send(b, a, m.payload + " reply");
+    log.push_back("b got " + m.payload);
+  });
+  network.send(a, b, std::string(40, 'x'));
+  network.send(a, b, "second");
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "b got " + std::string(40, 'x'), "b got second",
+                     "a got " + std::string(40, 'x') + " reply",
+                     "a got second reply"}));
 }
 
 }  // namespace
